@@ -11,15 +11,14 @@ Data1 and Data2 follow the paper's Figure 5 exactly:
 
 from __future__ import annotations
 
-import os
 import pickle
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.errors import CheckpointError
 from repro.functional.simt import SimtStack
 from repro.functional.state import CTAState, LaunchContext
+from repro.util.atomicstore import atomic_write
 
 _FORMAT_VERSION = 2
 
@@ -64,24 +63,14 @@ class Checkpoint:
         as durable job state.
         """
         path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, temp_name = tempfile.mkstemp(
-            dir=path.parent, prefix=f".{os.getpid()}-", suffix=".ckpt.tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                pickle.dump(self, handle,
-                            protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(temp_name, path)
-        except BaseException:
-            try:
-                os.unlink(temp_name)
-            except OSError:
-                pass
-            raise
+        atomic_write(path, pickle.dumps(
+            self, protocol=pickle.HIGHEST_PROTOCOL))
         return path
 
     @classmethod
     def load(cls, path: str | Path) -> "Checkpoint":
+        """Read a checkpoint back; a missing, truncated, foreign or
+        wrong-format file raises :class:`CheckpointError` naming it."""
         path = Path(path)
         if not path.exists():
             raise CheckpointError(f"no checkpoint at {path}")

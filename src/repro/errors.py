@@ -84,6 +84,11 @@ class ServiceError(ReproError):
     client asking for the result of a job that failed."""
 
 
+class UnknownJobError(ServiceError):
+    """Raised when a job id names no submission the scheduler has seen
+    (the REST layer answers ``404``)."""
+
+
 class JobCancelled(ServiceError):
     """Raised inside a running job when its cancellation (or deadline
     expiry) is observed at a shard boundary.

@@ -42,7 +42,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
+
+from repro.util.atomicstore import atomic_write
 
 #: Environment variables that configure the cache; resolved at call
 #: time, never captured at import.
@@ -214,11 +215,11 @@ def store(kernel, tier: str, payload: dict, *, plan_format: int,
           analysis_version: int) -> bool:
     """Atomically persist *payload*; returns False when disabled/failed.
 
-    Safe under concurrent writers: the temp name embeds this process's
-    pid on top of ``mkstemp`` randomness, so two processes compiling the
-    same kernel can never collide on the staging file, and the final
-    ``os.replace`` is atomic (readers see the old entry or the new one,
-    never a half-renamed hybrid).  If the rename itself fails but an
+    Safe under concurrent writers
+    (:func:`repro.util.atomicstore.atomic_write`): two processes
+    compiling the same kernel never collide on the staging file, and
+    readers see the old entry or the new one, never a half-renamed
+    hybrid.  If the rename itself fails but an
     equivalent valid entry already exists — another process won the
     race — the loss is benign and counts as a store all the same.
     """
@@ -235,23 +236,10 @@ def store(kernel, tier: str, payload: dict, *, plan_format: int,
         "payload": payload,
         "payload_sha256": _payload_digest(payload),
     }
-    directory = cache_dir()
     path = _entry_path(fingerprint, tier)
-    temp_name = None
     try:
-        os.makedirs(directory, exist_ok=True)
-        fd, temp_name = tempfile.mkstemp(
-            dir=directory, prefix=f".{os.getpid()}-", suffix=".tmp")
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(entry, handle)
-        os.replace(temp_name, path)
-        temp_name = None
+        atomic_write(path, json.dumps(entry).encode("utf-8"))
     except OSError:
-        if temp_name is not None:
-            try:
-                os.unlink(temp_name)
-            except OSError:
-                pass
         if _entry_is_valid(path, fingerprint, tier, plan_format,
                            analysis_version):
             # Lost the rename race to a process that published the same

@@ -30,12 +30,9 @@ memory mirror back, materialise exact per-warp scalar state (registers,
 SIMT stacks, barrier parking) and hand the chunk's CTAs to the scalar
 engine: a bailout, not an error.
 
-Grids wider than one 64Ki-thread chunk run their chunks *overlapped* on
-a thread pool (chunks are CTA-disjoint, so they commute exactly like
-the CTA shards of :mod:`repro.service.pool`); each chunk executes
-against a private copy of the dense memory mirror and the per-chunk
-write sets merge back in ascending chunk order, keeping results
-bit-identical to the sequential schedule.
+Grids wider than one 64Ki-thread chunk run their chunks one after
+another in ascending CTA order, each against the live dense memory
+mirror.
 
 Generated block sources are plain strings binding only ``np``/``H``
 (:mod:`repro.functional.npops`) plus the runtime ``VM`` object, which
@@ -45,9 +42,6 @@ tier and analysis version.
 """
 
 from __future__ import annotations
-
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -77,7 +71,8 @@ CHUNK_THREADS = 65536
 #: ``fallbacks`` counts kernels that left the tier at plan time,
 #: ``bailouts`` chunks handed to the scalar engine mid-run,
 #: ``parked_barriers``/``released_barriers`` the frame park/re-merge
-#: protocol, and ``overlapped_chunks`` chunks run on the worker pool.
+#: protocol.  ``overlapped_chunks`` always reads 0: the repo benchmark
+#: indexes the key, and no chunk schedule but the sequential one exists.
 EVENTS = {"fallbacks": 0, "bailouts": 0, "parked_barriers": 0,
           "released_barriers": 0, "overlapped_chunks": 0}
 
@@ -87,22 +82,6 @@ def reset_events() -> None:
     for key in EVENTS:
         EVENTS[key] = 0
 
-
-def chunk_workers() -> int:
-    """Worker threads for overlapped chunk execution.
-
-    ``REPRO_MEGABLOCK_WORKERS`` overrides (``1`` disables overlap —
-    service shard workers set this so a fan-out of processes does not
-    multiply into a fan-out of thread pools); the default caps at four
-    because chunk workers only overlap in the GIL-releasing NumPy ops.
-    """
-    raw = os.environ.get("REPRO_MEGABLOCK_WORKERS")
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            return 1
-    return min(4, os.cpu_count() or 1)
 
 _CONTROL = ("bra", "exit", "ret", "bar")
 
@@ -965,88 +944,19 @@ class MegaMachine:
         if num_ctas is None:
             num_ctas = launch.num_ctas - first_cta
         limit = first_cta + num_ctas
-        chunks = []
         start = first_cta
-        while start < limit:
-            nct = min(nct_chunk, limit - start)
-            chunks.append((start, nct))
-            start += nct
-        workers = chunk_workers()
-        if (len(chunks) > 1 and workers > 1 and self._san is None
-                and not any(c["op"] == "bar"
-                            for c in self.plan.controls.values())):
-            # Chunks are CTA-disjoint, so they commute exactly like the
-            # service layer's CTA shards.  Barrier kernels stay on the
-            # sequential path: a park/bailout mutates launch-wide state
-            # (scalar continuation, tracer) that must not race.  The
-            # sanitizer also forces sequential chunks — its finding
-            # funnel and shadow absorption are not thread-safe.
-            self._run_overlapped(chunks, stats, workers)
-            return
         # Casting f64->f32 with overflow emits RuntimeWarnings the
         # scalar tier never sees; suppress for the whole vector run.
         with np.errstate(all="ignore"):
-            for start, nct in chunks:
+            while start < limit:
+                nct = min(nct_chunk, limit - start)
                 stats.ctas_launched += nct
                 stats.warps_launched += nct * launch.warps_per_block
                 delta = self._run_chunk(start, nct, stats)
                 if delta is not None:
                     launch.clock += delta
                     stats.instructions += delta
-
-    def _run_overlapped(self, chunks, stats, workers: int) -> None:
-        """Dispatch independent chunks onto a thread pool.
-
-        Every chunk runs on a private machine against a private copy of
-        the dense memory mirror; the parent merges each chunk's exact
-        write set back in ascending chunk order (identical conflict
-        resolution to the sequential schedule and to the sharded
-        service).  NumPy kernels over 64Ki-lane arrays release the GIL,
-        which is where the overlap comes from.
-        """
-        launch = self.launch
-        gm = launch.global_mem
-        snap = gm.dense_mirror()
-        snap.extend(b"\x00" * ((-len(snap)) % 8))
-        base = (np.frombuffer(bytes(snap), np.uint8) if snap
-                else np.zeros(0, np.uint8))
-
-        def job(start: int, nct: int):
-            machine = MegaMachine(self.engine, self.plan)
-            part = type(stats)()
-            part.ctas_launched += nct
-            part.warps_launched += nct * launch.warps_per_block
-            # np.errstate is thread-local; arm it per worker.
-            with np.errstate(all="ignore"):
-                delta = machine._run_chunk(start, nct, part, base=base,
-                                           writeback=False)
-            part.instructions += delta
-            return machine, part, delta
-
-        EVENTS["overlapped_chunks"] += len(chunks)
-        with ThreadPoolExecutor(
-                max_workers=min(workers, len(chunks))) as pool:
-            futures = [pool.submit(job, start, nct)
-                       for start, nct in chunks]
-        final = base.copy()
-        error = None
-        for future in futures:  # ascending chunk order
-            if error is not None:
-                break
-            try:
-                machine, part, delta = future.result()
-            except Exception as exc:  # noqa: BLE001 - re-raised below
-                # Match the sequential schedule: chunks before the
-                # faulting one commit, the faulting one is discarded.
-                error = exc
-                continue
-            changed = np.flatnonzero(machine.gmem != base)
-            final[changed] = machine.gmem[changed]
-            launch.clock += delta
-            stats.merge(part)
-        gm.write_dense(final)
-        if error is not None:
-            raise error
+                start += nct
 
     # -- chunk setup ----------------------------------------------------
     @staticmethod
@@ -1057,8 +967,7 @@ class MegaMachine:
         return (np.frombuffer(data, np.uint8) if data
                 else np.zeros(0, np.uint8)), real
 
-    def _setup(self, cta_start: int, nct: int,
-               base: np.ndarray | None = None) -> None:
+    def _setup(self, cta_start: int, nct: int) -> None:
         launch = self.launch
         self.cta_start = cta_start
         self.nct = nct
@@ -1074,17 +983,11 @@ class MegaMachine:
         gm = launch.global_mem
         lo, nxt = gm.dense_bounds()
         self.gspan = nxt - lo
-        if base is not None:
-            # Overlapped chunk: private copy of the shared snapshot (the
-            # parent merges write sets back in ascending chunk order).
-            self.gmem = base.copy()
-            self._gbuf = self.gmem
-        else:
-            buf = gm.dense_mirror()
-            buf.extend(b"\x00" * ((-len(buf)) % 8))
-            self._gbuf = buf
-            self.gmem = (np.frombuffer(buf, np.uint8) if buf
-                         else np.zeros(0, np.uint8))
+        buf = gm.dense_mirror()
+        buf.extend(b"\x00" * ((-len(buf)) % 8))
+        self._gbuf = buf
+        self.gmem = (np.frombuffer(buf, np.uint8) if buf
+                     else np.zeros(0, np.uint8))
         span = max(launch.shared_bytes, 16)
         self.S_real = span
         span += (-span) % 8
@@ -1559,15 +1462,12 @@ class MegaMachine:
         return not (at_bar & stuck).any()
 
     # -- interpreter ----------------------------------------------------
-    def _run_chunk(self, cta_start: int, nct: int, stats, *,
-                   base: np.ndarray | None = None,
-                   writeback: bool = True) -> int | None:
+    def _run_chunk(self, cta_start: int, nct: int, stats) -> int | None:
         """Run one chunk; return its clock delta, or ``None`` if the
         chunk bailed out (the bailout path settles the launch clock,
         stats and memory itself before handing CTAs to the scalar
-        engine).  The caller applies the returned delta — overlapped
-        chunks account their deltas in ascending merge order."""
-        self._setup(cta_start, nct, base)
+        engine).  The caller applies the returned delta."""
+        self._setup(cta_start, nct)
         plan = self.plan
         blocks = plan.blocks
         controls = plan.controls
@@ -1689,8 +1589,7 @@ class MegaMachine:
             stats.instructions += clock
             self._bailout(stack, parked, stats)
             return None
-        if writeback:
-            self.launch.global_mem.write_dense(self._gbuf)
+        self.launch.global_mem.write_dense(self._gbuf)
         self._absorb_init()
         return clock
 

@@ -10,12 +10,12 @@ embarrassingly parallel at two levels — and this package exploits both:
   single-process run.  :class:`ShardedFunctionalBackend` plugs the
   executor into :class:`repro.cuda.runtime.CudaRuntime` as a drop-in
   backend.
-* :mod:`repro.service.jobs` — an **async job queue**: ``submit``
-  returns a job id immediately, workloads execute on a worker pool, and
-  results are memoized on a structural key so repeat submissions are
-  cache hits.
-* :mod:`repro.service.scheduler` — the **cluster scheduler**: a driver
-  multiplexing thousands of queued jobs across N simulated GPU workers
+* :mod:`repro.service.jobs` — **job records, workload runners and the
+  memo table**: results are memoized on a structural key so repeat
+  submissions are cache hits.
+* :mod:`repro.service.scheduler` — the **cluster scheduler**, the one
+  job engine: ``submit`` returns a job id immediately, and a driver
+  multiplexes thousands of queued jobs across N simulated GPU workers
   under a pluggable allocation :class:`Policy` (FIFO, strict priority,
   round-robin fair share, cost-aware SJF), with priorities, deadlines,
   cooperative cancellation, streaming progress events, and a memo
@@ -25,7 +25,7 @@ embarrassingly parallel at two levels — and this package exploits both:
   per structural fingerprint; a SimNet-style learned predictor drops
   in by subclassing :class:`CostModel`.
 * :mod:`repro.service.rest` — a stdlib-only **REST front door**
-  (``repro-serve``) over either backend, with
+  (``repro-serve``) over the scheduler, with
   :mod:`repro.service.client` as its Python client.
 
 Many concurrent sweeps share one warm kernel/compile cache
@@ -36,7 +36,7 @@ calls the "millions of users" path.
 
 from repro.service.client import ServiceClient
 from repro.service.costmodel import CostModel, HistoryCostModel, cost_key
-from repro.service.jobs import JobControl, JobQueue, MemoTable, job_key
+from repro.service.jobs import JobControl, MemoTable, job_key
 from repro.service.pool import (
     ShardExecutor, ShardedFunctionalBackend, ShardedRunResult)
 from repro.service.scheduler import (
@@ -51,7 +51,6 @@ __all__ = [
     "GpuState",
     "HistoryCostModel",
     "JobControl",
-    "JobQueue",
     "MemoTable",
     "POLICIES",
     "Policy",

@@ -74,10 +74,8 @@ class ServiceClient:
         """Submit a job; returns the job record (``job_id``, ``state``,
         ``memo_hit`` and — for instant memo hits — ``result``).
 
-        *priority*, *deadline_s* and *tenant* are scheduling attributes
-        understood only by the cluster-scheduler backend
-        (``repro-serve --gpus N``); sending them to a plain-queue
-        server raises :class:`~repro.errors.ServiceError` (HTTP 400).
+        *priority*, *deadline_s* and *tenant* are the scheduling
+        attributes (see ``ClusterScheduler.submit``).
         """
         body: dict = {
             "workload": workload,
@@ -101,7 +99,7 @@ class ServiceClient:
         return self._request("GET", f"/api/jobs/{job_id}")
 
     def cancel(self, job_id: str) -> dict:
-        """Cancel a job (scheduler backend only).
+        """Cancel a job.
 
         Queued jobs close as ``cancelled`` immediately; running jobs
         stop at their next shard boundary — poll :meth:`job` or
@@ -112,7 +110,7 @@ class ServiceClient:
 
     def events(self, job_id: str, *, since: int = 0,
                timeout_s: float = 10.0) -> dict:
-        """One long-poll of a job's event stream (scheduler backend).
+        """One long-poll of a job's event stream.
 
         Returns ``{"events": [...], "state": ..., "next_since": N}``;
         pass ``next_since`` back as *since* to stream incrementally.
@@ -150,7 +148,7 @@ class ServiceClient:
                     f"{overall_timeout_s:.0f}s of event streaming")
 
     def cluster_stats(self) -> dict:
-        """The scheduler's per-GPU cluster view (scheduler backend)."""
+        """The scheduler's per-GPU cluster view."""
         return self._request("GET", "/api/cluster/stats")
 
     def result(self, job_id: str, *, timeout: float = 120.0,

@@ -1,38 +1,35 @@
-"""Async job queue with structural memoization.
+"""Job records, workload runners and the structural memo table.
 
-``submit(workload, config, seed) -> job_id`` returns immediately; jobs
-run on a worker pool and are observed through ``status``/``poll`` and a
-blocking ``result``.  Results are memoized on a **structural key** —
-the SHA-256 of the canonicalized ``(workload, config, seed)`` triple —
-so a repeat submission is a cache hit that completes instantly, and
-concurrent submissions of the same key coalesce onto one execution.
+A job is a ``(workload, config, seed)`` triple; its **structural key**
+is the SHA-256 of the canonicalized triple, and results are memoized on
+that key — a repeat submission is a cache hit that completes instantly,
+and concurrent submissions of the same key coalesce onto one execution.
 This is the sweep-economics shape SimNet motivates: a parameter sweep
 resubmitting thousands of near-duplicate simulations pays for each
-distinct configuration once.
+distinct configuration once.  The engine that queues and runs jobs is
+:class:`repro.service.scheduler.ClusterScheduler`.
 
-Workloads are looked up in a registry of named runners.  Each runner
-builds a fresh :class:`~repro.cuda.runtime.CudaRuntime` per execution
-(jobs never share mutable simulator state; what they *do* share is the
-process-wide warm kernel/compile cache) and returns a JSON-able result:
-an allocation digest, instruction totals and a per-kernel launch table.
+Workloads are looked up in a registry of named runners
+``(config, seed, control)``.  Each runner builds a fresh
+:class:`~repro.cuda.runtime.CudaRuntime` per execution (jobs never
+share mutable simulator state; what they *do* share is the process-wide
+warm kernel/compile cache) and returns a JSON-able result: an
+allocation digest, instruction totals and a per-kernel launch table.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import os
-import tempfile
 import threading
 import time
-import traceback as traceback_module
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.errors import JobCancelled, ServiceError
+from repro.util.atomicstore import atomic_write
 
 #: Job lifecycle states.
 QUEUED = "queued"
@@ -111,8 +108,7 @@ class NullJobControl(JobControl):
         """Discards the event."""
 
 
-#: Shared stub for callers without a scheduler (plain :class:`JobQueue`
-#: runs, direct runner calls in tests).
+#: Shared stub for callers without a scheduler (direct runner calls).
 NULL_CONTROL = NullJobControl()
 
 
@@ -313,17 +309,11 @@ REGISTRY = {
 
 
 # ---------------------------------------------------------------------------
-# The queue
+# The job record
 # ---------------------------------------------------------------------------
 @dataclass
 class Job:
-    """One submission's full lifecycle record.
-
-    The scheduler-era fields (priority, deadline, tenant, events, GPU
-    assignment, cancellation, traceback) default to inert values so the
-    plain :class:`JobQueue` keeps producing the PR-6 record shape with
-    a few extra keys.
-    """
+    """One submission's full lifecycle record."""
 
     job_id: str
     key: str
@@ -427,8 +417,8 @@ class MemoTable:
     survive a ``repro-serve`` restart: resubmitted configurations come
     back as instant memo hits.
 
-    Without a *path* it is a plain in-memory dict (the
-    :class:`JobQueue` default, and what tests use for hermeticity).
+    Without a *path* it is a plain in-memory dict (what tests and the
+    benchmark use for hermeticity).
     """
 
     #: On-disk schema version; bump to invalidate old files.
@@ -474,23 +464,12 @@ class MemoTable:
         A failed write is swallowed: persistence is an optimisation and
         the in-memory table stays authoritative for this process.
         """
-        directory = os.path.dirname(self.path) or "."
-        temp_name = None
         try:
-            os.makedirs(directory, exist_ok=True)
-            fd, temp_name = tempfile.mkstemp(
-                dir=directory, prefix=f".{os.getpid()}-", suffix=".tmp")
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump({"format": self.FORMAT,
-                           "memo": self._entries}, handle)
-            os.replace(temp_name, self.path)
-            temp_name = None
+            atomic_write(self.path, json.dumps(
+                {"format": self.FORMAT,
+                 "memo": self._entries}).encode("utf-8"))
         except OSError:
-            if temp_name is not None:
-                try:
-                    os.unlink(temp_name)
-                except OSError:
-                    pass
+            pass
 
     def get(self, key: str) -> dict | None:
         """Cached result for *key*, or ``None``."""
@@ -507,158 +486,3 @@ class MemoTable:
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
-
-
-class JobQueue:
-    """Thread-pooled async execution with memoized results.
-
-    Three submission outcomes, all returning instantly:
-
-    * **memo hit** — the key has a completed result; the new job is
-      born ``done`` with that result and ``memo_hit=True``.
-    * **coalesced** — the key is queued/running right now; the new job
-      completes when the leader does (also ``memo_hit=True``; the
-      simulation runs once).
-    * **fresh** — the job is queued for a worker thread.
-    """
-
-    def __init__(self, workers: int = 2,
-                 registry: dict | None = None) -> None:
-        self.registry = dict(registry or REGISTRY)
-        self._lock = threading.Lock()
-        self._jobs: dict[str, Job] = {}
-        self._order: list[str] = []
-        self._memo = MemoTable()
-        self._leaders: dict[str, str] = {}     # key -> leader job_id
-        self._followers: dict[str, list[str]] = {}
-        self._seq = itertools.count(1)
-        self._counters = {"submitted": 0, "executed": 0,
-                          "memo_hits": 0, "coalesced": 0, "errors": 0}
-        self._executor = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="repro-job")
-
-    # -- submission -----------------------------------------------------
-    def submit(self, workload: str, config: dict | None = None,
-               seed: int = 0) -> Job:
-        """Queue one job and return its record immediately."""
-        if workload not in self.registry:
-            raise ServiceError(
-                f"unknown workload {workload!r}; "
-                f"known: {sorted(self.registry)}")
-        config = dict(config or {})
-        key = job_key(workload, config, seed)
-        with self._lock:
-            job = Job(job_id=f"job-{next(self._seq):06d}", key=key,
-                      workload=workload, config=config, seed=int(seed),
-                      submitted_at=time.time())
-            self._jobs[job.job_id] = job
-            self._order.append(job.job_id)
-            self._counters["submitted"] += 1
-            cached = self._memo.get(key)
-            if cached is not None:
-                job.state = DONE
-                job.memo_hit = True
-                job.result = cached
-                job.finished_at = time.time()
-                job.done.set()
-                self._counters["memo_hits"] += 1
-                return job
-            leader = self._leaders.get(key)
-            if leader is not None:
-                job.memo_hit = True
-                self._followers.setdefault(key, []).append(job.job_id)
-                self._counters["coalesced"] += 1
-                return job
-            self._leaders[key] = job.job_id
-        self._executor.submit(self._run, job.job_id)
-        return job
-
-    # -- execution ------------------------------------------------------
-    def _run(self, job_id: str) -> None:
-        """Worker-thread body: execute one leader job to completion."""
-        job = self._jobs[job_id]
-        with self._lock:
-            job.state = RUNNING
-        try:
-            runner = self.registry[job.workload]
-            result = runner(job.config, job.seed)
-        except Exception as exc:  # a failed job must never kill a worker
-            self._complete(job, error=f"{type(exc).__name__}: {exc}",
-                           traceback=traceback_module.format_exc())
-        else:
-            self._complete(job, result=result)
-
-    def _complete(self, job: Job, *, result: dict | None = None,
-                  error: str | None = None,
-                  traceback: str | None = None) -> None:
-        """Close the leader and every coalesced follower together.
-
-        On failure the worker traceback rides onto every closing record
-        so the REST job record carries the structured failure signal,
-        not just a one-line message.
-        """
-        now = time.time()
-        with self._lock:
-            followers = self._followers.pop(job.key, [])
-            self._leaders.pop(job.key, None)
-            closing = [job] + [self._jobs[jid] for jid in followers]
-            for record in closing:
-                record.finished_at = now
-                if error is None:
-                    record.state = DONE
-                    record.result = result
-                else:
-                    record.state = ERROR
-                    record.error = error
-                    record.traceback = traceback
-            if error is None:
-                self._memo.put(job.key, result)
-                self._counters["executed"] += 1
-            else:
-                self._counters["errors"] += 1 + len(followers)
-        for record in closing:
-            record.done.set()
-
-    # -- observation ----------------------------------------------------
-    def _get(self, job_id: str) -> Job:
-        """Look up a job record or raise the typed unknown-id error."""
-        job = self._jobs.get(job_id)
-        if job is None:
-            raise ServiceError(f"unknown job id {job_id!r}")
-        return job
-
-    def status(self, job_id: str) -> dict:
-        """Full job record (result included once done)."""
-        return self._get(job_id).to_dict()
-
-    def poll(self, job_id: str) -> str:
-        """Just the lifecycle state, non-blocking."""
-        return self._get(job_id).state
-
-    def result(self, job_id: str, timeout: float | None = None) -> dict:
-        """Block until the job finishes; raise on error or timeout."""
-        job = self._get(job_id)
-        if not job.done.wait(timeout):
-            raise TimeoutError(
-                f"job {job_id} still {job.state} after {timeout}s")
-        if job.state == ERROR:
-            raise ServiceError(f"job {job_id} failed: {job.error}")
-        assert job.result is not None
-        return job.result
-
-    def jobs(self) -> list[dict]:
-        """All submissions, oldest first, without result payloads."""
-        return [self._jobs[jid].to_dict(with_result=False)
-                for jid in self._order]
-
-    def stats(self) -> dict:
-        """Flat counters (the ``/api/stats`` shape)."""
-        with self._lock:
-            counters = dict(self._counters)
-        counters["memo_entries"] = len(self._memo)
-        counters["jobs"] = len(self._jobs)
-        return counters
-
-    def shutdown(self, wait: bool = True) -> None:
-        """Stop the worker pool (queued jobs finish when ``wait``)."""
-        self._executor.shutdown(wait=wait)

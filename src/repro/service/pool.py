@@ -169,10 +169,6 @@ def _execute_shard(task: ShardTask) -> ShardResult:
     """Worker entry point: run CTAs ``[first_cta, limit_cta)``."""
     kernelcache.apply_env_config(task.cache_env)
     kernelcache.reset_counters()
-    # One thread pool per shard process would oversubscribe the host
-    # (shards x chunk workers); the process fan-out IS the parallelism
-    # here, so megablock chunks run sequentially inside each worker.
-    os.environ["REPRO_MEGABLOCK_WORKERS"] = "1"
     global_mem = GlobalMemory(uninit_read=task.uninit_read)
     global_mem.restore(task.memory)
     sanitizer = None

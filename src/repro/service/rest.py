@@ -25,12 +25,9 @@ memoized or coalesced submission comes back with ``memo_hit: true``
 (and, for a memo hit, ``state: "done"`` plus the cached result —
 the second identical submission never simulates anything).
 
-The server fronts either backend: the plain
-:class:`~repro.service.jobs.JobQueue` (``--workers N``) or the cluster
-:class:`~repro.service.scheduler.ClusterScheduler` (``--gpus N``, the
-default).  The scheduler-only routes (events, cancel, cluster stats)
-and submit fields (priority, deadline_s, tenant) answer ``404`` /
-``400`` respectively when the plain queue is mounted.
+The server fronts one
+:class:`~repro.service.scheduler.ClusterScheduler`; every route in
+:data:`API_ROUTES` always exists.
 
 Run it::
 
@@ -41,13 +38,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from repro.errors import ServiceError
+from repro.errors import ServiceError, UnknownJobError
 from repro.functional import kernelcache
-from repro.service.jobs import JobQueue
 from repro.service.scheduler import POLICIES, ClusterScheduler
 
 _JOB_PATH = re.compile(
@@ -59,6 +56,10 @@ MAX_RESULT_WAIT_S = 300.0
 
 #: Cap on a single events long-poll; clients re-poll with ``since``.
 MAX_EVENTS_WAIT_S = 60.0
+
+#: Largest request body the server reads; a longer ``Content-Length``
+#: is refused unread so a client cannot pin a handler thread on it.
+MAX_BODY_BYTES = 1 << 20
 
 #: The full route manifest: ``(method, path)`` for every endpoint the
 #: server answers.  ``tools/check_operations_doc.py`` asserts that
@@ -78,23 +79,21 @@ API_ROUTES = (
 )
 
 
+class _BadRequest(Exception):
+    """A request parameter failed validation (answered ``400``)."""
+
+
 class ServiceHandler(BaseHTTPRequestHandler):
-    """One request; the queue/scheduler lives on the server object."""
+    """One request; the scheduler lives on the server object."""
 
     server_version = "repro-serve/1.1"
     protocol_version = "HTTP/1.1"
 
     # -- plumbing -------------------------------------------------------
     @property
-    def queue(self):
-        """The mounted backend: a JobQueue or a ClusterScheduler."""
-        return self.server.queue  # type: ignore[attr-defined]
-
-    @property
-    def scheduler(self) -> ClusterScheduler | None:
-        """The backend if it is a ClusterScheduler, else ``None``."""
-        queue = self.queue
-        return queue if isinstance(queue, ClusterScheduler) else None
+    def scheduler(self) -> ClusterScheduler:
+        """The mounted :class:`ClusterScheduler`."""
+        return self.server.scheduler  # type: ignore[attr-defined]
 
     def log_message(self, format: str, *args) -> None:
         """Route http.server's per-request lines to stderr (or drop
@@ -117,9 +116,27 @@ class ServiceHandler(BaseHTTPRequestHandler):
         self._send(code, {"error": message})
 
     def _read_json(self) -> dict | None:
-        """Parse the request body as a JSON object (else answer 400)."""
+        """Parse the request body as a JSON object (else answer 4xx).
+
+        The body is never read past ``Content-Length``, and a negative
+        or over-:data:`MAX_BODY_BYTES` length is refused *unread* — the
+        connection then closes, since the unread bytes would otherwise
+        be parsed as the next request.
+        """
         try:
             length = int(self.headers.get("Content-Length", "0"))
+        except ValueError:
+            length = -1
+        if length < 0 or length > MAX_BODY_BYTES:
+            self.close_connection = True
+            if length < 0:
+                self._error(400, "Content-Length must be a "
+                                 "non-negative integer")
+            else:
+                self._error(413, f"request body exceeds "
+                                 f"{MAX_BODY_BYTES} bytes")
+            return None
+        try:
             raw = self.rfile.read(length) if length else b"{}"
             body = json.loads(raw or b"{}")
         except (ValueError, OSError):
@@ -138,23 +155,18 @@ class ServiceHandler(BaseHTTPRequestHandler):
             self._send(200, {"ok": True})
             return
         if path == "/api/stats":
-            stats = self.queue.stats()
+            stats = self.scheduler.stats()
             stats["kernelcache"] = kernelcache.counters()
             self._send(200, stats)
             return
         if path == "/api/workloads":
-            self._send(200, {"workloads": sorted(self.queue.registry)})
+            self._send(200, {"workloads": sorted(self.scheduler.registry)})
             return
         if path == "/api/jobs":
-            self._send(200, {"jobs": self.queue.jobs()})
+            self._send(200, {"jobs": self.scheduler.jobs()})
             return
         if path == "/api/cluster/stats":
-            scheduler = self.scheduler
-            if scheduler is None:
-                self._error(404, "cluster stats need the scheduler "
-                                 "backend (repro-serve --gpus N)")
-                return
-            self._send(200, scheduler.cluster_stats())
+            self._send(200, self.scheduler.cluster_stats())
             return
         match = _JOB_PATH.match(path)
         if match is None:
@@ -166,17 +178,20 @@ class ServiceHandler(BaseHTTPRequestHandler):
             return
         try:
             if tail == "":
-                self._send(200, self.queue.status(job_id))
+                self._send(200, self.scheduler.status(job_id))
                 return
             if tail == "/events":
                 self._get_events(job_id, query)
                 return
             timeout = _query_float(query, "timeout_s", default=30.0)
             timeout = min(timeout, MAX_RESULT_WAIT_S)
-            result = self.queue.result(job_id, timeout=timeout)
+            result = self.scheduler.result(job_id, timeout=timeout)
+        except _BadRequest as exc:
+            self._error(400, str(exc))
+        except UnknownJobError as exc:
+            self._error(404, str(exc))
         except ServiceError as exc:
-            code = 404 if "unknown job id" in str(exc) else 500
-            self._error(code, str(exc))
+            self._error(500, str(exc))
         except TimeoutError as exc:
             self._error(408, str(exc))
         else:
@@ -189,15 +204,13 @@ class ServiceHandler(BaseHTTPRequestHandler):
         response's ``next_since``); ``?timeout_s=`` bounds the wait.
         Timing out is a normal ``200`` with an empty list, never 408.
         """
-        scheduler = self.scheduler
-        if scheduler is None:
-            self._error(404, "event streaming needs the scheduler "
-                             "backend (repro-serve --gpus N)")
-            return
         since = int(_query_float(query, "since", default=0.0))
+        if since < 0:
+            raise _BadRequest(f"'since' must be >= 0, got {since}")
         timeout = _query_float(query, "timeout_s", default=10.0)
         timeout = min(max(timeout, 0.0), MAX_EVENTS_WAIT_S)
-        events, state = scheduler.events(job_id, since, timeout=timeout)
+        events, state = self.scheduler.events(job_id, since,
+                                              timeout=timeout)
         self._send(200, {"job_id": job_id, "state": state,
                          "events": events,
                          "next_since": since + len(events)})
@@ -225,7 +238,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
             return
         try:
             seed = int(body.get("seed", 0))
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             self._error(400, "'seed' must be an integer")
             return
         scheduling = {}
@@ -236,15 +249,11 @@ class ServiceHandler(BaseHTTPRequestHandler):
                 continue
             try:
                 scheduling[field] = caster(value)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 self._error(400, f"{field!r} must be a {caster.__name__}")
                 return
-        if scheduling and self.scheduler is None:
-            self._error(400, f"{sorted(scheduling)} need the scheduler "
-                             "backend (repro-serve --gpus N)")
-            return
         try:
-            job = self.queue.submit(workload, config, seed, **scheduling)
+            job = self.scheduler.submit(workload, config, seed, **scheduling)
         except ServiceError as exc:
             self._error(400, str(exc))
             return
@@ -253,52 +262,48 @@ class ServiceHandler(BaseHTTPRequestHandler):
     def _post_cancel(self, job_id: str) -> None:
         """``POST /api/jobs/<id>/cancel`` — instant for queued jobs,
         cooperative (next shard boundary) for running ones."""
-        scheduler = self.scheduler
-        if scheduler is None:
-            self._error(404, "cancellation needs the scheduler "
-                             "backend (repro-serve --gpus N)")
-            return
         try:
-            record = scheduler.cancel(job_id)
-        except ServiceError as exc:
-            code = 404 if "unknown job id" in str(exc) else 500
-            self._error(code, str(exc))
+            record = self.scheduler.cancel(job_id)
+        except UnknownJobError as exc:
+            self._error(404, str(exc))
             return
         self._send(200, record)
 
 
 def _query_float(query: str, name: str, default: float) -> float:
-    """Pull one float query parameter out of a raw query string."""
+    """Pull one float query parameter out of a raw query string.
+
+    An unparsable value falls back to *default*; ``nan``/``inf`` parse
+    but can bound no wait, so they raise :class:`_BadRequest`.
+    """
     for pair in query.split("&"):
         key, _, value = pair.partition("=")
         if key == name:
             try:
-                return float(value)
+                number = float(value)
             except ValueError:
                 return default
+            if not math.isfinite(number):
+                raise _BadRequest(
+                    f"{name!r} must be a finite number, got {value}")
+            return number
     return default
 
 
-def make_server(queue, host: str = "127.0.0.1",
+def make_server(scheduler: ClusterScheduler, host: str = "127.0.0.1",
                 port: int = 0, *, quiet: bool = False
                 ) -> ThreadingHTTPServer:
     """Build (but do not start) the HTTP server; ``port=0`` picks a
-    free port — read it back from ``server.server_address``.  *queue*
-    is either a :class:`~repro.service.jobs.JobQueue` or a
-    :class:`~repro.service.scheduler.ClusterScheduler`."""
+    free port — read it back from ``server.server_address``."""
     server = ThreadingHTTPServer((host, port), ServiceHandler)
-    server.queue = queue  # type: ignore[attr-defined]
+    server.scheduler = scheduler  # type: ignore[attr-defined]
     server.quiet = quiet  # type: ignore[attr-defined]
     return server
 
 
-def main(argv: list[str] | None = None) -> int:
-    """``repro-serve`` entry point.
-
-    Mounts the cluster scheduler by default (``--gpus``/``--policy``);
-    ``--workers N`` instead mounts the plain PR 6 job queue, which has
-    no priorities, cancellation or event streams.
-    """
+def build_parser() -> argparse.ArgumentParser:
+    """The ``repro-serve`` flag set (``tools/check_operations_doc.py``
+    holds ``docs/OPERATIONS.md`` to exactly these flags)."""
     parser = argparse.ArgumentParser(
         prog="repro-serve",
         description="Serve the GPU simulator as an async job service.")
@@ -310,35 +315,35 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--policy", choices=sorted(POLICIES),
                         default="fifo",
                         help="job allocation policy (default fifo)")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="mount the plain JobQueue with N worker "
-                             "threads instead of the cluster scheduler")
     parser.add_argument("--no-persist", action="store_true",
                         help="keep the job memo table in memory only "
                              "(default: persisted under the repro "
                              "cache dir)")
     parser.add_argument("--quiet", action="store_true",
                         help="suppress per-request logging")
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    """``repro-serve`` entry point: one cluster scheduler behind the
+    REST routes."""
+    parser = build_parser()
     args = parser.parse_args(argv)
-    if args.workers is not None:
-        queue = JobQueue(workers=args.workers)
-        backend = f"queue workers={args.workers}"
-    else:
-        queue = ClusterScheduler(
-            gpus=args.gpus, policy=args.policy,
-            memo_path=None if args.no_persist else "<default>")
-        backend = f"gpus={args.gpus} policy={args.policy}"
-    server = make_server(queue, args.host, args.port, quiet=args.quiet)
+    scheduler = ClusterScheduler(
+        gpus=args.gpus, policy=args.policy,
+        memo_path=None if args.no_persist else "<default>")
+    server = make_server(scheduler, args.host, args.port,
+                         quiet=args.quiet)
     host, port = server.server_address[:2]
-    print(f"repro-serve listening on http://{host}:{port} ({backend})",
-          flush=True)
+    print(f"repro-serve listening on http://{host}:{port} "
+          f"(gpus={args.gpus} policy={args.policy})", flush=True)
     try:
         server.serve_forever()
     except KeyboardInterrupt:
         pass
     finally:
         server.server_close()
-        queue.shutdown(wait=False)
+        scheduler.shutdown(wait=False)
     return 0
 
 

@@ -1,13 +1,12 @@
 """Cluster scheduler: N simulated GPUs over a prioritised job queue.
 
-PR 6's :class:`~repro.service.jobs.JobQueue` is a thread pool with a
-memo table — enough for a handful of jobs, blind to everything the
-paper's sweep workflow actually needs (Figs. 6/7 and the Sec. 5 sweeps
-each run dozens of configurations; a production sweep runs thousands).
-This module is the driver layer on top: a :class:`ClusterScheduler`
-multiplexes queued jobs across **N simulated GPU workers** (each worker
-is one execution lane; a job on it may itself fan CTAs across the
-PR 6 shard pool), with
+The paper's sweep workflow (Figs. 6/7 and the Sec. 5 sweeps each run
+dozens of configurations; a production sweep runs thousands) needs more
+than a thread pool with a memo table.  This module is the service's one
+job engine: a :class:`ClusterScheduler` multiplexes queued jobs across
+**N simulated GPU workers** (each worker is one execution lane; a job
+on it may itself fan CTAs across the shard pool of
+:mod:`repro.service.pool`), with
 
 * **pluggable allocation policies** behind one :class:`Policy`
   interface — :class:`FifoPolicy`, :class:`PriorityPolicy` (strict),
@@ -35,13 +34,14 @@ deals with races itself.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import threading
 import time
 import traceback as traceback_module
 from dataclasses import dataclass, field
 
-from repro.errors import JobCancelled, ServiceError
+from repro.errors import JobCancelled, ServiceError, UnknownJobError
 from repro.functional import kernelcache
 from repro.service.costmodel import CostModel, HistoryCostModel
 from repro.service.jobs import (
@@ -225,17 +225,18 @@ class GpuState:
 class ClusterScheduler:
     """Drives thousands of queued jobs across N simulated GPU workers.
 
-    Observation API (``status``/``poll``/``result``/``jobs``/``stats``)
-    matches :class:`~repro.service.jobs.JobQueue`, so the REST layer
-    serves either; on top of it sit ``cancel``, ``events`` (long-poll)
-    and ``cluster_stats``.  Construction starts the worker threads;
-    call :meth:`shutdown` (or use as a context manager) to stop them.
+    Observation is ``status``/``poll``/``result``/``jobs``/``stats``
+    plus ``cancel``, ``events`` (long-poll) and ``cluster_stats``.
+    Construction starts the worker threads; call :meth:`shutdown` (or
+    use as a context manager) to stop them.
 
-    Memoization follows the queue's three instant outcomes — memo hit,
-    coalesced onto a running leader, fresh — but the memo table is
-    **persisted** (atomic JSON under the repro cache dir) unless
-    ``memo_path=None``, so identical submissions after a restart are
-    still instant hits.
+    A submission has three instant outcomes — **memo hit** (the key has
+    a completed result; the job is born ``done`` with ``memo_hit``),
+    **coalesced** (the key is queued or running; the job completes when
+    that leader does, and the simulation runs once) or **fresh**
+    (queued for a GPU).  The memo table is **persisted** (atomic JSON
+    under the repro cache dir) unless ``memo_path=None``, so identical
+    submissions after a restart are still instant hits.
     """
 
     def __init__(self, gpus: int = 2, policy: Policy | str = "fifo", *,
@@ -307,8 +308,8 @@ class ClusterScheduler:
                tenant: str | None = None) -> Job:
         """Queue one job; returns immediately with its record.
 
-        Same three instant outcomes as the plain queue (memo hit,
-        coalesced, fresh) plus the scheduling attributes: *priority*
+        Besides the three instant outcomes (memo hit, coalesced,
+        fresh) a job carries the scheduling attributes: *priority*
         (higher runs first under the ``priority`` policy), *deadline_s*
         (wall-second budget from submission — expiry cancels the job,
         queued or running), *tenant* (fair-share group; defaults to the
@@ -318,9 +319,11 @@ class ClusterScheduler:
             raise ServiceError(
                 f"unknown workload {workload!r}; "
                 f"known: {sorted(self.registry)}")
-        if deadline_s is not None and deadline_s <= 0:
+        if deadline_s is not None \
+                and not (deadline_s > 0 and math.isfinite(deadline_s)):
             raise ServiceError(
-                f"deadline_s must be positive, got {deadline_s}")
+                f"deadline_s must be positive and finite, "
+                f"got {deadline_s}")
         config = dict(config or {})
         key = job_key(workload, config, seed)
         with self._cond:
@@ -457,26 +460,6 @@ class ClusterScheduler:
                 self._emit_queue_depth_locked()
             self._execute(job, gpu)
 
-    def _call_runner(self, runner, job: Job,
-                     control: JobControl) -> dict:
-        """Invoke a runner, passing *control* when its signature takes it.
-
-        Registry runners accept ``(config, seed, control)``; ad-hoc
-        two-argument runners (tests, user registries) still work — they
-        just can't observe cancellation mid-run.
-        """
-        try:
-            import inspect
-            parameters = inspect.signature(runner).parameters
-            takes_control = len(parameters) >= 3 or any(
-                p.kind == inspect.Parameter.VAR_KEYWORD
-                for p in parameters.values())
-        except (TypeError, ValueError):
-            takes_control = False
-        if takes_control:
-            return runner(job.config, job.seed, control)
-        return runner(job.config, job.seed)
-
     def _execute(self, job: Job, gpu: GpuState) -> None:
         """Run one job on *gpu* and close it (and its followers)."""
         control = JobControl(job)
@@ -486,7 +469,7 @@ class ClusterScheduler:
         try:
             control.check()          # deadline may expire in the queue
             runner = self.registry[job.workload]
-            result = self._call_runner(runner, job, control)
+            result = runner(job.config, job.seed, control)
         except JobCancelled as exc:
             outcome = "cancelled"
             self._finish(job, cancelled_reason=str(exc))
@@ -557,12 +540,12 @@ class ClusterScheduler:
                         **({} if error is None else {"error": error}))
             record.done.set()
 
-    # -- observation (JobQueue-compatible surface) ----------------------
+    # -- observation ----------------------------------------------------
     def _get(self, job_id: str) -> Job:
         """Look up a job record or raise the typed unknown-id error."""
         job = self._jobs.get(job_id)
         if job is None:
-            raise ServiceError(f"unknown job id {job_id!r}")
+            raise UnknownJobError(f"unknown job id {job_id!r}")
         return job
 
     def status(self, job_id: str) -> dict:

@@ -591,52 +591,31 @@ class TestDifferential:
             dict(ref_stats.dynamic_per_opcode)
         assert launch.clock == ref.clock
 
-    def test_overlapped_chunks_match_sequential_and_reference(
-            self, monkeypatch):
-        # Shrink chunks so a 256-thread saxpy spans four of them, then
-        # run the same launch single-worker, multi-worker and scalar.
+    @pytest.mark.parametrize("ptx,kernel,kwargs", [
+        (_saxpy_ptx, "sax", dict(grid=(8, 1, 1), n=256)),
+        (_divbar_ptx, "divbar",
+         dict(grid=(4, 1, 1), block=(64, 1, 1), n=256)),
+    ], ids=["sax", "divbar"])
+    def test_multi_chunk_grid_matches_reference(
+            self, monkeypatch, ptx, kernel, kwargs):
+        # Shrink chunks so the grid spans four of them: the chunks run
+        # one after another against the live memory mirror and must add
+        # up to exactly the scalar reference, barriers included.
         from repro.functional import megablock
         monkeypatch.setattr(megablock, "CHUNK_THREADS", 64)
-        results = {}
-        overlapped = {}
-        for workers in ("1", "4"):
-            monkeypatch.setenv("REPRO_MEGABLOCK_WORKERS", workers)
-            reset_events()
-            launch = _build_launch(_saxpy_ptx(), "sax",
-                                   grid=(8, 1, 1), n=256)
-            stats = FunctionalEngine(launch,
-                                     fast_mode="megablock").run()
-            results[workers] = (_memory_image(launch),
-                                stats.instructions,
-                                dict(stats.dynamic_per_opcode),
-                                launch.clock)
-            overlapped[workers] = EVENTS["overlapped_chunks"]
-        assert overlapped["1"] == 0, "single worker must stay serial"
-        assert overlapped["4"] == 4, "expected four overlapped chunks"
+        launch = _build_launch(ptx(), kernel, **kwargs)
+        engine = FunctionalEngine(launch, fast_mode="megablock")
+        assert engine._megaplan is not None
+        stats = engine.run()
+        assert stats.ctas_launched == kwargs["grid"][0]
 
-        ref = _build_launch(_saxpy_ptx(), "sax", grid=(8, 1, 1), n=256)
+        ref = _build_launch(ptx(), kernel, **kwargs)
         ref_stats = FunctionalEngine(ref, fast_mode="reference").run()
-        want = (_memory_image(ref), ref_stats.instructions,
-                dict(ref_stats.dynamic_per_opcode), ref.clock)
-        assert results["4"] == results["1"] == want
-
-    def test_barrier_kernel_never_overlaps(self, monkeypatch):
-        # Chunks synchronise nothing between themselves, but a plan
-        # holding a bar keeps the sequential path regardless of the
-        # worker budget.
-        from repro.functional import megablock
-        monkeypatch.setattr(megablock, "CHUNK_THREADS", 64)
-        monkeypatch.setenv("REPRO_MEGABLOCK_WORKERS", "4")
-        launch = _build_launch(_divbar_ptx(), "divbar",
-                               grid=(4, 1, 1), block=(64, 1, 1),
-                               n=256)
-        FunctionalEngine(launch, fast_mode="megablock").run()
-        assert EVENTS["overlapped_chunks"] == 0
-
-        ref = _build_launch(_divbar_ptx(), "divbar", grid=(4, 1, 1),
-                            block=(64, 1, 1), n=256)
-        FunctionalEngine(ref, fast_mode="reference").run()
         assert _memory_image(launch) == _memory_image(ref)
+        assert stats.instructions == ref_stats.instructions
+        assert dict(stats.dynamic_per_opcode) == \
+            dict(ref_stats.dynamic_per_opcode)
+        assert launch.clock == ref.clock
 
 
 # ---------------------------------------------------------------------------

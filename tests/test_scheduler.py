@@ -19,8 +19,8 @@ from repro.errors import JobCancelled, ServiceError
 from repro.functional import kernelcache
 from repro.service.costmodel import HistoryCostModel, cost_key
 from repro.service.jobs import (
-    CANCELLED, DONE, ERROR, Job, JobControl, JobQueue, MemoTable,
-    NULL_CONTROL, job_key)
+    CANCELLED, DONE, ERROR, Job, JobControl, MemoTable, NULL_CONTROL,
+    job_key)
 from repro.service.rest import API_ROUTES, make_server
 from repro.service.scheduler import (
     ClusterScheduler, FairSharePolicy, FifoPolicy, POLICIES,
@@ -304,8 +304,9 @@ class TestClusterScheduler:
     def test_invalid_deadline_rejected(self):
         with ClusterScheduler(gpus=1, registry={"w": _sleeper()},
                               memo_path=None) as sched:
-            with pytest.raises(ServiceError, match="deadline_s"):
-                sched.submit("w", deadline_s=-1)
+            for bad in (-1, 0, float("nan"), float("inf")):
+                with pytest.raises(ServiceError, match="deadline_s"):
+                    sched.submit("w", deadline_s=bad)
 
     def test_poisoned_job_surfaces_traceback_and_queue_survives(self):
         def poison(config, seed, control=NULL_CONTROL):
@@ -420,7 +421,7 @@ class TestMemoPersistence:
 
 
 # ---------------------------------------------------------------------------
-# JobControl + JobQueue interplay
+# JobControl
 # ---------------------------------------------------------------------------
 class TestJobControl:
     def test_null_control_never_raises(self):
@@ -441,22 +442,9 @@ class TestJobControl:
             JobControl(job).check()
         assert job.cancel_requested
 
-    def test_plain_jobqueue_keeps_error_traceback(self):
-        def poison(config, seed):
-            raise ValueError("plain queue boom")
-
-        queue = JobQueue(workers=1, registry={"poison": poison})
-        try:
-            job = queue.submit("poison")
-            assert job.done.wait(10)
-            record = queue.status(job.job_id)
-            assert "plain queue boom" in record["traceback"]
-        finally:
-            queue.shutdown()
-
 
 # ---------------------------------------------------------------------------
-# REST + client over the scheduler backend
+# REST + client over a scheduler with gated fake runners
 # ---------------------------------------------------------------------------
 @pytest.fixture()
 def cluster_service():
@@ -533,37 +521,6 @@ class TestRestScheduler:
             assert expected in paths
 
 
-class TestRestPlainQueueRejections:
-    """Scheduler-only features answer 4xx on the plain-queue backend."""
-
-    @pytest.fixture()
-    def plain_service(self):
-        queue = JobQueue(workers=1)
-        server = make_server(queue, quiet=True)
-        thread = threading.Thread(target=server.serve_forever,
-                                  daemon=True)
-        thread.start()
-        host, port = server.server_address[:2]
-        yield ServiceClient(f"http://{host}:{port}")
-        server.shutdown()
-        server.server_close()
-        queue.shutdown()
-
-    def test_priority_field_is_400(self, plain_service):
-        with pytest.raises(ServiceError, match="HTTP 400"):
-            plain_service.submit("saxpy", {"n": 8}, priority=1)
-
-    def test_events_and_cancel_and_cluster_are_404(self, plain_service):
-        job = plain_service.submit("saxpy", {"n": 8})
-        plain_service.result(job["job_id"], timeout=60)
-        with pytest.raises(ServiceError, match="HTTP 404"):
-            plain_service.events(job["job_id"])
-        with pytest.raises(ServiceError, match="HTTP 404"):
-            plain_service.cancel(job["job_id"])
-        with pytest.raises(ServiceError, match="HTTP 404"):
-            plain_service.cluster_stats()
-
-
 # ---------------------------------------------------------------------------
 # Real workloads through the scheduler (integration)
 # ---------------------------------------------------------------------------
@@ -576,18 +533,3 @@ class TestSchedulerRealWorkloads:
             progress = [e for e in job.events
                         if e["kind"] == "shard-progress"]
             assert any(e.get("kernel") == "saxpy" for e in progress)
-
-    def test_scheduler_matches_plain_queue_result(self):
-        with ClusterScheduler(gpus=1, memo_path=None) as sched:
-            via_scheduler = sched.result(
-                sched.submit("saxpy", {"n": 32}, seed=5).job_id,
-                timeout=120)
-        queue = JobQueue(workers=1)
-        try:
-            via_queue = queue.result(
-                queue.submit("saxpy", {"n": 32}, seed=5).job_id,
-                timeout=120)
-        finally:
-            queue.shutdown()
-        assert via_scheduler["digest"] == via_queue["digest"]
-        assert via_scheduler["instructions"] == via_queue["instructions"]

@@ -13,13 +13,16 @@ import json
 import multiprocessing
 import os
 import pickle
+import socket
 import threading
+import urllib.parse
 
 import numpy as np
 import pytest
 
 from repro.checkpoint.state import Checkpoint, CTASnapshot, capture_cta
-from repro.errors import CheckpointError, ServiceError
+from repro.errors import (
+    CheckpointError, ServiceError, UnknownJobError)
 from repro.functional import kernelcache
 from repro.functional.executor import (
     FunctionalEngine, RunStats, partition_ctas)
@@ -28,11 +31,12 @@ from repro.functional.state import CTAState, LaunchContext
 from repro.ptx.builder import PTXBuilder, f32
 from repro.ptx.parser import parse_module
 from repro.service.client import ServiceClient
-from repro.service.jobs import (
-    JobQueue, job_key, run_conv, run_lenet, run_saxpy)
+from repro.service.jobs import job_key, run_conv, run_lenet, run_saxpy
 from repro.service.pool import (
     ShardExecutor, ShardedFunctionalBackend, _diff_writes)
-from repro.service.rest import make_server
+from repro.service.rest import MAX_BODY_BYTES, make_server
+from repro.service.scheduler import ClusterScheduler
+from repro.util import atomicstore
 from repro.trace.export import write_chrome_trace
 from repro.trace.tracer import TraceEvent, Tracer, shard_tid
 
@@ -344,13 +348,13 @@ class TestKernelcacheConcurrency:
         """The staging name embeds the writer's pid, so two processes
         can never collide on it (the root cause of the original race)."""
         seen = {}
-        real_mkstemp = kernelcache.tempfile.mkstemp
+        real_mkstemp = atomicstore.tempfile.mkstemp
 
         def spy(*args, **kwargs):
             seen.update(kwargs)
             return real_mkstemp(*args, **kwargs)
 
-        monkeypatch.setattr(kernelcache.tempfile, "mkstemp", spy)
+        monkeypatch.setattr(atomicstore.tempfile, "mkstemp", spy)
         module = parse_module(_saxpy_ptx(), "tmpname")
         kernelcache.store(module.kernel("sax"), "t", {"x": 1},
                           plan_format=1, analysis_version=1)
@@ -407,6 +411,23 @@ class TestKernelcacheConcurrency:
         monkeypatch.delenv("REPRO_CACHE_DISABLE")
 
 
+class TestAtomicWrite:
+    def test_failed_write_keeps_old_target_and_no_temp(
+            self, tmp_path, monkeypatch):
+        target = tmp_path / "sub" / "store.bin"
+        atomicstore.atomic_write(target, b"old")
+        assert target.read_bytes() == b"old"
+
+        def boom(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(atomicstore.os, "replace", boom)
+        with pytest.raises(OSError, match="disk full"):
+            atomicstore.atomic_write(target, b"new")
+        assert target.read_bytes() == b"old"
+        assert os.listdir(target.parent) == ["store.bin"]
+
+
 # ---------------------------------------------------------------------------
 # Checkpoint robustness (satellite 3)
 # ---------------------------------------------------------------------------
@@ -446,7 +467,7 @@ class TestCheckpointRobustness:
         def boom(src, dst):
             raise OSError("disk full")
 
-        monkeypatch.setattr("repro.checkpoint.state.os.replace", boom)
+        monkeypatch.setattr(atomicstore.os, "replace", boom)
         with pytest.raises(OSError):
             self._checkpoint().save(tmp_path / "fail.ckpt")
         assert os.listdir(tmp_path) == []
@@ -468,9 +489,11 @@ class TestJobKey:
 
 
 class TestJobQueue:
+    """The scheduler's queue contract on the real registry: memo hits,
+    coalescing, failure isolation and the observation calls."""
+
     def test_memo_hit_on_repeat_submission(self):
-        queue = JobQueue(workers=1)
-        try:
+        with ClusterScheduler(gpus=1, memo_path=None) as queue:
             first = queue.submit("saxpy", {"n": 64}, seed=1)
             result = queue.result(first.job_id, timeout=60)
             second = queue.submit("saxpy", {"n": 64}, seed=1)
@@ -480,20 +503,18 @@ class TestJobQueue:
             stats = queue.stats()
             assert stats["executed"] == 1
             assert stats["memo_hits"] == 1
-        finally:
-            queue.shutdown()
 
     def test_concurrent_identical_submissions_coalesce(self):
         release = threading.Event()
         started = threading.Event()
 
-        def slow_runner(config, seed):
+        def slow_runner(config, seed, control):
             started.set()
             assert release.wait(30)
             return {"value": 42}
 
-        queue = JobQueue(workers=2, registry={"slow": slow_runner})
-        try:
+        with ClusterScheduler(gpus=2, registry={"slow": slow_runner},
+                              memo_path=None) as queue:
             leader = queue.submit("slow", {}, seed=0)
             assert started.wait(30)
             follower = queue.submit("slow", {}, seed=0)
@@ -505,16 +526,14 @@ class TestJobQueue:
             stats = queue.stats()
             assert stats["executed"] == 1
             assert stats["coalesced"] == 1
-        finally:
-            queue.shutdown()
 
     def test_failed_job_reports_error_and_poisons_nothing(self):
-        def bad_runner(config, seed):
+        def bad_runner(config, seed, control):
             raise RuntimeError("kernel exploded")
 
-        queue = JobQueue(workers=1, registry={"bad": bad_runner,
-                                              "saxpy": run_saxpy})
-        try:
+        with ClusterScheduler(gpus=1, memo_path=None,
+                              registry={"bad": bad_runner,
+                                        "saxpy": run_saxpy}) as queue:
             job = queue.submit("bad", {}, seed=0)
             with pytest.raises(ServiceError, match="kernel exploded"):
                 queue.result(job.job_id, timeout=30)
@@ -525,36 +544,28 @@ class TestJobQueue:
             # And the queue keeps serving other work.
             good = queue.submit("saxpy", {"n": 64}, seed=2)
             assert queue.result(good.job_id, timeout=60)["n"] == 64
-        finally:
-            queue.shutdown()
 
     def test_unknown_workload_rejected_at_submit(self):
-        queue = JobQueue(workers=1)
-        try:
+        with ClusterScheduler(gpus=1, memo_path=None) as queue:
             with pytest.raises(ServiceError, match="unknown workload"):
                 queue.submit("nope", {}, seed=0)
-        finally:
-            queue.shutdown()
 
     def test_unknown_job_id(self):
-        queue = JobQueue(workers=1)
-        try:
-            with pytest.raises(ServiceError, match="unknown job id"):
-                queue.status("job-999999")
-        finally:
-            queue.shutdown()
+        with ClusterScheduler(gpus=1, memo_path=None) as queue:
+            for call in (queue.status, queue.poll, queue.result,
+                         queue.cancel, queue.events):
+                with pytest.raises(UnknownJobError,
+                                   match="unknown job id"):
+                    call("job-999999")
 
     def test_jobs_listing_ordered_without_results(self):
-        queue = JobQueue(workers=1)
-        try:
+        with ClusterScheduler(gpus=1, memo_path=None) as queue:
             a = queue.submit("saxpy", {"n": 64}, seed=1)
             queue.result(a.job_id, timeout=60)
             b = queue.submit("saxpy", {"n": 64}, seed=1)
             records = queue.jobs()
             assert [r["job_id"] for r in records] == [a.job_id, b.job_id]
             assert all("result" not in r for r in records)
-        finally:
-            queue.shutdown()
 
 
 # ---------------------------------------------------------------------------
@@ -562,7 +573,7 @@ class TestJobQueue:
 # ---------------------------------------------------------------------------
 @pytest.fixture()
 def service():
-    queue = JobQueue(workers=2)
+    queue = ClusterScheduler(memo_path=None)
     server = make_server(queue, quiet=True)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -571,7 +582,7 @@ def service():
     yield client
     server.shutdown()
     server.server_close()
-    queue.shutdown()
+    queue.shutdown(wait=False)
 
 
 class TestRestService:
@@ -614,6 +625,68 @@ class TestRestService:
     def test_unknown_route_is_404(self, service):
         with pytest.raises(ServiceError, match="HTTP 404"):
             service._request("GET", "/api/nope")
+
+
+def _raw_post(service, headers: list[str], body: bytes = b"") -> int:
+    """POST /api/jobs over a bare socket; returns the HTTP status.
+
+    The 1 s socket timeout is the assertion that the server answers a
+    malformed length at once instead of waiting on the body.
+    """
+    url = urllib.parse.urlsplit(service.base_url)
+    with socket.create_connection((url.hostname, url.port),
+                                  timeout=1.0) as sock:
+        head = "\r\n".join(["POST /api/jobs HTTP/1.1",
+                            f"Host: {url.hostname}", *headers, "", ""])
+        sock.sendall(head.encode() + body)
+        status_line = sock.makefile("rb").readline()
+    return int(status_line.split()[1])
+
+
+class TestRestInputHardening:
+    def test_negative_content_length_is_400(self, service):
+        assert _raw_post(service, ["Content-Length: -1"]) == 400
+        assert service.health() == {"ok": True}
+
+    def test_oversized_content_length_is_413_unread(self, service):
+        # Far more bytes promised than sent: the server must refuse on
+        # the header alone rather than block reading the body.
+        status = _raw_post(
+            service, [f"Content-Length: {MAX_BODY_BYTES + 1}"], b"{}")
+        assert status == 413
+        assert service.health() == {"ok": True}
+
+    def test_body_at_the_cap_is_still_read(self, service):
+        spec = {"workload": "saxpy", "config": {"n": 8}, "pad": ""}
+        spec["pad"] = "x" * (MAX_BODY_BYTES - len(json.dumps(spec)))
+        body = json.dumps(spec).encode()
+        assert len(body) == MAX_BODY_BYTES
+        assert _raw_post(
+            service, [f"Content-Length: {len(body)}"], body) == 202
+
+    def test_negative_since_is_400(self, service):
+        job = service.submit("saxpy", {"n": 8})
+        with pytest.raises(ServiceError, match="HTTP 400.*since"):
+            service.events(job["job_id"], since=-1, timeout_s=0)
+        assert service.health() == {"ok": True}
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_numbers_are_400(self, service, value):
+        with pytest.raises(ServiceError, match="HTTP 400.*deadline_s"):
+            service.submit("saxpy", {"n": 8}, deadline_s=value)
+        job = service.submit("saxpy", {"n": 8})
+        for tail in ("result", "events"):
+            with pytest.raises(ServiceError, match="HTTP 400.*timeout_s"):
+                service._request(
+                    "GET",
+                    f"/api/jobs/{job['job_id']}/{tail}?timeout_s={value}")
+        assert service.result(job["job_id"], timeout=60)["n"] == 8
+
+    def test_unknown_job_is_404_on_every_job_route(self, service):
+        for method, tail in (("GET", ""), ("GET", "/result"),
+                             ("GET", "/events"), ("POST", "/cancel")):
+            with pytest.raises(ServiceError, match="HTTP 404"):
+                service._request(method, f"/api/jobs/job-424242{tail}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,16 @@
 """Lint the operator's guide (docs/OPERATIONS.md) for coverage.
 
-Two contracts, both enforced in CI so the guide cannot rot:
+Three contracts, all enforced in CI so the guide cannot rot:
 
 * every REST route in ``API_ROUTES`` (the manifest in
   ``src/repro/service/rest.py``) must be documented — adding an
   endpoint without documenting it fails the build;
 * every console script declared in ``[project.scripts]`` of
   ``pyproject.toml`` must be mentioned — an operator reading the guide
-  sees every entry point that exists.
+  sees every entry point that exists;
+* the ``repro-serve`` flag table must list exactly the flags the
+  argument parser accepts — a flag added without a row, or a row left
+  behind after its flag was deleted, fails the build.
 
     python tools/check_operations_doc.py
 """
@@ -23,7 +26,7 @@ DOC = ROOT / "docs" / "OPERATIONS.md"
 
 sys.path.insert(0, str(ROOT / "src"))
 
-from repro.service.rest import API_ROUTES  # noqa: E402
+from repro.service.rest import API_ROUTES, build_parser  # noqa: E402
 
 
 def console_scripts() -> list[str]:
@@ -35,6 +38,22 @@ def console_scripts() -> list[str]:
         return []
     return re.findall(r"^([A-Za-z0-9_-]+)\s*=", match.group(1),
                       re.MULTILINE)
+
+
+def flag_problems(text: str) -> list[str]:
+    """Mismatches between the ``repro-serve`` parser's flags and the
+    flag table under "Starting the service" (rows open ``| `--flag``)."""
+    parser_flags = {option for action in build_parser()._actions
+                    for option in action.option_strings
+                    if option.startswith("--") and option != "--help"}
+    documented = set(re.findall(r"^\| `(--[a-z][a-z-]*)", text,
+                                re.MULTILINE))
+    return ([f"repro-serve flag {flag} is not in the flag table of "
+             "docs/OPERATIONS.md"
+             for flag in sorted(parser_flags - documented)]
+            + [f"docs/OPERATIONS.md documents {flag}, which repro-serve "
+               "does not accept"
+               for flag in sorted(documented - parser_flags)])
 
 
 def main() -> int:
@@ -61,12 +80,14 @@ def main() -> int:
             problems.append(
                 f"console script {script!r} (pyproject.toml) is not "
                 "mentioned in docs/OPERATIONS.md")
+    problems.extend(flag_problems(text))
     if problems:
         for problem in problems:
             print(f"FAIL: {problem}", file=sys.stderr)
         return 1
     print(f"ok: docs/OPERATIONS.md documents all {len(API_ROUTES)} "
-          f"REST routes and {len(scripts)} console scripts")
+          f"REST routes, {len(scripts)} console scripts and exactly "
+          "the repro-serve flags")
     return 0
 
 
