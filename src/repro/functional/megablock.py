@@ -17,7 +17,7 @@ exotica have none), otherwise the engine falls back to the superblock
 tier.  Predicated instructions vectorize by mask-blend: the result is
 computed over every lane, then merged into the destination array with
 ``np.where(guard, new, old)`` (stores scatter only the guarded lanes
-into the memory mirror).  Branches whose predicate is grid-uniform
+into global memory).  Branches whose predicate is grid-uniform
 (:func:`repro.analysis.vectorize.classify_kernel`) move a whole frame
 without mask arithmetic.  A CTA barrier is legal in vector lockstep
 when, for every CTA with a thread in the current frame, the frame
@@ -25,14 +25,17 @@ covers *all* live threads of that CTA; a barrier reached by a
 warp-disjoint divergent frame *parks* that frame and re-merges it once
 every live warp of the CTA has arrived (the vector twin of the scalar
 ``at_barrier`` / ``try_release_barrier`` protocol).  Only when neither
-holds — intra-warp divergence at a barrier — does the machine write its
-memory mirror back, materialise exact per-warp scalar state (registers,
-SIMT stacks, barrier parking) and hand the chunk's CTAs to the scalar
-engine: a bailout, not an error.
+holds — intra-warp divergence at a barrier — does the machine
+materialise exact per-warp scalar state (registers, SIMT stacks,
+barrier parking) and hand the chunk's CTAs to the scalar engine: a
+bailout, not an error.
 
-Grids wider than one 64Ki-thread chunk run their chunks one after
-another in ascending CTA order, each against the live dense memory
-mirror.
+Global loads and stores gather/scatter on a NumPy view of
+:class:`~repro.functional.memory.GlobalMemory`'s own buffer — the one
+store every tier executes against, so nothing is copied in or out.  The
+view lives for one chunk (a ``bytearray`` with a live export cannot
+grow).  Grids wider than one 64Ki-thread chunk run their chunks one
+after another in ascending CTA order.
 
 Generated block sources are plain strings binding only ``np``/``H``
 (:mod:`repro.functional.npops`) plus the runtime ``VM`` object, which
@@ -52,7 +55,7 @@ from repro.analysis.vectorize import classify_kernel
 from repro.errors import SimulationFault
 from repro.functional import npops
 from repro.functional.cfg import block_leaders, prepare_kernel
-from repro.functional.memory import GLOBAL_BASE
+from repro.functional.memory import GLOBAL_BASE, PAGE_BITS
 from repro.functional.simt import NO_RECONVERGE, SimtEntry, SimtStack
 from repro.functional.state import CTAState, thread_tables
 from repro.ptx import ast
@@ -63,6 +66,8 @@ from repro.ptx.values import MASK64
 #: 2: predicated mask-blend codegen, per-barrier divergence flag.
 #: 3: pc-tagged VM.ld/VM.st calls + range-fact payload (sanitizer).
 PLAN_FORMAT = 3
+
+_PAGE_SHIFT = np.uint64(PAGE_BITS)
 
 #: Threads per lockstep chunk (whole CTAs; at least one per chunk).
 CHUNK_THREADS = 65536
@@ -981,13 +986,11 @@ class MegaMachine:
         self.R: dict[str, np.ndarray] = {}
         self.alive = np.ones(self.T, bool)
         gm = launch.global_mem
-        lo, nxt = gm.dense_bounds()
-        self.gspan = nxt - lo
-        buf = gm.dense_mirror()
-        buf.extend(b"\x00" * ((-len(buf)) % 8))
-        self._gbuf = buf
-        self.gmem = (np.frombuffer(buf, np.uint8) if buf
-                     else np.zeros(0, np.uint8))
+        buf, written = gm.dense()
+        self.gspan = len(buf)
+        # Views of the store itself, dropped by _release_global.
+        self.gmem = np.frombuffer(buf, np.uint8)
+        self._gwritten = np.frombuffer(written, np.uint8)
         span = max(launch.shared_bytes, 16)
         self.S_real = span
         span += (-span) % 8
@@ -996,6 +999,7 @@ class MegaMachine:
         self.srow = (self.ctaidx * span).astype(np.uint64)
         self.pmem, self.p_len = self._arena_np(launch.param_mem)
         self.cmem, self.c_len = self._arena_np(launch.const_mem)
+        self._graise = gm.uninit_read == "raise"
         self._views: dict[tuple, np.ndarray] = {}
         self._init = None
         if self._san is not None:
@@ -1102,20 +1106,10 @@ class MegaMachine:
                     value = ((value ^ sign) - sign) & MASK64
                 return np.full(self.T, np.uint64(value))
             addr = np.full(self.T, np.uint64(int(addr) & MASK64))
-        ok = None
         if space == "global":
             if self._san is not None:
                 self._san_global(pc, addr, pm, nbytes, False)
-            rel = addr - np.uint64(GLOBAL_BASE)
-            if self.gspan >= nbytes:
-                ok = rel <= np.uint64(self.gspan - nbytes)
-            else:
-                ok = np.zeros(self.T, bool)
-            idx = np.where(ok, rel, np.uint64(0))
-            raw = self._gather("g", self.gmem, idx, nbytes)
-            # Reads outside the mirror see zeroed fresh pages — exactly
-            # what the sparse auto-paging store returns.
-            raw = np.where(ok, raw, np.uint64(0))
+            raw = self._ld_global(addr, pm, nbytes)
         elif space == "shared":
             limit = self.S_real - nbytes
             bad = pm & (addr > np.uint64(limit))
@@ -1138,6 +1132,37 @@ class MegaMachine:
             raw = npops.p64(npops.s(raw, bits))
         return raw
 
+    def _ld_global(self, addr: np.ndarray, pm: np.ndarray,
+                   nbytes: int) -> np.ndarray:
+        """Gather in-span lanes from the store's buffer; the rest read
+        through the store itself."""
+        if self.gspan:
+            rel = addr - np.uint64(GLOBAL_BASE)
+            ok = rel <= np.uint64(self.gspan - nbytes)
+            if not self._graise and ok.all():
+                return self._gather("g", self.gmem, rel, nbytes)
+            idx = np.where(ok, rel, np.uint64(0))
+            if self._graise:
+                # Never-written pages fault in the store's own read.
+                flags = self._gwritten
+                ok &= (flags[(idx >> _PAGE_SHIFT).astype(np.int64)]
+                       & flags[((idx + np.uint64(nbytes - 1))
+                                >> _PAGE_SHIFT).astype(np.int64)]
+                       ).astype(bool)
+            raw = np.where(ok, self._gather("g", self.gmem, idx, nbytes),
+                           np.uint64(0))
+            stray = pm & ~ok
+        else:
+            raw = np.zeros(self.T, np.uint64)
+            stray = pm
+        if stray.any():
+            # Outside the span the store auto-pages, one lane at a time
+            # like the scalar tiers.
+            gm = self.launch.global_mem
+            for i in np.flatnonzero(stray):
+                raw[i] = gm.read_uint(int(addr[i]), nbytes)
+        return raw
+
     def st(self, pc: int, space: str, nbytes: int, addr, val,
            pm) -> None:
         if not isinstance(addr, np.ndarray):
@@ -1149,20 +1174,26 @@ class MegaMachine:
             if self._san is not None:
                 self._san_global(pc, addr, pm, nbytes, True)
             rel = addr - np.uint64(GLOBAL_BASE)
-            if self.gspan >= nbytes:
-                ok = pm & (rel <= np.uint64(self.gspan - nbytes))
+            if self.gspan:
+                ok = rel <= np.uint64(self.gspan - nbytes)
             else:
                 ok = np.zeros(self.T, bool)
-            sel = np.nonzero(ok)[0]
+            if not ok.all():
+                stray = pm & ~ok
+                if stray.any():
+                    # Outside the span the store auto-pages, one lane at
+                    # a time in ascending thread order like the scalar
+                    # tiers.
+                    gm = self.launch.global_mem
+                    for i in np.flatnonzero(stray):
+                        gm.write_uint(int(addr[i]), int(val[i]), nbytes)
+                ok &= pm
+                sel = np.nonzero(ok)[0]
+            else:
+                sel = np.nonzero(pm)[0]
             if not sel.size:
                 return
             idx = rel[sel]
-            if self._init is not None:
-                # Mirror gm.write's auto-marking: these bytes are now
-                # initialized (absorbed into the shadow at chunk end).
-                ii = idx.astype(np.int64)
-                for k in range(nbytes):
-                    self._init[ii + k] = 1
             key, buf = "g", self.gmem
         elif space == "shared":
             limit = self.S_real - nbytes
@@ -1179,16 +1210,26 @@ class MegaMachine:
         else:
             raise SimulationFault(f"vector store to space {space!r}")
         v = val[sel]
-        if nbytes in _GATHER_DT \
-                and not (idx & np.uint64(nbytes - 1)).any():
+        ii = idx.astype(np.int64)
+        aligned = nbytes in _GATHER_DT \
+            and not (idx & np.uint64(nbytes - 1)).any()
+        if aligned:
             view = self._view(key, buf, nbytes)
-            view[(idx >> _GATHER_SHIFT[nbytes]).astype(np.int64)] = \
+            view[ii >> (nbytes.bit_length() - 1)] = \
                 v.astype(_GATHER_DT[nbytes])
         else:
-            ii = idx.astype(np.int64)
             for k in range(nbytes):
                 buf[ii + k] = ((v >> np.uint64(8 * k))
                                & np.uint64(0xFF)).astype(np.uint8)
+        if space == "global":
+            # What gm.write does beside the bytes: page flags, and the
+            # init marks the shadow absorbs at chunk end.
+            self._gwritten[ii >> PAGE_BITS] = 1
+            if not aligned:
+                self._gwritten[(ii + (nbytes - 1)) >> PAGE_BITS] = 1
+            if self._init is not None:
+                for k in range(nbytes):
+                    self._init[ii + k] = 1
 
     # -- sanitizer checks (vector twins of Sanitizer._check_*) ----------
     def _san_global(self, pc: int, addr: np.ndarray, pm: np.ndarray,
@@ -1464,10 +1505,19 @@ class MegaMachine:
     # -- interpreter ----------------------------------------------------
     def _run_chunk(self, cta_start: int, nct: int, stats) -> int | None:
         """Run one chunk; return its clock delta, or ``None`` if the
-        chunk bailed out (the bailout path settles the launch clock,
-        stats and memory itself before handing CTAs to the scalar
-        engine).  The caller applies the returned delta."""
+        chunk bailed out (the bailout path settles the launch clock and
+        stats itself before handing CTAs to the scalar engine).  The
+        caller applies the returned delta."""
         self._setup(cta_start, nct)
+        try:
+            return self._interpret(stats)
+        finally:
+            # Also when a SimulationFault escapes mid-chunk: the store
+            # cannot grow while a view of it is alive.
+            self._release_global()
+
+    def _interpret(self, stats) -> int | None:
+        """The chunk's frame-stack loop (see :meth:`_run_chunk`)."""
         plan = self.plan
         blocks = plan.blocks
         controls = plan.controls
@@ -1589,17 +1639,17 @@ class MegaMachine:
             stats.instructions += clock
             self._bailout(stack, parked, stats)
             return None
-        self.launch.global_mem.write_dense(self._gbuf)
-        self._absorb_init()
         return clock
 
-    def _absorb_init(self) -> None:
-        """Fold the chunk's init-mirror store marks into the shadow."""
-        if self._init is None:
-            return
-        shadow = self.launch.global_mem.shadow
-        if shadow is not None:
-            shadow.absorb_dense(GLOBAL_BASE, self._init)
+    def _release_global(self) -> None:
+        """Hand global memory back: fold the chunk's init-mirror store
+        marks into the shadow and drop every view of the store."""
+        if self._init is not None:
+            self.launch.global_mem.shadow.absorb_dense(
+                GLOBAL_BASE, self._init)
+            self._init = None
+        self.gmem = self._gwritten = None
+        self._views = {}
 
     # -- barrier parking ------------------------------------------------
     def _park(self, stack: list, parked: list, frame: "_Frame",
@@ -1682,9 +1732,8 @@ class MegaMachine:
         engine.tracer.instant(
             f"megablock-bailout:{launch.kernel.name}", cat="engine",
             args={"parked_frames": len(parked)})
-        launch.global_mem.write_dense(self._gbuf)
+        self._release_global()
         san = self._san
-        self._absorb_init()
         tpb = launch.threads_per_block
         top = stack[-1]
         # Warps whose topmost entry already *issued* its bar: the

@@ -1,6 +1,6 @@
 """Memory spaces for the functional simulator.
 
-Global memory is a paged sparse byte store with a bump allocator — the
+Global memory is one dense byte store with a bump allocator — the
 same role ``cudaMalloc``'d device memory plays on hardware.  Allocation
 sizes are tracked so the debug tool can do what the paper describes:
 "we also modified GPGPU-Sim to obtain the size of any GPU memory buffers
@@ -19,6 +19,7 @@ from repro.errors import SimulationFault
 PAGE_BITS = 12
 PAGE_SIZE = 1 << PAGE_BITS
 GLOBAL_BASE = 0x1000_0000
+_BASE_PAGE = GLOBAL_BASE >> PAGE_BITS
 
 #: Recognisable fill byte for the ``"poison"`` uninitialised-read
 #: policy (the classic debug-heap pattern).
@@ -29,15 +30,24 @@ UNINIT_READ_POLICIES = ("zeros", "poison", "raise")
 
 
 class GlobalMemory:
-    """Sparse paged global memory with allocation tracking.
+    """Dense global memory with allocation tracking.
+
+    One contiguous ``bytearray`` backs ``[GLOBAL_BASE, _next)`` in
+    whole pages; :meth:`allocate` grows it in place.  Every tier
+    executes against that buffer itself (the megablock tier through a
+    NumPy view of it, see :meth:`dense`), so there is exactly one copy
+    of device memory.  Addresses outside the span auto-page into a
+    small overflow dict, which a later :meth:`allocate` folds into the
+    buffer when the span reaches them.
 
     :attr:`uninit_read` selects what a read from a never-written page
     returns: ``"zeros"`` (the historical silent default), ``"poison"``
     (pages materialise filled with :data:`POISON_BYTE`, so stale reads
     compute recognisably wrong values instead of quietly-correct
-    zeros), or ``"raise"`` (a :class:`SimulationFault`).  The sanitizer
-    switches a runtime to poison so uninitialised data can never
-    masquerade as a legitimate zero.
+    zeros), or ``"raise"`` (a :class:`SimulationFault`).  The policy
+    fills pages as the span grows over them, so set it before the first
+    allocation.  The sanitizer switches a runtime to poison so
+    uninitialised data can never masquerade as a legitimate zero.
 
     :attr:`shadow` is an optional per-byte initialized-state tracker
     (:class:`repro.sanitize.shadow.ShadowMemory`); when attached, every
@@ -50,7 +60,12 @@ class GlobalMemory:
             raise ValueError(
                 f"unknown uninit_read policy {uninit_read!r}; expected "
                 f"one of {UNINIT_READ_POLICIES}")
-        self._pages: dict[int, bytearray] = {}
+        self._buf = bytearray()
+        #: One flag per page of ``_buf``: set by the first write.  Keeps
+        #: the ``"raise"`` policy and the sparse :meth:`snapshot`.
+        self._written = bytearray()
+        #: Auto-paged pages outside the dense span.
+        self._overflow: dict[int, bytearray] = {}
         self._next = GLOBAL_BASE
         self._allocations: dict[int, int] = {}
         self._bases: list[int] = []  # sorted allocation bases
@@ -62,10 +77,38 @@ class GlobalMemory:
         if nbytes <= 0:
             raise SimulationFault(f"cannot allocate {nbytes} bytes")
         base = (self._next + align - 1) // align * align
+        self._grow(base + nbytes)
         self._next = base + nbytes
         self._allocations[base] = nbytes
         bisect.insort(self._bases, base)
         return base
+
+    def fresh_page(self) -> bytes:
+        """What a never-written page holds under :attr:`uninit_read`."""
+        fill = POISON_BYTE if self.uninit_read == "poison" else 0
+        return bytes([fill]) * PAGE_SIZE
+
+    def _grow(self, end: int) -> None:
+        """Extend the dense span to cover ``[GLOBAL_BASE, end)``.
+
+        Resizes in place: a ``bytearray`` refuses that while a NumPy
+        view of it is alive (``BufferError``), so a stale megablock
+        view can never silently write to a dead buffer.
+        """
+        have = len(self._written)
+        need = (end - GLOBAL_BASE + PAGE_SIZE - 1) >> PAGE_BITS
+        if need <= have:
+            return
+        grown = need - have
+        self._buf += self.fresh_page() * grown
+        self._written += bytes(grown)
+        for page_id in [pid for pid in self._overflow
+                        if have <= pid - _BASE_PAGE < need]:
+            index = page_id - _BASE_PAGE
+            offset = index << PAGE_BITS
+            self._buf[offset:offset + PAGE_SIZE] = \
+                self._overflow.pop(page_id)
+            self._written[index] = 1
 
     def free(self, addr: int) -> None:
         if addr not in self._allocations:
@@ -94,57 +137,112 @@ class GlobalMemory:
     def allocations(self) -> dict[int, int]:
         return dict(self._allocations)
 
+    def dense(self) -> tuple[bytearray, bytearray]:
+        """``(buffer, written)``: the store itself and its page flags.
+
+        ``buffer[i]`` is the byte at ``GLOBAL_BASE + i``; its length is
+        a whole number of pages.  A store through it must set
+        ``written[i >> PAGE_BITS]``.  Drop every view of either before
+        the next :meth:`allocate`.
+        """
+        return self._buf, self._written
+
     def iter_pages(self):
-        """``(page_id, page bytearray)`` pairs of every touched page.
+        """``(page_id, bytes)`` pairs of every written page.
 
         The shard executor diffs a worker's final pages against the
         image it started from to extract byte-exact write runs.
         """
-        return self._pages.items()
+        buf = self._buf
+        for index, flag in enumerate(self._written):
+            if flag:
+                offset = index << PAGE_BITS
+                yield (_BASE_PAGE + index,
+                       bytes(buf[offset:offset + PAGE_SIZE]))
+        for page_id, page in self._overflow.items():
+            yield page_id, bytes(page)
 
     # -- byte access ---------------------------------------------------
-    def _page(self, page_id: int, *, for_read: bool = False) -> bytearray:
-        page = self._pages.get(page_id)
+    def _never_written(self, page_id: int):
+        base = page_id << PAGE_BITS
+        raise SimulationFault(
+            f"read of never-written global page "
+            f"[{base:#x}, {base + PAGE_SIZE:#x}) "
+            "(uninit_read policy: raise)")
+
+    def _page(self, page_id: int, *,
+              for_read: bool = False) -> tuple[bytearray, int]:
+        """``(buffer, offset)`` of one page, in the span or outside it."""
+        index = page_id - _BASE_PAGE
+        if 0 <= index < len(self._written):
+            if for_read:
+                if not self._written[index] \
+                        and self.uninit_read == "raise":
+                    self._never_written(page_id)
+            else:
+                self._written[index] = 1
+            return self._buf, index << PAGE_BITS
+        page = self._overflow.get(page_id)
         if page is None:
             if for_read and self.uninit_read == "raise":
-                base = page_id << PAGE_BITS
-                raise SimulationFault(
-                    f"read of never-written global page "
-                    f"[{base:#x}, {base + PAGE_SIZE:#x}) "
-                    "(uninit_read policy: raise)")
-            fill = POISON_BYTE if self.uninit_read == "poison" else 0
-            page = bytearray([fill]) * PAGE_SIZE
-            self._pages[page_id] = page
-        return page
+                self._never_written(page_id)
+            page = bytearray(self.fresh_page())
+            self._overflow[page_id] = page
+        return page, 0
 
     def read(self, addr: int, nbytes: int) -> bytes:
+        """Bytes at ``[addr, addr+nbytes)``; never-written pages read as
+        :attr:`uninit_read` says, inside the span or outside it."""
+        offset = addr - GLOBAL_BASE
+        end = offset + nbytes
+        if 0 <= offset and end <= len(self._buf):
+            if self.uninit_read == "raise":
+                gap = self._written.find(
+                    0, offset >> PAGE_BITS,
+                    (end + PAGE_SIZE - 1) >> PAGE_BITS)
+                if gap >= 0:
+                    self._never_written(_BASE_PAGE + gap)
+            return bytes(self._buf[offset:end])
+        # Outside (or straddling the end of) the span: page by page.
+        out = bytearray()
         page_id = addr >> PAGE_BITS
         offset = addr & (PAGE_SIZE - 1)
-        if offset + nbytes <= PAGE_SIZE:
-            return bytes(self._page(page_id, for_read=True)
-                         [offset:offset + nbytes])
-        out = bytearray()
         while nbytes:
             take = min(nbytes, PAGE_SIZE - offset)
-            out += self._page(page_id, for_read=True)[offset:offset + take]
+            buf, start = self._page(page_id, for_read=True)
+            out += buf[start + offset:start + offset + take]
             nbytes -= take
             page_id += 1
             offset = 0
         return bytes(out)
 
     def write(self, addr: int, data: bytes) -> None:
+        """Store *data* at *addr*, marking its pages written (and its
+        bytes initialized, when a shadow is attached)."""
+        nbytes = len(data)
         if self.shadow is not None:
-            self.shadow.mark_initialized(addr, len(data))
+            self.shadow.mark_initialized(addr, nbytes)
+        offset = addr - GLOBAL_BASE
+        end = offset + nbytes
+        if 0 <= offset and end <= len(self._buf):
+            if nbytes:
+                self._buf[offset:end] = data
+                first = offset >> PAGE_BITS
+                last = (end - 1) >> PAGE_BITS
+                if first == last:
+                    self._written[first] = 1
+                else:
+                    self._written[first:last + 1] = \
+                        b"\x01" * (last + 1 - first)
+            return
         page_id = addr >> PAGE_BITS
         offset = addr & (PAGE_SIZE - 1)
-        nbytes = len(data)
-        if offset + nbytes <= PAGE_SIZE:
-            self._page(page_id)[offset:offset + nbytes] = data
-            return
         pos = 0
         while pos < nbytes:
             take = min(nbytes - pos, PAGE_SIZE - offset)
-            self._page(page_id)[offset:offset + take] = data[pos:pos + take]
+            buf, start = self._page(page_id)
+            buf[start + offset:start + offset + take] = \
+                data[pos:pos + take]
             pos += take
             page_id += 1
             offset = 0
@@ -156,64 +254,34 @@ class GlobalMemory:
         self.write(addr, (value & ((1 << (8 * nbytes)) - 1))
                    .to_bytes(nbytes, "little"))
 
-    # -- dense mirror (megablock vector tier) ---------------------------
-    def dense_bounds(self) -> tuple[int, int]:
-        """``[GLOBAL_BASE, end)`` span covering every allocation."""
-        return GLOBAL_BASE, self._next
-
-    def dense_mirror(self) -> bytearray:
-        """Contiguous copy of the allocated span for vector gathers.
-
-        The megablock tier gathers/scatters against this flat buffer and
-        writes it back with :meth:`write_dense` when the chunk finishes
-        (or bails out to the scalar tiers).  GLOBAL_BASE is page-aligned,
-        so every page maps at a non-negative offset.
-        """
-        span = self._next - GLOBAL_BASE
-        if self.uninit_read == "poison":
-            # Never-written gaps must mirror what a paged read returns.
-            buf = bytearray([POISON_BYTE]) * span
-        else:
-            buf = bytearray(span)
-        for page_id, page in self._pages.items():
-            offset = (page_id << PAGE_BITS) - GLOBAL_BASE
-            if offset < 0 or offset >= span:
-                continue
-            take = min(PAGE_SIZE, span - offset)
-            buf[offset:offset + take] = page[:take]
-        return buf
-
-    def write_dense(self, buf) -> None:
-        """Write a dense mirror back over ``[GLOBAL_BASE, end)``.
-
-        Shadow-state marking is bypassed: this is the megablock tier's
-        bulk write-back, whose per-instruction initialized-byte
-        tracking is absorbed separately by the sanitizer — blanket-
-        marking the whole span here would erase that precision.
-        """
-        span = self._next - GLOBAL_BASE
-        if span:
-            shadow, self.shadow = self.shadow, None
-            try:
-                self.write(GLOBAL_BASE, bytes(buf[:span]))
-            finally:
-                self.shadow = shadow
-
     # -- snapshot (checkpoint Data2) ------------------------------------
     def snapshot(self) -> dict:
+        """``{"pages": {page_id: bytes}, "next", "allocations"}`` — the
+        written pages only; the format checkpoints and shard tasks
+        carry."""
         return {
-            "pages": {pid: bytes(data) for pid, data in self._pages.items()},
+            "pages": dict(self.iter_pages()),
             "next": self._next,
             "allocations": dict(self._allocations),
         }
 
     def restore(self, state: dict) -> None:
-        self._pages = {int(pid): bytearray(data)
-                       for pid, data in state["pages"].items()}
+        """Replace the whole store with a :meth:`snapshot` image."""
+        pages = {int(pid): bytearray(data)
+                 for pid, data in state["pages"].items()}
+        for pid, page in pages.items():
+            if len(page) != PAGE_SIZE:  # would shift the dense span
+                raise SimulationFault(
+                    f"snapshot page {pid:#x} holds {len(page)} bytes, "
+                    f"not {PAGE_SIZE}")
         self._next = state["next"]
         self._allocations = {int(a): s
                              for a, s in state["allocations"].items()}
         self._bases = sorted(self._allocations)
+        self._buf = bytearray()
+        self._written = bytearray()
+        self._overflow = pages
+        self._grow(self._next)
 
 
 class LinearMemory:

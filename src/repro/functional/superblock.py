@@ -58,7 +58,7 @@ from repro.errors import SimulationFault
 from repro.functional.cfg import block_leaders
 from repro.functional.fastpath import (
     LaneFn, _is_special, _payload_reader, _value_reader)
-from repro.functional.memory import PAGE_BITS, PAGE_SIZE
+from repro.functional.memory import GLOBAL_BASE, PAGE_BITS
 from repro.ptx import ast
 from repro.ptx.dtypes import DType
 from repro.ptx.instructions.common import (
@@ -178,11 +178,11 @@ class _BlockCodegen:
         length = self._hoist(("arena_len", space), f"len({buf})")
         return buf, length
 
-    def global_pages(self) -> tuple[str, str]:
-        """(pages.get local, _page bound method local) of global memory."""
-        arena = self.arena("global")
-        return (self._hoist(("gpages_get",), f"{arena}._pages.get"),
-                self._hoist(("gpage",), f"{arena}._page"))
+    def global_buffer(self) -> tuple[str, str]:
+        """(dense buffer local, page-flag local) of global memory."""
+        pair = self._hoist(("gdense",), f"{self.arena('global')}.dense()")
+        return (self._hoist(("gbuf",), f"{pair}[0]"),
+                self._hoist(("gwritten",), f"{pair}[1]"))
 
     def symbol_addr(self, name: str, offset: int) -> str:
         return self._hoist(("sym", name, offset),
@@ -701,17 +701,20 @@ def _linear_write_lines(gen: _BlockCodegen, space: str, value: str,
 
 def _global_read_lines(gen: _BlockCodegen, out: str, addr: str,
                        nbytes: int) -> list[str]:
-    pages_get, page = gen.global_pages()
+    buf, _ = gen.global_buffer()
     ifb = gen.helper("_ifb", int.from_bytes)
     offset = gen.fresh("_o")
-    pg = gen.fresh("_g")
-    fallback = gen._hoist(("gread",), f"{gen.arena('global')}.read_uint")
+    arena = gen.arena("global")
+    # Highest in-span offset; none under "raise", whose never-written
+    # check lives in read_uint.
+    limit = gen._hoist(
+        ("grlimit", nbytes),
+        f"-1 if {arena}.uninit_read == 'raise' else len({buf}) - {nbytes}")
+    fallback = gen._hoist(("gread",), f"{arena}.read_uint")
     return [
-        f"{offset} = {addr} & {PAGE_SIZE - 1:#x}",
-        f"if {offset} <= {PAGE_SIZE - nbytes}:",
-        f"    {pg} = {pages_get}({addr} >> {PAGE_BITS})",
-        f"    if {pg} is None: {pg} = {page}({addr} >> {PAGE_BITS})",
-        f"    {out} = {ifb}({pg}[{offset}:{offset} + {nbytes}], 'little')",
+        f"{offset} = {addr} - {GLOBAL_BASE}",
+        f"if 0 <= {offset} <= {limit}:",
+        f"    {out} = {ifb}({buf}[{offset}:{offset} + {nbytes}], 'little')",
         "else:",
         f"    {out} = {fallback}({addr}, {nbytes})",
     ]
@@ -719,17 +722,19 @@ def _global_read_lines(gen: _BlockCodegen, out: str, addr: str,
 
 def _global_write_lines(gen: _BlockCodegen, value: str, addr: str,
                         nbytes: int) -> list[str]:
-    pages_get, page = gen.global_pages()
+    buf, written = gen.global_buffer()
     offset = gen.fresh("_o")
-    pg = gen.fresh("_g")
+    limit = gen._hoist(("gwlimit", nbytes), f"len({buf}) - {nbytes}")
     fallback = gen._hoist(("gwrite",), f"{gen.arena('global')}.write_uint")
+    # Naturally aligned stores (the rule) stay inside one page, so one
+    # flag marks them; anything else takes the store's own write.
+    aligned = f" and not {offset} & {nbytes - 1}" if nbytes > 1 else ""
     return [
-        f"{offset} = {addr} & {PAGE_SIZE - 1:#x}",
-        f"if {offset} <= {PAGE_SIZE - nbytes}:",
-        f"    {pg} = {pages_get}({addr} >> {PAGE_BITS})",
-        f"    if {pg} is None: {pg} = {page}({addr} >> {PAGE_BITS})",
-        f"    {pg}[{offset}:{offset} + {nbytes}] = "
+        f"{offset} = {addr} - {GLOBAL_BASE}",
+        f"if 0 <= {offset} <= {limit}{aligned}:",
+        f"    {buf}[{offset}:{offset} + {nbytes}] = "
         f"{value}.to_bytes({nbytes}, 'little')",
+        f"    {written}[{offset} >> {PAGE_BITS}] = 1",
         "else:",
         f"    {fallback}({addr}, {value}, {nbytes})",
     ]

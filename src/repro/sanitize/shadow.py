@@ -11,12 +11,12 @@ payload, flipped to 1 the first time the byte is written.
 The shadow attaches to a :class:`GlobalMemory` (``gm.shadow``) and is
 fed by ``gm.write`` itself, so host ``memcpy``s, ``memset``s and
 scalar-tier kernel stores all mark initialization with no extra
-plumbing.  The megablock tier works on a dense mirror instead:
-:meth:`dense_init` exports the shadow as a flat ``uint8`` array for
-vectorized gathers and :meth:`absorb_dense` folds the chunk's store
-marks back.  Shard workers serialize the maps with
-:meth:`snapshot`/:meth:`restore` so a fanned-out launch starts from
-the parent's initialization state.
+plumbing.  The megablock tier scatters into the store's buffer without
+going through ``gm.write``, so it keeps a dense twin of the shadow:
+:meth:`dense_init` exports it as a flat ``uint8`` array for vectorized
+gathers and :meth:`absorb_dense` folds the chunk's store marks back.
+Shard workers serialize the maps with :meth:`snapshot`/:meth:`restore`
+so a fanned-out launch starts from the parent's initialization state.
 
 Soundness stance: a byte is only ever marked *initialized*, never
 unmarked — frees keep their map (a re-used address range would be

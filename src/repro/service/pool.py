@@ -219,11 +219,13 @@ def _execute_shard(task: ShardTask) -> ShardResult:
         engine.run_range(task.first_cta, task.limit_cta, stats)
 
     writes: list[tuple[int, bytes]] = []
-    initial_pages = task.memory["pages"]
-    zero_page = bytes(PAGE_SIZE)
-    for page_id, page in sorted(global_mem.iter_pages()):
-        old = initial_pages.get(page_id, zero_page)
-        new = bytes(page)
+    initial = task.memory["pages"]
+    # A page the parent never wrote starts out as the policy's fill in
+    # the worker too; diffing it against zeros would report every
+    # poison byte as a write (and mark it initialised in the parent).
+    fresh_page = global_mem.fresh_page()
+    for page_id, new in sorted(global_mem.iter_pages()):
+        old = initial.get(page_id, fresh_page)
         if old != new:
             _diff_writes(old, new, page_id * PAGE_SIZE, writes)
 

@@ -201,8 +201,7 @@ def _drive_library_workload(backend: _SnapshottingBackend):
     outputs.append(np.frombuffer(rt.memcpy_d2h(y, 4 * m),
                                  dtype=np.float32))
 
-    pages = {pid: bytes(page)
-             for pid, page in rt.global_mem._pages.items()}
+    pages = dict(rt.global_mem.iter_pages())
     return outputs, pages
 
 

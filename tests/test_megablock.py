@@ -19,6 +19,7 @@ import sys
 import numpy as np
 import pytest
 
+from repro.errors import SimulationFault
 from repro.functional import kernelcache
 from repro.functional.executor import (
     FAST_MODES, FunctionalEngine, RunStats)
@@ -460,6 +461,104 @@ class TestDifferential:
         mega = results.pop("megablock")
         for mode, got in results.items():
             assert got == mega, f"megablock differs from {mode}"
+
+    def test_accesses_outside_the_span_auto_page_on_every_tier(self):
+        # ys sits 1 MiB past the allocated span: its loads read fresh
+        # pages and its stores must land, not vanish.
+        images = {}
+        for mode in FAST_MODES:
+            launch = _build_launch(_saxpy_ptx(), "sax")
+            gm = launch.global_mem
+            ys = min(gm.allocations) + (1 << 20)
+            launch.param_mem.write_uint(
+                launch.kernel.params[1].offset, ys, 8)
+            FunctionalEngine(launch, fast_mode=mode).run()
+            images[mode] = (gm.read(ys, 4 * 64), dict(gm.iter_pages()))
+        ref = images.pop("reference")
+        assert any(ref[0])
+        for mode, got in images.items():
+            assert got == ref, f"{mode} differs from reference"
+
+    @pytest.mark.parametrize("mode", FAST_MODES)
+    def test_raise_policy_faults_on_every_tier(self, mode):
+        launch = _build_launch(_saxpy_ptx(), "sax")
+        gm = GlobalMemory(uninit_read="raise")
+        xs = gm.allocate(4 * 64)
+        gm.write(xs, bytes(4 * 64))
+        gm.allocate(8192)
+        ys = gm.allocate(4 * 64)        # never written, on its own page
+        launch.global_mem = gm
+        for decl, value in zip(launch.kernel.params, (xs, ys)):
+            launch.param_mem.write_uint(decl.offset, value, 8)
+        with pytest.raises(SimulationFault, match="never-written"):
+            FunctionalEngine(launch, fast_mode=mode).run()
+
+    def test_machine_executes_on_the_store_itself(self):
+        launch = _build_launch(_saxpy_ptx(), "sax")
+        engine = FunctionalEngine(launch, fast_mode="megablock")
+        machine = MegaMachine(engine, engine._megaplan)
+        machine._setup(0, 1)
+        store = np.frombuffer(launch.global_mem.dense()[0], np.uint8)
+        assert np.shares_memory(machine.gmem, store)
+        machine._release_global()
+        assert machine.gmem is None
+        del store
+        launch.global_mem.allocate(1 << 16)     # free to grow again
+
+    def test_launch_does_not_copy_the_allocated_span(self):
+        """A launch costs nothing per allocated byte: no mirror of the
+        span is built or written back (it used to be copied three times
+        per chunk)."""
+        import tracemalloc
+        from repro.cuda.runtime import CudaRuntime, FunctionalBackend
+        rt = CudaRuntime(backend=FunctionalBackend(fast_mode="megablock"))
+        rt.load_ptx(_saxpy_ptx(), "sax")
+        rt.malloc(32 << 20)                     # allocated, never touched
+        xs = rt.upload_f32(np.ones(64, dtype=np.float32))
+        ys = rt.upload_f32(np.ones(64, dtype=np.float32))
+        tracemalloc.start()
+        try:
+            rt.launch("sax", (2, 1, 1), (32, 1, 1), [xs, ys, 64])
+            rt.synchronize()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert EVENTS["fallbacks"] == 0
+        assert peak < 8 << 20, f"launch allocated {peak >> 20} MiB"
+        got = np.frombuffer(rt.memcpy_d2h(ys, 4 * 64), np.float32)
+        assert (got == 3.0).all()
+
+    def test_fault_mid_chunk_releases_the_store(self):
+        """A fault escaping a chunk must not leave a view of global
+        memory alive: the store could never grow again.  Stores issued
+        before the fault persist, as on the scalar tiers."""
+        from repro.cuda.runtime import CudaRuntime, FunctionalBackend
+        b = PTXBuilder("smem_oob", [("out", "u64")])
+        b.shared("buf", "u32", 32)
+        out = b.ld_param("u64", "out")
+        gtid = b.global_tid_x()
+        b.ins("st.global.u32", f"[{b.elem_addr(out, gtid)}]", gtid)
+        base = b.reg("u64")
+        b.ins("mov.u64", base, "buf")
+        b.ins("st.shared.u32", f"[{base}+4096]", gtid)
+        rt = CudaRuntime(backend=FunctionalBackend(fast_mode="megablock"))
+        rt.load_ptx(b.build(), "smem_oob")
+        rt.load_ptx(_saxpy_ptx(), "sax")
+        out = rt.malloc(4 * 64)
+        # ``info`` keeps the traceback (and its frames) alive below.
+        with pytest.raises(SimulationFault, match="outside arena") as info:
+            rt.launch("smem_oob", (2, 1, 1), (32, 1, 1), [out])
+            rt.synchronize()
+        assert EVENTS["fallbacks"] == 0
+        got = np.frombuffer(rt.memcpy_d2h(out, 4 * 64), np.uint32)
+        assert (got == np.arange(64)).all()
+        xs = rt.upload_f32(np.ones(64 * 1024, dtype=np.float32))  # grows
+        ys = rt.upload_f32(np.ones(64 * 1024, dtype=np.float32))
+        rt.launch("sax", (2, 1, 1), (32, 1, 1), [xs, ys, 64])
+        rt.synchronize()
+        got = np.frombuffer(rt.memcpy_d2h(ys, 4 * 64), np.float32)
+        assert (got == 3.0).all()
+        assert info.traceback
 
     def test_partial_guard_agrees(self):
         # n=50 < 64 threads: the tid guard retires part of a warp.

@@ -1,4 +1,4 @@
-"""Memory-space tests: paged global memory, arenas, cudaArrays."""
+"""Memory-space tests: dense global memory, arenas, cudaArrays."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import SimulationFault
 from repro.functional.memory import (
-    GLOBAL_BASE, PAGE_SIZE, CudaArray, GlobalMemory, LinearMemory)
+    GLOBAL_BASE, PAGE_SIZE, POISON_BYTE, UNINIT_READ_POLICIES, CudaArray,
+    GlobalMemory, LinearMemory)
+
+_FILL = {"zeros": 0, "poison": POISON_BYTE}
 
 
 class TestGlobalMemory:
@@ -87,6 +90,89 @@ class TestGlobalMemory:
         gm.write(addr, bytes(32))
         gm.restore(snap)
         assert gm.read(addr, 23) == b"hello world, simulator!"
+
+    @pytest.mark.parametrize("policy", sorted(_FILL))
+    def test_fill_policy_across_pages_and_the_span_end(self, policy):
+        fill = bytes([_FILL[policy]])
+        gm = GlobalMemory(uninit_read=policy)
+        base = gm.allocate(2 * PAGE_SIZE)       # span: exactly two pages
+        gm.write(base + PAGE_SIZE - 2, b"ab")   # page 0 written, 1 not
+        assert gm.read(base + PAGE_SIZE - 2, 4) == b"ab" + fill * 2
+        end = base + 2 * PAGE_SIZE
+        assert gm.read(end - 2, 4) == fill * 4  # last page + overflow
+        gm.write(end - 1, b"xy")                # straddles the span end
+        assert gm.read(end - 2, 4) == fill + b"xy" + fill
+        assert gm.read_uint(end - 1, 2) == int.from_bytes(b"xy", "little")
+
+    def test_raise_policy_across_pages_and_the_span_end(self):
+        gm = GlobalMemory(uninit_read="raise")
+        base = gm.allocate(2 * PAGE_SIZE)
+        gm.write(base + PAGE_SIZE - 2, b"ab")
+        assert gm.read(base + PAGE_SIZE - 2, 2) == b"ab"
+        with pytest.raises(SimulationFault, match="never-written"):
+            gm.read(base + PAGE_SIZE - 2, 4)    # into unwritten page 1
+        gm.write(base + 2 * PAGE_SIZE - 1, b"x")
+        assert gm.read(base + PAGE_SIZE - 2, 4) == b"ab\x00\x00"
+        with pytest.raises(SimulationFault, match="never-written"):
+            gm.read(base + 2 * PAGE_SIZE - 1, 2)  # past the span end
+        with pytest.raises(SimulationFault, match="never-written"):
+            gm.read(GLOBAL_BASE - 8, 4)         # below the span
+
+    def test_overflow_page_survives_the_span_growing_over_it(self):
+        gm = GlobalMemory(uninit_read="poison")
+        base = gm.allocate(16)
+        far = base + 5 * PAGE_SIZE + 40
+        gm.write(far, b"kept")                  # auto-paged, outside span
+        assert gm.read(far, 4) == b"kept"
+        gm.allocate(8 * PAGE_SIZE)              # span now covers it
+        assert gm.read(far - 2, 8) == b"\xcd\xcdkept\xcd\xcd"
+        buf, written = gm.dense()
+        assert buf[far - GLOBAL_BASE:far - GLOBAL_BASE + 4] == b"kept"
+        assert written[(far - GLOBAL_BASE) // PAGE_SIZE] == 1
+
+    @pytest.mark.parametrize("policy", UNINIT_READ_POLICIES)
+    def test_snapshot_restore_round_trip_per_policy(self, policy):
+        gm = GlobalMemory(uninit_read=policy)
+        base = gm.allocate(3 * PAGE_SIZE)
+        gm.write(base + PAGE_SIZE + 7, b"middle")
+        gm.write(base + 9 * PAGE_SIZE, b"outside")
+        snap = gm.snapshot()
+        assert sorted(snap) == ["allocations", "next", "pages"]
+        assert sorted(snap["pages"]) == [
+            (base + PAGE_SIZE) // PAGE_SIZE, (base + 9 * PAGE_SIZE) // PAGE_SIZE]
+        assert all(len(page) == PAGE_SIZE and isinstance(page, bytes)
+                   for page in snap["pages"].values())
+        twin = GlobalMemory(uninit_read=policy)
+        twin.restore(snap)
+        assert twin.snapshot() == snap
+        assert twin.read(base + PAGE_SIZE + 7, 6) == b"middle"
+        assert twin.read(base + 9 * PAGE_SIZE, 7) == b"outside"
+        assert twin.allocate(16) == gm.allocate(16)
+        if policy == "raise":
+            with pytest.raises(SimulationFault, match="never-written"):
+                twin.read(base, 4)
+        else:
+            assert twin.read(base, 4) == bytes([_FILL[policy]]) * 4
+
+    def test_restore_loads_a_page_dict_from_the_sparse_store(self):
+        # The pre-dense store snapshotted read-materialised pages and
+        # pages past the allocated span alike; both must still load.
+        first = GLOBAL_BASE // PAGE_SIZE
+        state = {"pages": {first: b"\x01" * PAGE_SIZE,
+                           first + 1: bytes(PAGE_SIZE),
+                           first + 7: b"\x07" * PAGE_SIZE},
+                 "next": GLOBAL_BASE + PAGE_SIZE + 100,
+                 "allocations": {GLOBAL_BASE: PAGE_SIZE + 100}}
+        gm = GlobalMemory()
+        gm.restore(state)
+        assert gm.read(GLOBAL_BASE + PAGE_SIZE - 1, 2) == b"\x01\x00"
+        assert gm.read(GLOBAL_BASE + 7 * PAGE_SIZE, 1) == b"\x07"
+        assert gm.snapshot() == state
+        assert gm.allocate(8) == GLOBAL_BASE + PAGE_SIZE + 256
+        state["pages"][first + 1] = b"short"
+        with pytest.raises(SimulationFault, match="snapshot page"):
+            gm.restore(state)
+        assert gm.read(GLOBAL_BASE, 1) == b"\x01"   # untouched
 
     @given(offset=st.integers(min_value=0, max_value=3 * PAGE_SIZE),
            payload=st.binary(min_size=1, max_size=600))

@@ -99,6 +99,40 @@ class TestFindingMerge:
         assert merged[0]["message"] == "a"  # lowest shard wins
 
 
+def _copy_next_to_untouched(backend):
+    """Launch the corpus copy kernel ``src -> dst`` with a never-written
+    buffer sharing ``dst``'s fresh page; return (shadow, other)."""
+    entry = CLEAN["clean_exact"]
+    rt = CudaRuntime(backend=backend)
+    try:
+        rt.load_ptx(entry.build(), "copy_next_to_untouched")
+        src = rt.upload_f32(np.arange(64, dtype=np.float32))
+        rt.malloc(8192)            # dst lands on a page src never touched
+        dst = rt.malloc(64 * 4)
+        other = rt.malloc(64 * 4)
+        rt.launch(entry.name, (2, 1, 1), (32, 1, 1), [src, dst])
+        rt.synchronize()
+    finally:
+        close = getattr(backend, "close", None)
+        if close is not None:
+            close()
+    assert rt.global_mem.shadow.range_initialized(dst, 64 * 4)
+    return rt.global_mem.shadow, other
+
+
+def test_shard_merge_does_not_initialise_poison_fill():
+    """A shard worker materialises dst's page poison-filled; diffing it
+    against zeros reported every fill byte as a write and the merge
+    marked the neighbouring buffer initialised (S602 false negative)."""
+    from repro.service.pool import ShardedFunctionalBackend
+    shadow, other = _copy_next_to_untouched(
+        FunctionalBackend(fast_mode="superblock", sanitize=True))
+    assert not shadow.range_initialized(other, 4)
+    shadow, other = _copy_next_to_untouched(ShardedFunctionalBackend(
+        2, fast_mode="superblock", sanitize=True))
+    assert not shadow.range_initialized(other, 4)
+
+
 # ----------------------------------------------------------------------
 # Uninitialized-read policy (GlobalMemory satellite)
 # ----------------------------------------------------------------------
