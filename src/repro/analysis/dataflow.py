@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.functional.cfg import build_cfg
-from repro.functional.fastpath import _is_special
+from repro.functional.state import is_special
 from repro.ptx import ast
 from repro.ptx.ast import Instruction, Kernel
 
@@ -66,11 +66,11 @@ def defs_of(inst: Instruction) -> frozenset[str]:
     if inst.opcode in NO_DEST or not inst.operands:
         return frozenset()
     dst = inst.operands[0]
-    if dst.kind == ast.REG and not _is_special(dst.name):
+    if dst.kind == ast.REG and not is_special(dst.name):
         return frozenset((dst.name,))
     if dst.kind == ast.VEC:
         return frozenset(e.name for e in dst.elems
-                         if e.kind == ast.REG and not _is_special(e.name))
+                         if e.kind == ast.REG and not is_special(e.name))
     return frozenset()
 
 
@@ -217,7 +217,7 @@ def _register_universe(kernel: Kernel) -> frozenset[str]:
     names: set[str] = set(kernel.reg_decls)
     for inst in kernel.body:
         names.update(defs_of(inst))
-        names.update(n for n in uses_of(inst) if not _is_special(n))
+        names.update(n for n in uses_of(inst) if not is_special(n))
     return frozenset(names)
 
 
@@ -266,7 +266,7 @@ class _Liveness(DataflowProblem):
         if written and is_killing(inst) and (
                 not self.rmw_dst_is_use or write_bits(inst) >= 64):
             facts = facts - written
-        reads = frozenset(n for n in uses_of(inst) if not _is_special(n))
+        reads = frozenset(n for n in uses_of(inst) if not is_special(n))
         if written and self.rmw_dst_is_use and write_bits(inst) < 64:
             reads = reads | written
         return facts | reads
@@ -321,7 +321,7 @@ def def_use_chains(kernel: Kernel) -> DefUseChains:
     for inst in kernel.body:
         incoming = reach.before.get(inst.index, frozenset())
         for name in uses_of(inst):
-            if _is_special(name):
+            if is_special(name):
                 continue
             sources = {pc for reg, pc in incoming if reg == name}
             defs_of_use[(name, inst.index)] = sources
@@ -349,7 +349,7 @@ def producer_chain(kernel: Kernel, pc: int,
     seen: set[tuple[str, int]] = set()
     frontier: list[tuple[str, int, int]] = []
     for name in sorted(uses_of(kernel.body[pc])):
-        if not _is_special(name):
+        if not is_special(name):
             frontier.append((name, pc, 1))
     while frontier and len(sliced) < max_sites:
         name, use_pc, depth = frontier.pop(0)
@@ -367,7 +367,7 @@ def producer_chain(kernel: Kernel, pc: int,
             })
             if depth < max_depth:
                 for src in sorted(uses_of(producer)):
-                    if not _is_special(src):
+                    if not is_special(src):
                         frontier.append((src, def_pc, depth + 1))
             if len(sliced) >= max_sites:
                 break
@@ -380,7 +380,7 @@ def producer_chain(kernel: Kernel, pc: int,
 # ----------------------------------------------------------------------
 def _reads_variant_special(inst: Instruction) -> bool:
     return any(name.startswith(_VARIANT_SPECIALS)
-               for name in uses_of(inst) if _is_special(name))
+               for name in uses_of(inst) if is_special(name))
 
 
 class _Variance(DataflowProblem):
@@ -402,7 +402,7 @@ class _Variance(DataflowProblem):
         written = defs_of(inst)
         if not written:
             return facts
-        reads = frozenset(n for n in uses_of(inst) if not _is_special(n))
+        reads = frozenset(n for n in uses_of(inst) if not is_special(n))
         variant = bool(reads & facts) or _reads_variant_special(inst)
         if inst.pred is not None and inst.pred in facts:
             variant = True

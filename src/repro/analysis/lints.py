@@ -27,7 +27,7 @@ from repro.analysis import dataflow, ranges
 from repro.analysis.dataflow import UNINIT, defs_of, uses_of
 from repro.analysis.findings import ERROR, Finding, WARNING
 from repro.functional.cfg import build_cfg, prepare_kernel
-from repro.functional.fastpath import _is_special
+from repro.functional.state import is_special
 from repro.functional.simt import NO_RECONVERGE
 from repro.ptx.ast import Instruction, Kernel
 
@@ -91,7 +91,7 @@ def lint_uninitialized_reads(ctx: LintContext) -> list[Finding]:
     for inst in ctx.kernel.body:
         incoming = ctx.reach.before.get(inst.index, frozenset())
         for name in sorted(uses_of(inst)):
-            if _is_special(name):
+            if is_special(name):
                 continue
             sources = {pc for reg, pc in incoming if reg == name}
             if not sources or UNINIT not in sources:

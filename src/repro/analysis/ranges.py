@@ -40,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.functional.cfg import build_cfg
-from repro.functional.fastpath import _is_special
+from repro.functional.state import is_special
 from repro.ptx import ast
 from repro.ptx.ast import Instruction, Kernel
 
@@ -159,7 +159,7 @@ def _operand_form(op: ast.Operand, env: dict[str, Affine],
                   kernel: Kernel) -> Affine | None:
     if op.kind == ast.REG:
         name = op.name
-        if _is_special(name):
+        if is_special(name):
             if name.startswith(_DIM_SPECIALS) or name == "%laneid":
                 return Affine.symbol(name)
             return None

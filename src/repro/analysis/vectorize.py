@@ -26,7 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.analysis.dataflow import (
-    Solution, _Variance, _is_special, defs_of, solve, uses_of)
+    Solution, _Variance, defs_of, solve, uses_of)
+from repro.functional.state import is_special
 from repro.ptx.ast import Kernel
 
 #: Version of the vectorizability facts (cache-key component).
@@ -49,7 +50,7 @@ class _GridVariance(_Variance):
         if not written or written <= facts:
             return facts
         for name in uses_of(inst):
-            if _is_special(name) and name.startswith(_GRID_VARIANT_SPECIALS):
+            if is_special(name) and name.startswith(_GRID_VARIANT_SPECIALS):
                 return facts | written
         return facts
 

@@ -111,7 +111,7 @@ _PARSE_CACHE: dict[tuple[str, int, bool], PTXModule] = {}
 def _parse_cached(text: str, file_id: str,
                   allow_brace_init: bool) -> PTXModule:
     """Memoise parsing — modules are immutable post-parse, and per-kernel
-    analysis caches (reconvergence, fast path) are safely shared."""
+    analysis caches (reconvergence, compiled tiers) are safely shared."""
     key = (file_id, hash(text), allow_brace_init)
     module = _PARSE_CACHE.get(key)
     if module is None:

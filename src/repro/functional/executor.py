@@ -17,8 +17,11 @@ barriers) and defers everything else to the dispatch table in
   issued instruction, always.
 
 The interpreter tiers are ablatable through ``fast_mode``:
-``"reference"`` (generic dispatch only), ``"fastpath"`` (per-instruction
-closures), ``"superblock"`` (fastpath + fused blocks, the default), and
+``"reference"`` (generic dispatch only), ``"superblock"`` (the emitter
+table of :mod:`repro.functional.superblock`, fused into straight-line
+blocks where nothing observes per-instruction state and stepped one
+instruction at a time elsewhere; the default), ``"fastpath"`` (the same
+emitters, always stepped, never fused), and
 ``"megablock"`` (whole-grid NumPy vectorization via
 :mod:`repro.functional.megablock`, with compiled plans persisted across
 processes by :mod:`repro.functional.kernelcache`).  A kernel the
@@ -38,7 +41,7 @@ from repro.functional.cfg import prepare_kernel
 from repro.functional.state import CTAState, LaunchContext, WarpState
 from repro.functional.simt import NO_RECONVERGE
 from repro.ptx import ast
-from repro.ptx.instructions import BAR, CTRL, OP_CLASS, lookup
+from repro.ptx.instructions import BAR, CTRL, DISPATCH, OP_CLASS
 
 #: Sentinel returned by step_warp when the warp is parked at a barrier.
 AT_BARRIER = "barrier"
@@ -205,15 +208,19 @@ class FunctionalEngine:
             # Legacy semantics in play: take the reference interpreter
             # everywhere so quirky behaviour is modelled exactly.
             fast_mode = "reference"
+        #: pc -> ``fn(warp, lanes)``.  The compiled renderings are
+        #: shared on the kernel and filled on first issue; a reference
+        #: engine keeps a private, prefilled list so the two never mix
+        #: (an unimplemented opcode stays None and faults when it issues).
         if fast_mode == "reference":
-            self._fast = [None] * self._body_len
+            from repro.functional.superblock import reference_step
+            steps = [reference_step(inst) if inst.opcode in DISPATCH
+                     else None for inst in self._body]
         else:
-            fast = getattr(self.kernel, "_fastpath", None)
-            if fast is None or len(fast) != self._body_len:
-                from repro.functional.fastpath import compile_kernel
-                fast = compile_kernel(self.kernel)
-                self.kernel._fastpath = fast
-            self._fast = fast
+            steps = getattr(self.kernel, "_steps", None)
+            if steps is None or len(steps) != self._body_len:
+                steps = self.kernel._steps = [None] * self._body_len
+        self._steps = steps
         self._contract_sites = (
             self._find_fp16_contractions() if contract_fp16 else {})
         if fast_mode in ("superblock", "megablock") and contract_fp16:
@@ -225,15 +232,11 @@ class FunctionalEngine:
             # The megablock tier needs superblocks too: they run the
             # scalar continuation after a divergent-barrier bailout and
             # every external-driver path (iter_ctas / run_cta).
-            from repro.functional.superblock import compile_superblocks
-            # Cache keyed on the fastpath list identity: if tests swap
-            # kernel._fastpath, stale blocks must not survive.
-            cached = getattr(self.kernel, "_superblock", None)
-            if cached is None or cached[0] is not self._fast:
-                blocks = compile_superblocks(self.kernel, self._fast)
-                self.kernel._superblock = (self._fast, blocks)
-            else:
-                blocks = cached[1]
+            blocks = getattr(self.kernel, "_superblock", None)
+            if blocks is None:
+                from repro.functional.superblock import compile_superblocks
+                blocks = self.kernel._superblock = compile_superblocks(
+                    self.kernel)
             self._superblocks = blocks
         self.fast_mode = fast_mode
         #: Armed sanitizer (repro.sanitize.core.Sanitizer) or None.
@@ -379,17 +382,24 @@ class FunctionalEngine:
                         and self.exec_override(inst, warp, lanes, pc)):
                     pass  # an injected fault supplied the semantics
                 else:
-                    fast = self._fast[pc]
-                    if fast is not None:
-                        fast(warp, lanes)
-                    else:
-                        lookup(opcode)(inst, warp, lanes)
+                    fast = self._steps[pc] or self._compile_step(pc)
+                    fast(warp, lanes)
                 if warp.mem_trace:
                     record.mem_accesses = tuple(warp.mem_trace)
             warp.simt.advance(pc + 1)
         if self.on_exec is not None:
             self.on_exec(record)
         return record
+
+    def _compile_step(self, pc: int):
+        """Fill slot *pc* of the step list on its first issue.
+
+        GPU-worker threads sharing a kernel may both compile a pc; the
+        renderings are interchangeable and item assignment is atomic.
+        """
+        from repro.functional.superblock import compile_step
+        step = self._steps[pc] = compile_step(self.kernel, pc)
+        return step
 
     def _exec_branch(self, warp: WarpState, inst: ast.Instruction,
                      pc: int, lanes: Sequence[int]) -> None:
@@ -651,3 +661,4 @@ class FunctionalEngine:
                 tracer.end(ts=base + self.launch.clock)
             else:
                 self.run_cta(cta, stats)
+            cta.release()

@@ -57,7 +57,8 @@ from repro.functional import npops
 from repro.functional.cfg import block_leaders, prepare_kernel
 from repro.functional.memory import GLOBAL_BASE, PAGE_BITS
 from repro.functional.simt import NO_RECONVERGE, SimtEntry, SimtStack
-from repro.functional.state import CTAState, thread_tables
+from repro.functional.state import CTAState, is_special, thread_tables
+from repro.functional.superblock import immediate
 from repro.ptx import ast
 from repro.ptx.dtypes import DType
 from repro.ptx.values import MASK64
@@ -161,17 +162,14 @@ class _VecGen:
 
     # -- operand reading ------------------------------------------------
     def payload(self, op: ast.Operand, dtype: DType) -> str | None:
-        from repro.functional.fastpath import _is_special, _payload_reader
         if op.kind == ast.IMM:
-            reader = _payload_reader(op, dtype)
-            if reader is None:
-                return None
-            return repr(int(reader(None, 0)))
+            imm = immediate(op, dtype)
+            return None if imm is None else repr(imm)
         if op.kind == ast.REG:
             name = op.name
             if name.startswith("%clock"):
                 return None
-            if _is_special(name):
+            if is_special(name):
                 return self.special(name)
             return self.reg(name)
         return None
@@ -189,12 +187,9 @@ class _VecGen:
         return repr(int(value))
 
     def value(self, op: ast.Operand, dtype: DType) -> str | None:
-        from repro.functional.fastpath import _value_reader
         if op.kind == ast.IMM:
-            reader = _value_reader(op, dtype)
-            if reader is None:
-                return None
-            return self.const(reader(None, 0))
+            imm = immediate(op, dtype, typed=True)
+            return None if imm is None else self.const(imm)
         p = self.payload(op, dtype)
         if p is None:
             return None
@@ -209,8 +204,7 @@ class _VecGen:
     # -- writing --------------------------------------------------------
     def write(self, name: str, bits: int, expr: str,
               pm: str | None = None) -> None:
-        from repro.functional.fastpath import _is_special
-        if _is_special(name) or name.startswith("%clock"):
+        if is_special(name):
             raise _Reject(f"write to special {name}")
         if pm is None:
             # Predicated instruction: mask-blend into the destination
@@ -236,8 +230,7 @@ class _VecGen:
     def write_raw(self, name: str, local: str,
                   pm: str | None = None) -> None:
         """Forward an already-computed full-64 payload local."""
-        from repro.functional.fastpath import _is_special
-        if _is_special(name) or name.startswith("%clock"):
+        if is_special(name):
             raise _Reject(f"write to special {name}")
         if pm is None:
             pm = self._auto_pm
@@ -603,12 +596,11 @@ def _ld_dests(inst: ast.Instruction):
 
 def _addr_local(inst: ast.Instruction, g: _VecGen, mem: ast.Operand):
     """Local (array) or expression (uniform int) for the base address."""
-    from repro.functional.fastpath import _is_special
     if mem.is_reg_base:
         name = mem.name
         if name.startswith("%clock"):
             return None
-        base = g.special(name) if _is_special(name) else g.reg(name)
+        base = g.special(name) if is_special(name) else g.reg(name)
         offset = mem.offset or 0
         if not offset:
             return base
@@ -1808,3 +1800,4 @@ class MegaMachine:
                         if value:
                             regs[name] = value
             engine.run_cta(cta, stats)
+            cta.release()

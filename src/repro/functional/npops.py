@@ -6,9 +6,10 @@ one element per *thread of the grid chunk*, mirroring the per-lane
 64-bit payload unions of the scalar register files.
 
 Every helper here is pinned against the scalar semantics in
-:mod:`repro.ptx.instructions` / :mod:`repro.functional.fastpath`; the
-megablock differential tests assert register- and memory-level equality
-with the reference interpreter.  The non-obvious cases:
+:mod:`repro.ptx.instructions` and the emitters of
+:mod:`repro.functional.superblock`; the megablock differential tests
+assert register- and memory-level equality with the reference
+interpreter.  The non-obvious cases:
 
 * ``fdiv`` — NumPy's ``0/0`` produces ``-nan`` (sign bit set) where
   CPython produces ``+nan``; ``x/0`` raises in CPython and the scalar

@@ -29,6 +29,17 @@ FULL_MASK = (1 << WARP_SIZE) - 1
 
 _LOCAL_ARENA_BYTES = 4096
 
+#: Name prefixes of the read-only special registers: the per-lane tables
+#: of :meth:`WarpState._build_special_table` plus the ``%clock`` family
+#: :meth:`WarpState.reg_payload` answers from the launch clock.
+_SPECIAL_PREFIXES = ("%tid", "%ntid", "%ctaid", "%nctaid", "%laneid",
+                     "%warpid", "%clock")
+
+
+def is_special(name: str) -> bool:
+    """Is *name* a special register (never held in the register dict)?"""
+    return name.startswith(_SPECIAL_PREFIXES)
+
 
 @dataclass
 class LaunchContext:
@@ -110,6 +121,16 @@ class CTAState:
     @property
     def finished(self) -> bool:
         return all(warp.finished for warp in self.warps)
+
+    def release(self) -> None:
+        """Drop the warps of a retired CTA.
+
+        ``CTAState.warps`` and ``WarpState.cta`` form a reference cycle,
+        so without this every retired CTA's 32 x N register dicts wait
+        for a full cyclic collection.  Only the code that created the
+        CTA may call it, once nothing will read its state again.
+        """
+        self.warps.clear()
 
     @property
     def live_warps(self) -> int:

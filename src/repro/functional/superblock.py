@@ -1,24 +1,34 @@
-"""Superblock fusion: block-level compilation of straight-line PTX.
+"""The compiled scalar tier: one emitter table, rendered fused or stepped.
 
-The per-instruction fast path (:mod:`repro.functional.fastpath`) removes
-operand re-interpretation but still re-enters the engine's dispatch loop
-— ``ExecRecord`` allocation, predicate checks, SIMT-stack advance — for
-every dynamic instruction.  This module extends specialisation one tier
-up: maximal straight-line runs of unpredicated, non-control, non-barrier
-instructions whose per-instruction closures all compiled are fused into a
-single *superblock* closure that executes the entire run for a warp in
-one call.
+``_EMITTERS`` is the only compiled statement of scalar PTX semantics
+(the reference lives in :mod:`repro.ptx.instructions`, the vector tier
+in :mod:`repro.functional.megablock`).  Each emitter turns one
+instruction into Python source; the source is rendered two ways:
 
-Each superblock is compiled to Python source and ``exec``'d once per
+* :func:`compile_superblocks` fuses every maximal straight-line run of
+  unpredicated, non-control, non-barrier instructions into a single
+  *superblock* closure that executes the whole run for a warp in one
+  call — no ``ExecRecord``, no predicate check, no SIMT-stack advance
+  per dynamic instruction;
+* :func:`compile_step` pushes a *single* instruction through the same
+  emitters for ``FunctionalEngine.step_warp`` — the path performance
+  mode, hooked runs, budgeted checkpoint slices, predicated code and
+  ``fast_mode="fastpath"`` take.  Every register is written back (no
+  liveness pruning) and ``ld``/``st`` append their per-lane accesses to
+  ``warp.mem_trace``, the ``ExecRecord.mem_accesses`` contract.
+
+Anything the emitters decline is the reference implementation itself
+(:func:`reference_step`): the whole closure on the step path, an opaque
+call inside a fused run.
+
+Each rendering is compiled to Python source and ``exec``'d once per
 kernel.  Register-only instructions and loads share **one outer lanes
 loop** with the per-lane register file hoisted: they are legal to
 reorder lane-major because they touch only lane-private state (the
 lane's register dict, read-only special registers, immediates) or read
 memory nothing in the run has written.  Stores are where lanes
 communicate, so each store keeps warp-lockstep instruction order in its
-own lanes loop.  Anything the emitter does not understand falls back to
-the already-compiled per-instruction ``LaneFn`` as an opaque call inside
-the block.
+own lanes loop.
 
 Block-local optimisations (bit-exact against the reference tier for
 memory and every *live* register):
@@ -27,18 +37,18 @@ memory and every *live* register):
   through locals instead of re-read from the register dict;
 * register-dict writebacks are deferred to the end of each lane chunk,
   so a register rewritten several times in a chunk is stored once; at
-  the end of the block the flush is filtered by the liveness solution
-  from :mod:`repro.analysis.dataflow`, so registers that are statically
-  dead after the run are never written back at all (their stale dict
-  entries are unobservable: liveness proves no later instruction reads
-  them, and the analysis already counts partial sub-64-bit writes as
-  reads of the old payload union);
+  the end of a fused block the flush is filtered by the liveness
+  solution from :mod:`repro.analysis.dataflow`, so registers that are
+  statically dead after the run are never written back at all (their
+  stale dict entries are unobservable: liveness proves no later
+  instruction reads them, and the analysis already counts partial
+  sub-64-bit writes as reads of the old payload union);
 * float reinterpretation inlines the two ``struct`` calls instead of
   going through the :mod:`repro.ptx.values` wrappers;
 * linear arenas (shared/param/const) and single-page global accesses are
   read and written directly on the backing buffers, with the same bounds
   faults the arena methods raise;
-* no ``mem_trace`` bookkeeping at all — traces only feed
+* no ``mem_trace`` bookkeeping in fused blocks — traces only feed
   :class:`~repro.functional.executor.ExecRecord`, which superblock-
   executed instructions never produce.
 
@@ -51,32 +61,31 @@ model keeps its one-``ExecRecord``-per-instruction contract through
 
 from __future__ import annotations
 
+import functools
 import math
+from typing import Callable, Sequence
 
 from repro.analysis.dataflow import liveness
 from repro.errors import SimulationFault
 from repro.functional.cfg import block_leaders
-from repro.functional.fastpath import (
-    LaneFn, _is_special, _payload_reader, _value_reader)
 from repro.functional.memory import GLOBAL_BASE, PAGE_BITS
+from repro.functional.state import is_special
 from repro.ptx import ast
 from repro.ptx.dtypes import DType
+from repro.ptx.instructions import DISPATCH, lookup
 from repro.ptx.instructions.common import (
     float_div, float_max, float_min, int_div, int_rem)
 from repro.ptx.values import (
-    _PACK_F32, _PACK_F64, _PACK_U32, _PACK_U64, MASK64,
-    f32_to_bits, f64_to_bits, mask, to_signed)
+    _PACK_F32, _PACK_F64, _PACK_U32, _PACK_U64, MASK64, bits_to_f64,
+    f32_to_bits, f64_to_bits, mask, read_typed, to_signed)
 
-#: Opcodes owned by the engine's SIMT logic; never fused.
-_CONTROL = frozenset({"bra", "exit", "ret", "bar"})
+#: A compiled instruction or block: ``fn(warp, lanes)``.
+LaneFn = Callable[[object, Sequence[int]], None]
 
 #: Special registers whose per-lane value tables can be hoisted.
 _STATIC_SPECIAL = frozenset(
     [f"%{base}.{axis}" for base in ("tid", "ntid", "ctaid", "nctaid")
      for axis in "xyz"] + ["%laneid", "%warpid"])
-
-#: Fused runs shorter than this stay on the stepping path.
-MIN_RUN = 1
 
 
 def _arena_oob(addr: int, nbytes: int, size: int) -> None:
@@ -84,6 +93,34 @@ def _arena_oob(addr: int, nbytes: int, size: int) -> None:
     raise SimulationFault(
         f"access [{addr}, {addr + nbytes}) outside arena of "
         f"{size} bytes")
+
+
+def immediate(op: ast.Operand, dtype: DType, *,
+              typed: bool = False) -> int | float | None:
+    """Compile-time value of an ``IMM`` operand read at *dtype*.
+
+    The raw payload, or with *typed* the Python value an instruction of
+    that type computes on.  ``None`` declines: a float literal on a
+    non-float or 16-bit type goes through the reference interpreter.
+    """
+    payload = op.payload
+    supported_float = dtype.is_float and dtype.bits in (32, 64)
+    if op.imm_float:
+        if not supported_float:
+            return None
+        if dtype.bits == 32:
+            payload = f32_to_bits(bits_to_f64(payload))
+    if not typed:
+        return payload
+    if dtype.is_float and not supported_float:
+        return None
+    return read_typed(payload, dtype)
+
+
+def reference_step(inst: ast.Instruction) -> LaneFn:
+    """The reference implementation of *inst* as a ``fn(warp, lanes)``:
+    the one fallback for everything the emitters decline."""
+    return functools.partial(lookup(inst.opcode), inst)
 
 
 class Superblock:
@@ -120,7 +157,10 @@ class Superblock:
 class _BlockCodegen:
     """Accumulates generated lines + the objects they close over."""
 
-    def __init__(self) -> None:
+    def __init__(self, *, trace: bool = False) -> None:
+        #: Stepped rendering: ``ld``/``st`` record their accesses in
+        #: ``warp.mem_trace`` (fused blocks produce no ExecRecord).
+        self.trace = trace
         self.bindings: dict[str, object] = {}
         self.prologue: list[str] = []
         self.chunks: list[tuple[str, list[str]]] = []
@@ -191,6 +231,14 @@ class _BlockCodegen:
     def reg_payload_fn(self) -> str:
         return self._hoist(("reg_payload",), "warp.reg_payload")
 
+    def trace_access(self, lines: list[str], space: str, addr: str,
+                     nbytes: int, is_write: bool) -> None:
+        """Stepped rendering only: record one lane's memory access."""
+        if self.trace:
+            append = self._hoist(("trace",), "warp.mem_trace.append")
+            lines.append(
+                f"{append}(({space!r}, {addr}, {nbytes}, {is_write}))")
+
     # -- chunks --------------------------------------------------------
     def lane(self, *lines: str) -> None:
         """Per-lane statements; consecutive ones share a lanes loop."""
@@ -205,10 +253,11 @@ class _BlockCodegen:
         self.chunks.append(("warp", lines))
         self._forward.clear()
 
-    def opaque(self, fn: LaneFn) -> None:
+    def opaque(self, inst: ast.Instruction) -> None:
+        """Run *inst* through the reference implementation."""
         self._flush_pending()
         name = self.fresh("_f")
-        self.bindings[name] = fn
+        self.bindings[name] = reference_step(inst)
         self.chunks.append(("call", [f"{name}(warp, lanes)"]))
         self._forward.clear()
 
@@ -236,17 +285,15 @@ class _BlockCodegen:
     def payload_expr(self, op: ast.Operand, dtype: DType) -> str | None:
         """Expression yielding the raw payload of *op* for ``lane``."""
         if op.kind == ast.IMM:
-            reader = _payload_reader(op, dtype)
-            if reader is None:
-                return None
-            return self.const(reader(None, 0))
+            imm = immediate(op, dtype)
+            return None if imm is None else self.const(imm)
         if op.kind != ast.REG:
             return None
         return self.reg_expr(op.name)
 
     def reg_expr(self, name: str) -> str:
         """Payload of a register by name (forwarded local if available)."""
-        if _is_special(name):
+        if is_special(name):
             if name in _STATIC_SPECIAL:
                 return f"{self.special_table(name)}[lane]"
             return f"{self.reg_payload_fn()}({name!r}, lane)"
@@ -258,10 +305,8 @@ class _BlockCodegen:
     def value_expr(self, op: ast.Operand, dtype: DType) -> str | None:
         """Expression yielding the typed Python value of *op*."""
         if op.kind == ast.IMM:
-            reader = _value_reader(op, dtype)
-            if reader is None:
-                return None
-            return self.const(reader(None, 0))
+            imm = immediate(op, dtype, typed=True)
+            return None if imm is None else self.const(imm)
         payload = self.payload_expr(op, dtype)
         if payload is None:
             return None
@@ -326,6 +371,10 @@ class _BlockCodegen:
                 body.append("for lane in lanes:")
                 body.append("    regs = warp_regs[lane]")
                 body.extend("    " + line for line in lines)
+        if any(kind == "call" for kind, _ in self.chunks):
+            # A reference ld/st/atom/tex traces its accesses; only
+            # step_warp clears the trace, so a block must leave none.
+            body.append("warp.mem_trace.clear()")
         if not body:
             body = ["pass"]
         params = ["warp", "lanes"] + [f"{k}={k}" for k in self.bindings]
@@ -338,9 +387,8 @@ class _BlockCodegen:
 
 # ----------------------------------------------------------------------
 # Per-opcode emitters.  Each returns True if it generated code; False
-# means the instruction stays an opaque per-instruction closure call.
-# Semantics mirror repro.functional.fastpath exactly — the differential
-# tier test holds all three tiers bit-identical.
+# hands the instruction to the reference implementation.  The tier
+# differential holds both renderings bit-identical to the reference.
 # ----------------------------------------------------------------------
 _INT_OPS = {"add": "+", "sub": "-", "and": "&", "or": "|", "xor": "^"}
 _CMP_OPS = {"eq": "==", "ne": "!=", "lt": "<", "le": "<=",
@@ -445,8 +493,8 @@ def _emit_divrem_int(inst: ast.Instruction, gen: _BlockCodegen) -> bool:
     eb = gen.value_expr(b, dtype)
     if ea is None or eb is None or dst.kind != ast.REG:
         return False
-    # Superblocks only exist on quirk-free launches, so the fast path's
-    # dynamic rem_ignores_type check compiles away entirely.
+    # Quirky launches (rem_ignores_type) run the reference interpreter,
+    # so the compiled rem never needs the quirk check.
     helper = (gen.helper("idiv", int_div) if inst.opcode == "div"
               else gen.helper("irem", int_rem))
     gen.write_payload(dst.name, dtype.bits, f"{helper}({ea}, {eb})")
@@ -502,6 +550,33 @@ def _emit_selp(inst: ast.Instruction, gen: _BlockCodegen) -> bool:
     gen.write_payload(
         dst.name, dtype.bits,
         f"({ea}) if {gen.reg_expr(pred.name)} & 1 else ({eb})")
+    return True
+
+
+_SFU_OPS = {
+    "ex2": lambda v: (2.0 ** v if v < 1024
+                      else (math.nan if v != v else math.inf)),
+    "lg2": lambda v: (math.log2(v) if v > 0
+                      else (-math.inf if v == 0 else math.nan)),
+    "sin": lambda v: math.nan if math.isinf(v) else math.sin(v),
+    "cos": lambda v: math.nan if math.isinf(v) else math.cos(v),
+    "sqrt": lambda v: math.sqrt(v) if v >= 0 else math.nan,
+    "rsqrt": lambda v: (1.0 / math.sqrt(v) if v > 0
+                        else (math.inf if v == 0 else math.nan)),
+    "rcp": lambda v: (1.0 / v if v != 0 else math.copysign(math.inf, v)),
+}
+
+
+def _emit_sfu(inst: ast.Instruction, gen: _BlockCodegen) -> bool:
+    dtype = inst.dtype
+    if not dtype.is_float or dtype.bits != 32:
+        return False
+    dst, a = inst.operands
+    ea = gen.value_expr(a, dtype)
+    if ea is None or dst.kind != ast.REG:
+        return False
+    fn = gen.helper(f"sfu_{inst.opcode}", _SFU_OPS[inst.opcode])
+    gen.write_float(dst.name, 32, f"{fn}({ea})")
     return True
 
 
@@ -581,8 +656,8 @@ def _addr_var(gen: _BlockCodegen, mem: ast.Operand,
               lines: list[str]) -> str:
     """A local (or invariant hoist) holding the access address.
 
-    Mirrors the fast path exactly: a register base reads the plain
-    register dict (never the special-register tables).
+    A register base reads the plain register dict (never the
+    special-register tables).
     """
     if not mem.is_reg_base:
         return gen.symbol_addr(mem.name, mem.offset)
@@ -620,6 +695,7 @@ def _emit_ld_st(inst: ast.Instruction, gen: _BlockCodegen) -> bool:
             return False
         lines: list[str] = []
         addr = _addr_var(gen, mem, lines)
+        gen.trace_access(lines, space, addr, nbytes, False)
         raw = gen.fresh("_m")
         if is_global:
             lines.extend(_global_read_lines(gen, raw, addr, nbytes))
@@ -650,6 +726,7 @@ def _emit_ld_st(inst: ast.Instruction, gen: _BlockCodegen) -> bool:
             return False
         lines = []
         addr = _addr_var(gen, mem, lines)
+        gen.trace_access(lines, space, addr, nbytes, True)
         value = gen.fresh("_m")
         lines.append(f"{value} = ({expr}) & {mask(dtype.bits):#x}")
         if is_global:
@@ -724,8 +801,13 @@ def _global_write_lines(gen: _BlockCodegen, value: str, addr: str,
                         nbytes: int) -> list[str]:
     buf, written = gen.global_buffer()
     offset = gen.fresh("_o")
-    limit = gen._hoist(("gwlimit", nbytes), f"len({buf}) - {nbytes}")
-    fallback = gen._hoist(("gwrite",), f"{gen.arena('global')}.write_uint")
+    arena = gen.arena("global")
+    # Highest in-span offset; none with a shadow attached, whose
+    # initialized-byte marking lives in write.
+    limit = gen._hoist(
+        ("gwlimit", nbytes),
+        f"-1 if {arena}.shadow is not None else len({buf}) - {nbytes}")
+    fallback = gen._hoist(("gwrite",), f"{arena}.write_uint")
     # Naturally aligned stores (the rule) stay inside one page, so one
     # flag marks them; anything else takes the store's own write.
     aligned = f" and not {offset} & {nbytes - 1}" if nbytes > 1 else ""
@@ -752,6 +834,7 @@ _EMITTERS = {
     "shl": _emit_shift, "shr": _emit_shift,
     "cvt": _emit_cvt,
     "ld": _emit_ld_st, "st": _emit_ld_st,
+    **dict.fromkeys(_SFU_OPS, _emit_sfu),
 }
 
 
@@ -784,27 +867,25 @@ def _references_clock(inst: ast.Instruction) -> bool:
     return False
 
 
-def eligible(inst: ast.Instruction, fast_fn: LaneFn | None) -> bool:
+def eligible(inst: ast.Instruction) -> bool:
     """Can *inst* live inside a superblock?
 
-    Requires an already-compiled per-instruction closure, no guard
-    predicate, no control flow / barrier, and no ``%clock`` read (the
-    clock must tick per instruction, which fused blocks batch).
+    Requires no guard predicate, no control flow / barrier, an opcode
+    the simulator implements (an unknown one must fault when it issues,
+    not when the kernel compiles), and no ``%clock`` read (the clock
+    must tick per instruction, which fused blocks batch).
     """
-    if fast_fn is None or inst.pred is not None:
-        return False
-    if inst.opcode in _CONTROL:
+    if inst.pred is not None or inst.opcode not in DISPATCH:
         return False
     return not _references_clock(inst)
 
 
 def _fuse(kernel, run: list[ast.Instruction], start: int,
-          fast: list[LaneFn | None],
           live_out: frozenset[str] | None) -> Superblock:
     gen = _BlockCodegen()
-    for offset, inst in enumerate(run):
+    for inst in run:
         if not _emit(inst, gen):
-            gen.opaque(fast[start + offset])
+            gen.opaque(inst)
     filename = f"<superblock {kernel.name}@{start}>"
     execute, source = gen.build(filename, live_out)
     return Superblock(
@@ -814,8 +895,7 @@ def _fuse(kernel, run: list[ast.Instruction], start: int,
         pruned=frozenset(gen.pruned))
 
 
-def compile_superblocks(kernel,
-                        fast: list[LaneFn | None]) -> dict[int, Superblock]:
+def compile_superblocks(kernel) -> dict[int, Superblock]:
     """Fuse every maximal eligible straight-line run of *kernel*.
 
     Returns ``{entry pc: Superblock}``.  Runs never cross basic-block
@@ -832,17 +912,37 @@ def compile_superblocks(kernel,
     blocks: dict[int, Superblock] = {}
     pc, size = 0, len(body)
     while pc < size:
-        if not eligible(body[pc], fast[pc]):
+        if not eligible(body[pc]):
             pc += 1
             continue
         start = pc
         pc += 1
-        while (pc < size and pc not in leaders
-               and eligible(body[pc], fast[pc])):
+        while pc < size and pc not in leaders and eligible(body[pc]):
             pc += 1
-        if pc - start >= MIN_RUN:
-            live_out = (live.before.get(pc, frozenset())
-                        if pc < size else frozenset())
-            blocks[start] = _fuse(kernel, body[start:pc], start, fast,
-                                  live_out)
+        live_out = (live.before.get(pc, frozenset())
+                    if pc < size else frozenset())
+        blocks[start] = _fuse(kernel, body[start:pc], start, live_out)
     return blocks
+
+
+#: Fused code compiles as ``<superblock kernel@pc>``; a stepped rendering
+#: is the ``fast_mode="fastpath"`` tier's code and says so in the only
+#: form a profiler that buckets frames by module path can read (the
+#: per-layer ledger of ``benchmarks/perf/spans.py`` keeps stepped time
+#: in its ``fastpath`` row, apart from fused time).
+_STEP_FILENAME = "<step>/repro/functional/fastpath/{kernel}@{pc}"
+
+
+def compile_step(kernel, pc: int) -> LaneFn:
+    """The stepped rendering of ``kernel.body[pc]``.
+
+    The instruction goes through the same emitters as a fused block,
+    alone: every register it writes is stored (a later step may read
+    any of them) and its memory accesses are traced.  A guard predicate
+    needs nothing here — ``step_warp`` passes only the lanes it selects.
+    """
+    inst = kernel.body[pc]
+    gen = _BlockCodegen(trace=True)
+    if not _emit(inst, gen):
+        return reference_step(inst)
+    return gen.build(_STEP_FILENAME.format(kernel=kernel.name, pc=pc))[0]

@@ -159,7 +159,8 @@ class Sanitizer:
         return [dict(merged[key]) for key in sorted(merged)]
 
     # ------------------------------------------------------------------
-    # Scalar-tier observer (reference / fastpath / superblock step path)
+    # Scalar-tier observer (the step path: reference dispatch or the
+    # stepped rendering of the superblock emitters)
     # ------------------------------------------------------------------
     def hook(self, record: ExecRecord) -> None:
         """``on_exec`` observer: check one executed instruction."""

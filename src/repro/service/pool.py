@@ -56,8 +56,8 @@ DEFAULT_SHARDS = max(1, min(8, os.cpu_count() or 1))
 def _transport_kernel(kernel: Kernel) -> Kernel:
     """A picklable copy of *kernel*.
 
-    The live object accumulates compiled-tier caches (``_fastpath``
-    closures, superblocks, megablock plans) and a backref to its whole
+    The live object accumulates compiled-tier caches (step closures,
+    superblocks, megablock plans) and a backref to its whole
     module; none of those survive a pickle, and workers recompile their
     own tiers anyway (warm, via the disk kernel cache).  The
     reconvergence map *is* carried over so workers skip the CFG pass.

@@ -1,10 +1,11 @@
-"""Differential testing: the fast path must match the reference
-interpreter bit-for-bit.
+"""Differential testing: the compiled scalar tier must match the
+reference interpreter bit-for-bit.
 
-Random mini-kernels are executed twice — once with instruction
-specialisation and once forced through the generic dispatch — and the
-final memory images are compared.  This is the repository's analogue of
-the paper's differential methodology, applied to our own optimisation.
+Random mini-kernels are executed twice — once on the stepped rendering
+of the superblock emitters (``fast_mode="fastpath"``) and once through
+the generic dispatch (``fast_mode="reference"``) — and the final memory
+images are compared.  This is the repository's analogue of the paper's
+differential methodology, applied to our own optimisation.
 """
 
 import numpy as np
@@ -12,7 +13,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cuda import CudaRuntime
-from repro.functional import fastpath
+from repro.cuda.runtime import FunctionalBackend, KernelRunResult
+from repro.errors import SimulationFault
+from repro.functional.executor import (
+    FAST_MODES, ExecRecord, FunctionalEngine, RunStats)
+from repro.functional.superblock import _BlockCodegen, _emit
 from repro.ptx.builder import PTXBuilder, f32
 from repro.ptx.parser import parse_module
 
@@ -77,13 +82,9 @@ def _mixed_kernel(seed: int) -> str:
 
 
 def _run(ptx: str, inputs: np.ndarray, *, disable_fast: bool) -> np.ndarray:
-    rt = CudaRuntime()
-    rt.load_ptx(ptx, f"mix_{disable_fast}")
-    kernel = rt.program.find_kernel("mix")
-    if disable_fast:
-        kernel._fastpath = [None] * len(kernel.body)
-    else:
-        kernel._fastpath = fastpath.compile_kernel(kernel)
+    mode = "reference" if disable_fast else "fastpath"
+    rt = CudaRuntime(backend=FunctionalBackend(fast_mode=mode))
+    rt.load_ptx(ptx, f"mix_{mode}")
     n = len(inputs)
     xs = rt.malloc(4 * n)
     rt.memcpy_h2d(xs, inputs.astype(np.uint32))
@@ -114,13 +115,100 @@ def test_fastpath_matches_reference_property(seed):
             == _run(ptx, inputs, disable_fast=True)).all()
 
 
-def test_compile_kernel_covers_common_ops():
+def _emitted(inst) -> bool:
+    return _emit(inst, _BlockCodegen(trace=True))
+
+
+def test_emitters_cover_common_ops():
     ptx = _mixed_kernel(0)
     module = parse_module(ptx, "cov")
     kernel = module.kernel("mix")
-    compiled = fastpath.compile_kernel(kernel)
-    coverage = sum(1 for fn in compiled if fn is not None) / len(compiled)
-    assert coverage > 0.75, f"fast-path coverage too low: {coverage:.0%}"
+    coverage = sum(map(_emitted, kernel.body)) / len(kernel.body)
+    assert coverage > 0.75, f"emitter coverage too low: {coverage:.0%}"
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_step_path_mem_accesses_match_reference(seed):
+    """Every ld/st of the mixed kernel reports the same per-lane
+    ``(space, addr, nbytes, is_write)`` tuples on the stepped emitters
+    as on the reference tier — what the timing model, the sanitizer
+    hook and the fault injector read."""
+    ptx = _mixed_kernel(seed)
+    rng = np.random.default_rng(seed + 3000)
+    inputs = rng.integers(0, 2 ** 32, size=96, dtype=np.uint64
+                          ).astype(np.uint32)
+    traces = {}
+    for mode in ("fastpath", "reference"):
+        records: list[ExecRecord] = []
+        rt = CudaRuntime(backend=FunctionalBackend(
+            fast_mode=mode, on_exec=records.append))
+        rt.load_ptx(ptx, f"mix_trace_{mode}")
+        n = len(inputs)
+        xs = rt.malloc(4 * n)
+        rt.memcpy_h2d(xs, inputs)
+        out = rt.malloc(4 * n)
+        # 40 threads per CTA: the second warp is partial.
+        rt.launch("mix", ((n + 39) // 40, 1, 1), (40, 1, 1), [xs, out, n])
+        rt.synchronize()
+        traces[mode] = [(r.pc, r.active_mask, r.mem_accesses)
+                        for r in records
+                        if r.inst.opcode in ("ld", "st")]
+    assert traces["fastpath"], "expected traced loads and stores"
+    assert any(len(acc) < 32 for _pc, _mask, acc in traces["fastpath"])
+    assert all(len(acc) == bin(mask).count("1")
+               for _pc, mask, acc in traces["fastpath"])
+    assert traces["fastpath"] == traces["reference"]
+
+
+def _wild_shared_kernel(opcode: str) -> str:
+    """Every lane indexes a 24-word shared array by ``%tid.x``: lane 24
+    is the first one out of bounds."""
+    b = PTXBuilder("wild", [("out", "u64")])
+    b.shared("buf", "u32", 24)
+    tid = b.special("%tid.x")
+    base = b.reg("u64")
+    b.ins("mov.u64", base, "buf")
+    value = b.reg("u32")
+    b.ins("mov.u32", value, "7")
+    addr = b.elem_addr(base, tid)
+    if opcode == "ld":
+        b.ins("ld.shared.u32", value, f"[{addr}]")
+    else:
+        b.ins("st.shared.u32", f"[{addr}]", value)
+    return b.build()
+
+
+class _FaultProbeBackend(FunctionalBackend):
+    """Steps warp 0 of the first CTA until it faults and keeps what the
+    fault left in ``warp.mem_trace``."""
+
+    def execute(self, launch):
+        engine = FunctionalEngine(launch, fast_mode=self.fast_mode)
+        warp = next(engine.iter_ctas()).warps[0]
+        with pytest.raises(SimulationFault, match="outside arena"):
+            while engine.step_warp(warp) is not None:
+                pass
+        self.left = (warp.simt.pc, list(warp.mem_trace))
+        return KernelRunResult()
+
+
+@pytest.mark.parametrize("opcode", ["ld", "st"])
+def test_step_path_faulting_access_leaves_the_reference_trace(opcode):
+    """A faulting ``ld``/``st`` stops at the same pc with the same
+    partial trace — the lanes before the fault plus the faulting one —
+    on the stepped emitters as on the reference tier."""
+    left = {}
+    for mode in ("fastpath", "reference"):
+        backend = _FaultProbeBackend(fast_mode=mode)
+        rt = CudaRuntime(backend=backend)
+        rt.load_ptx(_wild_shared_kernel(opcode), f"wild_{opcode}_{mode}")
+        rt.launch("wild", (1, 1, 1), (32, 1, 1), [rt.malloc(4)])
+        rt.synchronize()
+        left[mode] = backend.left
+    _pc, trace = left["fastpath"]
+    assert trace[-1] == ("shared", 96, 4, opcode == "st")
+    assert len(trace) == 25
+    assert left["fastpath"] == left["reference"]
 
 
 # ----------------------------------------------------------------------
@@ -128,11 +216,8 @@ def test_compile_kernel_covers_common_ops():
 # ----------------------------------------------------------------------
 
 from repro.cublas import Cublas  # noqa: E402
-from repro.cuda.runtime import FunctionalBackend, KernelRunResult  # noqa: E402
 from repro.cudnn import Cudnn, build_application_binary  # noqa: E402
 from repro.cudnn.algos import ConvFwdAlgo  # noqa: E402
-from repro.functional.executor import (  # noqa: E402
-    FAST_MODES, FunctionalEngine, RunStats)
 from repro.nn import synthetic_mnist  # noqa: E402
 from repro.nn.lenet import LeNet, LeNetConfig  # noqa: E402
 
@@ -212,7 +297,8 @@ def test_library_kernels_trimodal_differential():
     The final global-memory image, per-launch instruction counts and
     the launch sequence must match the reference interpreter exactly in
     every tier.  Register files (per warp, post-exit) match exactly in
-    the fastpath tier; the superblock tier is allowed to differ only on
+    the fastpath tier (the stepped rendering of the emitters writes
+    every register back); the superblock tier is allowed to differ only on
     the registers its liveness flush provably pruned (each block
     reports them in ``Superblock.pruned``) — every other register must
     still be bit-identical, and no tier may invent registers.
@@ -275,8 +361,8 @@ def test_superblock_matches_fastpath_and_reference(seed):
 
 
 def test_selp_float_immediates_compile_and_match():
-    """selp.f32 with float immediates takes the fast path and agrees
-    with the reference interpreter."""
+    """selp.f32 with float immediates is emitted (not handed to the
+    reference) and agrees with the reference interpreter."""
     b = PTXBuilder("selpf", [("xs", "u64"), ("out", "u64"), ("n", "u32")])
     xs = b.ld_param("u64", "xs")
     out = b.ld_param("u64", "out")
@@ -294,10 +380,9 @@ def test_selp_float_immediates_compile_and_match():
 
     module = parse_module(ptx, "selpf")
     kernel = module.kernel("selpf")
-    compiled = fastpath.compile_kernel(kernel)
-    selp_pcs = [pc for pc, inst in enumerate(kernel.body)
-                if inst.opcode.startswith("selp")]
-    assert selp_pcs and all(compiled[pc] is not None for pc in selp_pcs)
+    selps = [inst for inst in kernel.body
+             if inst.opcode.startswith("selp")]
+    assert selps and all(map(_emitted, selps))
 
     rng = np.random.default_rng(5)
     values = rng.random(64, dtype=np.float32)

@@ -11,23 +11,25 @@ megablock tier must be indistinguishable from it in architectural
 state, or refuse to run (fall back / bail out) — never "mostly right".
 """
 
+import gc
 import json
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
 
 from repro.errors import SimulationFault
-from repro.functional import kernelcache
+from repro.functional import kernelcache, megablock
 from repro.functional.executor import (
     FAST_MODES, FunctionalEngine, RunStats)
 from repro.functional.megablock import (
     EVENTS, MegaMachine, PLAN_FORMAT, compile_megaplan,
     plan_from_payload, reset_events)
 from repro.functional.memory import GlobalMemory, LinearMemory
-from repro.functional.state import LaunchContext
+from repro.functional.state import CTAState, LaunchContext
 from repro.analysis import ANALYSIS_VERSION
 from repro.ptx.builder import PTXBuilder, f32
 from repro.ptx.parser import parse_module
@@ -664,6 +666,29 @@ class TestDifferential:
         assert dict(stats.dynamic_per_opcode) == \
             dict(ref_stats.dynamic_per_opcode)
         assert launch.clock == ref.clock
+
+    def test_bailout_frees_its_ctas_without_gc(self, monkeypatch):
+        # The scalar continuation builds its own CTAStates; like
+        # run_range it must break their warps <-> cta cycle on retire.
+        born = []
+
+        def tracking(launch, cta_linear):
+            cta = CTAState(launch, cta_linear)
+            born.append(weakref.ref(cta))
+            return cta
+
+        monkeypatch.setattr(megablock, "CTAState", tracking)
+        launch = _build_launch(_mixbar_ptx(), "mixbar")
+        engine = FunctionalEngine(launch, fast_mode="megablock")
+        gc.collect()
+        gc.disable()
+        try:
+            engine.run()
+            alive = [ref() for ref in born]
+        finally:
+            gc.enable()
+        assert engine.megablock_bailouts == 1
+        assert born and not any(alive)
 
     def test_bailout_with_parked_frame_stays_bit_identical(self):
         # The bar-recount regression: warp 0 parks (its bar already
