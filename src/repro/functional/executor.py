@@ -17,15 +17,17 @@ barriers) and defers everything else to the dispatch table in
   issued instruction, always.
 
 The interpreter tiers are ablatable through ``fast_mode``:
-``"reference"`` (generic dispatch only), ``"superblock"`` (the emitter
-table of :mod:`repro.functional.superblock`, fused into straight-line
+``"reference"`` (generic dispatch only), ``"superblock"`` (the rows of
+:mod:`repro.functional.emit` in the Python-int dialect of
+:mod:`repro.functional.superblock`, fused into straight-line
 blocks where nothing observes per-instruction state and stepped one
 instruction at a time elsewhere; the default), ``"fastpath"`` (the same
-emitters, always stepped, never fused), and
-``"megablock"`` (whole-grid NumPy vectorization via
-:mod:`repro.functional.megablock`, with compiled plans persisted across
-processes by :mod:`repro.functional.kernelcache`).  A kernel the
-megablock codegen cannot vectorize falls back to the superblock tier
+rendering, always stepped, never fused), and
+``"megablock"`` (the same rows in the NumPy dialect of
+:mod:`repro.functional.megablock`, whole grid at once, with compiled
+plans persisted across processes by
+:mod:`repro.functional.kernelcache`).  A kernel the megablock codegen
+cannot vectorize falls back to the superblock tier
 (``engine.megablock_fallback`` records why); hooks that observe
 per-instruction state (``on_exec``, ``exec_override``, CTA-span
 tracing) always take the scalar path.

@@ -11,10 +11,14 @@ on an array-mask reconvergence stack that mirrors
 reconvergence pcs, same push/pop discipline, so issue counts and the
 launch clock come out identical to the scalar tiers.
 
-Eligibility is all-or-nothing per kernel: every non-control instruction
-needs a vector emitter (atomics, textures, ``%clock`` reads and other
-exotica have none), otherwise the engine falls back to the superblock
-tier.  Predicated instructions vectorize by mask-blend: the result is
+Register-op semantics are the rows of :mod:`repro.functional.emit`;
+:class:`_VecGen` is the dialect that spells a row's primitives as NumPy
+source (entry hoists, mask blending, the guard memo), and ``ld``/``st``
+render here as ``VM.ld``/``VM.st`` gather/scatter calls.  Eligibility
+is all-or-nothing per kernel: every non-control instruction needs a
+vector rendering (atomics, textures, ``%clock`` reads and other exotica
+have none), otherwise the engine falls back to the superblock tier.
+Predicated instructions vectorize by mask-blend: the result is
 computed over every lane, then merged into the destination array with
 ``np.where(guard, new, old)`` (stores scatter only the guarded lanes
 into global memory).  Branches whose predicate is grid-uniform
@@ -55,10 +59,10 @@ from repro.analysis.vectorize import classify_kernel
 from repro.errors import SimulationFault
 from repro.functional import npops
 from repro.functional.cfg import block_leaders, prepare_kernel
+from repro.functional.emit import Codegen, Decline, emit
 from repro.functional.memory import GLOBAL_BASE, PAGE_BITS
 from repro.functional.simt import NO_RECONVERGE, SimtEntry, SimtStack
 from repro.functional.state import CTAState, is_special, thread_tables
-from repro.functional.superblock import immediate
 from repro.ptx import ast
 from repro.ptx.dtypes import DType
 from repro.ptx.values import MASK64
@@ -91,27 +95,14 @@ def reset_events() -> None:
 
 _CONTROL = ("bra", "exit", "ret", "bar")
 
-_INT_SYMS = {"add": "+", "sub": "-", "and": "&", "or": "|", "xor": "^"}
-
-_CMP_SYMS = {"eq": "==", "ne": "!=", "lt": "<", "le": "<=", "gt": ">",
-             "ge": ">=", "lo": "<", "ls": "<=", "hi": ">", "hs": ">="}
-
-_SFU_FNS = {"rcp": "H.rcp", "rsqrt": "H.rsqrt", "sqrt": "H.sqrt",
-            "sin": "H.sin", "cos": "H.cos", "lg2": "H.lg2",
-            "ex2": "H.ex2"}
-
 _LD_SPACES = ("global", "shared", "param", "const")
-
-
-class _Reject(Exception):
-    """An emitter hit a form it cannot vectorize."""
 
 
 # ----------------------------------------------------------------------
 # Code generation
 # ----------------------------------------------------------------------
-class _VecGen:
-    """Accumulates the source of one block function.
+class _VecGen(Codegen):
+    """The NumPy dialect: accumulates the source of one block function.
 
     The generated function has the shape::
 
@@ -150,6 +141,10 @@ class _VecGen:
 
     def reg(self, name: str) -> str:
         """Current payload local for a register (forwarded if written)."""
+        if name.startswith("%clock"):
+            raise Decline
+        if is_special(name):
+            return self.special(name)
         return self._forward.get(name) or self.entry(name)
 
     def special(self, name: str) -> str:
@@ -161,19 +156,6 @@ class _VecGen:
         return local
 
     # -- operand reading ------------------------------------------------
-    def payload(self, op: ast.Operand, dtype: DType) -> str | None:
-        if op.kind == ast.IMM:
-            imm = immediate(op, dtype)
-            return None if imm is None else repr(imm)
-        if op.kind == ast.REG:
-            name = op.name
-            if name.startswith("%clock"):
-                return None
-            if is_special(name):
-                return self.special(name)
-            return self.reg(name)
-        return None
-
     @staticmethod
     def const(value) -> str:
         if isinstance(value, float):
@@ -186,26 +168,73 @@ class _VecGen:
             return f"np.float64({value!r})"
         return repr(int(value))
 
-    def value(self, op: ast.Operand, dtype: DType) -> str | None:
-        if op.kind == ast.IMM:
-            imm = immediate(op, dtype, typed=True)
-            return None if imm is None else self.const(imm)
-        p = self.payload(op, dtype)
-        if p is None:
-            return None
+    @staticmethod
+    def decode(payload: str, dtype: DType) -> str:
+        """Typed value array of a payload expression."""
         if dtype.is_float:
-            return {16: "H.f16", 32: "H.f32", 64: "H.f64"}.get(
-                dtype.bits, "") + f"({p})" if dtype.bits in (16, 32, 64) \
-                else None
+            return f"H.f{dtype.bits}({payload})"
         if dtype.is_signed:
-            return f"H.s({p}, {dtype.bits})"
-        return f"H.u({p}, {dtype.bits})"
+            return f"H.s({payload}, {dtype.bits})"
+        return f"H.u({payload}, {dtype.bits})"
+
+    #: NumPy needs the addend in the product's signedness, even at
+    #: 64 bits where the scalar dialect reads the raw payload.
+    value_mod64 = Codegen.value
+
+    @staticmethod
+    def symbol(name: str, offset: int) -> str:
+        return f"VM.fill(VM.sym_addr({name!r}, {offset}))"
+
+    def pred_true(self, name: str) -> str:
+        return f"(({self.reg(name)}) & 1) != 0"
+
+    # -- expression primitives (the NumPy spellings) --------------------
+    @staticmethod
+    def bind(expr: str) -> str:
+        """Array expressions are pure: re-evaluation needs no temp."""
+        return expr
+
+    @staticmethod
+    def select(cond: str, a: str, b: str) -> str:
+        return f"np.where({cond}, {a}, {b})"
+
+    @staticmethod
+    def compare(sym: str, a: str, b: str, nan: int | None) -> str:
+        # NumPy's ordered comparisons natively match the scalar NaN
+        # semantics (False for everything except ne).
+        return f"({a}) {sym} ({b})"
+
+    @staticmethod
+    def shift(opcode: str, value: str, amount: str, dtype: DType) -> str:
+        fn = ("shl" if opcode == "shl"
+              else "shr_s" if dtype.is_signed else "shr_u")
+        return f"H.{fn}({value}, H.p64({amount}), {dtype.bits})"
+
+    @staticmethod
+    def divrem(opcode: str, a: str, b: str, dtype: DType) -> str:
+        fn = f"H.{'s' if dtype.is_signed else 'u'}{opcode}"
+        if opcode == "div":
+            return f"{fn}({a}, {b}, {dtype.bits})"
+        return f"{fn}({a}, {b})"
+
+    @staticmethod
+    def to_float(expr: str, src: DType) -> str:
+        return expr if src.is_float else f"H.i2f({expr})"
+
+    @staticmethod
+    def call(name: str, *args: str) -> str:
+        """A named helper: its NumPy half lives in ``npops``."""
+        return f"H.{name}({', '.join(args)})"
+
+    @staticmethod
+    def float_encoder(bits: int) -> str:
+        return f"H.ef{bits}"
 
     # -- writing --------------------------------------------------------
     def write(self, name: str, bits: int, expr: str,
               pm: str | None = None) -> None:
         if is_special(name):
-            raise _Reject(f"write to special {name}")
+            raise Decline
         if pm is None:
             # Predicated instruction: mask-blend into the destination
             # (compute over all lanes, keep old values where the guard
@@ -227,11 +256,14 @@ class _VecGen:
         self._forward[name] = t
         self._writes[name] = t
 
+    def write_pred(self, name: str, expr: str) -> None:
+        self.write(name, 64, expr)
+
     def write_raw(self, name: str, local: str,
                   pm: str | None = None) -> None:
         """Forward an already-computed full-64 payload local."""
         if is_special(name):
-            raise _Reject(f"write to special {name}")
+            raise Decline
         if pm is None:
             pm = self._auto_pm
         if pm is not None:
@@ -268,6 +300,9 @@ class _VecGen:
         guard by default; unpredicated instructions write through."""
         self._auto_pm = None if inst.pred is None else self.guard(inst)
 
+    def ld_st(self, inst: ast.Instruction) -> None:
+        (_e_ld if inst.opcode == "ld" else _e_st)(inst, self)
+
     # -- assembly -------------------------------------------------------
     def build(self, live_out: frozenset) -> tuple[str, list[str]]:
         pruned = sorted(n for n in self._writes if n not in live_out)
@@ -294,295 +329,8 @@ class _VecGen:
 
 
 # ----------------------------------------------------------------------
-# Per-opcode emitters
+# ld/st rendering (register-only opcodes are rows of repro.functional.emit)
 # ----------------------------------------------------------------------
-def _float_enc(bits: int) -> str:
-    return {16: "H.ef16", 32: "H.ef32", 64: "H.ef64"}[bits]
-
-
-def _e_binary(inst: ast.Instruction, g: _VecGen) -> bool:
-    op = inst.opcode
-    dtype = inst.dtype
-    if inst.has_mod("sat"):
-        return False
-    dst, a, b = inst.operands[0], inst.operands[1], inst.operands[2]
-    if dst.kind != ast.REG:
-        return False
-    if dtype.is_float:
-        if dtype.bits not in (32, 64):
-            return False
-        va, vb = g.value(a, dtype), g.value(b, dtype)
-        if va is None or vb is None:
-            return False
-        if op in ("add", "sub", "mul"):
-            sym = {"add": "+", "sub": "-", "mul": "*"}[op]
-            expr = f"({va}) {sym} ({vb})"
-        elif op == "div":
-            expr = f"H.fdiv({va}, {vb})"
-        elif op == "min":
-            expr = f"H.fmin({va}, {vb})"
-        elif op == "max":
-            expr = f"H.fmax({va}, {vb})"
-        else:
-            return False
-        g.write(dst.name, dtype.bits, f"{_float_enc(dtype.bits)}({expr})")
-        return True
-    if op in _INT_SYMS:
-        pa, pb = g.payload(a, dtype), g.payload(b, dtype)
-        if pa is None or pb is None:
-            return False
-        g.write(dst.name, dtype.bits, f"({pa}) {_INT_SYMS[op]} ({pb})")
-        return True
-    va, vb = g.value(a, dtype), g.value(b, dtype)
-    if va is None or vb is None:
-        return False
-    if op in ("min", "max"):
-        sym = "<" if op == "min" else ">"
-        g.write(dst.name, dtype.bits,
-                f"np.where(({vb}) {sym} ({va}), {vb}, {va})")
-        return True
-    if op == "div":
-        fn = "H.sdiv" if dtype.is_signed else "H.udiv"
-        g.write(dst.name, dtype.bits, f"{fn}({va}, {vb}, {dtype.bits})")
-        return True
-    if op == "rem":
-        fn = "H.srem" if dtype.is_signed else "H.urem"
-        g.write(dst.name, dtype.bits, f"{fn}({va}, {vb})")
-        return True
-    return False
-
-
-def _e_mul(inst: ast.Instruction, g: _VecGen) -> bool:
-    dtype = inst.dtype
-    if dtype.is_float:
-        return _e_binary(inst, g)
-    if inst.has_mod("hi"):
-        return False
-    dst, a, b = inst.operands[0], inst.operands[1], inst.operands[2]
-    if inst.has_mod("wide"):
-        va, vb = g.value(a, dtype), g.value(b, dtype)
-        if va is None or vb is None:
-            return False
-        g.write(dst.name, dtype.bits * 2, f"({va}) * ({vb})")
-        return True
-    pa, pb = g.payload(a, dtype), g.payload(b, dtype)
-    if pa is None or pb is None:
-        return False
-    g.write(dst.name, dtype.bits, f"({pa}) * ({pb})")
-    return True
-
-
-def _e_mad(inst: ast.Instruction, g: _VecGen) -> bool:
-    dtype = inst.dtype
-    if dtype.is_float or inst.has_mod("hi"):
-        return False
-    dst, a, b, c = (inst.operands[0], inst.operands[1],
-                    inst.operands[2], inst.operands[3])
-    if inst.has_mod("wide"):
-        out_bits = dtype.bits * 2
-        va, vb = g.value(a, dtype), g.value(b, dtype)
-        vc = g.value(c, DType(dtype.kind, out_bits))
-        if va is None or vb is None or vc is None:
-            return False
-        g.write(dst.name, out_bits, f"({va}) * ({vb}) + ({vc})")
-        return True
-    pa, pb, pc = (g.payload(a, dtype), g.payload(b, dtype),
-                  g.payload(c, dtype))
-    if pa is None or pb is None or pc is None:
-        return False
-    g.write(dst.name, dtype.bits, f"({pa}) * ({pb}) + ({pc})")
-    return True
-
-
-def _e_fma(inst: ast.Instruction, g: _VecGen) -> bool:
-    dtype = inst.dtype
-    if not dtype.is_float or dtype.bits not in (32, 64):
-        return False
-    dst, a, b, c = (inst.operands[0], inst.operands[1],
-                    inst.operands[2], inst.operands[3])
-    va, vb, vc = (g.value(a, dtype), g.value(b, dtype),
-                  g.value(c, dtype))
-    if va is None or vb is None or vc is None:
-        return False
-    g.write(dst.name, dtype.bits,
-            f"{_float_enc(dtype.bits)}(({va}) * ({vb}) + ({vc}))")
-    return True
-
-
-def _e_neg(inst: ast.Instruction, g: _VecGen) -> bool:
-    dtype = inst.dtype
-    dst, a = inst.operands[0], inst.operands[1]
-    if dtype.is_float:
-        if dtype.bits not in (32, 64):
-            return False
-        va = g.value(a, dtype)
-        if va is None:
-            return False
-        g.write(dst.name, dtype.bits,
-                f"{_float_enc(dtype.bits)}(-({va}))")
-        return True
-    pa = g.payload(a, dtype)
-    if pa is None:
-        return False
-    g.write(dst.name, dtype.bits, f"np.uint64(0) - ({pa})")
-    return True
-
-
-def _e_setp(inst: ast.Instruction, g: _VecGen) -> bool:
-    if len(inst.operands) != 3:
-        return False
-    sym = _CMP_SYMS.get(inst.cmp)
-    if sym is None:
-        return False
-    dtype = inst.dtype
-    if dtype.is_float and dtype.bits not in (32, 64):
-        return False
-    dst, a, b = inst.operands[0], inst.operands[1], inst.operands[2]
-    va, vb = g.value(a, dtype), g.value(b, dtype)
-    if va is None or vb is None:
-        return False
-    # NumPy's ordered comparisons natively match the scalar NaN
-    # semantics (False for everything except ne).
-    g.write(dst.name, 64, f"({va}) {sym} ({vb})")
-    return True
-
-
-def _e_selp(inst: ast.Instruction, g: _VecGen) -> bool:
-    dtype = inst.dtype
-    dst, a, b, p = (inst.operands[0], inst.operands[1],
-                    inst.operands[2], inst.operands[3])
-    if p.kind != ast.REG:
-        return False
-    pa, pb = g.payload(a, dtype), g.payload(b, dtype)
-    if pa is None or pb is None:
-        return False
-    pp = g.reg(p.name)
-    g.write(dst.name, dtype.bits,
-            f"np.where((({pp}) & 1) != 0, {pa}, {pb})")
-    return True
-
-
-def _e_sfu(inst: ast.Instruction, g: _VecGen) -> bool:
-    dtype = inst.dtype
-    if not dtype.is_float or dtype.bits != 32:
-        return False
-    dst, a = inst.operands[0], inst.operands[1]
-    va = g.value(a, dtype)
-    if va is None:
-        return False
-    fn = _SFU_FNS[inst.opcode]
-    g.write(dst.name, 32, f"H.ef32({fn}({va}))")
-    return True
-
-
-def _e_shl(inst: ast.Instruction, g: _VecGen) -> bool:
-    dtype = inst.dtype
-    dst, a, b = inst.operands[0], inst.operands[1], inst.operands[2]
-    pa, pb = g.payload(a, dtype), g.payload(b, dtype)
-    if pa is None or pb is None:
-        return False
-    g.write(dst.name, dtype.bits,
-            f"H.shl({pa}, H.p64({pb}), {dtype.bits})")
-    return True
-
-
-def _e_shr(inst: ast.Instruction, g: _VecGen) -> bool:
-    dtype = inst.dtype
-    dst, a, b = inst.operands[0], inst.operands[1], inst.operands[2]
-    pb = g.payload(b, dtype)
-    if pb is None:
-        return False
-    if dtype.is_signed:
-        va = g.value(a, dtype)
-        if va is None:
-            return False
-        expr = f"H.shr_s({va}, H.p64({pb}), {dtype.bits})"
-    else:
-        pa = g.payload(a, dtype)
-        if pa is None:
-            return False
-        expr = f"H.shr_u(H.u({pa}, {dtype.bits}), H.p64({pb}), {dtype.bits})"
-    g.write(dst.name, dtype.bits, expr)
-    return True
-
-
-def _e_brev(inst: ast.Instruction, g: _VecGen) -> bool:
-    if inst.dtype.bits != 32:
-        return False
-    dst, a = inst.operands[0], inst.operands[1]
-    pa = g.payload(a, inst.dtype)
-    if pa is None:
-        return False
-    g.write(dst.name, 32, f"H.brev32({pa})")
-    return True
-
-
-def _e_mov(inst: ast.Instruction, g: _VecGen) -> bool:
-    dtype = inst.dtype
-    dst, src = inst.operands[0], inst.operands[1]
-    if dst.kind != ast.REG or src.kind == ast.VEC:
-        return False
-    if dtype.kind == "p":
-        p = g.payload(src, dtype)
-        if p is None:
-            return False
-        g.write(dst.name, 64, f"({p}) != 0")
-        return True
-    if src.kind == ast.SYM:
-        g.write(dst.name, dtype.bits,
-                f"VM.fill(VM.sym_addr({src.name!r}, {src.offset or 0}))")
-        return True
-    p = g.payload(src, dtype)
-    if p is None:
-        return False
-    g.write(dst.name, dtype.bits, p)
-    return True
-
-
-def _e_cvt(inst: ast.Instruction, g: _VecGen) -> bool:
-    if inst.has_mod("sat") or len(inst.dtypes) < 2:
-        return False
-    dt, st = inst.dtypes[0], inst.dtypes[1]
-    dst, src = inst.operands[0], inst.operands[1]
-    if dst.kind != ast.REG:
-        return False
-    if dt.is_float and st.is_float:
-        if dt.bits not in (16, 32, 64) or st.bits not in (16, 32, 64):
-            return False
-        va = g.value(src, st)
-        if va is None:
-            return False
-        g.write(dst.name, dt.bits, f"{_float_enc(dt.bits)}({va})")
-        return True
-    if dt.is_float and st.is_integer:
-        if dt.bits not in (32, 64):
-            return False
-        va = g.value(src, st)
-        if va is None:
-            return False
-        g.write(dst.name, dt.bits,
-                f"{_float_enc(dt.bits)}(H.i2f({va}))")
-        return True
-    if dt.is_integer and st.is_float:
-        if st.bits not in (32, 64):
-            return False
-        va = g.value(src, st)
-        if va is None:
-            return False
-        rounder = next((m for m in inst.modifiers
-                        if m in ("rni", "rzi", "rmi", "rpi")), "rzi")
-        g.write(dst.name, dt.bits,
-                f"H.f2i({va}, {rounder!r}, {dt.bits}, {dt.is_signed})")
-        return True
-    if dt.is_integer and st.is_integer:
-        va = g.value(src, st)
-        if va is None:
-            return False
-        g.write(dst.name, dt.bits, va)
-        return True
-    return False
-
-
 def _ld_dests(inst: ast.Instruction):
     dst = inst.operands[0]
     if dst.kind == ast.REG:
@@ -594,13 +342,10 @@ def _ld_dests(inst: ast.Instruction):
     return None
 
 
-def _addr_local(inst: ast.Instruction, g: _VecGen, mem: ast.Operand):
+def _addr_local(g: _VecGen, mem: ast.Operand) -> str:
     """Local (array) or expression (uniform int) for the base address."""
     if mem.is_reg_base:
-        name = mem.name
-        if name.startswith("%clock"):
-            return None
-        base = g.special(name) if is_special(name) else g.reg(name)
+        base = g.reg(mem.name)
         offset = mem.offset or 0
         if not offset:
             return base
@@ -614,22 +359,16 @@ def _addr_local(inst: ast.Instruction, g: _VecGen, mem: ast.Operand):
     return t
 
 
-def _e_ld(inst: ast.Instruction, g: _VecGen) -> bool:
+def _e_ld(inst: ast.Instruction, g: _VecGen) -> None:
     space = inst.space
-    if space not in _LD_SPACES:
-        return False
     dtype = inst.dtype
     nbytes = dtype.bytes
     mem = inst.operands[1]
-    if mem.kind != ast.MEM:
-        return False
     dests = _ld_dests(inst)
-    if dests is None:
-        return False
+    if space not in _LD_SPACES or mem.kind != ast.MEM or dests is None:
+        raise Decline
     pm = g.guard(inst)
-    addr = _addr_local(inst, g, mem)
-    if addr is None:
-        return False
+    addr = _addr_local(g, mem)
     signed = dtype.is_signed and dtype.bits < 64
     merge = pm if inst.pred is not None else None
     for index, d in enumerate(dests):
@@ -640,61 +379,27 @@ def _e_ld(inst: ast.Instruction, g: _VecGen) -> bool:
             f"    {t} = VM.ld({inst.index}, {space!r}, {nbytes}, "
             f"{a_expr}, {pm}, {signed}, {dtype.bits})")
         g.write_raw(d.name, t, merge)
-    return True
 
 
-def _e_st(inst: ast.Instruction, g: _VecGen) -> bool:
+def _e_st(inst: ast.Instruction, g: _VecGen) -> None:
     space = inst.space
-    if space not in ("global", "shared"):
-        return False
     dtype = inst.dtype
     nbytes = dtype.bytes
-    mem, src = inst.operands[0], inst.operands[1]
-    if mem.kind != ast.MEM:
-        return False
-    if src.kind == ast.VEC:
-        if not src.elems or len(src.elems) not in (2, 4):
-            return False
-        srcs = list(src.elems)
-    else:
-        srcs = [src]
+    mem, src = inst.operands
+    vector = src.kind == ast.VEC
+    srcs = list(src.elems) if vector else [src]
+    if (space not in ("global", "shared") or mem.kind != ast.MEM
+            or vector and len(srcs) not in (2, 4)):
+        raise Decline
     values = [g.payload(s, dtype) for s in srcs]
-    if any(v is None for v in values):
-        return False
     pm = g.guard(inst)
-    addr = _addr_local(inst, g, mem)
-    if addr is None:
-        return False
+    addr = _addr_local(g, mem)
     for index, val in enumerate(values):
         a_expr = addr if index == 0 \
             else f"({addr}) + np.uint64({index * nbytes})"
         g.body.append(
             f"    VM.st({inst.index}, {space!r}, {nbytes}, {a_expr}, "
             f"H.p64({val}), {pm})")
-    return True
-
-
-_EMITTERS = {
-    "add": _e_binary, "sub": _e_binary, "and": _e_binary,
-    "or": _e_binary, "xor": _e_binary, "min": _e_binary,
-    "max": _e_binary, "div": _e_binary, "rem": _e_binary,
-    "mul": _e_mul, "mad": _e_mad, "fma": _e_fma, "neg": _e_neg,
-    "setp": _e_setp, "selp": _e_selp, "shl": _e_shl, "shr": _e_shr,
-    "brev": _e_brev, "mov": _e_mov, "cvt": _e_cvt,
-    "ld": _e_ld, "st": _e_st,
-    "rcp": _e_sfu, "rsqrt": _e_sfu, "sqrt": _e_sfu, "sin": _e_sfu,
-    "cos": _e_sfu, "lg2": _e_sfu, "ex2": _e_sfu,
-}
-
-
-def _emit(inst: ast.Instruction, g: _VecGen) -> bool:
-    handler = _EMITTERS.get(inst.opcode)
-    if handler is None:
-        return False
-    try:
-        return bool(handler(inst, g))
-    except (_Reject, KeyError, IndexError, AttributeError):
-        return False
 
 
 # ----------------------------------------------------------------------
@@ -859,7 +564,7 @@ def compile_megaplan(kernel) -> MegaPlan:
                 and (pc == start or pc not in leaders):
             cur = body[pc]
             gen.begin_inst(cur)
-            if not _emit(cur, gen):
+            if not emit(cur, gen):
                 ok = False
                 reasons.append(
                     f"pc {pc}: no vector emitter for {cur.opcode} "

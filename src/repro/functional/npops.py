@@ -5,11 +5,11 @@ this module as ``H`` and works on ``(T,)`` ``uint64`` payload arrays —
 one element per *thread of the grid chunk*, mirroring the per-lane
 64-bit payload unions of the scalar register files.
 
-Every helper here is pinned against the scalar semantics in
-:mod:`repro.ptx.instructions` and the emitters of
-:mod:`repro.functional.superblock`; the megablock differential tests
-assert register- and memory-level equality with the reference
-interpreter.  The non-obvious cases:
+Every helper here is the NumPy half of a pair whose scalar half is the
+reference tier's own function in :mod:`repro.ptx.instructions` (the
+rows of :mod:`repro.functional.emit` call both under one name and one
+signature); ``tests/test_emit.py`` and the megablock differential tests
+assert equality with the reference interpreter.  The non-obvious cases:
 
 * ``fdiv`` — NumPy's ``0/0`` produces ``-nan`` (sign bit set) where
   CPython produces ``+nan``; ``x/0`` raises in CPython and the scalar
@@ -151,23 +151,30 @@ def urem(a, b):
     return np.where(bz, a, r)
 
 
+def _magnitudes(a, b, bz):
+    """``|a|``, ``|b|`` as uint64 (exact for INT64_MIN, whose int64
+    ``abs`` wraps to itself), zero divisors replaced by 1."""
+    return (np.abs(a).view(_U64),
+            np.abs(np.where(bz, _I64(1), b)).view(_U64))
+
+
 def sdiv(a, b, bits: int):
     """``int_div`` on signed values: trunc-toward-zero, 0 → -1."""
     bz = b == 0
-    safe = np.where(bz, _I64(1), b)
-    q = np.abs(a) // np.abs(safe)
-    q = np.where((a < 0) != (safe < 0), -q, q)
-    return p64(np.where(bz, _I64(-1), q)) & _U64((1 << bits) - 1) \
-        if bits < 64 else p64(np.where(bz, _I64(-1), q))
+    ma, mb = _magnitudes(a, b, bz)
+    q = ma // mb
+    q = np.where((a < 0) != (b < 0), _U64(0) - q, q)
+    q = np.where(bz, _U64(MASK64), q)
+    return q & _U64((1 << bits) - 1) if bits < 64 else q
 
 
 def srem(a, b):
     """``int_rem`` on signed values: sign of dividend, 0 → dividend."""
     bz = b == 0
-    safe = np.where(bz, _I64(1), b)
-    r = np.abs(a) % np.abs(safe)
-    r = np.where(a < 0, -r, r)
-    return np.where(bz, a, r)
+    ma, mb = _magnitudes(a, b, bz)
+    r = ma % mb
+    r = np.where(a < 0, _U64(0) - r, r)
+    return np.where(bz, p64(a), r)
 
 
 def shl(a, amt, bits: int):
@@ -265,16 +272,20 @@ _ROUNDERS = {
 
 
 def f2i(v, rounder: str, bits: int, signed: bool):
-    """float → int conversion with reference-tier clamp semantics:
-    NaN → 0, out-of-range (incl. ±inf) saturates to the type bounds."""
-    r = _ROUNDERS.get(rounder, np.trunc)(v)
+    """``float_to_int``: NaN → 0, out-of-range (incl. ±inf) saturates to
+    the type bounds."""
+    r = np.where(np.isnan(v), 0.0, _ROUNDERS.get(rounder, np.trunc)(v))
     if signed:
         lo, hi = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
     else:
         lo, hi = 0, (1 << bits) - 1
-    r = np.clip(np.where(np.isnan(v), 0.0, r), float(lo), float(hi))
-    out = r.astype(_I64)
-    return p64(out) & _U64((1 << bits) - 1) if bits < 64 else p64(out)
+    # Saturate by comparison and convert in-range lanes only: float(hi)
+    # of a 64-bit type rounds up to hi + 1, which astype cannot hold.
+    over, under = r >= float(hi), r <= float(lo)
+    inner = np.where(over | under, 0.0, r).astype(_I64 if signed else _U64)
+    out = np.where(over, _U64(hi), np.where(under, _U64(lo & MASK64),
+                                            p64(inner)))
+    return out & _U64((1 << bits) - 1) if bits < 64 else out
 
 
 def i2f(value_array):

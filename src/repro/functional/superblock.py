@@ -1,9 +1,13 @@
-"""The compiled scalar tier: one emitter table, rendered fused or stepped.
+"""The compiled scalar tier: the emit table's Python-int dialect, rendered
+fused or stepped.
 
-``_EMITTERS`` is the only compiled statement of scalar PTX semantics
-(the reference lives in :mod:`repro.ptx.instructions`, the vector tier
-in :mod:`repro.functional.megablock`).  Each emitter turns one
-instruction into Python source; the source is rendered two ways:
+Register-op semantics are the rows of :mod:`repro.functional.emit` (the
+reference lives in :mod:`repro.ptx.instructions`); this module holds
+only what is scalar about compiling them — :class:`_BlockCodegen`, the
+dialect that spells a row's primitives as per-lane Python-int source
+(lane loops, register forwarding, the liveness flush, ``mem_trace``),
+and the scalar ``ld``/``st`` rendering.  The source is rendered two
+ways:
 
 * :func:`compile_superblocks` fuses every maximal straight-line run of
   unpredicated, non-control, non-barrier instructions into a single
@@ -11,13 +15,13 @@ instruction into Python source; the source is rendered two ways:
   call — no ``ExecRecord``, no predicate check, no SIMT-stack advance
   per dynamic instruction;
 * :func:`compile_step` pushes a *single* instruction through the same
-  emitters for ``FunctionalEngine.step_warp`` — the path performance
+  rows for ``FunctionalEngine.step_warp`` — the path performance
   mode, hooked runs, budgeted checkpoint slices, predicated code and
   ``fast_mode="fastpath"`` take.  Every register is written back (no
   liveness pruning) and ``ld``/``st`` append their per-lane accesses to
   ``warp.mem_trace``, the ``ExecRecord.mem_accesses`` contract.
 
-Anything the emitters decline is the reference implementation itself
+Anything the table declines is the reference implementation itself
 (:func:`reference_step`): the whole closure on the step path, an opaque
 call inside a fused run.
 
@@ -62,22 +66,25 @@ model keeps its one-``ExecRecord``-per-instruction contract through
 from __future__ import annotations
 
 import functools
-import math
 from typing import Callable, Sequence
 
 from repro.analysis.dataflow import liveness
 from repro.errors import SimulationFault
 from repro.functional.cfg import block_leaders
+from repro.functional.emit import Codegen, Decline, emit as _emit
 from repro.functional.memory import GLOBAL_BASE, PAGE_BITS
 from repro.functional.state import is_special
 from repro.ptx import ast
 from repro.ptx.dtypes import DType
 from repro.ptx.instructions import DISPATCH, lookup
+from repro.ptx.instructions.bits import reverse_bits
 from repro.ptx.instructions.common import (
     float_div, float_max, float_min, int_div, int_rem)
+from repro.ptx.instructions.convert import float_to_int
+from repro.ptx.instructions.special import SFU
 from repro.ptx.values import (
-    _PACK_F32, _PACK_F64, _PACK_U32, _PACK_U64, MASK64, bits_to_f64,
-    f32_to_bits, f64_to_bits, mask, read_typed, to_signed)
+    _PACK_F32, _PACK_F64, _PACK_U32, _PACK_U64, MASK64, bits_to_f16,
+    f16_to_bits, f32_to_bits, f64_to_bits, mask, to_signed)
 
 #: A compiled instruction or block: ``fn(warp, lanes)``.
 LaneFn = Callable[[object, Sequence[int]], None]
@@ -95,32 +102,25 @@ def _arena_oob(addr: int, nbytes: int, size: int) -> None:
         f"{size} bytes")
 
 
-def immediate(op: ast.Operand, dtype: DType, *,
-              typed: bool = False) -> int | float | None:
-    """Compile-time value of an ``IMM`` operand read at *dtype*.
-
-    The raw payload, or with *typed* the Python value an instruction of
-    that type computes on.  ``None`` declines: a float literal on a
-    non-float or 16-bit type goes through the reference interpreter.
-    """
-    payload = op.payload
-    supported_float = dtype.is_float and dtype.bits in (32, 64)
-    if op.imm_float:
-        if not supported_float:
-            return None
-        if dtype.bits == 32:
-            payload = f32_to_bits(bits_to_f64(payload))
-    if not typed:
-        return payload
-    if dtype.is_float and not supported_float:
-        return None
-    return read_typed(payload, dtype)
-
-
 def reference_step(inst: ast.Instruction) -> LaneFn:
     """The reference implementation of *inst* as a ``fn(warp, lanes)``:
-    the one fallback for everything the emitters decline."""
+    the one fallback for everything the emit table declines."""
     return functools.partial(lookup(inst.opcode), inst)
+
+
+#: ``Codegen.call`` names -> (local name, function): the scalar half of
+#: each helper pair is the reference tier's own function, so a compiled
+#: call cannot drift from it.
+_HELPERS = {
+    "fdiv": ("fdiv", float_div), "fmin": ("fmn", float_min),
+    "fmax": ("fmx", float_max), "f2i": ("f2i", float_to_int),
+    "brev32": ("brev32", functools.partial(reverse_bits, bits=32)),
+    **{opcode: (f"sfu_{opcode}", fn) for opcode, fn in SFU.items()},
+}
+
+#: Float width -> (local name, value -> payload encoder).
+_FLOAT_ENCODERS = {16: ("h2b", f16_to_bits), 32: ("f2b", f32_to_bits),
+                   64: ("d2b", f64_to_bits)}
 
 
 class Superblock:
@@ -154,8 +154,9 @@ class Superblock:
 # ----------------------------------------------------------------------
 # Code generation
 # ----------------------------------------------------------------------
-class _BlockCodegen:
-    """Accumulates generated lines + the objects they close over."""
+class _BlockCodegen(Codegen):
+    """The Python-int dialect: accumulates generated per-lane lines + the
+    objects they close over."""
 
     def __init__(self, *, trace: bool = False) -> None:
         #: Stepped rendering: ``ld``/``st`` record their accesses in
@@ -224,7 +225,7 @@ class _BlockCodegen:
         return (self._hoist(("gbuf",), f"{pair}[0]"),
                 self._hoist(("gwritten",), f"{pair}[1]"))
 
-    def symbol_addr(self, name: str, offset: int) -> str:
+    def symbol(self, name: str, offset: int) -> str:
         return self._hoist(("sym", name, offset),
                            f"warp.symbol_address({name!r})[1] + {offset}")
 
@@ -282,16 +283,7 @@ class _BlockCodegen:
         self._pending.clear()
 
     # -- operand expressions -------------------------------------------
-    def payload_expr(self, op: ast.Operand, dtype: DType) -> str | None:
-        """Expression yielding the raw payload of *op* for ``lane``."""
-        if op.kind == ast.IMM:
-            imm = immediate(op, dtype)
-            return None if imm is None else self.const(imm)
-        if op.kind != ast.REG:
-            return None
-        return self.reg_expr(op.name)
-
-    def reg_expr(self, name: str) -> str:
+    def reg(self, name: str) -> str:
         """Payload of a register by name (forwarded local if available)."""
         if is_special(name):
             if name in _STATIC_SPECIAL:
@@ -302,14 +294,8 @@ class _BlockCodegen:
             return forwarded
         return f"regs.get({name!r}, 0)"
 
-    def value_expr(self, op: ast.Operand, dtype: DType) -> str | None:
-        """Expression yielding the typed Python value of *op*."""
-        if op.kind == ast.IMM:
-            imm = immediate(op, dtype, typed=True)
-            return None if imm is None else self.const(imm)
-        payload = self.payload_expr(op, dtype)
-        if payload is None:
-            return None
+    def decode(self, payload: str, dtype: DType) -> str:
+        """Typed Python value of a payload expression."""
         if dtype.is_float:
             # bits_to_f32/f64 with the struct round-trip inlined.
             if dtype.bits == 32:
@@ -320,21 +306,76 @@ class _BlockCodegen:
                 up = self.helper("_upd", _PACK_F64.unpack)
                 pk = self.helper("_pkq", _PACK_U64.pack)
                 return f"{up}({pk}(({payload}) & {MASK64:#x}))[0]"
-            return None
+            return f"{self.helper('b2h', bits_to_f16)}({payload})"
         if dtype.is_signed:
             sign = 1 << (dtype.bits - 1)
             return (f"((({payload}) & {mask(dtype.bits):#x})"
                     f" ^ {sign:#x}) - {sign:#x}")
         return f"({payload}) & {mask(dtype.bits):#x}"
 
+    def value_mod64(self, op: ast.Operand, dtype: DType) -> str:
+        # At 64-bit accumulator width sign extension is a no-op mod
+        # 2^64 (the result is masked back), so read the raw payload.
+        return (self.value(op, dtype) if dtype.bits < 64
+                else self.payload(op, dtype))
+
+    def pred_true(self, name: str) -> str:
+        return f"{self.reg(name)} & 1"
+
+    # -- expression primitives (the Python-int spellings) --------------
+    def bind(self, expr: str) -> str:
+        """A per-lane local holding *expr*, evaluated once."""
+        temp = self.fresh()
+        self.lane(f"{temp} = {expr}")
+        return temp
+
+    @staticmethod
+    def select(cond: str, a: str, b: str) -> str:
+        return f"({a}) if {cond} else ({b})"
+
+    def compare(self, sym: str, a: str, b: str, nan: int | None) -> str:
+        """0/1 predicate payload; *nan* is the float result on NaN."""
+        if nan is None:
+            return f"1 if ({a}) {sym} ({b}) else 0"
+        ta, tb = self.bind(a), self.bind(b)
+        return (f"{nan} if ({ta} != {ta} or {tb} != {tb})"
+                f" else (1 if {ta} {sym} {tb} else 0)")
+
+    def shift(self, opcode: str, value: str, amount: str,
+              dtype: DType) -> str:
+        """PTX shifts clamp the amount: >= width fills with 0 / sign."""
+        bits = dtype.bits
+        amt = self.bind(f"({amount}) & 0xffffffff")
+        if opcode == "shl":
+            return f"0 if {amt} >= {bits} else ({value}) << {amt}"
+        val = self.bind(value)
+        fill = f"(-1 if {val} < 0 else 0)" if dtype.is_signed else "0"
+        return f"({fill} if {amt} >= {bits} else {val} >> {amt})"
+
+    def divrem(self, opcode: str, a: str, b: str, dtype: DType) -> str:
+        fn = (self.helper("idiv", int_div) if opcode == "div"
+              else self.helper("irem", int_rem))
+        return f"{fn}({a}, {b})"
+
+    @staticmethod
+    def to_float(expr: str, src: DType) -> str:
+        return f"float({expr})"
+
+    def call(self, name: str, *args: str) -> str:
+        """A named helper: the reference tier's own scalar function."""
+        return f"{self.helper(*_HELPERS[name])}({', '.join(args)})"
+
+    def float_encoder(self, bits: int) -> str:
+        return self.helper(*_FLOAT_ENCODERS[bits])
+
     # -- destination writes --------------------------------------------
-    def write_payload(self, name: str, bits: int, expr: str) -> None:
+    def write(self, name: str, bits: int, expr: str) -> None:
         """Union-preserving register write + forwarding local."""
         if bits >= 64:
             full = f"({expr}) & {MASK64:#x}"
         else:
             keep = MASK64 ^ mask(bits)
-            old = self.reg_expr(name)
+            old = self.reg(name)
             full = f"({old} & {keep:#x}) | (({expr}) & {mask(bits):#x})"
         self._define(name, full)
 
@@ -346,16 +387,16 @@ class _BlockCodegen:
             return
         self._define(name, expr)
 
-    def write_float(self, name: str, bits: int, expr: str) -> None:
-        wrap = (self.helper("f2b", f32_to_bits) if bits == 32
-                else self.helper("d2b", f64_to_bits))
-        self.write_payload(name, bits, f"{wrap}({expr})")
+    write_pred = write_raw
 
     def _define(self, name: str, expr: str) -> None:
         temp = self.fresh("_p")
         self.lane(f"{temp} = {expr}")
         self._forward[name] = temp
         self._pending[name] = temp
+
+    def ld_st(self, inst: ast.Instruction) -> None:
+        _emit_ld_st(inst, self)
 
     # -- assembly ------------------------------------------------------
     def build(self, filename: str,
@@ -386,272 +427,8 @@ class _BlockCodegen:
 
 
 # ----------------------------------------------------------------------
-# Per-opcode emitters.  Each returns True if it generated code; False
-# hands the instruction to the reference implementation.  The tier
-# differential holds both renderings bit-identical to the reference.
+# ld/st rendering (register-only opcodes are rows of repro.functional.emit)
 # ----------------------------------------------------------------------
-_INT_OPS = {"add": "+", "sub": "-", "and": "&", "or": "|", "xor": "^"}
-_CMP_OPS = {"eq": "==", "ne": "!=", "lt": "<", "le": "<=",
-            "gt": ">", "ge": ">=",
-            "lo": "<", "ls": "<=", "hi": ">", "hs": ">="}
-
-
-def _emit_int_binary(inst: ast.Instruction, gen: _BlockCodegen) -> bool:
-    operator = _INT_OPS.get(inst.opcode)
-    if operator is None or inst.dtype.is_float:
-        return False
-    dst, a, b = inst.operands
-    ea = gen.payload_expr(a, inst.dtype)
-    eb = gen.payload_expr(b, inst.dtype)
-    if ea is None or eb is None or dst.kind != ast.REG:
-        return False
-    gen.write_payload(dst.name, inst.dtype.bits,
-                      f"({ea}) {operator} ({eb})")
-    return True
-
-
-def _emit_float_binary(inst: ast.Instruction, gen: _BlockCodegen) -> bool:
-    dtype = inst.dtype
-    if dtype.bits not in (32, 64):
-        return False
-    dst, a, b = inst.operands
-    ea = gen.value_expr(a, dtype)
-    eb = gen.value_expr(b, dtype)
-    if ea is None or eb is None or dst.kind != ast.REG:
-        return False
-    opcode = inst.opcode
-    if opcode in ("add", "sub", "mul"):
-        operator = {"add": "+", "sub": "-", "mul": "*"}[opcode]
-        expr = f"({ea}) {operator} ({eb})"
-    elif opcode == "div":
-        expr = f"{gen.helper('fdiv', float_div)}({ea}, {eb})"
-    elif opcode == "min":
-        expr = f"{gen.helper('fmn', float_min)}({ea}, {eb})"
-    elif opcode == "max":
-        expr = f"{gen.helper('fmx', float_max)}({ea}, {eb})"
-    else:
-        return False
-    gen.write_float(dst.name, dtype.bits, expr)
-    return True
-
-
-def _emit_mul_mad(inst: ast.Instruction, gen: _BlockCodegen) -> bool:
-    dtype = inst.dtype
-    if dtype.is_float or inst.has_mod("hi"):
-        return False
-    wide = inst.has_mod("wide")
-    operands = inst.operands
-    dst = operands[0]
-    if dst.kind != ast.REG:
-        return False
-    if wide:
-        out_bits = dtype.bits * 2
-        ea = gen.value_expr(operands[1], dtype)
-        eb = gen.value_expr(operands[2], dtype)
-    else:
-        out_bits = dtype.bits
-        ea = gen.payload_expr(operands[1], dtype)
-        eb = gen.payload_expr(operands[2], dtype)
-    if ea is None or eb is None:
-        return False
-    if inst.opcode == "mul":
-        expr = f"({ea}) * ({eb})"
-    else:
-        if wide and out_bits < 64:
-            ec = gen.value_expr(operands[3], DType(dtype.kind, out_bits))
-        else:
-            # At 64-bit accumulator width sign extension is a no-op mod
-            # 2^64 (the result is masked back), so read the raw payload.
-            ec = gen.payload_expr(operands[3], dtype)
-        if ec is None:
-            return False
-        expr = f"({ea}) * ({eb}) + ({ec})"
-    gen.write_payload(dst.name, out_bits, expr)
-    return True
-
-
-def _emit_fma(inst: ast.Instruction, gen: _BlockCodegen) -> bool:
-    dtype = inst.dtype
-    if not dtype.is_float or dtype.bits not in (32, 64):
-        return False
-    dst, a, b, c = inst.operands
-    ea = gen.value_expr(a, dtype)
-    eb = gen.value_expr(b, dtype)
-    ec = gen.value_expr(c, dtype)
-    if None in (ea, eb, ec) or dst.kind != ast.REG:
-        return False
-    gen.write_float(dst.name, dtype.bits, f"({ea}) * ({eb}) + ({ec})")
-    return True
-
-
-def _emit_divrem_int(inst: ast.Instruction, gen: _BlockCodegen) -> bool:
-    dtype = inst.dtype
-    if dtype.is_float:
-        return False
-    dst, a, b = inst.operands
-    ea = gen.value_expr(a, dtype)
-    eb = gen.value_expr(b, dtype)
-    if ea is None or eb is None or dst.kind != ast.REG:
-        return False
-    # Quirky launches (rem_ignores_type) run the reference interpreter,
-    # so the compiled rem never needs the quirk check.
-    helper = (gen.helper("idiv", int_div) if inst.opcode == "div"
-              else gen.helper("irem", int_rem))
-    gen.write_payload(dst.name, dtype.bits, f"{helper}({ea}, {eb})")
-    return True
-
-
-def _emit_mov(inst: ast.Instruction, gen: _BlockCodegen) -> bool:
-    dtype = inst.dtype
-    if dtype.kind == "p":
-        return False
-    dst, src = inst.operands
-    if dst.kind != ast.REG or src.kind in (ast.VEC, ast.SYM):
-        return False
-    expr = gen.payload_expr(src, dtype)
-    if expr is None:
-        return False
-    gen.write_payload(dst.name, dtype.bits, expr)
-    return True
-
-
-def _emit_setp(inst: ast.Instruction, gen: _BlockCodegen) -> bool:
-    operator = _CMP_OPS.get(inst.cmp or "eq")
-    if operator is None:
-        return False
-    dtype = inst.dtype
-    dst, a, b = inst.operands
-    ea = gen.value_expr(a, dtype)
-    eb = gen.value_expr(b, dtype)
-    if ea is None or eb is None or dst.kind != ast.REG:
-        return False
-    if dtype.is_float:
-        ta, tb = gen.fresh(), gen.fresh()
-        nan_result = 1 if (inst.cmp or "eq") == "ne" else 0
-        gen.lane(f"{ta} = {ea}", f"{tb} = {eb}")
-        gen.write_raw(
-            dst.name,
-            f"{nan_result} if ({ta} != {ta} or {tb} != {tb})"
-            f" else (1 if {ta} {operator} {tb} else 0)")
-    else:
-        gen.write_raw(dst.name, f"1 if ({ea}) {operator} ({eb}) else 0")
-    return True
-
-
-def _emit_selp(inst: ast.Instruction, gen: _BlockCodegen) -> bool:
-    dtype = inst.dtype
-    dst, a, b, pred = inst.operands
-    if pred.kind != ast.REG or dst.kind != ast.REG:
-        return False
-    ea = gen.payload_expr(a, dtype)
-    eb = gen.payload_expr(b, dtype)
-    if ea is None or eb is None:
-        return False
-    gen.write_payload(
-        dst.name, dtype.bits,
-        f"({ea}) if {gen.reg_expr(pred.name)} & 1 else ({eb})")
-    return True
-
-
-_SFU_OPS = {
-    "ex2": lambda v: (2.0 ** v if v < 1024
-                      else (math.nan if v != v else math.inf)),
-    "lg2": lambda v: (math.log2(v) if v > 0
-                      else (-math.inf if v == 0 else math.nan)),
-    "sin": lambda v: math.nan if math.isinf(v) else math.sin(v),
-    "cos": lambda v: math.nan if math.isinf(v) else math.cos(v),
-    "sqrt": lambda v: math.sqrt(v) if v >= 0 else math.nan,
-    "rsqrt": lambda v: (1.0 / math.sqrt(v) if v > 0
-                        else (math.inf if v == 0 else math.nan)),
-    "rcp": lambda v: (1.0 / v if v != 0 else math.copysign(math.inf, v)),
-}
-
-
-def _emit_sfu(inst: ast.Instruction, gen: _BlockCodegen) -> bool:
-    dtype = inst.dtype
-    if not dtype.is_float or dtype.bits != 32:
-        return False
-    dst, a = inst.operands
-    ea = gen.value_expr(a, dtype)
-    if ea is None or dst.kind != ast.REG:
-        return False
-    fn = gen.helper(f"sfu_{inst.opcode}", _SFU_OPS[inst.opcode])
-    gen.write_float(dst.name, 32, f"{fn}({ea})")
-    return True
-
-
-def _emit_shift(inst: ast.Instruction, gen: _BlockCodegen) -> bool:
-    dtype = inst.dtype
-    dst, a, b = inst.operands
-    bits = dtype.bits
-    eb = gen.payload_expr(b, dtype)
-    if eb is None or dst.kind != ast.REG:
-        return False
-    amount = gen.fresh()
-    if inst.opcode == "shl":
-        ea = gen.payload_expr(a, dtype)
-        if ea is None:
-            return False
-        gen.lane(f"{amount} = ({eb}) & 0xffffffff")
-        gen.write_payload(
-            dst.name, bits,
-            f"0 if {amount} >= {bits} else ({ea}) << {amount}")
-        return True
-    if inst.opcode == "shr":
-        ea = gen.value_expr(a, dtype)
-        if ea is None:
-            return False
-        value = gen.fresh()
-        if dtype.is_signed:
-            result = (f"(-1 if {value} < 0 else 0) if {amount} >= {bits}"
-                      f" else {value} >> {amount}")
-        else:
-            result = f"0 if {amount} >= {bits} else {value} >> {amount}"
-        gen.lane(f"{amount} = ({eb}) & 0xffffffff",
-                 f"{value} = {ea}")
-        gen.write_payload(dst.name, bits, f"({result})")
-        return True
-    return False
-
-
-def _emit_cvt(inst: ast.Instruction, gen: _BlockCodegen) -> bool:
-    if len(inst.dtypes) < 2 or inst.has_mod("sat"):
-        return False
-    dst_t, src_t = inst.dtypes[0], inst.dtypes[1]
-    if 16 in (dst_t.bits, src_t.bits) and (dst_t.is_float
-                                           or src_t.is_float):
-        return False
-    dst, src = inst.operands
-    if dst.kind != ast.REG:
-        return False
-    expr = gen.value_expr(src, src_t)
-    if expr is None:
-        return False
-    if dst_t.is_float:
-        if dst_t.bits not in (32, 64):
-            return False
-        gen.write_float(dst.name, dst_t.bits, f"float({expr})")
-        return True
-    if src_t.is_float:
-        rounders = {"rni": ("rnd_rni", round), "rzi": ("rnd_rzi", math.trunc),
-                    "rmi": ("rnd_rmi", math.floor),
-                    "rpi": ("rnd_rpi", math.ceil)}
-        name, fn = "rnd_rzi", math.trunc
-        for modifier in inst.modifiers:
-            if modifier in rounders:
-                name, fn = rounders[modifier]
-                break
-        helper = gen.helper(name, fn)
-        value = gen.fresh()
-        gen.lane(f"{value} = {expr}")
-        gen.write_payload(
-            dst.name, dst_t.bits,
-            f"0 if {value} != {value} else int({helper}({value}))")
-        return True
-    gen.write_payload(dst.name, dst_t.bits, expr)
-    return True
-
-
 def _addr_var(gen: _BlockCodegen, mem: ast.Operand,
               lines: list[str]) -> str:
     """A local (or invariant hoist) holding the access address.
@@ -660,7 +437,7 @@ def _addr_var(gen: _BlockCodegen, mem: ast.Operand,
     special-register tables).
     """
     if not mem.is_reg_base:
-        return gen.symbol_addr(mem.name, mem.offset)
+        return gen.symbol(mem.name, mem.offset)
     forwarded = gen._forward.get(mem.name)
     base = (forwarded if forwarded is not None
             else f"regs.get({mem.name!r}, 0)")
@@ -677,12 +454,11 @@ def _addr_var(gen: _BlockCodegen, mem: ast.Operand,
     return addr
 
 
-def _emit_ld_st(inst: ast.Instruction, gen: _BlockCodegen) -> bool:
-    if inst.has_mod("v2") or inst.has_mod("v4"):
-        return False
+def _emit_ld_st(inst: ast.Instruction, gen: _BlockCodegen) -> None:
     space = inst.space
-    if space in (None, "generic", "local"):
-        return False
+    if (inst.has_mod("v2") or inst.has_mod("v4")
+            or space in (None, "generic", "local")):
+        raise Decline
     dtype = inst.dtype
     nbytes = dtype.bytes
     is_global = space == "global"
@@ -692,7 +468,7 @@ def _emit_ld_st(inst: ast.Instruction, gen: _BlockCodegen) -> bool:
         # the same bytes regardless of lane/instruction interleaving.
         dst, mem = inst.operands
         if dst.kind != ast.REG or mem.kind != ast.MEM:
-            return False
+            raise Decline
         lines: list[str] = []
         addr = _addr_var(gen, mem, lines)
         gen.trace_access(lines, space, addr, nbytes, False)
@@ -711,19 +487,16 @@ def _emit_ld_st(inst: ast.Instruction, gen: _BlockCodegen) -> bool:
         else:
             gen.write_raw(dst.name, raw)
         gen.has_mem = True
-        return True
-    if inst.opcode == "st":
+    else:
         # Stores are where lanes communicate: keep warp-lockstep
         # instruction order by giving each store its own lanes loop.
         mem, src = inst.operands
         if mem.kind != ast.MEM:
-            return False
+            raise Decline
         # Forwarded locals are scoped to the previous lane loop — the
         # store body runs in its own loop, so drop them first.
         gen.end_lane_chunk()
-        expr = gen.payload_expr(src, dtype)
-        if expr is None:
-            return False
+        expr = gen.payload(src, dtype)
         lines = []
         addr = _addr_var(gen, mem, lines)
         gen.trace_access(lines, space, addr, nbytes, True)
@@ -737,8 +510,6 @@ def _emit_ld_st(inst: ast.Instruction, gen: _BlockCodegen) -> bool:
                                              invariant=not mem.is_reg_base))
         gen.warp_loop(lines)
         gen.has_mem = True
-        return True
-    return False
 
 
 def _linear_read_lines(gen: _BlockCodegen, space: str, out: str,
@@ -820,37 +591,6 @@ def _global_write_lines(gen: _BlockCodegen, value: str, addr: str,
         "else:",
         f"    {fallback}({addr}, {value}, {nbytes})",
     ]
-
-
-_EMITTERS = {
-    "add": _emit_int_binary, "sub": _emit_int_binary,
-    "and": _emit_int_binary, "or": _emit_int_binary,
-    "xor": _emit_int_binary,
-    "mul": _emit_mul_mad, "mad": _emit_mul_mad,
-    "fma": _emit_fma,
-    "div": _emit_divrem_int, "rem": _emit_divrem_int,
-    "mov": _emit_mov,
-    "setp": _emit_setp, "selp": _emit_selp,
-    "shl": _emit_shift, "shr": _emit_shift,
-    "cvt": _emit_cvt,
-    "ld": _emit_ld_st, "st": _emit_ld_st,
-    **dict.fromkeys(_SFU_OPS, _emit_sfu),
-}
-
-
-def _emit(inst: ast.Instruction, gen: _BlockCodegen) -> bool:
-    opcode = inst.opcode
-    if (opcode in ("add", "sub", "mul", "div", "min", "max")
-            and inst.dtype.is_float):
-        handler = _emit_float_binary
-    else:
-        handler = _EMITTERS.get(opcode)
-        if handler is None:
-            return False
-    try:
-        return handler(inst, gen)
-    except (KeyError, IndexError, ValueError):
-        return False
 
 
 # ----------------------------------------------------------------------
@@ -936,7 +676,7 @@ _STEP_FILENAME = "<step>/repro/functional/fastpath/{kernel}@{pc}"
 def compile_step(kernel, pc: int) -> LaneFn:
     """The stepped rendering of ``kernel.body[pc]``.
 
-    The instruction goes through the same emitters as a fused block,
+    The instruction goes through the same rows as a fused block,
     alone: every register it writes is stored (a later step may read
     any of them) and its memory accesses are traced.  A guard predicate
     needs nothing here — ``step_warp`` passes only the lanes it selects.

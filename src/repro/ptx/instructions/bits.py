@@ -67,6 +67,11 @@ def exec_shr(inst: ast.Instruction, warp, lanes) -> None:
                     bits, lane)
 
 
+def reverse_bits(value: int, bits: int) -> int:
+    """The low *bits* of *value* in reverse order."""
+    return int(format(value & mask(bits), f"0{bits}b")[::-1], 2)
+
+
 def exec_brev(inst: ast.Instruction, warp, lanes) -> None:
     """Bit reverse — output the bits of the input in reverse order."""
     if warp.cta.launch.quirks.brev_unsupported:
@@ -77,9 +82,8 @@ def exec_brev(inst: ast.Instruction, warp, lanes) -> None:
     bits = dtype.bits
     _dst, a = inst.operands
     for lane in lanes:
-        value = warp.operand_payload(a, dtype, lane) & mask(bits)
-        reversed_bits = int(format(value, f"0{bits}b")[::-1], 2)
-        write_union(warp, inst.operands[0].name, reversed_bits, bits, lane)
+        write_union(warp, inst.operands[0].name, reverse_bits(
+            warp.operand_payload(a, dtype, lane), bits), bits, lane)
 
 
 def exec_bfe(inst: ast.Instruction, warp, lanes) -> None:

@@ -58,16 +58,28 @@ def _exec_mov_vec(inst: ast.Instruction, warp, lanes, dtype: DType) -> None:
 
 
 _FLOAT_TO_INT_ROUNDING = {
-    "rni": lambda v: _round_even(v),
+    "rni": round,  # Python's round() is round-half-to-even
     "rzi": math.trunc,
     "rmi": math.floor,
     "rpi": math.ceil,
 }
 
 
-def _round_even(value: float) -> int:
-    # Python's round() already implements round-half-to-even.
-    return round(value)
+def float_to_int(value: float, rounder: str, bits: int,
+                 signed: bool) -> int:
+    """Float -> integer ``cvt``: NaN gives 0; ±inf and out-of-range
+    values saturate to the bounds of the destination type.
+
+    Shared with the compiled scalar tier; ``npops.f2i`` is its NumPy
+    twin (same signature).
+    """
+    if math.isnan(value):
+        return 0
+    if math.isinf(value):
+        rounded = 1 << 64 if value > 0 else -(1 << 64)
+    else:
+        rounded = _FLOAT_TO_INT_ROUNDING[rounder](value)
+    return clamp_int(rounded, DType("s" if signed else "u", bits))
 
 
 def exec_cvt(inst: ast.Instruction, warp, lanes) -> None:
@@ -97,16 +109,10 @@ def _convert(value, src_type: DType, dst_type: DType,
             result = saturate_float(result)
         return result
     if src_type.is_float:
-        if math.isnan(value):
-            return 0
-        if math.isinf(value):
-            return clamp_int(2**63 if value > 0 else -(2**63), dst_type)
-        rounding = math.trunc
-        for mod in inst.modifiers:
-            if mod in _FLOAT_TO_INT_ROUNDING:
-                rounding = _FLOAT_TO_INT_ROUNDING[mod]
-                break
-        return clamp_int(rounding(value), dst_type)
+        rounder = next((mod for mod in inst.modifiers
+                        if mod in _FLOAT_TO_INT_ROUNDING), "rzi")
+        return float_to_int(value, rounder, dst_type.bits,
+                            dst_type.is_signed)
     # Integer to integer: value already carries src signedness.
     if saturate:
         return clamp_int(value, dst_type)

@@ -89,5 +89,10 @@ def exec_cos(inst: ast.Instruction, warp, lanes) -> None:
     apply_unary(inst, warp, lanes, _safe_cos)
 
 
+#: opcode -> scalar function, shared with the compiled scalar tier.
+SFU = {"sqrt": _safe_sqrt, "rsqrt": _safe_rsqrt, "rcp": _safe_rcp,
+       "ex2": _safe_ex2, "lg2": _safe_lg2, "sin": _safe_sin,
+       "cos": _safe_cos}
+
 __all__ = ["exec_sqrt", "exec_rsqrt", "exec_rcp", "exec_ex2", "exec_lg2",
            "exec_sin", "exec_cos"]

@@ -160,7 +160,7 @@ class Sanitizer:
 
     # ------------------------------------------------------------------
     # Scalar-tier observer (the step path: reference dispatch or the
-    # stepped rendering of the superblock emitters)
+    # stepped rendering of the emit table)
     # ------------------------------------------------------------------
     def hook(self, record: ExecRecord) -> None:
         """``on_exec`` observer: check one executed instruction."""

@@ -4,39 +4,41 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.cuda import CudaRuntime
+from repro.cuda import CudaRuntime, FunctionalBackend
 from repro.ptx.builder import PTXBuilder
 from repro.quirks import FIXED, LegacyQuirks
 
 _REG_FOR_WIDTH = {16: "u16", 32: "u32", 64: "u64"}
 
 
-def exec_op(op: str, sources: list[np.ndarray], *,
-            in_widths: list[int], out_width: int = 32,
-            quirks: LegacyQuirks = FIXED,
-            pred_result: bool = False) -> np.ndarray:
-    """Execute ``op dst, src0[, src1[, src2]]`` elementwise on the GPU sim.
+def op_kernel(op: str, in_widths: list, out_width: int = 32,
+              pred_result: bool = False) -> str:
+    """PTX of the one-instruction kernel ``op dst, src0[, src1[, src2]]``.
 
-    Sources/destination are raw bit payloads (uint64 arrays); widths pick
-    the load/store width so bit patterns pass through unmodified.
+    A width of ``"pred"`` makes that source a predicate register (true
+    where the loaded 32-bit word is non-zero).
     """
-    count = len(sources[0])
     builder = PTXBuilder("op_test", [
         ("out", "u64"),
-        *[(f"src{i}", "u64") for i in range(len(sources))],
+        *[(f"src{i}", "u64") for i in range(len(in_widths))],
         ("n", "u32"),
     ])
     out_ptr = builder.ld_param("u64", "out")
     src_ptrs = [builder.ld_param("u64", f"src{i}")
-                for i in range(len(sources))]
+                for i in range(len(in_widths))]
     n = builder.ld_param("u32", "n")
     tid = builder.global_tid_x()
     builder.guard_tid_below(tid, n)
     arg_regs = []
     for ptr, width in zip(src_ptrs, in_widths):
         addr = builder.elem_addr(ptr, tid, elem_bytes=8)
-        reg = builder.reg(_REG_FOR_WIDTH[width])
-        builder.ins(f"ld.global.b{width}", reg, f"[{addr}]")
+        is_pred = width == "pred"
+        reg = builder.reg(_REG_FOR_WIDTH[32 if is_pred else width])
+        builder.ins(f"ld.global.b{32 if is_pred else width}", reg,
+                    f"[{addr}]")
+        if is_pred:
+            word, reg = reg, builder.reg("pred")
+            builder.ins("setp.ne.u32", reg, word, "0")
         arg_regs.append(reg)
     if pred_result:
         pred = builder.reg("pred")
@@ -50,9 +52,25 @@ def exec_op(op: str, sources: list[np.ndarray], *,
         store_width = out_width
     out_addr = builder.elem_addr(out_ptr, tid, elem_bytes=8)
     builder.ins(f"st.global.b{store_width}", f"[{out_addr}]", dst)
-    ptx = builder.build()
+    return builder.build()
 
-    rt = CudaRuntime(quirks=quirks)
+
+def exec_op(op: str, sources: list[np.ndarray], *,
+            in_widths: list, out_width: int = 32,
+            quirks: LegacyQuirks = FIXED,
+            pred_result: bool = False,
+            fast_mode: str | None = None) -> np.ndarray:
+    """Execute ``op dst, src0[, src1[, src2]]`` elementwise on the GPU sim.
+
+    Sources/destination are raw bit payloads (uint64 arrays); widths pick
+    the load/store width so bit patterns pass through unmodified.
+    *fast_mode* picks the interpreter tier (default: the backend's own).
+    """
+    count = len(sources[0])
+    ptx = op_kernel(op, in_widths, out_width, pred_result)
+    backend = (None if fast_mode is None
+               else FunctionalBackend(fast_mode=fast_mode))
+    rt = CudaRuntime(quirks=quirks, backend=backend)
     rt.load_ptx(ptx, "op_test")
     out = rt.malloc(8 * count)
     rt.memset(out, 0, 8 * count)

@@ -346,3 +346,18 @@ class TestConvert:
         with pytest.raises(UnsupportedInstructionError):
             exec_op("cvt.rn.f16.f32", [f32_bits([1.5])],
                     in_widths=[32], out_width=16, quirks=quirks)
+
+
+def test_every_emit_row_has_a_reference_and_a_verifier_signature():
+    """The three places an opcode lives: a compiled row without a
+    ``DISPATCH`` entry has nothing to fall back to or be compared with,
+    and one without a signature escapes the static verifier."""
+    from repro.analysis.verifier import _SIGNATURES
+    from repro.functional.emit import ROWS
+    from repro.ptx.instructions import DISPATCH
+
+    assert set(ROWS) <= set(DISPATCH)
+    assert set(ROWS) <= set(_SIGNATURES)
+    for opcode, (sources, _render) in ROWS.items():
+        sig = _SIGNATURES[opcode]
+        assert sig.min_ops <= sources + 1 <= sig.max_ops, opcode

@@ -162,14 +162,16 @@ def _unemitted_ptx() -> str:
     n = b.ld_param("u32", "n")
     tid = b.global_tid_x()
     b.guard_tid_below(tid, n)
-    v, low, ones, tile32 = b.regs("u32", 4)
+    v, low, ones, zeros, tile32 = b.regs("u32", 5)
     tile = b.reg("u64")
     b.ins("ld.global.u32", v, f"[{b.elem_addr(xs, tid)}]")
-    b.ins("min.s32", low, v, "1000")
+    b.ins("abs.s32", low, v)
     b.ins("popc.b32", ones, v)
+    b.ins("clz.b32", zeros, v)
     b.ins("mov.u64", tile, "tile")
     b.ins("cvt.u32.u64", tile32, tile)
     b.ins("add.u32", low, low, ones)
+    b.ins("add.u32", low, low, zeros)
     b.ins("add.u32", low, low, tile32)
     b.ins("st.global.u32", f"[{b.elem_addr(ys, tid)}]", low)
     return b.build()
@@ -226,17 +228,17 @@ def _assert_matches_reference(ptx: str, name: str):
 
 class TestReferenceFallbackInsideBlocks:
     def test_run_with_unemitted_opcodes_fuses_and_matches_reference(self):
-        # min.s32, popc and mov.u64 %rd, sym have no emitter: they join
-        # the fused run as opaque reference calls instead of ending it.
+        # abs, popc and clz have no emit row: they join the fused run as
+        # opaque reference calls instead of ending it.
         module = parse_module(_unemitted_ptx(), "un")
         kernel = module.kernel("unemit")
         declined = [inst for inst in kernel.body
                     if eligible(inst) and not _emit(inst, _BlockCodegen())]
-        assert {inst.opcode for inst in declined} == {"min", "popc", "mov"}
+        assert {inst.opcode for inst in declined} == {"abs", "popc", "clz"}
         _warps, engine = _assert_matches_reference(_unemitted_ptx(),
                                                    "unemit")
         main = max(engine._superblocks.values(), key=lambda b: b.count)
-        assert {"ld", "min", "popc", "mov", "st"} <= set(main.opcodes)
+        assert {"ld", "abs", "popc", "clz", "mov", "st"} <= set(main.opcodes)
 
     def test_opaque_memory_call_leaves_no_mem_trace(self):
         # The reference ld appends to warp.mem_trace, which only
