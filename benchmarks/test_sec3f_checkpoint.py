@@ -15,7 +15,7 @@ import numpy as np
 from bench_utils import run_once
 
 from repro.checkpoint import CheckpointingBackend, ResumeBackend
-from repro.cuda import CudaRuntime
+from repro.cuda import CudaRuntime, FunctionalBackend
 from repro.cudnn import ConvFwdAlgo
 from repro.nn.lenet import LeNetConfig
 from repro.timing import TINY, TimingBackend
@@ -37,23 +37,34 @@ def _run(backend=None):
     return runtime, result
 
 
-def test_sec3f_performance_mode_slowdown(benchmark, record):
+def _wall(make_backend) -> float:
+    """Wall seconds of one pass on a fresh device, plans compiled."""
+    _run(make_backend())    # compile and cache every kernel's plan
     start = time.perf_counter()
-    _rt, functional = _run()
-    functional_wall = time.perf_counter() - start
+    _run(make_backend())
+    return time.perf_counter() - start
 
+
+def test_sec3f_performance_mode_slowdown(benchmark, record):
+    megablock = _wall(lambda: FunctionalBackend(fast_mode="megablock"))
+    superblock = _wall(lambda: FunctionalBackend(fast_mode="superblock"))
+    _run(TimingBackend(TINY))
     start = time.perf_counter()
     run_once(benchmark, lambda: _run(TimingBackend(TINY)))
-    performance_wall = time.perf_counter() - start
-    ratio = performance_wall / functional_wall
+    performance = time.perf_counter() - start
+    ratio = performance / megablock
     record("sec3f_mode_slowdown",
-           f"functional mode wall: {functional_wall:.2f}s\n"
-           f"performance mode wall: {performance_wall:.2f}s\n"
-           f"slowdown: {ratio:.1f}x (paper: 7-8x)\n")
-    # The paper reports 7-8x for GPGPU-Sim; our functional
-    # interpreter is comparatively expensive (pure Python), so the
-    # measured ratio is smaller — but performance mode must cost more.
-    assert ratio > 1.02, "performance mode should cost more"
+           f"functional mode wall (megablock tier): {megablock:.3f}s\n"
+           f"functional mode wall (superblock tier): {superblock:.3f}s\n"
+           f"performance mode wall: {performance:.3f}s\n"
+           f"slowdown: {ratio:.1f}x over megablock, "
+           f"{performance / superblock:.1f}x over superblock "
+           "(paper: 7-8x)\n")
+    # Performance mode runs the launch functionally on the megablock
+    # tier (recording it), then replays the recording through the cycle
+    # loop: it must cost more than that functional pass alone, and the
+    # paper's 7-8x says by how much a detailed model should.
+    assert ratio > 3, "performance mode should cost several functional runs"
 
 
 def test_sec3f_checkpoint_resume_bit_exact(benchmark, record):

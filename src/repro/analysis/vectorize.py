@@ -25,15 +25,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import networkx as nx
+
 from repro.analysis.dataflow import (
     Solution, _Variance, defs_of, solve, uses_of)
+from repro.functional.cfg import build_cfg
 from repro.functional.state import is_special
 from repro.ptx.ast import Kernel
 
 #: Version of the vectorizability facts (cache-key component).
 #: 2: megablock plans additionally carry affine memory facts from
 #: :mod:`repro.analysis.ranges`.
-ANALYSIS_VERSION = 2
+#: 3: ``barrier_divergence`` is per barrier (reachability from a
+#: divergent branch), no longer one kernel-wide flag.
+ANALYSIS_VERSION = 3
 
 #: Specials that may differ between two threads *of the grid*.
 _GRID_VARIANT_SPECIALS = ("%tid", "%laneid", "%clock", "%ctaid", "%warpid")
@@ -72,6 +77,8 @@ class VectorReport:
     ``variant_after`` — per-pc grid-variant register sets (the raw
     facts, kept for lints and debugging).
     ``barrier_pcs`` — every ``bar`` pc, for the barrier admission rule.
+    ``divergent_barriers`` — the ``bar`` pcs some path reaches from a
+    divergent branch.
     """
 
     kernel: str
@@ -79,6 +86,7 @@ class VectorReport:
     divergent_branches: frozenset[int] = frozenset()
     variant_after: dict[int, frozenset] = field(default_factory=dict)
     barrier_pcs: frozenset[int] = frozenset()
+    divergent_barriers: frozenset[int] = frozenset()
 
     @property
     def has_divergence(self) -> bool:
@@ -88,13 +96,16 @@ class VectorReport:
         """Per-barrier divergence fact feeding megablock plan admission.
 
         ``False`` proves the barrier can only ever be reached by a full
-        frame (no branch of the kernel diverges across the grid), so
-        the vector machine may skip its runtime containment proof;
-        ``True`` keeps the runtime check (and the park/bail protocol)
-        armed.  Currently kernel-granular — a per-barrier reachability
-        refinement can tighten this without touching the consumer.
+        frame: no path leads to it from a branch that diverges across
+        the grid, so every frame arriving there has only moved through
+        grid-uniform branches and still holds every thread.  The vector
+        machine may then skip its runtime containment proof, and the
+        timing model may record the launch — such a bar can neither
+        park nor bail out.  ``True`` keeps the runtime check (and the
+        park/bail protocol) armed.
         """
-        return {pc: self.has_divergence for pc in self.barrier_pcs}
+        return {pc: pc in self.divergent_barriers
+                for pc in self.barrier_pcs}
 
 
 def classify_kernel(kernel: Kernel) -> VectorReport:
@@ -119,4 +130,24 @@ def classify_kernel(kernel: Kernel) -> VectorReport:
         uniform_branches=frozenset(uniform),
         divergent_branches=frozenset(divergent),
         variant_after=dict(solution.after),
-        barrier_pcs=frozenset(barriers))
+        barrier_pcs=frozenset(barriers),
+        divergent_barriers=_reachable_from(kernel, divergent, barriers))
+
+
+def _reachable_from(kernel: Kernel, branches: set[int],
+                    targets: set[int]) -> frozenset[int]:
+    """The *targets* pcs some CFG path reaches from one of *branches*
+    (each the last instruction of its basic block).  A path starts at a
+    successor of the branch's block, so the block's own instructions
+    count only when a cycle leads back into it."""
+    if not branches or not targets:
+        return frozenset()
+    graph = build_cfg(kernel)
+    block_of = graph.graph["block_of"]
+    after: set = set()
+    for block in {block_of[pc] for pc in branches}:
+        for successor in graph.successors(block):
+            if successor not in after:  # else so are its descendants
+                after.add(successor)
+                after |= nx.descendants(graph, successor)
+    return frozenset(pc for pc in targets if block_of[pc] in after)

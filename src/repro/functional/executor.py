@@ -10,11 +10,13 @@ barriers) and defers everything else to the dispatch table in
   per-instruction state it issues whole *superblocks* — straight-line
   runs fused into one closure by :mod:`repro.functional.superblock` —
   and synthesises aggregate stats from static block metadata.
-* **Performance simulation mode** — the timing model issues one warp
+* **Performance simulation mode** — the timing model records a
+  megablock run of the launch (``self.recorder``) and replays it, or,
+  where a recording would not be provably identical, issues one warp
   instruction at a time through :meth:`step_warp` and uses the returned
-  :class:`ExecRecord` (opcode class, per-lane memory addresses) to charge
-  cycles.  This contract is untouched by superblocks: one record per
-  issued instruction, always.
+  :class:`ExecRecord` (opcode class, per-lane memory addresses) to
+  charge cycles (:mod:`repro.timing.stream`).  The stepping contract is
+  untouched by superblocks: one record per issued instruction, always.
 
 The interpreter tiers are ablatable through ``fast_mode``:
 ``"reference"`` (generic dispatch only), ``"superblock"`` (the rows of
@@ -241,6 +243,9 @@ class FunctionalEngine:
                     self.kernel)
             self._superblocks = blocks
         self.fast_mode = fast_mode
+        #: Stream recorder the timing model arms on its megablock
+        #: pre-pass (repro.timing.stream.StreamRecorder) or None.
+        self.recorder = None
         #: Armed sanitizer (repro.sanitize.core.Sanitizer) or None.
         self.sanitizer = None
         if sanitize:

@@ -120,7 +120,11 @@ def kernel_fingerprint(kernel) -> str:
             f"|v:{var.name}:{var.dtype.name}:{var.size}".encode())
     for inst in kernel.body:
         hasher.update(b"|i:")
-        hasher.update((inst.text or inst.opcode).encode())
+        # ``text`` is the opcode token alone; the guard and the operands
+        # (registers, immediates, displacements) are semantics too.
+        hasher.update(
+            f"{inst.text or inst.opcode}:{inst.pred}:{inst.pred_negated}"
+            f":{inst.operands!r}".encode())
     for label, target in sorted(kernel.labels.items()):
         hasher.update(f"|l:{label}:{target}".encode())
     return hasher.hexdigest()

@@ -70,7 +70,8 @@ from repro.ptx.values import MASK64
 #: Bump when the generated-code shape or plan schema changes (cache key).
 #: 2: predicated mask-blend codegen, per-barrier divergence flag.
 #: 3: pc-tagged VM.ld/VM.st calls + range-fact payload (sanitizer).
-PLAN_FORMAT = 3
+#: 4: ``VM.rec`` recorder calls at guards and ld/st (timing pre-pass).
+PLAN_FORMAT = 4
 
 _PAGE_SHIFT = np.uint64(PAGE_BITS)
 
@@ -297,8 +298,24 @@ class _VecGen(Codegen):
         """Arm the implicit write mask before emitting *inst*.
 
         Register writes of a predicated instruction blend under its
-        guard by default; unpredicated instructions write through."""
-        self._auto_pm = None if inst.pred is None else self.guard(inst)
+        guard by default; unpredicated instructions write through.  An
+        armed recorder is told the guard of every predicated instruction
+        (``ld``/``st`` report theirs with the access itself)."""
+        if inst.pred is None:
+            self._auto_pm = None
+            return
+        self._auto_pm = pm = self.guard(inst)
+        if inst.opcode not in ("ld", "st"):
+            self.body.append(
+                f"    if VM.rec is not None: VM.rec.guard({inst.index}, {pm})")
+
+    def record_access(self, inst: ast.Instruction, nbytes: int, addr: str,
+                      pm: str, is_write: bool) -> None:
+        """One recorder call per ``ld``/``st``: the whole vector width
+        as one access per lane, the way the scalar tiers trace it."""
+        self.body.append(
+            f"    if VM.rec is not None: VM.rec.access({inst.index}, "
+            f"{inst.space!r}, {nbytes}, {addr}, {pm}, {is_write})")
 
     def ld_st(self, inst: ast.Instruction) -> None:
         (_e_ld if inst.opcode == "ld" else _e_st)(inst, self)
@@ -371,6 +388,7 @@ def _e_ld(inst: ast.Instruction, g: _VecGen) -> None:
     addr = _addr_local(g, mem)
     signed = dtype.is_signed and dtype.bits < 64
     merge = pm if inst.pred is not None else None
+    g.record_access(inst, nbytes * len(dests), addr, pm, False)
     for index, d in enumerate(dests):
         a_expr = addr if index == 0 \
             else f"({addr}) + np.uint64({index * nbytes})"
@@ -394,6 +412,7 @@ def _e_st(inst: ast.Instruction, g: _VecGen) -> None:
     values = [g.payload(s, dtype) for s in srcs]
     pm = g.guard(inst)
     addr = _addr_local(g, mem)
+    g.record_access(inst, nbytes * len(values), addr, pm, True)
     for index, val in enumerate(values):
         a_expr = addr if index == 0 \
             else f"({addr}) + np.uint64({index * nbytes})"
@@ -627,6 +646,10 @@ class MegaMachine:
         #: armed Sanitizer (or None): ld/st run masked shadow checks,
         #: bars run the synccheck and advance the racecheck epoch.
         self._san = getattr(engine, "sanitizer", None)
+        #: armed stream recorder (or None): the timing model's pre-pass
+        #: logs every frame, guard and ld/st it will replay (see
+        #: :class:`repro.timing.stream.StreamRecorder`).
+        self.rec = getattr(engine, "recorder", None)
         #: chunks that hit an unparkable barrier and finished scalar.
         self.bailouts = 0
         #: divergent frames parked at a barrier / re-merged past one.
@@ -701,6 +724,8 @@ class MegaMachine:
         self._init = None
         if self._san is not None:
             self._setup_sanitize(gm, span)
+        if self.rec is not None:
+            self.rec.begin_chunk(cta_start, nct, self.wid)
 
     def _setup_sanitize(self, gm, span: int) -> None:
         """Chunk-local shadow state mirroring the scalar hook's tables.
@@ -1221,6 +1246,7 @@ class MegaMachine:
         body_len = plan.body_len
         per_op = stats.dynamic_per_opcode
         R = self.R
+        rec = self.rec
         m0 = np.ones(self.T, bool)
         stack = [_Frame(0, NO_RECONVERGE, m0, self._wa(m0), True)]
         parked: list[_Frame] = []
@@ -1240,6 +1266,8 @@ class MegaMachine:
             if pc >= body_len:
                 # Fell off the end: implicit exit, not counted (the
                 # scalar step returns before charging the clock).
+                if rec is not None:
+                    rec.frame(pc, 1, frame)
                 if self._san is not None:
                     self._exit_pc[frame.mask] = pc
                 self._retire(stack, frame.mask)
@@ -1248,6 +1276,8 @@ class MegaMachine:
                 continue
             block = blocks.get(pc)
             if block is not None:
+                if rec is not None:
+                    rec.frame(pc, block.count, frame)
                 block.fn(self, R, frame.mask, frame.full)
                 wa = frame.wa
                 clock += wa * block.count
@@ -1256,6 +1286,8 @@ class MegaMachine:
                 self._advance(stack, block.end)
                 continue
             ctrl = controls[pc]
+            if rec is not None:
+                rec.frame(pc, 1, frame)
             wa = frame.wa
             clock += wa
             op = ctrl["op"]
@@ -1274,6 +1306,8 @@ class MegaMachine:
                 if ctrl["neg"]:
                     pv = ~pv
                 taken = frame.mask & pv
+                if rec is not None:
+                    rec.guard(pc, taken)
                 if not taken.any():
                     self._advance(stack, pc + 1)
                     continue

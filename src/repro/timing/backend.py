@@ -17,8 +17,11 @@ class TimingBackend:
 
     The paper notes performance mode is "generally 7-8 times slower than
     the Functional simulation mode" — here, too, each launch pays for
-    cycle-level scheduling, caches and DRAM on top of the functional
-    execution it drives.
+    cycle-level scheduling, caches and DRAM on top of its functional
+    execution: a megablock pre-pass whose recorded per-warp streams the
+    cycle loop replays, or, where a recording would not be provably
+    identical, instruction-by-instruction stepping inside the loop
+    (:attr:`launch_sources` says which, per launch, and why).
     """
 
     name = "performance"
@@ -32,6 +35,10 @@ class TimingBackend:
                              reconverge_at_exit=reconverge_at_exit,
                              mem_fault_filter=mem_fault_filter)
         self.kernel_stats: list[KernelStats] = []
+        #: Per launch: ``{"kernel", "source": "recorded" | "live"}`` plus
+        #: ``"why"`` for a live one.  Kept out of ``KernelStats``, whose
+        #: dicts feed byte-compared figure artifacts.
+        self.launch_sources = self.gpu.launch_sources
         #: Set by the owning CudaRuntime when tracing is on.
         self.tracer = NULL_TRACER
 
@@ -39,11 +46,14 @@ class TimingBackend:
         stats, samples = self.gpu.simulate(launch)
         self.kernel_stats.append(stats)
         if self.tracer.enabled:
+            source = {key: value   # the event is named after the kernel
+                      for key, value in self.launch_sources[-1].items()
+                      if key != "kernel"}
             self.tracer.complete(
                 f"timing:{launch.kernel.name}",
                 ts=self.tracer.clock.now, dur=float(stats.cycles),
                 cat="engine",
-                args={"tier": "timing", "cycles": stats.cycles,
+                args={"tier": "timing", **source, "cycles": stats.cycles,
                       "instructions": stats.warp_instructions,
                       "ipc": round(stats.warp_instructions / stats.cycles,
                                    4) if stats.cycles else 0.0})

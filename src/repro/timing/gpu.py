@@ -1,7 +1,15 @@
 """Top-level performance simulator (the "Performance simulation mode").
 
-Execution-driven: SM schedulers pull instructions from the functional
-engine at issue time.  The main loop is cycle-based with an idle-jump
+SM schedulers issue from per-warp instruction streams
+(:mod:`repro.timing.stream`).  By default a launch first runs
+functionally on the megablock tier with a recorder armed and the cycle
+loop replays the recording — the paper's own split (Sec. III-F) between
+a fast functional mode and a slower performance mode.  Only a launch
+whose recording would not be provably identical is execution-driven the
+way GPGPU-Sim is, every instruction executed at the cycle it issues
+(:func:`_live_reason` lists the cases).  Both producers feed the one
+cycle loop below, and ``GpuTiming.launch_sources`` says which ran.  The
+main loop is cycle-based with an idle-jump
 optimisation — when no scheduler can issue, time skips to the next
 event/wake-up, with the skipped scheduler-cycles charged to the
 appropriate W0 stall bucket so AerialVision's warp-issue breakdown stays
@@ -25,11 +33,40 @@ from repro.functional.state import CTAState, LaunchContext
 from repro.timing.config import GPUConfig, TINY
 from repro.timing.memsys import MemRequest, MemorySubsystem
 from repro.timing.shader import SMCore
+from repro.timing.stream import LiveSource, StreamRecorder, classify
 from repro.timing.stats import (
     KernelStats, SampleBlock, W0_ALU, W0_IDLE, W0_MEM)
 from repro.trace.clock import SimClock
 
 _MAX_CYCLES_DEFAULT = 50_000_000
+
+
+def _live_reason(engine: FunctionalEngine, premade: dict,
+                 reconverge_at_exit: bool) -> str | None:
+    """Why this launch must be execution-driven (``None``: record it).
+
+    A recording is the stream the live engine would produce only if no
+    value depends on issue order and the megablock run can neither leave
+    its tier nor disagree with the scalar SIMT stacks: restored CTAs
+    start mid-kernel, ``reconverge_at_exit`` and the legacy quirks
+    change semantics the vector tier does not model, an ineligible plan
+    (which covers ``atom``/``red``/``tex``/``%clock``) has no vector
+    rendering, and a barrier reachable under divergence could bail out
+    to the scalar engine mid-run.
+    """
+    if premade:
+        return "restored CTAs resume mid-kernel"
+    if reconverge_at_exit:
+        return "reconverge_at_exit changes the SIMT stacks"
+    plan = engine._megaplan
+    if plan is None:
+        reasons = engine.megablock_fallback
+        return (f"no vector plan ({reasons[0]})" if reasons
+                else "legacy quirks run on the reference tier")
+    for pc, ctrl in plan.controls.items():
+        if ctrl["op"] == "bar" and ctrl["div"]:
+            return f"pc {pc}: barrier reachable under divergence"
+    return None
 
 
 class GpuTiming:
@@ -46,6 +83,9 @@ class GpuTiming:
         #: predicate over MemRequest that makes the interconnect "lose"
         #: matching requests (repro.faultinject's dropped-response site).
         self.mem_fault_filter = mem_fault_filter
+        #: One ``{"kernel", "source"[, "why"]}`` per simulated launch:
+        #: "recorded" or "live", and why a live one could not record.
+        self.launch_sources: list[dict] = []
 
     def simulate(self, launch: LaunchContext, *,
                  first_cta: int = 0,
@@ -79,16 +119,16 @@ class GpuTiming:
                 resident.mem_pending -= 1
             schedule(time, deliver)
 
-        engine = FunctionalEngine(
-            launch, reconverge_at_exit=self.reconverge_at_exit)
+        premade = premade_ctas or {}
+        source = self._open_source(launch, first_cta, premade)
         memsys = MemorySubsystem(config, stats, samples, schedule, respond,
                                  fault_filter=self.mem_fault_filter)
-        sms = [SMCore(sm_id, config, engine, memsys, stats, samples)
+        kinds = classify(launch.kernel)
+        sms = [SMCore(sm_id, config, source, kinds, memsys, stats, samples)
                for sm_id in range(config.num_sms)]
 
         next_cta = first_cta
         total_ctas = launch.num_ctas
-        premade = premade_ctas or {}
 
         def refill() -> int:
             # Round-robin CTA issue, one per SM per pass (GPGPU-Sim's
@@ -103,13 +143,12 @@ class GpuTiming:
                         break
                     if not sm.can_accept_cta:
                         continue
-                    cta = premade.get(next_cta) or CTAState(launch,
-                                                            next_cta)
-                    next_cta += 1
-                    if not cta.finished:
-                        sm.assign_cta(cta)
+                    streams = source.open(next_cta)
+                    if streams is not None:
+                        sm.assign_cta(next_cta, streams)
                         assigned += 1
                         progressing = True
+                    next_cta += 1
             return assigned
 
         refill()
@@ -153,6 +192,12 @@ class GpuTiming:
             if not candidates:
                 if next_cta < total_ctas and refill():
                     continue
+                if (next_cta >= total_ctas
+                        and not any(sm.busy for sm in sms)):
+                    # The last warp retired by running off the kernel's
+                    # end, which issues nothing but spends the cycle.
+                    clock.advance(1.0)
+                    continue
                 raise TimingDeadlockError(
                     "timing model made no progress: warps blocked with "
                     "no memory responses in flight "
@@ -169,6 +214,31 @@ class GpuTiming:
         samples.finalize()
         self._fold_cache_stats(sms, memsys, stats)
         return stats, samples
+
+    def _open_source(self, launch: LaunchContext, first_cta: int,
+                     premade: dict[int, CTAState]):
+        """Pick this launch's stream producer; a recorded launch runs
+        its functional pre-pass here, before the first cycle."""
+        reconverge = self.reconverge_at_exit
+        engine = FunctionalEngine(
+            launch, reconverge_at_exit=reconverge,
+            fast_mode="superblock" if premade or reconverge
+            else "megablock")
+        config = self.config
+        why = _live_reason(engine, premade, reconverge)
+        entry = {"kernel": launch.kernel.name}
+        self.launch_sources.append(entry)
+        if why is not None:
+            entry.update(source="live", why=why)
+            return LiveSource(engine, config.line_size, premade)
+        entry["source"] = "recorded"
+        # The most the cycle loop could issue before it raised.
+        budget = (self.max_cycles * config.num_sms
+                  * config.schedulers_per_sm)
+        engine.recorder = source = StreamRecorder(
+            launch.kernel, config.line_size, budget, self.max_cycles)
+        engine.run_range(first_cta, launch.num_ctas)
+        return source
 
     @staticmethod
     def _charge_idle(sms: list[SMCore], samples: SampleBlock,
@@ -189,7 +259,7 @@ class GpuTiming:
                 if not scheduler.warps:
                     bucket = W0_IDLE
                     stats.idle_scheduler_cycles += extra
-                elif any(rw.blocked_on_mem() for rw in scheduler.warps):
+                elif any(rw.mem_pending for rw in scheduler.warps):
                     bucket = W0_MEM
                     stats.stall_mem_cycles += extra
                 else:

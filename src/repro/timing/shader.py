@@ -4,9 +4,12 @@ Each SM hosts up to ``max_ctas_per_sm`` CTAs; warps are statically
 assigned to ``schedulers_per_sm`` loose-round-robin schedulers.  A warp
 is *ready* when its latency timer expired and it has no outstanding
 memory transactions (a serial-dependence simplification of GPGPU-Sim's
-scoreboard — see DESIGN.md §5).  Issue pulls the next instruction from
-the functional engine, so the timing model is execution-driven exactly
-like GPGPU-Sim's.
+scoreboard — see DESIGN.md §5).  Issue pulls the warp's next item from
+its stream (:mod:`repro.timing.stream`): the model sees pcs, lane
+counts and line ids, never register state.  Whether the stream was
+recorded by a functional pre-pass or executes on demand (GPGPU-Sim's
+execution-driven scheme) is the producer's business, not the SM's;
+barriers, retirement and ``dynamic_warp_id`` are the model's own state.
 
 Per-cycle issue outcomes feed the warp-issue breakdown (W0 idle / W0
 data-hazard / W1..W32 by active-lane count) that AerialVision's warp
@@ -15,60 +18,76 @@ divergence plots show.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from repro.functional.executor import AT_BARRIER, FunctionalEngine
-from repro.functional.state import CTAState, WarpState
 from repro.timing.config import GPUConfig
 from repro.timing.memsys import MemRequest, MemorySubsystem
 from repro.timing.stats import (
     KernelStats, SampleBlock, W0_ALU, W0_BARRIER, W0_IDLE, W0_MEM,
     lane_bucket)
+from repro.timing.stream import (
+    ATOM, BAR, FELL_OFF, MEM, OTHER, SFU, SHARED, TEX)
 
 
-@dataclass
+class ResidentCTA:
+    """A CTA on an SM: its warps and how many are still running."""
+
+    __slots__ = ("index", "warps", "live")
+
+    def __init__(self, index: int) -> None:
+        self.index = index
+        self.warps: list[ResidentWarp] = []
+        self.live = 0
+
+
 class ResidentWarp:
-    warp: WarpState
-    cta: CTAState
-    ready_at: float = 0.0
-    mem_pending: int = 0
+    """A warp on an SM: its stream plus the model's own state."""
 
-    @property
-    def finished(self) -> bool:
-        return self.warp.finished
+    __slots__ = ("fetch", "cta", "ready_at", "mem_pending", "finished",
+                 "at_barrier", "dynamic_warp_id")
+
+    def __init__(self, stream, cta: ResidentCTA) -> None:
+        self.fetch = stream.next
+        self.cta = cta
+        self.ready_at = 0.0
+        self.mem_pending = 0
+        self.finished = stream.finished
+        self.at_barrier = stream.at_barrier
+        self.dynamic_warp_id = 0
 
     def ready(self, now: float) -> bool:
-        return (not self.warp.finished and not self.warp.at_barrier
-                and self.mem_pending == 0 and self.ready_at <= now)
-
-    def blocked_on_mem(self) -> bool:
-        return self.mem_pending > 0
+        return (self.ready_at <= now and not self.mem_pending
+                and not self.at_barrier and not self.finished)
 
 
-@dataclass
 class Scheduler:
     """Warp picker: loose round robin or greedy-then-oldest."""
 
-    policy: str = "lrr"
-    warps: list[ResidentWarp] = field(default_factory=list)
-    next_index: int = 0
-    greedy: ResidentWarp | None = None
+    __slots__ = ("policy", "warps", "next_index", "greedy")
+
+    def __init__(self, policy: str = "lrr") -> None:
+        self.policy = policy
+        self.warps: list[ResidentWarp] = []
+        self.next_index = 0
+        self.greedy: ResidentWarp | None = None
 
     def pick(self, now: float) -> ResidentWarp | None:
         if self.policy == "gto":
             return self._pick_gto(now)
-        count = len(self.warps)
-        for step in range(count):
-            candidate = self.warps[(self.next_index + step) % count]
-            if candidate.ready(now):
-                self.next_index = (self.next_index + step + 1) % count
-                return candidate
+        warps = self.warps
+        start = self.next_index
+        for index in range(start, len(warps)):
+            if warps[index].ready(now):
+                self.next_index = (index + 1) % len(warps)
+                return warps[index]
+        for index in range(start):
+            if warps[index].ready(now):
+                self.next_index = index + 1
+                return warps[index]
         return None
 
     def _pick_gto(self, now: float) -> ResidentWarp | None:
-        # Greedy: keep issuing the same warp while it stays ready.
-        if (self.greedy is not None and self.greedy in self.warps
-                and self.greedy.ready(now)):
+        # Greedy: keep issuing the same warp while it stays ready (a
+        # retired warp was dropped by SMCore._retire_cta).
+        if self.greedy is not None and self.greedy.ready(now):
             return self.greedy
         # Then oldest: first ready warp in arrival order.
         for candidate in self.warps:
@@ -81,18 +100,21 @@ class Scheduler:
 class SMCore:
     """One streaming multiprocessor."""
 
-    def __init__(self, sm_id: int, config: GPUConfig,
-                 engine: FunctionalEngine, memsys: MemorySubsystem,
+    def __init__(self, sm_id: int, config: GPUConfig, source,
+                 kinds: list[int], memsys: MemorySubsystem,
                  stats: KernelStats, samples: SampleBlock) -> None:
         self.sm_id = sm_id
         self.config = config
-        self.engine = engine
+        #: Producer of the resident CTAs' streams (repro.timing.stream).
+        self.source = source
+        #: Static class code per pc (repro.timing.stream.classify).
+        self.kinds = kinds
         self.memsys = memsys
         self.stats = stats
         self.samples = samples
         from repro.timing.cache import Cache
         self.l1 = Cache(config.l1_sets, config.l1_ways, config.line_size)
-        self.ctas: list[CTAState] = []
+        self.ctas: list[ResidentCTA] = []
         self.schedulers = [Scheduler(policy=config.warp_scheduler)
                            for _ in range(config.schedulers_per_sm)]
         self.resident: list[ResidentWarp] = []
@@ -104,26 +126,32 @@ class SMCore:
     def can_accept_cta(self) -> bool:
         return len(self.ctas) < self.config.max_ctas_per_sm
 
-    def assign_cta(self, cta: CTAState) -> None:
+    def assign_cta(self, index: int, streams) -> None:
+        """Make CTA *index* resident; *streams* holds one
+        :class:`~repro.timing.stream.WarpStream` per warp."""
+        cta = ResidentCTA(index)
         self.ctas.append(cta)
-        for warp in cta.warps:
-            resident = ResidentWarp(warp=warp, cta=cta)
+        for warp_index, stream in enumerate(streams):
+            resident = ResidentWarp(stream, cta)
+            cta.warps.append(resident)
+            cta.live += not resident.finished
             self.resident.append(resident)
-            scheduler = self.schedulers[
-                warp.warp_index % len(self.schedulers)]
-            scheduler.warps.append(resident)
+            self.schedulers[
+                warp_index % len(self.schedulers)].warps.append(resident)
 
-    def _retire_cta(self, cta: CTAState) -> None:
+    def _retire_cta(self, cta: ResidentCTA) -> None:
         self.ctas.remove(cta)
-        dead = [rw for rw in self.resident if rw.cta is cta]
-        for resident in dead:
-            self.resident.remove(resident)
-            for scheduler in self.schedulers:
-                if resident in scheduler.warps:
-                    scheduler.warps.remove(resident)
-                    scheduler.next_index = 0
-                    if scheduler.greedy is resident:
-                        scheduler.greedy = None
+        self.source.close(cta.index)
+        cta.warps.clear()   # CTA <-> warp is a cycle: free without a GC
+        self.resident = [rw for rw in self.resident if rw.cta is not cta]
+        for scheduler in self.schedulers:
+            kept = [rw for rw in scheduler.warps if rw.cta is not cta]
+            if len(kept) != len(scheduler.warps):
+                scheduler.warps = kept
+                scheduler.next_index = 0
+                if (scheduler.greedy is not None
+                        and scheduler.greedy.cta is cta):
+                    scheduler.greedy = None
 
     @property
     def busy(self) -> bool:
@@ -132,47 +160,61 @@ class SMCore:
     # ------------------------------------------------------------------
     # Issue
     # ------------------------------------------------------------------
-    def issue_cycle(self, now: float) -> tuple[int, list[CTAState]]:
+    def issue_cycle(self, now: float) -> tuple[int, list[ResidentCTA]]:
         """Issue up to one instruction per scheduler; returns
         (instructions issued, CTAs that completed this cycle)."""
         issued = 0
-        finished_ctas: list[CTAState] = []
+        finished_ctas: list[ResidentCTA] = []
+        stats = self.stats
+        samples = self.samples
         for scheduler in self.schedulers:
             if not scheduler.warps:
-                self.samples.issue_event(now, W0_IDLE)
-                self.stats.idle_scheduler_cycles += 1
+                samples.issue_event(now, W0_IDLE)
+                stats.idle_scheduler_cycles += 1
                 continue
             resident = scheduler.pick(now)
             if resident is None:
                 self._record_stall(now, scheduler)
                 continue
-            record = self.engine.step_warp(resident.warp)
-            if record is None or record == AT_BARRIER:
-                continue
-            issued += 1
-            lanes = record.active_lanes
-            self.stats.instructions += lanes
-            self.stats.warp_instructions += 1
-            self.samples.commit(now, self.sm_id, lanes)
-            self.samples.issue_event(now, lane_bucket(lanes))
-            self._apply_latency(resident, record, now)
-            if record.inst.opcode == "bar":
-                self.engine.try_release_barrier(resident.cta)
-            if resident.warp.finished and resident.cta.finished:
-                if (resident.cta in self.ctas
-                        and resident.cta not in finished_ctas):
-                    finished_ctas.append(resident.cta)
+            pc, lanes, mem, last = resident.fetch()
+            if pc != FELL_OFF:
+                issued += 1
+                stats.instructions += lanes
+                stats.warp_instructions += 1
+                samples.commit(now, self.sm_id, lanes)
+                samples.issue_event(now, lane_bucket(lanes))
+                kind = self.kinds[pc]
+                self._apply_latency(resident, kind, mem, now)
+                if kind == BAR:
+                    resident.at_barrier = True
+                    self._release_barrier(resident.cta)
+            # else the active lanes ran off the kernel's end: nothing
+            # issues, and the warp runs on if other lanes are waiting.
+            if last:
+                resident.finished = True
+                cta = resident.cta
+                cta.live -= 1
+                if not cta.live:
+                    finished_ctas.append(cta)
         for cta in finished_ctas:
             self._retire_cta(cta)
         if issued:
-            self.stats.active_sm_cycles += 1
+            stats.active_sm_cycles += 1
         return issued, finished_ctas
 
+    @staticmethod
+    def _release_barrier(cta: ResidentCTA) -> None:
+        """Release the CTA barrier if every live warp has arrived."""
+        live = [rw for rw in cta.warps if not rw.finished]
+        if all(rw.at_barrier for rw in live):
+            for resident in live:
+                resident.at_barrier = False
+
     def _record_stall(self, now: float, scheduler: Scheduler) -> None:
-        if any(rw.blocked_on_mem() for rw in scheduler.warps):
+        if any(rw.mem_pending for rw in scheduler.warps):
             self.samples.issue_event(now, W0_MEM)
             self.stats.stall_mem_cycles += 1
-        elif any(rw.warp.at_barrier for rw in scheduler.warps
+        elif any(rw.at_barrier for rw in scheduler.warps
                  if not rw.finished):
             self.samples.issue_event(now, W0_BARRIER)
         else:
@@ -182,65 +224,47 @@ class SMCore:
     # ------------------------------------------------------------------
     # Latency / memory handling
     # ------------------------------------------------------------------
-    def _apply_latency(self, resident: ResidentWarp, record,
+    def _apply_latency(self, resident: ResidentWarp, kind: int, mem,
                        now: float) -> None:
         config = self.config
-        op_class = record.op_class
-        if op_class == "sfu":
+        if kind == SFU:
             self.stats.sfu_ops += 1
             resident.ready_at = now + config.sfu_latency
-        elif op_class == "bar":
+        elif kind == BAR:
             self.stats.barriers += 1
             resident.ready_at = now + config.bar_latency
-        elif op_class in ("mem", "tex") or record.mem_accesses:
-            self._issue_memory(resident, record, now)
+        elif kind >= MEM or mem is not None:
+            if kind == ATOM:
+                self.stats.atom_ops += 1
+            if mem is not None:
+                self._issue_memory(resident, mem, now)
         else:
             self.stats.alu_ops += 1
             resident.ready_at = now + config.alu_latency
-        resident.warp.dynamic_warp_id += 1
+        resident.dynamic_warp_id += 1
 
-    def _issue_memory(self, resident: ResidentWarp, record,
+    def _issue_memory(self, resident: ResidentWarp, mem,
                       now: float) -> None:
         config = self.config
-        global_lines_read: set[int] = set()
-        global_lines_write: set[int] = set()
-        touched_shared = False
-        touched_tex = False
-        touched_other = False
-        for space, addr, nbytes, is_write in record.mem_accesses:
-            if space == "global":
-                first = addr // config.line_size
-                last = (addr + max(nbytes, 1) - 1) // config.line_size
-                target = (global_lines_write if is_write
-                          else global_lines_read)
-                for line in range(first, last + 1):
-                    target.add(line)
-            elif space == "shared":
-                touched_shared = True
-            elif space == "tex":
-                touched_tex = True
-            else:
-                touched_other = True
-        if record.inst.opcode in ("atom", "red"):
-            self.stats.atom_ops += 1
-        if touched_shared:
+        flags, lines_read, lines_write = mem
+        if flags & SHARED:
             self.stats.shared_ops += 1
             resident.ready_at = max(resident.ready_at,
                                     now + config.shared_mem_latency)
-        if touched_tex:
+        if flags & TEX:
             self.stats.tex_ops += 1
             resident.ready_at = max(resident.ready_at,
                                     now + config.tex_latency)
-        if touched_other:
+        if flags & OTHER:
             resident.ready_at = max(resident.ready_at,
                                     now + config.const_latency)
-        if not global_lines_read and not global_lines_write:
+        if not lines_read and not lines_write:
             return
-        self.stats.gmem_read_transactions += len(global_lines_read)
-        self.stats.gmem_write_transactions += len(global_lines_write)
+        self.stats.gmem_read_transactions += len(lines_read)
+        self.stats.gmem_write_transactions += len(lines_write)
         resident.ready_at = max(resident.ready_at,
                                 now + config.l1_hit_latency)
-        for line in global_lines_read:
+        for line in lines_read:
             if self.l1.access(line * config.line_size, is_write=False):
                 self.stats.l1_hits += 1
                 continue
@@ -249,7 +273,7 @@ class SMCore:
             self.memsys.submit(MemRequest(
                 line_addr=line, is_write=False, sm_id=self.sm_id,
                 warp_token=resident, issued_at=now), now)
-        for line in global_lines_write:
+        for line in lines_write:
             # Write-through, no allocate: traffic only, no blocking.
             self.l1.access(line * config.line_size, is_write=True)
             self.memsys.submit(MemRequest(
@@ -262,7 +286,7 @@ class SMCore:
     def next_ready_time(self, now: float) -> float | None:
         best: float | None = None
         for resident in self.resident:
-            if resident.finished or resident.warp.at_barrier:
+            if resident.finished or resident.at_barrier:
                 continue
             if resident.mem_pending > 0:
                 continue  # woken by a response event instead

@@ -9,6 +9,16 @@ from repro.cuda import CudaRuntime
 from repro.cudnn import Cudnn, build_application_binary
 
 
+@pytest.fixture(scope="session", autouse=True)
+def _suite_plan_cache(tmp_path_factory):
+    """Performance-mode and megablock launches load compiled plans from
+    the disk cache: point it away from the user's for the whole run."""
+    patch = pytest.MonkeyPatch()
+    patch.setenv("REPRO_CACHE_DIR", str(tmp_path_factory.mktemp("kcache")))
+    yield
+    patch.undo()
+
+
 @pytest.fixture(scope="session")
 def app_binary():
     """The statically linked application binary (built once)."""

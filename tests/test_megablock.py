@@ -145,6 +145,33 @@ def _divbar_ptx() -> str:
     return b.build()
 
 
+def _loopbar_ptx() -> str:
+    """A one-block loop that opens with a barrier and closes with a
+    divergent back-edge: the second warp of a 64-thread CTA goes round
+    once more than the first, so its second ``bar.sync`` is reached by a
+    frame holding half the CTA.  A prefix barrier ahead of the loop is
+    only ever reached by everyone."""
+    b = PTXBuilder("loopbar", [("out", "u64")])
+    out = b.ld_param("u64", "out")
+    tid = b.special("%tid.x")
+    limit = b.reg("u32")
+    b.ins("shr.u32", limit, tid, "5")
+    b.ins("add.u32", limit, limit, "1")
+    count = b.reg("u32")
+    b.ins("mov.u32", count, "0")
+    b.bar_sync()
+    again = b.reg("pred")
+    head = b.fresh_label("head")
+    b.place(head)
+    b.bar_sync()
+    b.ins("add.u32", count, count, "1")
+    b.ins("setp.lt.u32", again, count, limit)
+    b.ins(f"bra {head}", pred=again)
+    gtid = b.global_tid_x()
+    b.ins("st.global.u32", f"[{b.elem_addr(out, gtid)}]", count)
+    return b.build()
+
+
 def _predicated_ptx() -> str:
     """A predicated add: vectorised as a mask-blend (compute all lanes,
     keep the old destination where the guard is false)."""
@@ -365,6 +392,16 @@ class TestPlan:
                   if c["op"] == "bar"]
         assert bars == rebars
 
+    def test_barrier_divergence_is_per_barrier(self):
+        """Only a bar some path reaches from a divergent branch keeps
+        the runtime proof — including the bar of the branch's own block
+        when the branch is a back-edge into it."""
+        kernel = parse_module(_loopbar_ptx(), "p").kernel("loopbar")
+        plan = compile_megaplan(kernel)
+        div = [ctrl["div"] for _pc, ctrl in sorted(plan.controls.items())
+               if ctrl["op"] == "bar"]
+        assert div == [False, True]
+
     def test_payload_round_trip_reproduces_the_plan(self):
         kernel = parse_module(_saxpy_ptx(), "p").kernel("sax")
         plan = compile_megaplan(kernel)
@@ -453,6 +490,7 @@ class TestDifferential:
         (_divergent_ptx(), "divk", {}),
         (_gridloop_ptx(), "gloop", {"grid": (5, 1, 1)}),
         (_divbar_ptx(), "divbar", {"block": (64, 1, 1)}),
+        (_loopbar_ptx(), "loopbar", {"block": (64, 1, 1)}),
         (_predicated_ptx(), "pk", {}),
         (_predstore_ptx(), "psk", {}),
         (_mixbar_ptx(), "mixbar", {}),
@@ -824,6 +862,19 @@ def _run_cache_process(cache_dir) -> dict:
 
 
 class TestKernelCache:
+    def test_fingerprint_covers_operands_and_guards(self):
+        """Same name, params and opcode sequence, different immediate or
+        guard: a different kernel, never the other's cached plan."""
+        base = _saxpy_ptx()
+        line = next(line for line in base.splitlines()
+                    if "mad.wide.s32" in line)
+        variants = [base, base.replace(line, line.replace(", 4,", ", 8,")),
+                    base.replace(line, line.replace("mad.", "@%p0 mad."))]
+        assert len(set(variants)) == 3
+        prints = {kernelcache.kernel_fingerprint(
+            parse_module(ptx, "p").kernel("sax")) for ptx in variants}
+        assert len(prints) == 3
+
     def test_second_process_hits_the_disk_cache(self, tmp_path):
         cache_dir = tmp_path / "xproc"
         cold = _run_cache_process(cache_dir)

@@ -181,7 +181,7 @@ class TestSampling:
         samples = SampleBlock(interval=10, num_sms=1, num_partitions=1,
                               banks_per_partition=1)
         stats = KernelStats()
-        warp = SimpleNamespace(blocked_on_mem=lambda: True)
+        warp = SimpleNamespace(mem_pending=1)
         sms = [SimpleNamespace(
             schedulers=[SimpleNamespace(warps=[warp])])]
         GpuTiming._charge_idle(sms, samples, stats, t0=0.0, t1=100.0)
