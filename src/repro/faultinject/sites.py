@@ -35,7 +35,7 @@ from typing import Callable
 
 from repro.debugtool.instrument import _dest_width
 from repro.errors import FaultInjectionError
-from repro.functional.executor import FunctionalEngine, lanes_of
+from repro.functional.executor import FunctionalEngine, guard_lanes
 from repro.ptx import ast
 from repro.ptx.instructions import lookup
 from repro.trace.tracer import NULL_TRACER
@@ -207,17 +207,10 @@ class RegisterBitflipSite(_InstructionSite):
         def on_exec(record) -> None:
             if record.pc != target_pc:
                 return
-            lanes = lanes_of(record.active_mask)
-            inst = record.inst
-            if inst.pred is not None:
-                # Mirror step_warp's guard filtering: only lanes that
-                # actually executed may be corrupted, else the flip is
-                # invisible to the (identically guarded) replay log.
-                regs = record.warp.regs
-                lanes = tuple(
-                    lane for lane in lanes
-                    if bool(regs[lane].get(inst.pred, 0) & 1)
-                    != inst.pred_negated)
+            # Only lanes that actually executed may be corrupted, else
+            # the flip is invisible to the (identically guarded) replay.
+            lanes = guard_lanes(record.inst, record.warp.regs,
+                                record.active_mask)
             if not lanes or not should_fire():
                 return
             lane = lanes[spec.lane % len(lanes)]

@@ -1,11 +1,11 @@
-"""One table of compiled register-op semantics, rendered by two dialects.
+"""One table of compiled PTX semantics, rendered by two dialects.
 
-Every register-only PTX opcode the compiled tiers understand has exactly
-one *row* here.  A row is written once and owns what is true of the
-opcode on any tier: which modifier/dtype forms it declines, whether an
-operand is read as a raw payload or as a typed value, the width of the
-result, and the expression that computes it.  It renders through a
-:class:`Codegen` *dialect*:
+Every PTX opcode the compiled tiers understand — register ops and
+``ld``/``st`` — has exactly one *row* here.  A row is written once and
+owns what is true of the opcode on any tier: which modifier/dtype forms
+it declines, whether an operand is read as a raw payload or as a typed
+value, the width of the result, and the expression that computes it.
+It renders through a :class:`Codegen` *dialect*:
 
 * ``superblock._BlockCodegen`` — Python ints, one lane at a time (the
   fused-superblock and stepped renderings);
@@ -28,9 +28,19 @@ interpreter (scalar tier) or makes the kernel ineligible for the vector
 tier.  :func:`emit` is the one dispatcher and catches nothing else — an
 emitter bug fails loudly instead of becoming a silent fallback.
 
-``ld``/``st`` are not rows: each tier keeps its own memory rendering
-(inline buffer indexing vs ``VM.ld``/``VM.st`` gather/scatter) behind
-``Codegen.ld_st``.
+``ld``/``st`` are one row too (:func:`_ld_st`).  It owns what is true of
+a memory access on any tier — operand shapes, ``.v2``/``.v4`` arity, the
+declined spaces, element offsets, sign extension, store masking and
+**one** access event per lane spanning the whole vector — and asks the
+dialect only for the memory vocabulary: ``address(mem)`` (an opaque
+handle), ``load(space, addr, offset, nbytes)``, ``store(space, addr,
+offset, nbytes, value)``, ``access(inst, addr, total_bytes, is_write)``
+and ``fence()``.  The access event is the single feed of
+``warp.mem_trace`` (hence ``ExecRecord.mem_accesses`` and the scalar
+sanitizer hook), the timing pre-pass's ``StreamRecorder.access`` and the
+vector tier's sanitizer checks, so "per access, not per element" holds
+by construction.  ``atom``/``red``/``tex`` stay reference-only: their
+value order is issue order.
 
 Adding an opcode: a ``DISPATCH`` entry in :mod:`repro.ptx.instructions`
 (the reference), a signature in :mod:`repro.analysis.verifier`, and one
@@ -83,7 +93,9 @@ class Codegen:
     dialect provides ``reg``, ``decode``, ``const``, ``write``,
     ``write_pred``, ``float_encoder``, ``bind``, ``select``,
     ``pred_true``, ``compare``, ``shift``, ``divrem``, ``to_float``,
-    ``value_mod64``, ``symbol``, ``call`` and ``ld_st``.
+    ``value_mod64``, ``symbol``, ``call``, and for memory rows
+    ``address``, ``access``, ``load``, ``store``, ``fence`` and
+    ``write_raw`` (a whole-payload write of a loaded value).
     """
 
     def payload(self, op: ast.Operand, dtype: DType) -> str:
@@ -107,14 +119,16 @@ class Codegen:
 # ----------------------------------------------------------------------
 # The table
 # ----------------------------------------------------------------------
-#: opcode -> (source operand count, ``render(inst, gen, dst, *sources)``).
-ROWS: dict[str, tuple[int, Callable[..., None]]] = {}
+#: opcode -> (source operand count, ``render(inst, gen, dst, *sources)``,
+#: register destination).  A register-destination row gets ``dst`` as the
+#: register's name; a memory row gets its first operand whole.
+ROWS: dict[str, tuple[int, Callable[..., None], bool]] = {}
 
 
-def _row(*opcodes: str, sources: int):
+def _row(*opcodes: str, sources: int, reg_dst: bool = True):
     def register(render):
         for opcode in opcodes:
-            ROWS[opcode] = (sources, render)
+            ROWS[opcode] = (sources, render, reg_dst)
         return render
     return register
 
@@ -124,21 +138,18 @@ def emit(inst: ast.Instruction, gen: Codegen) -> bool:
 
     Malformed operand lists and ``.sat`` are declined here for every row
     (the reference saturates float ``add`` and ``cvt``)."""
-    memory = inst.opcode in ("ld", "st")  # per-tier rendering, no row
-    sources, render = (1, None) if memory else ROWS.get(
-        inst.opcode, (None, None))
+    sources, render, reg_dst = ROWS.get(inst.opcode, (None, None, True))
     operands = inst.operands
     if (sources is None or len(operands) != sources + 1
-            or not inst.dtypes):
+            or not inst.dtypes or inst.has_mod("sat")):
         return False
-    if not memory and (operands[0].kind != ast.REG
-                       or inst.has_mod("sat")):
-        return False
+    dst = operands[0]
+    if reg_dst:
+        if dst.kind != ast.REG:
+            return False
+        dst = dst.name
     try:
-        if memory:
-            gen.ld_st(inst)
-        else:
-            render(inst, gen, operands[0].name, *operands[1:])
+        render(inst, gen, dst, *operands[1:])
     except Decline:
         return False
     return True
@@ -306,3 +317,50 @@ def _cvt(inst, gen, dst, src) -> None:
             "f2i", value, repr(rounder), str(to.bits), str(to.is_signed)))
     else:  # integer to integer: the value already carries frm's sign
         gen.write(dst, to.bits, value)
+
+
+# ----------------------------------------------------------------------
+# Memory
+# ----------------------------------------------------------------------
+#: State spaces with a compiled rendering (``generic`` and ``local``
+#: resolve per lane: reference only).
+_LD_SPACES = ("global", "shared", "param", "const")
+_ST_SPACES = ("global", "shared")
+_VECTOR_WIDTH = {"v2": 2, "v4": 4}
+
+
+@_row("ld", "st", sources=1, reg_dst=False)
+def _ld_st(inst, gen, first, second) -> None:
+    is_write = inst.opcode == "st"
+    mem, data = (first, second) if is_write else (second, first)
+    dtype, space = inst.dtype, inst.space
+    width = next((w for mod, w in _VECTOR_WIDTH.items()
+                  if inst.has_mod(mod)), 1)
+    elems = data.elems if data.kind == ast.VEC else (data,)
+    kinds = (ast.REG, ast.IMM) if is_write else (ast.REG,)
+    _require(space in (_ST_SPACES if is_write else _LD_SPACES)
+             and mem.kind == ast.MEM and len(elems) == width
+             and all(elem.kind in kinds for elem in elems))
+    nbytes = dtype.bytes
+    if is_write:
+        # Lanes communicate through stores: everything before this one
+        # completes first.  Values are truncated to the access width.
+        gen.fence()
+        unsigned = DType("u", dtype.bits)
+        values = [gen.decode(gen.payload(elem, dtype), unsigned)
+                  for elem in elems]
+    addr = gen.address(mem)
+    # One event per lane for the whole vector, the way it issues.
+    gen.access(inst, addr, nbytes * width, is_write)
+    for index, elem in enumerate(elems):
+        offset = index * nbytes
+        if is_write:
+            gen.store(space, addr, offset, nbytes, values[index])
+            continue
+        raw = gen.load(space, addr, offset, nbytes)
+        if dtype.is_signed and dtype.bits < 64:
+            gen.write(elem.name, 64, gen.decode(raw, dtype))
+        else:
+            gen.write_raw(elem.name, raw)
+    if is_write:
+        gen.fence()

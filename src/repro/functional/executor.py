@@ -65,6 +65,24 @@ def lanes_of(mask: int) -> tuple[int, ...]:
     return lanes
 
 
+def guard_lanes(inst, regs, mask: int) -> tuple[int, ...]:
+    """Lanes of *mask* on which the guard of *inst* holds (all of them
+    without one).  Memory, barrier and exit instructions never write
+    their own guard, so an ``on_exec`` observer gets the issued set back
+    from ``guard_lanes(record.inst, record.warp.regs,
+    record.active_mask)`` and ``ExecRecord`` carries no lanes field."""
+    name = inst.pred
+    if name is None:
+        return lanes_of(mask)
+    # Fold the guard into a bitmask so the (heavily repeated) lane
+    # tuple comes out of the lanes_of cache, not a fresh list per issue.
+    taken = 0
+    for lane in lanes_of(mask):
+        if regs[lane].get(name, 0) & 1:
+            taken |= 1 << lane
+    return lanes_of(mask & ~taken if inst.pred_negated else taken)
+
+
 @dataclass
 class ExecRecord:
     """What the timing model needs to know about one issued instruction."""
@@ -344,20 +362,8 @@ class FunctionalEngine:
             return None
         inst = self._body[pc]
         mask = warp.simt.active_mask
-        lanes = lanes_of(mask)
-        if inst.pred is not None:
-            # Fold the guard into a bitmask so the (heavily repeated)
-            # lane tuple comes out of the lanes_of cache instead of a
-            # fresh list per issue.
-            regs = warp.regs
-            name = inst.pred
-            taken = 0
-            for lane in lanes:
-                if regs[lane].get(name, 0) & 1:
-                    taken |= 1 << lane
-            if inst.pred_negated:
-                taken = mask & ~taken
-            lanes = lanes_of(taken)
+        lanes = (lanes_of(mask) if inst.pred is None
+                 else guard_lanes(inst, warp.regs, mask))
         opcode = inst.opcode
         self.launch.clock += 1
         warp.instructions_executed += 1

@@ -13,8 +13,9 @@ launch clock come out identical to the scalar tiers.
 
 Register-op semantics are the rows of :mod:`repro.functional.emit`;
 :class:`_VecGen` is the dialect that spells a row's primitives as NumPy
-source (entry hoists, mask blending, the guard memo), and ``ld``/``st``
-render here as ``VM.ld``/``VM.st`` gather/scatter calls.  Eligibility
+source (entry hoists, mask blending, the guard memo) — for the ``ld``/
+``st`` row as ``VM.ld``/``VM.st`` gather/scatter calls per element plus
+one ``VM.watch`` access event per instruction.  Eligibility
 is all-or-nothing per kernel: every non-control instruction needs a
 vector rendering (atomics, textures, ``%clock`` reads and other exotica
 have none), otherwise the engine falls back to the superblock tier.
@@ -53,8 +54,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analysis.dataflow import liveness
-from repro.analysis.ranges import (
-    ALIGN, BOUNDS, INIT, INJECTIVE, facts_from_payload, kernel_facts)
+from repro.analysis.ranges import facts_from_payload, kernel_facts
 from repro.analysis.vectorize import classify_kernel
 from repro.errors import SimulationFault
 from repro.functional import npops
@@ -71,7 +71,9 @@ from repro.ptx.values import MASK64
 #: 2: predicated mask-blend codegen, per-barrier divergence flag.
 #: 3: pc-tagged VM.ld/VM.st calls + range-fact payload (sanitizer).
 #: 4: ``VM.rec`` recorder calls at guards and ld/st (timing pre-pass).
-PLAN_FORMAT = 4
+#: 5: ld/st rendered from the emit row: ``VM.ld``/``VM.st`` per element
+#:    without pc/sign arguments, one ``VM.watch`` event per access.
+PLAN_FORMAT = 5
 
 _PAGE_SHIFT = np.uint64(PAGE_BITS)
 
@@ -95,8 +97,6 @@ def reset_events() -> None:
 
 
 _CONTROL = ("bra", "exit", "ret", "bar")
-
-_LD_SPACES = ("global", "shared", "param", "const")
 
 
 # ----------------------------------------------------------------------
@@ -260,13 +260,11 @@ class _VecGen(Codegen):
     def write_pred(self, name: str, expr: str) -> None:
         self.write(name, 64, expr)
 
-    def write_raw(self, name: str, local: str,
-                  pm: str | None = None) -> None:
+    def write_raw(self, name: str, local: str) -> None:
         """Forward an already-computed full-64 payload local."""
         if is_special(name):
             raise Decline
-        if pm is None:
-            pm = self._auto_pm
+        pm = self._auto_pm
         if pm is not None:
             old = self.reg(name)
             t = self._tmp()
@@ -300,7 +298,7 @@ class _VecGen(Codegen):
         Register writes of a predicated instruction blend under its
         guard by default; unpredicated instructions write through.  An
         armed recorder is told the guard of every predicated instruction
-        (``ld``/``st`` report theirs with the access itself)."""
+        (``ld``/``st`` report theirs with the access event)."""
         if inst.pred is None:
             self._auto_pm = None
             return
@@ -309,16 +307,51 @@ class _VecGen(Codegen):
             self.body.append(
                 f"    if VM.rec is not None: VM.rec.guard({inst.index}, {pm})")
 
-    def record_access(self, inst: ast.Instruction, nbytes: int, addr: str,
-                      pm: str, is_write: bool) -> None:
-        """One recorder call per ``ld``/``st``: the whole vector width
-        as one access per lane, the way the scalar tiers trace it."""
-        self.body.append(
-            f"    if VM.rec is not None: VM.rec.access({inst.index}, "
-            f"{inst.space!r}, {nbytes}, {addr}, {pm}, {is_write})")
+    # -- memory (the NumPy spellings of the ld/st row) -------------------
+    def address(self, mem: ast.Operand) -> str:
+        """Local (array) or expression (uniform int) for the address."""
+        if mem.is_reg_base:
+            base = self.reg(mem.name)
+            if not mem.offset:
+                return base
+            expr = f"({base}) + np.uint64({mem.offset & MASK64})"
+        else:
+            expr = f"VM.sym_addr({mem.name!r}, {mem.offset or 0})"
+        t = self._tmp()
+        self.body.append(f"    {t} = {expr}")
+        return t
 
-    def ld_st(self, inst: ast.Instruction) -> None:
-        (_e_ld if inst.opcode == "ld" else _e_st)(inst, self)
+    def access(self, inst: ast.Instruction, addr: str, nbytes: int,
+               is_write: bool) -> None:
+        """The access event: one attribute test when nothing watches."""
+        self.body.append(
+            f"    if VM.watch is not None: VM.watch({inst.index}, "
+            f"{inst.space!r}, {nbytes}, {addr}, {self._mask()}, "
+            f"{is_write})")
+
+    def _mask(self) -> str:
+        """The lanes the current instruction executes on."""
+        return self._auto_pm or "m"
+
+    @staticmethod
+    def _element(addr: str, offset: int) -> str:
+        return f"({addr}) + np.uint64({offset})" if offset else addr
+
+    def load(self, space: str, addr: str, offset: int, nbytes: int) -> str:
+        t = self._tmp()
+        self.body.append(
+            f"    {t} = VM.ld({space!r}, {nbytes}, "
+            f"{self._element(addr, offset)}, {self._mask()})")
+        return t
+
+    def store(self, space: str, addr: str, offset: int, nbytes: int,
+              value: str) -> None:
+        self.body.append(
+            f"    VM.st({space!r}, {nbytes}, {self._element(addr, offset)}, "
+            f"H.p64({value}), {self._mask()})")
+
+    def fence(self) -> None:
+        """Array code is instruction-major: every store is ordered."""
 
     # -- assembly -------------------------------------------------------
     def build(self, live_out: frozenset) -> tuple[str, list[str]]:
@@ -343,82 +376,6 @@ class _VecGen(Codegen):
         if len(lines) == 1:
             lines.append("    pass")
         return "\n".join(lines) + "\n", pruned
-
-
-# ----------------------------------------------------------------------
-# ld/st rendering (register-only opcodes are rows of repro.functional.emit)
-# ----------------------------------------------------------------------
-def _ld_dests(inst: ast.Instruction):
-    dst = inst.operands[0]
-    if dst.kind == ast.REG:
-        return [dst]
-    if dst.kind == ast.VEC and dst.elems \
-            and all(e.kind == ast.REG for e in dst.elems) \
-            and len(dst.elems) in (2, 4):
-        return list(dst.elems)
-    return None
-
-
-def _addr_local(g: _VecGen, mem: ast.Operand) -> str:
-    """Local (array) or expression (uniform int) for the base address."""
-    if mem.is_reg_base:
-        base = g.reg(mem.name)
-        offset = mem.offset or 0
-        if not offset:
-            return base
-        t = g._tmp()
-        g.body.append(
-            f"    {t} = ({base}) + np.uint64({offset & MASK64})")
-        return t
-    t = g._tmp()
-    g.body.append(
-        f"    {t} = VM.sym_addr({mem.name!r}, {mem.offset or 0})")
-    return t
-
-
-def _e_ld(inst: ast.Instruction, g: _VecGen) -> None:
-    space = inst.space
-    dtype = inst.dtype
-    nbytes = dtype.bytes
-    mem = inst.operands[1]
-    dests = _ld_dests(inst)
-    if space not in _LD_SPACES or mem.kind != ast.MEM or dests is None:
-        raise Decline
-    pm = g.guard(inst)
-    addr = _addr_local(g, mem)
-    signed = dtype.is_signed and dtype.bits < 64
-    merge = pm if inst.pred is not None else None
-    g.record_access(inst, nbytes * len(dests), addr, pm, False)
-    for index, d in enumerate(dests):
-        a_expr = addr if index == 0 \
-            else f"({addr}) + np.uint64({index * nbytes})"
-        t = g._tmp()
-        g.body.append(
-            f"    {t} = VM.ld({inst.index}, {space!r}, {nbytes}, "
-            f"{a_expr}, {pm}, {signed}, {dtype.bits})")
-        g.write_raw(d.name, t, merge)
-
-
-def _e_st(inst: ast.Instruction, g: _VecGen) -> None:
-    space = inst.space
-    dtype = inst.dtype
-    nbytes = dtype.bytes
-    mem, src = inst.operands
-    vector = src.kind == ast.VEC
-    srcs = list(src.elems) if vector else [src]
-    if (space not in ("global", "shared") or mem.kind != ast.MEM
-            or vector and len(srcs) not in (2, 4)):
-        raise Decline
-    values = [g.payload(s, dtype) for s in srcs]
-    pm = g.guard(inst)
-    addr = _addr_local(g, mem)
-    g.record_access(inst, nbytes * len(values), addr, pm, True)
-    for index, val in enumerate(values):
-        a_expr = addr if index == 0 \
-            else f"({addr}) + np.uint64({index * nbytes})"
-        g.body.append(
-            f"    VM.st({inst.index}, {space!r}, {nbytes}, {a_expr}, "
-            f"H.p64({val}), {pm})")
 
 
 # ----------------------------------------------------------------------
@@ -643,13 +600,17 @@ class MegaMachine:
         self.engine = engine
         self.launch = engine.launch
         self.plan = plan
-        #: armed Sanitizer (or None): ld/st run masked shadow checks,
-        #: bars run the synccheck and advance the racecheck epoch.
+        #: armed Sanitizer (or None): its array rules run over the
+        #: masked lanes of every ld/st, bar and exit.
         self._san = getattr(engine, "sanitizer", None)
         #: armed stream recorder (or None): the timing model's pre-pass
         #: logs every frame, guard and ld/st it will replay (see
         #: :class:`repro.timing.stream.StreamRecorder`).
         self.rec = getattr(engine, "recorder", None)
+        #: the ld/st access event, or None when neither is armed (the
+        #: one test a generated ld/st pays for being observable).
+        self.watch = (self._access if self._san is not None
+                      or self.rec is not None else None)
         #: chunks that hit an unparkable barrier and finished scalar.
         self.bailouts = 0
         #: divergent frames parked at a barrier / re-merged past one.
@@ -721,42 +682,16 @@ class MegaMachine:
         self.cmem, self.c_len = self._arena_np(launch.const_mem)
         self._graise = gm.uninit_read == "raise"
         self._views: dict[tuple, np.ndarray] = {}
-        self._init = None
+        # Stores mark the shadow's init map in place, like the store.
+        self._init = (None if gm.shadow is None
+                      else np.frombuffer(gm.shadow.dense(), np.uint8))
         if self._san is not None:
-            self._setup_sanitize(gm, span)
+            self._san.open_ctas(cta_start, nct)
+            #: CTA-linear id and thread id within the CTA, per thread.
+            self._cta = self.ctaidx + cta_start
+            self._tid = tables["lin_in_block"]
         if self.rec is not None:
             self.rec.begin_chunk(cta_start, nct, self.wid)
-
-    def _setup_sanitize(self, gm, span: int) -> None:
-        """Chunk-local shadow state mirroring the scalar hook's tables.
-
-        Global: a sorted allocation interval table for vectorized
-        bounds proofs plus a dense 0/1 init mirror (exported from the
-        launch's :class:`ShadowMemory`, absorbed back at chunk end).
-        Shared: flat last-writer / last-reader tables (epoch, thread)
-        over every CTA's shared window, advanced per completed barrier.
-        """
-        allocs = gm.allocations
-        bases = sorted(allocs)
-        self._ab = np.array(bases, np.uint64)
-        self._ae = self._ab + np.array(
-            [allocs[b] for b in bases], np.uint64)
-        shadow = gm.shadow
-        if shadow is not None:
-            self._init = shadow.dense_init(GLOBAL_BASE, self.gspan)
-        #: retirement pc per thread (body_len + 1 = still running) —
-        #: the synccheck excuses only exits that precede the bar.
-        self._exit_pc = np.full(self.T, self.plan.body_len + 1,
-                                np.int64)
-        tpb = self.launch.threads_per_block
-        self._tid_in_cta = (np.arange(self.T, dtype=np.int64)
-                            - self.ctaidx.astype(np.int64) * tpb)
-        ns = self.nct * span
-        self._sw_epoch = np.full(ns, -1, np.int64)
-        self._sw_thread = np.full(ns, -1, np.int64)
-        self._sr_epoch = np.full(ns, -1, np.int64)
-        self._sr_thread = np.full(ns, -1, np.int64)
-        self._san_epoch = np.zeros(self.nct, np.int64)
 
     # -- generated-code runtime API ------------------------------------
     def reg(self, name: str) -> np.ndarray:
@@ -813,8 +748,14 @@ class MegaMachine:
         raise SimulationFault(
             f"access [{a}, {a + nbytes}) outside arena of {size} bytes")
 
-    def ld(self, pc: int, space: str, nbytes: int, addr, pm,
-           signed: bool, bits: int) -> np.ndarray:
+    def _shared_window(self, addr, pm, nbytes: int) -> None:
+        bad = pm & (addr > np.uint64(self.S_real - nbytes))
+        if bad.any():
+            self._fault(addr, bad, nbytes, self.S_real)
+
+    def ld(self, space: str, nbytes: int, addr, pm) -> np.ndarray:
+        """Raw little-endian *nbytes* at *addr* per thread (lanes off
+        *pm* read anything)."""
         if not isinstance(addr, np.ndarray):
             if space in ("param", "const"):
                 # Truly uniform (one arena for the whole grid): read
@@ -822,37 +763,22 @@ class MegaMachine:
                 # and broadcast.
                 arena = (self.launch.param_mem if space == "param"
                          else self.launch.const_mem)
-                value = arena.read_uint(int(addr), nbytes)
-                if signed:
-                    sign = 1 << (bits - 1)
-                    value = ((value ^ sign) - sign) & MASK64
-                return np.full(self.T, np.uint64(value))
-            addr = np.full(self.T, np.uint64(int(addr) & MASK64))
+                return self.fill(arena.read_uint(int(addr), nbytes))
+            addr = self.fill(addr)
         if space == "global":
-            if self._san is not None:
-                self._san_global(pc, addr, pm, nbytes, False)
-            raw = self._ld_global(addr, pm, nbytes)
-        elif space == "shared":
-            limit = self.S_real - nbytes
-            bad = pm & (addr > np.uint64(limit))
-            if bad.any():
-                self._fault(addr, bad, nbytes, self.S_real)
-            if self._san is not None:
-                self._san_shared(pc, addr, pm, nbytes, False)
+            return self._ld_global(addr, pm, nbytes)
+        if space == "shared":
+            self._shared_window(addr, pm, nbytes)
             idx = self.srow + np.where(pm, addr, np.uint64(0))
-            raw = self._gather("s", self.smem, idx, nbytes)
-        else:  # param / const
-            buf, real = ((self.pmem, self.p_len) if space == "param"
-                         else (self.cmem, self.c_len))
-            limit = real - nbytes
-            bad = pm if limit < 0 else pm & (addr > np.uint64(limit))
-            if bad.any():
-                self._fault(addr, bad, nbytes, real)
-            idx = np.where(pm, addr, np.uint64(0))
-            raw = self._gather(space, buf, idx, nbytes)
-        if signed:
-            raw = npops.p64(npops.s(raw, bits))
-        return raw
+            return self._gather("s", self.smem, idx, nbytes)
+        buf, real = ((self.pmem, self.p_len) if space == "param"
+                     else (self.cmem, self.c_len))
+        limit = real - nbytes
+        bad = pm if limit < 0 else pm & (addr > np.uint64(limit))
+        if bad.any():
+            self._fault(addr, bad, nbytes, real)
+        return self._gather(space, buf, np.where(pm, addr, np.uint64(0)),
+                            nbytes)
 
     def _ld_global(self, addr: np.ndarray, pm: np.ndarray,
                    nbytes: int) -> np.ndarray:
@@ -885,16 +811,15 @@ class MegaMachine:
                 raw[i] = gm.read_uint(int(addr[i]), nbytes)
         return raw
 
-    def st(self, pc: int, space: str, nbytes: int, addr, val,
-           pm) -> None:
+    def st(self, space: str, nbytes: int, addr, val, pm) -> None:
+        """Scatter the low *nbytes* of *val* to *addr* for lanes on
+        *pm*; *space* is global or shared (all the ld/st row stores to)."""
         if not isinstance(addr, np.ndarray):
-            addr = np.full(self.T, np.uint64(int(addr) & MASK64))
+            addr = self.fill(addr)
         val = np.asarray(val)
         if val.ndim == 0:
             val = np.broadcast_to(val.astype(np.uint64), (self.T,))
         if space == "global":
-            if self._san is not None:
-                self._san_global(pc, addr, pm, nbytes, True)
             rel = addr - np.uint64(GLOBAL_BASE)
             if self.gspan:
                 ok = rel <= np.uint64(self.gspan - nbytes)
@@ -917,20 +842,13 @@ class MegaMachine:
                 return
             idx = rel[sel]
             key, buf = "g", self.gmem
-        elif space == "shared":
-            limit = self.S_real - nbytes
-            bad = pm & (addr > np.uint64(limit))
-            if bad.any():
-                self._fault(addr, bad, nbytes, self.S_real)
-            if self._san is not None:
-                self._san_shared(pc, addr, pm, nbytes, True)
+        else:
+            self._shared_window(addr, pm, nbytes)
             sel = np.nonzero(pm)[0]
             if not sel.size:
                 return
             idx = self.srow[sel] + addr[sel]
             key, buf = "s", self.smem
-        else:
-            raise SimulationFault(f"vector store to space {space!r}")
         v = val[sel]
         ii = idx.astype(np.int64)
         aligned = nbytes in _GATHER_DT \
@@ -944,8 +862,8 @@ class MegaMachine:
                 buf[ii + k] = ((v >> np.uint64(8 * k))
                                & np.uint64(0xFF)).astype(np.uint8)
         if space == "global":
-            # What gm.write does beside the bytes: page flags, and the
-            # init marks the shadow absorbs at chunk end.
+            # What gm.write does beside the bytes: page flags and, with
+            # a shadow attached, init marks.
             self._gwritten[ii >> PAGE_BITS] = 1
             if not aligned:
                 self._gwritten[(ii + (nbytes - 1)) >> PAGE_BITS] = 1
@@ -953,189 +871,30 @@ class MegaMachine:
                 for k in range(nbytes):
                     self._init[ii + k] = 1
 
-    # -- sanitizer checks (vector twins of Sanitizer._check_*) ----------
-    def _san_global(self, pc: int, addr: np.ndarray, pm: np.ndarray,
-                    nbytes: int, is_write: bool) -> None:
-        """Masked bounds / alignment / init check for one global op.
-
-        Runs the same rule set as ``Sanitizer._check_global`` over the
-        whole chunk at once, skipping exactly the checks the range pass
-        proved for this pc.  Findings funnel through the shared
-        :meth:`Sanitizer.record`, so the (kernel, rule, pc) key is
-        identical to the scalar tiers'.
-        """
+    def _access(self, pc: int, space: str, nbytes: int, addr, pm,
+                is_write: bool) -> None:
+        """The access event of one executed ``ld``/``st`` (``VM.watch``):
+        every lane on *pm* touches *nbytes* — the whole vector — at
+        *addr*.  Feeds the stream recorder and the sanitizer's rules."""
+        if self.rec is not None:
+            self.rec.access(pc, space, nbytes, addr, pm, is_write)
         san = self._san
-        proofs = san.proofs.get(pc, frozenset())
-        sel = np.flatnonzero(pm)
-        if not sel.size:
+        if san is None or space not in ("global", "shared"):
             return
-        a = addr[sel]
-        n = int(sel.size)
-        kname = self.launch.kernel.name
-        kind = "store" if is_write else "load"
-        counters = san.counters
-        inb = np.ones(n, bool)
-        if BOUNDS in proofs:
-            counters["skipped_proven"] += n
-        else:
-            counters["checked_accesses"] += n
-            pos = np.searchsorted(self._ab, a,
-                                  side="right").astype(np.int64) - 1
-            has = pos >= 0
-            end = self._ae[np.where(has, pos, 0)]
-            inb = has & (a + np.uint64(nbytes) <= end)
-            bad = ~inb
-            if bad.any():
-                ai = int(a[int(np.flatnonzero(bad)[0])])
-                span = self.launch.global_mem.allocation_containing(ai)
-                if span is None:
-                    msg = (f"out-of-bounds global {kind} of {nbytes} "
-                           f"bytes at {ai:#x}: no live allocation "
-                           "contains the address")
-                else:
-                    msg = (f"out-of-bounds global {kind} of {nbytes} "
-                           f"bytes at {ai:#x}: overruns allocation "
-                           f"[{span[0]:#x}, {span[0] + span[1]:#x})")
-                san.record("S601", kname, pc, msg,
-                           count=int(bad.sum()))
-        if nbytes in (2, 4, 8, 16):
-            if ALIGN in proofs:
-                counters["skipped_proven"] += n
-            else:
-                mis = (a & np.uint64(nbytes - 1)) != 0
-                if mis.any():
-                    ai = int(a[int(np.flatnonzero(mis)[0])])
-                    san.record(
-                        "S605", kname, pc,
-                        f"misaligned global {kind}: address {ai:#x} is "
-                        f"not {nbytes}-byte aligned",
-                        count=int(mis.sum()))
-        if not is_write:
-            if INIT in proofs:
-                counters["skipped_proven"] += n
-            elif self._init is not None:
-                chk = np.flatnonzero(inb)
-                if chk.size:
-                    ri = (a[chk]
-                          - np.uint64(GLOBAL_BASE)).astype(np.int64)
-                    flags = np.ones(chk.size, bool)
-                    for k in range(nbytes):
-                        flags &= self._init[ri + k] != 0
-                    unin = ~flags
-                    if unin.any():
-                        i = chk[int(np.flatnonzero(unin)[0])]
-                        san.record(
-                            "S602", kname, pc,
-                            f"global load of {nbytes} uninitialized "
-                            f"bytes at {int(a[i]):#x} (never written "
-                            "by host or device)",
-                            count=int(unin.sum()))
-
-    def _san_shared(self, pc: int, addr: np.ndarray, pm: np.ndarray,
-                    nbytes: int, is_write: bool) -> None:
-        """Byte-granular barrier-interval racecheck, vectorized.
-
-        Accesses are checked against the chunk's last-writer /
-        last-reader tables (epoch-stamped, -1 = never), then against
-        each other (an intra-op duplicate byte with two different
-        threads is the all-lanes-write-one-slot race the scalar tier
-        catches lane by lane), then folded into the tables.  An
-        INJECTIVE proof waives only write-vs-write, like the scalar
-        check.
-        """
-        san = self._san
-        proofs = san.proofs.get(pc, frozenset())
-        sel = np.flatnonzero(pm)
-        if not sel.size:
+        if not isinstance(addr, np.ndarray):
+            addr = self.fill(addr)
+        if space == "global":
+            san.check_global(pc, int(np.count_nonzero(pm)), nbytes,
+                             is_write, lambda: addr[pm])
             return
-        idx0 = (self.srow[sel] + addr[sel]).astype(np.int64)
-        thr = self._tid_in_cta[sel]
-        san.counters["checked_accesses"] += int(sel.size)
-        b = (idx0[:, None]
-             + np.arange(nbytes, dtype=np.int64)).ravel()
-        t = np.repeat(thr, nbytes)
-        ep = self._san_epoch[b // self.S]
-        kname = self.launch.kernel.name
-        ww_waived = is_write and INJECTIVE in proofs
-        if ww_waived:
-            san.counters["skipped_proven"] += int(sel.size)
-        pw = (self._sw_epoch[b] == ep) & (self._sw_thread[b] != t)
-        if not ww_waived and pw.any():
-            i = int(np.flatnonzero(pw)[0])
-            what = ("write-after-write" if is_write
-                    else "read-after-write")
-            san.record(
-                "S603", kname, pc,
-                f"shared-memory race: {what} on byte "
-                f"{int(b[i]) % self.S:#x} by threads "
-                f"{int(self._sw_thread[b[i]])} and {int(t[i])} with "
-                "no barrier between them", count=int(pw.sum()))
-        if is_write:
-            pr = (self._sr_epoch[b] == ep) & (self._sr_thread[b] != t)
-            if pr.any():
-                i = int(np.flatnonzero(pr)[0])
-                rt = int(self._sr_thread[b[i]])
-                reader = ("multiple threads" if rt == -2
-                          else f"thread {rt}")
-                san.record(
-                    "S603", kname, pc,
-                    f"shared-memory race: write-after-read on byte "
-                    f"{int(b[i]) % self.S:#x} — {reader} read it, "
-                    f"thread {int(t[i])} overwrites it with no "
-                    "barrier between them", count=int(pr.sum()))
-        order = np.argsort(b, kind="stable")
-        bs, ts = b[order], t[order]
-        dup = (bs[1:] == bs[:-1]) & (ts[1:] != ts[:-1])
-        if is_write:
-            if not ww_waived and dup.any():
-                i = int(np.flatnonzero(dup)[0])
-                san.record(
-                    "S603", kname, pc,
-                    f"shared-memory race: write-after-write on byte "
-                    f"{int(bs[i + 1]) % self.S:#x} by threads "
-                    f"{int(ts[i])} and {int(ts[i + 1])} with no "
-                    "barrier between them", count=int(dup.sum()))
-            self._sw_epoch[b] = ep
-            self._sw_thread[b] = t
-        else:
-            many = ((self._sr_epoch[b] == ep)
-                    & (self._sr_thread[b] != t))
-            self._sr_epoch[b] = ep
-            self._sr_thread[b] = np.where(many, np.int64(-2), t)
-            shared = bs[1:][dup]
-            if shared.size:
-                self._sr_thread[shared] = -2
-
-    def _san_bar(self, pc: int, mask: np.ndarray) -> None:
-        """Synccheck at a bar issue (twin of ``_check_barrier``).
-
-        A warp's expected arrival set is every thread that did not
-        retire at a pc *before* the bar — a guard-style early exit is
-        excused, a lane that exited past the bar (or is still running
-        elsewhere) got separated from the rendezvous and is flagged.
-        """
-        san = self._san
-        must = self._exit_pc >= pc
-        arrived = np.bincount(self.wid[mask],
-                              minlength=self.warp_count)
-        expect = np.bincount(self.wid[must],
-                             minlength=self.warp_count)
-        bad = (arrived > 0) & (arrived != expect)
-        nbad = int(bad.sum())
-        if nbad:
-            w = int(np.flatnonzero(bad)[0])
-            san.record(
-                "S604", self.launch.kernel.name, pc,
-                f"divergent barrier: warp {w} arrived with "
-                f"{int(arrived[w])} of {int(expect[w])} expected "
-                "threads — some threads of the warp can never reach "
-                "this bar.sync", count=nbad)
-
-    def _san_epoch_advance(self, mask: np.ndarray) -> None:
-        """End the barrier interval of every CTA covered by *mask*."""
-        done = np.zeros(self.nct, bool)
-        done[self.ctaidx[mask]] = True
-        self._san_epoch[done] += 1
+        # A lane whose vector leaves the shared window faults in ld/st
+        # right after: the instruction goes unchecked, as on the
+        # stepping tiers, where the fault escapes before the observer.
+        sel = np.flatnonzero(pm)
+        at = addr[sel]
+        if sel.size and int(at.max()) + nbytes <= self.S_real:
+            san.check_shared(pc, at.astype(np.int64), self._tid[sel],
+                             self._cta[sel], nbytes, is_write)
 
     # -- frame bookkeeping ----------------------------------------------
     def _wa(self, mask: np.ndarray) -> int:
@@ -1247,6 +1006,7 @@ class MegaMachine:
         per_op = stats.dynamic_per_opcode
         R = self.R
         rec = self.rec
+        san = self._san
         m0 = np.ones(self.T, bool)
         stack = [_Frame(0, NO_RECONVERGE, m0, self._wa(m0), True)]
         parked: list[_Frame] = []
@@ -1268,8 +1028,6 @@ class MegaMachine:
                 # scalar step returns before charging the clock).
                 if rec is not None:
                     rec.frame(pc, 1, frame)
-                if self._san is not None:
-                    self._exit_pc[frame.mask] = pc
                 self._retire(stack, frame.mask)
                 if parked:
                     self._release_parked(stack, parked)
@@ -1320,8 +1078,8 @@ class MegaMachine:
                 continue
             if kind == "exit":
                 em = frame.mask
-                if self._san is not None:
-                    self._exit_pc[em] = pc
+                if san is not None:
+                    san.note_exit(pc, self._cta[em], self._tid[em])
                 self._retire(stack, em)
                 # Scalar _exec_exit: if the *same warp's* next entry
                 # waits exactly at the exit pc, it slides past the
@@ -1353,11 +1111,14 @@ class MegaMachine:
             # divergence-free kernel (ctrl["div"] is False, a plan-time
             # fact from repro.analysis.vectorize) always meets the bar
             # with a full frame, so the containment proof is skipped.
-            if self._san is not None and ctrl["div"]:
-                self._san_bar(pc, frame.mask)
+            if san is not None and ctrl["div"]:
+                san.check_barrier(pc, self._cta[frame.mask],
+                                  self._tid[frame.mask])
             if not ctrl["div"] or self._bar_contained(frame.mask):
-                if self._san is not None:
-                    self._san_epoch_advance(frame.mask)
+                if san is not None:
+                    done = np.zeros(self.nct, bool)
+                    done[self.ctaidx[frame.mask]] = True
+                    san.end_interval(np.flatnonzero(done) + self.cta_start)
                 self._advance(stack, pc + 1)
                 continue
             if self._park(stack, parked, frame, pc):
@@ -1373,13 +1134,9 @@ class MegaMachine:
         return clock
 
     def _release_global(self) -> None:
-        """Hand global memory back: fold the chunk's init-mirror store
-        marks into the shadow and drop every view of the store."""
-        if self._init is not None:
-            self.launch.global_mem.shadow.absorb_dense(
-                GLOBAL_BASE, self._init)
-            self._init = None
-        self.gmem = self._gwritten = None
+        """Hand global memory back: drop every view of the store and of
+        its shadow."""
+        self.gmem = self._gwritten = self._init = None
         self._views = {}
 
     # -- barrier parking ------------------------------------------------
@@ -1435,7 +1192,8 @@ class MegaMachine:
             return
         if self._san is not None:
             # A released CTA completed its rendezvous: new race epoch.
-            self._san_epoch[release] += 1
+            self._san.end_interval(
+                np.flatnonzero(release) + self.cta_start)
         released_threads = release[self.ctaidx]
         keep: list[_Frame] = []
         for fr in parked:
@@ -1478,8 +1236,10 @@ class MegaMachine:
         prev_hook = engine.on_exec
         if san is not None:
             # The scalar continuation reports through the same hook the
-            # stepping tiers use; restore afterwards so the next chunk
-            # re-enters the vector path.
+            # stepping tiers use (on the chunk's still-open per-CTA
+            # state: epochs, exit pcs and race tables carry over);
+            # restore afterwards so the next chunk re-enters the vector
+            # path.
             engine.on_exec = san.hook
         try:
             self._bailout_ctas(stats, frames, at_bar_ids, reg_items,
@@ -1491,7 +1251,6 @@ class MegaMachine:
                       tpb) -> None:
         engine = self.engine
         launch = self.launch
-        san = self._san
         for ci in range(self.nct):
             cta = CTAState(launch, self.cta_start + ci)
             base = ci * tpb
@@ -1517,17 +1276,6 @@ class MegaMachine:
                 # exactly the scalar park state; try_release_barrier
                 # will advance them past the bar without re-counting.
                 warp.at_barrier = at_barrier
-                if san is not None:
-                    # Lanes retired in the vector portion never exit in
-                    # the continuation; seed their exit pcs so later
-                    # bars compute the right expected arrival masks.
-                    for lane in range(lanes_n):
-                        t = w0 + lane
-                        if not self.alive[t]:
-                            san.seed_exit(cta.cta_linear,
-                                          warp.warp_index,
-                                          int(self._exit_pc[t]),
-                                          1 << lane)
                 # instructions_executed is a per-warp budget counter;
                 # the vector tier accounts issue counts in aggregate,
                 # so the scalar continuation restarts it at zero.

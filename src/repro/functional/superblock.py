@@ -1,13 +1,14 @@
 """The compiled scalar tier: the emit table's Python-int dialect, rendered
 fused or stepped.
 
-Register-op semantics are the rows of :mod:`repro.functional.emit` (the
-reference lives in :mod:`repro.ptx.instructions`); this module holds
-only what is scalar about compiling them — :class:`_BlockCodegen`, the
-dialect that spells a row's primitives as per-lane Python-int source
-(lane loops, register forwarding, the liveness flush, ``mem_trace``),
-and the scalar ``ld``/``st`` rendering.  The source is rendered two
-ways:
+PTX semantics — register ops and ``ld``/``st`` alike — are the rows of
+:mod:`repro.functional.emit` (the reference lives in
+:mod:`repro.ptx.instructions`); this module holds only what is scalar
+about compiling them — :class:`_BlockCodegen`, the dialect that spells a
+row's primitives as per-lane Python-int source (lane loops, register
+forwarding, the liveness flush, inline buffer indexing for the memory
+row's ``load``/``store``, ``mem_trace`` for its access event).  The
+source is rendered two ways:
 
 * :func:`compile_superblocks` fuses every maximal straight-line run of
   unpredicated, non-control, non-barrier instructions into a single
@@ -15,11 +16,12 @@ ways:
   call — no ``ExecRecord``, no predicate check, no SIMT-stack advance
   per dynamic instruction;
 * :func:`compile_step` pushes a *single* instruction through the same
-  rows for ``FunctionalEngine.step_warp`` — the path performance
-  mode, hooked runs, budgeted checkpoint slices, predicated code and
-  ``fast_mode="fastpath"`` take.  Every register is written back (no
-  liveness pruning) and ``ld``/``st`` append their per-lane accesses to
-  ``warp.mem_trace``, the ``ExecRecord.mem_accesses`` contract.
+  rows for ``FunctionalEngine.step_warp`` — the path hooked runs (the
+  sanitizer, fault injection), budgeted checkpoint slices, predicated
+  code, ``fast_mode="fastpath"`` and performance mode's *live* launches
+  take.  Every register is written back (no liveness pruning) and
+  ``ld``/``st`` append one access per lane to ``warp.mem_trace``, the
+  ``ExecRecord.mem_accesses`` contract.
 
 Anything the table declines is the reference implementation itself
 (:func:`reference_step`): the whole closure on the step path, an opaque
@@ -31,8 +33,8 @@ loop** with the per-lane register file hoisted: they are legal to
 reorder lane-major because they touch only lane-private state (the
 lane's register dict, read-only special registers, immediates) or read
 memory nothing in the run has written.  Stores are where lanes
-communicate, so each store keeps warp-lockstep instruction order in its
-own lanes loop.
+communicate, so the memory row fences each one into its own lanes loop,
+keeping warp-lockstep instruction order.
 
 Block-local optimisations (bit-exact against the reference tier for
 memory and every *live* register):
@@ -49,18 +51,21 @@ memory and every *live* register):
   sub-64-bit writes as reads of the old payload union);
 * float reinterpretation inlines the two ``struct`` calls instead of
   going through the :mod:`repro.ptx.values` wrappers;
-* linear arenas (shared/param/const) and single-page global accesses are
-  read and written directly on the backing buffers, with the same bounds
-  faults the arena methods raise;
+* linear arenas (shared/param/const) and the dense span of global memory
+  are read and written directly on the backing buffers, with the same
+  bounds faults the arena methods raise (anything outside the span, a
+  misaligned global store, or a store with a shadow attached takes the
+  store's own ``read_uint``/``write_uint``);
 * no ``mem_trace`` bookkeeping in fused blocks — traces only feed
   :class:`~repro.functional.executor.ExecRecord`, which superblock-
   executed instructions never produce.
 
 Functional simulation mode (the paper's 7-8x-faster leg, §III-F)
 executes whole superblocks and synthesises aggregate stats from static
-block metadata; performance mode never sees superblocks — the timing
-model keeps its one-``ExecRecord``-per-instruction contract through
-``step_warp``.
+block metadata.  Performance mode issues from recorded per-warp streams
+(:mod:`repro.timing.stream`, a megablock pre-pass) and reaches this
+module only for its live launches, one ``ExecRecord`` per instruction
+through ``step_warp``.
 """
 
 from __future__ import annotations
@@ -71,7 +76,7 @@ from typing import Callable, Sequence
 from repro.analysis.dataflow import liveness
 from repro.errors import SimulationFault
 from repro.functional.cfg import block_leaders
-from repro.functional.emit import Codegen, Decline, emit as _emit
+from repro.functional.emit import Codegen, emit as _emit
 from repro.functional.memory import GLOBAL_BASE, PAGE_BITS
 from repro.functional.state import is_special
 from repro.ptx import ast
@@ -84,7 +89,7 @@ from repro.ptx.instructions.convert import float_to_int
 from repro.ptx.instructions.special import SFU
 from repro.ptx.values import (
     _PACK_F32, _PACK_F64, _PACK_U32, _PACK_U64, MASK64, bits_to_f16,
-    f16_to_bits, f32_to_bits, f64_to_bits, mask, to_signed)
+    f16_to_bits, f32_to_bits, f64_to_bits, mask)
 
 #: A compiled instruction or block: ``fn(warp, lanes)``.
 LaneFn = Callable[[object, Sequence[int]], None]
@@ -178,6 +183,8 @@ class _BlockCodegen(Codegen):
         # overwrite the entry, so only the final value is stored; the
         # end-of-block flush additionally drops statically dead registers.
         self._pending: dict[str, str] = {}
+        #: The next per-lane statement opens a new lanes loop.
+        self._fenced = False
 
     # -- naming --------------------------------------------------------
     def fresh(self, prefix: str = "_t") -> str:
@@ -232,27 +239,23 @@ class _BlockCodegen(Codegen):
     def reg_payload_fn(self) -> str:
         return self._hoist(("reg_payload",), "warp.reg_payload")
 
-    def trace_access(self, lines: list[str], space: str, addr: str,
-                     nbytes: int, is_write: bool) -> None:
-        """Stepped rendering only: record one lane's memory access."""
-        if self.trace:
-            append = self._hoist(("trace",), "warp.mem_trace.append")
-            lines.append(
-                f"{append}(({space!r}, {addr}, {nbytes}, {is_write}))")
-
     # -- chunks --------------------------------------------------------
     def lane(self, *lines: str) -> None:
         """Per-lane statements; consecutive ones share a lanes loop."""
-        if self.chunks and self.chunks[-1][0] == "lane":
+        if self.chunks and self.chunks[-1][0] == "lane" and not self._fenced:
             self.chunks[-1][1].extend(lines)
         else:
             self.chunks.append(("lane", list(lines)))
+            self._fenced = False
 
-    def warp_loop(self, lines: list[str]) -> None:
-        """Statements needing their own instruction-ordered lanes loop."""
+    def fence(self) -> None:
+        """Close the current lanes loop: deferred writebacks land, the
+        forwarded locals (scoped to the loop) are dropped and the next
+        statement opens a loop of its own.  A store sits between two
+        fences, so it keeps warp-lockstep instruction order."""
         self._flush_pending()
-        self.chunks.append(("warp", lines))
         self._forward.clear()
+        self._fenced = True
 
     def opaque(self, inst: ast.Instruction) -> None:
         """Run *inst* through the reference implementation."""
@@ -260,11 +263,6 @@ class _BlockCodegen(Codegen):
         name = self.fresh("_f")
         self.bindings[name] = reference_step(inst)
         self.chunks.append(("call", [f"{name}(warp, lanes)"]))
-        self._forward.clear()
-
-    def end_lane_chunk(self) -> None:
-        """Invalidate forwarded locals before leaving the current chunk."""
-        self._flush_pending()
         self._forward.clear()
 
     def _flush_pending(self, live: frozenset[str] | None = None) -> None:
@@ -395,15 +393,129 @@ class _BlockCodegen(Codegen):
         self._forward[name] = temp
         self._pending[name] = temp
 
-    def ld_st(self, inst: ast.Instruction) -> None:
-        _emit_ld_st(inst, self)
+    # -- memory (the Python-int spellings of the ld/st row) -------------
+    def address(self, mem: ast.Operand) -> tuple[str, bool]:
+        """(local or invariant hoist holding the address, lane-invariant)."""
+        if not mem.is_reg_base:
+            return self.symbol(mem.name, mem.offset), True
+        base = self.reg(mem.name)
+        if mem.offset == 0 and base.isidentifier():
+            # Stored payloads are always masked to 64 bits (union
+            # invariant), so a forwarded base is already the address.
+            return base, False
+        addr = self.fresh("_a")
+        self.lane(f"{addr} = {base}" if mem.offset == 0 else
+                  f"{addr} = ({base} + {mem.offset}) & {MASK64:#x}")
+        return addr, False
+
+    def access(self, inst: ast.Instruction, addr: tuple[str, bool],
+               nbytes: int, is_write: bool) -> None:
+        """Stepped rendering only: one ``warp.mem_trace`` entry per lane
+        (fused blocks produce no ``ExecRecord``)."""
+        if self.trace:
+            append = self._hoist(("trace",), "warp.mem_trace.append")
+            self.lane(f"{append}(({inst.space!r}, {addr[0]}, {nbytes}, "
+                      f"{is_write}))")
+
+    def _element(self, addr: tuple[str, bool], offset: int) -> str:
+        """Address of the vector element *offset* bytes into the access."""
+        base, invariant = addr
+        if not offset:
+            return base
+        if invariant:
+            return self._hoist(("elem", base, offset), f"{base} + {offset}")
+        elem = self.fresh("_a")
+        self.lane(f"{elem} = {base} + {offset}")
+        return elem
+
+    def _linear(self, space: str, addr: str, nbytes: int,
+                invariant: bool) -> str:
+        """Bounds-check a linear-arena access (the fault the arena
+        methods raise); returns the arena's bytearray local."""
+        buf, length = self.arena_buffer(space)
+        oob = self.helper("_oob", _arena_oob)
+        check = (f"if {addr} < 0 or {addr} + {nbytes} > {length}: "
+                 f"{oob}({addr}, {nbytes}, {length})")
+        if invariant:
+            self.prologue.append(check)  # lane-invariant: check once
+        else:
+            self.lane(check)
+        return buf
+
+    def load(self, space: str, addr: tuple[str, bool], offset: int,
+             nbytes: int) -> str:
+        """Local holding the *nbytes* little-endian bytes at the element.
+
+        Loads don't mutate memory, so they join the fused lane-major
+        loop: with no intervening store every lane reads the same bytes
+        whatever the lane/instruction interleaving.  Linear arenas and
+        the in-span part of global memory are read on the backing
+        buffers directly."""
+        self.has_mem = True
+        addr, invariant = self._element(addr, offset), addr[1]
+        raw = self.fresh("_m")
+        if space != "global":
+            buf = self._linear(space, addr, nbytes, invariant)
+            ifb = self.helper("_ifb", int.from_bytes)
+            self.lane(
+                f"{raw} = {ifb}({buf}[{addr}:{addr} + {nbytes}], 'little')")
+            return raw
+        buf, _ = self.global_buffer()
+        ifb = self.helper("_ifb", int.from_bytes)
+        rel = self.fresh("_o")
+        arena = self.arena("global")
+        # Highest in-span offset; none under "raise", whose never-written
+        # check lives in read_uint.
+        limit = self._hoist(
+            ("grlimit", nbytes),
+            f"-1 if {arena}.uninit_read == 'raise' else len({buf}) - {nbytes}")
+        fallback = self._hoist(("gread",), f"{arena}.read_uint")
+        self.lane(
+            f"{rel} = {addr} - {GLOBAL_BASE}",
+            f"if 0 <= {rel} <= {limit}:",
+            f"    {raw} = {ifb}({buf}[{rel}:{rel} + {nbytes}], 'little')",
+            "else:",
+            f"    {raw} = {fallback}({addr}, {nbytes})")
+        return raw
+
+    def store(self, space: str, addr: tuple[str, bool], offset: int,
+              nbytes: int, value: str) -> None:
+        """Write *value* (already truncated to the width) at the element."""
+        self.has_mem = True
+        addr, invariant = self._element(addr, offset), addr[1]
+        local = self.fresh("_m")
+        self.lane(f"{local} = {value}")
+        data = f"{local}.to_bytes({nbytes}, 'little')"
+        if space != "global":
+            buf = self._linear(space, addr, nbytes, invariant)
+            self.lane(f"{buf}[{addr}:{addr} + {nbytes}] = {data}")
+            return
+        buf, written = self.global_buffer()
+        rel = self.fresh("_o")
+        arena = self.arena("global")
+        # Highest in-span offset; none with a shadow attached, whose
+        # initialized-byte marking lives in write.
+        limit = self._hoist(
+            ("gwlimit", nbytes),
+            f"-1 if {arena}.shadow is not None else len({buf}) - {nbytes}")
+        fallback = self._hoist(("gwrite",), f"{arena}.write_uint")
+        # Naturally aligned stores (the rule) stay inside one page, so one
+        # flag marks them; anything else takes the store's own write.
+        aligned = f" and not {rel} & {nbytes - 1}" if nbytes > 1 else ""
+        self.lane(
+            f"{rel} = {addr} - {GLOBAL_BASE}",
+            f"if 0 <= {rel} <= {limit}{aligned}:",
+            f"    {buf}[{rel}:{rel} + {nbytes}] = {data}",
+            f"    {written}[{rel} >> {PAGE_BITS}] = 1",
+            "else:",
+            f"    {fallback}({addr}, {local}, {nbytes})")
 
     # -- assembly ------------------------------------------------------
     def build(self, filename: str,
               live_out: frozenset[str] | None = None):
         self._flush_pending(live_out)
         body: list[str] = list(self.prologue)
-        if any(kind in ("lane", "warp") for kind, _ in self.chunks):
+        if any(kind == "lane" for kind, _ in self.chunks):
             body.append("warp_regs = warp.regs")
         for kind, lines in self.chunks:
             if kind == "call":
@@ -424,173 +536,6 @@ class _BlockCodegen(Codegen):
         namespace = dict(self.bindings)
         exec(compile(source, filename, "exec"), namespace)
         return namespace["_superblock"], source
-
-
-# ----------------------------------------------------------------------
-# ld/st rendering (register-only opcodes are rows of repro.functional.emit)
-# ----------------------------------------------------------------------
-def _addr_var(gen: _BlockCodegen, mem: ast.Operand,
-              lines: list[str]) -> str:
-    """A local (or invariant hoist) holding the access address.
-
-    A register base reads the plain register dict (never the
-    special-register tables).
-    """
-    if not mem.is_reg_base:
-        return gen.symbol(mem.name, mem.offset)
-    forwarded = gen._forward.get(mem.name)
-    base = (forwarded if forwarded is not None
-            else f"regs.get({mem.name!r}, 0)")
-    if mem.offset == 0:
-        # Stored payloads are always masked to 64 bits (union
-        # invariant), so base alone is already the address.
-        if forwarded is not None:
-            return forwarded
-        addr = gen.fresh("_a")
-        lines.append(f"{addr} = {base}")
-        return addr
-    addr = gen.fresh("_a")
-    lines.append(f"{addr} = ({base} + {mem.offset}) & {MASK64:#x}")
-    return addr
-
-
-def _emit_ld_st(inst: ast.Instruction, gen: _BlockCodegen) -> None:
-    space = inst.space
-    if (inst.has_mod("v2") or inst.has_mod("v4")
-            or space in (None, "generic", "local")):
-        raise Decline
-    dtype = inst.dtype
-    nbytes = dtype.bytes
-    is_global = space == "global"
-    if inst.opcode == "ld":
-        # Loads don't mutate memory, so they can join the fused
-        # lane-major chunk: with no intervening store, every lane reads
-        # the same bytes regardless of lane/instruction interleaving.
-        dst, mem = inst.operands
-        if dst.kind != ast.REG or mem.kind != ast.MEM:
-            raise Decline
-        lines: list[str] = []
-        addr = _addr_var(gen, mem, lines)
-        gen.trace_access(lines, space, addr, nbytes, False)
-        raw = gen.fresh("_m")
-        if is_global:
-            lines.extend(_global_read_lines(gen, raw, addr, nbytes))
-        else:
-            lines.extend(_linear_read_lines(gen, space, raw, addr, nbytes,
-                                            invariant=not mem.is_reg_base))
-        gen.lane(*lines)
-        if dtype.is_signed and dtype.bits < 64:
-            to_signed_h = gen.helper("ts", to_signed)
-            gen.write_raw(dst.name,
-                          f"{to_signed_h}({raw}, {dtype.bits})"
-                          f" & {MASK64:#x}")
-        else:
-            gen.write_raw(dst.name, raw)
-        gen.has_mem = True
-    else:
-        # Stores are where lanes communicate: keep warp-lockstep
-        # instruction order by giving each store its own lanes loop.
-        mem, src = inst.operands
-        if mem.kind != ast.MEM:
-            raise Decline
-        # Forwarded locals are scoped to the previous lane loop — the
-        # store body runs in its own loop, so drop them first.
-        gen.end_lane_chunk()
-        expr = gen.payload(src, dtype)
-        lines = []
-        addr = _addr_var(gen, mem, lines)
-        gen.trace_access(lines, space, addr, nbytes, True)
-        value = gen.fresh("_m")
-        lines.append(f"{value} = ({expr}) & {mask(dtype.bits):#x}")
-        if is_global:
-            lines.extend(_global_write_lines(gen, value, addr, nbytes))
-        else:
-            lines.extend(_linear_write_lines(gen, space, value, addr,
-                                             nbytes,
-                                             invariant=not mem.is_reg_base))
-        gen.warp_loop(lines)
-        gen.has_mem = True
-
-
-def _linear_read_lines(gen: _BlockCodegen, space: str, out: str,
-                       addr: str, nbytes: int, *,
-                       invariant: bool) -> list[str]:
-    buf, length = gen.arena_buffer(space)
-    oob = gen.helper("_oob", _arena_oob)
-    ifb = gen.helper("_ifb", int.from_bytes)
-    check = (f"if {addr} < 0 or {addr} + {nbytes} > {length}: "
-             f"{oob}({addr}, {nbytes}, {length})")
-    if invariant:
-        gen.prologue.append(check)  # address is lane-invariant: check once
-        lines = []
-    else:
-        lines = [check]
-    lines.append(
-        f"{out} = {ifb}({buf}[{addr}:{addr} + {nbytes}], 'little')")
-    return lines
-
-
-def _linear_write_lines(gen: _BlockCodegen, space: str, value: str,
-                        addr: str, nbytes: int, *,
-                        invariant: bool) -> list[str]:
-    buf, length = gen.arena_buffer(space)
-    oob = gen.helper("_oob", _arena_oob)
-    check = (f"if {addr} < 0 or {addr} + {nbytes} > {length}: "
-             f"{oob}({addr}, {nbytes}, {length})")
-    if invariant:
-        gen.prologue.append(check)
-        lines = []
-    else:
-        lines = [check]
-    lines.append(f"{buf}[{addr}:{addr} + {nbytes}] = "
-                 f"{value}.to_bytes({nbytes}, 'little')")
-    return lines
-
-
-def _global_read_lines(gen: _BlockCodegen, out: str, addr: str,
-                       nbytes: int) -> list[str]:
-    buf, _ = gen.global_buffer()
-    ifb = gen.helper("_ifb", int.from_bytes)
-    offset = gen.fresh("_o")
-    arena = gen.arena("global")
-    # Highest in-span offset; none under "raise", whose never-written
-    # check lives in read_uint.
-    limit = gen._hoist(
-        ("grlimit", nbytes),
-        f"-1 if {arena}.uninit_read == 'raise' else len({buf}) - {nbytes}")
-    fallback = gen._hoist(("gread",), f"{arena}.read_uint")
-    return [
-        f"{offset} = {addr} - {GLOBAL_BASE}",
-        f"if 0 <= {offset} <= {limit}:",
-        f"    {out} = {ifb}({buf}[{offset}:{offset} + {nbytes}], 'little')",
-        "else:",
-        f"    {out} = {fallback}({addr}, {nbytes})",
-    ]
-
-
-def _global_write_lines(gen: _BlockCodegen, value: str, addr: str,
-                        nbytes: int) -> list[str]:
-    buf, written = gen.global_buffer()
-    offset = gen.fresh("_o")
-    arena = gen.arena("global")
-    # Highest in-span offset; none with a shadow attached, whose
-    # initialized-byte marking lives in write.
-    limit = gen._hoist(
-        ("gwlimit", nbytes),
-        f"-1 if {arena}.shadow is not None else len({buf}) - {nbytes}")
-    fallback = gen._hoist(("gwrite",), f"{arena}.write_uint")
-    # Naturally aligned stores (the rule) stay inside one page, so one
-    # flag marks them; anything else takes the store's own write.
-    aligned = f" and not {offset} & {nbytes - 1}" if nbytes > 1 else ""
-    return [
-        f"{offset} = {addr} - {GLOBAL_BASE}",
-        f"if 0 <= {offset} <= {limit}{aligned}:",
-        f"    {buf}[{offset}:{offset} + {nbytes}] = "
-        f"{value}.to_bytes({nbytes}, 'little')",
-        f"    {written}[{offset} >> {PAGE_BITS}] = 1",
-        "else:",
-        f"    {fallback}({addr}, {value}, {nbytes})",
-    ]
 
 
 # ----------------------------------------------------------------------

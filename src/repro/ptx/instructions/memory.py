@@ -90,14 +90,12 @@ def exec_atom(inst: ast.Instruction, warp, lanes) -> None:
                       if m in _ATOM_INT_OPS or m == "cas"), None)
     if operation is None:
         raise UnsupportedInstructionError(f"atom op in {inst.text!r}")
-    has_dst = len(inst.operands) >= 3 or inst.opcode == "atom"
     if inst.opcode == "red":
         mem = inst.operands[0]
         dst = None
         value_op = inst.operands[1]
     else:
         dst, mem, value_op = inst.operands[0], inst.operands[1], inst.operands[2]
-    del has_dst
     trace = warp.mem_trace
     for lane in lanes:
         space, addr = warp.resolve_address(mem, inst.space, lane)

@@ -88,6 +88,7 @@ def _run_corpus(fmt: str, fast_mode: str, shards: int) -> int:
             "expected_pc": run.expected_pc,
             "detected": run.detected,
             "findings": run.findings,
+            "counters": run.counters,
         })
     if fmt == "json":
         print(json.dumps({

@@ -26,18 +26,29 @@ always mark shadow bytes and always record race state, because a
 proven-safe store that never dynamically executes (predication,
 branches) must not pretend it initialized its interval.
 
-Scalar tiers hook in as an ``on_exec`` observer (:meth:`Sanitizer.hook`);
-the megablock vector tier performs the equivalent checks as masked
-array operations (:mod:`repro.functional.megablock`) against the same
-proof sets and reports through the same :meth:`record` funnel, so a
-defect produces the same ``(kernel, rule, pc)`` finding at every tier.
+Every rule is written once, as a method over arrays — one entry per
+access (``addr[n]``, ``thread[n]``, ``cta[n]``; an access is a whole
+``ld``/``st`` including its vector width, never one element of it):
+:meth:`Sanitizer.check_global` (S601/S602/S605), :meth:`check_shared`
+(S603) and :meth:`check_barrier` (S604).  The stepping tiers call them
+from :meth:`Sanitizer.hook` with the <= 32 accesses of one
+``ExecRecord``; the megablock tier calls them from its per-``ld``/``st``
+access event with the masked lanes of a whole grid chunk.  Both index
+the same state — the dense init map of
+:class:`~repro.sanitize.shadow.ShadowMemory` and one :class:`_CtaWindow`
+of per-CTA arrays — so findings, counts, messages and counters agree on
+every tier by construction (what can still differ is the *order* tiers
+execute racing accesses in, which is the defect itself).
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.analysis.ranges import (
     ALIGN, BOUNDS, INIT, INJECTIVE, kernel_facts, prove_launch)
-from repro.functional.executor import ExecRecord, lanes_of
+from repro.functional.executor import ExecRecord, guard_lanes
+from repro.functional.memory import GLOBAL_BASE
 
 #: Dynamic sanitizer rules (documentation + report ordering).
 RULES = ("S601", "S602", "S603", "S604", "S605")
@@ -48,14 +59,56 @@ _ALIGNED_WIDTHS = (2, 4, 8, 16)
 #: Race-table marker for "several threads read this byte this epoch".
 _MANY_READERS = -2
 
+_NO_PROOFS: frozenset = frozenset()
+
+
+class _CtaWindow:
+    """Per-CTA state of the CTAs ``[first, first + count)`` in flight.
+
+    One row per CTA: its barrier-interval ``epoch``, the retirement pc
+    of each thread (``running`` = not retired) and, from the first
+    shared access on, the race tables — last writer / last reader of
+    every shared byte as ``(epoch, thread)``, ``-1`` = never.  A
+    megablock chunk opens the window over all its CTAs; the stepping
+    tiers open a one-CTA window per CTA they step (``owner`` is its
+    ``CTAState``, which tells when the window can be let go).
+    """
+
+    __slots__ = ("first", "count", "owner", "threads", "warps", "span",
+                 "epoch", "exit_pc", "_race")
+
+    def __init__(self, first: int, count: int, launch, owner=None) -> None:
+        self.first = first
+        self.count = count
+        self.owner = owner
+        self.threads = launch.threads_per_block
+        self.warps = launch.warps_per_block
+        self.span = max(launch.shared_bytes, 16)
+        self.epoch = np.zeros(count, np.int64)
+        running = len(launch.kernel.body) + 1
+        self.exit_pc = np.full(count * self.threads, running, np.int64)
+        self._race = None
+
+    def race(self) -> np.ndarray:
+        """``(write epoch, write thread, read epoch, read thread)`` rows
+        over ``count * span`` bytes."""
+        if self._race is None:
+            self._race = np.full((4, self.count * self.span), -1, np.int64)
+        return self._race
+
+    def warp_of(self, thread: np.ndarray) -> np.ndarray:
+        """Window-wide warp index of window-wide thread indices."""
+        return (thread // self.threads * self.warps
+                + thread % self.threads // 32)
+
 
 class Sanitizer:
     """Shadow-state sanitizer shared by all execution tiers.
 
     The object is launch-reusable: ``begin_launch`` resets per-launch
-    state (proof sets, race tables, barrier epochs) while findings and
-    counters accumulate across launches, so one sanitizer can watch an
-    entire workload (e.g. all of LeNet's kernels) and report once.
+    state (proof sets, the CTA window) while findings and counters
+    accumulate across launches, so one sanitizer can watch an entire
+    workload (e.g. all of LeNet's kernels) and report once.
     """
 
     def __init__(self, *, tracer=None) -> None:
@@ -73,11 +126,13 @@ class Sanitizer:
         self._launch = None
         self._gm = None
         self._kernel_name = ""
-        self._epoch: dict[int, int] = {}
-        self._writes: dict[int, dict[int, tuple[int, int]]] = {}
-        self._reads: dict[int, dict[int, tuple[int, int]]] = {}
-        #: (cta, warp) -> [(exit pc, lane mask), ...] of retired lanes.
-        self._exited: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        self._window: _CtaWindow | None = None
+        #: One-CTA windows of unfinished CTAs the stepping went away
+        #: from, by CTA id (see :meth:`_enter`).
+        self._parked: dict[int, _CtaWindow] = {}
+        #: Sorted live allocations as ``(bases, ends)`` with a leading
+        #: empty sentinel; built at the first unproven bounds check.
+        self._allocations = None
 
     # ------------------------------------------------------------------
     # Launch lifecycle
@@ -98,10 +153,9 @@ class Sanitizer:
         self._gm = launch.global_mem
         self.facts = facts if facts is not None else kernel_facts(kernel)
         self.proofs = prove_launch(self.facts, launch, launch.global_mem)
-        self._epoch = {}
-        self._writes = {}
-        self._reads = {}
-        self._exited = {}
+        self._window = None
+        self._parked.clear()
+        self._allocations = None
         self.counters["launches"] += 1
         if self.tracer is not None and self.tracer.enabled:
             proven = sum(len(p) for p in self.proofs.values())
@@ -110,7 +164,7 @@ class Sanitizer:
                 args={"facts": len(self.facts), "proofs": proven})
 
     # ------------------------------------------------------------------
-    # Finding funnel (shared by scalar hook and megablock checks)
+    # Finding funnel
     # ------------------------------------------------------------------
     def record(self, rule: str, kernel: str, pc: int, message: str, *,
                count: int = 1) -> None:
@@ -131,7 +185,7 @@ class Sanitizer:
                     f"sanitize:{rule}:{kernel}@{pc}", cat="sanitize",
                     args={"message": message})
                 self.tracer.counter("sanitizer", dict(self.counters))
-        entry["count"] += count
+        entry["count"] += int(count)
 
     def findings_list(self) -> list[dict]:
         """Stable, merge-friendly finding dicts."""
@@ -159,221 +213,294 @@ class Sanitizer:
         return [dict(merged[key]) for key in sorted(merged)]
 
     # ------------------------------------------------------------------
-    # Scalar-tier observer (the step path: reference dispatch or the
-    # stepped rendering of the emit table)
+    # Stepping-tier observer (reference dispatch or the stepped rendering
+    # of the emit table): one ExecRecord -> the array rules below
     # ------------------------------------------------------------------
     def hook(self, record: ExecRecord) -> None:
-        """``on_exec`` observer: check one executed instruction."""
-        inst = record.inst
-        opcode = inst.opcode
+        """``on_exec`` observer: check one executed instruction.
+
+        Records may come from any CTA of the armed launch in any order
+        (a driver round-robining ``step_warp`` over several CTAs): each
+        CTA's epoch, exit pcs and race tables are kept until it finishes.
+        """
+        opcode = record.inst.opcode
+        warp = record.warp
+        pc = record.pc
         if opcode == "bar":
-            self._check_barrier(record)
+            cta = self._enter(warp.cta)
+            if record.inst.pred is None:
+                self.check_barrier(pc, cta, self._threads(record))
+            # The warp was parked (at_barrier set) before this hook
+            # fired; if it completed the rendezvous, the interval ends.
+            if all(w.finished or w.at_barrier for w in warp.cta.warps):
+                self.end_interval(cta)
             return
         if opcode in ("exit", "ret"):
-            self._note_exit(record)
+            self.note_exit(pc, self._enter(warp.cta), self._threads(record))
             return
         accesses = record.mem_accesses
         if not accesses:
             return
-        lanes = self._taken_lanes(record)
-        threads = None
-        if len(lanes) == len(accesses):
-            warp = record.warp
-            threads = [warp.thread_linear[lane] for lane in lanes]
-        proofs = self.proofs.get(record.pc, frozenset())
-        racecheck = opcode not in ("atom", "red")
-        for index, (space, addr, nbytes, is_write) in enumerate(accesses):
-            if space == "global":
-                self._check_global(record.pc, addr, nbytes, is_write,
-                                   proofs)
-            elif space == "shared" and racecheck and threads is not None:
-                self._check_shared(record, addr, nbytes, is_write,
-                                   threads[index], proofs)
+        # One instruction: every lane has its width and direction.
+        nbytes, is_write = accesses[0][2], accesses[0][3]
+        addrs = [access[1] for access in accesses
+                 if access[0] == "global"]
+        if addrs:
+            self.check_global(pc, len(addrs), nbytes, is_write,
+                              lambda: np.array(addrs, np.uint64))
+        if opcode in ("atom", "red"):
+            return  # atomics order themselves: no racecheck
+        shared = [index for index, access in enumerate(accesses)
+                  if access[0] == "shared"]
+        threads = self._threads(record) if shared else ()
+        if len(threads) == len(accesses):
+            self.check_shared(
+                pc, np.array([accesses[i][1] for i in shared], np.int64),
+                np.array([threads[i] for i in shared], np.int64),
+                self._enter(warp.cta), nbytes, is_write)
 
     @staticmethod
-    def _taken_lanes(record: ExecRecord) -> tuple[int, ...]:
-        """Re-derive the predicated lane set of an executed instruction.
+    def _threads(record: ExecRecord) -> list[int]:
+        """Thread ids (within the CTA) of the lanes that issued."""
+        warp = record.warp
+        return [warp.thread_linear[lane] for lane in guard_lanes(
+            record.inst, warp.regs, record.active_mask)]
 
-        ``on_exec`` fires after dispatch, but guard predicates are never
-        clobbered by memory instructions, so the taken set is still
-        recomputable from the register files — sparing the hot
-        ``step_warp`` path from carrying a lanes field for observers.
+    # ------------------------------------------------------------------
+    # Per-CTA state
+    # ------------------------------------------------------------------
+    def open_ctas(self, first: int, count: int) -> None:
+        """Start fresh per-CTA state for CTAs ``[first, first+count)``
+        (a megablock chunk; whatever window was open is dropped)."""
+        self._window = _CtaWindow(first, count, self._launch)
+
+    def _enter(self, state) -> int:
+        """Make the window hold the CTA of *state* (a ``CTAState``) and
+        return its id.  The stepping tiers keep one CTA's window open —
+        or the chunk window a megablock bailout left, whose state the
+        scalar continuation carries on.  Moving to another CTA parks the
+        open one-CTA window while its CTA is unfinished, so interleaved
+        CTAs each come back to their own state."""
+        cta = state.cta_linear
+        window = self._window
+        if window is None or not 0 <= cta - window.first < window.count:
+            if (window is not None and window.owner is not None
+                    and not window.owner.finished):
+                self._parked[window.first] = window
+            self._window = self._parked.pop(cta, None) or _CtaWindow(
+                cta, 1, self._launch, owner=state)
+        return cta
+
+    # ------------------------------------------------------------------
+    # The rules.  *cta* / *thread* are CTA-linear ids and thread ids
+    # within the CTA, one per access (or one int for all of them).
+    # ------------------------------------------------------------------
+    def check_global(self, pc: int, count: int, nbytes: int,
+                     is_write: bool, addrs) -> None:
+        """S601 / S605 / S602 over *count* global accesses of *nbytes*.
+
+        *addrs* is called for the ``uint64`` address array only when
+        some check is not proven for this pc: a fully proven pc costs
+        its counter updates and nothing else.
         """
-        inst = record.inst
-        lanes = lanes_of(record.active_mask)
-        if inst.pred is None:
-            return lanes
-        regs = record.warp.regs
-        taken = 0
-        for lane in lanes:
-            if regs[lane].get(inst.pred, 0) & 1:
-                taken |= 1 << lane
-        if inst.pred_negated:
-            taken = record.active_mask & ~taken
-        return lanes_of(taken)
-
-    # -- memcheck (global) ---------------------------------------------
-    def _check_global(self, pc: int, addr: int, nbytes: int,
-                      is_write: bool, proofs: frozenset) -> None:
+        if not count:
+            return
+        proofs = self.proofs.get(pc, _NO_PROOFS)
+        counters = self.counters
+        shadow = self._gm.shadow
+        bounds = BOUNDS not in proofs
+        align = nbytes in _ALIGNED_WIDTHS
+        init = not is_write
+        counters["checked_accesses" if bounds
+                 else "skipped_proven"] += count
+        if align and ALIGN in proofs:
+            counters["skipped_proven"] += count
+            align = False
+        if init and INIT in proofs:
+            counters["skipped_proven"] += count
+            init = False
+        init = init and shadow is not None
+        if not (bounds or align or init):
+            return
+        addr = addrs()
         kernel = self._kernel_name
         kind = "store" if is_write else "load"
-        counters = self.counters
-        in_bounds = True
-        if BOUNDS in proofs:
-            counters["skipped_proven"] += 1
-        else:
-            counters["checked_accesses"] += 1
-            span = self._gm.allocation_containing(addr)
-            if span is None:
-                in_bounds = False
+        inside = None
+        if bounds:
+            bases, ends = self._allocation_table()
+            end = ends[np.searchsorted(bases, addr, side="right") - 1]
+            inside = (addr < end) & (end - addr >= nbytes)
+            bad = np.flatnonzero(~inside)
+            if bad.size:
+                first = int(addr[bad[0]])
+                span = self._gm.allocation_containing(first)
+                why = ("no live allocation contains the address"
+                       if span is None else
+                       f"overruns allocation "
+                       f"[{span[0]:#x}, {span[0] + span[1]:#x})")
                 self.record(
                     "S601", kernel, pc,
                     f"out-of-bounds global {kind} of {nbytes} bytes at "
-                    f"{addr:#x}: no live allocation contains the address")
-            elif addr + nbytes > span[0] + span[1]:
-                in_bounds = False
-                self.record(
-                    "S601", kernel, pc,
-                    f"out-of-bounds global {kind} of {nbytes} bytes at "
-                    f"{addr:#x}: overruns allocation "
-                    f"[{span[0]:#x}, {span[0] + span[1]:#x})")
-        if nbytes in _ALIGNED_WIDTHS:
-            if ALIGN in proofs:
-                counters["skipped_proven"] += 1
-            elif addr % nbytes:
+                    f"{first:#x}: {why}", count=bad.size)
+        if align:
+            bad = np.flatnonzero(addr & np.uint64(nbytes - 1))
+            if bad.size:
                 self.record(
                     "S605", kernel, pc,
-                    f"misaligned global {kind}: address {addr:#x} is not "
-                    f"{nbytes}-byte aligned")
-        if not is_write and in_bounds:
-            if INIT in proofs:
-                counters["skipped_proven"] += 1
-            else:
-                shadow = self._gm.shadow
-                if (shadow is not None
-                        and not shadow.range_initialized(addr, nbytes)):
-                    self.record(
-                        "S602", kernel, pc,
-                        f"global load of {nbytes} uninitialized bytes at "
-                        f"{addr:#x} (never written by host or device)")
+                    f"misaligned global {kind}: address "
+                    f"{int(addr[bad[0]]):#x} is not {nbytes}-byte aligned",
+                    count=bad.size)
+        if init:
+            # Out-of-bounds accesses are S601's, not S602's.
+            live = addr if inside is None else addr[inside]
+            offset = (live - np.uint64(GLOBAL_BASE)).astype(np.int64)
+            marks = np.frombuffer(shadow.dense(), np.uint8)
+            written = marks[offset]
+            for k in range(1, nbytes):
+                written = written & marks[offset + k]
+            bad = np.flatnonzero(written == 0)
+            if bad.size:
+                self.record(
+                    "S602", kernel, pc,
+                    f"global load of {nbytes} uninitialized bytes at "
+                    f"{int(live[bad[0]]):#x} (never written by host or "
+                    "device)", count=bad.size)
 
-    # -- racecheck (shared) --------------------------------------------
-    def _check_shared(self, record: ExecRecord, addr: int, nbytes: int,
-                      is_write: bool, thread: int,
-                      proofs: frozenset) -> None:
-        """Byte-granular barrier-interval race detection.
+    def _allocation_table(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._allocations is None:
+            live = sorted(self._gm.allocations.items())
+            bases = np.array([0, *(base for base, _ in live)], np.uint64)
+            sizes = np.array([0, *(size for _, size in live)], np.uint64)
+            self._allocations = (bases, bases + sizes)
+        return self._allocations
+
+    def check_shared(self, pc: int, addr, thread, cta, nbytes: int,
+                     is_write: bool) -> None:
+        """S603: byte-granular barrier-interval race detection.
 
         Classic happens-before-lite: within one barrier epoch of one
         CTA, a byte touched by two different threads with at least one
-        write is a race.  An INJECTIVE proof (every thread's address
-        provably distinct) waives only the write-vs-prior-write check
-        of that store pc; the store still *records* its bytes and still
-        races against reads — a read-then-injective-write conflict is
-        real even when the stores never collide with each other.
+        write is a race.  Accesses are taken in array order, the way
+        the stepping tiers issue them lane by lane: a write conflicts
+        with the byte's previous writer (in the tables, or earlier in
+        this very call) and with its readers; a read with its last
+        writer.  An INJECTIVE proof (every thread's address provably
+        distinct) waives only the write-vs-write check of that store pc;
+        the store still *records* its bytes and still races against
+        reads — a read-then-injective-write conflict is real even when
+        the stores never collide with each other.
         """
-        cta = record.warp.cta.cta_linear
-        epoch = self._epoch.get(cta, 0)
-        writes = self._writes.setdefault(cta, {})
-        reads = self._reads.setdefault(cta, {})
-        kernel = self._kernel_name
-        pc = record.pc
-        self.counters["checked_accesses"] += 1
-        ww_waived = is_write and INJECTIVE in proofs
-        if ww_waived:
-            self.counters["skipped_proven"] += 1
-        for byte in range(addr, addr + nbytes):
-            prior_write = writes.get(byte)
-            if (prior_write is not None and prior_write[0] == epoch
-                    and prior_write[1] != thread and not ww_waived):
-                what = ("write-after-write" if is_write
-                        else "read-after-write")
-                self.record(
-                    "S603", kernel, pc,
-                    f"shared-memory race: {what} on byte {byte:#x} by "
-                    f"threads {prior_write[1]} and {thread} with no "
-                    f"barrier between them")
-            if is_write:
-                prior_read = reads.get(byte)
-                if (prior_read is not None and prior_read[0] == epoch
-                        and prior_read[1] != thread):
-                    reader = ("multiple threads"
-                              if prior_read[1] == _MANY_READERS
-                              else f"thread {prior_read[1]}")
-                    self.record(
-                        "S603", kernel, pc,
-                        f"shared-memory race: write-after-read on byte "
-                        f"{byte:#x} — {reader} read it, thread {thread} "
-                        "overwrites it with no barrier between them")
-                writes[byte] = (epoch, thread)
-            else:
-                prior_read = reads.get(byte)
-                if (prior_read is not None and prior_read[0] == epoch
-                        and prior_read[1] != thread):
-                    reads[byte] = (epoch, _MANY_READERS)
-                else:
-                    reads[byte] = (epoch, thread)
+        window = self._window
+        span = window.span
+        count = len(addr)
+        self.counters["checked_accesses"] += count
+        waived = is_write and INJECTIVE in self.proofs.get(pc, _NO_PROOFS)
+        if waived:
+            self.counters["skipped_proven"] += count
+        w_epoch, w_thread, r_epoch, r_thread = window.race()
+        row = cta - window.first
+        byte = ((row * span + addr)[:, None] + np.arange(nbytes)).ravel()
+        who = np.repeat(thread, nbytes)
+        epoch = np.repeat(
+            np.broadcast_to(window.epoch[row], addr.shape), nbytes)
+        written = w_epoch[byte] == epoch
 
-    # -- synccheck (barriers, epochs, exits) ---------------------------
-    def _check_barrier(self, record: ExecRecord) -> None:
-        warp = record.warp
-        cta = warp.cta
-        if record.inst.pred is None:
-            # Expected arrivals: the warp's full lane set minus lanes
-            # that exited at a pc *before* the barrier.  A guard-style
-            # early exit (``@p bra $exit_guard`` above every bar) is
-            # hardware-legal — exited threads stop counting toward the
-            # rendezvous — but a lane whose exit lies after the bar got
-            # there by branching *around* it: the divergent-barrier
-            # defect synccheck exists to catch, even though this
-            # in-order simulator happens to retire that lane first.
-            expected = 0
-            for lane, tid in enumerate(warp.tids):
-                if tid is not None:
-                    expected |= 1 << lane
-            for exit_pc, exited in self._exited.get(
-                    (cta.cta_linear, warp.warp_index), ()):
-                if exit_pc < record.pc:
-                    expected &= ~exited
-            if record.active_mask != expected:
-                self.record(
-                    "S604", self._kernel_name, record.pc,
-                    f"divergent barrier: warp {warp.warp_index} of CTA "
-                    f"{cta.cta_linear} arrived with lane mask "
-                    f"{record.active_mask:#010x}, expected "
-                    f"{expected:#010x} — some threads of the warp can "
-                    "never reach this bar.sync")
-        # The warp was parked (at_barrier set) before this hook fired;
-        # if it completed the rendezvous, the barrier interval ends and
-        # race tracking starts a fresh epoch for the CTA.
-        if all(w.finished or w.at_barrier for w in cta.warps):
-            self._epoch[cta.cta_linear] = (
-                self._epoch.get(cta.cta_linear, 0) + 1)
+        def race(at: int, hits: int, kind: str, who_did_what: str) -> None:
+            self.record(
+                "S603", self._kernel_name, pc,
+                f"shared-memory race: {kind} on byte "
+                f"{int(byte[at]) % span:#x} {who_did_what} with no barrier "
+                "between them", count=hits)
 
-    def seed_exit(self, cta: int, warp_index: int, pc: int,
-                  lane_mask: int) -> None:
-        """Pre-record retired lanes across a tier handoff.
-
-        The megablock bailout path calls this for lanes that exited
-        inside the vector portion of the launch, so barriers executed
-        by the scalar continuation still see the correct expected
-        arrival sets.
-        """
-        self._exited.setdefault((cta, warp_index), []).append(
-            (pc, lane_mask))
-
-    def _note_exit(self, record: ExecRecord) -> None:
-        """Track per-warp exited lanes so barrier expectations shrink."""
-        inst = record.inst
-        if inst.pred is None:
-            taken = record.active_mask
+        if not is_write:
+            hits = np.flatnonzero(written & (w_thread[byte] != who))
+            if hits.size:
+                at = hits[0]
+                race(at, hits.size, "read-after-write",
+                     f"by threads {w_thread[byte[at]]} and {who[at]}")
+            many = (r_epoch[byte] == epoch) & (r_thread[byte] != who)
+            mark = np.where(many, _MANY_READERS, who)
+            r_epoch[byte] = epoch
+            r_thread[byte] = mark
+            # A byte several lanes of this access read: whichever mark
+            # landed, another lane finds a foreign one there.
+            r_thread[byte[r_thread[byte] != mark]] = _MANY_READERS
+            return
+        found = []  # arguments of race()
+        if waived:
+            w_epoch[byte] = epoch
+            w_thread[byte] = who
         else:
-            taken = 0
-            regs = record.warp.regs
-            for lane in lanes_of(record.active_mask):
-                if regs[lane].get(inst.pred, 0) & 1:
-                    taken |= 1 << lane
-            if inst.pred_negated:
-                taken = record.active_mask & ~taken
-        warp = record.warp
-        key = (warp.cta.cta_linear, warp.warp_index)
-        self._exited.setdefault(key, []).append((record.pc, taken))
+            # Chain each byte's writers: the table's, then this call's
+            # in array order (stable sort).  The last one stays.
+            order = np.argsort(byte, kind="stable")
+            sbyte, swho = byte[order], who[order]
+            head = np.ones(sbyte.size, bool)
+            head[1:] = sbyte[1:] != sbyte[:-1]
+            prev = np.empty_like(swho)
+            prev[1:] = swho[:-1]
+            prev[head] = np.where(written[order][head],
+                                  w_thread[sbyte[head]], swho[head])
+            hits = np.flatnonzero(prev != swho)
+            if hits.size:
+                at = hits[np.argmin(order[hits])]
+                found.append((order[at], hits.size, "write-after-write",
+                              f"by threads {prev[at]} and {swho[at]}"))
+            tail = np.ones(sbyte.size, bool)
+            tail[:-1] = head[1:]
+            w_epoch[sbyte[tail]] = epoch[order][tail]
+            w_thread[sbyte[tail]] = swho[tail]
+        hits = np.flatnonzero((r_epoch[byte] == epoch)
+                              & (r_thread[byte] != who))
+        if hits.size:
+            at = hits[0]
+            reader = r_thread[byte[at]]
+            reader = ("multiple threads" if reader == _MANY_READERS
+                      else f"thread {reader}")
+            found.append((at, hits.size, "write-after-read",
+                          f"— {reader} read it, thread {who[at]} "
+                          "overwrites it"))
+        # The first message wins the finding: report in array order.
+        for args in sorted(found, key=lambda args: args[0]):
+            race(*args)
+
+    def check_barrier(self, pc: int, cta, thread) -> None:
+        """S604 at a ``bar`` issue; *thread* are the arriving threads.
+
+        A warp's expected arrivals are its threads minus those that
+        retired at a pc *before* the barrier.  A guard-style early exit
+        (``@p bra $exit_guard`` above every bar) is hardware-legal —
+        exited threads stop counting toward the rendezvous — but a
+        thread whose exit lies after the bar (or that is still running
+        elsewhere) got there by branching *around* it: the
+        divergent-barrier defect synccheck exists to catch, even though
+        an in-order simulator happens to retire that thread first.
+        """
+        window = self._window
+        warps = window.count * window.warps
+        arrived = np.bincount(window.warp_of(
+            (cta - window.first) * window.threads
+            + np.asarray(thread, np.int64)), minlength=warps)
+        expected = np.bincount(window.warp_of(
+            np.flatnonzero(window.exit_pc >= pc)), minlength=warps)
+        bad = np.flatnonzero((arrived > 0) & (arrived != expected))
+        if bad.size:
+            warp = int(bad[0])
+            self.record(
+                "S604", self._kernel_name, pc,
+                f"divergent barrier: warp {warp % window.warps} of CTA "
+                f"{window.first + warp // window.warps} arrived with "
+                f"{arrived[warp]} of {expected[warp]} expected threads — "
+                "some threads of the warp can never reach this bar.sync",
+                count=bad.size)
+
+    def end_interval(self, cta) -> None:
+        """*cta* (distinct ids) completed a barrier rendezvous: race
+        tracking starts a fresh epoch for each."""
+        self._window.epoch[cta - self._window.first] += 1
+
+    def note_exit(self, pc: int, cta, thread) -> None:
+        """*thread* retired at *pc* (barrier expectations shrink)."""
+        window = self._window
+        window.exit_pc[(cta - window.first) * window.threads
+                       + np.asarray(thread, np.int64)] = pc

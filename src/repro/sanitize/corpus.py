@@ -20,6 +20,7 @@ CTAs so a 2-shard run genuinely splits it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -46,20 +47,30 @@ def _copy_kernel(name: str, *, offset: int = 0) -> str:
     return b.build()
 
 
-def _oob_load() -> str:
-    return _copy_kernel("oob_load")
+def _copy_v2_kernel(name: str, *, offset: int = 0) -> str:
+    """``out[2*gtid .. 2*gtid+1] = in[...]`` as one ``v2`` load and one
+    ``v2`` store per thread: each is a single 8-byte access."""
+    b = PTXBuilder(name, [("src", "u64"), ("dst", "u64")])
+    src = b.ld_param("u64", "src")
+    dst = b.ld_param("u64", "dst")
+    gtid = b.global_tid_x()
+    x, y = b.regs("f32", 2)
+    b.ins("ld.global.v2.f32", f"{{{x}, {y}}}",
+          f"[{b.elem_addr(src, gtid, elem_bytes=8)}+{offset}]")
+    b.ins("st.global.v2.f32",
+          f"[{b.elem_addr(dst, gtid, elem_bytes=8)}]", f"{{{x}, {y}}}")
+    return b.build()
 
 
-def _oob_store() -> str:
-    return _copy_kernel("oob_store")
+def _misaligned_v2() -> str:
+    """Every element is 4-byte aligned; the 8-byte access is not."""
+    return _copy_v2_kernel("misaligned_v2", offset=4)
 
 
-def _uninit_read() -> str:
-    return _copy_kernel("uninit_read")
-
-
-def _misaligned() -> str:
-    return _copy_kernel("misaligned", offset=2)
+def _oob_v2_straddle() -> str:
+    """The last thread's load starts inside the allocation and ends
+    4 bytes past it: out of bounds as an access, not per element."""
+    return _copy_v2_kernel("oob_v2_straddle")
 
 
 def _ww_race() -> str:
@@ -137,6 +148,33 @@ def _clean_guarded() -> str:
     return b.build()
 
 
+def _clean_guard_exit() -> str:
+    """``if (gtid >= n) return;`` as a predicated ``exit`` (what nvcc
+    emits, and what ``clean_guarded``'s branch-to-the-end is not): CTA 0
+    is wholly in range, so its warp issues an exit no lane takes, and
+    the barrier after it must expect only the threads still running."""
+    b = PTXBuilder("clean_guard_exit",
+                   [("src", "u64"), ("dst", "u64"), ("n", "u32")])
+    b.shared("buf", "f32", _WARP)
+    src = b.ld_param("u64", "src")
+    dst = b.ld_param("u64", "dst")
+    n = b.ld_param("u32", "n")
+    tid = b.special("%tid.x")
+    gtid = b.global_tid_x()
+    pred = b.reg("pred")
+    b.ins("setp.ge.u32", pred, gtid, n)
+    b.ins("exit", pred=pred)
+    base = b.reg("u64")
+    b.ins("mov.u64", base, "buf")
+    value = b.load_global_f32(b.elem_addr(src, gtid))
+    b.ins("st.shared.f32", f"[{b.elem_addr(base, tid)}]", value)
+    b.bar_sync()
+    got = b.reg("f32")
+    b.ins("ld.shared.f32", got, f"[{b.elem_addr(base, tid)}]")
+    b.store_global_f32(b.elem_addr(dst, gtid), got)
+    return b.build()
+
+
 def _clean_tile() -> str:
     """Barrier-separated neighbour exchange: the same access pattern as
     ``rw_race`` but correctly synchronized — must stay silent."""
@@ -189,6 +227,18 @@ def _setup_uninit_read(rt: CudaRuntime):
 def _setup_misaligned(rt: CudaRuntime):
     src = rt.upload_f32(_floats(33))       # +1 float: offset 2 stays
     dst = rt.malloc(32 * 4)                # in bounds for 32 threads
+    return (2, 1, 1), (16, 1, 1), [src, dst]
+
+
+def _setup_misaligned_v2(rt: CudaRuntime):
+    src = rt.upload_f32(_floats(66))       # +2 floats: offset 4 stays
+    dst = rt.malloc(64 * 4)                # in bounds for 32 threads
+    return (2, 1, 1), (16, 1, 1), [src, dst]
+
+
+def _setup_oob_v2_straddle(rt: CudaRuntime):
+    src = rt.upload_f32(_floats(63))       # 63 floats for 32 float2s
+    dst = rt.malloc(64 * 4)
     return (2, 1, 1), (16, 1, 1), [src, dst]
 
 
@@ -253,14 +303,23 @@ class CorpusEntry:
 
 DEFECTS: dict[str, CorpusEntry] = {
     entry.name: entry for entry in (
-        CorpusEntry("oob_load", _oob_load, _setup_oob_load,
+        CorpusEntry("oob_load", partial(_copy_kernel, "oob_load"),
+                    _setup_oob_load,
                     "S601", ("ld", "global", 0)),
-        CorpusEntry("oob_store", _oob_store, _setup_oob_store,
+        CorpusEntry("oob_store", partial(_copy_kernel, "oob_store"),
+                    _setup_oob_store,
                     "S601", ("st", "global", 0)),
-        CorpusEntry("uninit_read", _uninit_read, _setup_uninit_read,
+        CorpusEntry("uninit_read", partial(_copy_kernel, "uninit_read"),
+                    _setup_uninit_read,
                     "S602", ("ld", "global", 0)),
-        CorpusEntry("misaligned", _misaligned, _setup_misaligned,
+        CorpusEntry("misaligned",
+                    partial(_copy_kernel, "misaligned", offset=2),
+                    _setup_misaligned,
                     "S605", ("ld", "global", 0)),
+        CorpusEntry("misaligned_v2", _misaligned_v2,
+                    _setup_misaligned_v2, "S605", ("ld", "global", 0)),
+        CorpusEntry("oob_v2_straddle", _oob_v2_straddle,
+                    _setup_oob_v2_straddle, "S601", ("ld", "global", 0)),
         CorpusEntry("ww_race", _ww_race, _setup_ww_race,
                     "S603", ("st", "shared", 0)),
         CorpusEntry("rw_race", _rw_race, _setup_rw_race,
@@ -273,9 +332,11 @@ DEFECTS: dict[str, CorpusEntry] = {
 
 CLEAN: dict[str, CorpusEntry] = {
     entry.name: entry for entry in (
-        CorpusEntry("clean_exact", lambda: _copy_kernel("clean_exact"),
+        CorpusEntry("clean_exact", partial(_copy_kernel, "clean_exact"),
                     _setup_clean_exact, None, None),
         CorpusEntry("clean_guarded", _clean_guarded,
+                    _setup_clean_guarded, None, None),
+        CorpusEntry("clean_guard_exit", _clean_guard_exit,
                     _setup_clean_guarded, None, None),
         CorpusEntry("clean_tile", _clean_tile, _setup_clean_exact,
                     None, None),

@@ -8,139 +8,91 @@ exact allocation table (the bump allocator records every
 the shadow only needs the second map: one byte of shadow per byte of
 payload, flipped to 1 the first time the byte is written.
 
-The shadow attaches to a :class:`GlobalMemory` (``gm.shadow``) and is
-fed by ``gm.write`` itself, so host ``memcpy``s, ``memset``s and
-scalar-tier kernel stores all mark initialization with no extra
-plumbing.  The megablock tier scatters into the store's buffer without
-going through ``gm.write``, so it keeps a dense twin of the shadow:
-:meth:`dense_init` exports it as a flat ``uint8`` array for vectorized
-gathers and :meth:`absorb_dense` folds the chunk's store marks back.
-Shard workers serialize the maps with :meth:`snapshot`/:meth:`restore`
-so a fanned-out launch starts from the parent's initialization state.
+The map is one dense ``bytearray`` beside the store's own
+(:meth:`GlobalMemory.dense`), byte *i* standing for address
+``GLOBAL_BASE + i``.  The shadow attaches to a :class:`GlobalMemory`
+(``gm.shadow``) and is fed by ``gm.write`` itself, so host ``memcpy``s,
+``memset``s and scalar-tier kernel stores all mark initialization with
+no extra plumbing; the megablock tier, which scatters into the store's
+buffer directly, scatters its marks into a NumPy view of
+:meth:`ShadowMemory.dense` the same way — one map, every tier writes
+it in place.  Shard workers carry it per allocation with
+:meth:`snapshot`/:meth:`restore` so a fanned-out launch starts from
+the parent's initialization state.
 
 Soundness stance: a byte is only ever marked *initialized*, never
-unmarked — frees keep their map (a re-used address range would be
+unmarked — frees keep their marks (a re-used address range would be
 freshly tracked only if the allocator recycled addresses, which the
 bump allocator never does).  Monotonicity is what lets
 :func:`repro.analysis.ranges.prove_launch` turn a launch-time
 "interval fully initialized" check into a whole-launch INIT proof.
+Bytes between allocations may get marked by an out-of-bounds store;
+nothing reads them (the sanitizer reports such accesses as S601 and
+checks initialization of in-bounds loads only).
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.functional.memory import GlobalMemory
+from repro.functional.memory import GLOBAL_BASE, GlobalMemory
 
 
 class ShadowMemory:
-    """Per-allocation initialized-byte maps for one global memory."""
+    """The initialized-byte map of one global memory."""
 
     def __init__(self, gm: GlobalMemory) -> None:
         self._gm = gm
-        #: allocation base -> one shadow byte (0/1) per payload byte.
-        self._maps: dict[int, bytearray] = {}
-        #: allocation bases proven fully initialized (fast-path skip).
-        self._full: set[int] = set()
+        self._marks = bytearray()
 
-    # -- marking -------------------------------------------------------
-    def _map_for(self, base: int, size: int) -> bytearray:
-        shadow = self._maps.get(base)
-        if shadow is None or len(shadow) != size:
-            shadow = bytearray(size)
-            self._maps[base] = shadow
-            self._full.discard(base)
-        return shadow
+    def dense(self) -> bytearray:
+        """The map itself, grown here to the store's current span: 0/1
+        per byte of ``gm.dense()[0]``.  Like the store's buffer it
+        cannot grow while a NumPy view of it is alive — drop the view
+        before the next allocation."""
+        short = len(self._gm.dense()[0]) - len(self._marks)
+        if short > 0:
+            self._marks += bytes(short)
+        return self._marks
 
     def mark_initialized(self, addr: int, nbytes: int) -> None:
-        """Record that ``[addr, addr+nbytes)`` now holds written data.
+        """Record that ``[addr, addr+nbytes)`` now holds written data
+        (the part inside the store's span; the sanitizer reports
+        anything beyond as out-of-bounds instead of tracking it)."""
+        marks = self.dense()
+        lo = max(addr - GLOBAL_BASE, 0)
+        hi = min(addr - GLOBAL_BASE + nbytes, len(marks))
+        if lo < hi:
+            marks[lo:hi] = b"\x01" * (hi - lo)
 
-        Ranges (or parts of ranges) outside any live allocation are
-        ignored — the sanitizer reports those as out-of-bounds findings
-        instead of tracking them.
-        """
-        gm = self._gm
-        end = addr + nbytes
-        while addr < end:
-            span = gm.allocation_containing(addr)
-            if span is None:
-                addr += 1  # skip the unallocated byte, re-probe
-                continue
-            base, size = span
-            if base in self._full:
-                addr = base + size
-                continue
-            lo = addr - base
-            hi = min(end - base, size)
-            shadow = self._map_for(base, size)
-            shadow[lo:hi] = b"\x01" * (hi - lo)
-            addr = base + hi
-
-    # -- queries -------------------------------------------------------
     def range_initialized(self, addr: int, nbytes: int) -> bool:
-        """True iff every byte of ``[addr, addr+nbytes)`` was written."""
+        """True iff ``[addr, addr+nbytes)`` lies inside one live
+        allocation and every byte of it was written."""
         if nbytes <= 0:
             return True
         span = self._gm.allocation_containing(addr)
-        if span is None:
+        if span is None or addr + nbytes > span[0] + span[1]:
             return False
-        base, size = span
-        if addr + nbytes > base + size:
-            return False  # straddles the allocation end
-        if base in self._full:
-            return True
-        shadow = self._maps.get(base)
-        if shadow is None:
-            return False
-        lo = addr - base
-        window = shadow[lo:lo + nbytes]
-        if 0 in window:
-            return False
-        if len(shadow) == size and 0 not in shadow:
-            self._full.add(base)
-        return True
-
-    # -- dense export / absorb (megablock tier) ------------------------
-    def dense_init(self, lo: int, span: int) -> np.ndarray:
-        """Flat 0/1 ``uint8`` map over ``[lo, lo+span)`` for gathers."""
-        dense = np.zeros(max(span, 0), np.uint8)
-        for base, shadow in self._maps.items():
-            start = base - lo
-            if start >= span or start + len(shadow) <= 0:
-                continue
-            src = np.frombuffer(bytes(shadow), np.uint8)
-            a = max(start, 0)
-            b = min(start + len(shadow), span)
-            dense[a:b] = src[a - start:b - start]
-        return dense
-
-    def absorb_dense(self, lo: int, dense: np.ndarray) -> None:
-        """Mark every byte set in *dense* (a :meth:`dense_init`-shaped
-        array mutated by the megablock tier's stores) as initialized."""
-        for base, size in self._gm.allocations.items():
-            a = base - lo
-            b = a + size
-            if a >= len(dense) or b <= 0:
-                continue
-            a0, b0 = max(a, 0), min(b, len(dense))
-            window = dense[a0:b0]
-            if not window.any():
-                continue
-            shadow = self._map_for(base, size)
-            view = np.frombuffer(shadow, np.uint8)
-            np.maximum(view[a0 - a:b0 - a], window,
-                       out=view[a0 - a:b0 - a])
-            self._full.discard(base)
+        lo = addr - GLOBAL_BASE
+        return self.dense().find(0, lo, lo + nbytes) < 0
 
     # -- shard transport -----------------------------------------------
     def snapshot(self) -> dict[int, bytes]:
-        return {base: bytes(shadow)
-                for base, shadow in self._maps.items()}
+        """``{allocation base: its marks}`` of every live allocation
+        with a written byte."""
+        marks = self.dense()
+        state = {}
+        for base, size in self._gm.allocations.items():
+            lo = base - GLOBAL_BASE
+            if marks.find(1, lo, lo + size) >= 0:
+                state[base] = bytes(marks[lo:lo + size])
+        return state
 
     def restore(self, state: dict[int, bytes]) -> None:
-        self._maps = {int(base): bytearray(shadow)
-                      for base, shadow in state.items()}
-        self._full = set()
+        """Replace the map with a :meth:`snapshot` image."""
+        self._marks = bytearray()
+        marks = self.dense()
+        for base, image in state.items():
+            lo = int(base) - GLOBAL_BASE
+            marks[lo:lo + len(image)] = image
 
 
 def attach_shadow(gm: GlobalMemory) -> ShadowMemory:

@@ -478,6 +478,8 @@ class ShardedFunctionalBackend:
                 for key, value in result.san_counters.items():
                     if key == "findings":
                         continue  # record() above already counted them
+                    if key == "launches":
+                        value = 1  # however many shards armed for it
                     sanitizer.counters[key] = (
                         sanitizer.counters.get(key, 0) + value)
         if tracer.enabled:

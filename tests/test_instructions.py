@@ -358,6 +358,6 @@ def test_every_emit_row_has_a_reference_and_a_verifier_signature():
 
     assert set(ROWS) <= set(DISPATCH)
     assert set(ROWS) <= set(_SIGNATURES)
-    for opcode, (sources, _render) in ROWS.items():
+    for opcode, (sources, _render, _reg_dst) in ROWS.items():
         sig = _SIGNATURES[opcode]
         assert sig.min_ops <= sources + 1 <= sig.max_ops, opcode

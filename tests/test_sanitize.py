@@ -46,6 +46,32 @@ def test_defect_detected_through_two_shards(name, fast_mode):
         f"{run.findings}")
 
 
+def _corpus_json(capsys, *argv: str) -> str:
+    """``repro-sanitize --corpus --format json`` minus the two fields
+    that name the run's configuration."""
+    import json
+
+    from repro.sanitize.cli import main
+    assert main(["--corpus", "--format", "json", *argv]) == 0
+    report = json.loads(capsys.readouterr().out)
+    del report["fast_mode"], report["shards"]
+    return json.dumps(report, indent=2)
+
+
+def test_corpus_report_is_identical_on_every_tier_and_sharded(capsys):
+    """One implementation of S601-S605 behind every tier: findings with
+    their counts and messages, and the checked/skipped counters, are
+    the same bytes whichever tier ran the corpus — the two ``v2``
+    entries included (one 8-byte access per lane, not two elements)."""
+    want = _corpus_json(capsys, "--fast-mode", "reference")
+    assert '"count": 32' in want and "not 8-byte aligned" in want
+    assert "of 8 bytes at 0x100000f8: overruns allocation" in want
+    for mode in ("fastpath", "superblock", "megablock"):
+        assert _corpus_json(capsys, "--fast-mode", mode) == want, mode
+    assert _corpus_json(capsys, "--fast-mode", "megablock",
+                        "--shards", "2") == want
+
+
 # ----------------------------------------------------------------------
 # Proof-guided skipping (the analysis-guided part)
 # ----------------------------------------------------------------------
@@ -72,6 +98,109 @@ def test_megablock_skips_proven_accesses_too():
     assert not run.findings
     assert run.counters["skipped_proven"] > 0
     assert run.counters["checked_accesses"] == 0
+
+
+# ----------------------------------------------------------------------
+# The rules are batching-invariant: a chunk at once == lane by lane
+# ----------------------------------------------------------------------
+def _racecheck(batches, split: bool) -> list[dict]:
+    """Feed *batches* of shared accesses to a fresh sanitizer, each in
+    one ``check_shared`` call (a megablock chunk) or one call per lane
+    (the sequential semantics the stepping tiers' lane loop had)."""
+    from types import SimpleNamespace
+    sanitizer = Sanitizer()
+    sanitizer._launch = SimpleNamespace(
+        threads_per_block=64, warps_per_block=2, shared_bytes=48,
+        kernel=SimpleNamespace(body=[None] * 8, name="k"))
+    sanitizer._kernel_name = "k"
+    sanitizer.open_ctas(3, 2)
+    for pc, (is_write, nbytes, addr, thread, cta) in enumerate(batches):
+        if pc == len(batches) // 2:
+            sanitizer.end_interval(np.array([3]))   # CTA 3 only
+        pieces = (zip(addr[:, None], thread[:, None], cta[:, None])
+                  if split else [(addr, thread, cta)])
+        for a, t, c in pieces:
+            sanitizer.check_shared(pc, a, t, c, nbytes, is_write)
+    return sanitizer.findings_list()
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_racecheck_of_a_chunk_equals_lane_by_lane(seed):
+    rng = np.random.default_rng(seed)
+    batches = []
+    for _ in range(8):
+        lanes = int(rng.integers(1, 40))
+        nbytes = int(rng.choice([1, 2, 4, 8]))
+        batches.append((
+            bool(rng.integers(2)), nbytes,
+            rng.integers(0, 48 - nbytes, lanes, dtype=np.int64),
+            rng.integers(0, 64, lanes, dtype=np.int64),
+            np.sort(rng.integers(3, 5, lanes, dtype=np.int64))))
+    whole = _racecheck(batches, split=False)
+    assert whole == _racecheck(batches, split=True)
+    assert whole, "seeded batches collide"
+
+
+# ----------------------------------------------------------------------
+# Stepping-tier observer: CTAs in any order, faults before the observer
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("fast_mode", ("reference", "superblock"))
+@pytest.mark.parametrize("name", ("ww_race", "rw_race", "clean_tile",
+                                  "divergent_barrier", "clean_guard_exit"))
+def test_interleaved_ctas_keep_their_own_state(name, fast_mode, monkeypatch):
+    """A driver that round-robins ``step_warp`` over both CTAs one
+    instruction at a time reports what the CTA-after-CTA run reports:
+    epochs, exit pcs and race tables belong to a CTA, not to whichever
+    one the observer saw last."""
+    from repro.functional.executor import FunctionalEngine
+    from repro.functional.state import CTAState
+    want = run_entry(name, fast_mode=fast_mode)
+
+    def round_robin(self, first_cta, limit_cta, stats, trace_ctas):
+        ctas = [CTAState(self.launch, index)
+                for index in range(first_cta, limit_cta)]
+        budget = 0
+        while not all(cta.finished for cta in ctas):
+            budget += 1
+            for cta in ctas:
+                self.run_cta(cta, stats, max_warp_instructions=budget)
+
+    monkeypatch.setattr(FunctionalEngine, "_run_range_scalar", round_robin)
+    got = run_entry(name, fast_mode=fast_mode)
+    assert got.findings == want.findings
+    assert got.counters == want.counters
+
+
+def test_faulting_shared_access_is_unchecked_on_every_tier():
+    """``buf[2 * tid]`` over a 32-float tile: the upper half-warp leaves
+    the shared window and the launch faults.  No tier racechecks or
+    counts the faulting instruction (the stepping tiers never reach the
+    observer; megablock must not check the in-window lanes first)."""
+    from repro.errors import SimulationFault
+    from repro.ptx.builder import PTXBuilder
+    b = PTXBuilder("shared_overrun", [("dst", "u64")])
+    b.shared("buf", "f32", 32)
+    b.ld_param("u64", "dst")
+    tid = b.special("%tid.x")
+    base = b.reg("u64")
+    b.ins("mov.u64", base, "buf")
+    value = b.reg("f32")
+    b.ins("cvt.rn.f32.u32", value, tid)
+    b.ins("st.shared.f32", f"[{b.elem_addr(base, tid, elem_bytes=8)}]",
+          value)
+    seen = {}
+    for fast_mode in FAST_MODES:
+        backend = FunctionalBackend(fast_mode=fast_mode, sanitize=True)
+        rt = CudaRuntime(backend=backend)
+        rt.load_ptx(b.build(), "shared_overrun")
+        rt.launch("shared_overrun", (2, 1, 1), (32, 1, 1),
+                  [rt.malloc(256)])
+        with pytest.raises(SimulationFault):
+            rt.synchronize()
+        seen[fast_mode] = (backend.sanitize.findings_list(),
+                           backend.sanitize.counters)
+    assert all(value == seen["reference"] for value in seen.values()), seen
+    assert seen["reference"][1]["checked_accesses"] == 0
 
 
 # ----------------------------------------------------------------------
@@ -131,6 +260,36 @@ def test_shard_merge_does_not_initialise_poison_fill():
     shadow, other = _copy_next_to_untouched(ShardedFunctionalBackend(
         2, fast_mode="superblock", sanitize=True))
     assert not shadow.range_initialized(other, 4)
+
+
+def test_every_tier_marks_the_one_init_map_in_place():
+    """A scalar store (through ``gm.write``) and a megablock store (a
+    scatter into a view of the map) leave the same marks, with nothing
+    to fold back afterwards."""
+    scalar, _ = _copy_next_to_untouched(
+        FunctionalBackend(fast_mode="superblock", sanitize=True))
+    vector, _ = _copy_next_to_untouched(
+        FunctionalBackend(fast_mode="megablock", sanitize=True))
+    assert bytes(vector.dense()) == bytes(scalar.dense())
+    assert 1 in scalar.dense() and 0 in scalar.dense()
+    assert not hasattr(vector, "absorb_dense")
+
+
+def test_shadow_snapshot_round_trips_the_dense_map_into_a_shard():
+    """What a shard worker does: restore memory, attach, restore marks."""
+    from repro.sanitize.shadow import attach_shadow
+    shadow, other = _copy_next_to_untouched(
+        FunctionalBackend(fast_mode="megablock", sanitize=True))
+    state = shadow.snapshot()
+    assert all(isinstance(base, int) and isinstance(marks, bytes)
+               for base, marks in state.items())
+    worker = GlobalMemory(uninit_read="poison")
+    worker.restore(shadow._gm.snapshot())
+    copy = attach_shadow(worker)
+    copy.restore(state)
+    assert bytes(copy.dense()) == bytes(shadow.dense())
+    assert copy.snapshot() == state
+    assert not copy.range_initialized(other, 4)
 
 
 # ----------------------------------------------------------------------

@@ -178,7 +178,8 @@ def _unemitted_ptx() -> str:
 
 
 def _vector_load_loop_ptx() -> str:
-    """A loop whose body holds a ``ld.global.v2`` (never emitted)."""
+    """A loop whose body holds a generic-space ``ld.v2`` (the space
+    resolves per lane: never emitted)."""
     b = PTXBuilder("vloop", [("xs", "u64"), ("ys", "u64"), ("n", "u32")])
     xs = b.ld_param("u64", "xs")
     ys = b.ld_param("u64", "ys")
@@ -190,7 +191,7 @@ def _vector_load_loop_ptx() -> str:
     b.ins("and.b32", lane, tid, "31")
     pair = b.elem_addr(xs, lane, 8)
     with b.for_range(i, 0, "4"):
-        b.ins("ld.global.v2.u32", f"{{{first}, {second}}}", f"[{pair}]")
+        b.ins("ld.v2.u32", f"{{{first}, {second}}}", f"[{pair}]")
         b.ins("add.u32", acc, acc, first)
         b.ins("xor.b32", acc, acc, second)
     b.ins("st.global.u32", f"[{b.elem_addr(ys, tid)}]", acc)
