@@ -53,7 +53,6 @@ class GPUConfig:
     row_bits: int = 11              # 2 KiB rows
     dram_burst_cycles: int = 4      # data-bus occupancy per access
     dram_row_miss_penalty: int = 20  # precharge + activate
-    dram_queue_depth: int = 16
     #: "frfcfs" (open-row, row hits first — the default, which makes
     #: bank camping visible) or "fcfs" (in-order, closed-row) — the
     #: DESIGN.md §5.3 ablation.

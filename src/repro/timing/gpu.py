@@ -9,11 +9,12 @@ whose recording would not be provably identical is execution-driven the
 way GPGPU-Sim is, every instruction executed at the cycle it issues
 (:func:`_live_reason` lists the cases).  Both producers feed the one
 cycle loop below, and ``GpuTiming.launch_sources`` says which ran.  The
-main loop is cycle-based with an idle-jump
-optimisation — when no scheduler can issue, time skips to the next
-event/wake-up, with the skipped scheduler-cycles charged to the
-appropriate W0 stall bucket so AerialVision's warp-issue breakdown stays
-exact.
+main loop is cycle-based but event-driven inside a cycle: it visits
+only the SMs with a scheduler that may issue (``SMCore.wake``), and
+when none can, time skips to the next event/wake-up.  The issue slots
+of SMs not visited and of skipped cycles are charged as spans to the
+appropriate W0 stall bucket, so AerialVision's warp-issue breakdown
+stays exact.
 
 If no warp can ever become ready and no event is in flight while CTAs
 remain, the simulator raises :class:`TimingDeadlockError` instead of
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from functools import partial
 from typing import Callable
 
 from repro.errors import CycleBudgetExceededError, TimingDeadlockError
@@ -32,10 +34,9 @@ from repro.functional.executor import FunctionalEngine
 from repro.functional.state import CTAState, LaunchContext
 from repro.timing.config import GPUConfig, TINY
 from repro.timing.memsys import MemRequest, MemorySubsystem
-from repro.timing.shader import SMCore
+from repro.timing.shader import NEVER, SMCore, charge_stalls
 from repro.timing.stream import LiveSource, StreamRecorder, classify
-from repro.timing.stats import (
-    KernelStats, SampleBlock, W0_ALU, W0_IDLE, W0_MEM)
+from repro.timing.stats import KernelStats, SampleBlock
 from repro.trace.clock import SimClock
 
 _MAX_CYCLES_DEFAULT = 50_000_000
@@ -115,9 +116,8 @@ class GpuTiming:
             heapq.heappush(events, (time, next(sequence), fn))
 
         def respond(time: float, req: MemRequest) -> None:
-            def deliver(_t: float, resident=req.warp_token) -> None:
-                resident.mem_pending -= 1
-            schedule(time, deliver)
+            resident = req.warp_token
+            schedule(time, partial(resident.cta.sm.deliver, resident))
 
         premade = premade_ctas or {}
         source = self._open_source(launch, first_cta, premade)
@@ -129,12 +129,14 @@ class GpuTiming:
 
         next_cta = first_cta
         total_ctas = launch.num_ctas
+        resident_ctas = 0
 
-        def refill() -> int:
+        def refill(now: float, passed: int) -> None:
             # Round-robin CTA issue, one per SM per pass (GPGPU-Sim's
-            # breadth-first CTA scheduler).
-            nonlocal next_cta
-            assigned = 0
+            # breadth-first CTA scheduler).  An SM this cycle's loop is
+            # already past (up to index *passed*) starts on its new CTA
+            # next cycle.
+            nonlocal next_cta, resident_ctas
             progressing = True
             while progressing and next_cta < total_ctas:
                 progressing = False
@@ -145,13 +147,13 @@ class GpuTiming:
                         continue
                     streams = source.open(next_cta)
                     if streams is not None:
-                        sm.assign_cta(next_cta, streams)
-                        assigned += 1
+                        sm.assign_cta(next_cta, streams,
+                                      now if sm.sm_id > passed else now + 1)
+                        resident_ctas += 1
                         progressing = True
                     next_cta += 1
-            return assigned
 
-        refill()
+        refill(clock.now, -1)
         stagnant = 0
         while True:
             now = clock.now
@@ -160,15 +162,15 @@ class GpuTiming:
                 _t, _seq, fn = heapq.heappop(events)
                 fn(now)
             issued = 0
-            any_resident = False
+            any_resident = resident_ctas > 0
             for sm in sms:
-                if not sm.busy:
+                if sm.wake > now:
                     continue
-                any_resident = True
                 count, finished = sm.issue_cycle(now)
                 issued += count
                 if finished:
-                    refill()
+                    resident_ctas -= len(finished)
+                    refill(now, sm.sm_id)
             done = (next_cta >= total_ctas and not any_resident
                     and not events)
             if done:
@@ -182,18 +184,12 @@ class GpuTiming:
                 stagnant = 0
                 continue
             # Idle jump: advance to the next event or warp wake-up.
-            candidates = []
-            if events:
-                candidates.append(events[0][0])
+            target = events[0][0] if events else NEVER
             for sm in sms:
-                t = sm.next_ready_time(now)
-                if t is not None:
-                    candidates.append(t)
-            if not candidates:
-                if next_cta < total_ctas and refill():
-                    continue
-                if (next_cta >= total_ctas
-                        and not any(sm.busy for sm in sms)):
+                if sm.wake < target:
+                    target = sm.wake
+            if target == NEVER:
+                if next_cta >= total_ctas and not resident_ctas:
                     # The last warp retired by running off the kernel's
                     # end, which issues nothing but spends the cycle.
                     clock.advance(1.0)
@@ -202,7 +198,7 @@ class GpuTiming:
                     "timing model made no progress: warps blocked with "
                     "no memory responses in flight "
                     f"({launch.kernel.name})")
-            target = max(now + 1.0, min(candidates))
+            target = max(now + 1.0, target)
             self._charge_idle(sms, samples, stats, now, target)
             clock.advance_to(target)
             stagnant += 1
@@ -245,27 +241,27 @@ class GpuTiming:
                      stats: KernelStats, t0: float, t1: float) -> None:
         """Attribute skipped scheduler-cycles to W0 buckets.
 
-        The skipped cycles span [t0 + 1, t1) — the first cycle was
-        already charged by issue_cycle — and are spread across every
-        sample interval the jump covers, so a long idle jump shows up as
-        a flat W0 band in AerialVision rather than one spiked bin at t0.
+        The skipped cycles span [t0 + 1, t1) — cycle t0 was visited,
+        and is charged by issue_cycle or, for an SM asleep through it,
+        here — and are spread across every sample interval the jump
+        covers, so a long idle jump shows up as a flat W0 band in
+        AerialVision rather than one spiked bin at t0.  A skipped cycle
+        does not tell a barrier stall from a data hazard: both are
+        ``W0_alu`` (DESIGN.md §5.1).
         """
-        span = int(t1 - t0)
-        if span <= 1:
+        first = t0 + 1
+        if t1 <= first:
             return
-        extra = span - 1
+        idle = mem = alu = 0
         for sm in sms:
-            for scheduler in sm.schedulers:
-                if not scheduler.warps:
-                    bucket = W0_IDLE
-                    stats.idle_scheduler_cycles += extra
-                elif any(rw.mem_pending for rw in scheduler.warps):
-                    bucket = W0_MEM
-                    stats.stall_mem_cycles += extra
-                else:
-                    bucket = W0_ALU
-                    stats.stall_alu_cycles += extra
-                samples.issue_span(bucket, t0 + 1, t1)
+            if sm.charged_to < first:
+                sm.charge_asleep(first)
+            sm.charged_to = t1
+            sm_idle, sm_mem, sm_barrier, sm_alu = sm.stalled()
+            idle += sm_idle
+            mem += sm_mem
+            alu += sm_barrier + sm_alu
+        charge_stalls(stats, samples, first, t1, idle, mem, 0, alu)
 
     @staticmethod
     def _fold_cache_stats(sms: list[SMCore], memsys: MemorySubsystem,

@@ -11,7 +11,8 @@ FFT forward convolution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.timing.cache import Cache
@@ -26,6 +27,12 @@ class MemRequest:
     sm_id: int
     warp_token: object  # opaque; handed back with the response
     issued_at: float = 0.0
+    # Set when the request queues for DRAM: where it maps, its place in
+    # the partition's arrival order, and whether it has been served.
+    bank: int = -1
+    row: int = -1
+    arrival: int = 0
+    served: bool = False
 
 
 @dataclass
@@ -50,19 +57,15 @@ class MemoryPartition:
         self._respond = respond
         self.l2 = Cache(config.l2_sets, config.l2_ways, config.line_size)
         self.banks = [DramBank() for _ in range(config.banks_per_partition)]
-        self.queue: list[MemRequest] = []
+        #: Requests waiting for DRAM in arrival order; one served out of
+        #: turn (a row hit) stays until it reaches the head.
+        self.queue: deque[MemRequest] = deque()
+        #: The requests not yet served by (bank, row), each in arrival
+        #: order; empty when none waits.
+        self._by_row: dict[tuple[int, int], deque[MemRequest]] = {}
+        self._arrivals = 0
         self.bus_free_at = 0.0
         self._active_since: float | None = None
-
-    # -- geometry ---------------------------------------------------------
-    def _bank_of(self, line_addr: int) -> int:
-        return ((line_addr * self.config.line_size)
-                >> self.config.row_bits) % len(self.banks)
-
-    def _row_of(self, line_addr: int) -> int:
-        addr = line_addr * self.config.line_size
-        return addr >> (self.config.row_bits
-                        + (len(self.banks) - 1).bit_length())
 
     # -- entry point (after interconnect latency) ---------------------------
     def arrive(self, req: MemRequest, now: float) -> None:
@@ -80,25 +83,45 @@ class MemoryPartition:
     def _enqueue_dram(self, req: MemRequest, now: float) -> None:
         if self._active_since is None:
             self._active_since = now
+        config = self.config
+        addr = req.line_addr * config.line_size
+        banks = len(self.banks)
+        req.bank = (addr >> config.row_bits) % banks
+        req.row = addr >> (config.row_bits + (banks - 1).bit_length())
+        req.arrival = self._arrivals
+        self._arrivals += 1
         self.queue.append(req)
+        self._by_row.setdefault((req.bank, req.row), deque()).append(req)
         self._try_service(now)
 
     # -- FR-FCFS service -----------------------------------------------------
     def _try_service(self, now: float) -> None:
-        if not self.queue or self.bus_free_at > now:
+        if not self._by_row or self.bus_free_at > now:
             return
         frfcfs = self.config.dram_scheduler == "frfcfs"
-        chosen_index = 0
+        # The oldest request that hits an open row, else the oldest one.
+        # Requests of one (bank, row) are served in arrival order, so
+        # only the head of each open row's queue can be that hit.
+        req = None
         if frfcfs:
-            for index, req in enumerate(self.queue):
-                bank = self.banks[self._bank_of(req.line_addr)]
-                if bank.open_row == self._row_of(req.line_addr):
-                    chosen_index = index
-                    break
-        req = self.queue.pop(chosen_index)
-        bank_id = self._bank_of(req.line_addr)
+            for bank_id, bank in enumerate(self.banks):
+                hits = self._by_row.get((bank_id, bank.open_row))
+                if hits and (req is None or hits[0].arrival < req.arrival):
+                    req = hits[0]
+        if req is None:
+            queue = self.queue
+            while queue[0].served:
+                queue.popleft()
+            req = queue[0]
+        req.served = True
+        bank_id, row = req.bank, req.row
+        same_row = self._by_row[(bank_id, row)]
+        same_row.popleft()
+        if not same_row:
+            del self._by_row[(bank_id, row)]
+            if not self._by_row:
+                self.queue.clear()  # only served requests are left
         bank = self.banks[bank_id]
-        row = self._row_of(req.line_addr)
         # Closed-row FCFS precharges after every access: never a hit.
         row_hit = frfcfs and bank.open_row == row
         bank.open_row = row if frfcfs else -1
@@ -123,7 +146,7 @@ class MemoryPartition:
                        lambda t, r=req: self._complete(t, r))
 
     def _complete(self, now: float, req: MemRequest) -> None:
-        if not self.queue and self._active_since is not None:
+        if not self._by_row and self._active_since is not None:
             self.samples.dram_active_interval(
                 self.part_id, self._active_since, now)
             self._active_since = None
@@ -173,10 +196,6 @@ class MemorySubsystem:
         partition = self.partitions[self.partition_of(req.line_addr)]
         self._schedule(now + self.config.icnt_latency,
                        lambda t, r=req, p=partition: p.arrive(r, t))
-
-    @property
-    def pending(self) -> int:
-        return sum(len(p.queue) for p in self.partitions)
 
     def drain_active(self, now: float) -> None:
         for partition in self.partitions:

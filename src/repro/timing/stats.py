@@ -31,6 +31,13 @@ def lane_bucket(active_lanes: int) -> str:
 ISSUE_BUCKETS = ([W0_IDLE, W0_MEM, W0_ALU, W0_BARRIER]
                  + [f"W{i}_{i + 3}" for i in range(1, 32, 4)])
 
+#: Where a ``SampleBlock.row`` counts each bucket's issue slots, and the
+#: slots of a warp issuing with 0..32 active lanes; thread instructions
+#: committed by SM ``n`` are counted at ``SM_SLOT + n``.
+BUCKET_SLOT = {bucket: slot for slot, bucket in enumerate(ISSUE_BUCKETS)}
+LANE_SLOTS = tuple(BUCKET_SLOT[lane_bucket(lanes)] for lanes in range(33))
+SM_SLOT = len(ISSUE_BUCKETS)
+
 
 class SampleBlock:
     """Accumulates interval-binned counters during one kernel run.
@@ -49,8 +56,9 @@ class SampleBlock:
         self.num_partitions = num_partitions
         self.banks_per_partition = banks_per_partition
         self.clock = clock
-        self._global_ipc: dict[int, int] = defaultdict(int)
-        self._shader_ipc: dict[tuple[int, int], int] = defaultdict(int)
+        #: Per interval: issue slots by bucket, then thread instructions
+        #: committed by SM (``row``).
+        self._rows: dict[int, list[int]] = {}
         self._dram_busy: dict[tuple[int, int], float] = defaultdict(float)
         self._dram_active: dict[tuple[int, int], float] = defaultdict(float)
         self._dram_accesses: dict[tuple[int, int], int] = defaultdict(int)
@@ -58,33 +66,36 @@ class SampleBlock:
             defaultdict(int))
         self._bank_row_hits: dict[tuple[int, int, int], int] = (
             defaultdict(int))
-        self._issue: dict[tuple[str, int], int] = defaultdict(int)
         self.cycles = 0
 
     # -- recording -------------------------------------------------------
     def _bin(self, cycle: int) -> int:
         return int(cycle) // self.interval
 
+    def row(self, cycle: float) -> list[int]:
+        """The issue/commit counters of the interval holding *cycle*
+        (layout: ``BUCKET_SLOT``, ``SM_SLOT``): ``SMCore.issue_cycle``
+        counts a visited cycle there directly."""
+        b = int(cycle) // self.interval
+        row = self._rows.get(b)
+        if row is None:
+            row = self._rows[b] = [0] * (SM_SLOT + self.num_sms)
+        return row
+
     def commit(self, cycle: int, sm_id: int, count: int = 1) -> None:
-        b = self._bin(cycle)
-        self._global_ipc[b] += count
-        self._shader_ipc[(sm_id, b)] += count
+        self.row(cycle)[SM_SLOT + sm_id] += count
 
-    def issue_event(self, cycle: int, bucket: str, count: int = 1) -> None:
-        self._issue[(bucket, self._bin(cycle))] += count
-
-    def issue_span(self, bucket: str, t0: float, t1: float) -> None:
-        """Charge one issue slot per cycle of [t0, t1) to *bucket*,
+    def issue_span(self, bucket: str, t0: float, t1: float,
+                   count: int = 1) -> None:
+        """Charge *count* issue slots per cycle of [t0, t1) to *bucket*,
         distributed across the sample intervals the span overlaps."""
         start, end = int(t0), int(t1)
-        if end <= start:
-            return
-        for b in range(start // self.interval,
-                       (end - 1) // self.interval + 1):
-            lo = max(start, b * self.interval)
-            hi = min(end, (b + 1) * self.interval)
-            if hi > lo:
-                self._issue[(bucket, b)] += hi - lo
+        slot = BUCKET_SLOT[bucket]
+        interval = self.interval
+        while start < end:
+            stop = min(end, (start // interval + 1) * interval)
+            self.row(start)[slot] += (stop - start) * count
+            start = stop
 
     def dram_busy_interval(self, partition: int, t0: float,
                            t1: float) -> None:
@@ -129,18 +140,19 @@ class SampleBlock:
     def global_ipc_series(self) -> np.ndarray:
         bins = self.num_bins()
         out = np.zeros(bins)
-        for b, count in self._global_ipc.items():
+        for b, row in self._rows.items():
             if b < bins:
-                out[b] = count / self.interval
+                out[b] = sum(row[SM_SLOT:]) / self.interval
         return out
 
     def shader_ipc_matrix(self) -> np.ndarray:
         """[sm, bin] instructions-per-cycle."""
         bins = self.num_bins()
         out = np.zeros((self.num_sms, bins))
-        for (sm, b), count in self._shader_ipc.items():
+        for b, row in self._rows.items():
             if b < bins:
-                out[sm, b] = count / self.interval
+                for sm, count in enumerate(row[SM_SLOT:]):
+                    out[sm, b] = count / self.interval
         return out
 
     def dram_efficiency_matrix(self) -> np.ndarray:
@@ -168,9 +180,10 @@ class SampleBlock:
     def warp_issue_matrix(self) -> dict[str, np.ndarray]:
         bins = self.num_bins()
         out = {bucket: np.zeros(bins) for bucket in ISSUE_BUCKETS}
-        for (bucket, b), count in self._issue.items():
-            if b < bins and bucket in out:
-                out[bucket][b] = count
+        for b, row in self._rows.items():
+            if b < bins:
+                for bucket, count in zip(ISSUE_BUCKETS, row):
+                    out[bucket][b] = count
         return out
 
     def bank_access_matrix(self) -> np.ndarray:

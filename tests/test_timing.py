@@ -165,29 +165,38 @@ class TestSampling:
         from repro.timing.stats import SampleBlock
         samples = SampleBlock(interval=10, num_sms=1, num_partitions=1,
                               banks_per_partition=1)
+        samples.cycles = 40
         samples.issue_span("W0_mem", 5, 35)
-        assert samples._issue[("W0_mem", 0)] == 5   # [5, 10)
-        assert samples._issue[("W0_mem", 1)] == 10  # [10, 20)
-        assert samples._issue[("W0_mem", 2)] == 10  # [20, 30)
-        assert samples._issue[("W0_mem", 3)] == 5   # [30, 35)
+        # [5, 10), [10, 20), [20, 30), [30, 35)
+        assert list(samples.warp_issue_matrix()["W0_mem"]) == [5, 10, 10, 5]
         samples.issue_span("W0_mem", 7, 7)  # empty span: no-op
-        assert sum(samples._issue.values()) == 30
+        assert sum(series.sum() for series
+                   in samples.warp_issue_matrix().values()) == 30
 
     def test_long_idle_jump_charged_flat(self):
         """_charge_idle must spread a long jump over every interval it
         covers, not spike the interval containing its start."""
+        from dataclasses import replace
         from types import SimpleNamespace
+        from repro.timing.shader import SMCore
         from repro.timing.stats import KernelStats, SampleBlock
+        from repro.timing.stream import MEM, WarpStream
+        config = replace(TINY, schedulers_per_sm=1)
         samples = SampleBlock(interval=10, num_sms=1, num_partitions=1,
                               banks_per_partition=1)
         stats = KernelStats()
-        warp = SimpleNamespace(mem_pending=1)
-        sms = [SimpleNamespace(
-            schedulers=[SimpleNamespace(warps=[warp])])]
-        GpuTiming._charge_idle(sms, samples, stats, t0=0.0, t1=100.0)
+        # A real SM whose only warp issues one load at cycle 0 and then
+        # waits: the memory system here never answers.
+        sm = SMCore(0, config, source=None, kinds=[MEM],
+                    memsys=SimpleNamespace(submit=lambda req, now: None),
+                    stats=stats, samples=samples)
+        load = (0, 32, (0, (7,), ()), False)
+        sm.assign_cta(0, [WarpStream(iter([load]).__next__)], 0.0)
+        assert sm.issue_cycle(0.0) == (1, [])
+        GpuTiming._charge_idle([sm], samples, stats, t0=0.0, t1=100.0)
         assert stats.stall_mem_cycles == 99
-        series = [samples._issue.get(("W0_mem", b), 0)
-                  for b in range(10)]
+        samples.cycles = 100
+        series = list(samples.warp_issue_matrix()["W0_mem"])
         assert sum(series) == 99
         # Flat band: every covered interval gets its share, and no
         # interval holds more than its own width.
