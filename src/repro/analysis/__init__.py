@@ -4,7 +4,7 @@ Public surface:
 
 * :func:`analyze_kernel` — verifier + lint passes for one kernel.
 * :func:`analyze_module` — every kernel of a parsed module.
-* :func:`verify_launch` — the ``FunctionalEngine(verify=True)`` gate:
+* :func:`verify_launch` — ``FunctionalEngine``'s ``verify=True`` gate:
   raises :class:`repro.errors.VerificationError` when the verifier (or
   an enabled-quirk dependence check) reports an error-severity finding.
 * :mod:`repro.analysis.dataflow` — the reusable analyses (reaching

@@ -17,20 +17,36 @@ Resume flow (functional *or* performance mode):
 
 Both flows are backends plugged into the CUDA runtime; the workload
 (host program) is simply re-run, which is exactly how GPGPU-Sim's
-checkpointing replays the application.
+checkpointing replays the application.  Neither drives a CTA itself:
+kernel ``x`` (a ``LaunchContext.ordinal``) asks the one CTA loop for a
+budget and a capture callback on the way in, and is handed to the
+inner backend's ordinary ``execute`` narrowed (``first_cta``,
+``restored``) on the way out.
 """
 
 from __future__ import annotations
 
-from repro.cuda.runtime import KernelRunResult
-from repro.functional.executor import FunctionalEngine, RunStats
-from repro.functional.state import CTAState, LaunchContext
+from repro.cuda.runtime import FunctionalBackend, KernelRunResult
+from repro.functional.state import LaunchContext
 from repro.checkpoint.state import Checkpoint, capture_cta, restore_cta
 from repro.errors import CheckpointError
 from repro.trace.tracer import NULL_TRACER
 
 
-class CheckpointingBackend:
+def _check_order(launch: LaunchContext, x: int, passed: bool) -> None:
+    """Both flows cut the application at kernel ``x`` in *enqueue*
+    order (``launch.ordinal``); streams may execute launches in another
+    order, and a kernel on the wrong side of the cut would silently be
+    lost from (or doubled in) Data2."""
+    if launch.ordinal != x and (launch.ordinal > x) != passed:
+        raise CheckpointError(
+            f"kernel #{launch.ordinal} ({launch.kernel.name}) executed "
+            f"{'after' if passed else 'before'} checkpoint kernel #{x}, "
+            "out of enqueue order; checkpointing needs the streams to "
+            "run launches in the order they were enqueued")
+
+
+class CheckpointingBackend(FunctionalBackend):
     """Functional-mode backend that captures a checkpoint at
     (kernel ``x``, CTA ``M``, ``t`` extra partial CTAs, ``y``
     instructions per warp)."""
@@ -40,44 +56,38 @@ class CheckpointingBackend:
     def __init__(self, kernel_ordinal: int, first_cta: int,
                  partial_ctas: int = 1,
                  warp_instruction_budget: int = 32) -> None:
+        super().__init__()
         if partial_ctas < 1:
             raise CheckpointError("need at least one partial CTA")
         self.x = kernel_ordinal
         self.m = first_cta
         self.t = partial_ctas
         self.y = warp_instruction_budget
-        self._ordinal = 0
         self.checkpoint: Checkpoint | None = None
-        #: Set by the owning CudaRuntime when tracing is on.
-        self.tracer = NULL_TRACER
 
     @property
     def taken(self) -> bool:
         return self.checkpoint is not None
 
     def execute(self, launch: LaunchContext) -> KernelRunResult:
-        ordinal = self._ordinal
-        self._ordinal += 1
-        if self.taken or ordinal > self.x:
+        _check_order(launch, self.x, self.taken)
+        if launch.ordinal > self.x:
             return KernelRunResult()  # past the checkpoint: skip
-        engine = FunctionalEngine(launch)
-        stats = RunStats()
-        if ordinal < self.x:
-            stats = engine.run()
-            return KernelRunResult(instructions=stats.instructions)
+        if launch.ordinal < self.x:
+            return super().execute(launch)
         # Kernel x: the checkpoint kernel.
         checkpoint = Checkpoint(
             kernel_ordinal=self.x, first_cta=self.m,
             partial_ctas=self.t, warp_instruction_budget=self.y,
-            kernel_name=launch.kernel.name, launch_count=self._ordinal)
-        limit = min(self.m, launch.num_ctas)
-        for cta_linear in range(limit):
-            engine.run_cta(CTAState(launch, cta_linear), stats)
-        last_partial = min(self.m + self.t, launch.num_ctas)
-        for cta_linear in range(self.m, last_partial):
-            cta = CTAState(launch, cta_linear)
-            engine.run_cta(cta, stats, max_warp_instructions=self.y)
-            checkpoint.cta_snapshots.append(capture_cta(cta))
+            kernel_name=launch.kernel.name)
+        engine = self.engine(launch)
+        whole = min(self.m, launch.num_ctas)
+        stats = engine.run_range(0, whole)
+        engine.run_range(
+            whole, min(self.m + self.t, launch.num_ctas), stats,
+            max_warp_instructions=self.y,
+            on_cta=lambda cta: checkpoint.cta_snapshots.append(
+                capture_cta(cta)))
         checkpoint.global_memory = launch.global_mem.snapshot()
         self.checkpoint = checkpoint
         if self.tracer.enabled:
@@ -87,33 +97,33 @@ class CheckpointingBackend:
                       "partial_ctas": len(checkpoint.cta_snapshots),
                       "warp_instruction_budget": self.y,
                       "instructions": stats.instructions})
-        return KernelRunResult(instructions=stats.instructions)
+        return self.report(launch, stats, engine.fast_mode)
 
 
 class ResumeBackend:
-    """Backend resuming from a checkpoint, delegating post-checkpoint
-    kernels to an inner (functional or timing) backend."""
+    """Backend resuming from a checkpoint: skips what the checkpoint
+    already covers and delegates everything else — the checkpoint
+    kernel's remaining CTAs included — to an inner (functional or
+    timing) backend."""
 
     name = "resume"
 
     def __init__(self, checkpoint: Checkpoint, inner) -> None:
         self.checkpoint = checkpoint
         self.inner = inner
-        self._ordinal = 0
         self._restored = False
         #: Set by the owning CudaRuntime when tracing is on.
         self.tracer = NULL_TRACER
 
     def execute(self, launch: LaunchContext) -> KernelRunResult:
-        ordinal = self._ordinal
-        self._ordinal += 1
         cp = self.checkpoint
-        if ordinal < cp.kernel_ordinal:
+        _check_order(launch, cp.kernel_ordinal, self._restored)
+        if launch.ordinal < cp.kernel_ordinal:
             return KernelRunResult()  # skipped; Data2 covers its effects
-        if ordinal == cp.kernel_ordinal:
+        if launch.ordinal == cp.kernel_ordinal:
             if launch.kernel.name != cp.kernel_name:
                 raise CheckpointError(
-                    f"resume mismatch: kernel #{ordinal} is "
+                    f"resume mismatch: kernel #{launch.ordinal} is "
                     f"{launch.kernel.name!r}, checkpoint was taken in "
                     f"{cp.kernel_name!r}")
             launch.global_mem.restore(cp.global_memory)
@@ -125,31 +135,11 @@ class ResumeBackend:
                     args={"kernel_ordinal": cp.kernel_ordinal,
                           "first_cta": cp.first_cta,
                           "ctas_restored": len(cp.cta_snapshots)})
-            return self._resume_kernel(launch)
-        if not self._restored:
-            raise CheckpointError(
-                "resume reached a later kernel before the checkpoint "
-                "kernel; was the workload replayed identically?")
+            # CTAs below M are done; M .. M+t run on from Data1.
+            launch.first_cta = min(cp.first_cta, launch.num_ctas)
+            launch.restored = {snap.cta_linear: restore_cta(launch, snap)
+                               for snap in cp.cta_snapshots}
         if (self.tracer.enabled
                 and getattr(self.inner, "tracer", None) is NULL_TRACER):
             self.inner.tracer = self.tracer
         return self.inner.execute(launch)
-
-    def _resume_kernel(self, launch: LaunchContext) -> KernelRunResult:
-        cp = self.checkpoint
-        premade = {snap.cta_linear: restore_cta(launch, snap)
-                   for snap in cp.cta_snapshots}
-        if hasattr(self.inner, "gpu"):
-            # Performance mode: the timing model takes over mid-kernel.
-            stats, samples = self.inner.gpu.simulate(
-                launch, first_cta=cp.first_cta, premade_ctas=premade)
-            self.inner.kernel_stats.append(stats)
-            return KernelRunResult(instructions=stats.warp_instructions,
-                                   cycles=stats.cycles, samples=samples)
-        engine = FunctionalEngine(launch)
-        stats = RunStats()
-        for cta_linear in range(cp.first_cta, launch.num_ctas):
-            cta = premade.get(cta_linear) or CTAState(launch, cta_linear)
-            if not cta.finished:
-                engine.run_cta(cta, stats)
-        return KernelRunResult(instructions=stats.instructions)

@@ -50,7 +50,6 @@ class Checkpoint:
     kernel_name: str = ""
     global_memory: dict = field(default_factory=dict)   # Data2
     cta_snapshots: list[CTASnapshot] = field(default_factory=list)  # Data1
-    launch_count: int = 0
     format_version: int = _FORMAT_VERSION
 
     # -- persistence ------------------------------------------------------

@@ -24,7 +24,7 @@ from repro.cuda.loader import LoadedProgram, ProgramLoader
 from repro.cuda.streams import CudaEvent, CudaStream, StreamOp
 from repro.cuda.textures import (
     TextureInfo, TextureReference, TextureReferenceAttr, TextureSystem)
-from repro.functional.executor import FunctionalEngine
+from repro.functional.executor import FunctionalEngine, RunStats
 from repro.functional.memory import CudaArray, GlobalMemory, LinearMemory
 from repro.functional.state import LaunchContext
 from repro.ptx.ast import Kernel
@@ -112,24 +112,41 @@ class FunctionalBackend:
         #: Set by the owning CudaRuntime when tracing is on.
         self.tracer = NULL_TRACER
 
-    def execute(self, launch: LaunchContext) -> KernelRunResult:
+    def launch_hooks(self, launch: LaunchContext) -> dict:
+        """The per-instruction hooks (``on_exec``/``exec_override``
+        engine arguments) this launch runs under; a subclass overrides
+        it to arm them per launch."""
+        return {"on_exec": self.on_exec,
+                "exec_override": self.exec_override}
+
+    def engine(self, launch: LaunchContext) -> FunctionalEngine:
+        """The engine for one functional launch — the only place a
+        backend builds one."""
+        return FunctionalEngine(launch, fast_mode=self.fast_mode,
+                                verify=self.verify,
+                                sanitize=self.sanitize,
+                                tracer=self.tracer,
+                                **self.launch_hooks(launch))
+
+    def report(self, launch: LaunchContext, stats: RunStats, tier: str,
+               *, label: str = "functional", **args) -> KernelRunResult:
+        """What a functionally executed launch reports: its one engine
+        slice, ``<label>:<kernel>`` with the *tier* that ran, and the
+        :class:`KernelRunResult`."""
         tracer = self.tracer
-        engine = FunctionalEngine(launch, fast_mode=self.fast_mode,
-                                  on_exec=self.on_exec,
-                                  exec_override=self.exec_override,
-                                  verify=self.verify,
-                                  sanitize=self.sanitize,
-                                  tracer=tracer)
-        stats = engine.run()
         if tracer.enabled:
             tracer.complete(
-                f"functional:{launch.kernel.name}",
+                f"{label}:{launch.kernel.name}",
                 ts=tracer.clock.now, dur=float(stats.instructions),
                 cat="engine",
-                args={"tier": engine.fast_mode, "verify": self.verify,
+                args={"tier": tier, "verify": self.verify, **args,
                       "instructions": stats.instructions})
         return KernelRunResult(instructions=stats.instructions, cycles=0,
                                stats={"per_opcode": stats.dynamic_per_opcode})
+
+    def execute(self, launch: LaunchContext) -> KernelRunResult:
+        engine = self.engine(launch)
+        return self.report(launch, engine.run(), engine.fast_mode)
 
 
 class CudaRuntime:
@@ -175,12 +192,10 @@ class CudaRuntime:
             self.tracer.name_track(stream_tid(0), "stream 0 (default)")
         self.profiles: list[KernelProfile] = []
         self.launch_log: list[dict] = []
-        #: Checkpoint hook — when set, kernels with launch ordinal below
-        #: this value have their execution skipped (resume flow, Fig. 5).
-        self.skip_kernels_below: int = 0
         self._launch_ordinal = 0
-        #: Debug-tool hooks, called around each kernel execution with
-        #: (ordinal, name, grid, block, args).
+        #: Launch-boundary observers (debug tools, fault campaigns, the
+        #: service's cancellation/progress pair), called around each
+        #: kernel execution with (ordinal, name, grid, block, args).
         self.before_kernel_hooks: list = []
         self.after_kernel_hooks: list = []
 
@@ -436,8 +451,6 @@ class CudaRuntime:
         })
 
         def run() -> None:
-            if ordinal < self.skip_kernels_below:
-                return  # checkpoint-resume skips already-executed kernels
             for hook in self.before_kernel_hooks:
                 hook(ordinal, name, grid3, block3, args)
             launch = LaunchContext(
@@ -446,7 +459,7 @@ class CudaRuntime:
                 const_mem=self.program.const_mem,
                 module_symbols=self.program.module_symbols,
                 textures=self.textures.view(),  # type: ignore[arg-type]
-                quirks=self.quirks)
+                quirks=self.quirks, ordinal=ordinal)
             tracer = self.tracer
             tid = stream_tid(stream.stream_id)
             if tracer.enabled:

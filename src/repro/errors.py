@@ -101,7 +101,7 @@ class JobCancelled(ServiceError):
 
 
 class VerificationError(ReproError):
-    """Raised by the ``FunctionalEngine(verify=True)`` launch gate when
+    """Raised by ``FunctionalEngine``'s ``verify=True`` launch gate when
     the static verifier reports error-severity findings.
 
     ``findings`` holds the :class:`repro.analysis.Finding` objects so

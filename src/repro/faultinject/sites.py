@@ -33,12 +33,12 @@ import random
 from collections import defaultdict
 from typing import Callable
 
+from repro.cuda.runtime import FunctionalBackend
 from repro.debugtool.instrument import _dest_width
 from repro.errors import FaultInjectionError
-from repro.functional.executor import FunctionalEngine, guard_lanes
+from repro.functional.executor import guard_lanes
 from repro.ptx import ast
 from repro.ptx.instructions import lookup
-from repro.trace.tracer import NULL_TRACER
 
 from repro.faultinject.spec import FaultSpec
 
@@ -269,7 +269,7 @@ class StreamEventLostSite(SiteAdapter):
 # ---------------------------------------------------------------------------
 # Faulting functional backend
 # ---------------------------------------------------------------------------
-class FaultingFunctionalBackend:
+class FaultingFunctionalBackend(FunctionalBackend):
     """Functional backend that arms instruction-site hooks per launch.
 
     Only launches matching the spec's kernel/ordinal trigger pay for
@@ -281,14 +281,11 @@ class FaultingFunctionalBackend:
 
     def __init__(self, runtime, adapter: _InstructionSite, *,
                  fast_mode: str = "superblock", sanitize=None) -> None:
+        #: *sanitize*: inherited from the backend this one replaced.
+        super().__init__(fast_mode=fast_mode, sanitize=sanitize)
         self.runtime = runtime
         self.adapter = adapter
-        self.fast_mode = fast_mode
-        #: Sanitizer inherited from the backend this one replaced.
-        self.sanitize = sanitize
         self._launches_seen: dict[str, int] = defaultdict(int)
-        #: Set by the owning CudaRuntime when tracing is on.
-        self.tracer = NULL_TRACER
 
     def _resolve_pc(self, kernel: ast.Kernel) -> int:
         spec = self.adapter.spec
@@ -301,21 +298,16 @@ class FaultingFunctionalBackend:
             return spec.pc
         return match_site(original.body, kernel.body, spec.pc)
 
-    def execute(self, launch):
-        from repro.cuda.runtime import KernelRunResult
+    def launch_hooks(self, launch) -> dict:
+        """The adapter's hooks on the launch the spec targets (its
+        ``kernel_ordinal`` counts launches of that kernel name)."""
         spec = self.adapter.spec
         kernel = launch.kernel
-        hooks: dict = {}
         if spec.kernel is None or kernel.name == spec.kernel:
             ordinal = self._launches_seen[kernel.name]
             self._launches_seen[kernel.name] += 1
             if (spec.kernel_ordinal is None
                     or ordinal == spec.kernel_ordinal):
-                target_pc = self._resolve_pc(kernel)
-                hooks = self.adapter.make_hooks(kernel, target_pc)
-        stats = FunctionalEngine(launch, fast_mode=self.fast_mode,
-                                 tracer=self.tracer,
-                                 sanitize=self.sanitize, **hooks).run()
-        return KernelRunResult(
-            instructions=stats.instructions, cycles=0,
-            stats={"per_opcode": stats.dynamic_per_opcode})
+                return self.adapter.make_hooks(
+                    kernel, self._resolve_pc(kernel))
+        return {}

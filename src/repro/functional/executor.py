@@ -50,7 +50,7 @@ from repro.ptx.instructions import BAR, CTRL, DISPATCH, OP_CLASS
 #: Sentinel returned by step_warp when the warp is parked at a barrier.
 AT_BARRIER = "barrier"
 
-#: Interpreter tiers, fastest first.  See FunctionalEngine(fast_mode=).
+#: Interpreter tiers, fastest first.  See FunctionalEngine's fast_mode.
 FAST_MODES = ("megablock", "superblock", "fastpath", "reference")
 
 #: mask -> tuple of active lane indices (masks repeat heavily).
@@ -606,12 +606,18 @@ class FunctionalEngine:
             stats.instructions += executed
         return executed > 0
 
-    def run(self) -> RunStats:
-        """Execute the whole grid in functional simulation mode."""
-        return self.run_range(0, self.launch.num_ctas)
+    def run(self, **per_cta) -> RunStats:
+        """Execute the launch's CTA extent (the whole grid unless the
+        launch was narrowed) in functional simulation mode."""
+        launch = self.launch
+        return self.run_range(launch.first_cta, launch.limit_cta,
+                              **per_cta)
 
     def run_range(self, first_cta: int, limit_cta: int,
-                  stats: RunStats | None = None) -> RunStats:
+                  stats: RunStats | None = None, *,
+                  max_warp_instructions: int | None = None,
+                  on_cta: Callable[[CTAState], None] | None = None
+                  ) -> RunStats:
         """Execute CTAs ``first_cta .. limit_cta-1`` (a shard of the
         grid) in functional simulation mode.
 
@@ -620,6 +626,14 @@ class FunctionalEngine:
         process — produces the same architectural state as :meth:`run`,
         provided CTA write sets do not overlap (and in ascending-range
         order even when they do).
+
+        This is the only loop that creates, drives and releases CTAs for
+        a functional launch.  A CTA in ``launch.restored`` (checkpoint
+        Data1) runs on from its saved state; *max_warp_instructions*
+        stops every warp at that many issued instructions (a
+        checkpoint's partial CTAs); *on_cta* sees each CTA after it ran,
+        before it is released (register capture).  Each needs per-lane
+        CTA state, so such a launch runs scalar whatever the tier.
         """
         stats = RunStats() if stats is None else stats
         if not 0 <= first_cta <= limit_cta <= self.launch.num_ctas:
@@ -628,7 +642,10 @@ class FunctionalEngine:
                 f"{self.launch.num_ctas} CTAs")
         tracer = self.tracer
         trace_ctas = tracer.enabled and tracer.cta_spans
-        if (self._megaplan is not None and self.on_exec is None
+        per_cta = (bool(self.launch.restored) or on_cta is not None
+                   or max_warp_instructions is not None)
+        if (not per_cta
+                and self._megaplan is not None and self.on_exec is None
                 and self.exec_override is None and not trace_ctas):
             from repro.functional.megablock import EVENTS, MegaMachine
             with tracer.span(f"megablock:{self.kernel.name}",
@@ -649,17 +666,21 @@ class FunctionalEngine:
             restore_hook = True
         try:
             self._run_range_scalar(first_cta, limit_cta, stats,
-                                   trace_ctas)
+                                   trace_ctas, max_warp_instructions,
+                                   on_cta)
         finally:
             if restore_hook:
                 self.on_exec = None
         return stats
 
     def _run_range_scalar(self, first_cta: int, limit_cta: int,
-                          stats: RunStats, trace_ctas: bool) -> None:
+                          stats: RunStats, trace_ctas: bool,
+                          budget: int | None, on_cta) -> None:
         tracer = self.tracer
+        restored = self.launch.restored
         for cta_linear in range(first_cta, limit_cta):
-            cta = CTAState(self.launch, cta_linear)
+            cta = (restored.get(cta_linear)
+                   or CTAState(self.launch, cta_linear))
             stats.ctas_launched += 1
             stats.warps_launched += len(cta.warps)
             if trace_ctas:
@@ -670,8 +691,9 @@ class FunctionalEngine:
                 base = tracer.clock.now
                 tracer.begin(f"cta {cta.cta_linear}", cat="cta",
                              ts=base + self.launch.clock)
-                self.run_cta(cta, stats)
+            self.run_cta(cta, stats, budget)
+            if trace_ctas:
                 tracer.end(ts=base + self.launch.clock)
-            else:
-                self.run_cta(cta, stats)
+            if on_cta is not None:
+                on_cta(cta)
             cta.release()

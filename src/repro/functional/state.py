@@ -55,8 +55,19 @@ class LaunchContext:
     textures: dict[str, CudaArray] = field(default_factory=dict)
     quirks: LegacyQuirks = FIXED
     clock: int = 0
+    #: The runtime's launch ordinal (enqueue order): what the kernel
+    #: hooks, the launch log and a checkpoint's ``x`` all count in.
+    ordinal: int = 0
+    #: The CTAs this execution covers, ``first_cta .. limit_cta-1``
+    #: (``None``: to the grid's end); a shard or a resume narrows it.
+    first_cta: int = 0
+    limit_cta: int | None = None
+    #: cta_linear -> restored :class:`CTAState` (checkpoint Data1).
+    restored: dict[int, "CTAState"] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if self.limit_cta is None:
+            self.limit_cta = self.num_ctas
         self.param_offsets = {p.name: p.offset for p in self.kernel.params}
         self.shared_offsets: dict[str, int] = {}
         offset = 0

@@ -56,9 +56,10 @@ def job_key(workload: str, config: dict | None, seed: int) -> str:
 class JobControl:
     """Handle a runner uses to report progress and observe cancellation.
 
-    The scheduler hands every running job one of these; the backend
-    wrapper (and any runner that wants finer granularity) calls
-    :meth:`progress` at natural boundaries — after each kernel launch,
+    The scheduler hands every running job one of these; the kernel
+    hooks of the job's runtime (and any runner that wants finer
+    granularity) call :meth:`progress` at natural boundaries — after
+    each kernel launch,
     which on the sharded path is a full shard fan-out + merge.  Each
     call emits a ``shard-progress`` event on the job and then
     :meth:`check`\\ s for a requested cancel or an expired deadline,
@@ -66,11 +67,6 @@ class JobControl:
     Cancellation is therefore *cooperative*: a queued job dies
     instantly, a running job dies at its next shard boundary.
     """
-
-    #: Real controls are active; the :data:`NULL_CONTROL` stub is not,
-    #: so runners can skip wrapping work in progress calls when nobody
-    #: is listening.
-    active = True
 
     def __init__(self, job: "Job") -> None:
         self.job = job
@@ -96,8 +92,6 @@ class JobControl:
 class NullJobControl(JobControl):
     """The no-op control: never cancels, records nothing."""
 
-    active = False
-
     def __init__(self) -> None:  # no job to carry
         pass
 
@@ -110,54 +104,6 @@ class NullJobControl(JobControl):
 
 #: Shared stub for callers without a scheduler (direct runner calls).
 NULL_CONTROL = NullJobControl()
-
-
-class _ControlledBackend:
-    """Backend wrapper that makes every kernel launch a shard boundary.
-
-    ``execute`` checks for cancellation *before* each launch and
-    reports progress *after* it, so a multi-kernel workload (LeNet
-    forward is ~a dozen launches) streams per-launch events and can be
-    cancelled between launches without poisoning the worker.  The
-    ``sanitize``/``tracer`` attributes pass through to the wrapped
-    backend because both :class:`~repro.cuda.runtime.CudaRuntime` and
-    :func:`_finish` reach for them.
-    """
-
-    name = "controlled"
-
-    def __init__(self, inner, control: JobControl) -> None:
-        self.inner = inner
-        self.control = control
-
-    @property
-    def sanitize(self):
-        """The wrapped backend's sanitizer (or ``None``)."""
-        return getattr(self.inner, "sanitize", None)
-
-    @property
-    def tracer(self):
-        """The wrapped backend's tracer (set by the owning runtime)."""
-        from repro.trace.tracer import NULL_TRACER
-        return getattr(self.inner, "tracer", NULL_TRACER)
-
-    @tracer.setter
-    def tracer(self, value) -> None:
-        self.inner.tracer = value
-
-    def execute(self, launch):
-        """Run one launch between two cancellation points."""
-        self.control.check()
-        result = self.inner.execute(launch)
-        self.control.progress(
-            "launch", kernel=launch.kernel.name,
-            instructions=result.instructions)
-        return result
-
-    def close(self) -> None:
-        """Close the wrapped backend's worker pool, if it has one."""
-        if hasattr(self.inner, "close"):
-            self.inner.close()
 
 
 # ---------------------------------------------------------------------------
@@ -173,18 +119,21 @@ def _digest_allocations(runtime) -> str:
     return hasher.hexdigest()
 
 
-def _make_backend(config: dict, control: JobControl = NULL_CONTROL):
-    """Build the execution backend a job asked for.
+def _make_runtime(config: dict, control: JobControl = NULL_CONTROL):
+    """Build the device a job asked for.
 
     ``config["shards"]`` switches the launch path to the multiprocessing
     CTA fan-out; otherwise the in-process tier named by
     ``config["fast_mode"]`` (default megablock — the fast sweep tier).
     ``config["sanitize"]`` arms the shadow-state sanitizer on either
-    path; its findings ride back on the job result.  An active
-    *control* wraps the backend so every launch streams a progress
-    event and observes cancellation (see :class:`_ControlledBackend`).
+    path; its findings ride back on the job result.  Every kernel
+    launch is a launch boundary for *control* through the runtime's
+    kernel hooks: cancellation is checked before the launch and
+    progress reported after it, so a multi-kernel workload (LeNet
+    forward is ~a dozen launches) streams per-launch events and can be
+    cancelled between launches without poisoning the worker.
     """
-    from repro.cuda.runtime import FunctionalBackend
+    from repro.cuda.runtime import CudaRuntime, FunctionalBackend
     from repro.service.pool import ShardedFunctionalBackend
     fast_mode = config.get("fast_mode", "megablock")
     sanitize = bool(config.get("sanitize"))
@@ -194,14 +143,20 @@ def _make_backend(config: dict, control: JobControl = NULL_CONTROL):
             int(shards), fast_mode=fast_mode, sanitize=sanitize)
     else:
         backend = FunctionalBackend(fast_mode=fast_mode, sanitize=sanitize)
-    if control.active:
-        backend = _ControlledBackend(backend, control)
-    return backend
+    runtime = CudaRuntime(backend=backend)
+    profiles = runtime.profiles  # not the runtime: no cycle through it
+    runtime.before_kernel_hooks.append(lambda *_launch: control.check())
+    runtime.after_kernel_hooks.append(
+        lambda _ordinal, name, *_dims: control.progress(
+            "launch", kernel=name,
+            instructions=profiles[-1].instructions))
+    return runtime
 
 
-def _finish(runtime, backend, workload: str, extra: dict) -> dict:
+def _finish(runtime, workload: str, extra: dict) -> dict:
     """Synchronize, digest memory, and build the JSON-able job result."""
     runtime.synchronize()
+    backend = runtime.backend
     kernels: dict[str, int] = {}
     for profile in runtime.profiles:
         kernels[profile.name] = kernels.get(profile.name, 0) + 1
@@ -214,7 +169,7 @@ def _finish(runtime, backend, workload: str, extra: dict) -> dict:
         "kernels": kernels,
     }
     result.update(extra)
-    sanitizer = getattr(backend, "sanitize", None)
+    sanitizer = backend.sanitize
     if sanitizer is not None:
         result["sanitize"] = {
             "findings": sanitizer.findings_list(),
@@ -228,12 +183,10 @@ def _finish(runtime, backend, workload: str, extra: dict) -> dict:
 def run_saxpy(config: dict, seed: int,
               control: JobControl = NULL_CONTROL) -> dict:
     """A tiny single-kernel job (the smoke-test workload)."""
-    from repro.cuda.runtime import CudaRuntime
     from repro.ptx.builder import PTXBuilder, f32
     n = int(config.get("n", 256))
     scale = float(config.get("scale", 2.0))
-    backend = _make_backend(config, control)
-    rt = CudaRuntime(backend=backend)
+    rt = _make_runtime(config, control)
     b = PTXBuilder("saxpy", [("xs", "u64"), ("ys", "u64"), ("n", "u32")])
     xs = b.ld_param("u64", "xs")
     ys = b.ld_param("u64", "ys")
@@ -252,17 +205,15 @@ def run_saxpy(config: dict, seed: int,
     ys_ptr = rt.upload_f32(rng.random(n, dtype=np.float32))
     rt.launch("saxpy", ((n + 63) // 64, 1, 1), (64, 1, 1),
               [xs_ptr, ys_ptr, n])
-    return _finish(rt, backend, "saxpy", {"n": n})
+    return _finish(rt, "saxpy", {"n": n})
 
 
 def run_conv(config: dict, seed: int,
              control: JobControl = NULL_CONTROL) -> dict:
     """conv_sample forward convolutions over the requested algorithms."""
-    from repro.cuda.runtime import CudaRuntime
     from repro.cudnn import ConvFwdAlgo
     from repro.workloads.conv_sample import ConvSample, ConvSampleConfig
-    backend = _make_backend(config, control)
-    rt = CudaRuntime(backend=backend)
+    rt = _make_runtime(config, control)
     geometry = {name: int(config[name]) for name in
                 ("batch", "channels", "height", "width", "filters")
                 if name in config}
@@ -275,17 +226,15 @@ def run_conv(config: dict, seed: int,
     for algo in algos:
         sample.run_forward(algo)
         control.progress("algo", algo=algo.name)
-    return _finish(rt, backend, "conv", {"algos": list(algo_names)})
+    return _finish(rt, "conv", {"algos": list(algo_names)})
 
 
 def run_lenet(config: dict, seed: int,
               control: JobControl = NULL_CONTROL) -> dict:
     """Reduced LeNet forward pass (the paper's MNIST net at CI scale)."""
-    from repro.cuda.runtime import CudaRuntime
     from repro.cudnn import Cudnn, build_application_binary
     from repro.nn.lenet import LeNet, LeNetConfig
-    backend = _make_backend(config, control)
-    rt = CudaRuntime(backend=backend)
+    rt = _make_runtime(config, control)
     rt.load_binary(build_application_binary())
     lenet_config = LeNetConfig.reduced()
     model = LeNet(Cudnn(rt), lenet_config)
@@ -295,7 +244,7 @@ def run_lenet(config: dict, seed: int,
          lenet_config.input_hw, lenet_config.input_hw)
         ).astype(np.float32)
     logits = model.forward(images)
-    return _finish(rt, backend, "lenet",
+    return _finish(rt, "lenet",
                    {"logits_sha256": hashlib.sha256(
                        logits.tobytes()).hexdigest()})
 
@@ -408,7 +357,7 @@ class Job:
 class MemoTable:
     """The job memo table, optionally persisted to one JSON file.
 
-    With a *path*, every completed result is written through with the
+    With a *path*, every completed result is published with the
     same discipline as :mod:`repro.functional.kernelcache`: staged to a
     pid-unique temp file, published with an atomic ``os.replace``, and
     on load a corrupt / truncated / wrong-format file is **discarded
@@ -427,6 +376,7 @@ class MemoTable:
     def __init__(self, path: str | None = None) -> None:
         self.path = path
         self._lock = threading.Lock()
+        self._save_lock = threading.Lock()
         self._entries: dict[str, dict] = {}
         #: True when a persisted table was successfully read back.
         self.loaded_from_disk = False
@@ -458,30 +408,38 @@ class MemoTable:
                          if isinstance(value, dict)}
         self.loaded_from_disk = True
 
-    def _save_locked(self) -> None:
-        """Atomic write-through (caller holds the lock).
-
-        A failed write is swallowed: persistence is an optimisation and
-        the in-memory table stays authoritative for this process.
-        """
-        try:
-            atomic_write(self.path, json.dumps(
-                {"format": self.FORMAT,
-                 "memo": self._entries}).encode("utf-8"))
-        except OSError:
-            pass
-
     def get(self, key: str) -> dict | None:
         """Cached result for *key*, or ``None``."""
         with self._lock:
             return self._entries.get(key)
 
-    def put(self, key: str, result: dict) -> None:
-        """Record *key* -> *result*, writing through when persistent."""
+    def insert(self, key: str, result: dict) -> None:
+        """Record *key* -> *result* in memory only (O(1)); the caller
+        owes a :meth:`save`."""
         with self._lock:
             self._entries[key] = result
-            if self.path is not None:
-                self._save_locked()
+
+    def save(self) -> None:
+        """Atomically publish the whole table (no-op without a path).
+
+        Serialising and writing happen outside the entry lock, so
+        ``get``/``insert`` never wait on them; savers queue on their own lock and each
+        writes the table as it stands when its turn comes, so the file
+        ends up holding the latest entries.  A failed write is
+        swallowed: persistence is an optimisation and the in-memory
+        table stays authoritative for this process.
+        """
+        if self.path is None:
+            return
+        with self._save_lock:
+            with self._lock:
+                entries = dict(self._entries)
+            try:
+                atomic_write(self.path, json.dumps(
+                    {"format": self.FORMAT,
+                     "memo": entries}).encode("utf-8"))
+            except OSError:
+                pass
 
     def __len__(self) -> int:
         with self._lock:

@@ -7,8 +7,9 @@ partitioned into contiguous shards and farmed out to a process pool:
 1. the parent snapshots everything a shard needs — the kernel AST
    (stripped of unpicklable compiled-tier caches), param/const blocks,
    the global-memory image, quirks — into a :class:`ShardTask`;
-2. each worker rebuilds a :class:`LaunchContext`, runs its CTA range
-   through the ordinary :class:`FunctionalEngine` tiers, and reports a
+2. each worker rebuilds a :class:`LaunchContext` narrowed to its CTA
+   range, runs it through the engine of an ordinary
+   :class:`~repro.cuda.runtime.FunctionalBackend`, and reports a
    :class:`ShardResult`: byte-exact global-memory *write* runs (diffed
    against the incoming image), merged-ready :class:`RunStats` counts,
    optional per-CTA register state in the checkpoint layer's
@@ -40,11 +41,11 @@ import numpy as np
 from repro.checkpoint.state import CTASnapshot, capture_cta
 from repro.errors import ServiceError
 from repro.functional import kernelcache
-from repro.functional.executor import (
-    FunctionalEngine, RunStats, partition_ctas)
+from repro.cuda.runtime import FunctionalBackend
+from repro.functional.executor import RunStats, partition_ctas
 from repro.functional.memory import (
     PAGE_SIZE, CudaArray, GlobalMemory, LinearMemory)
-from repro.functional.state import CTAState, LaunchContext
+from repro.functional.state import LaunchContext
 from repro.ptx.ast import Kernel
 from repro.quirks import FIXED, LegacyQuirks
 from repro.trace.tracer import NULL_TRACER, TraceEvent, shard_tid
@@ -113,16 +114,12 @@ class ShardResult:
 
     first_cta: int
     limit_cta: int
-    instructions: int
-    warps_launched: int
-    ctas_launched: int
-    per_opcode: dict[str, int]
+    stats: RunStats
     clock_delta: int
     #: Byte-exact runs the shard wrote: ``(absolute addr, payload)``.
     writes: list[tuple[int, bytes]]
     snapshots: list[CTASnapshot] = field(default_factory=list)
     events: list[TraceEvent] = field(default_factory=list)
-    cache_counters: dict = field(default_factory=dict)
     pid: int = 0
     #: Shard-local sanitizer findings (``sanitize`` tasks only).
     findings: list = field(default_factory=list)
@@ -168,7 +165,6 @@ def _diff_writes(old: bytes, new: bytes, base_addr: int,
 def _execute_shard(task: ShardTask) -> ShardResult:
     """Worker entry point: run CTAs ``[first_cta, limit_cta)``."""
     kernelcache.apply_env_config(task.cache_env)
-    kernelcache.reset_counters()
     global_mem = GlobalMemory(uninit_read=task.uninit_read)
     global_mem.restore(task.memory)
     sanitizer = None
@@ -193,7 +189,8 @@ def _execute_shard(task: ShardTask) -> ShardResult:
         block_dim=task.block_dim, global_mem=global_mem,
         param_mem=param_mem, const_mem=const_mem,
         module_symbols=task.module_symbols, textures=textures,
-        quirks=task.quirks, clock=task.clock)
+        quirks=task.quirks, clock=task.clock,
+        first_cta=task.first_cta, limit_cta=task.limit_cta)
 
     tracer = NULL_TRACER
     if task.trace:
@@ -202,21 +199,15 @@ def _execute_shard(task: ShardTask) -> ShardResult:
                         cta_spans=True)
         tracer.begin(f"shard ctas {task.first_cta}..{task.limit_cta - 1}",
                      cat="shard")
-    engine = FunctionalEngine(launch, fast_mode=task.fast_mode,
-                              sanitize=sanitizer, tracer=tracer)
-    stats = RunStats()
+    backend = FunctionalBackend(fast_mode=task.fast_mode,
+                                sanitize=sanitizer)
+    backend.tracer = tracer
     snapshots: list[CTASnapshot] = []
-    if task.capture_registers:
-        # Per-lane register files only exist on the scalar path; drive
-        # CTAs one by one and snapshot each in the checkpoint format.
-        for cta_linear in range(task.first_cta, task.limit_cta):
-            cta = CTAState(launch, cta_linear)
-            stats.ctas_launched += 1
-            stats.warps_launched += len(cta.warps)
-            engine.run_cta(cta, stats)
-            snapshots.append(capture_cta(cta))
-    else:
-        engine.run_range(task.first_cta, task.limit_cta, stats)
+    # Per-lane register files only exist on the scalar path, which a
+    # per-CTA callback selects; snapshots are in the checkpoint format.
+    stats = backend.engine(launch).run(
+        on_cta=((lambda cta: snapshots.append(capture_cta(cta)))
+                if task.capture_registers else None))
 
     writes: list[tuple[int, bytes]] = []
     initial = task.memory["pages"]
@@ -234,14 +225,10 @@ def _execute_shard(task: ShardTask) -> ShardResult:
         tracer.finish()
         events = list(tracer.events)
     return ShardResult(
-        first_cta=task.first_cta, limit_cta=task.limit_cta,
-        instructions=stats.instructions,
-        warps_launched=stats.warps_launched,
-        ctas_launched=stats.ctas_launched,
-        per_opcode=dict(stats.dynamic_per_opcode),
+        first_cta=task.first_cta, limit_cta=task.limit_cta, stats=stats,
         clock_delta=launch.clock - task.clock,
         writes=writes, snapshots=snapshots, events=events,
-        cache_counters=kernelcache.counters(), pid=os.getpid(),
+        pid=os.getpid(),
         findings=(sanitizer.findings_list()
                   if sanitizer is not None else []),
         san_counters=(dict(sanitizer.counters)
@@ -299,10 +286,13 @@ class ShardExecutor:
     def execute(self, launch: LaunchContext, *,
                 shards: int | None = None,
                 tracer=None) -> ShardedRunResult:
-        """Fan *launch* out, merge, and mutate *launch* in place (global
-        memory, clock) exactly as a single-process run would."""
+        """Fan *launch*'s CTA extent out, merge, and mutate *launch* in
+        place (global memory, clock) exactly as a single-process run
+        would."""
         shards = shards or self.shards
-        ranges = partition_ctas(launch.num_ctas, shards)
+        first = launch.first_cta
+        ranges = [(first + lo, first + hi) for lo, hi in
+                  partition_ctas(launch.limit_cta - first, shards)]
         if not ranges:
             return ShardedRunResult(stats=RunStats(), shard_ranges=[])
         kernel = _transport_kernel(launch.kernel)
@@ -381,12 +371,7 @@ class ShardExecutor:
             tracer = NULL_TRACER
         base_ts = tracer.clock.now if tracer.enabled else 0.0
         for index, result in enumerate(results):
-            shard = RunStats(
-                instructions=result.instructions,
-                warps_launched=result.warps_launched,
-                ctas_launched=result.ctas_launched,
-                dynamic_per_opcode=result.per_opcode)
-            stats.merge(shard)
+            stats.merge(result.stats)
             launch.clock += result.clock_delta
             # Ascending shard order == ascending CTA order: on the rare
             # overlapping write, the later CTA wins, as it would have
@@ -415,15 +400,16 @@ class ShardExecutor:
         return merged
 
 
-class ShardedFunctionalBackend:
-    """A :class:`~repro.cuda.runtime.CudaRuntime` backend that fans
-    every launch across a :class:`ShardExecutor` worker pool.
+class ShardedFunctionalBackend(FunctionalBackend):
+    """A :class:`~repro.cuda.runtime.FunctionalBackend` that fans every
+    launch across a :class:`ShardExecutor` worker pool.
 
-    Drop-in for :class:`~repro.cuda.runtime.FunctionalBackend`: the
-    whole workload (LeNet forward, conv_sample, ...) runs unchanged,
-    each kernel launch transparently sharded.  Tiny grids are not worth
-    a round-trip through the pool, so launches with fewer CTAs than
-    ``inline_below`` run in-process instead.
+    Drop-in for its base class: the whole workload (LeNet forward,
+    conv_sample, ...) runs unchanged, each kernel launch transparently
+    sharded.  Tiny grids are not worth a round-trip through the pool, so
+    launches with fewer CTAs than ``inline_below`` run in-process on the
+    base class's path instead, as do launches carrying restored CTAs
+    (in-process state no worker has).
     """
 
     name = "sharded-functional"
@@ -433,67 +419,44 @@ class ShardedFunctionalBackend:
                  inline_below: int = 0,
                  trace_shards: bool = False,
                  sanitize=None) -> None:
-        #: Parent-side sanitizer: runs inline launches directly and
-        #: accumulates shard-merged findings from fanned-out ones, so
-        #: ``backend.sanitize.findings_list()`` reads the same either
-        #: way (mirrors FunctionalBackend.sanitize).
-        if sanitize is True:
-            from repro.sanitize.core import Sanitizer
-            sanitize = Sanitizer()
-        self.sanitize = sanitize or None
+        #: ``self.sanitize`` is the parent-side sanitizer: it runs
+        #: inline launches directly and accumulates shard-merged
+        #: findings from fanned-out ones, so
+        #: ``backend.sanitize.findings_list()`` reads the same either way.
+        super().__init__(fast_mode=fast_mode, sanitize=sanitize)
         self.executor = ShardExecutor(shards, fast_mode=fast_mode,
                                       trace=trace_shards,
-                                      sanitize=sanitize is not None)
-        self.fast_mode = fast_mode
+                                      sanitize=self.sanitize is not None)
         self.inline_below = inline_below
-        #: Set by the owning CudaRuntime when tracing is on.
-        self.tracer = NULL_TRACER
         #: (kernel name, shard count) per fanned-out launch, for tests
         #: and the service stats endpoint.
         self.fanouts: list[tuple[str, int]] = []
 
     def execute(self, launch: LaunchContext):
-        from repro.cuda.runtime import KernelRunResult
-        tracer = self.tracer
-        if launch.num_ctas < max(self.inline_below, 1):
-            engine = FunctionalEngine(launch, fast_mode=self.fast_mode,
-                                      sanitize=self.sanitize,
-                                      tracer=tracer)
-            stats = engine.run()
-        else:
-            result = self.executor.execute(launch, tracer=tracer)
-            stats = result.stats
-            self.fanouts.append(
-                (launch.kernel.name, len(result.shard_ranges)))
-            if self.sanitize is not None:
-                # Fold the shard-merged findings into the parent-side
-                # sanitizer through its normal dedup funnel.
-                sanitizer = self.sanitize
-                sanitizer.kernels.setdefault(launch.kernel.name,
-                                             launch.kernel)
-                for entry in result.findings:
-                    sanitizer.record(
-                        entry["rule"], entry["kernel"], entry["pc"],
-                        entry["message"], count=entry["count"])
-                for key, value in result.san_counters.items():
-                    if key == "findings":
-                        continue  # record() above already counted them
-                    if key == "launches":
-                        value = 1  # however many shards armed for it
-                    sanitizer.counters[key] = (
-                        sanitizer.counters.get(key, 0) + value)
-        if tracer.enabled:
-            tracer.complete(
-                f"sharded:{launch.kernel.name}",
-                ts=tracer.clock.now, dur=float(stats.instructions),
-                cat="engine",
-                args={"tier": self.fast_mode,
-                      "shards": (self.fanouts[-1][1]
-                                 if self.fanouts else 1),
-                      "instructions": stats.instructions})
-        return KernelRunResult(
-            instructions=stats.instructions, cycles=0,
-            stats={"per_opcode": stats.dynamic_per_opcode})
+        if launch.num_ctas < max(self.inline_below, 1) or launch.restored:
+            return super().execute(launch)
+        result = self.executor.execute(launch, tracer=self.tracer)
+        shards = len(result.shard_ranges)
+        self.fanouts.append((launch.kernel.name, shards))
+        if self.sanitize is not None:
+            # Fold the shard-merged findings into the parent-side
+            # sanitizer through its normal dedup funnel.
+            sanitizer = self.sanitize
+            sanitizer.kernels.setdefault(launch.kernel.name,
+                                         launch.kernel)
+            for entry in result.findings:
+                sanitizer.record(
+                    entry["rule"], entry["kernel"], entry["pc"],
+                    entry["message"], count=entry["count"])
+            for key, value in result.san_counters.items():
+                if key == "findings":
+                    continue  # record() above already counted them
+                if key == "launches":
+                    value = 1  # however many shards armed for it
+                sanitizer.counters[key] = (
+                    sanitizer.counters.get(key, 0) + value)
+        return self.report(launch, result.stats, self.fast_mode,
+                           label="sharded", shards=shards)
 
     def close(self) -> None:
         self.executor.close()

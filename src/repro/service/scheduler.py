@@ -506,7 +506,8 @@ class ClusterScheduler:
                 cancelled_reason: str | None = None) -> None:
         """Terminal transition for an executed job.
 
-        Success memoizes (write-through when persistent) and closes the
+        Success memoizes (persisted, when persistent, after the
+        scheduler lock is released) and closes the
         coalesced followers with the same result; failure closes them
         with the same error + traceback; cancellation promotes them to
         a fresh leader — they asked for the result, not for the
@@ -531,10 +532,15 @@ class ClusterScheduler:
                     record.error = error
                     record.traceback = traceback
             if error is None:
-                self.memo.put(job.key, result)
+                # In memory under the lock — a submit must never miss
+                # both the memo and the leader; the O(entries) disk
+                # write waits until the lock is released.
+                self.memo.insert(job.key, result)
                 self._counters["executed"] += 1
             else:
                 self._counters["errors"] += 1 + len(followers)
+        if error is None:
+            self.memo.save()
         for record in closing:
             record.emit("done" if record.state == DONE else "error",
                         **({} if error is None else {"error": error}))

@@ -31,7 +31,7 @@ from typing import Callable
 
 from repro.errors import CycleBudgetExceededError, TimingDeadlockError
 from repro.functional.executor import FunctionalEngine
-from repro.functional.state import CTAState, LaunchContext
+from repro.functional.state import LaunchContext
 from repro.timing.config import GPUConfig, TINY
 from repro.timing.memsys import MemRequest, MemorySubsystem
 from repro.timing.shader import NEVER, SMCore, charge_stalls
@@ -42,7 +42,7 @@ from repro.trace.clock import SimClock
 _MAX_CYCLES_DEFAULT = 50_000_000
 
 
-def _live_reason(engine: FunctionalEngine, premade: dict,
+def _live_reason(engine: FunctionalEngine,
                  reconverge_at_exit: bool) -> str | None:
     """Why this launch must be execution-driven (``None``: record it).
 
@@ -55,7 +55,7 @@ def _live_reason(engine: FunctionalEngine, premade: dict,
     rendering, and a barrier reachable under divergence could bail out
     to the scalar engine mid-run.
     """
-    if premade:
+    if engine.launch.restored:
         return "restored CTAs resume mid-kernel"
     if reconverge_at_exit:
         return "reconverge_at_exit changes the SIMT stacks"
@@ -88,16 +88,15 @@ class GpuTiming:
         #: "recorded" or "live", and why a live one could not record.
         self.launch_sources: list[dict] = []
 
-    def simulate(self, launch: LaunchContext, *,
-                 first_cta: int = 0,
-                 premade_ctas: dict[int, CTAState] | None = None
+    def simulate(self, launch: LaunchContext
                  ) -> tuple[KernelStats, SampleBlock]:
-        """Simulate one launch.
+        """Simulate one launch over its CTA extent.
 
-        ``first_cta``/``premade_ctas`` support the checkpoint-resume flow
-        of the paper's Figure 5: CTAs below ``first_cta`` are skipped and
-        restored CTAs (with their Data1 state already loaded) are taken
-        from ``premade_ctas`` instead of being freshly initialised.
+        ``launch.first_cta``/``launch.restored`` support the
+        checkpoint-resume flow of the paper's Figure 5: CTAs below
+        ``first_cta`` are skipped and restored CTAs (with their Data1
+        state already loaded) are taken from ``restored`` instead of
+        being freshly initialised.
         """
         config = self.config
         stats = KernelStats()
@@ -119,16 +118,15 @@ class GpuTiming:
             resident = req.warp_token
             schedule(time, partial(resident.cta.sm.deliver, resident))
 
-        premade = premade_ctas or {}
-        source = self._open_source(launch, first_cta, premade)
+        source = self._open_source(launch)
         memsys = MemorySubsystem(config, stats, samples, schedule, respond,
                                  fault_filter=self.mem_fault_filter)
         kinds = classify(launch.kernel)
         sms = [SMCore(sm_id, config, source, kinds, memsys, stats, samples)
                for sm_id in range(config.num_sms)]
 
-        next_cta = first_cta
-        total_ctas = launch.num_ctas
+        next_cta = launch.first_cta
+        total_ctas = launch.limit_cta
         resident_ctas = 0
 
         def refill(now: float, passed: int) -> None:
@@ -211,29 +209,28 @@ class GpuTiming:
         self._fold_cache_stats(sms, memsys, stats)
         return stats, samples
 
-    def _open_source(self, launch: LaunchContext, first_cta: int,
-                     premade: dict[int, CTAState]):
+    def _open_source(self, launch: LaunchContext):
         """Pick this launch's stream producer; a recorded launch runs
         its functional pre-pass here, before the first cycle."""
         reconverge = self.reconverge_at_exit
         engine = FunctionalEngine(
             launch, reconverge_at_exit=reconverge,
-            fast_mode="superblock" if premade or reconverge
+            fast_mode="superblock" if launch.restored or reconverge
             else "megablock")
         config = self.config
-        why = _live_reason(engine, premade, reconverge)
+        why = _live_reason(engine, reconverge)
         entry = {"kernel": launch.kernel.name}
         self.launch_sources.append(entry)
         if why is not None:
             entry.update(source="live", why=why)
-            return LiveSource(engine, config.line_size, premade)
+            return LiveSource(engine, config.line_size, launch.restored)
         entry["source"] = "recorded"
         # The most the cycle loop could issue before it raised.
         budget = (self.max_cycles * config.num_sms
                   * config.schedulers_per_sm)
         engine.recorder = source = StreamRecorder(
             launch.kernel, config.line_size, budget, self.max_cycles)
-        engine.run_range(first_cta, launch.num_ctas)
+        engine.run()
         return source
 
     @staticmethod

@@ -1,5 +1,7 @@
 """Checkpoint/resume tests (paper Section III-F, Figures 4-5)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -7,9 +9,13 @@ from repro.checkpoint import (
     Checkpoint, CheckpointingBackend, ResumeBackend, capture_cta,
     restore_cta)
 from repro.cuda import CudaRuntime
+from repro.cuda.runtime import FunctionalBackend
 from repro.errors import CheckpointError
+from repro.faultinject import FaultInjector, FaultSpec
 from repro.ptx.builder import PTXBuilder
+from repro.service.pool import ShardedFunctionalBackend
 from repro.timing import TINY, TimingBackend
+from repro.trace.tracer import Tracer
 
 
 def _chain_kernels() -> str:
@@ -102,6 +108,18 @@ class TestCheckpointCapture:
         assert (loaded.cta_snapshots[0].shared
                 == backend.checkpoint.cta_snapshots[0].shared)
 
+    def test_out_of_enqueue_order_execution_is_refused(self, data):
+        """Kernel ``x`` is a launch ordinal — enqueue order.  A stream
+        that runs an earlier-enqueued kernel after ``x`` would drop it
+        from both flows; that is an error, not a wrong checkpoint."""
+        rt = _make_rt(CheckpointingBackend(1, 0, 1, 4))
+        ptr = rt.upload_f32(data)
+        rt.launch("k_double", (2, 1, 1), (64, 1, 1), [ptr, N],
+                  stream=rt.stream_create())  # ordinal 0, drains second
+        rt.launch("k_addtid", (2, 1, 1), (64, 1, 1), [ptr, N])
+        with pytest.raises(CheckpointError, match="enqueue order"):
+            rt.synchronize()
+
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError, match="no checkpoint"):
             Checkpoint.load(tmp_path / "missing.bin")
@@ -150,6 +168,122 @@ class TestResume:
         rt = _make_rt(ResumeBackend(cp, FunctionalBackend()))
         with pytest.raises(CheckpointError, match="mismatch"):
             _workload(rt, data)
+
+
+# ---------------------------------------------------------------------------
+# One functional launch path: every backend reports the same launch
+# ---------------------------------------------------------------------------
+def _traced_run(make_backend, data, prepare=None):
+    """Run the two-kernel workload traced; return its observables."""
+    tracer = Tracer()
+    backend = make_backend()
+    rt = CudaRuntime(backend=backend, tracer=tracer)
+    rt.load_ptx(_chain_kernels(), "chain.cu")
+    if prepare is not None:
+        prepare(rt)
+    ptr = _workload(rt, data)
+    digest = hashlib.sha256(rt.memcpy_d2h(ptr, 4 * N)).hexdigest()
+    if hasattr(backend, "close"):
+        backend.close()
+    slices = [e for e in tracer.events
+              if e.cat == "engine" and "tier" in (e.args or {})]
+    return rt, digest, slices
+
+
+def _arm_fault_that_never_fires(rt: CudaRuntime) -> None:
+    """Hook every instruction of k_addtid (so it steps) but never fire."""
+    body = rt.program.find_kernel("k_addtid").body
+    pc = next(i for i, inst in enumerate(body) if inst.opcode == "add")
+    FaultInjector(FaultSpec(
+        "never", "register_bitflip", kernel="k_addtid", pc=pc,
+        dyn_index=10 ** 9)).attach(rt)
+
+
+def _checkpoint_then(make_inner):
+    """A factory of 'checkpoint at (1, M=1, t=1, y=4), then resume into
+    *make_inner*' — returns the resume backend, remembers both flows."""
+    flows = {}
+
+    def make(data):
+        checkpointer = CheckpointingBackend(1, 1, 1, 4)
+        flows["checkpoint"] = _traced_run(lambda: checkpointer, data)
+        flows["inner"] = make_inner()
+        return ResumeBackend(checkpointer.checkpoint, flows["inner"])
+    return make, flows
+
+
+def _launches(*runs):
+    """Per launch ordinal: name, instructions and per-opcode counts,
+    summed over the flows that executed part of it."""
+    merged = {}
+    for rt, _digest, _slices in runs:
+        for ordinal, profile in enumerate(rt.profiles):
+            entry = merged.setdefault(
+                ordinal, {"name": profile.name, "instructions": 0,
+                          "per_opcode": {}})
+            entry["instructions"] += profile.instructions
+            counts = profile.result.stats.get("per_opcode", {})
+            for opcode, count in counts.items():
+                entry["per_opcode"][opcode] = (
+                    entry["per_opcode"].get(opcode, 0) + count)
+    return merged
+
+
+class TestLaunchParity:
+    """Bare, faulting, sharded and checkpoint/resume backends all run a
+    launch through ``FunctionalBackend.execute`` + ``run_range``."""
+
+    @pytest.fixture()
+    def bare(self, data):
+        return _traced_run(FunctionalBackend, data)
+
+    @pytest.mark.parametrize("make_backend, prepare, label", [
+        (FunctionalBackend, _arm_fault_that_never_fires, "functional"),
+        (lambda: ShardedFunctionalBackend(2, inline_below=100), None,
+         "functional"),
+        (lambda: ShardedFunctionalBackend(2), None, "sharded"),
+    ], ids=["fault-never-fires", "sharded-inline", "sharded-2"])
+    def test_functional_backends_agree(self, data, bare, make_backend,
+                                       prepare, label):
+        rt, digest, slices = _traced_run(make_backend, data, prepare)
+        assert digest == bare[1]
+        assert _launches((rt, digest, slices)) == _launches(bare)
+        assert [e.name for e in slices] == [
+            f"{label}:k_double", f"{label}:k_addtid"]
+        if label == "sharded":
+            assert [e.args["shards"] for e in slices] == [2, 2]
+
+    def test_checkpoint_then_functional_resume(self, data, bare):
+        make, flows = _checkpoint_then(FunctionalBackend)
+        resumed = _traced_run(lambda: make(data), data)
+        assert resumed[1] == bare[1]
+        assert _launches(flows["checkpoint"], resumed) == _launches(bare)
+        # One slice per launch a flow executed: the checkpoint flow runs
+        # both kernels, the resume flow skips k_double.
+        assert [e.name for e in flows["checkpoint"][2]] == [
+            "functional:k_double", "functional:k_addtid"]
+        assert [e.name for e in resumed[2]] == ["functional:k_addtid"]
+        for run in (flows["checkpoint"], resumed):
+            assert (run[0].profiles[1].result.stats.keys()
+                    == bare[0].profiles[1].result.stats.keys())
+
+    def test_checkpoint_then_performance_resume(self, data, bare):
+        plain = _traced_run(lambda: TimingBackend(TINY), data)
+        make, flows = _checkpoint_then(lambda: TimingBackend(TINY))
+        resumed = _traced_run(lambda: make(data), data)
+        assert resumed[1] == bare[1] == plain[1]
+        merged = _launches(flows["checkpoint"], resumed)
+        assert ({k: v["instructions"] for k, v in merged.items()}
+                == {k: v["instructions"]
+                    for k, v in _launches(bare).items()})
+        assert [e.name for e in resumed[2]] == ["timing:k_addtid"]
+        assert (resumed[0].profiles[1].result.stats.keys()
+                == plain[0].profiles[1].result.stats.keys())
+        # The resumed kernel went through TimingBackend.execute.
+        assert flows["inner"].launch_sources == [
+            {"kernel": "k_addtid", "source": "live",
+             "why": "restored CTAs resume mid-kernel"}]
+        assert len(flows["inner"].kernel_stats) == 1
 
 
 class TestCtaSnapshots:

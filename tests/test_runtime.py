@@ -221,16 +221,3 @@ class TestStreamsAndEvents:
     def test_stream_queue_is_deque(self, rt):
         from collections import deque
         assert isinstance(rt.default_stream.queue, deque)
-
-
-class TestCheckpointSkip:
-    def test_skip_kernels_below(self, rt):
-        src = rt.upload_f32([5.0])
-        dst = rt.malloc(4)
-        rt.skip_kernels_below = 1
-        rt.launch("scale2", 1, 32, [src, dst, 1])  # ordinal 0: skipped
-        rt.synchronize()
-        assert rt.download_f32(dst, 1)[0] == 0.0
-        rt.launch("scale2", 1, 32, [src, dst, 1])  # ordinal 1: runs
-        rt.synchronize()
-        assert rt.download_f32(dst, 1)[0] == 10.0

@@ -156,7 +156,8 @@ def test_interleaved_ctas_keep_their_own_state(name, fast_mode, monkeypatch):
     from repro.functional.state import CTAState
     want = run_entry(name, fast_mode=fast_mode)
 
-    def round_robin(self, first_cta, limit_cta, stats, trace_ctas):
+    def round_robin(self, first_cta, limit_cta, stats, trace_ctas,
+                    *_loop):
         ctas = [CTAState(self.launch, index)
                 for index in range(first_cta, limit_cta)]
         budget = 0

@@ -415,9 +415,40 @@ class TestMemoPersistence:
 
     def test_in_memory_table_never_touches_disk(self, tmp_path):
         table = MemoTable()
-        table.put("k", {"v": 1})
+        table.insert("k", {"v": 1})
+        table.save()
         assert table.get("k") == {"v": 1}
         assert list(tmp_path.iterdir()) == []
+
+    def test_slow_memo_write_does_not_hold_the_scheduler_lock(
+            self, tmp_path, monkeypatch):
+        """The O(entries) disk write happens after ``_finish`` let go of
+        the scheduler lock: while one job's write is stuck, another
+        submit completes — and the finished key is already a memo hit
+        (inserted in memory under the lock)."""
+        from repro.service import jobs
+        writing, unblock = threading.Event(), threading.Event()
+        real_write = jobs.atomic_write
+
+        def stuck_write(path, data):
+            writing.set()
+            assert unblock.wait(10), "test forgot to unblock the write"
+            real_write(path, data)
+
+        monkeypatch.setattr(jobs, "atomic_write", stuck_write)
+        path = str(tmp_path / "memo.json")
+        with ClusterScheduler(gpus=1, registry={"w": _sleeper()},
+                              memo_path=path) as sched:
+            first = sched.submit("w", seed=1)
+            assert writing.wait(10)
+            try:
+                assert not first.done.is_set()  # still persisting
+                hit = sched.submit("w", seed=1)
+                assert hit.memo_hit and hit.state == DONE
+            finally:
+                unblock.set()
+            assert sched.result(first.job_id, timeout=10)["seed"] == 1
+        assert json.loads(open(path).read())["memo"]
 
 
 # ---------------------------------------------------------------------------
@@ -533,3 +564,47 @@ class TestSchedulerRealWorkloads:
             progress = [e for e in job.events
                         if e["kind"] == "shard-progress"]
             assert any(e.get("kernel") == "saxpy" for e in progress)
+
+    @pytest.mark.parametrize("config", [{}, {"shards": 2}],
+                             ids=["inprocess", "sharded"])
+    def test_one_progress_event_per_launch(self, config):
+        """Every kernel launch is a launch boundary — a kernel-hook pair
+        on the runner's runtime — whatever backend executes it."""
+        with ClusterScheduler(gpus=1, memo_path=None) as sched:
+            job = sched.submit("lenet", config, seed=3)
+            result = sched.result(job.job_id, timeout=120)
+        launches = [e for e in job.events
+                    if e["kind"] == "shard-progress"
+                    and e["stage"] == "launch"]
+        assert len(launches) == result["launches"] > 1
+        assert sum(e["instructions"] for e in launches) \
+            == result["instructions"]
+        kernels: dict[str, int] = {}
+        for event in launches:
+            kernels[event["kernel"]] = kernels.get(event["kernel"], 0) + 1
+        assert kernels == result["kernels"]
+
+    def test_cancel_lands_between_launches(self):
+        """A cancel requested while launch 0 runs unwinds at the next
+        boundary: launch 0 reports its progress, launch 1 never starts."""
+        from repro.service.jobs import run_lenet
+        seen = []
+
+        def cancelling(config, seed, control=NULL_CONTROL):
+            job = control.job
+            real_emit = job.emit
+
+            def emit(kind, **data):
+                real_emit(kind, **data)
+                if kind == "shard-progress":
+                    seen.append(data["kernel"])
+                    job.request_cancel()
+            job.emit = emit
+            return run_lenet(config, seed, control)
+
+        with ClusterScheduler(gpus=1, memo_path=None,
+                              registry={"lenet": cancelling}) as sched:
+            job = sched.submit("lenet", seed=3)
+            assert job.done.wait(120)
+        assert job.state == CANCELLED
+        assert len(seen) == 1

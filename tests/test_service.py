@@ -303,6 +303,20 @@ class TestShardedBackend:
         backend.close()
         assert backend.fanouts == [("sax", 2)]
 
+    def test_inline_after_fanout_is_a_functional_slice(self):
+        """An inline launch is the base class's launch: a ``functional:``
+        slice with no shard count — not ``sharded:`` carrying the
+        previous fan-out's."""
+        backend = ShardedFunctionalBackend(2)
+        backend.tracer = tracer = Tracer()
+        backend.execute(_build_launch(_saxpy_ptx(), "sax"))
+        backend.inline_below = 100
+        backend.execute(_build_launch(_saxpy_ptx(), "sax"))
+        backend.close()
+        slices = [(e.name, e.args.get("shards")) for e in tracer.events
+                  if e.cat == "engine" and "tier" in (e.args or {})]
+        assert slices == [("sharded:sax", 2), ("functional:sax", None)]
+
 
 # ---------------------------------------------------------------------------
 # Kernel-cache concurrency (satellites 1 and 2)

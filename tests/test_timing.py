@@ -260,7 +260,8 @@ class TestConfigs:
 
 class TestResumeHooks:
     def test_first_cta_skips_work(self, rng):
-        """GpuTiming honours first_cta (the Fig. 5 resume path)."""
+        """GpuTiming honours the launch's first_cta (the Fig. 5 resume
+        path)."""
         from repro.cuda.loader import ProgramLoader
         from repro.functional.memory import GlobalMemory, LinearMemory
         from repro.functional.state import LaunchContext
@@ -280,6 +281,6 @@ class TestResumeHooks:
         full, _ = GpuTiming(TINY).simulate(launch)
         launch2 = LaunchContext(kernel=kernel, grid_dim=(4, 1, 1),
                                 block_dim=(64, 1, 1), global_mem=gm,
-                                param_mem=pm)
-        partial, _ = GpuTiming(TINY).simulate(launch2, first_cta=3)
+                                param_mem=pm, first_cta=3)
+        partial, _ = GpuTiming(TINY).simulate(launch2)
         assert partial.warp_instructions < full.warp_instructions
