@@ -51,8 +51,6 @@ class CheckpointingBackend(FunctionalBackend):
     (kernel ``x``, CTA ``M``, ``t`` extra partial CTAs, ``y``
     instructions per warp)."""
 
-    name = "checkpoint"
-
     def __init__(self, kernel_ordinal: int, first_cta: int,
                  partial_ctas: int = 1,
                  warp_instruction_budget: int = 32) -> None:
@@ -97,7 +95,8 @@ class CheckpointingBackend(FunctionalBackend):
                       "partial_ctas": len(checkpoint.cta_snapshots),
                       "warp_instruction_budget": self.y,
                       "instructions": stats.instructions})
-        return self.report(launch, stats, engine.fast_mode)
+        return self.report(launch, stats, engine.ran_tier,
+                           why=engine.ran_why)
 
 
 class ResumeBackend:
@@ -105,8 +104,6 @@ class ResumeBackend:
     already covers and delegates everything else — the checkpoint
     kernel's remaining CTAs included — to an inner (functional or
     timing) backend."""
-
-    name = "resume"
 
     def __init__(self, checkpoint: Checkpoint, inner) -> None:
         self.checkpoint = checkpoint

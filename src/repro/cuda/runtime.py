@@ -86,8 +86,6 @@ class FunctionalBackend:
     benefit (fault injection, per-instruction observers).
     """
 
-    name = "functional"
-
     def __init__(self, *, fast_mode: str = "superblock",
                  on_exec=None, exec_override=None,
                  verify: bool = False,
@@ -129,12 +127,16 @@ class FunctionalBackend:
                                 **self.launch_hooks(launch))
 
     def report(self, launch: LaunchContext, stats: RunStats, tier: str,
-               *, label: str = "functional", **args) -> KernelRunResult:
+               *, label: str = "functional", why: str | None = None,
+               **args) -> KernelRunResult:
         """What a functionally executed launch reports: its one engine
-        slice, ``<label>:<kernel>`` with the *tier* that ran, and the
+        slice, ``<label>:<kernel>`` with the *tier* that ran (and *why*,
+        when that is not the tier the engine was built for), and the
         :class:`KernelRunResult`."""
         tracer = self.tracer
         if tracer.enabled:
+            if why is not None:
+                args["tier_why"] = why
             tracer.complete(
                 f"{label}:{launch.kernel.name}",
                 ts=tracer.clock.now, dur=float(stats.instructions),
@@ -146,7 +148,9 @@ class FunctionalBackend:
 
     def execute(self, launch: LaunchContext) -> KernelRunResult:
         engine = self.engine(launch)
-        return self.report(launch, engine.run(), engine.fast_mode)
+        stats = engine.run()
+        return self.report(launch, stats, engine.ran_tier,
+                           why=engine.ran_why)
 
 
 class CudaRuntime:

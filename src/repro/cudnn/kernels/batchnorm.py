@@ -8,48 +8,75 @@ standard deviation for the backward pass, exactly like cuDNN's
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 from repro.ptx.builder import PTXBuilder, f32
-from repro.cudnn.kernels.common import div_mod
+from repro.cudnn.kernels.common import open_kernel
 
 _DIMS = [("batch", "u32"), ("channels", "u32"), ("hw", "u32")]
 
 
-def _channel_loop_header(b: PTXBuilder):
-    dims = {name: b.ld_param("u32", name) for name, _ in _DIMS}
+def _open_per_channel(name: str, pointers: tuple[str, ...],
+                      extra: tuple[tuple[str, str], ...] = ()):
+    """Start a one-thread-per-channel reduction kernel: load every
+    parameter but *extra* (which the caller loads itself), and exit
+    threads past the channel count.  Returns ``(builder, parameter
+    registers by name, c)``."""
+    b = PTXBuilder(name, [*((p, "u64") for p in pointers), *_DIMS, *extra])
+    regs = b.ld_params(skip=tuple(name for name, _ in extra))
     c = b.global_tid_x()
-    b.guard_tid_below(c, dims["channels"])
-    return dims, c
+    b.guard_tid_below(c, regs["channels"])
+    return b, regs, c
 
 
-def bn_stats() -> str:
-    """mean[c], invstd[c] over the (N, H, W) slice of channel c."""
-    b = PTXBuilder("cudnn_bn_stats",
-                   [("x", "u64"), ("mean", "u64"), ("invstd", "u64"),
-                    *_DIMS, ("eps", "f32")])
-    x = b.ld_param("u64", "x")
-    mean_ptr = b.ld_param("u64", "mean")
-    invstd_ptr = b.ld_param("u64", "invstd")
-    dims, c = _channel_loop_header(b)
-    eps = b.ld_param("f32", "eps")
-
-    total = b.reg("u32")
-    b.ins("mul.lo.s32", total, dims["batch"], dims["hw"])
-    ftotal = b.reg("f32")
-    b.ins("cvt.rn.f32.u32", ftotal, total)
-    acc = b.imm_f32(0.0)
-    acc_sq = b.imm_f32(0.0)
+@contextmanager
+def _channel_slice(b: PTXBuilder, dims: dict[str, str], c: str):
+    """Loop over the (N, H*W) slice of channel *c*; yields the flat
+    element index inside the loop body."""
     n = b.reg("u32")
     with b.for_range(n, 0, dims["batch"]):
-        base = b.reg("u32")
-        b.ins("mad.lo.s32", base, n, dims["channels"], c)
+        base = b.flatten((n, c), (dims["channels"],))
         b.ins("mul.lo.s32", base, base, dims["hw"])
         i = b.reg("u32")
         with b.for_range(i, 0, dims["hw"]):
             idx = b.reg("u32")
             b.ins("add.s32", idx, base, i)
-            value = b.load_global_f32(b.elem_addr(x, idx))
-            b.ins("add.f32", acc, acc, value)
-            b.ins("fma.rn.f32", acc_sq, value, value, acc_sq)
+            yield idx
+
+
+def _channel_of(b: PTXBuilder, dims: dict[str, str], tid: str) -> str:
+    """c = (tid % (C*HW)) / HW for a flat NCHW element id."""
+    chw = b.reg("u32")
+    b.ins("mul.lo.s32", chw, dims["channels"], dims["hw"])
+    _, c_hw = b.div_mod(tid, chw, need_div=False)
+    c, _ = b.div_mod(c_hw, dims["hw"], need_rem=False)
+    return c
+
+
+def _normalise(b: PTXBuilder, xv: str, mu: str, istd: str) -> str:
+    """xhat = (x - mean) * invstd."""
+    xhat = b.reg("f32")
+    b.ins("sub.f32", xhat, xv, mu)
+    b.ins("mul.f32", xhat, xhat, istd)
+    return xhat
+
+
+def bn_stats() -> str:
+    """mean[c], invstd[c] over the (N, H, W) slice of channel c."""
+    b, p, c = _open_per_channel("cudnn_bn_stats", ("x", "mean", "invstd"),
+                                extra=(("eps", "f32"),))
+    eps = b.ld_param("f32", "eps")
+
+    total = b.reg("u32")
+    b.ins("mul.lo.s32", total, p["batch"], p["hw"])
+    ftotal = b.reg("f32")
+    b.ins("cvt.rn.f32.u32", ftotal, total)
+    acc = b.imm_f32(0.0)
+    acc_sq = b.imm_f32(0.0)
+    with _channel_slice(b, p, c) as idx:
+        value = b.load_global_f32(b.elem_addr(p["x"], idx))
+        b.ins("add.f32", acc, acc, value)
+        b.ins("fma.rn.f32", acc_sq, value, value, acc_sq)
     mean = b.reg("f32")
     b.ins("div.rn.f32", mean, acc, ftotal)
     mean_sq = b.reg("f32")
@@ -61,33 +88,17 @@ def bn_stats() -> str:
     b.ins("add.f32", var, var, eps)
     invstd = b.reg("f32")
     b.ins("rsqrt.approx.f32", invstd, var)
-    b.store_global_f32(b.elem_addr(mean_ptr, c), mean)
-    b.store_global_f32(b.elem_addr(invstd_ptr, c), invstd)
+    b.store_global_f32(b.elem_addr(p["mean"], c), mean)
+    b.store_global_f32(b.elem_addr(p["invstd"], c), invstd)
     return b.build()
 
 
 def bn_forward() -> str:
     """y = gamma[c] * (x - mean[c]) * invstd[c] + beta[c], per element."""
-    b = PTXBuilder("cudnn_bn_fwd",
-                   [("x", "u64"), ("y", "u64"), ("gamma", "u64"),
-                    ("beta", "u64"), ("mean", "u64"), ("invstd", "u64"),
-                    *_DIMS, ("total", "u32")])
-    x = b.ld_param("u64", "x")
-    y = b.ld_param("u64", "y")
-    gamma = b.ld_param("u64", "gamma")
-    beta = b.ld_param("u64", "beta")
-    mean_ptr = b.ld_param("u64", "mean")
-    invstd_ptr = b.ld_param("u64", "invstd")
-    dims = {name: b.ld_param("u32", name) for name, _ in _DIMS
-            if name != "batch"}
-    tid = b.global_tid_x()
-    total = b.ld_param("u32", "total")
-    b.guard_tid_below(tid, total)
-
-    chw = b.reg("u32")
-    b.ins("mul.lo.s32", chw, dims["channels"], dims["hw"])
-    _, c_hw = div_mod(b, tid, chw, need_div=False)
-    c, _ = div_mod(b, c_hw, dims["hw"], need_rem=False)
+    b, (x, y, gamma, beta, mean_ptr, invstd_ptr), dims, tid = open_kernel(
+        "cudnn_bn_fwd", ("x", "y", "gamma", "beta", "mean", "invstd"),
+        _DIMS, skip=("batch",))
+    c = _channel_of(b, dims, tid)
 
     value = b.load_global_f32(b.elem_addr(x, tid))
     mu = b.load_global_f32(b.elem_addr(mean_ptr, c))
@@ -106,67 +117,32 @@ def bn_forward() -> str:
 
 def bn_backward_reduce() -> str:
     """Per channel: dbeta = sum dy, dgamma = sum dy*xhat."""
-    b = PTXBuilder("cudnn_bn_bwd_reduce",
-                   [("x", "u64"), ("dy", "u64"), ("mean", "u64"),
-                    ("invstd", "u64"), ("dgamma", "u64"),
-                    ("dbeta", "u64"), *_DIMS])
-    x = b.ld_param("u64", "x")
-    dy = b.ld_param("u64", "dy")
-    mean_ptr = b.ld_param("u64", "mean")
-    invstd_ptr = b.ld_param("u64", "invstd")
-    dgamma_ptr = b.ld_param("u64", "dgamma")
-    dbeta_ptr = b.ld_param("u64", "dbeta")
-    dims, c = _channel_loop_header(b)
+    b, p, c = _open_per_channel(
+        "cudnn_bn_bwd_reduce",
+        ("x", "dy", "mean", "invstd", "dgamma", "dbeta"))
 
-    mu = b.load_global_f32(b.elem_addr(mean_ptr, c))
-    istd = b.load_global_f32(b.elem_addr(invstd_ptr, c))
+    mu = b.load_global_f32(b.elem_addr(p["mean"], c))
+    istd = b.load_global_f32(b.elem_addr(p["invstd"], c))
     sum_dy = b.imm_f32(0.0)
     sum_dy_xhat = b.imm_f32(0.0)
-    n = b.reg("u32")
-    with b.for_range(n, 0, dims["batch"]):
-        base = b.reg("u32")
-        b.ins("mad.lo.s32", base, n, dims["channels"], c)
-        b.ins("mul.lo.s32", base, base, dims["hw"])
-        i = b.reg("u32")
-        with b.for_range(i, 0, dims["hw"]):
-            idx = b.reg("u32")
-            b.ins("add.s32", idx, base, i)
-            dyv = b.load_global_f32(b.elem_addr(dy, idx))
-            xv = b.load_global_f32(b.elem_addr(x, idx))
-            b.ins("add.f32", sum_dy, sum_dy, dyv)
-            xhat = b.reg("f32")
-            b.ins("sub.f32", xhat, xv, mu)
-            b.ins("mul.f32", xhat, xhat, istd)
-            b.ins("fma.rn.f32", sum_dy_xhat, dyv, xhat, sum_dy_xhat)
-    b.store_global_f32(b.elem_addr(dbeta_ptr, c), sum_dy)
-    b.store_global_f32(b.elem_addr(dgamma_ptr, c), sum_dy_xhat)
+    with _channel_slice(b, p, c) as idx:
+        dyv = b.load_global_f32(b.elem_addr(p["dy"], idx))
+        xv = b.load_global_f32(b.elem_addr(p["x"], idx))
+        b.ins("add.f32", sum_dy, sum_dy, dyv)
+        xhat = _normalise(b, xv, mu, istd)
+        b.ins("fma.rn.f32", sum_dy_xhat, dyv, xhat, sum_dy_xhat)
+    b.store_global_f32(b.elem_addr(p["dbeta"], c), sum_dy)
+    b.store_global_f32(b.elem_addr(p["dgamma"], c), sum_dy_xhat)
     return b.build()
 
 
 def bn_backward_dx() -> str:
     """dx = gamma*invstd/M * (M*dy - dbeta - xhat*dgamma), per element."""
-    b = PTXBuilder("cudnn_bn_bwd_dx",
-                   [("x", "u64"), ("dy", "u64"), ("dx", "u64"),
-                    ("gamma", "u64"), ("mean", "u64"), ("invstd", "u64"),
-                    ("dgamma", "u64"), ("dbeta", "u64"), *_DIMS,
-                    ("total", "u32")])
-    x = b.ld_param("u64", "x")
-    dy = b.ld_param("u64", "dy")
-    dx = b.ld_param("u64", "dx")
-    gamma = b.ld_param("u64", "gamma")
-    mean_ptr = b.ld_param("u64", "mean")
-    invstd_ptr = b.ld_param("u64", "invstd")
-    dgamma_ptr = b.ld_param("u64", "dgamma")
-    dbeta_ptr = b.ld_param("u64", "dbeta")
-    dims = {name: b.ld_param("u32", name) for name, _ in _DIMS}
-    tid = b.global_tid_x()
-    total = b.ld_param("u32", "total")
-    b.guard_tid_below(tid, total)
-
-    chw = b.reg("u32")
-    b.ins("mul.lo.s32", chw, dims["channels"], dims["hw"])
-    _, c_hw = div_mod(b, tid, chw, need_div=False)
-    c, _ = div_mod(b, c_hw, dims["hw"], need_rem=False)
+    (b, (x, dy, dx, gamma, mean_ptr, invstd_ptr, dgamma_ptr, dbeta_ptr),
+     dims, tid) = open_kernel(
+        "cudnn_bn_bwd_dx", ("x", "dy", "dx", "gamma", "mean", "invstd",
+                            "dgamma", "dbeta"), _DIMS)
+    c = _channel_of(b, dims, tid)
     m = b.reg("u32")
     b.ins("mul.lo.s32", m, dims["batch"], dims["hw"])
     fm = b.reg("f32")
@@ -180,9 +156,7 @@ def bn_backward_dx() -> str:
     dg = b.load_global_f32(b.elem_addr(dgamma_ptr, c))
     db = b.load_global_f32(b.elem_addr(dbeta_ptr, c))
 
-    xhat = b.reg("f32")
-    b.ins("sub.f32", xhat, xv, mu)
-    b.ins("mul.f32", xhat, xhat, istd)
+    xhat = _normalise(b, xv, mu, istd)
     term = b.reg("f32")
     b.ins("mul.f32", term, dyv, fm)
     b.ins("sub.f32", term, term, db)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 from repro.ptx.builder import PTXBuilder, f32
 
 #: log2(e), used to express exp(x) as ex2(x * LOG2E).
@@ -31,34 +33,128 @@ def tanh_via_ex2(b: PTXBuilder, x: str) -> str:
     return out
 
 
-def nchw_index(b: PTXBuilder, n: str, c: str, h: str, w: str,
-               channels: str, height: str, width: str) -> str:
-    """((n*C + c)*H + h)*W + w as an s32 register."""
-    t = b.reg("u32")
-    b.ins("mad.lo.s32", t, n, channels, c)
-    t2 = b.reg("u32")
-    b.ins("mad.lo.s32", t2, t, height, h)
-    out = b.reg("u32")
-    b.ins("mad.lo.s32", out, t2, width, w)
-    return out
+def open_kernel(name: str, pointers: tuple[str, ...],
+                scalars: list[tuple[str, str]], *,
+                skip: tuple[str, ...] = ()
+                ) -> tuple[PTXBuilder, list[str], dict[str, str], str]:
+    """Start a one-thread-per-element kernel: its builder and prologue.
 
-
-def div_mod(b: PTXBuilder, value: str, divisor: str, *,
-            need_div: bool = True,
-            need_rem: bool = True) -> tuple[str | None, str | None]:
-    """(value / divisor, value % divisor) for u32 registers.
-
-    Emits the exact ``div.u32`` / ``rem.u32`` pair whose ``rem``
-    implementation the paper had to fix inside ``fft2d_r2c_32x32``.
-    Callers that only need one half pass ``need_div``/``need_rem`` so
-    the other instruction is not emitted as a dead store.
+    Parameters are the ``u64`` *pointers*, the ``(name, dtype)``
+    *scalars* and a trailing ``u32 total``.  Loads the pointers and the
+    scalars not in *skip* (in that order), forms the global thread id,
+    loads ``total`` and exits threads at or past it.  Returns
+    ``(builder, pointer registers in order, every loaded register by
+    parameter name, tid)``.
     """
-    quotient = None
-    if need_div:
-        quotient = b.reg("u32")
-        b.ins("div.u32", quotient, value, divisor)
-    remainder = None
-    if need_rem:
-        remainder = b.reg("u32")
-        b.ins("rem.u32", remainder, value, divisor)
-    return quotient, remainder
+    b = PTXBuilder(name, [*((p, "u64") for p in pointers), *scalars,
+                          ("total", "u32")])
+    regs = b.ld_params(skip=(*skip, "total"))
+    tid = b.global_tid_x()
+    regs["total"] = b.ld_param("u32", "total")
+    b.guard_tid_below(tid, regs["total"])
+    return b, [regs[p] for p in pointers], regs, tid
+
+
+def nchw_index(b: PTXBuilder, g: dict[str, str], n: str, c: str, h: str,
+               w: str) -> str:
+    """((n*C + c)*H + h)*W + w for the image geometry *g*."""
+    return b.flatten((n, c, h, w), (g["channels"], g["height"], g["width"]))
+
+
+def in_image(b: PTXBuilder, h: str, w: str, height: str, width: str) -> str:
+    """Predicate: 0 <= h < height and 0 <= w < width (signed)."""
+    return b.all_of(("ge", h, "0"), ("lt", h, height),
+                    ("ge", w, "0"), ("lt", w, width))
+
+
+def input_coord(b: PTXBuilder, g: dict[str, str], p: str, q: str, r: str,
+                s: str) -> tuple[str, str, str]:
+    """Input pixel under filter tap (r, s) of output (p, q):
+    ``(h, w) = (p*stride_h + r - pad_h, q*stride_w + s - pad_w)`` and
+    the predicate that it lies inside the (unpadded) image."""
+    h = b.reg("s32")
+    b.ins("mad.lo.s32", h, p, g["stride_h"], r)
+    b.ins("sub.s32", h, h, g["pad_h"])
+    w = b.reg("s32")
+    b.ins("mad.lo.s32", w, q, g["stride_w"], s)
+    b.ins("sub.s32", w, w, g["pad_w"])
+    return h, w, in_image(b, h, w, g["height"], g["width"])
+
+
+@contextmanager
+def output_coord(b: PTXBuilder, g: dict[str, str], h: str, w: str, r: str,
+                 s: str):
+    """Inverse of :func:`input_coord`: yields the output ``(p, q)``
+    whose tap (r, s) reads input (h, w); the body runs only where one
+    exists (``h + pad_h - r`` non-negative, a multiple of the stride and
+    inside the output, likewise for w)."""
+    ph = b.reg("s32")
+    b.ins("add.s32", ph, h, g["pad_h"])
+    b.ins("sub.s32", ph, ph, r)
+    qw = b.reg("s32")
+    b.ins("add.s32", qw, w, g["pad_w"])
+    b.ins("sub.s32", qw, qw, s)
+    with b.if_then(b.all_of(("ge", ph, "0"), ("ge", qw, "0"))):
+        p, p_rem = b.div_mod(ph, g["stride_h"])
+        q, q_rem = b.div_mod(qw, g["stride_w"])
+        exists = b.all_of(("eq", p_rem, "0"), ("eq", q_rem, "0"),
+                          ("lt", p, g["out_h"]), ("lt", q, g["out_w"]))
+        with b.if_then(exists):
+            yield p, q
+
+
+def load_elems(b: PTXBuilder, dtype: str,
+               *refs: tuple[str, str]) -> list[str]:
+    """``base[index]`` for each ``(base, index)`` as f32 registers.
+
+    ``"f16"`` data is binary16 in memory: all ``ld.global.b16`` first,
+    then one widening ``cvt`` each (the "pseudo half" configuration of
+    paper Section III-D.1)."""
+    if dtype == "f32":
+        return [b.load_global_f32(b.elem_addr(base, index))
+                for base, index in refs]
+    halves = []
+    for base, index in refs:
+        half = b.reg("f16")
+        b.ins("ld.global.b16", half,
+              f"[{b.elem_addr(base, index, elem_bytes=2)}]")
+        halves.append(half)
+    values = []
+    for half in halves:
+        value = b.reg("f32")
+        b.ins("cvt.f32.f16", value, half)
+        values.append(value)
+    return values
+
+
+def store_elem(b: PTXBuilder, dtype: str, base: str, index: str,
+               value: str) -> None:
+    """``base[index] = value`` (f32 register), rounding to binary16
+    first when *dtype* is ``"f16"``."""
+    if dtype == "f32":
+        b.store_global_f32(b.elem_addr(base, index), value)
+        return
+    half = b.reg("f16")
+    b.ins("cvt.rn.f16.f32", half, value)
+    b.ins("st.global.b16", f"[{b.elem_addr(base, index, elem_bytes=2)}]",
+          half)
+
+
+def load_or_zero(b: PTXBuilder, base: str, index: str, ok: str) -> str:
+    """``ok ? base[index] : 0.0`` — a predicated load over a zeroed
+    register, so out-of-range lanes never touch memory."""
+    value = b.imm_f32(0.0)
+    b.ins("ld.global.f32", value, f"[{b.elem_addr(base, index)}]", pred=ok)
+    return value
+
+
+def v2(re: str, im: str) -> str:
+    """The ``{re, im}`` operand of a ``.v2.f32`` access."""
+    return "{" + re + ", " + im + "}"
+
+
+def load_complex(b: PTXBuilder, space: str, addr: str) -> tuple[str, str]:
+    """One interleaved complex element as a ``(re, im)`` register pair."""
+    re, im = b.reg("f32"), b.reg("f32")
+    b.ins(f"ld.{space}.v2.f32", v2(re, im), f"[{addr}]")
+    return re, im

@@ -9,8 +9,12 @@ their DRAM/IPC profiles distinguishable in the Section V case studies.
 
 from __future__ import annotations
 
+from functools import partial
+
 from repro.ptx.builder import PTXBuilder
-from repro.cudnn.kernels.common import div_mod
+from repro.cudnn.kernels.common import (
+    input_coord, load_elems, nchw_index, open_kernel, output_coord,
+    store_elem)
 
 _GEOM = [
     ("batch", "u32"), ("channels", "u32"), ("height", "u32"),
@@ -21,269 +25,126 @@ _GEOM = [
 ]
 
 
-def _load_geom(b: PTXBuilder, *, skip: tuple[str, ...] = ()) -> dict[str, str]:
-    """Load the geometry params a kernel actually reads; kernels whose
-    thread decomposition never needs ``batch`` skip its ``ld.param``."""
-    return {name: b.ld_param("u32", name) for name, _ in _GEOM
-            if name not in skip}
+def _kcrs_index(b: PTXBuilder, g: dict[str, str], k: str, c: str, r: str,
+                s: str) -> str:
+    """Filter element ((k*C + c)*R + r)*S + s."""
+    return b.flatten((k, c, r, s),
+                     (g["channels"], g["ksize_h"], g["ksize_w"]))
+
+
+def _nkpq_index(b: PTXBuilder, g: dict[str, str], n: str, k: str, p: str,
+                q: str) -> str:
+    """Output element ((n*K + k)*P + p)*Q + q."""
+    return b.flatten((n, k, p, q), (g["filters"], g["out_h"], g["out_w"]))
+
+
+def _per_output(b: PTXBuilder, g: dict[str, str], tid: str) -> list[str]:
+    """tid -> (n, k, p, q): one thread per output element."""
+    return b.unflatten(tid, b.strides((g["filters"], g["out_h"],
+                                       g["out_w"])))
+
+
+def _filter_taps(b: PTXBuilder, g: dict[str, str]):
+    """The (c, r, s) reduction nest of one output element."""
+    return b.loop_nest((0, g["channels"]), (0, g["ksize_h"]),
+                       (0, g["ksize_w"]))
+
+
+def _implicit_gemm_fwd(name: str, dtype: str) -> str:
+    """Forward conv, one thread per output element, serial reduction
+    over C*R*S; *dtype* is the in-memory element type (accumulation is
+    always FP32)."""
+    b, (image, weight, out), g, tid = open_kernel(
+        name, ("image", "weight", "out"), _GEOM, skip=("batch",))
+    n, k, p, q = _per_output(b, g, tid)
+    acc = b.imm_f32(0.0)
+    with _filter_taps(b, g) as (c, r, s):
+        h, w, ok = input_coord(b, g, p, q, r, s)
+        with b.if_then(ok):
+            x_idx = nchw_index(b, g, n, c, h, w)
+            w_idx = _kcrs_index(b, g, k, c, r, s)
+            xv, wv = load_elems(b, dtype, (image, x_idx), (weight, w_idx))
+            b.ins("fma.rn.f32", acc, xv, wv, acc)
+    store_elem(b, dtype, out, tid, acc)
+    return b.build()
 
 
 def implicit_gemm_fwd() -> str:
-    """Forward conv, implicit GEMM style: one thread per output element,
-    serial reduction over C*R*S (the data-hazard-bound profile of
-    Figures 23-25)."""
-    b = PTXBuilder("implicit_gemm_fwd",
-                   [("image", "u64"), ("weight", "u64"), ("out", "u64"),
-                    *_GEOM, ("total", "u32")])
-    image = b.ld_param("u64", "image")
-    weight = b.ld_param("u64", "weight")
-    out = b.ld_param("u64", "out")
-    g = _load_geom(b, skip=("batch",))
-    tid = b.global_tid_x()
-    total = b.ld_param("u32", "total")
-    b.guard_tid_below(tid, total)
+    """Forward conv, implicit GEMM style (the data-hazard-bound profile
+    of Figures 23-25)."""
+    return _implicit_gemm_fwd("implicit_gemm_fwd", "f32")
 
-    pq = b.reg("u32")
-    b.ins("mul.lo.s32", pq, g["out_h"], g["out_w"])
-    kpq = b.reg("u32")
-    b.ins("mul.lo.s32", kpq, g["filters"], pq)
-    n, k_pq = div_mod(b, tid, kpq)
-    k, p_q = div_mod(b, k_pq, pq)
-    p, q = div_mod(b, p_q, g["out_w"])
 
-    acc = b.imm_f32(0.0)
-    c = b.reg("u32")
-    with b.for_range(c, 0, g["channels"]):
-        r = b.reg("u32")
-        with b.for_range(r, 0, g["ksize_h"]):
-            s = b.reg("u32")
-            with b.for_range(s, 0, g["ksize_w"]):
-                h = b.reg("s32")
-                b.ins("mad.lo.s32", h, p, g["stride_h"], r)
-                b.ins("sub.s32", h, h, g["pad_h"])
-                w = b.reg("s32")
-                b.ins("mad.lo.s32", w, q, g["stride_w"], s)
-                b.ins("sub.s32", w, w, g["pad_w"])
-                ok = b.reg("pred")
-                tmp = b.reg("pred")
-                b.ins("setp.ge.s32", ok, h, "0")
-                b.ins("setp.lt.s32", tmp, h, g["height"])
-                b.ins("and.pred", ok, ok, tmp)
-                b.ins("setp.ge.s32", tmp, w, "0")
-                b.ins("and.pred", ok, ok, tmp)
-                b.ins("setp.lt.s32", tmp, w, g["width"])
-                b.ins("and.pred", ok, ok, tmp)
-                with b.if_then(ok):
-                    x_idx = b.reg("u32")
-                    b.ins("mad.lo.s32", x_idx, n, g["channels"], c)
-                    b.ins("mad.lo.s32", x_idx, x_idx, g["height"], h)
-                    b.ins("mad.lo.s32", x_idx, x_idx, g["width"], w)
-                    w_idx = b.reg("u32")
-                    b.ins("mad.lo.s32", w_idx, k, g["channels"], c)
-                    b.ins("mad.lo.s32", w_idx, w_idx, g["ksize_h"], r)
-                    b.ins("mad.lo.s32", w_idx, w_idx, g["ksize_w"], s)
-                    xv = b.load_global_f32(b.elem_addr(image, x_idx))
-                    wv = b.load_global_f32(b.elem_addr(weight, w_idx))
-                    b.ins("fma.rn.f32", acc, xv, wv, acc)
-    b.store_global_f32(b.elem_addr(out, tid), acc)
+def implicit_gemm_fwd_fp16() -> str:
+    """FP16 forward convolution (paper Section III-D.1).
+
+    Data is binary16 in memory; arithmetic accumulates in FP32 with
+    ``cvt`` at the boundaries — the "pseudo half" configuration cuDNN
+    uses when Tensor Cores are unavailable, and the path whose
+    GPGPU-Sim support the paper added "using an open source library".
+    """
+    return _implicit_gemm_fwd("implicit_gemm_fwd_fp16", "f16")
+
+
+def _scatter_algo0(name: str, pointers: tuple[str, str, str],
+                   into_filter: bool) -> str:
+    """Shared body of the two "algorithm 0" backward kernels.
+
+    One thread per (n, k, p, q) multiplies its dy by the other input
+    operand (the filter for dgrad, the image for wgrad) at each of the
+    C*R*S taps and scatters the product into the last pointer (dx, or
+    dw when *into_filter*) with ``red.global.add.f32``.
+    Non-deterministic order, heavy partition traffic — the classic
+    "algorithm 0" signature.
+    """
+    b, _, g, tid = open_kernel(name, pointers, _GEOM, skip=("batch",))
+    read, target = (g[p] for p in pointers if p != "dy")
+    n, k, p, q = _per_output(b, g, tid)
+    dy_val = b.load_global_f32(b.elem_addr(g["dy"], tid))
+    with _filter_taps(b, g) as (c, r, s):
+        h, w, ok = input_coord(b, g, p, q, r, s)
+        with b.if_then(ok):
+            image_at = partial(nchw_index, b, g, n, c, h, w)
+            filter_at = partial(_kcrs_index, b, g, k, c, r, s)
+            read_at, target_at = ((image_at, filter_at) if into_filter
+                                  else (filter_at, image_at))
+            value = b.load_global_f32(b.elem_addr(read, read_at()))
+            contrib = b.reg("f32")
+            b.ins("mul.f32", contrib, dy_val, value)
+            addr = b.elem_addr(target, target_at())
+            b.ins("red.global.add.f32", f"[{addr}]", contrib)
     return b.build()
 
 
 def conv_bwd_data_algo0() -> str:
-    """dgrad algo 0: scatter dy through the filter with atomics.
-
-    One thread per (n, k, p, q); each contributes to C*R*S dx positions
-    via ``red.global.add.f32``.  Non-deterministic order, heavy
-    partition traffic — the classic "algorithm 0" signature.
-    """
-    b = PTXBuilder("conv_bwd_data_algo0",
-                   [("dy", "u64"), ("weight", "u64"), ("dx", "u64"),
-                    *_GEOM, ("total", "u32")])
-    dy = b.ld_param("u64", "dy")
-    weight = b.ld_param("u64", "weight")
-    dx = b.ld_param("u64", "dx")
-    g = _load_geom(b, skip=("batch",))
-    tid = b.global_tid_x()
-    total = b.ld_param("u32", "total")
-    b.guard_tid_below(tid, total)
-
-    pq = b.reg("u32")
-    b.ins("mul.lo.s32", pq, g["out_h"], g["out_w"])
-    kpq = b.reg("u32")
-    b.ins("mul.lo.s32", kpq, g["filters"], pq)
-    n, k_pq = div_mod(b, tid, kpq)
-    k, p_q = div_mod(b, k_pq, pq)
-    p, q = div_mod(b, p_q, g["out_w"])
-    dy_val = b.load_global_f32(b.elem_addr(dy, tid))
-
-    c = b.reg("u32")
-    with b.for_range(c, 0, g["channels"]):
-        r = b.reg("u32")
-        with b.for_range(r, 0, g["ksize_h"]):
-            s = b.reg("u32")
-            with b.for_range(s, 0, g["ksize_w"]):
-                h = b.reg("s32")
-                b.ins("mad.lo.s32", h, p, g["stride_h"], r)
-                b.ins("sub.s32", h, h, g["pad_h"])
-                w = b.reg("s32")
-                b.ins("mad.lo.s32", w, q, g["stride_w"], s)
-                b.ins("sub.s32", w, w, g["pad_w"])
-                ok = b.reg("pred")
-                tmp = b.reg("pred")
-                b.ins("setp.ge.s32", ok, h, "0")
-                b.ins("setp.lt.s32", tmp, h, g["height"])
-                b.ins("and.pred", ok, ok, tmp)
-                b.ins("setp.ge.s32", tmp, w, "0")
-                b.ins("and.pred", ok, ok, tmp)
-                b.ins("setp.lt.s32", tmp, w, g["width"])
-                b.ins("and.pred", ok, ok, tmp)
-                with b.if_then(ok):
-                    w_idx = b.reg("u32")
-                    b.ins("mad.lo.s32", w_idx, k, g["channels"], c)
-                    b.ins("mad.lo.s32", w_idx, w_idx, g["ksize_h"], r)
-                    b.ins("mad.lo.s32", w_idx, w_idx, g["ksize_w"], s)
-                    wv = b.load_global_f32(b.elem_addr(weight, w_idx))
-                    contrib = b.reg("f32")
-                    b.ins("mul.f32", contrib, dy_val, wv)
-                    x_idx = b.reg("u32")
-                    b.ins("mad.lo.s32", x_idx, n, g["channels"], c)
-                    b.ins("mad.lo.s32", x_idx, x_idx, g["height"], h)
-                    b.ins("mad.lo.s32", x_idx, x_idx, g["width"], w)
-                    addr = b.elem_addr(dx, x_idx)
-                    b.ins("red.global.add.f32", f"[{addr}]", contrib)
-    return b.build()
-
-
-def conv_bwd_data_algo1() -> str:
-    """dgrad algo 1: race-free gather — one thread per dx element."""
-    b = PTXBuilder("conv_bwd_data_algo1",
-                   [("dy", "u64"), ("weight", "u64"), ("dx", "u64"),
-                    *_GEOM, ("total", "u32")])
-    dy = b.ld_param("u64", "dy")
-    weight = b.ld_param("u64", "weight")
-    dx = b.ld_param("u64", "dx")
-    g = _load_geom(b, skip=("batch",))
-    tid = b.global_tid_x()
-    total = b.ld_param("u32", "total")
-    b.guard_tid_below(tid, total)
-
-    hw = b.reg("u32")
-    b.ins("mul.lo.s32", hw, g["height"], g["width"])
-    chw = b.reg("u32")
-    b.ins("mul.lo.s32", chw, g["channels"], hw)
-    n, c_hw = div_mod(b, tid, chw)
-    c, h_w = div_mod(b, c_hw, hw)
-    h, w = div_mod(b, h_w, g["width"])
-
-    acc = b.imm_f32(0.0)
-    k = b.reg("u32")
-    with b.for_range(k, 0, g["filters"]):
-        r = b.reg("u32")
-        with b.for_range(r, 0, g["ksize_h"]):
-            s = b.reg("u32")
-            with b.for_range(s, 0, g["ksize_w"]):
-                ph = b.reg("s32")
-                b.ins("add.s32", ph, h, g["pad_h"])
-                b.ins("sub.s32", ph, ph, r)
-                qw = b.reg("s32")
-                b.ins("add.s32", qw, w, g["pad_w"])
-                b.ins("sub.s32", qw, qw, s)
-                ok = b.reg("pred")
-                tmp = b.reg("pred")
-                b.ins("setp.ge.s32", ok, ph, "0")
-                b.ins("setp.ge.s32", tmp, qw, "0")
-                b.ins("and.pred", ok, ok, tmp)
-                with b.if_then(ok):
-                    p = b.reg("u32")
-                    pr = b.reg("u32")
-                    b.ins("div.u32", p, ph, g["stride_h"])
-                    b.ins("rem.u32", pr, ph, g["stride_h"])
-                    q = b.reg("u32")
-                    qr = b.reg("u32")
-                    b.ins("div.u32", q, qw, g["stride_w"])
-                    b.ins("rem.u32", qr, qw, g["stride_w"])
-                    ok2 = b.reg("pred")
-                    tmp2 = b.reg("pred")
-                    b.ins("setp.eq.s32", ok2, pr, "0")
-                    b.ins("setp.eq.s32", tmp2, qr, "0")
-                    b.ins("and.pred", ok2, ok2, tmp2)
-                    b.ins("setp.lt.s32", tmp2, p, g["out_h"])
-                    b.ins("and.pred", ok2, ok2, tmp2)
-                    b.ins("setp.lt.s32", tmp2, q, g["out_w"])
-                    b.ins("and.pred", ok2, ok2, tmp2)
-                    with b.if_then(ok2):
-                        dy_idx = b.reg("u32")
-                        b.ins("mad.lo.s32", dy_idx, n, g["filters"], k)
-                        b.ins("mad.lo.s32", dy_idx, dy_idx, g["out_h"], p)
-                        b.ins("mad.lo.s32", dy_idx, dy_idx, g["out_w"], q)
-                        w_idx = b.reg("u32")
-                        b.ins("mad.lo.s32", w_idx, k, g["channels"], c)
-                        b.ins("mad.lo.s32", w_idx, w_idx, g["ksize_h"], r)
-                        b.ins("mad.lo.s32", w_idx, w_idx, g["ksize_w"], s)
-                        dyv = b.load_global_f32(b.elem_addr(dy, dy_idx))
-                        wv = b.load_global_f32(b.elem_addr(weight, w_idx))
-                        b.ins("fma.rn.f32", acc, dyv, wv, acc)
-    b.store_global_f32(b.elem_addr(dx, tid), acc)
-    return b.build()
+    """dgrad algo 0: scatter dy through the filter with atomics."""
+    return _scatter_algo0("conv_bwd_data_algo0", ("dy", "weight", "dx"),
+                          into_filter=False)
 
 
 def conv_bwd_filter_algo0() -> str:
     """wgrad algo 0: one thread per (n,k,p,q), atomic scatter into dw."""
-    b = PTXBuilder("conv_bwd_filter_algo0",
-                   [("image", "u64"), ("dy", "u64"), ("dw", "u64"),
-                    *_GEOM, ("total", "u32")])
-    image = b.ld_param("u64", "image")
-    dy = b.ld_param("u64", "dy")
-    dw = b.ld_param("u64", "dw")
-    g = _load_geom(b, skip=("batch",))
-    tid = b.global_tid_x()
-    total = b.ld_param("u32", "total")
-    b.guard_tid_below(tid, total)
+    return _scatter_algo0("conv_bwd_filter_algo0", ("image", "dy", "dw"),
+                          into_filter=True)
 
-    pq = b.reg("u32")
-    b.ins("mul.lo.s32", pq, g["out_h"], g["out_w"])
-    kpq = b.reg("u32")
-    b.ins("mul.lo.s32", kpq, g["filters"], pq)
-    n, k_pq = div_mod(b, tid, kpq)
-    k, p_q = div_mod(b, k_pq, pq)
-    p, q = div_mod(b, p_q, g["out_w"])
-    dy_val = b.load_global_f32(b.elem_addr(dy, tid))
 
-    c = b.reg("u32")
-    with b.for_range(c, 0, g["channels"]):
-        r = b.reg("u32")
-        with b.for_range(r, 0, g["ksize_h"]):
-            s = b.reg("u32")
-            with b.for_range(s, 0, g["ksize_w"]):
-                h = b.reg("s32")
-                b.ins("mad.lo.s32", h, p, g["stride_h"], r)
-                b.ins("sub.s32", h, h, g["pad_h"])
-                w = b.reg("s32")
-                b.ins("mad.lo.s32", w, q, g["stride_w"], s)
-                b.ins("sub.s32", w, w, g["pad_w"])
-                ok = b.reg("pred")
-                tmp = b.reg("pred")
-                b.ins("setp.ge.s32", ok, h, "0")
-                b.ins("setp.lt.s32", tmp, h, g["height"])
-                b.ins("and.pred", ok, ok, tmp)
-                b.ins("setp.ge.s32", tmp, w, "0")
-                b.ins("and.pred", ok, ok, tmp)
-                b.ins("setp.lt.s32", tmp, w, g["width"])
-                b.ins("and.pred", ok, ok, tmp)
-                with b.if_then(ok):
-                    x_idx = b.reg("u32")
-                    b.ins("mad.lo.s32", x_idx, n, g["channels"], c)
-                    b.ins("mad.lo.s32", x_idx, x_idx, g["height"], h)
-                    b.ins("mad.lo.s32", x_idx, x_idx, g["width"], w)
-                    xv = b.load_global_f32(b.elem_addr(image, x_idx))
-                    contrib = b.reg("f32")
-                    b.ins("mul.f32", contrib, dy_val, xv)
-                    w_idx = b.reg("u32")
-                    b.ins("mad.lo.s32", w_idx, k, g["channels"], c)
-                    b.ins("mad.lo.s32", w_idx, w_idx, g["ksize_h"], r)
-                    b.ins("mad.lo.s32", w_idx, w_idx, g["ksize_w"], s)
-                    addr = b.elem_addr(dw, w_idx)
-                    b.ins("red.global.add.f32", f"[{addr}]", contrib)
+def conv_bwd_data_algo1() -> str:
+    """dgrad algo 1: race-free gather — one thread per dx element."""
+    b, (dy, weight, dx), g, tid = open_kernel(
+        "conv_bwd_data_algo1", ("dy", "weight", "dx"), _GEOM,
+        skip=("batch",))
+    n, c, h, w = b.unflatten(tid, b.strides((g["channels"], g["height"],
+                                             g["width"])))
+    acc = b.imm_f32(0.0)
+    with b.loop_nest((0, g["filters"]), (0, g["ksize_h"]),
+                     (0, g["ksize_w"])) as (k, r, s):
+        with output_coord(b, g, h, w, r, s) as (p, q):
+            dy_idx = _nkpq_index(b, g, n, k, p, q)
+            w_idx = _kcrs_index(b, g, k, c, r, s)
+            dyv = b.load_global_f32(b.elem_addr(dy, dy_idx))
+            wv = b.load_global_f32(b.elem_addr(weight, w_idx))
+            b.ins("fma.rn.f32", acc, dyv, wv, acc)
+    b.store_global_f32(b.elem_addr(dx, tid), acc)
     return b.build()
 
 
@@ -294,25 +155,10 @@ def _bwd_filter_gather(name: str, images_per_block: int) -> str:
     across ctaid.y in chunks of *images_per_block* and accumulates with
     atomics across chunks (fewer serial loops per thread, more blocks).
     """
-    b = PTXBuilder(name,
-                   [("image", "u64"), ("dy", "u64"), ("dw", "u64"),
-                    *_GEOM, ("total", "u32")])
-    image = b.ld_param("u64", "image")
-    dy = b.ld_param("u64", "dy")
-    dw = b.ld_param("u64", "dw")
-    g = _load_geom(b)
-    tid = b.global_tid_x()
-    total = b.ld_param("u32", "total")
-    b.guard_tid_below(tid, total)
-
-    rs = b.reg("u32")
-    b.ins("mul.lo.s32", rs, g["ksize_h"], g["ksize_w"])
-    crs = b.reg("u32")
-    b.ins("mul.lo.s32", crs, g["channels"], rs)
-    k, c_rs = div_mod(b, tid, crs)
-    c, r_s = div_mod(b, c_rs, rs)
-    r, s = div_mod(b, r_s, g["ksize_w"])
-
+    b, (image, dy, dw), g, tid = open_kernel(
+        name, ("image", "dy", "dw"), _GEOM)
+    k, c, r, s = b.unflatten(tid, b.strides((g["channels"], g["ksize_h"],
+                                             g["ksize_w"])))
     if images_per_block:
         chunk = b.special("%ctaid.y")
         n_start = b.reg("u32")
@@ -325,39 +171,15 @@ def _bwd_filter_gather(name: str, images_per_block: int) -> str:
         n_end = g["batch"]
 
     acc = b.imm_f32(0.0)
-    n = b.reg("u32")
-    with b.for_range(n, n_start, n_end):
-        p = b.reg("u32")
-        with b.for_range(p, 0, g["out_h"]):
-            q = b.reg("u32")
-            with b.for_range(q, 0, g["out_w"]):
-                h = b.reg("s32")
-                b.ins("mad.lo.s32", h, p, g["stride_h"], r)
-                b.ins("sub.s32", h, h, g["pad_h"])
-                w = b.reg("s32")
-                b.ins("mad.lo.s32", w, q, g["stride_w"], s)
-                b.ins("sub.s32", w, w, g["pad_w"])
-                ok = b.reg("pred")
-                tmp = b.reg("pred")
-                b.ins("setp.ge.s32", ok, h, "0")
-                b.ins("setp.lt.s32", tmp, h, g["height"])
-                b.ins("and.pred", ok, ok, tmp)
-                b.ins("setp.ge.s32", tmp, w, "0")
-                b.ins("and.pred", ok, ok, tmp)
-                b.ins("setp.lt.s32", tmp, w, g["width"])
-                b.ins("and.pred", ok, ok, tmp)
-                with b.if_then(ok):
-                    x_idx = b.reg("u32")
-                    b.ins("mad.lo.s32", x_idx, n, g["channels"], c)
-                    b.ins("mad.lo.s32", x_idx, x_idx, g["height"], h)
-                    b.ins("mad.lo.s32", x_idx, x_idx, g["width"], w)
-                    dy_idx = b.reg("u32")
-                    b.ins("mad.lo.s32", dy_idx, n, g["filters"], k)
-                    b.ins("mad.lo.s32", dy_idx, dy_idx, g["out_h"], p)
-                    b.ins("mad.lo.s32", dy_idx, dy_idx, g["out_w"], q)
-                    xv = b.load_global_f32(b.elem_addr(image, x_idx))
-                    dyv = b.load_global_f32(b.elem_addr(dy, dy_idx))
-                    b.ins("fma.rn.f32", acc, xv, dyv, acc)
+    with b.loop_nest((n_start, n_end), (0, g["out_h"]),
+                     (0, g["out_w"])) as (n, p, q):
+        h, w, ok = input_coord(b, g, p, q, r, s)
+        with b.if_then(ok):
+            x_idx = nchw_index(b, g, n, c, h, w)
+            dy_idx = _nkpq_index(b, g, n, k, p, q)
+            xv = b.load_global_f32(b.elem_addr(image, x_idx))
+            dyv = b.load_global_f32(b.elem_addr(dy, dy_idx))
+            b.ins("fma.rn.f32", acc, xv, dyv, acc)
     addr = b.elem_addr(dw, tid)
     if images_per_block:
         b.ins("red.global.add.f32", f"[{addr}]", acc)
@@ -372,82 +194,6 @@ def conv_bwd_filter_algo1() -> str:
 
 def conv_bwd_filter_algo3() -> str:
     return _bwd_filter_gather("conv_bwd_filter_algo3", 2)
-
-
-def implicit_gemm_fwd_fp16() -> str:
-    """FP16 forward convolution (paper Section III-D.1).
-
-    Data is binary16 in memory; arithmetic accumulates in FP32 with
-    ``cvt`` at the boundaries — the "pseudo half" configuration cuDNN
-    uses when Tensor Cores are unavailable, and the path whose
-    GPGPU-Sim support the paper added "using an open source library".
-    """
-    b = PTXBuilder("implicit_gemm_fwd_fp16",
-                   [("image", "u64"), ("weight", "u64"), ("out", "u64"),
-                    *_GEOM, ("total", "u32")])
-    image = b.ld_param("u64", "image")
-    weight = b.ld_param("u64", "weight")
-    out = b.ld_param("u64", "out")
-    g = _load_geom(b, skip=("batch",))
-    tid = b.global_tid_x()
-    total = b.ld_param("u32", "total")
-    b.guard_tid_below(tid, total)
-
-    pq = b.reg("u32")
-    b.ins("mul.lo.s32", pq, g["out_h"], g["out_w"])
-    kpq = b.reg("u32")
-    b.ins("mul.lo.s32", kpq, g["filters"], pq)
-    n, k_pq = div_mod(b, tid, kpq)
-    k, p_q = div_mod(b, k_pq, pq)
-    p, q = div_mod(b, p_q, g["out_w"])
-
-    acc = b.imm_f32(0.0)
-    c = b.reg("u32")
-    with b.for_range(c, 0, g["channels"]):
-        r = b.reg("u32")
-        with b.for_range(r, 0, g["ksize_h"]):
-            s = b.reg("u32")
-            with b.for_range(s, 0, g["ksize_w"]):
-                h = b.reg("s32")
-                b.ins("mad.lo.s32", h, p, g["stride_h"], r)
-                b.ins("sub.s32", h, h, g["pad_h"])
-                w = b.reg("s32")
-                b.ins("mad.lo.s32", w, q, g["stride_w"], s)
-                b.ins("sub.s32", w, w, g["pad_w"])
-                ok = b.reg("pred")
-                tmp = b.reg("pred")
-                b.ins("setp.ge.s32", ok, h, "0")
-                b.ins("setp.lt.s32", tmp, h, g["height"])
-                b.ins("and.pred", ok, ok, tmp)
-                b.ins("setp.ge.s32", tmp, w, "0")
-                b.ins("and.pred", ok, ok, tmp)
-                b.ins("setp.lt.s32", tmp, w, g["width"])
-                b.ins("and.pred", ok, ok, tmp)
-                with b.if_then(ok):
-                    x_idx = b.reg("u32")
-                    b.ins("mad.lo.s32", x_idx, n, g["channels"], c)
-                    b.ins("mad.lo.s32", x_idx, x_idx, g["height"], h)
-                    b.ins("mad.lo.s32", x_idx, x_idx, g["width"], w)
-                    w_idx = b.reg("u32")
-                    b.ins("mad.lo.s32", w_idx, k, g["channels"], c)
-                    b.ins("mad.lo.s32", w_idx, w_idx, g["ksize_h"], r)
-                    b.ins("mad.lo.s32", w_idx, w_idx, g["ksize_w"], s)
-                    xh = b.reg("f16")
-                    b.ins("ld.global.b16", xh,
-                          f"[{b.elem_addr(image, x_idx, elem_bytes=2)}]")
-                    wh = b.reg("f16")
-                    b.ins("ld.global.b16", wh,
-                          f"[{b.elem_addr(weight, w_idx, elem_bytes=2)}]")
-                    xf = b.reg("f32")
-                    b.ins("cvt.f32.f16", xf, xh)
-                    wf = b.reg("f32")
-                    b.ins("cvt.f32.f16", wf, wh)
-                    b.ins("fma.rn.f32", acc, xf, wf, acc)
-    half = b.reg("f16")
-    b.ins("cvt.rn.f16.f32", half, acc)
-    b.ins("st.global.b16",
-          f"[{b.elem_addr(out, tid, elem_bytes=2)}]", half)
-    return b.build()
 
 
 ALL_KERNELS = {

@@ -9,7 +9,8 @@ PTX loader (paper Section III-A, fix 2).
 from __future__ import annotations
 
 from repro.ptx.builder import PTXBuilder, f32
-from repro.cudnn.kernels.common import exp_via_ex2, tanh_via_ex2
+from repro.cudnn.kernels.common import (
+    exp_via_ex2, load_elems, store_elem, tanh_via_ex2)
 
 
 def _grid_stride_prologue(b: PTXBuilder, n_param: str = "n"
@@ -235,10 +236,7 @@ def fp32_to_fp16() -> str:
     dst = b.ld_param("u64", "dst")
     tid, _ = _grid_stride_prologue(b)
     value = b.load_global_f32(b.elem_addr(src, tid))
-    half = b.reg("f16")
-    b.ins("cvt.rn.f16.f32", half, value)
-    b.ins("st.global.b16", f"[{b.elem_addr(dst, tid, elem_bytes=2)}]",
-          half)
+    store_elem(b, "f16", dst, tid, value)
     return b.build()
 
 
@@ -249,11 +247,7 @@ def fp16_to_fp32() -> str:
     src = b.ld_param("u64", "src")
     dst = b.ld_param("u64", "dst")
     tid, _ = _grid_stride_prologue(b)
-    half = b.reg("f16")
-    b.ins("ld.global.b16", half,
-          f"[{b.elem_addr(src, tid, elem_bytes=2)}]")
-    value = b.reg("f32")
-    b.ins("cvt.f32.f16", value, half)
+    value, = load_elems(b, "f16", (src, tid))
     b.store_global_f32(b.elem_addr(dst, tid), value)
     return b.build()
 

@@ -25,7 +25,8 @@ from __future__ import annotations
 import math
 
 from repro.ptx.builder import PTXBuilder, f32
-from repro.cudnn.kernels.common import div_mod
+from repro.cudnn.kernels.common import (
+    in_image, load_complex, open_kernel, v2)
 
 
 def _shared_elem_addr(b: PTXBuilder, sbase: str, index: str) -> str:
@@ -35,23 +36,47 @@ def _shared_elem_addr(b: PTXBuilder, sbase: str, index: str) -> str:
     return addr
 
 
-def _select_plane(b: PTXBuilder, a: str, bidx: str, count0: str,
-                  count1: str, swap_plane: str) -> str:
-    """plane = swap ? a*count1 + bidx : bidx*count0 + a.
+def _tile_elem(b: PTXBuilder, sbase: str, row: str, col: str,
+               fn: int) -> tuple[str, str]:
+    """(complex index, shared address) of tile element [row, col]."""
+    sidx = b.flatten((row, col), (str(fn),))
+    return sidx, _shared_elem_addr(b, sbase, sidx)
 
-    Tile index z and tensor plane index can compose (a, bidx) in either
-    order; the host picks whichever makes the frequency-major transpose
-    land directly in CGEMM operand layout.
+
+def _open_tile(name: str, tile_symbol: str, fn: int,
+               scalars: list[tuple[str, str]]):
+    """Start a one-block-per-tile transform kernel.
+
+    Tile z = a*count1 + bidx maps to real tensor plane
+    ``swap ? a*count1 + bidx : bidx*count0 + a``: tile index and plane
+    index can compose (a, bidx) in either order; the host picks
+    whichever makes the frequency-major transpose land directly in CGEMM
+    operand layout.  Returns ``(builder, parameter registers by name,
+    tile index z, thread t, plane)``.
     """
-    plane0 = b.reg("u32")
-    b.ins("mad.lo.s32", plane0, bidx, count0, a)
-    plane1 = b.reg("u32")
-    b.ins("mad.lo.s32", plane1, a, count1, bidx)
+    b = PTXBuilder(name, [("src", "u64"), ("dst", "u64"),
+                          ("count0", "u32"), ("count1", "u32"), *scalars,
+                          ("swap_plane", "u32")])
+    p = b.ld_params()
+    b.shared(tile_symbol, "f32", 2 * fn * fn, align=8)
+    z = b.special("%ctaid.x")
+    t = b.special("%tid.x")
+    a, bidx = b.div_mod(z, p["count1"])
+    plane0 = b.flatten((bidx, a), (p["count0"],))
+    plane1 = b.flatten((a, bidx), (p["count1"],))
     pswap = b.reg("pred")
-    b.ins("setp.ne.u32", pswap, swap_plane, "0")
+    b.ins("setp.ne.u32", pswap, p["swap_plane"], "0")
     plane = b.reg("u32")
     b.ins("selp.b32", plane, plane1, plane0, pswap)
-    return plane
+    return b, p, z, t, plane
+
+
+def _plane_base(b: PTXBuilder, plane: str, height: str, width: str) -> str:
+    """Element offset of real plane *plane*: plane * height * width."""
+    plane_base = b.reg("u32")
+    hw, _ = b.strides((height, width))
+    b.ins("mul.lo.s32", plane_base, plane, hw)
+    return plane_base
 
 
 def _fft_1d(b: PTXBuilder, sbase: str, base_off: str, stride: int,
@@ -61,9 +86,15 @@ def _fft_1d(b: PTXBuilder, sbase: str, base_off: str, stride: int,
     Points live at complex indices ``base_off + i*stride``.
     """
     fn = 1 << log2n
+
+    def point_addrs(first: str, second: str) -> tuple[str, str]:
+        """Shared addresses of points *first* and *second*."""
+        offsets = [b.flatten((index, base_off), (str(stride),))
+                   for index in (first, second)]
+        return tuple(_shared_elem_addr(b, sbase, off) for off in offsets)
+
     # --- bit-reversal permutation (brev) ------------------------------
-    i = b.reg("u32")
-    with b.for_range(i, 0, str(fn)):
+    with b.loop_nest((0, str(fn))) as (i,):
         rev = b.reg("u32")
         b.ins("brev.b32", rev, i)
         j = b.reg("u32")
@@ -71,37 +102,21 @@ def _fft_1d(b: PTXBuilder, sbase: str, base_off: str, stride: int,
         swap = b.reg("pred")
         b.ins("setp.lt.u32", swap, i, j)
         with b.if_then(swap):
-            idx_i = b.reg("u32")
-            b.ins("mad.lo.s32", idx_i, i, str(stride), base_off)
-            idx_j = b.reg("u32")
-            b.ins("mad.lo.s32", idx_j, j, str(stride), base_off)
-            addr_i = _shared_elem_addr(b, sbase, idx_i)
-            addr_j = _shared_elem_addr(b, sbase, idx_j)
-            re_i, im_i = b.reg("f32"), b.reg("f32")
-            b.ins("ld.shared.v2.f32", "{" + re_i + ", " + im_i + "}",
-                  f"[{addr_i}]")
-            re_j, im_j = b.reg("f32"), b.reg("f32")
-            b.ins("ld.shared.v2.f32", "{" + re_j + ", " + im_j + "}",
-                  f"[{addr_j}]")
-            b.ins("st.shared.v2.f32", f"[{addr_i}]",
-                  "{" + re_j + ", " + im_j + "}")
-            b.ins("st.shared.v2.f32", f"[{addr_j}]",
-                  "{" + re_i + ", " + im_i + "}")
+            addr_i, addr_j = point_addrs(i, j)
+            at_i = load_complex(b, "shared", addr_i)
+            at_j = load_complex(b, "shared", addr_j)
+            b.ins("st.shared.v2.f32", f"[{addr_i}]", v2(*at_j))
+            b.ins("st.shared.v2.f32", f"[{addr_j}]", v2(*at_i))
     # --- butterfly stages ----------------------------------------------
     sign = 2.0 * math.pi if inverse else -2.0 * math.pi
-    half = b.reg("u32")
-    b.ins("mov.u32", half, "1")
-    m = b.reg("u32")
-    b.ins("mov.u32", m, "2")
-    stage = b.reg("u32")
-    with b.for_range(stage, 0, str(log2n)):
-        k = b.reg("u32")
-        with b.for_range(k, 0, str(fn // 2)):
+    half = b.imm_u32(1)
+    m = b.imm_u32(2)
+    with b.loop_nest((0, str(log2n))) as (_stage,):
+        with b.loop_nest((0, str(fn // 2))) as (k,):
             # group/position split: the div.u32 + rem.u32 pair the paper
             # debugged inside fft2d_r2c_32x32.
-            group, pos = div_mod(b, k, half)
-            idx1 = b.reg("u32")
-            b.ins("mad.lo.s32", idx1, group, m, pos)
+            group, pos = b.div_mod(k, half)
+            idx1 = b.flatten((group, pos), (m,))
             idx2 = b.reg("u32")
             b.ins("add.s32", idx2, idx1, half)
             fpos = b.reg("f32")
@@ -115,18 +130,9 @@ def _fft_1d(b: PTXBuilder, sbase: str, base_off: str, stride: int,
             b.ins("cos.approx.f32", wr, angle)
             wi = b.reg("f32")
             b.ins("sin.approx.f32", wi, angle)
-            off1 = b.reg("u32")
-            b.ins("mad.lo.s32", off1, idx1, str(stride), base_off)
-            off2 = b.reg("u32")
-            b.ins("mad.lo.s32", off2, idx2, str(stride), base_off)
-            addr1 = _shared_elem_addr(b, sbase, off1)
-            addr2 = _shared_elem_addr(b, sbase, off2)
-            ar, ai = b.reg("f32"), b.reg("f32")
-            b.ins("ld.shared.v2.f32", "{" + ar + ", " + ai + "}",
-                  f"[{addr1}]")
-            br, bi = b.reg("f32"), b.reg("f32")
-            b.ins("ld.shared.v2.f32", "{" + br + ", " + bi + "}",
-                  f"[{addr2}]")
+            addr1, addr2 = point_addrs(idx1, idx2)
+            ar, ai = load_complex(b, "shared", addr1)
+            br, bi = load_complex(b, "shared", addr2)
             # t = w * b
             tr = b.reg("f32")
             b.ins("mul.f32", tr, wr, br)
@@ -144,12 +150,26 @@ def _fft_1d(b: PTXBuilder, sbase: str, base_off: str, stride: int,
             b.ins("add.f32", new_ar, ar, tr)
             new_ai = b.reg("f32")
             b.ins("add.f32", new_ai, ai, ti)
-            b.ins("st.shared.v2.f32", f"[{addr1}]",
-                  "{" + new_ar + ", " + new_ai + "}")
-            b.ins("st.shared.v2.f32", f"[{addr2}]",
-                  "{" + new_br + ", " + new_bi + "}")
+            b.ins("st.shared.v2.f32", f"[{addr1}]", v2(new_ar, new_ai))
+            b.ins("st.shared.v2.f32", f"[{addr2}]", v2(new_br, new_bi))
         b.ins("shl.b32", half, half, "1")
         b.ins("shl.b32", m, m, "1")
+
+
+def _fft_2d(b: PTXBuilder, sbase: str, t: str, log2n: int,
+            inverse: bool) -> None:
+    """Transform the tile in place: thread *t* FFTs row *t*, barrier,
+    then column *t*; barriers on both sides."""
+    fn = 1 << log2n
+    b.bar_sync()
+    row_base = b.reg("u32")
+    b.ins("mul.lo.s32", row_base, t, str(fn))
+    _fft_1d(b, sbase, row_base, 1, log2n, inverse)
+    b.bar_sync()
+    col_base = b.reg("u32")
+    b.ins("mov.u32", col_base, t)
+    _fft_1d(b, sbase, col_base, fn, log2n, inverse)
+    b.bar_sync()
 
 
 def fft2d_r2c(log2n: int) -> str:
@@ -161,104 +181,53 @@ def fft2d_r2c(log2n: int) -> str:
     flip=1 for correlation.
     """
     fn = 1 << log2n
-    b = PTXBuilder(f"fft2d_r2c_{fn}x{fn}",
-                   [("src", "u64"), ("dst", "u64"), ("count0", "u32"),
-                    ("count1", "u32"), ("src_h", "u32"), ("src_w", "u32"),
-                    ("origin_h", "u32"), ("origin_w", "u32"),
-                    ("flip", "u32"), ("swap_plane", "u32")])
-    src = b.ld_param("u64", "src")
-    dst = b.ld_param("u64", "dst")
-    count0 = b.ld_param("u32", "count0")
-    count1 = b.ld_param("u32", "count1")
-    src_h = b.ld_param("u32", "src_h")
-    src_w = b.ld_param("u32", "src_w")
-    origin_h = b.ld_param("u32", "origin_h")
-    origin_w = b.ld_param("u32", "origin_w")
-    flip = b.ld_param("u32", "flip")
-    swap_plane = b.ld_param("u32", "swap_plane")
-    b.shared("fft_tile", "f32", 2 * fn * fn, align=8)
-
-    z = b.special("%ctaid.x")
-    t = b.special("%tid.x")
-    a, bidx = div_mod(b, z, count1)
-    plane = _select_plane(b, a, bidx, count0, count1, swap_plane)
-    plane_base = b.reg("u32")
-    hw = b.reg("u32")
-    b.ins("mul.lo.s32", hw, src_h, src_w)
-    b.ins("mul.lo.s32", plane_base, plane, hw)
-
+    b, p, z, t, plane = _open_tile(
+        f"fft2d_r2c_{fn}x{fn}", "fft_tile", fn,
+        [("src_h", "u32"), ("src_w", "u32"), ("origin_h", "u32"),
+         ("origin_w", "u32"), ("flip", "u32")])
+    plane_base = _plane_base(b, plane, p["src_h"], p["src_w"])
     sbase = b.reg("u64")
     b.ins("mov.u64", sbase, "fft_tile")
 
     flip_pred = b.reg("pred")
-    b.ins("setp.ne.u32", flip_pred, flip, "0")
+    b.ins("setp.ne.u32", flip_pred, p["flip"], "0")
 
     # Load row t (zero-padded, optionally flipped).
-    x = b.reg("u32")
-    with b.for_range(x, 0, str(fn)):
+    with b.loop_nest((0, str(fn))) as (x,):
         h = b.reg("s32")
-        b.ins("add.s32", h, origin_h, t)
+        b.ins("add.s32", h, p["origin_h"], t)
         w = b.reg("s32")
-        b.ins("add.s32", w, origin_w, x)
+        b.ins("add.s32", w, p["origin_w"], x)
         # Flip: read src[H-1-h, W-1-w].
         hf = b.reg("s32")
-        b.ins("sub.s32", hf, src_h, "1")
+        b.ins("sub.s32", hf, p["src_h"], "1")
         b.ins("sub.s32", hf, hf, h)
         wf = b.reg("s32")
-        b.ins("sub.s32", wf, src_w, "1")
+        b.ins("sub.s32", wf, p["src_w"], "1")
         b.ins("sub.s32", wf, wf, w)
         b.ins("selp.b32", h, hf, h, flip_pred)
         b.ins("selp.b32", w, wf, w, flip_pred)
-        ok = b.reg("pred")
-        tmp = b.reg("pred")
-        b.ins("setp.ge.s32", ok, h, "0")
-        b.ins("setp.lt.s32", tmp, h, src_h)
-        b.ins("and.pred", ok, ok, tmp)
-        b.ins("setp.ge.s32", tmp, w, "0")
-        b.ins("and.pred", ok, ok, tmp)
-        b.ins("setp.lt.s32", tmp, w, src_w)
-        b.ins("and.pred", ok, ok, tmp)
+        ok = in_image(b, h, w, p["src_h"], p["src_w"])
         value = b.imm_f32(0.0)
-        idx = b.reg("u32")
-        b.ins("mad.lo.s32", idx, h, src_w, w)
+        idx = b.flatten((h, w), (p["src_w"],))
         b.ins("add.s32", idx, idx, plane_base)
-        b.ins("ld.global.f32", value, f"[{b.elem_addr(src, idx)}]",
+        b.ins("ld.global.f32", value, f"[{b.elem_addr(p['src'], idx)}]",
               pred=ok)
-        sidx = b.reg("u32")
-        b.ins("mad.lo.s32", sidx, t, str(fn), x)
-        saddr = _shared_elem_addr(b, sbase, sidx)
+        _, saddr = _tile_elem(b, sbase, t, x, fn)
         zero = b.imm_f32(0.0)
-        b.ins("st.shared.v2.f32", f"[{saddr}]",
-              "{" + value + ", " + zero + "}")
-    b.bar_sync()
-
-    # Row FFT (thread t owns row t).
-    row_base = b.reg("u32")
-    b.ins("mul.lo.s32", row_base, t, str(fn))
-    _fft_1d(b, sbase, row_base, 1, log2n, inverse=False)
-    b.bar_sync()
-    # Column FFT (thread t owns column t).
-    col_base = b.reg("u32")
-    b.ins("mov.u32", col_base, t)
-    _fft_1d(b, sbase, col_base, fn, log2n, inverse=False)
-    b.bar_sync()
+        b.ins("st.shared.v2.f32", f"[{saddr}]", v2(value, zero))
+    _fft_2d(b, sbase, t, log2n, inverse=False)
 
     # Store row t of the spectrum to dst[z].
-    tile_elems = fn * fn
     dst_base = b.reg("u32")
-    b.ins("mul.lo.s32", dst_base, z, str(tile_elems))
-    x2 = b.reg("u32")
-    with b.for_range(x2, 0, str(fn)):
-        sidx = b.reg("u32")
-        b.ins("mad.lo.s32", sidx, t, str(fn), x2)
-        saddr = _shared_elem_addr(b, sbase, sidx)
-        re, im = b.reg("f32"), b.reg("f32")
-        b.ins("ld.shared.v2.f32", "{" + re + ", " + im + "}",
-              f"[{saddr}]")
+    b.ins("mul.lo.s32", dst_base, z, str(fn * fn))
+    with b.loop_nest((0, str(fn))) as (x2,):
+        sidx, saddr = _tile_elem(b, sbase, t, x2, fn)
+        re, im = load_complex(b, "shared", saddr)
         didx = b.reg("u32")
         b.ins("add.s32", didx, dst_base, sidx)
-        daddr = b.elem_addr(dst, didx, elem_bytes=8)
-        b.ins("st.global.v2.f32", f"[{daddr}]", "{" + re + ", " + im + "}")
+        daddr = b.elem_addr(p["dst"], didx, elem_bytes=8)
+        b.ins("st.global.v2.f32", f"[{daddr}]", v2(re, im))
     return b.build()
 
 
@@ -269,107 +238,60 @@ def fft2d_c2r(log2n: int) -> str:
     — launched with (a=k, bidx=n) for NCHW output.
     """
     fn = 1 << log2n
-    b = PTXBuilder(f"fft2d_c2r_{fn}x{fn}",
-                   [("src", "u64"), ("dst", "u64"), ("count0", "u32"),
-                    ("count1", "u32"), ("out_h", "u32"), ("out_w", "u32"),
-                    ("crop_h", "u32"), ("crop_w", "u32"),
-                    ("dest_h", "u32"), ("dest_w", "u32"),
-                    ("valid_h", "u32"), ("valid_w", "u32"),
-                    ("swap_plane", "u32")])
-    src = b.ld_param("u64", "src")
-    dst = b.ld_param("u64", "dst")
-    count0 = b.ld_param("u32", "count0")
-    count1 = b.ld_param("u32", "count1")
-    out_h = b.ld_param("u32", "out_h")
-    out_w = b.ld_param("u32", "out_w")
-    crop_h = b.ld_param("u32", "crop_h")
-    crop_w = b.ld_param("u32", "crop_w")
-    dest_h = b.ld_param("u32", "dest_h")
-    dest_w = b.ld_param("u32", "dest_w")
-    valid_h = b.ld_param("u32", "valid_h")
-    valid_w = b.ld_param("u32", "valid_w")
-    swap_plane = b.ld_param("u32", "swap_plane")
-    b.shared("ifft_tile", "f32", 2 * fn * fn, align=8)
-
-    z = b.special("%ctaid.x")
-    t = b.special("%tid.x")
-    a, bidx = div_mod(b, z, count1)
-    plane = _select_plane(b, a, bidx, count0, count1, swap_plane)
+    b, p, z, t, plane = _open_tile(
+        f"fft2d_c2r_{fn}x{fn}", "ifft_tile", fn,
+        [("out_h", "u32"), ("out_w", "u32"), ("crop_h", "u32"),
+         ("crop_w", "u32"), ("dest_h", "u32"), ("dest_w", "u32"),
+         ("valid_h", "u32"), ("valid_w", "u32")])
     sbase = b.reg("u64")
     b.ins("mov.u64", sbase, "ifft_tile")
 
     # Load row t of the spectrum.
-    tile_elems = fn * fn
     src_base = b.reg("u32")
-    b.ins("mul.lo.s32", src_base, z, str(tile_elems))
-    x = b.reg("u32")
-    with b.for_range(x, 0, str(fn)):
-        sidx = b.reg("u32")
-        b.ins("mad.lo.s32", sidx, t, str(fn), x)
+    b.ins("mul.lo.s32", src_base, z, str(fn * fn))
+    with b.loop_nest((0, str(fn))) as (x,):
+        sidx = b.flatten((t, x), (str(fn),))
         gidx = b.reg("u32")
         b.ins("add.s32", gidx, src_base, sidx)
-        gaddr = b.elem_addr(src, gidx, elem_bytes=8)
-        re, im = b.reg("f32"), b.reg("f32")
-        b.ins("ld.global.v2.f32", "{" + re + ", " + im + "}",
-              f"[{gaddr}]")
+        gaddr = b.elem_addr(p["src"], gidx, elem_bytes=8)
+        re, im = load_complex(b, "global", gaddr)
         saddr = _shared_elem_addr(b, sbase, sidx)
-        b.ins("st.shared.v2.f32", f"[{saddr}]", "{" + re + ", " + im + "}")
-    b.bar_sync()
+        b.ins("st.shared.v2.f32", f"[{saddr}]", v2(re, im))
+    _fft_2d(b, sbase, t, log2n, inverse=True)
 
-    row_base = b.reg("u32")
-    b.ins("mul.lo.s32", row_base, t, str(fn))
-    _fft_1d(b, sbase, row_base, 1, log2n, inverse=True)
-    b.bar_sync()
-    col_base = b.reg("u32")
-    b.ins("mov.u32", col_base, t)
-    _fft_1d(b, sbase, col_base, fn, log2n, inverse=True)
-    b.bar_sync()
-
-    # Thread t writes tile row u = crop_h + (t - some offset)?  Simpler:
-    # thread t owns tile row u = t; output row p = dest_h + (u - crop_h).
     scale = f32(1.0 / (fn * fn))
-    u_minus = b.reg("s32")
-    b.ins("sub.s32", u_minus, t, crop_h)
-    row_ok = b.reg("pred")
-    tmp = b.reg("pred")
-    b.ins("setp.ge.s32", row_ok, u_minus, "0")
-    b.ins("setp.lt.s32", tmp, u_minus, valid_h)
-    b.ins("and.pred", row_ok, row_ok, tmp)
-    p = b.reg("s32")
-    b.ins("add.s32", p, dest_h, u_minus)
-    b.ins("setp.lt.s32", tmp, p, out_h)
-    b.ins("and.pred", row_ok, row_ok, tmp)
+
+    def cropped(index: str, axis: str) -> tuple[str, str]:
+        """Output coordinate of tile row/column *index* along *axis*
+        (``dest + index - crop``) and whether it survives the crop and
+        lies inside the output."""
+        offset = b.reg("s32")
+        b.ins("sub.s32", offset, index, p["crop_" + axis])
+        ok = b.reg("pred")
+        tmp = b.reg("pred")
+        b.ins("setp.ge.s32", ok, offset, "0")
+        b.ins("setp.lt.s32", tmp, offset, p["valid_" + axis])
+        b.ins("and.pred", ok, ok, tmp)
+        coord = b.reg("s32")
+        b.ins("add.s32", coord, p["dest_" + axis], offset)
+        b.ins("setp.lt.s32", tmp, coord, p["out_" + axis])
+        b.ins("and.pred", ok, ok, tmp)
+        return coord, ok
+
+    # Thread t owns tile row u = t; output row p = dest_h + (u - crop_h).
+    row, row_ok = cropped(t, "h")
     with b.if_then(row_ok):
-        plane_base = b.reg("u32")
-        hw = b.reg("u32")
-        b.ins("mul.lo.s32", hw, out_h, out_w)
-        b.ins("mul.lo.s32", plane_base, plane, hw)
-        v = b.reg("u32")
-        with b.for_range(v, 0, str(fn)):
-            v_minus = b.reg("s32")
-            b.ins("sub.s32", v_minus, v, crop_w)
-            col_ok = b.reg("pred")
-            tmp2 = b.reg("pred")
-            b.ins("setp.ge.s32", col_ok, v_minus, "0")
-            b.ins("setp.lt.s32", tmp2, v_minus, valid_w)
-            b.ins("and.pred", col_ok, col_ok, tmp2)
-            q = b.reg("s32")
-            b.ins("add.s32", q, dest_w, v_minus)
-            b.ins("setp.lt.s32", tmp2, q, out_w)
-            b.ins("and.pred", col_ok, col_ok, tmp2)
+        plane_base = _plane_base(b, plane, p["out_h"], p["out_w"])
+        with b.loop_nest((0, str(fn))) as (v,):
+            col, col_ok = cropped(v, "w")
             with b.if_then(col_ok):
-                sidx = b.reg("u32")
-                b.ins("mad.lo.s32", sidx, t, str(fn), v)
-                saddr = _shared_elem_addr(b, sbase, sidx)
-                re, im = b.reg("f32"), b.reg("f32")
-                b.ins("ld.shared.v2.f32", "{" + re + ", " + im + "}",
-                      f"[{saddr}]")
+                _, saddr = _tile_elem(b, sbase, t, v, fn)
+                re, _im = load_complex(b, "shared", saddr)
                 result = b.reg("f32")
                 b.ins("mul.f32", result, re, scale)
-                oidx = b.reg("u32")
-                b.ins("mad.lo.s32", oidx, p, out_w, q)
+                oidx = b.flatten((row, col), (p["out_w"],))
                 b.ins("add.s32", oidx, oidx, plane_base)
-                b.store_global_f32(b.elem_addr(dst, oidx), result)
+                b.store_global_f32(b.elem_addr(p["dst"], oidx), result)
     return b.build()
 
 
@@ -379,24 +301,15 @@ def transpose_complex() -> str:
     Reorders tile-major spectra [tile][bin] into frequency-major
     [bin][tile] blocks for the per-bin CGEMM, and back.
     """
-    b = PTXBuilder("fft_transpose_complex",
-                   [("src", "u64"), ("dst", "u64"), ("rows", "u32"),
-                    ("cols", "u32"), ("total", "u32")])
-    src = b.ld_param("u64", "src")
-    dst = b.ld_param("u64", "dst")
-    rows = b.ld_param("u32", "rows")
-    cols = b.ld_param("u32", "cols")
-    tid = b.global_tid_x()
-    total = b.ld_param("u32", "total")
-    b.guard_tid_below(tid, total)
-    r, c = div_mod(b, tid, cols)
-    saddr = b.elem_addr(src, tid, elem_bytes=8)
-    re, im = b.reg("f32"), b.reg("f32")
-    b.ins("ld.global.v2.f32", "{" + re + ", " + im + "}", f"[{saddr}]")
-    didx = b.reg("u32")
-    b.ins("mad.lo.s32", didx, c, rows, r)
+    b, (src, dst), g, tid = open_kernel(
+        "fft_transpose_complex", ("src", "dst"),
+        [("rows", "u32"), ("cols", "u32")])
+    r, c = b.div_mod(tid, g["cols"])
+    re, im = load_complex(b, "global",
+                          b.elem_addr(src, tid, elem_bytes=8))
+    didx = b.flatten((c, r), (g["rows"],))
     daddr = b.elem_addr(dst, didx, elem_bytes=8)
-    b.ins("st.global.v2.f32", f"[{daddr}]", "{" + re + ", " + im + "}")
+    b.ins("st.global.v2.f32", f"[{daddr}]", v2(re, im))
     return b.build()
 
 

@@ -14,7 +14,8 @@ symbol names across translation units.
 
 from __future__ import annotations
 
-from repro.ptx.builder import PTXBuilder, f32
+from repro.ptx.builder import PTXBuilder
+from repro.cudnn.kernels.common import load_complex, load_or_zero, v2
 
 TILE = 16
 
@@ -31,17 +32,8 @@ def sgemm_tiled() -> str:
                     ("alpha", "f32"), ("beta", "f32"),
                     ("stride_a", "u32"), ("stride_b", "u32"),
                     ("stride_c", "u32")])
-    a_base = b.ld_param("u64", "a")
-    b_base = b.ld_param("u64", "bmat")
-    c_base = b.ld_param("u64", "c")
-    m = b.ld_param("u32", "m")
-    n = b.ld_param("u32", "n")
-    k = b.ld_param("u32", "k")
-    alpha = b.ld_param("f32", "alpha")
-    beta = b.ld_param("f32", "beta")
-    stride_a = b.ld_param("u32", "stride_a")
-    stride_b = b.ld_param("u32", "stride_b")
-    stride_c = b.ld_param("u32", "stride_c")
+    (a_base, b_base, c_base, m, n, k, alpha, beta, stride_a, stride_b,
+     stride_c) = b.ld_params().values()
     b.shared("as_tile", "f32", TILE * TILE)
     b.shared("bs_tile", "f32", TILE * TILE)
 
@@ -88,31 +80,17 @@ def sgemm_tiled() -> str:
         # Stage A[row, kbase+tx]
         a_col = b.reg("u32")
         b.ins("add.s32", a_col, kbase, tx)
-        a_ok = b.reg("pred")
-        tmp = b.reg("pred")
-        b.ins("setp.lt.s32", a_ok, row, m)
-        b.ins("setp.lt.s32", tmp, a_col, k)
-        b.ins("and.pred", a_ok, a_ok, tmp)
-        a_idx = b.reg("u32")
-        b.ins("mad.lo.s32", a_idx, row, k, a_col)
-        a_val = b.imm_f32(0.0)
-        a_addr = b.elem_addr(a_base, a_idx)
-        b.ins("ld.global.f32", a_val, f"[{a_addr}]", pred=a_ok)
-        b.ins("st.shared.f32", f"[{as_store}]", a_val)
+        a_ok = b.all_of(("lt", row, m), ("lt", a_col, k))
+        a_idx = b.flatten((row, a_col), (k,))
+        b.ins("st.shared.f32", f"[{as_store}]",
+              load_or_zero(b, a_base, a_idx, a_ok))
         # Stage B[kbase+ty, col]
         b_row = b.reg("u32")
         b.ins("add.s32", b_row, kbase, ty)
-        b_ok = b.reg("pred")
-        tmp2 = b.reg("pred")
-        b.ins("setp.lt.s32", b_ok, b_row, k)
-        b.ins("setp.lt.s32", tmp2, col, n)
-        b.ins("and.pred", b_ok, b_ok, tmp2)
-        b_idx = b.reg("u32")
-        b.ins("mad.lo.s32", b_idx, b_row, n, col)
-        b_val = b.imm_f32(0.0)
-        b_addr = b.elem_addr(b_base, b_idx)
-        b.ins("ld.global.f32", b_val, f"[{b_addr}]", pred=b_ok)
-        b.ins("st.shared.f32", f"[{bs_store}]", b_val)
+        b_ok = b.all_of(("lt", b_row, k), ("lt", col, n))
+        b_idx = b.flatten((b_row, col), (n,))
+        b.ins("st.shared.f32", f"[{bs_store}]",
+              load_or_zero(b, b_base, b_idx, b_ok))
         b.bar_sync()
         # Inner product over the staged tile.
         i = b.reg("u32")
@@ -128,14 +106,8 @@ def sgemm_tiled() -> str:
             b.ins("fma.rn.f32", acc, av, bv, acc)
         b.bar_sync()
 
-    in_bounds = b.reg("pred")
-    tmp3 = b.reg("pred")
-    b.ins("setp.lt.s32", in_bounds, row, m)
-    b.ins("setp.lt.s32", tmp3, col, n)
-    b.ins("and.pred", in_bounds, in_bounds, tmp3)
-    with b.if_then(in_bounds):
-        c_idx = b.reg("u32")
-        b.ins("mad.lo.s32", c_idx, row, n, col)
+    with b.if_then(b.all_of(("lt", row, m), ("lt", col, n))):
+        c_idx = b.flatten((row, col), (n,))
         c_addr = b.elem_addr(c_base, c_idx)
         # beta == 0 means C is write-only (cuBLAS semantics): skip the
         # read so a freshly-allocated output never feeds the epilogue.
@@ -163,13 +135,7 @@ def gemv2T() -> str:
                    [("a", "u64"), ("x", "u64"), ("y", "u64"),
                     ("rows", "u32"), ("cols", "u32"),
                     ("alpha", "f32"), ("beta", "f32")])
-    a = b.ld_param("u64", "a")
-    x = b.ld_param("u64", "x")
-    y = b.ld_param("u64", "y")
-    rows = b.ld_param("u32", "rows")
-    cols = b.ld_param("u32", "cols")
-    alpha = b.ld_param("f32", "alpha")
-    beta = b.ld_param("f32", "beta")
+    a, x, y, rows, cols, alpha, beta = b.ld_params().values()
     j = b.global_tid_x()
     b.guard_tid_below(j, cols)
     acc = b.imm_f32(0.0)
@@ -206,13 +172,7 @@ def cgemm_strided_batched() -> str:
                    [("a", "u64"), ("bmat", "u64"), ("c", "u64"),
                     ("m", "u32"), ("n", "u32"), ("k", "u32"),
                     ("accumulate", "u32")])
-    a = b.ld_param("u64", "a")
-    bmat = b.ld_param("u64", "bmat")
-    c = b.ld_param("u64", "c")
-    m = b.ld_param("u32", "m")
-    n = b.ld_param("u32", "n")
-    k = b.ld_param("u32", "k")
-    accumulate = b.ld_param("u32", "accumulate")
+    a, bmat, c, m, n, k, accumulate = b.ld_params().values()
     col = b.global_tid_x()
     b.guard_tid_below(col, n)
     row = b.special("%ctaid.y")
@@ -243,12 +203,8 @@ def cgemm_strided_batched() -> str:
         b.ins("add.s32", b_idx, b_idx, b_batch)
         a_addr = b.elem_addr(a, a_idx, elem_bytes=8)
         b_addr = b.elem_addr(bmat, b_idx, elem_bytes=8)
-        ar, ai = b.reg("f32"), b.reg("f32")
-        b.ins("ld.global.v2.f32", "{" + ar + ", " + ai + "}",
-              f"[{a_addr}]")
-        br, bi = b.reg("f32"), b.reg("f32")
-        b.ins("ld.global.v2.f32", "{" + br + ", " + bi + "}",
-              f"[{b_addr}]")
+        ar, ai = load_complex(b, "global", a_addr)
+        br, bi = load_complex(b, "global", b_addr)
         # (ar + i ai)(br + i bi)
         b.ins("fma.rn.f32", acc_re, ar, br, acc_re)
         neg_ai = b.reg("f32")
@@ -263,13 +219,10 @@ def cgemm_strided_batched() -> str:
     acc_pred = b.reg("pred")
     b.ins("setp.ne.u32", acc_pred, accumulate, "0")
     with b.if_then(acc_pred):
-        old_re, old_im = b.reg("f32"), b.reg("f32")
-        b.ins("ld.global.v2.f32", "{" + old_re + ", " + old_im + "}",
-              f"[{c_addr}]")
+        old_re, old_im = load_complex(b, "global", c_addr)
         b.ins("add.f32", acc_re, acc_re, old_re)
         b.ins("add.f32", acc_im, acc_im, old_im)
-    b.ins("st.global.v2.f32", f"[{c_addr}]",
-          "{" + acc_re + ", " + acc_im + "}")
+    b.ins("st.global.v2.f32", f"[{c_addr}]", v2(acc_re, acc_im))
     return b.build()
 
 

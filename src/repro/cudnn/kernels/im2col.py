@@ -9,12 +9,12 @@ Column layout: columns[(c*R*S + r*S + s), (n*P*Q + p*Q + q)] — i.e. a
 
 from __future__ import annotations
 
-from repro.ptx.builder import PTXBuilder
-from repro.cudnn.kernels.common import div_mod
+from repro.cudnn.kernels.common import (
+    input_coord, nchw_index, open_kernel, output_coord)
 
 _CONV_GEOM = [
-    ("channels", "u32"), ("height", "u32"), ("width", "u32"),
-    ("out_h", "u32"), ("out_w", "u32"),
+    ("batch", "u32"), ("channels", "u32"), ("height", "u32"),
+    ("width", "u32"), ("out_h", "u32"), ("out_w", "u32"),
     ("ksize_h", "u32"), ("ksize_w", "u32"),
     ("pad_h", "u32"), ("pad_w", "u32"),
     ("stride_h", "u32"), ("stride_w", "u32"),
@@ -23,57 +23,25 @@ _CONV_GEOM = [
 
 def im2col() -> str:
     """One thread per column element: total C*R*S * N*P*Q threads."""
-    b = PTXBuilder("cudnn_im2col",
-                   [("image", "u64"), ("columns", "u64"),
-                    ("batch", "u32"), *_CONV_GEOM, ("total", "u32")])
-    image = b.ld_param("u64", "image")
-    columns = b.ld_param("u64", "columns")
-    geom = {name: b.ld_param("u32", name) for name, _ in _CONV_GEOM}
-    tid = b.global_tid_x()
-    total = b.ld_param("u32", "total")
-    b.guard_tid_below(tid, total)
+    b, (image, columns), g, tid = open_kernel(
+        "cudnn_im2col", ("image", "columns"), _CONV_GEOM, skip=("batch",))
 
     # Decompose tid = row * (N*P*Q) + col_index, with
     # row = c*R*S + r*S + s and col_index = n*P*Q + p*Q + q.
-    pq = b.reg("u32")
-    b.ins("mul.lo.s32", pq, geom["out_h"], geom["out_w"])
+    col_strides = b.strides((g["out_h"], g["out_w"]))
     npq = b.reg("u32")
     # (columns-per-image count is passed via total / rows; recompute)
-    rs = b.reg("u32")
-    b.ins("mul.lo.s32", rs, geom["ksize_h"], geom["ksize_w"])
-    crs = b.reg("u32")
-    b.ins("mul.lo.s32", crs, geom["channels"], rs)
-    b.ins("div.u32", npq, total, crs)
-    row, col_index = div_mod(b, tid, npq)
-    c, r_s = div_mod(b, row, rs)
-    r, s = div_mod(b, r_s, geom["ksize_w"])
-    n, p_q = div_mod(b, col_index, pq)
-    p, q = div_mod(b, p_q, geom["out_w"])
+    crs, *row_strides = b.strides((g["channels"], g["ksize_h"],
+                                   g["ksize_w"]))
+    b.ins("div.u32", npq, g["total"], crs)
+    row, col_index = b.div_mod(tid, npq)
+    c, r, s = b.unflatten(row, row_strides)
+    n, p, q = b.unflatten(col_index, col_strides)
 
-    # Input coordinates.
-    h = b.reg("s32")
-    b.ins("mad.lo.s32", h, p, geom["stride_h"], r)
-    b.ins("sub.s32", h, h, geom["pad_h"])
-    w = b.reg("s32")
-    b.ins("mad.lo.s32", w, q, geom["stride_w"], s)
-    b.ins("sub.s32", w, w, geom["pad_w"])
-
-    in_h = b.reg("pred")
-    tmp = b.reg("pred")
-    b.ins("setp.ge.s32", in_h, h, "0")
-    b.ins("setp.lt.s32", tmp, h, geom["height"])
-    b.ins("and.pred", in_h, in_h, tmp)
-    b.ins("setp.ge.s32", tmp, w, "0")
-    b.ins("and.pred", in_h, in_h, tmp)
-    b.ins("setp.lt.s32", tmp, w, geom["width"])
-    b.ins("and.pred", in_h, in_h, tmp)
-
+    h, w, inside = input_coord(b, g, p, q, r, s)
     value = b.imm_f32(0.0)
-    with b.if_then(in_h):
-        idx = b.reg("u32")
-        b.ins("mad.lo.s32", idx, n, geom["channels"], c)
-        b.ins("mad.lo.s32", idx, idx, geom["height"], h)
-        b.ins("mad.lo.s32", idx, idx, geom["width"], w)
+    with b.if_then(inside):
+        idx = nchw_index(b, g, n, c, h, w)
         loaded = b.load_global_f32(b.elem_addr(image, idx))
         b.ins("mov.f32", value, loaded)
     b.store_global_f32(b.elem_addr(columns, tid), value)
@@ -86,79 +54,25 @@ def col2im() -> str:
     One thread per *image* element; it gathers every column slot that
     maps onto it (the race-free formulation).
     """
-    b = PTXBuilder("cudnn_col2im",
-                   [("columns", "u64"), ("image", "u64"),
-                    ("batch", "u32"), *_CONV_GEOM, ("total", "u32")])
-    columns = b.ld_param("u64", "columns")
-    image = b.ld_param("u64", "image")
-    batch = b.ld_param("u32", "batch")
-    geom = {name: b.ld_param("u32", name) for name, _ in _CONV_GEOM}
-    tid = b.global_tid_x()
-    total = b.ld_param("u32", "total")
-    b.guard_tid_below(tid, total)
-
-    hw = b.reg("u32")
-    b.ins("mul.lo.s32", hw, geom["height"], geom["width"])
-    chw = b.reg("u32")
-    b.ins("mul.lo.s32", chw, geom["channels"], hw)
-    n, c_hw = div_mod(b, tid, chw)
-    c, h_w = div_mod(b, c_hw, hw)
-    h, w = div_mod(b, h_w, geom["width"])
-
-    pq = b.reg("u32")
-    b.ins("mul.lo.s32", pq, geom["out_h"], geom["out_w"])
-    npq = b.reg("u32")
-    b.ins("mul.lo.s32", npq, batch, pq)
-    rs = b.reg("u32")
-    b.ins("mul.lo.s32", rs, geom["ksize_h"], geom["ksize_w"])
+    b, (columns, image), g, tid = open_kernel(
+        "cudnn_col2im", ("columns", "image"), _CONV_GEOM)
+    n, c, h, w = b.unflatten(tid, b.strides((g["channels"], g["height"],
+                                             g["width"])))
+    npq, pq, _ = b.strides((g["batch"], g["out_h"], g["out_w"]))
+    rs, _ = b.strides((g["ksize_h"], g["ksize_w"]))
 
     acc = b.imm_f32(0.0)
-    r = b.reg("u32")
-    with b.for_range(r, 0, geom["ksize_h"]):
-        s = b.reg("u32")
-        with b.for_range(s, 0, geom["ksize_w"]):
-            # h = p*stride + r - pad  =>  p = (h + pad - r) / stride
-            ph = b.reg("s32")
-            b.ins("add.s32", ph, h, geom["pad_h"])
-            b.ins("sub.s32", ph, ph, r)
-            qw = b.reg("s32")
-            b.ins("add.s32", qw, w, geom["pad_w"])
-            b.ins("sub.s32", qw, qw, s)
-            ok = b.reg("pred")
-            tmp = b.reg("pred")
-            b.ins("setp.ge.s32", ok, ph, "0")
-            b.ins("setp.ge.s32", tmp, qw, "0")
-            b.ins("and.pred", ok, ok, tmp)
-            with b.if_then(ok):
-                p = b.reg("u32")
-                pr = b.reg("u32")
-                b.ins("div.u32", p, ph, geom["stride_h"])
-                b.ins("rem.u32", pr, ph, geom["stride_h"])
-                q = b.reg("u32")
-                qr = b.reg("u32")
-                b.ins("div.u32", q, qw, geom["stride_w"])
-                b.ins("rem.u32", qr, qw, geom["stride_w"])
-                ok2 = b.reg("pred")
-                tmp2 = b.reg("pred")
-                b.ins("setp.eq.s32", ok2, pr, "0")
-                b.ins("setp.eq.s32", tmp2, qr, "0")
-                b.ins("and.pred", ok2, ok2, tmp2)
-                b.ins("setp.lt.s32", tmp2, p, geom["out_h"])
-                b.ins("and.pred", ok2, ok2, tmp2)
-                b.ins("setp.lt.s32", tmp2, q, geom["out_w"])
-                b.ins("and.pred", ok2, ok2, tmp2)
-                with b.if_then(ok2):
-                    # row = c*RS + r*S + s ; col = n*PQ + p*Q + q
-                    crow = b.reg("u32")
-                    b.ins("mad.lo.s32", crow, r, geom["ksize_w"], s)
-                    b.ins("mad.lo.s32", crow, c, rs, crow)
-                    ccol = b.reg("u32")
-                    b.ins("mad.lo.s32", ccol, p, geom["out_w"], q)
-                    b.ins("mad.lo.s32", ccol, n, pq, ccol)
-                    cidx = b.reg("u32")
-                    b.ins("mad.lo.s32", cidx, crow, npq, ccol)
-                    value = b.load_global_f32(b.elem_addr(columns, cidx))
-                    b.ins("add.f32", acc, acc, value)
+    with b.loop_nest((0, g["ksize_h"]), (0, g["ksize_w"])) as (r, s):
+        # h = p*stride + r - pad  =>  p = (h + pad - r) / stride
+        with output_coord(b, g, h, w, r, s) as (p, q):
+            # row = c*RS + r*S + s ; col = n*PQ + p*Q + q
+            crow = b.flatten((r, s), (g["ksize_w"],))
+            b.ins("mad.lo.s32", crow, c, rs, crow)
+            ccol = b.flatten((p, q), (g["out_w"],))
+            b.ins("mad.lo.s32", ccol, n, pq, ccol)
+            cidx = b.flatten((crow, ccol), (npq,))
+            value = b.load_global_f32(b.elem_addr(columns, cidx))
+            b.ins("add.f32", acc, acc, value)
     b.store_global_f32(b.elem_addr(image, tid), acc)
     return b.build()
 

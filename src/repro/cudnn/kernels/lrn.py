@@ -13,7 +13,7 @@ The denominator ("scale") is saved for the backward pass.
 from __future__ import annotations
 
 from repro.ptx.builder import PTXBuilder, f32
-from repro.cudnn.kernels.common import div_mod
+from repro.cudnn.kernels.common import nchw_index, open_kernel
 
 LRN_TEXTURE_NAME = "cudnn_lrn_input_tex"
 
@@ -34,33 +34,19 @@ def _pow_f32(b: PTXBuilder, base: str, exponent: str) -> str:
     return out
 
 
-def _lrn_forward(name: str, use_texture: bool) -> str:
-    b = PTXBuilder(name,
-                   [("inp", "u64"), ("out", "u64"), ("scale", "u64"),
-                    *_GEOM, ("alpha", "f32"), ("beta", "f32"),
-                    ("kconst", "f32"), ("total", "u32")])
-    inp = b.ld_param("u64", "inp")
-    out = b.ld_param("u64", "out")
-    scale_buf = b.ld_param("u64", "scale")
+def _open_lrn(name: str, pointers: tuple[str, ...],
+              coefficients: tuple[str, ...]):
+    """Prologue both directions share: one thread per (n, c, h, w) and
+    the clamped channel window ``[c - nsize/2, c + nsize/2]`` it
+    normalises over.  Returns ``(builder, pointer registers, scalars,
+    tid, (n, h, w), (first channel, one past the last))``."""
     # ``batch`` is declared for the host launch math; the kernels index
     # with n = tid / (C*H*W) and never read it.
-    g = {gname: b.ld_param("u32", gname) for gname, _ in _GEOM
-         if gname != "batch"}
-    alpha = b.ld_param("f32", "alpha")
-    beta = b.ld_param("f32", "beta")
-    kconst = b.ld_param("f32", "kconst")
-    tid = b.global_tid_x()
-    total = b.ld_param("u32", "total")
-    b.guard_tid_below(tid, total)
-
-    hw = b.reg("u32")
-    b.ins("mul.lo.s32", hw, g["height"], g["width"])
-    chw = b.reg("u32")
-    b.ins("mul.lo.s32", chw, g["channels"], hw)
-    n, c_hw = div_mod(b, tid, chw)
-    c, h_w = div_mod(b, c_hw, hw)
-    h, w = div_mod(b, h_w, g["width"])
-
+    b, ptrs, g, tid = open_kernel(
+        name, pointers, [*_GEOM, *((c, "f32") for c in coefficients)],
+        skip=("batch",))
+    n, c, h, w = b.unflatten(tid, b.strides((g["channels"], g["height"],
+                                             g["width"])))
     half = b.reg("u32")
     b.ins("div.u32", half, g["nsize"], "2")
     c_lo = b.reg("s32")
@@ -72,15 +58,17 @@ def _lrn_forward(name: str, use_texture: bool) -> str:
     b.ins("sub.s32", last, g["channels"], "1")
     b.ins("min.s32", c_hi, c_hi, last)
     b.ins("add.s32", c_hi, c_hi, "1")
+    return b, ptrs, g, tid, (n, h, w), (c_lo, c_hi)
 
+
+def _lrn_forward(name: str, use_texture: bool) -> str:
+    b, (inp, out, scale_buf), g, tid, (n, h, w), window = _open_lrn(
+        name, ("inp", "out", "scale"), ("alpha", "beta", "kconst"))
     sumsq = b.imm_f32(0.0)
-    cc = b.reg("u32")
-    with b.for_range(cc, c_lo, c_hi):
+    with b.loop_nest(window) as (cc,):
         if use_texture:
             # Texture layout: width = W, height = N*C*H.
-            ty = b.reg("u32")
-            b.ins("mad.lo.s32", ty, n, g["channels"], cc)
-            b.ins("mad.lo.s32", ty, ty, g["height"], h)
+            ty = b.flatten((n, cc, h), (g["channels"], g["height"]))
             texel = b.reg("f32")
             g1, g2, g3 = b.reg("f32"), b.reg("f32"), b.reg("f32")
             b.ins("tex.2d.v4.f32.s32",
@@ -88,21 +76,18 @@ def _lrn_forward(name: str, use_texture: bool) -> str:
                   f"[{LRN_TEXTURE_NAME}, {{{w}, {ty}}}]")
             value = texel
         else:
-            idx = b.reg("u32")
-            b.ins("mad.lo.s32", idx, n, g["channels"], cc)
-            b.ins("mad.lo.s32", idx, idx, g["height"], h)
-            b.ins("mad.lo.s32", idx, idx, g["width"], w)
+            idx = nchw_index(b, g, n, cc, h, w)
             value = b.load_global_f32(b.elem_addr(inp, idx))
         b.ins("fma.rn.f32", sumsq, value, value, sumsq)
 
     nf = b.reg("f32")
     b.ins("cvt.rn.f32.u32", nf, g["nsize"])
     coeff = b.reg("f32")
-    b.ins("div.rn.f32", coeff, alpha, nf)
+    b.ins("div.rn.f32", coeff, g["alpha"], nf)
     denom = b.reg("f32")
-    b.ins("fma.rn.f32", denom, coeff, sumsq, kconst)
+    b.ins("fma.rn.f32", denom, coeff, sumsq, g["kconst"])
     b.store_global_f32(b.elem_addr(scale_buf, tid), denom)
-    powered = _pow_f32(b, denom, beta)
+    powered = _pow_f32(b, denom, g["beta"])
     x_val = b.load_global_f32(b.elem_addr(inp, tid))
     result = b.reg("f32")
     b.ins("div.rn.f32", result, x_val, powered)
@@ -120,54 +105,13 @@ def lrn_forward_tex() -> str:
 
 def lrn_backward() -> str:
     """dx = dy*scale^-beta - (2ab/n) * x * sum_w dy*y/scale."""
-    b = PTXBuilder("cudnn_lrn_bwd",
-                   [("x", "u64"), ("y", "u64"), ("dy", "u64"),
-                    ("scale", "u64"), ("dx", "u64"), *_GEOM,
-                    ("alpha", "f32"), ("beta", "f32"), ("total", "u32")])
-    x = b.ld_param("u64", "x")
-    y = b.ld_param("u64", "y")
-    dy = b.ld_param("u64", "dy")
-    scale_buf = b.ld_param("u64", "scale")
-    dx = b.ld_param("u64", "dx")
-    # ``batch`` is declared for the host launch math; the kernels index
-    # with n = tid / (C*H*W) and never read it.
-    g = {gname: b.ld_param("u32", gname) for gname, _ in _GEOM
-         if gname != "batch"}
-    alpha = b.ld_param("f32", "alpha")
-    beta = b.ld_param("f32", "beta")
-    tid = b.global_tid_x()
-    total = b.ld_param("u32", "total")
-    b.guard_tid_below(tid, total)
-
-    hw = b.reg("u32")
-    b.ins("mul.lo.s32", hw, g["height"], g["width"])
-    chw = b.reg("u32")
-    b.ins("mul.lo.s32", chw, g["channels"], hw)
-    n, c_hw = div_mod(b, tid, chw)
-    c, h_w = div_mod(b, c_hw, hw)
-    h, w = div_mod(b, h_w, g["width"])
-
-    half = b.reg("u32")
-    b.ins("div.u32", half, g["nsize"], "2")
-    c_lo = b.reg("s32")
-    b.ins("sub.s32", c_lo, c, half)
-    b.ins("max.s32", c_lo, c_lo, "0")
-    c_hi = b.reg("s32")
-    b.ins("add.s32", c_hi, c, half)
-    last = b.reg("s32")
-    b.ins("sub.s32", last, g["channels"], "1")
-    b.ins("min.s32", c_hi, c_hi, last)
-    b.ins("add.s32", c_hi, c_hi, "1")
-
+    b, (x, y, dy, scale_buf, dx), g, tid, (n, h, w), window = _open_lrn(
+        "cudnn_lrn_bwd", ("x", "y", "dy", "scale", "dx"),
+        ("alpha", "beta"))
     window_sum = b.imm_f32(0.0)
-    cc = b.reg("u32")
-    with b.for_range(cc, c_lo, c_hi):
-        idx = b.reg("u32")
-        b.ins("mad.lo.s32", idx, n, g["channels"], cc)
-        b.ins("mad.lo.s32", idx, idx, g["height"], h)
-        b.ins("mad.lo.s32", idx, idx, g["width"], w)
-        addr_off = b.elem_addr(dy, idx)
-        dyv = b.load_global_f32(addr_off)
+    with b.loop_nest(window) as (cc,):
+        idx = nchw_index(b, g, n, cc, h, w)
+        dyv = b.load_global_f32(b.elem_addr(dy, idx))
         yv = b.load_global_f32(b.elem_addr(y, idx))
         sv = b.load_global_f32(b.elem_addr(scale_buf, idx))
         term = b.reg("f32")
@@ -177,7 +121,7 @@ def lrn_backward() -> str:
 
     scale_v = b.load_global_f32(b.elem_addr(scale_buf, tid))
     neg_beta = b.reg("f32")
-    b.ins("neg.f32", neg_beta, beta)
+    b.ins("neg.f32", neg_beta, g["beta"])
     pow_term = _pow_f32(b, scale_v, neg_beta)
     dyv = b.load_global_f32(b.elem_addr(dy, tid))
     first = b.reg("f32")
@@ -185,7 +129,7 @@ def lrn_backward() -> str:
     nf = b.reg("f32")
     b.ins("cvt.rn.f32.u32", nf, g["nsize"])
     coeff = b.reg("f32")
-    b.ins("mul.f32", coeff, alpha, beta)
+    b.ins("mul.f32", coeff, g["alpha"], g["beta"])
     b.ins("mul.f32", coeff, coeff, f32(2.0))
     b.ins("div.rn.f32", coeff, coeff, nf)
     xv = b.load_global_f32(b.elem_addr(x, tid))

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from repro.ptx.builder import PTXBuilder
-from repro.cudnn.kernels.common import div_mod
+from repro.cudnn.kernels.common import nchw_index, open_kernel
 
 _GEOM = [
     ("batch", "u32"), ("channels", "u32"), ("height", "u32"),
@@ -12,75 +11,62 @@ _GEOM = [
 ]
 
 
-def _load_geom(b: PTXBuilder) -> dict[str, str]:
+def _pool_forward(name: str, is_max: bool) -> str:
+    """Shared body of the forward kernels: one thread per (n, c, p, q)
+    walks the in-bounds part of its window; max keeps the best value and
+    its flat input index, average a sum and a count."""
     # ``batch`` is declared for the host-side launch math but no pooling
     # kernel reads it; loading it would be a dead store.
-    return {name: b.ld_param("u32", name) for name, _ in _GEOM
-            if name != "batch"}
+    b, (inp, out, *argmax), g, tid = open_kernel(
+        name, ("inp", "out", "argmax") if is_max else ("inp", "out"),
+        _GEOM, skip=("batch",))
+    n, c, p, q = b.unflatten(tid, b.strides((g["channels"], g["out_h"],
+                                             g["out_w"])))
+    acc = b.imm_f32(-3.0e38 if is_max else 0.0)
+    tally = b.imm_u32(0)
+    with b.loop_nest((0, g["window"]), (0, g["window"])) as (r, s):
+        h = b.reg("u32")
+        b.ins("mad.lo.s32", h, p, g["stride"], r)
+        w = b.reg("u32")
+        b.ins("mad.lo.s32", w, q, g["stride"], s)
+        ok = b.all_of(("lt", h, g["height"]), ("lt", w, g["width"]))
+        with b.if_then(ok):
+            idx = nchw_index(b, g, n, c, h, w)
+            value = b.load_global_f32(b.elem_addr(inp, idx))
+            if is_max:
+                better = b.reg("pred")
+                b.ins("setp.gt.f32", better, value, acc)
+                b.ins("selp.f32", acc, value, acc, better)
+                b.ins("selp.u32", tally, idx, tally, better)
+            else:
+                b.ins("add.f32", acc, acc, value)
+                b.ins("add.u32", tally, tally, "1")
+    if is_max:
+        b.store_global_f32(b.elem_addr(out, tid), acc)
+        b.ins("st.global.u32", f"[{b.elem_addr(argmax[0], tid)}]", tally)
+    else:
+        fcount = b.reg("f32")
+        b.ins("cvt.rn.f32.u32", fcount, tally)
+        mean = b.reg("f32")
+        b.ins("div.rn.f32", mean, acc, fcount)
+        b.store_global_f32(b.elem_addr(out, tid), mean)
+    return b.build()
 
 
 def maxpool_forward() -> str:
     """out[n,c,p,q] = max window; records the winning flat input index."""
-    b = PTXBuilder("cudnn_maxpool_fwd",
-                   [("inp", "u64"), ("out", "u64"), ("argmax", "u64"),
-                    *_GEOM, ("total", "u32")])
-    inp = b.ld_param("u64", "inp")
-    out = b.ld_param("u64", "out")
-    argmax = b.ld_param("u64", "argmax")
-    g = _load_geom(b)
-    tid = b.global_tid_x()
-    total = b.ld_param("u32", "total")
-    b.guard_tid_below(tid, total)
+    return _pool_forward("cudnn_maxpool_fwd", is_max=True)
 
-    pq = b.reg("u32")
-    b.ins("mul.lo.s32", pq, g["out_h"], g["out_w"])
-    cpq = b.reg("u32")
-    b.ins("mul.lo.s32", cpq, g["channels"], pq)
-    n, c_pq = div_mod(b, tid, cpq)
-    c, p_q = div_mod(b, c_pq, pq)
-    p, q = div_mod(b, p_q, g["out_w"])
 
-    best = b.imm_f32(-3.0e38)
-    best_idx = b.imm_u32(0)
-    r = b.reg("u32")
-    with b.for_range(r, 0, g["window"]):
-        s = b.reg("u32")
-        with b.for_range(s, 0, g["window"]):
-            h = b.reg("u32")
-            b.ins("mad.lo.s32", h, p, g["stride"], r)
-            w = b.reg("u32")
-            b.ins("mad.lo.s32", w, q, g["stride"], s)
-            ok = b.reg("pred")
-            tmp = b.reg("pred")
-            b.ins("setp.lt.s32", ok, h, g["height"])
-            b.ins("setp.lt.s32", tmp, w, g["width"])
-            b.ins("and.pred", ok, ok, tmp)
-            with b.if_then(ok):
-                idx = b.reg("u32")
-                b.ins("mad.lo.s32", idx, n, g["channels"], c)
-                b.ins("mad.lo.s32", idx, idx, g["height"], h)
-                b.ins("mad.lo.s32", idx, idx, g["width"], w)
-                value = b.load_global_f32(b.elem_addr(inp, idx))
-                better = b.reg("pred")
-                b.ins("setp.gt.f32", better, value, best)
-                b.ins("selp.f32", best, value, best, better)
-                b.ins("selp.u32", best_idx, idx, best_idx, better)
-    b.store_global_f32(b.elem_addr(out, tid), best)
-    b.ins("st.global.u32", f"[{b.elem_addr(argmax, tid)}]", best_idx)
-    return b.build()
+def avgpool_forward() -> str:
+    """out[n,c,p,q] = mean of the (fully in-bounds part of the) window."""
+    return _pool_forward("cudnn_avgpool_fwd", is_max=False)
 
 
 def maxpool_backward() -> str:
     """dx[argmax[i]] += dy[i] via atomics (windows may overlap)."""
-    b = PTXBuilder("cudnn_maxpool_bwd",
-                   [("dy", "u64"), ("argmax", "u64"), ("dx", "u64"),
-                    ("total", "u32")])
-    dy = b.ld_param("u64", "dy")
-    argmax = b.ld_param("u64", "argmax")
-    dx = b.ld_param("u64", "dx")
-    tid = b.global_tid_x()
-    total = b.ld_param("u32", "total")
-    b.guard_tid_below(tid, total)
+    b, (dy, argmax, dx), _, tid = open_kernel(
+        "cudnn_maxpool_bwd", ("dy", "argmax", "dx"), [])
     dyv = b.load_global_f32(b.elem_addr(dy, tid))
     idx = b.reg("u32")
     b.ins("ld.global.u32", idx, f"[{b.elem_addr(argmax, tid)}]")
@@ -89,60 +75,8 @@ def maxpool_backward() -> str:
     return b.build()
 
 
-def avgpool_forward() -> str:
-    """out[n,c,p,q] = mean of the (fully in-bounds part of the) window."""
-    b = PTXBuilder("cudnn_avgpool_fwd",
-                   [("inp", "u64"), ("out", "u64"), *_GEOM,
-                    ("total", "u32")])
-    inp = b.ld_param("u64", "inp")
-    out = b.ld_param("u64", "out")
-    g = _load_geom(b)
-    tid = b.global_tid_x()
-    total = b.ld_param("u32", "total")
-    b.guard_tid_below(tid, total)
-
-    pq = b.reg("u32")
-    b.ins("mul.lo.s32", pq, g["out_h"], g["out_w"])
-    cpq = b.reg("u32")
-    b.ins("mul.lo.s32", cpq, g["channels"], pq)
-    n, c_pq = div_mod(b, tid, cpq)
-    c, p_q = div_mod(b, c_pq, pq)
-    p, q = div_mod(b, p_q, g["out_w"])
-
-    acc = b.imm_f32(0.0)
-    count = b.imm_u32(0)
-    r = b.reg("u32")
-    with b.for_range(r, 0, g["window"]):
-        s = b.reg("u32")
-        with b.for_range(s, 0, g["window"]):
-            h = b.reg("u32")
-            b.ins("mad.lo.s32", h, p, g["stride"], r)
-            w = b.reg("u32")
-            b.ins("mad.lo.s32", w, q, g["stride"], s)
-            ok = b.reg("pred")
-            tmp = b.reg("pred")
-            b.ins("setp.lt.s32", ok, h, g["height"])
-            b.ins("setp.lt.s32", tmp, w, g["width"])
-            b.ins("and.pred", ok, ok, tmp)
-            with b.if_then(ok):
-                idx = b.reg("u32")
-                b.ins("mad.lo.s32", idx, n, g["channels"], c)
-                b.ins("mad.lo.s32", idx, idx, g["height"], h)
-                b.ins("mad.lo.s32", idx, idx, g["width"], w)
-                value = b.load_global_f32(b.elem_addr(inp, idx))
-                b.ins("add.f32", acc, acc, value)
-                b.ins("add.u32", count, count, "1")
-    fcount = b.reg("f32")
-    b.ins("cvt.rn.f32.u32", fcount, count)
-    mean = b.reg("f32")
-    b.ins("div.rn.f32", mean, acc, fcount)
-    b.store_global_f32(b.elem_addr(out, tid), mean)
-    return b.build()
-
-
 ALL_KERNELS = {
     "cudnn_maxpool_fwd": maxpool_forward,
     "cudnn_maxpool_bwd": maxpool_backward,
     "cudnn_avgpool_fwd": avgpool_forward,
 }
-

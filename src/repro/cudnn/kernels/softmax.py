@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro.ptx.builder import PTXBuilder, f32
-from repro.cudnn.kernels.common import LOG2E
+from repro.cudnn.kernels.common import LOG2E, open_kernel
 
 
 def softmax_forward() -> str:
@@ -87,22 +87,11 @@ def nll_loss() -> str:
 
 def softmax_nll_backward() -> str:
     """dx[row, j] = (prob[row, j] - [j == label[row]]) * scale."""
-    b = PTXBuilder("cudnn_softmax_nll_bwd",
-                   [("probs", "u64"), ("labels", "u64"), ("dx", "u64"),
-                    ("rows", "u32"), ("cols", "u32"), ("scale", "f32"),
-                    ("total", "u32")])
-    probs = b.ld_param("u64", "probs")
-    labels = b.ld_param("u64", "labels")
-    dx = b.ld_param("u64", "dx")
-    cols = b.ld_param("u32", "cols")
-    scale = b.ld_param("f32", "scale")
-    tid = b.global_tid_x()
-    total = b.ld_param("u32", "total")
-    b.guard_tid_below(tid, total)
-    row = b.reg("u32")
-    b.ins("div.u32", row, tid, cols)
-    col = b.reg("u32")
-    b.ins("rem.u32", col, tid, cols)
+    b, (probs, labels, dx), g, tid = open_kernel(
+        "cudnn_softmax_nll_bwd", ("probs", "labels", "dx"),
+        [("rows", "u32"), ("cols", "u32"), ("scale", "f32")],
+        skip=("rows",))
+    row, col = b.div_mod(tid, g["cols"])
     label = b.reg("u32")
     b.ins("ld.global.u32", label, f"[{b.elem_addr(labels, row)}]")
     prob = b.load_global_f32(b.elem_addr(probs, tid))
@@ -113,7 +102,7 @@ def softmax_nll_backward() -> str:
     diff = b.reg("f32")
     b.ins("sub.f32", diff, prob, onehot)
     result = b.reg("f32")
-    b.ins("mul.f32", result, diff, scale)
+    b.ins("mul.f32", result, diff, g["scale"])
     b.store_global_f32(b.elem_addr(dx, tid), result)
     return b.build()
 

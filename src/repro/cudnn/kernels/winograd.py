@@ -24,7 +24,7 @@ source of its shader load imbalance.
 from __future__ import annotations
 
 from repro.ptx.builder import PTXBuilder, f32
-from repro.cudnn.kernels.common import div_mod
+from repro.cudnn.kernels.common import in_image, load_or_zero, open_kernel
 
 _HALF = f32(0.5)
 
@@ -151,7 +151,7 @@ def _gt_s_g(b: PTXBuilder, s: list[str]) -> list[str]:
 
 
 # ----------------------------------------------------------------------
-# Guarded tile loads
+# Tile geometry and the guarded tile loops
 # ----------------------------------------------------------------------
 _TILE_GEOM = [
     ("batch", "u32"), ("channels", "u32"), ("height", "u32"),
@@ -159,15 +159,22 @@ _TILE_GEOM = [
     ("pad_h", "u32"), ("pad_w", "u32"),
 ]
 
+#: Scalars of the kernels that walk output tiles without the input.
+_OUT_TILE_GEOM = [
+    ("batch", "u32"), ("filters", "u32"), ("out_h", "u32"),
+    ("out_w", "u32"), ("tiles_h", "u32"), ("tiles_w", "u32"),
+]
 
-def _decompose_tile(b: PTXBuilder, t: str,
-                    g: dict[str, str]) -> tuple[str, str, str]:
-    """t -> (n, tile row, tile col)."""
-    tiles = b.reg("u32")
-    b.ins("mul.lo.s32", tiles, g["tiles_h"], g["tiles_w"])
-    n, t_hw = div_mod(b, t, tiles)
-    th, tw = div_mod(b, t_hw, g["tiles_w"])
-    return n, th, tw
+
+def _decompose_tile(b: PTXBuilder, tid: str, g: dict[str, str]
+                    ) -> tuple[str, str, str, str, str, str]:
+    """tid -> (plane, t, N*tiles, n, tile row, tile col), where
+    tid = plane*(N*tiles) + t and t = (n*tiles_h + row)*tiles_w + col;
+    *plane* is the channel or filter the thread owns."""
+    strides = b.strides((g["batch"], g["tiles_h"], g["tiles_w"]))
+    plane, t = b.div_mod(tid, strides[0])
+    n, th, tw = b.unflatten(t, strides[1:])
+    return plane, t, strides[0], n, th, tw
 
 
 def _load_patch_4x4(b: PTXBuilder, image: str, n: str, c: str, th: str,
@@ -179,8 +186,7 @@ def _load_patch_4x4(b: PTXBuilder, image: str, n: str, c: str, th: str,
     w0 = b.reg("s32")
     b.ins("mul.lo.s32", w0, tw, "2")
     b.ins("sub.s32", w0, w0, g["pad_w"])
-    nc = b.reg("u32")
-    b.ins("mad.lo.s32", nc, n, g["channels"], c)
+    nc = b.flatten((n, c), (g["channels"],))
     values: list[str] = []
     for i in range(4):
         for j in range(4):
@@ -188,23 +194,42 @@ def _load_patch_4x4(b: PTXBuilder, image: str, n: str, c: str, th: str,
             b.ins("add.s32", h, h0, str(i))
             w = b.reg("s32")
             b.ins("add.s32", w, w0, str(j))
-            ok = b.reg("pred")
-            tmp = b.reg("pred")
-            b.ins("setp.ge.s32", ok, h, "0")
-            b.ins("setp.lt.s32", tmp, h, g["height"])
-            b.ins("and.pred", ok, ok, tmp)
-            b.ins("setp.ge.s32", tmp, w, "0")
-            b.ins("and.pred", ok, ok, tmp)
-            b.ins("setp.lt.s32", tmp, w, g["width"])
-            b.ins("and.pred", ok, ok, tmp)
-            idx = b.reg("u32")
-            b.ins("mad.lo.s32", idx, nc, g["height"], h)
-            b.ins("mad.lo.s32", idx, idx, g["width"], w)
-            value = b.imm_f32(0.0)
-            b.ins("ld.global.f32", value, f"[{b.elem_addr(image, idx)}]",
-                  pred=ok)
-            values.append(value)
+            ok = in_image(b, h, w, g["height"], g["width"])
+            idx = b.flatten((nc, h, w), (g["height"], g["width"]))
+            values.append(load_or_zero(b, image, idx, ok))
     return values
+
+
+def _output_tile_2x2(b: PTXBuilder, g: dict[str, str], th: str, tw: str):
+    """For each of the 2x2 outputs of tile (th, tw), emit its
+    coordinates and yield ``(slot, p, q, inside-the-output predicate)``.
+    The caller emits its access before the next slot's code, so this is
+    consumed in order, once."""
+    for i in range(2):
+        for j in range(2):
+            p = b.reg("u32")
+            b.ins("mad.lo.s32", p, th, "2", str(i))
+            q = b.reg("u32")
+            b.ins("mad.lo.s32", q, tw, "2", str(j))
+            yield (i * 2 + j, p, q,
+                   b.all_of(("lt", p, g["out_h"]), ("lt", q, g["out_w"])))
+
+
+def _store_tile_2x2(b: PTXBuilder, out: str, y: list[str],
+                    g: dict[str, str], n: str, k: str, th: str,
+                    tw: str) -> None:
+    """out[n, k, 2*th + i, 2*tw + j] = y[i, j], edge-guarded."""
+    nk = b.flatten((n, k), (g["filters"],))
+    for slot, p, q, ok in _output_tile_2x2(b, g, th, tw):
+        with b.if_then(ok):
+            idx = b.flatten((nk, p, q), (g["out_h"], g["out_w"]))
+            b.store_global_f32(b.elem_addr(out, idx), y[slot])
+
+
+def _load_taps_3x3(b: PTXBuilder, weight: str, base: str) -> list[str]:
+    """The nine contiguous floats of one 3x3 filter at element *base*."""
+    return [b.load_global_f32(b.elem_addr(weight, base), 4 * i)
+            for i in range(9)]
 
 
 # ----------------------------------------------------------------------
@@ -218,183 +243,65 @@ def input_transform(transposed: bool = False) -> str:
     """
     name = ("winograd_input_transform_t" if transposed
             else "winograd_input_transform")
-    b = PTXBuilder(name,
-                   [("image", "u64"), ("v", "u64"), *_TILE_GEOM,
-                    ("total", "u32")])
-    image = b.ld_param("u64", "image")
-    v = b.ld_param("u64", "v")
-    g = {gname: b.ld_param("u32", gname) for gname, _ in _TILE_GEOM}
-    tid = b.global_tid_x()
-    total = b.ld_param("u32", "total")
-    b.guard_tid_below(tid, total)
-
-    tiles = b.reg("u32")
-    b.ins("mul.lo.s32", tiles, g["tiles_h"], g["tiles_w"])
-    ntiles = b.reg("u32")
-    b.ins("mul.lo.s32", ntiles, g["batch"], tiles)
-    c, t = div_mod(b, tid, ntiles)
-    n, th = div_mod(b, t, tiles)
-    th2, tw = div_mod(b, th, g["tiles_w"])
-
-    d = _load_patch_4x4(b, image, n, c, th2, tw, g)
+    b, (image, v), g, tid = open_kernel(name, ("image", "v"), _TILE_GEOM)
+    c, t, ntiles, n, th, tw = _decompose_tile(b, tid, g)
+    d = _load_patch_4x4(b, image, n, c, th, tw, g)
     out = _bt_d_b(b, d)
     for xi in range(16):
         if transposed:
-            # idx = (xi*T + t)*C + c
-            idx = b.reg("u32")
-            b.ins("mad.lo.s32", idx, str(xi), ntiles, t)
-            b.ins("mad.lo.s32", idx, idx, g["channels"], c)
+            idx = b.flatten((str(xi), t, c), (ntiles, g["channels"]))
         else:
-            # idx = (xi*C + c)*T + t
-            idx = b.reg("u32")
-            b.ins("mad.lo.s32", idx, str(xi), g["channels"], c)
-            b.ins("mad.lo.s32", idx, idx, ntiles, t)
+            idx = b.flatten((str(xi), c, t), (g["channels"], ntiles))
         b.store_global_f32(b.elem_addr(v, idx), out[xi])
     return b.build()
 
 
 def filter_transform() -> str:
     """U[xi, k, c] = (G g G^T)[xi] per (k, c) thread."""
-    b = PTXBuilder("winograd_filter_transform",
-                   [("weight", "u64"), ("u", "u64"), ("filters", "u32"),
-                    ("channels", "u32"), ("total", "u32")])
-    weight = b.ld_param("u64", "weight")
-    u = b.ld_param("u64", "u")
-    filters = b.ld_param("u32", "filters")
-    channels = b.ld_param("u32", "channels")
-    tid = b.global_tid_x()
-    total = b.ld_param("u32", "total")
-    b.guard_tid_below(tid, total)
+    b, (weight, u), g, tid = open_kernel(
+        "winograd_filter_transform", ("weight", "u"),
+        [("filters", "u32"), ("channels", "u32")])
     base = b.reg("u32")
     b.ins("mul.lo.s32", base, tid, "9")
-    g_regs = []
-    for i in range(9):
-        g_regs.append(b.load_global_f32(b.elem_addr(weight, base), 4 * i))
-    out = _g_g_gt(b, g_regs)
-    kc = b.reg("u32")
-    b.ins("mul.lo.s32", kc, filters, channels)
+    out = _g_g_gt(b, _load_taps_3x3(b, weight, base))
+    kc, _ = b.strides((g["filters"], g["channels"]))
     for xi in range(16):
-        idx = b.reg("u32")
-        b.ins("mad.lo.s32", idx, str(xi), kc, tid)
+        idx = b.flatten((str(xi), tid), (kc,))
         b.store_global_f32(b.elem_addr(u, idx), out[xi])
     return b.build()
 
 
 def output_transform() -> str:
     """out[n,k,p,q] = (A^T m A) per (k, tile) thread, edge-guarded."""
-    b = PTXBuilder("winograd_output_transform",
-                   [("m", "u64"), ("out", "u64"), ("batch", "u32"),
-                    ("filters", "u32"), ("out_h", "u32"), ("out_w", "u32"),
-                    ("tiles_h", "u32"), ("tiles_w", "u32"),
-                    ("total", "u32")])
-    m_buf = b.ld_param("u64", "m")
-    out = b.ld_param("u64", "out")
-    batch = b.ld_param("u32", "batch")
-    filters = b.ld_param("u32", "filters")
-    out_h = b.ld_param("u32", "out_h")
-    out_w = b.ld_param("u32", "out_w")
-    tiles_h = b.ld_param("u32", "tiles_h")
-    tiles_w = b.ld_param("u32", "tiles_w")
-    tid = b.global_tid_x()
-    total = b.ld_param("u32", "total")
-    b.guard_tid_below(tid, total)
-
-    tiles = b.reg("u32")
-    b.ins("mul.lo.s32", tiles, tiles_h, tiles_w)
-    ntiles = b.reg("u32")
-    b.ins("mul.lo.s32", ntiles, batch, tiles)
-    k, t = div_mod(b, tid, ntiles)
-    n, t_hw = div_mod(b, t, tiles)
-    th, tw = div_mod(b, t_hw, tiles_w)
-
+    b, (m_buf, out), g, tid = open_kernel(
+        "winograd_output_transform", ("m", "out"), _OUT_TILE_GEOM)
+    k, t, ntiles, n, th, tw = _decompose_tile(b, tid, g)
     m_regs = []
     for xi in range(16):
-        idx = b.reg("u32")
-        b.ins("mad.lo.s32", idx, str(xi), filters, k)
-        b.ins("mad.lo.s32", idx, idx, ntiles, t)
+        idx = b.flatten((str(xi), k, t), (g["filters"], ntiles))
         m_regs.append(b.load_global_f32(b.elem_addr(m_buf, idx)))
-    y = _at_m_a(b, m_regs)
-    nk = b.reg("u32")
-    b.ins("mad.lo.s32", nk, n, filters, k)
-    for i in range(2):
-        for j in range(2):
-            p = b.reg("u32")
-            b.ins("mad.lo.s32", p, th, "2", str(i))
-            q = b.reg("u32")
-            b.ins("mad.lo.s32", q, tw, "2", str(j))
-            ok = b.reg("pred")
-            tmp = b.reg("pred")
-            b.ins("setp.lt.s32", ok, p, out_h)
-            b.ins("setp.lt.s32", tmp, q, out_w)
-            b.ins("and.pred", ok, ok, tmp)
-            with b.if_then(ok):
-                idx = b.reg("u32")
-                b.ins("mad.lo.s32", idx, nk, out_h, p)
-                b.ins("mad.lo.s32", idx, idx, out_w, q)
-                b.store_global_f32(b.elem_addr(out, idx), y[i * 2 + j])
+    _store_tile_2x2(b, out, _at_m_a(b, m_regs), g, n, k, th, tw)
     return b.build()
 
 
 def fused_forward() -> str:
     """Single-kernel Winograd: per (k, tile) thread, filter transform on
     the fly, channel loop inside (the "Winograd" fused algorithm)."""
-    b = PTXBuilder("winograd_fused_fwd",
-                   [("image", "u64"), ("weight", "u64"), ("out", "u64"),
-                    *_TILE_GEOM, ("filters", "u32"), ("out_h", "u32"),
-                    ("out_w", "u32"), ("total", "u32")])
-    image = b.ld_param("u64", "image")
-    weight = b.ld_param("u64", "weight")
-    out = b.ld_param("u64", "out")
-    g = {gname: b.ld_param("u32", gname) for gname, _ in _TILE_GEOM}
-    filters = b.ld_param("u32", "filters")
-    out_h = b.ld_param("u32", "out_h")
-    out_w = b.ld_param("u32", "out_w")
-    tid = b.global_tid_x()
-    total = b.ld_param("u32", "total")
-    b.guard_tid_below(tid, total)
-
-    tiles = b.reg("u32")
-    b.ins("mul.lo.s32", tiles, g["tiles_h"], g["tiles_w"])
-    ntiles = b.reg("u32")
-    b.ins("mul.lo.s32", ntiles, g["batch"], tiles)
-    k, t = div_mod(b, tid, ntiles)
-    n, t_hw = div_mod(b, t, tiles)
-    th, tw = div_mod(b, t_hw, g["tiles_w"])
-
+    b, (image, weight, out), g, tid = open_kernel(
+        "winograd_fused_fwd", ("image", "weight", "out"),
+        [*_TILE_GEOM, ("filters", "u32"), ("out_h", "u32"),
+         ("out_w", "u32")])
+    k, _, _, n, th, tw = _decompose_tile(b, tid, g)
     acc = [b.imm_f32(0.0) for _ in range(16)]
-    c = b.reg("u32")
-    with b.for_range(c, 0, g["channels"]):
+    with b.loop_nest((0, g["channels"])) as (c,):
         d = _load_patch_4x4(b, image, n, c, th, tw, g)
         v = _bt_d_b(b, d)
-        wbase = b.reg("u32")
-        b.ins("mad.lo.s32", wbase, k, g["channels"], c)
+        wbase = b.flatten((k, c), (g["channels"],))
         b.ins("mul.lo.s32", wbase, wbase, "9")
-        g_regs = []
-        for i in range(9):
-            g_regs.append(
-                b.load_global_f32(b.elem_addr(weight, wbase), 4 * i))
-        u = _g_g_gt(b, g_regs)
+        u = _g_g_gt(b, _load_taps_3x3(b, weight, wbase))
         for xi in range(16):
             b.ins("fma.rn.f32", acc[xi], u[xi], v[xi], acc[xi])
-    y = _at_m_a(b, acc)
-    nk = b.reg("u32")
-    b.ins("mad.lo.s32", nk, n, filters, k)
-    for i in range(2):
-        for j in range(2):
-            p = b.reg("u32")
-            b.ins("mad.lo.s32", p, th, "2", str(i))
-            q = b.reg("u32")
-            b.ins("mad.lo.s32", q, tw, "2", str(j))
-            ok = b.reg("pred")
-            tmp = b.reg("pred")
-            b.ins("setp.lt.s32", ok, p, out_h)
-            b.ins("setp.lt.s32", tmp, q, out_w)
-            b.ins("and.pred", ok, ok, tmp)
-            with b.if_then(ok):
-                idx = b.reg("u32")
-                b.ins("mad.lo.s32", idx, nk, out_h, p)
-                b.ins("mad.lo.s32", idx, idx, out_w, q)
-                b.store_global_f32(b.elem_addr(out, idx), y[i * 2 + j])
+    _store_tile_2x2(b, out, _at_m_a(b, acc), g, n, k, th, tw)
     return b.build()
 
 
@@ -403,79 +310,30 @@ def fused_forward() -> str:
 # ----------------------------------------------------------------------
 def wgrad_dy_transform() -> str:
     """W[xi, k, t] = (A dY A^T)[xi] per (k, tile) thread."""
-    b = PTXBuilder("winograd_wgrad_dy_transform",
-                   [("dy", "u64"), ("w", "u64"), ("batch", "u32"),
-                    ("filters", "u32"), ("out_h", "u32"), ("out_w", "u32"),
-                    ("tiles_h", "u32"), ("tiles_w", "u32"),
-                    ("total", "u32")])
-    dy = b.ld_param("u64", "dy")
-    w_buf = b.ld_param("u64", "w")
-    batch = b.ld_param("u32", "batch")
-    filters = b.ld_param("u32", "filters")
-    out_h = b.ld_param("u32", "out_h")
-    out_w = b.ld_param("u32", "out_w")
-    tiles_h = b.ld_param("u32", "tiles_h")
-    tiles_w = b.ld_param("u32", "tiles_w")
-    tid = b.global_tid_x()
-    total = b.ld_param("u32", "total")
-    b.guard_tid_below(tid, total)
-
-    tiles = b.reg("u32")
-    b.ins("mul.lo.s32", tiles, tiles_h, tiles_w)
-    ntiles = b.reg("u32")
-    b.ins("mul.lo.s32", ntiles, batch, tiles)
-    k, t = div_mod(b, tid, ntiles)
-    n, t_hw = div_mod(b, t, tiles)
-    th, tw = div_mod(b, t_hw, tiles_w)
-    nk = b.reg("u32")
-    b.ins("mad.lo.s32", nk, n, filters, k)
-
+    b, (dy, w_buf), g, tid = open_kernel(
+        "winograd_wgrad_dy_transform", ("dy", "w"), _OUT_TILE_GEOM)
+    k, t, ntiles, n, th, tw = _decompose_tile(b, tid, g)
+    nk = b.flatten((n, k), (g["filters"],))
     dy_regs = []
-    for i in range(2):
-        for j in range(2):
-            p = b.reg("u32")
-            b.ins("mad.lo.s32", p, th, "2", str(i))
-            q = b.reg("u32")
-            b.ins("mad.lo.s32", q, tw, "2", str(j))
-            ok = b.reg("pred")
-            tmp = b.reg("pred")
-            b.ins("setp.lt.s32", ok, p, out_h)
-            b.ins("setp.lt.s32", tmp, q, out_w)
-            b.ins("and.pred", ok, ok, tmp)
-            idx = b.reg("u32")
-            b.ins("mad.lo.s32", idx, nk, out_h, p)
-            b.ins("mad.lo.s32", idx, idx, out_w, q)
-            value = b.imm_f32(0.0)
-            b.ins("ld.global.f32", value, f"[{b.elem_addr(dy, idx)}]",
-                  pred=ok)
-            dy_regs.append(value)
+    for _, p, q, ok in _output_tile_2x2(b, g, th, tw):
+        idx = b.flatten((nk, p, q), (g["out_h"], g["out_w"]))
+        dy_regs.append(load_or_zero(b, dy, idx, ok))
     out = _a_dy_at(b, dy_regs)
     for xi in range(16):
-        idx = b.reg("u32")
-        b.ins("mad.lo.s32", idx, str(xi), filters, k)
-        b.ins("mad.lo.s32", idx, idx, ntiles, t)
+        idx = b.flatten((str(xi), k, t), (g["filters"], ntiles))
         b.store_global_f32(b.elem_addr(w_buf, idx), out[xi])
     return b.build()
 
 
 def wgrad_output_transform() -> str:
     """dw[k,c,3,3] = G^T S G per (k, c) thread."""
-    b = PTXBuilder("winograd_wgrad_output_transform",
-                   [("s", "u64"), ("dw", "u64"), ("filters", "u32"),
-                    ("channels", "u32"), ("total", "u32")])
-    s_buf = b.ld_param("u64", "s")
-    dw = b.ld_param("u64", "dw")
-    filters = b.ld_param("u32", "filters")
-    channels = b.ld_param("u32", "channels")
-    tid = b.global_tid_x()
-    total = b.ld_param("u32", "total")
-    b.guard_tid_below(tid, total)
-    kc = b.reg("u32")
-    b.ins("mul.lo.s32", kc, filters, channels)
+    b, (s_buf, dw), g, tid = open_kernel(
+        "winograd_wgrad_output_transform", ("s", "dw"),
+        [("filters", "u32"), ("channels", "u32")])
+    kc, _ = b.strides((g["filters"], g["channels"]))
     s_regs = []
     for xi in range(16):
-        idx = b.reg("u32")
-        b.ins("mad.lo.s32", idx, str(xi), kc, tid)
+        idx = b.flatten((str(xi), tid), (kc,))
         s_regs.append(b.load_global_f32(b.elem_addr(s_buf, idx)))
     out = _gt_s_g(b, s_regs)
     base = b.reg("u32")
@@ -488,37 +346,20 @@ def wgrad_output_transform() -> str:
 
 def rotate_filters() -> str:
     """Wrot[c,k,r,s] = W[k,c,R-1-r,S-1-s] — dgrad-as-convolution prep."""
-    b = PTXBuilder("winograd_rotate_filters",
-                   [("w", "u64"), ("wrot", "u64"), ("filters", "u32"),
-                    ("channels", "u32"), ("ksize_h", "u32"),
-                    ("ksize_w", "u32"), ("total", "u32")])
-    w = b.ld_param("u64", "w")
-    wrot = b.ld_param("u64", "wrot")
-    filters = b.ld_param("u32", "filters")
-    channels = b.ld_param("u32", "channels")
-    ksize_h = b.ld_param("u32", "ksize_h")
-    ksize_w = b.ld_param("u32", "ksize_w")
-    tid = b.global_tid_x()
-    total = b.ld_param("u32", "total")
-    b.guard_tid_below(tid, total)
-    rs = b.reg("u32")
-    b.ins("mul.lo.s32", rs, ksize_h, ksize_w)
-    crs = b.reg("u32")
-    b.ins("mul.lo.s32", crs, channels, rs)
-    k, c_rs = div_mod(b, tid, crs)
-    c, r_s = div_mod(b, c_rs, rs)
-    r, s = div_mod(b, r_s, ksize_w)
+    b, (w, wrot), g, tid = open_kernel(
+        "winograd_rotate_filters", ("w", "wrot"),
+        [("filters", "u32"), ("channels", "u32"), ("ksize_h", "u32"),
+         ("ksize_w", "u32")])
+    k, c, r, s = b.unflatten(tid, b.strides((g["channels"], g["ksize_h"],
+                                             g["ksize_w"])))
     rr = b.reg("u32")
-    b.ins("sub.s32", rr, ksize_h, "1")
+    b.ins("sub.s32", rr, g["ksize_h"], "1")
     b.ins("sub.s32", rr, rr, r)
     ss = b.reg("u32")
-    b.ins("sub.s32", ss, ksize_w, "1")
+    b.ins("sub.s32", ss, g["ksize_w"], "1")
     b.ins("sub.s32", ss, ss, s)
-    # destination index: ((c*K + k)*R + rr)*S + ss
-    idx = b.reg("u32")
-    b.ins("mad.lo.s32", idx, c, filters, k)
-    b.ins("mad.lo.s32", idx, idx, ksize_h, rr)
-    b.ins("mad.lo.s32", idx, idx, ksize_w, ss)
+    idx = b.flatten((c, k, rr, ss),
+                    (g["filters"], g["ksize_h"], g["ksize_w"]))
     value = b.load_global_f32(b.elem_addr(w, tid))
     b.store_global_f32(b.elem_addr(wrot, idx), value)
     return b.build()

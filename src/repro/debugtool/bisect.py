@@ -138,15 +138,6 @@ class DebugReport:
         return "\n".join(lines)
 
 
-def _digest_allocations(runtime: CudaRuntime) -> str:
-    hasher = hashlib.sha256()
-    for base in sorted(runtime.global_mem.allocations):
-        size = runtime.global_mem.allocations[base]
-        hasher.update(base.to_bytes(8, "little"))
-        hasher.update(runtime.global_mem.read(base, size))
-    return hasher.hexdigest()
-
-
 def _digest_pointer_params(runtime: CudaRuntime, args: list) -> str:
     hasher = hashlib.sha256()
     for value in args:
@@ -204,7 +195,7 @@ class DifferentialDebugger:
         def collect(target, runtime_box):
             def hook(call: ApiCall) -> None:
                 target.append((call.name,
-                               _digest_allocations(runtime_box[0])))
+                               runtime_box[0].global_mem.digest()))
             return hook
 
         box: list[CudaRuntime] = [None]  # type: ignore[list-item]

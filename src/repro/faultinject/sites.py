@@ -277,8 +277,6 @@ class FaultingFunctionalBackend(FunctionalBackend):
     so a fault campaign stays fast even on multi-kernel workloads.
     """
 
-    name = "functional+fault"
-
     def __init__(self, runtime, adapter: _InstructionSite, *,
                  fast_mode: str = "superblock", sanitize=None) -> None:
         #: *sanitize*: inherited from the backend this one replaced.

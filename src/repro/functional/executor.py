@@ -261,15 +261,16 @@ class FunctionalEngine:
                     self.kernel)
             self._superblocks = blocks
         self.fast_mode = fast_mode
+        #: Tier the latest non-empty :meth:`run_range` executed on, and
+        #: one word on why where that is not ``fast_mode``.
+        self.ran_tier = fast_mode
+        self.ran_why: str | None = None
         #: Stream recorder the timing model arms on its megablock
         #: pre-pass (repro.timing.stream.StreamRecorder) or None.
         self.recorder = None
         #: Armed sanitizer (repro.sanitize.core.Sanitizer) or None.
         self.sanitizer = None
         if sanitize:
-            if sanitize is True:
-                from repro.sanitize.core import Sanitizer
-                sanitize = Sanitizer()
             self.sanitizer = sanitize
             if sanitize.tracer is None:
                 sanitize.tracer = tracer
@@ -543,14 +544,17 @@ class FunctionalEngine:
                     f"CTA {cta.cta_linear} deadlocked: live warps stuck "
                     "at a barrier that can never be released")
 
+    def _fuses(self, budget: int | None) -> bool:
+        """Whether scalar execution issues whole fused blocks: functional
+        mode with nothing observing per-instruction state.  Budgeted runs
+        (partial checkpoint CTAs) and instrumented runs must step."""
+        return (budget is None and bool(self._superblocks)
+                and self.on_exec is None and self.exec_override is None)
+
     def _run_warp_slice(self, warp: WarpState, stats: RunStats | None,
                         budget: int | None) -> bool:
         """Run a warp until it finishes, parks, or exhausts *budget*."""
-        if (budget is None and self._superblocks
-                and self.on_exec is None and self.exec_override is None):
-            # Functional mode with nothing observing per-instruction
-            # state: issue whole fused blocks.  Budgeted runs (partial
-            # checkpoint CTAs) and instrumented runs must step.
+        if self._fuses(budget):
             return self._run_warp_slice_fast(warp, stats)
         executed = 0
         while not warp.finished and not warp.at_barrier:
@@ -633,21 +637,31 @@ class FunctionalEngine:
         stops every warp at that many issued instructions (a
         checkpoint's partial CTAs); *on_cta* sees each CTA after it ran,
         before it is released (register capture).  Each needs per-lane
-        CTA state, so such a launch runs scalar whatever the tier.
+        CTA state, so such a launch runs scalar whatever the tier; so do
+        hooked launches (they step) and CTA-span tracing.  What actually
+        ran is left in ``ran_tier`` / ``ran_why`` for the launch's slice.
         """
         stats = RunStats() if stats is None else stats
         if not 0 <= first_cta <= limit_cta <= self.launch.num_ctas:
             raise ValueError(
                 f"CTA range [{first_cta}, {limit_cta}) outside grid of "
                 f"{self.launch.num_ctas} CTAs")
+        if first_cta == limit_cta:
+            # Nothing to run (a checkpoint at the grid's edge): no span,
+            # and ``ran_tier`` keeps describing the range that did run.
+            return stats
         tracer = self.tracer
         trace_ctas = tracer.enabled and tracer.cta_spans
-        per_cta = (bool(self.launch.restored) or on_cta is not None
-                   or max_warp_instructions is not None)
-        if (not per_cta
-                and self._megaplan is not None and self.on_exec is None
-                and self.exec_override is None and not trace_ctas):
+        scalar_why = (
+            "restored" if self.launch.restored
+            else "budget" if max_warp_instructions is not None
+            else "on_cta" if on_cta is not None
+            else "hooks" if (self.on_exec is not None
+                             or self.exec_override is not None)
+            else "cta_spans" if trace_ctas else None)
+        if scalar_why is None and self._megaplan is not None:
             from repro.functional.megablock import EVENTS, MegaMachine
+            self.ran_tier, self.ran_why = "megablock", None
             with tracer.span(f"megablock:{self.kernel.name}",
                              cat="engine"):
                 machine = MegaMachine(self, self._megaplan)
@@ -664,6 +678,11 @@ class FunctionalEngine:
             # scalar fallback, the step path must observe instead.
             self.on_exec = self.sanitizer.hook
             restore_hook = True
+        self.ran_tier = (
+            "reference" if self.fast_mode == "reference"
+            else "superblock" if self._fuses(max_warp_instructions)
+            else "fastpath")
+        self.ran_why = scalar_why if self.ran_tier != self.fast_mode else None
         try:
             self._run_range_scalar(first_cta, limit_cta, stats,
                                    trace_ctas, max_warp_instructions,

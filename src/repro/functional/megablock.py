@@ -468,9 +468,7 @@ def plan_from_payload(payload: dict) -> MegaPlan:
             "target": (None if ctrl["target"] is None
                        else int(ctrl["target"])),
             "rpc": int(ctrl["rpc"]), "uniform": bool(ctrl["uniform"]),
-            # Conservative default for pre-"div" payloads: assume the
-            # kernel can diverge (only ever costs the containment check).
-            "div": bool(ctrl.get("div", True)),
+            "div": bool(ctrl["div"]),
         }
     return MegaPlan(
         kernel_name=str(payload["kernel"]),
@@ -557,17 +555,10 @@ def compile_megaplan(kernel) -> MegaPlan:
             if not reasons else None
         blocks[start] = _VecBlock(start, pc, opcode_counts, source,
                                   pruned, fn)
-    eligible = not reasons
-    if eligible:
-        # A reason found after a block compiled lazily is impossible
-        # here (fn skipped only when reasons existed at build time), but
-        # guard against partial compilation anyway.
-        for block in blocks.values():
-            if block.fn is None:
-                block.fn = _compile_source(
-                    block.source, f"{kernel.name}:{block.start}")
+    # ``reasons`` only grows and a block skips compiling only once it is
+    # non-empty, so an eligible plan has every block compiled.
     return MegaPlan(kernel_name=kernel.name, body_len=n,
-                    eligible=eligible, reasons=reasons, blocks=blocks,
+                    eligible=not reasons, reasons=reasons, blocks=blocks,
                     controls=controls,
                     reconvergence=dict(kernel.reconvergence),
                     facts=kernel_facts(kernel))

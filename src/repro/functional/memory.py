@@ -12,6 +12,7 @@ Shared, local, param and const spaces are small linear arenas.
 from __future__ import annotations
 
 import bisect
+import hashlib
 import struct
 
 from repro.errors import SimulationFault
@@ -253,6 +254,16 @@ class GlobalMemory:
     def write_uint(self, addr: int, value: int, nbytes: int) -> None:
         self.write(addr, (value & ((1 << (8 * nbytes)) - 1))
                    .to_bytes(nbytes, "little"))
+
+    def digest(self) -> str:
+        """SHA-256 over every allocation in address order: its base
+        (8 bytes little-endian) then its bytes.  The one architectural
+        digest job results, bisection and fault campaigns compare."""
+        hasher = hashlib.sha256()
+        for base in sorted(self.allocations):
+            hasher.update(base.to_bytes(8, "little"))
+            hasher.update(self.read(base, self.allocations[base]))
+        return hasher.hexdigest()
 
     # -- snapshot (checkpoint Data2) ------------------------------------
     def snapshot(self) -> dict:

@@ -29,7 +29,6 @@ Run it::
 
 from __future__ import annotations
 
-import hashlib
 import json
 import random
 from dataclasses import asdict, dataclass
@@ -123,15 +122,6 @@ class FaultResult:
                 if value not in (None, "")}
 
 
-def _digest_allocations(runtime: CudaRuntime) -> str:
-    hasher = hashlib.sha256()
-    for base in sorted(runtime.global_mem.allocations):
-        size = runtime.global_mem.allocations[base]
-        hasher.update(base.to_bytes(8, "little"))
-        hasher.update(runtime.global_mem.read(base, size))
-    return hasher.hexdigest()
-
-
 def _run_workload(factory, workload, binary) -> tuple[str, list[str]]:
     """(allocation digest, launched kernel names); faults may raise."""
     runtime = factory()
@@ -142,7 +132,7 @@ def _run_workload(factory, workload, binary) -> tuple[str, list[str]]:
     dnn = Cudnn(runtime)
     workload(dnn)
     runtime.synchronize()
-    return _digest_allocations(runtime), launched
+    return runtime.global_mem.digest(), launched
 
 
 def _candidate_sites(binary, launched: list[str]

@@ -130,8 +130,6 @@ class HardwareOracle:
 class HardwareOracleBackend:
     """Runtime backend reporting the oracle's cycles (the "NVProf" run)."""
 
-    name = "hardware-oracle"
-
     def __init__(self, config: GPUConfig = GTX1050, **kwargs) -> None:
         self.oracle = HardwareOracle(config=config, **kwargs)
 

@@ -18,7 +18,7 @@ Typical use::
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 
 from repro.errors import PTXLabelError
 from repro.ptx.values import f32_to_bits, f64_to_bits
@@ -149,6 +149,76 @@ class PTXBuilder:
         self.ins("mad.wide.s32", out, index32, str(elem_bytes), base64)
         return out
 
+    def ld_params(self, skip: tuple[str, ...] = ()) -> dict[str, str]:
+        """Load every declared parameter, in declaration order, except
+        the names in *skip* (declared for the host's launch math but
+        never read, or loaded later by the caller)."""
+        return {name: self.ld_param(dtype, name)
+                for name, dtype in self._params if name not in skip}
+
+    def div_mod(self, value: str, divisor: str, *, need_div: bool = True,
+                need_rem: bool = True) -> tuple[str | None, str | None]:
+        """(value / divisor, value % divisor) for u32 registers.
+
+        Emits the exact ``div.u32`` / ``rem.u32`` pair whose ``rem``
+        implementation the paper had to fix inside ``fft2d_r2c_32x32``.
+        Callers that only need one half pass ``need_div``/``need_rem`` so
+        the other instruction is not emitted as a dead store.
+        """
+        quotient = None
+        if need_div:
+            quotient = self.reg("u32")
+            self.ins("div.u32", quotient, value, divisor)
+        remainder = None
+        if need_rem:
+            remainder = self.reg("u32")
+            self.ins("rem.u32", remainder, value, divisor)
+        return quotient, remainder
+
+    def strides(self, dims: tuple[str, ...]) -> list[str]:
+        """Row-major strides of the index space *dims*, outermost
+        first: ``[d0*d1*...*dk, ..., dk-1*dk, dk]``.  Products are
+        emitted innermost first; the last entry is ``dims[-1]`` itself."""
+        out = [dims[-1]]
+        for dim in reversed(dims[:-1]):
+            stride = self.reg("u32")
+            self.ins("mul.lo.s32", stride, dim, out[0])
+            out.insert(0, stride)
+        return out
+
+    def unflatten(self, linear: str, strides: list[str]) -> list[str]:
+        """Split a linear id into ``len(strides) + 1`` coordinates by
+        dividing through *strides* (see :meth:`strides`) in turn; the
+        leading coordinate is whatever is left above the first stride."""
+        coords = []
+        for stride in strides:
+            quotient, linear = self.div_mod(linear, stride)
+            coords.append(quotient)
+        return [*coords, linear]
+
+    def flatten(self, coords: tuple[str, ...], dims: tuple[str, ...]) -> str:
+        """``((c0*d0 + c1)*d1 + c2)...`` accumulated into ONE register
+        by a ``mad.lo`` chain; *dims* are the extents of ``coords[1:]``."""
+        out = self.reg("u32")
+        acc = coords[0]
+        for dim, coord in zip(dims, coords[1:], strict=True):
+            self.ins("mad.lo.s32", out, acc, dim, coord)
+            acc = out
+        return out
+
+    def all_of(self, *tests: tuple[str, str, str]) -> str:
+        """Predicate that holds when each of two or more signed
+        ``(cmp, a, b)`` tests does: the first ``setp`` lands in the
+        result, the rest in one scratch predicate that is ``and``-ed in."""
+        ok = self.reg("pred")
+        scratch = self.reg("pred")
+        (cmp, lhs, rhs), *rest = tests
+        self.ins(f"setp.{cmp}.s32", ok, lhs, rhs)
+        for cmp, lhs, rhs in rest:
+            self.ins(f"setp.{cmp}.s32", scratch, lhs, rhs)
+            self.ins("and.pred", ok, ok, scratch)
+        return ok
+
     def load_global_f32(self, addr: str, offset: int = 0) -> str:
         reg = self.reg("f32")
         suffix = f"+{offset}" if offset else ""
@@ -186,6 +256,18 @@ class PTXBuilder:
         self.ins("add.s32", counter, counter, str(step))
         self.ins(f"bra {head}")
         self.place(done)
+
+    @contextmanager
+    def loop_nest(self, *bounds: tuple[str | int, str]):
+        """Counted ``(start, end)`` loops nested in the order given;
+        yields their counters, outermost first."""
+        with ExitStack() as stack:
+            counters = []
+            for start, end in bounds:
+                counter = self.reg("u32")
+                stack.enter_context(self.for_range(counter, start, end))
+                counters.append(counter)
+            yield counters
 
     def guard_tid_below(self, tid: str, limit: str) -> None:
         """Exit threads whose global id is >= limit."""

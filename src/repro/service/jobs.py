@@ -109,16 +109,6 @@ NULL_CONTROL = NullJobControl()
 # ---------------------------------------------------------------------------
 # Workload runners
 # ---------------------------------------------------------------------------
-def _digest_allocations(runtime) -> str:
-    """SHA-256 over every allocation's final bytes, in address order."""
-    hasher = hashlib.sha256()
-    gm = runtime.global_mem
-    for base in sorted(gm.allocations):
-        hasher.update(base.to_bytes(8, "little"))
-        hasher.update(gm.read(base, gm.allocations[base]))
-    return hasher.hexdigest()
-
-
 def _make_runtime(config: dict, control: JobControl = NULL_CONTROL):
     """Build the device a job asked for.
 
@@ -162,7 +152,7 @@ def _finish(runtime, workload: str, extra: dict) -> dict:
         kernels[profile.name] = kernels.get(profile.name, 0) + 1
     result = {
         "workload": workload,
-        "digest": _digest_allocations(runtime),
+        "digest": runtime.global_mem.digest(),
         "instructions": sum(p.result.instructions
                             for p in runtime.profiles),
         "launches": len(runtime.profiles),

@@ -247,20 +247,16 @@ class ShardExecutor:
                  fast_mode: str = "superblock",
                  capture_registers: bool = False,
                  trace: bool = False,
-                 sanitize: bool = False,
-                 mp_context: str | None = None) -> None:
+                 sanitize: bool = False) -> None:
         self.shards = shards or DEFAULT_SHARDS
         self.fast_mode = fast_mode
         self.capture_registers = capture_registers
         self.trace = trace
         self.sanitize = sanitize
-        self._ctx_name = mp_context
         self._pool = None
 
     # -- pool lifecycle -------------------------------------------------
     def _context(self):
-        if self._ctx_name is not None:
-            return multiprocessing.get_context(self._ctx_name)
         methods = multiprocessing.get_all_start_methods()
         return multiprocessing.get_context(
             "fork" if "fork" in methods else "spawn")
@@ -284,15 +280,13 @@ class ShardExecutor:
 
     # -- execution ------------------------------------------------------
     def execute(self, launch: LaunchContext, *,
-                shards: int | None = None,
                 tracer=None) -> ShardedRunResult:
         """Fan *launch*'s CTA extent out, merge, and mutate *launch* in
         place (global memory, clock) exactly as a single-process run
         would."""
-        shards = shards or self.shards
         first = launch.first_cta
         ranges = [(first + lo, first + hi) for lo, hi in
-                  partition_ctas(launch.limit_cta - first, shards)]
+                  partition_ctas(launch.limit_cta - first, self.shards)]
         if not ranges:
             return ShardedRunResult(stats=RunStats(), shard_ranges=[])
         kernel = _transport_kernel(launch.kernel)
@@ -412,12 +406,9 @@ class ShardedFunctionalBackend(FunctionalBackend):
     (in-process state no worker has).
     """
 
-    name = "sharded-functional"
-
     def __init__(self, shards: int | None = None, *,
                  fast_mode: str = "superblock",
                  inline_below: int = 0,
-                 trace_shards: bool = False,
                  sanitize=None) -> None:
         #: ``self.sanitize`` is the parent-side sanitizer: it runs
         #: inline launches directly and accumulates shard-merged
@@ -425,7 +416,6 @@ class ShardedFunctionalBackend(FunctionalBackend):
         #: ``backend.sanitize.findings_list()`` reads the same either way.
         super().__init__(fast_mode=fast_mode, sanitize=sanitize)
         self.executor = ShardExecutor(shards, fast_mode=fast_mode,
-                                      trace=trace_shards,
                                       sanitize=self.sanitize is not None)
         self.inline_below = inline_below
         #: (kernel name, shard count) per fanned-out launch, for tests

@@ -24,8 +24,6 @@ class TimingBackend:
     (:attr:`launch_sources` says which, per launch, and why).
     """
 
-    name = "performance"
-
     def __init__(self, config: GPUConfig = TINY, *,
                  max_cycles: int = 50_000_000,
                  reconverge_at_exit: bool = False,

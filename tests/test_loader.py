@@ -1,5 +1,7 @@
 """Loader tests: Section III-A's two fixes, exercised both ways."""
 
+import hashlib
+
 import pytest
 
 from repro.cuda import CudaRuntime, FatBinary, cuobjdump
@@ -65,6 +67,56 @@ class TestPerFileExtraction:
                                LegacyQuirks(combined_ptx_load=True))
         with pytest.raises(PTXNameError, match="scale_array"):
             loader.load_binary(binary)
+
+
+#: (file id, kernels, bytes, SHA-256) of every embedded translation unit,
+#: in ``cuobjdump`` order.  The kernel builders are contractually
+#: text-stable (docs/ARCHITECTURE.md "Adding a kernel"): plan-cache keys,
+#: simulated cycles and every digest downstream hang off this text, so
+#: an accidental edit fails here, by file, instead of minutes later in a
+#: golden that cannot say which kernel moved.  Regenerate on purpose only.
+EMBEDDED_CORPUS = [
+    ("elementwise.cu", 13, 10571,
+     "1bdec9dca3aec13413d780df3266f91d3b87913a65c0b19e1d349bd1aecf1a6d"),
+    ("im2col.cu", 2, 5117,
+     "21eaea3610464d3390d10c4b3e95c13a6e322c298d2f064152b2f2e3586fc2de"),
+    ("conv_direct.cu", 7, 20352,
+     "96ea82f0761c645b90d1e01fcf3438a2c1280ef1324e85627e6a5607c76e524b"),
+    ("conv_winograd.cu", 8, 60540,
+     "3cc5fd4aa69b4c5d3828f32871d9594f8f1a843fdc54d1535db4485419fd35bd"),
+    ("conv_fft.cu", 5, 26606,
+     "786572dd2284de44d46d1037c0ce77c053b4bc3d037abf08425c98b05f884ba2"),
+    ("pooling.cu", 3, 5065,
+     "122c6e7ecf25e6dece3deecbc13fbd591bee2447c0029873773e0028dd2b8ccf"),
+    ("lrn.cu", 3, 7103,
+     "9a96e73e63c92a6feff196795cf3b48119bc5a3dba487fa8dc468f1ef83fb0d6"),
+    ("softmax.cu", 3, 3727,
+     "f54f2b0dc6790419517d8c4951c17318aff771c8604feb9e7b1dc65c9a5808a7"),
+    ("batchnorm.cu", 4, 6929,
+     "324b98330a7f72a63c98a6f51f05e9b238c67ff3b183e4a7b91baf2bb3307b09"),
+    ("gemm_kernels.cu", 4, 7204,
+     "2f547f15131ebaedee275f37d4942e42e545237e80f7af92a89413ddf28d722a"),
+    ("blas_level1.cu", 1, 757,
+     "eac836ddcb9848f70ab46c0480ec827389e0e22ac25fc6dc3f03dea72f900a14"),
+]
+EMBEDDED_CORPUS_SHA256 = (
+    "14587b9279414a67a9411379ef6c4b1c36684556325c2f4c124edfa75168dc5d")
+
+
+class TestEmbeddedCorpusPinned:
+    def test_every_translation_unit_is_byte_identical(self):
+        images = cuobjdump(build_application_binary())
+        combined = hashlib.sha256()
+        seen = []
+        for image in images:
+            text = image.text.encode()
+            seen.append((image.file_id, image.text.count(".entry "),
+                         len(text), hashlib.sha256(text).hexdigest()))
+            combined.update(image.file_id.encode())
+            combined.update(text)
+        assert seen == EMBEDDED_CORPUS
+        assert sum(kernels for _, kernels, _, _ in seen) == 53
+        assert combined.hexdigest() == EMBEDDED_CORPUS_SHA256
 
 
 class TestDynamicLinking:

@@ -788,8 +788,7 @@ class TestCampaignWorkloads:
     def test_digest_and_counts_match_reference(self, workload):
         from repro.cuda import CudaRuntime, FunctionalBackend
         from repro.cudnn import Cudnn, build_application_binary
-        from repro.harness.faultcampaign import (
-            WORKLOADS, _digest_allocations)
+        from repro.harness.faultcampaign import WORKLOADS
         binary = build_application_binary()
         seen = {}
         for mode in ("reference", "megablock"):
@@ -798,7 +797,7 @@ class TestCampaignWorkloads:
             WORKLOADS[workload]()(Cudnn(rt))
             rt.synchronize()
             insts = sum(p.result.instructions for p in rt.profiles)
-            seen[mode] = (insts, _digest_allocations(rt))
+            seen[mode] = (insts, rt.global_mem.digest())
         assert seen["megablock"] == seen["reference"]
 
 

@@ -333,8 +333,10 @@ class TestNoFunctionalStateLeaks:
     @pytest.mark.parametrize("producer", ["recorded", "live"])
     def test_no_warp_survives_a_pass_without_the_collector(
             self, producer, monkeypatch):
-        """ROADMAP 6(c): retired CTAs are freed by reference counting
-        alone — recorded launches build none, live ones release theirs."""
+        """Retired CTAs are freed by reference counting alone — recorded
+        launches build none, live ones release theirs (the cycle-leak
+        item ROADMAP closed as done; it was 6(c) before PR 20's
+        renumbering, and 6(c) now names something else)."""
         if producer == "live":
             monkeypatch.setattr(timing_gpu, "_live_reason",
                                 lambda *args: "forced by the test")

@@ -303,13 +303,15 @@ class TestMegablockTracing:
         monkeypatch.delenv("REPRO_CACHE_DISABLE", raising=False)
         kernelcache.reset_counters()
 
-    def _megablock_axpy(self, tracer, launches=1, stream=None, salt=""):
+    def _megablock_axpy(self, tracer, launches=1, stream=None, salt="",
+                        **hooks):
         # A comment-only salt defeats the in-process parse/plan caches
         # (keyed on source text) without changing the kernel's structural
         # fingerprint, so a salted re-run exercises the *disk* cache.
         from repro.cuda.runtime import FunctionalBackend
         rt = CudaRuntime(tracer=tracer,
-                         backend=FunctionalBackend(fast_mode="megablock"))
+                         backend=FunctionalBackend(fast_mode="megablock",
+                                                   **hooks))
         rt.load_ptx(AXPY + f"// {salt}\n" if salt else AXPY)
         x = rt.upload_f32(np.arange(32, dtype=np.float32))
         y = rt.upload_f32(np.ones(32, dtype=np.float32))
@@ -333,6 +335,25 @@ class TestMegablockTracing:
         assert tiers and all(e.args["tier"] == "megablock" for e in tiers)
         engine_spans = tracer.closed_spans(cat="engine")
         assert any(s.name == "megablock:axpy" for s in engine_spans)
+
+    def test_slice_reports_the_tier_that_ran(self):
+        """A megablock request that had to step or fuse says so on the
+        launch's slice instead of echoing the request."""
+        def slice_args(tracer):
+            (args,) = [e.args for e in tracer.events
+                       if e.cat == "engine" and "tier" in (e.args or {})]
+            return args["tier"], args.get("tier_why")
+
+        seen = []
+        tracer = Tracer()
+        self._megablock_axpy(tracer, on_exec=seen.append)
+        assert len(seen) > 0 and slice_args(tracer) == ("fastpath", "hooks")
+        tracer = Tracer(cta_spans=True)
+        self._megablock_axpy(tracer)
+        assert slice_args(tracer) == ("superblock", "cta_spans")
+        tracer = Tracer()
+        self._megablock_axpy(tracer)
+        assert slice_args(tracer) == ("megablock", None)
 
     def test_cache_instants_cold_then_warm(self):
         tracer = Tracer()

@@ -2,7 +2,7 @@
 
 A timing-model optimisation must leave every simulated number as it
 was.  The ``results/fig*`` artifacts cannot say so (they are stale,
-ROADMAP item 1(b)); a digest can.  Each launch's digest is SHA-256 over
+ROADMAP item 3(a)); a digest can.  Each launch's digest is SHA-256 over
 its ``KernelStats`` dict and the six ``SampleBlock`` series AerialVision
 plots; a case's digest is SHA-256 over its launches' digests.
 
