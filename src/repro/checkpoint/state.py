@@ -18,7 +18,7 @@ from pathlib import Path
 from repro.errors import CheckpointError
 from repro.functional.simt import SimtStack
 from repro.functional.state import CTAState, LaunchContext
-from repro.util.atomicstore import atomic_write
+from repro.util.atomicstore import atomic_write, load_pickled
 
 _FORMAT_VERSION = 2
 
@@ -70,24 +70,7 @@ class Checkpoint:
     def load(cls, path: str | Path) -> "Checkpoint":
         """Read a checkpoint back; a missing, truncated, foreign or
         wrong-format file raises :class:`CheckpointError` naming it."""
-        path = Path(path)
-        if not path.exists():
-            raise CheckpointError(f"no checkpoint at {path}")
-        try:
-            with path.open("rb") as handle:
-                checkpoint = pickle.load(handle)
-        except CheckpointError:
-            raise
-        except (pickle.UnpicklingError, EOFError, AttributeError,
-                ImportError, IndexError, ValueError, OSError) as exc:
-            # A truncated or partially written file surfaces as one of
-            # pickle's many raw decode errors; wrap them all in a typed
-            # error naming the offending path.
-            raise CheckpointError(
-                f"corrupt or truncated checkpoint at {path}: "
-                f"{type(exc).__name__}: {exc}") from exc
-        if not isinstance(checkpoint, cls):
-            raise CheckpointError(f"{path} is not a Checkpoint file")
+        checkpoint = load_pickled(path, cls, CheckpointError, "checkpoint")
         if checkpoint.format_version != _FORMAT_VERSION:
             raise CheckpointError(
                 f"checkpoint format {checkpoint.format_version} != "

@@ -137,3 +137,29 @@ class TextureView:
             return self._system.lookup(name)
         except CudaError:
             return None
+
+
+def snapshot_textures(kernel, bindings) -> dict[str, tuple[int, int, bytes]]:
+    """Serialize the cudaArrays *kernel*'s tex instructions name, as
+    ``name -> (width, height, texels)``.
+
+    *bindings* may be a plain dict, a :class:`TextureView` or ``None``;
+    the first two resolve by name through ``.get``, so the picklable
+    snapshot is driven off the texture symbols the kernel body
+    references.  Shard transport and the debug tool's captured launch
+    both carry textures in this form.
+    """
+    if bindings is None:
+        return {}
+    snapshot: dict[str, tuple[int, int, bytes]] = {}
+    for inst in kernel.body:
+        if inst.opcode != "tex":
+            continue
+        mem = inst.operands[1]
+        if mem.name in snapshot:
+            continue
+        array = bindings.get(mem.name)
+        if array is not None:
+            snapshot[mem.name] = (array.width, array.height,
+                                  array.download())
+    return snapshot

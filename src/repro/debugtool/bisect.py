@@ -5,45 +5,41 @@ incorrect results, then identify which GPU kernel launched within that
 API call is executing incorrectly, and finally identify the first
 instruction in that kernel that executed incorrectly."
 
-* Level 1 — run the workload on the *suspect* simulator (with legacy
-  quirks) and on the *reference* (fixed semantics, playing the real-GPU
-  role), hashing device buffers after every cuDNN API call.
+One application pass per side feeds levels 1 and 2: the workload runs
+once on the *suspect* simulator (legacy quirks, or a fault-injecting
+factory) and once on the *reference* (fixed semantics, playing the
+real-GPU role), and each pass records both kinds of evidence.
+
+* Level 1 — compare the hash of device memory after every cuDNN API
+  call.
 * Level 2 — within the first bad call, compare the buffers reachable
   from each kernel's pointer parameters after every launch ("we assume
   that any kernel parameter that is a pointer may point to an output
   buffer ... we also modified GPGPU-Sim to obtain the size of any GPU
   memory buffers pointed to by these pointers").
-* Level 3 — capture the global-memory image and arguments just before
-  the bad kernel, instrument its PTX to log every register write
-  (Figure 3), replay it on both simulators through the driver-API
-  ``cuLaunchKernel`` (the entry point the paper added for exactly this
-  tool), and report the first differing log entry.
+* Level 3 — a third pass (reference) captures the bad launch just
+  before it runs (:func:`~repro.debugtool.ptxjit.capture_launch`);
+  its PTX is instrumented to log every register write (Figure 3) and
+  replayed on both simulators through the driver-API ``cuLaunchKernel``
+  (the entry point the paper added for exactly this tool); the first
+  differing log entry is the verdict.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from typing import Callable
+import math
+from dataclasses import asdict, dataclass, field
 
 from repro.cuda.runtime import CudaRuntime
-from repro.cudnn.api import ApiCall, Cudnn
+from repro.cudnn.api import ApiCall
 from repro.cudnn.library import build_application_binary
 from repro.debugtool.instrument import (
-    ENTRY_BYTES, LOG_PARAM, decode_log, instrument_kernel)
-from repro.errors import ReproError
+    ENTRIES_PER_THREAD, decode_log, instrument_kernel)
+from repro.debugtool.ptxjit import (
+    RuntimeFactory, Workload, capture_launch, run_application)
+from repro.errors import DebugToolError, ReproError
 from repro.quirks import FIXED, LegacyQuirks
-
-Workload = Callable[[Cudnn], None]
-
-#: Builds a fresh, empty runtime (no program loaded).  The debugger
-#: loads its application binary into whatever the factory returns, so a
-#: factory can pre-wire quirks, backends or fault injectors.
-RuntimeFactory = Callable[[], CudaRuntime]
-
-
-class DebugToolError(ReproError):
-    pass
 
 
 @dataclass
@@ -101,16 +97,9 @@ class DebugReport:
             "notes": list(self.notes),
         }
         if self.instruction is not None:
-            d = self.instruction
             data["instruction"] = {
-                "pc": d.pc,
-                "text": d.text.strip(),
-                "thread": d.thread,
-                "entry_index": d.entry_index,
-                "suspect_payload": d.suspect_payload,
-                "reference_payload": d.reference_payload,
-                "producers": [dict(site) for site in d.producers],
-            }
+                **asdict(self.instruction),
+                "text": self.instruction.text.strip()}
         return data
 
     def render(self) -> str:
@@ -152,6 +141,30 @@ def _digest_pointer_params(runtime: CudaRuntime, args: list) -> str:
     return hasher.hexdigest()
 
 
+def _first_difference(suspect: list, reference: list) -> int | None:
+    """Index at which two per-event sequences first differ; a missing
+    tail counts (the suspect stopped early, or ran on)."""
+    for index, (s_item, r_item) in enumerate(zip(suspect, reference)):
+        if s_item != r_item:
+            return index
+    if len(suspect) != len(reference):
+        return min(len(suspect), len(reference))
+    return None
+
+
+@dataclass
+class Evidence:
+    """What one application pass on one simulator left behind."""
+
+    #: The cuDNN calls the workload completed, in order ...
+    api_log: list[ApiCall]
+    #: ... and the device-memory digest after each of them.
+    api_digests: list[str]
+    #: ``(ordinal, kernel name, digest of the buffers its pointer
+    #: parameters reach)`` after every launch that ran.
+    launches: list[tuple[int, str, str]]
+
+
 class DifferentialDebugger:
     """Drives the 3-level bisection for one workload."""
 
@@ -161,7 +174,7 @@ class DifferentialDebugger:
                  suspect_factory: RuntimeFactory | None = None,
                  reference_factory: RuntimeFactory | None = None,
                  binary=None,
-                 entries_per_thread: int = 4096) -> None:
+                 entries_per_thread: int = ENTRIES_PER_THREAD) -> None:
         if suspect_factory is None and suspect_quirks is None:
             raise DebugToolError(
                 "need either suspect_quirks or suspect_factory")
@@ -177,152 +190,100 @@ class DifferentialDebugger:
         self.binary = binary or build_application_binary()
         self.entries_per_thread = entries_per_thread
 
-    # ------------------------------------------------------------------
     def _new_runtime(self, role: str) -> CudaRuntime:
-        """Fresh runtime for *role* ("suspect"/"reference"), binary
-        loaded."""
+        """Fresh runtime for *role* ("suspect"/"reference") with the
+        application binary loaded — what a level-3 replay runs on: a
+        fault injector re-resolves its target against the original
+        kernel, so the replay's program must hold it."""
         runtime = self._factories[role]()
         runtime.load_binary(self.binary)
         return runtime
 
     # ------------------------------------------------------------------
-    # Level 1: API calls
+    # Levels 1 and 2: one pass per side, two comparisons
     # ------------------------------------------------------------------
-    def find_bad_api_call(self) -> tuple[int, ApiCall] | None:
-        suspect_digests: list[tuple[str, str]] = []
-        reference_digests: list[tuple[str, str]] = []
+    def observe(self, role: str) -> Evidence:
+        """Run the workload once on *role*'s simulator ("suspect" /
+        "reference") and collect the evidence of both levels.  Quirky
+        or faulty suspects may fault mid-workload; that *is* a diff, so
+        the suspect pass keeps what it saw up to there."""
+        api_digests: list[str] = []
+        launches: list[tuple[int, str, str]] = []
 
-        def collect(target, runtime_box):
-            def hook(call: ApiCall) -> None:
-                target.append((call.name,
-                               runtime_box[0].global_mem.digest()))
-            return hook
+        def attach(runtime, dnn) -> None:
+            dnn.on_api_end = lambda call: api_digests.append(
+                runtime.global_mem.digest())
+            runtime.after_kernel_hooks.append(
+                lambda ordinal, name, grid, block, args: launches.append(
+                    (ordinal, name, _digest_pointer_params(runtime, args))))
 
-        box: list[CudaRuntime] = [None]  # type: ignore[list-item]
-        runtime = self._new_runtime("suspect")
-        box[0] = runtime
-        dnn = Cudnn(runtime)
-        dnn.on_api_end = collect(suspect_digests, box)
-        self._run_workload_tolerant(dnn)
+        _, dnn = run_application(
+            self._factories[role], self.binary, self.workload, attach,
+            tolerant=role == "suspect")
+        return Evidence(dnn.api_log, api_digests, launches)
 
-        box2: list[CudaRuntime] = [None]  # type: ignore[list-item]
-        runtime2 = self._new_runtime("reference")
-        box2[0] = runtime2
-        dnn2 = Cudnn(runtime2)
-        dnn2.on_api_end = collect(reference_digests, box2)
-        self.workload(dnn2)
-        runtime2.synchronize()
+    @staticmethod
+    def find_bad_api_call(suspect: Evidence, reference: Evidence
+                          ) -> tuple[int, ApiCall] | None:
+        """Level 1: the first API call after which memory differs."""
+        index = _first_difference(suspect.api_digests,
+                                  reference.api_digests)
+        if index is None:
+            return None
+        return index, reference.api_log[
+            min(index, len(reference.api_log) - 1)]
 
-        for index, (suspect, reference) in enumerate(
-                zip(suspect_digests, reference_digests)):
-            if suspect[1] != reference[1]:
-                return index, dnn2.api_log[index]
-        if len(suspect_digests) != len(reference_digests):
-            index = min(len(suspect_digests), len(reference_digests))
-            return index, dnn2.api_log[min(index,
-                                           len(dnn2.api_log) - 1)]
-        return None
-
-    def _run_workload_tolerant(self, dnn: Cudnn) -> None:
-        """Quirky simulators may fault mid-workload; that *is* a diff."""
-        try:
-            self.workload(dnn)
-            dnn.rt.synchronize()
-        except ReproError:
-            pass
-
-    # ------------------------------------------------------------------
-    # Level 2: kernels within the bad API call
-    # ------------------------------------------------------------------
-    def find_bad_kernel(self, api_call: ApiCall) -> tuple[int, str] | None:
-        first, last = api_call.first_ordinal, api_call.last_ordinal
-
-        def collector(target: list, runtime_box: list):
-            def hook(ordinal, name, grid, block, args) -> None:
-                if first <= ordinal <= last:
-                    target.append((ordinal, name, _digest_pointer_params(
-                        runtime_box[0], args)))
-            return hook
-
-        suspect: list = []
-        box: list = [None]
-        runtime = self._new_runtime("suspect")
-        box[0] = runtime
-        dnn = Cudnn(runtime)
-        runtime.after_kernel_hooks.append(collector(suspect, box))
-        self._run_workload_tolerant(dnn)
-
-        reference: list = []
-        box2: list = [None]
-        runtime2 = self._new_runtime("reference")
-        box2[0] = runtime2
-        dnn2 = Cudnn(runtime2)
-        runtime2.after_kernel_hooks.append(collector(reference, box2))
-        self.workload(dnn2)
-        runtime2.synchronize()
-
-        for (s_ord, s_name, s_digest), (_r_ord, _r_name, r_digest) in zip(
-                suspect, reference):
-            if s_digest != r_digest:
-                return s_ord, s_name
-        if len(suspect) != len(reference):
-            index = min(len(suspect), len(reference))
-            entry = reference[index] if index < len(reference) else \
-                reference[-1]
-            return entry[0], entry[1]
-        return None
+    @staticmethod
+    def find_bad_kernel(suspect: Evidence, reference: Evidence,
+                        api_call: ApiCall) -> tuple[int, str] | None:
+        """Level 2: the first launch of *api_call* after which the
+        buffers its pointer parameters reach differ."""
+        s_launches, r_launches = (
+            [entry for entry in side.launches
+             if api_call.first_ordinal <= entry[0] <= api_call.last_ordinal]
+            for side in (suspect, reference))
+        index = _first_difference([entry[2] for entry in s_launches],
+                                  [entry[2] for entry in r_launches])
+        if index is None:
+            return None
+        ordinal, name, _ = r_launches[min(index, len(r_launches) - 1)]
+        return ordinal, name
 
     # ------------------------------------------------------------------
     # Level 3: instructions within the bad kernel
     # ------------------------------------------------------------------
-    def find_bad_instruction(self, kernel_ordinal: int,
-                             entries_per_thread: int = 4096
+    def find_bad_instruction(self, kernel_ordinal: int
                              ) -> InstructionDiff | None:
-        capture: dict = {}
-
-        def before(ordinal, name, grid, block, args) -> None:
-            if ordinal == kernel_ordinal and not capture:
-                capture.update(
-                    name=name, grid=grid, block=block, args=list(args),
-                    memory=box[0].global_mem.snapshot())
-
-        box: list = [None]
-        runtime = self._new_runtime("reference")
-        box[0] = runtime
-        dnn = Cudnn(runtime)
-        runtime.before_kernel_hooks.append(before)
-        self.workload(dnn)
-        runtime.synchronize()
-        if not capture:
-            raise DebugToolError(
-                f"kernel ordinal {kernel_ordinal} never launched")
-
-        kernel = runtime.program.find_kernel(capture["name"])
+        runtime, launch = capture_launch(
+            self._factories["reference"], self.binary, self.workload,
+            kernel_ordinal)
+        kernel = runtime.program.find_kernel(launch.name)
         instrumented = instrument_kernel(
-            kernel, entries_per_thread=entries_per_thread)
-        gx, gy, gz = capture["grid"]
-        bx, by, bz = capture["block"]
-        threads = gx * gy * gz * bx * by * bz
+            kernel, entries_per_thread=self.entries_per_thread)
+        threads = math.prod(launch.grid + launch.block)
+        log_bytes = threads * instrumented.bytes_per_thread
 
-        logs = {}
-        for label in ("suspect", "reference"):
-            replay = self._new_runtime(label)
-            replay.global_mem.restore(capture["memory"])
-            replay.load_ptx(instrumented.ptx, file_id="instrumented")
-            log_bytes = threads * instrumented.bytes_per_thread
+        def log_buffer(replay: CudaRuntime) -> list[int]:
             log_ptr = replay.malloc(log_bytes)
             replay.memset(log_ptr, 0xFF, log_bytes)
-            func = replay.program.kernels_qualified[
-                f"instrumented::{capture['name']}"]
+            return [log_ptr]
+
+        logs = {}
+        for role in ("suspect", "reference"):
+            # A faulting quirk still leaves a partial suspect log; a
+            # faulting reference has nothing to compare against.
             try:
-                replay.cu_launch_kernel(func, capture["grid"],
-                                        capture["block"],
-                                        capture["args"] + [log_ptr])
-                replay.synchronize()
-            except ReproError:
-                pass  # a faulting quirk still leaves a partial log
-            raw = replay.memcpy_d2h(log_ptr, log_bytes)
-            logs[label] = decode_log(raw, threads, entries_per_thread)
+                replay = launch.replay_on(
+                    lambda: self._new_runtime(role),
+                    ptx=instrumented.ptx, extra_args=log_buffer,
+                    tolerant=role == "suspect")
+            except ReproError as error:
+                raise DebugToolError(
+                    f"{role} replay of {launch.name} faulted: "
+                    f"{error}") from error
+            raw = replay.memcpy_d2h(replay.launch_log[-1]["args"][-1],
+                                    log_bytes)
+            logs[role] = decode_log(raw, threads, self.entries_per_thread)
 
         # "The first instruction that executed incorrectly": each
         # thread's log is its own dynamic clock, so the earliest
@@ -336,27 +297,21 @@ class DifferentialDebugger:
         # used only when no thread shows a real prefix divergence.
         best: tuple[int, int, tuple, tuple] | None = None
         best_length_only: tuple[int, int, tuple, tuple] | None = None
-        for thread in range(threads):
-            s_entries = logs["suspect"][thread]
-            r_entries = logs["reference"][thread]
-            found = None
-            for entry_index, (s_entry, r_entry) in enumerate(
-                    zip(s_entries, r_entries)):
-                if s_entry != r_entry:
-                    found = (entry_index, thread, s_entry, r_entry)
-                    break
-            if found is not None:
+        for thread, (s_entries, r_entries) in enumerate(
+                zip(logs["suspect"], logs["reference"])):
+            entry_index = _first_difference(s_entries, r_entries)
+            if entry_index is None:
+                continue
+            if entry_index < min(len(s_entries), len(r_entries)):
+                found = (entry_index, thread, s_entries[entry_index],
+                         r_entries[entry_index])
                 if best is None or found < best:
                     best = found
-                    if best[0] == 0:
+                    if entry_index == 0:
                         break  # can't diverge earlier than entry 0
-            elif len(s_entries) != len(r_entries):
-                longer = r_entries if len(r_entries) > len(s_entries) \
-                    else s_entries
-                entry_index = min(len(s_entries), len(r_entries))
-                found = (entry_index, thread,
-                         (longer[entry_index][0], 0),
-                         (longer[entry_index][0], 0))
+            else:
+                pc = max(s_entries, r_entries, key=len)[entry_index][0]
+                found = (entry_index, thread, (pc, 0), (pc, 0))
                 if best_length_only is None or found < best_length_only:
                     best_length_only = found
         if best is None:
@@ -378,12 +333,14 @@ class DifferentialDebugger:
     def run(self) -> DebugReport:
         """Full three-level bisection."""
         report = DebugReport()
-        bad_api = self.find_bad_api_call()
+        suspect, reference = self.observe("suspect"), self.observe(
+            "reference")
+        bad_api = self.find_bad_api_call(suspect, reference)
         if bad_api is None:
             return report
         report.api_index, api_call = bad_api
         report.api_name = api_call.name
-        bad_kernel = self.find_bad_kernel(api_call)
+        bad_kernel = self.find_bad_kernel(suspect, reference, api_call)
         if bad_kernel is None:
             report.notes.append(
                 "API-level diff found but kernels matched; host-side "
@@ -392,7 +349,7 @@ class DifferentialDebugger:
         report.kernel_ordinal, report.kernel_name = bad_kernel
         try:
             report.instruction = self.find_bad_instruction(
-                report.kernel_ordinal, self.entries_per_thread)
+                report.kernel_ordinal)
         except ReproError as error:
             report.notes.append(f"instruction replay failed: {error}")
         return report

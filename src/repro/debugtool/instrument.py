@@ -7,20 +7,28 @@ per-thread region of a global log buffer.  Comparing the logs from the
 simulator-under-test and the reference run identifies "the first
 instruction that executed incorrectly".
 
-Log layout: per linear thread id, ``entries_per_thread`` records of
-16 bytes — ``u32 pc`` at +0, the register payload at +8.
+Log layout: per linear thread id (x fastest, then y, then z, threads
+within CTAs), ``entries_per_thread`` records of 16 bytes — ``u32 pc``
+at +0, the register payload at +8.  The host pre-fills the buffer with
+``0xFF``, so the first record whose pc reads ``0xFFFFFFFF`` ends a
+thread's log.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.errors import DebugToolError
 from repro.ptx import ast
 from repro.ptx.dtypes import U64
 from repro.debugtool.ptxprint import format_instruction, format_kernel
 
 ENTRY_BYTES = 16
 LOG_PARAM = "__instr_log"
+#: Log records per thread — the one slot size every level-3 replay uses
+#: unless a caller sizes its own; a thread that fills its slot is an
+#: error (:func:`decode_log`), never a silently truncated comparison.
+ENTRIES_PER_THREAD = 4096
 
 #: opcodes whose first operand is NOT a general-register destination.
 _NO_DEST = frozenset(["st", "bra", "bar", "exit", "ret", "membar",
@@ -61,7 +69,7 @@ class InstrumentedKernel:
 
 
 def instrument_kernel(kernel: ast.Kernel, *,
-                      entries_per_thread: int = 2048
+                      entries_per_thread: int = ENTRIES_PER_THREAD
                       ) -> InstrumentedKernel:
     """Emit the instrumented PTX for *kernel* (new module text)."""
     labels_at: dict[int, list[str]] = {}
@@ -74,26 +82,22 @@ def instrument_kernel(kernel: ast.Kernel, *,
         "    .reg .b32 %__dbgt1;",
         "    .reg .b32 %__dbgpc;",
         f"    ld.param.u64 %__dbglp, [{LOG_PARAM}];",
-        # linear thread id = (ctaid.y * nctaid.x + ctaid.x) * (ntid.x *
-        # ntid.y * ntid.z) + tid.z*ntid.y*ntid.x + tid.y*ntid.x + tid.x
-        "    mov.u32 %__dbgt0, %ctaid.y;",
-        "    mov.u32 %__dbgt1, %nctaid.x;",
-        "    mul.lo.s32 %__dbgt0, %__dbgt0, %__dbgt1;",
-        "    mov.u32 %__dbgt1, %ctaid.x;",
-        "    add.s32 %__dbgt0, %__dbgt0, %__dbgt1;",
-        "    mov.u32 %__dbgt1, %ntid.x;",
-        "    mul.lo.s32 %__dbgt0, %__dbgt0, %__dbgt1;",
-        "    mov.u32 %__dbgt1, %ntid.y;",
-        "    mul.lo.s32 %__dbgt0, %__dbgt0, %__dbgt1;",
-        "    mov.u32 %__dbgt1, %tid.y;",
-        "    mov.u32 %__dbgpc, %ntid.x;",
-        "    mul.lo.s32 %__dbgt1, %__dbgt1, %__dbgpc;",
-        "    add.s32 %__dbgt0, %__dbgt0, %__dbgt1;",
-        "    mov.u32 %__dbgt1, %tid.x;",
-        "    add.s32 %__dbgt0, %__dbgt0, %__dbgt1;",
-        f"    mad.wide.s32 %__dbglp, %__dbgt0, "
-        f"{entries_per_thread * ENTRY_BYTES}, %__dbglp;",
+        "    mov.u32 %__dbgt0, %ctaid.z;",
     ]
+    # linear thread id, Horner form: CTAs of the grid (z, y, x), then
+    # threads of the CTA (z, y, x) — the order decode_log indexes by.
+    for extent, index in (("%nctaid.y", "%ctaid.y"),
+                          ("%nctaid.x", "%ctaid.x"),
+                          ("%ntid.z", "%tid.z"), ("%ntid.y", "%tid.y"),
+                          ("%ntid.x", "%tid.x")):
+        prologue += [
+            f"    mov.u32 %__dbgt1, {extent};",
+            f"    mov.u32 %__dbgpc, {index};",
+            "    mad.lo.s32 %__dbgt0, %__dbgt0, %__dbgt1, %__dbgpc;",
+        ]
+    prologue.append(
+        f"    mad.wide.s32 %__dbglp, %__dbgt0, "
+        f"{entries_per_thread * ENTRY_BYTES}, %__dbglp;")
 
     body: list[str] = list(prologue)
     sites: list[int] = []
@@ -129,7 +133,11 @@ def instrument_kernel(kernel: ast.Kernel, *,
 
 def decode_log(raw: bytes, threads: int,
                entries_per_thread: int) -> list[list[tuple[int, int]]]:
-    """raw bytes -> per-thread [(pc, payload), ...] lists."""
+    """raw bytes -> per-thread [(pc, payload), ...] lists.
+
+    A thread whose slot has no ``0xFF`` fill left logged at least
+    ``entries_per_thread`` records — it ran into its neighbour's slot,
+    so neither log can be trusted: :class:`DebugToolError`."""
     out: list[list[tuple[int, int]]] = []
     stride = entries_per_thread * ENTRY_BYTES
     for t in range(threads):
@@ -142,6 +150,11 @@ def decode_log(raw: bytes, threads: int,
             if pc == 0xFFFFFFFF:
                 break
             entries.append((pc, payload))
+        else:
+            raise DebugToolError(
+                f"thread {t} filled its instrumentation log: "
+                f"entries_per_thread={entries_per_thread} is too small "
+                "for this kernel")
         out.append(entries)
     return out
 

@@ -60,10 +60,31 @@ def format_instruction(inst: ast.Instruction) -> str:
     return f"    {guard}{opcode};"
 
 
+def module_vars(kernel: ast.Kernel) -> list[ast.VarDecl]:
+    """The module-scope ``.global``/``.const`` variables the body of
+    *kernel* names — what its text must declare to load on its own."""
+    module = kernel.module
+    if module is None:
+        return []
+    named = {op.name for inst in kernel.body for op in inst.operands
+             if op.kind in (ast.SYM, ast.MEM)}
+    return [var for scope in (module.global_vars, module.const_vars)
+            for name, var in scope.items() if name in named]
+
+
+def _format_var(var: ast.VarDecl, indent: str = "") -> str:
+    align = f".align {var.align} " if var.align else ""
+    return (f"{indent}.{var.space} {align}.{var.dtype.name} "
+            f"{var.name}[{var.array_len}];")
+
+
 def format_kernel(kernel: ast.Kernel, *,
                   extra_params: list[tuple[str, DType]] | None = None,
                   body_lines: list[str] | None = None) -> str:
-    """Print a kernel (optionally with replaced body / extra params)."""
+    """Print a kernel (optionally with replaced body / extra params)
+    as a loadable module: the module-scope variables it names are
+    declared (uninitialised — a captured launch carries their contents)
+    ahead of the entry."""
     params = [f"    .param .{p.dtype.name} {p.name}"
               + (f"[{p.array_len}]" if p.array_len else "")
               for p in kernel.params]
@@ -74,6 +95,7 @@ def format_kernel(kernel: ast.Kernel, *,
         f".target sm_60",
         ".address_size 64",
         "",
+        *(_format_var(var) for var in module_vars(kernel)),
         f".visible .entry {kernel.name}(",
         ",\n".join(params),
         ")",
@@ -81,13 +103,8 @@ def format_kernel(kernel: ast.Kernel, *,
     ]
     for name, dtype in sorted(kernel.reg_decls.items()):
         lines.append(f"    .reg .{dtype.name} {name};")
-    for var in kernel.shared_vars:
-        align = f".align {var.align} " if var.align else ""
-        lines.append(f"    .shared {align}.{var.dtype.name} "
-                     f"{var.name}[{var.array_len}];")
-    for var in kernel.local_vars:
-        lines.append(f"    .local .{var.dtype.name} "
-                     f"{var.name}[{var.array_len}];")
+    for var in kernel.shared_vars + kernel.local_vars:
+        lines.append(_format_var(var, "    "))
     if body_lines is None:
         body_lines = body_with_labels(kernel)
     lines.extend(body_lines)

@@ -78,6 +78,13 @@ class CheckpointError(ReproError):
     """Raised on malformed or incompatible checkpoint data."""
 
 
+class DebugToolError(ReproError):
+    """Raised by :mod:`repro.debugtool` when the debugging flow itself
+    cannot proceed: a launch ordinal the workload never reached, a
+    faulting *reference* replay, an overflowed instrumentation log, an
+    unreadable extracted-kernel file."""
+
+
 class ServiceError(ReproError):
     """Raised by the simulation service layer (:mod:`repro.service`):
     unknown workloads, unknown job ids, shard-merge failures, or a

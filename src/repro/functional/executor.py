@@ -181,7 +181,6 @@ class FunctionalEngine:
             from repro.analysis import verify_launch
             with tracer.span(f"verify:{self.kernel.name}", cat="engine"):
                 verify_launch(self.kernel, quirks=launch.quirks)
-        self.on_exec = on_exec
         #: Fault-injection hook: called as (inst, warp, lanes, pc) before
         #: normal dispatch; returning True means the override performed
         #: the (deliberately wrong) semantics and dispatch is skipped.
@@ -280,24 +279,22 @@ class FunctionalEngine:
             facts = (self._megaplan.facts
                      if self._megaplan is not None else None)
             sanitize.begin_launch(launch, facts=facts)
-            if self._megaplan is None:
-                # Scalar tiers observe through on_exec.  Chaining keeps
-                # an existing observer (fault injection, timing feed)
-                # first so the sanitizer sees post-hook state.  The
-                # megablock tier instead runs vectorized checks inside
-                # MegaMachine and must keep on_exec clear (it is a
-                # vector-tier admission condition).
-                prev = self.on_exec
-                if prev is None:
-                    self.on_exec = sanitize.hook
-                else:
-                    hook = sanitize.hook
-
-                    def chained(record, _prev=prev, _hook=hook):
-                        _prev(record)
-                        _hook(record)
-
-                    self.on_exec = chained
+        #: What :meth:`step_warp` reports every stepped instruction to,
+        #: composed here and nowhere else: the caller's ``on_exec``
+        #: (fault injection, an oracle's counters) first, then the armed
+        #: sanitizer's hook, which thus sees post-hook state.  Whatever
+        #: sent the launch down the step path — a fault hook, a
+        #: megablock bailout, CTA tracing — both observe it.  ``None``
+        #: when nothing watches.  (Assigning a hook afterwards replaces
+        #: the whole observer; pass hooks to the constructor.)
+        check = self._sanitizer_hook = sanitize.hook if sanitize else None
+        if on_exec is None or check is None:
+            observer = on_exec or check
+        else:
+            def observer(record) -> None:
+                on_exec(record)
+                check(record)
+        self.on_exec = observer
 
     # ------------------------------------------------------------------
     # Megablock plan loading (disk cache -> in-process cache -> compile)
@@ -544,6 +541,14 @@ class FunctionalEngine:
                     f"CTA {cta.cta_linear} deadlocked: live warps stuck "
                     "at a barrier that can never be released")
 
+    def _user_hooked(self) -> bool:
+        """Whether the *caller* watches per-instruction state.  Only
+        that keeps a launch off the vector tier — megablock checks the
+        sanitizer's rules in-tier — while any observer at all makes the
+        scalar path step (:meth:`_fuses`)."""
+        return (self.exec_override is not None
+                or self.on_exec not in (None, self._sanitizer_hook))
+
     def _fuses(self, budget: int | None) -> bool:
         """Whether scalar execution issues whole fused blocks: functional
         mode with nothing observing per-instruction state.  Budgeted runs
@@ -656,8 +661,7 @@ class FunctionalEngine:
             "restored" if self.launch.restored
             else "budget" if max_warp_instructions is not None
             else "on_cta" if on_cta is not None
-            else "hooks" if (self.on_exec is not None
-                             or self.exec_override is not None)
+            else "hooks" if self._user_hooked()
             else "cta_spans" if trace_ctas else None)
         if scalar_why is None and self._megaplan is not None:
             from repro.functional.megablock import EVENTS, MegaMachine
@@ -671,25 +675,16 @@ class FunctionalEngine:
             if tracer.enabled:
                 tracer.counter("megablock", dict(EVENTS))
             return stats
-        restore_hook = False
-        if self.sanitizer is not None and self.on_exec is None:
-            # A megaplan normally keeps on_exec clear (vector-tier
-            # checks run inside MegaMachine); when tracing forces this
-            # scalar fallback, the step path must observe instead.
-            self.on_exec = self.sanitizer.hook
-            restore_hook = True
         self.ran_tier = (
             "reference" if self.fast_mode == "reference"
             else "superblock" if self._fuses(max_warp_instructions)
             else "fastpath")
-        self.ran_why = scalar_why if self.ran_tier != self.fast_mode else None
-        try:
-            self._run_range_scalar(first_cta, limit_cta, stats,
-                                   trace_ctas, max_warp_instructions,
-                                   on_cta)
-        finally:
-            if restore_hook:
-                self.on_exec = None
+        # An armed sanitizer alone also steps a superblock launch; its
+        # hook is a hook.
+        self.ran_why = ((scalar_why or "hooks")
+                        if self.ran_tier != self.fast_mode else None)
+        self._run_range_scalar(first_cta, limit_cta, stats, trace_ctas,
+                               max_warp_instructions, on_cta)
         return stats
 
     def _run_range_scalar(self, first_cta: int, limit_cta: int,

@@ -1213,7 +1213,6 @@ class MegaMachine:
             f"megablock-bailout:{launch.kernel.name}", cat="engine",
             args={"parked_frames": len(parked)})
         self._release_global()
-        san = self._san
         tpb = launch.threads_per_block
         top = stack[-1]
         # Warps whose topmost entry already *issued* its bar: the
@@ -1224,19 +1223,11 @@ class MegaMachine:
         at_bar_ids.update(id(fr) for fr in parked)
         frames = list(stack) + list(parked)
         reg_items = list(self.R.items())
-        prev_hook = engine.on_exec
-        if san is not None:
-            # The scalar continuation reports through the same hook the
-            # stepping tiers use (on the chunk's still-open per-CTA
-            # state: epochs, exit pcs and race tables carry over);
-            # restore afterwards so the next chunk re-enters the vector
-            # path.
-            engine.on_exec = san.hook
-        try:
-            self._bailout_ctas(stats, frames, at_bar_ids, reg_items,
-                               tpb)
-        finally:
-            engine.on_exec = prev_hook
+        # The scalar continuation reports through the engine's step
+        # observer like any stepped launch (on the chunk's still-open
+        # per-CTA sanitizer state: epochs, exit pcs and race tables
+        # carry over).
+        self._bailout_ctas(stats, frames, at_bar_ids, reg_items, tpb)
 
     def _bailout_ctas(self, stats, frames, at_bar_ids, reg_items,
                       tpb) -> None:

@@ -1,8 +1,11 @@
-"""Experiment harnesses: oracle, correlation, case-study drivers."""
+"""Experiment harnesses: oracle, correlation, case-study drivers.
+
+:mod:`repro.harness.faultcampaign` is a ``python -m`` entry point and
+is imported by its full name, not re-exported here (importing it from
+the package ``-m`` is about to execute draws a ``RuntimeWarning``).
+"""
 
 from repro.harness.conv_study import StudyResult, run_case, sweep
-from repro.harness.faultcampaign import (
-    CampaignConfig, FaultResult, run_campaign)
 from repro.harness.correlation import (
     CorrelationResult, FIGURE7_KERNELS, KernelCorrelation,
     run_mnist_correlation)
@@ -12,9 +15,8 @@ from repro.harness.hwmodel import (
     SASS_TUNING_FACTORS)
 
 __all__ = [
-    "CampaignConfig", "CorrelationResult", "FIGURE7_KERNELS",
-    "FaultResult", "HardwareEstimate",
+    "CorrelationResult", "FIGURE7_KERNELS", "HardwareEstimate",
     "HardwareOracle", "HardwareOracleBackend", "KernelCorrelation",
-    "SASS_TUNING_FACTORS", "StudyResult", "run_campaign", "run_case",
+    "SASS_TUNING_FACTORS", "StudyResult", "run_case",
     "NVProfLike", "ProfilerRow", "run_mnist_correlation", "sweep",
 ]

@@ -39,7 +39,9 @@ from repro.cuda.runtime import CudaError, CudaRuntime
 from repro.cudnn import (
     ConvFwdAlgo, Cudnn, build_application_binary)
 from repro.debugtool.bisect import DifferentialDebugger
-from repro.debugtool.instrument import instrumented_sites
+from repro.debugtool.instrument import (
+    ENTRIES_PER_THREAD, instrumented_sites)
+from repro.debugtool.ptxjit import run_application
 from repro.errors import ReproError, TimingDeadlockError
 from repro.faultinject import (
     FUNCTIONAL_SITES, FaultSpec, faulty_runtime_factory)
@@ -68,8 +70,9 @@ def _lenet_workload():
     return workload
 
 
-def _conv_sample_workload():
-    """conv_sample-style forward convolutions over two algorithms."""
+def _conv_sample_workload(algos=(ConvFwdAlgo.IMPLICIT_GEMM,
+                                 ConvFwdAlgo.WINOGRAD)):
+    """conv_sample-style forward convolutions over *algos*."""
     config = ConvSampleConfig()
     x_desc, w_desc, conv = config.descriptors()
     rng = np.random.default_rng(config.seed)
@@ -82,7 +85,7 @@ def _conv_sample_workload():
         rt = dnn.rt
         x_ptr = rt.upload_f32(x.ravel())
         w_ptr = rt.upload_f32(w.ravel())
-        for algo in (ConvFwdAlgo.IMPLICIT_GEMM, ConvFwdAlgo.WINOGRAD):
+        for algo in algos:
             dnn.convolution_forward(x_desc, x_ptr, w_desc, w_ptr, conv,
                                     algo)
     return workload
@@ -102,7 +105,7 @@ class CampaignConfig:
     faults: int = 25
     seed: int = 2019
     workloads: tuple[str, ...] = ("lenet", "conv_sample")
-    entries_per_thread: int = 4096
+    entries_per_thread: int = ENTRIES_PER_THREAD
     #: also probe the two liveness sites (timing/stream faults).
     include_liveness: bool = True
 
@@ -122,29 +125,17 @@ class FaultResult:
                 if value not in (None, "")}
 
 
-def _run_workload(factory, workload, binary) -> tuple[str, list[str]]:
-    """(allocation digest, launched kernel names); faults may raise."""
-    runtime = factory()
-    runtime.load_binary(binary)
+def _run_workload(factory, workload, binary
+                  ) -> tuple[CudaRuntime, list[str]]:
+    """(the runtime the pass ran on, launched kernel names); faults
+    may raise."""
     launched: list[str] = []
-    runtime.before_kernel_hooks.append(
-        lambda ordinal, name, grid, block, args: launched.append(name))
-    dnn = Cudnn(runtime)
-    workload(dnn)
-    runtime.synchronize()
-    return runtime.global_mem.digest(), launched
-
-
-def _candidate_sites(binary, launched: list[str]
-                     ) -> list[tuple[str, int]]:
-    """All (kernel name, original pc) injection candidates."""
-    runtime = CudaRuntime()
-    runtime.load_binary(binary)
-    candidates: list[tuple[str, int]] = []
-    for name in sorted(set(launched)):
-        kernel = runtime.program.find_kernel(name)
-        candidates.extend((name, pc) for pc in instrumented_sites(kernel))
-    return candidates
+    runtime, _ = run_application(
+        factory, binary, workload,
+        lambda runtime, dnn: runtime.before_kernel_hooks.append(
+            lambda ordinal, name, grid, block, args:
+            launched.append(name)))
+    return runtime, launched
 
 
 def _score(spec: FaultSpec, report) -> str:
@@ -167,22 +158,9 @@ def _probe_mem_drop(spec: FaultSpec, binary) -> FaultResult:
     factory = faulty_runtime_factory(
         spec, backend_factory=lambda: TimingBackend(
             TINY, max_cycles=1_000_000))
-    runtime = factory()
-    runtime.load_binary(binary)
-    dnn = Cudnn(runtime)
-    config = ConvSampleConfig()
-    x_desc, w_desc, conv = config.descriptors()
-    rng = np.random.default_rng(config.seed)
-    x_ptr = runtime.upload_f32(
-        rng.standard_normal(x_desc.dims).astype(np.float32).ravel())
-    w_ptr = runtime.upload_f32(
-        rng.standard_normal((config.filters, config.channels,
-                             config.ksize, config.ksize))
-        .astype(np.float32).ravel())
     try:
-        dnn.convolution_forward(x_desc, x_ptr, w_desc, w_ptr, conv,
-                                ConvFwdAlgo.IMPLICIT_GEMM)
-        runtime.synchronize()
+        run_application(factory, binary, _conv_sample_workload(
+            (ConvFwdAlgo.IMPLICIT_GEMM,)))
     except TimingDeadlockError as error:
         return FaultResult(spec=spec.to_dict(), workload="conv_sample",
                            verdict="typed_error", error=str(error))
@@ -229,18 +207,24 @@ def run_campaign(config: CampaignConfig | None = None,
     rng = random.Random(config.seed)
 
     clean: dict[str, dict] = {}
+    #: Per workload, all (kernel name, original pc) injection candidates.
     pools: dict[str, list[tuple[str, int]]] = {}
+    #: Every clean pass loaded the same binary; any one's program
+    #: resolves a kernel name.
+    program = None
     for name in config.workloads:
         workload = WORKLOADS[name]()
-        digest, launched = _run_workload(CudaRuntime, workload, binary)
-        clean[name] = {"digest": digest, "kernel_launches": len(launched)}
-        pools[name] = _candidate_sites(binary, launched)
+        runtime, launched = _run_workload(CudaRuntime, workload, binary)
+        program = runtime.program
+        clean[name] = {"digest": runtime.global_mem.digest(),
+                       "kernel_launches": len(launched)}
+        pools[name] = [
+            (kernel, pc) for kernel in sorted(set(launched))
+            for pc in instrumented_sites(program.find_kernel(kernel))]
         say(f"{name}: {len(launched)} launches, "
             f"{len(pools[name])} candidate sites")
 
     results: list[FaultResult] = []
-    text_runtime = CudaRuntime()
-    text_runtime.load_binary(binary)
     for index in range(config.faults):
         site = FUNCTIONAL_SITES[index % len(FUNCTIONAL_SITES)]
         workload_name = config.workloads[
@@ -252,12 +236,13 @@ def run_campaign(config: CampaignConfig | None = None,
             site=site, kernel=kernel, pc=pc,
             bit=rng.randrange(32), lane=rng.randrange(8),
             seed=rng.randrange(1 << 30))
-        injected = text_runtime.program.find_kernel(kernel).body[pc]
+        injected = program.find_kernel(kernel).body[pc]
         factory = faulty_runtime_factory(spec)
         workload = WORKLOADS[workload_name]()
         try:
-            digest, _ = _run_workload(factory, workload, binary)
-            effective = digest != clean[workload_name]["digest"]
+            runtime, _ = _run_workload(factory, workload, binary)
+            effective = (runtime.global_mem.digest()
+                         != clean[workload_name]["digest"])
         except ReproError:
             effective = True  # crashing the suspect *is* a divergence
         if not effective:

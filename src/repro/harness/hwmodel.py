@@ -77,7 +77,6 @@ class HardwareOracle:
     estimates: list[HardwareEstimate] = field(default_factory=list)
 
     def estimate(self, launch: LaunchContext) -> HardwareEstimate:
-        engine = FunctionalEngine(launch)
         counts: dict[str, int] = {}
         transactions = {"read_bytes": 0, "write_bytes": 0}
 
@@ -90,8 +89,7 @@ class HardwareOracle:
                 key = "write_bytes" if is_write else "read_bytes"
                 transactions[key] += nbytes
 
-        engine.on_exec = observe
-        stats = engine.run()
+        stats = FunctionalEngine(launch, on_exec=observe).run()
 
         issue_slots = (counts.get("alu", 0)
                        + counts.get("ctrl", 0)

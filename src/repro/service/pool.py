@@ -42,6 +42,7 @@ from repro.checkpoint.state import CTASnapshot, capture_cta
 from repro.errors import ServiceError
 from repro.functional import kernelcache
 from repro.cuda.runtime import FunctionalBackend
+from repro.cuda.textures import snapshot_textures
 from repro.functional.executor import RunStats, partition_ctas
 from repro.functional.memory import (
     PAGE_SIZE, CudaArray, GlobalMemory, LinearMemory)
@@ -299,7 +300,7 @@ class ShardExecutor:
                 prepare_kernel(kernel)
                 launch.kernel.reconvergence = dict(kernel.reconvergence)
         memory = launch.global_mem.snapshot()
-        textures = self._snapshot_textures(launch)
+        textures = snapshot_textures(launch.kernel, launch.textures)
         cache_env = kernelcache.env_config()
         shadow_state = None
         if self.sanitize and launch.global_mem.shadow is not None:
@@ -321,32 +322,6 @@ class ShardExecutor:
         ) for first, limit in ranges]
         results = self._get_pool().map(_execute_shard, tasks)
         return self._merge(launch, ranges, results, tracer)
-
-    @staticmethod
-    def _snapshot_textures(launch: LaunchContext
-                           ) -> dict[str, tuple[int, int, bytes]]:
-        """Serialize the cudaArrays this kernel's tex instructions name.
-
-        ``launch.textures`` may be a plain dict or the runtime's
-        late-binding :class:`~repro.cuda.textures.TextureView`; both
-        resolve by name through ``.get``, so the picklable snapshot is
-        driven off the texture symbols the kernel body references.
-        """
-        bindings = launch.textures
-        if bindings is None:
-            return {}
-        snapshot: dict[str, tuple[int, int, bytes]] = {}
-        for inst in launch.kernel.body:
-            if inst.opcode != "tex":
-                continue
-            mem = inst.operands[1]
-            if mem.name in snapshot:
-                continue
-            array = bindings.get(mem.name)
-            if array is not None:
-                snapshot[mem.name] = (array.width, array.height,
-                                      array.download())
-        return snapshot
 
     def _merge(self, launch: LaunchContext,
                ranges: list[tuple[int, int]],

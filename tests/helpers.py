@@ -100,3 +100,16 @@ def u64(values) -> np.ndarray:
 def s32_bits(values) -> np.ndarray:
     return np.asarray(values, dtype=np.int64).astype(np.uint32).astype(
         np.uint64)
+
+
+class CountedWorkload:
+    """Wraps a debug-tool workload (``fn(dnn)``) and counts how often
+    the tooling runs the application."""
+
+    def __init__(self, workload) -> None:
+        self.workload = workload
+        self.calls = 0
+
+    def __call__(self, dnn) -> None:
+        self.calls += 1
+        self.workload(dnn)

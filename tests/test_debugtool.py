@@ -15,6 +15,7 @@ from repro.cudnn import (
 from repro.debugtool import (
     DifferentialDebugger, GoldenExecutor, decode_log, format_instruction,
     format_kernel, instrument_kernel, instrumented_sites)
+from repro.errors import DebugToolError
 from repro.functional.memory import LinearMemory
 from repro.functional.state import LaunchContext
 from repro.ptx.parser import parse_module
@@ -112,6 +113,46 @@ class TestInstrumentation:
         for entries in logs:
             for pc, _payload in entries:
                 assert pc in instrumented.sites
+
+
+    IDS_PTX = HEADER + """
+.entry ids() {
+    .reg .b32 %r<3>;
+    mov.u32 %r0, %ctaid.z;
+    mov.u32 %r1, %tid.z;
+    mov.u32 %r2, %tid.x;
+    exit;
+}"""
+
+    def _run_ids(self, entries_per_thread):
+        kernel = parse_module(self.IDS_PTX).kernel("ids")
+        instrumented = instrument_kernel(
+            kernel, entries_per_thread=entries_per_thread)
+        rt = CudaRuntime()
+        rt.load_ptx(instrumented.ptx, "instr")
+        grid, block = (1, 1, 2), (4, 2, 2)
+        threads = 2 * 16
+        log_bytes = threads * instrumented.bytes_per_thread
+        log = rt.malloc(log_bytes)
+        rt.memset(log, 0xFF, log_bytes)
+        rt.launch("ids", grid, block, [log])
+        return decode_log(rt.memcpy_d2h(log, log_bytes), threads,
+                          entries_per_thread)
+
+    def test_every_thread_of_a_z_grid_has_its_own_slot(self):
+        """The slot index counts %ctaid.z and %tid.z: batched launches
+        (grid z = batch) must not fold their CTAs onto one another."""
+        logs = self._run_ids(entries_per_thread=8)
+        for thread, entries in enumerate(logs):
+            cta_z, in_cta = divmod(thread, 16)
+            tid_z, tid_x = in_cta // 8, in_cta % 4
+            assert [(pc, payload & 0xFFFFFFFF)
+                    for pc, payload in entries] == \
+                [(0, cta_z), (1, tid_z), (2, tid_x)]
+
+    def test_full_slot_is_an_error_not_a_truncated_log(self):
+        with pytest.raises(DebugToolError, match="entries_per_thread=3"):
+            self._run_ids(entries_per_thread=3)
 
 
 def _fft_workload_factory(x, w):

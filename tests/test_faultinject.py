@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from repro.cuda import CudaRuntime
-from repro.cudnn import ActivationDescriptor, Cudnn
+from repro.cudnn import (
+    ActivationDescriptor, Cudnn, LRNDescriptor, TensorDescriptor)
 from repro.debugtool import (
     DifferentialDebugger, instrument_kernel, instrumented_sites)
 from repro.errors import (
@@ -16,6 +17,8 @@ from repro.faultinject import (
     match_site)
 from repro.ptx.parser import parse_module
 from repro.timing import TINY, TimingBackend
+
+from helpers import CountedWorkload
 
 RELU = "cudnn_relu_fwd"
 
@@ -189,8 +192,9 @@ class TestBisectionLocalisation:
         x = np.linspace(0.5, 4.0, 32, dtype=np.float32)
         spec = FaultSpec(fault_id="loc", site=site, kernel=RELU, pc=pc,
                          bit=22, lane=3, seed=7)
+        workload = CountedWorkload(_relu_workload(x))
         debugger = DifferentialDebugger(
-            _relu_workload(x),
+            workload,
             suspect_factory=faulty_runtime_factory(spec),
             binary=app_binary, entries_per_thread=64)
         report = debugger.run()
@@ -199,14 +203,45 @@ class TestBisectionLocalisation:
         assert report.kernel_name == RELU
         assert report.instruction.pc == pc
         assert report.to_dict()["instruction"]["pc"] == pc
+        # One pass per side feeds levels 1-2, one more captures the
+        # bad launch; the instrumented replays run no application.
+        assert workload.calls == 3
 
     def test_clean_suspect_reports_clean(self, app_binary):
         x = np.linspace(0.5, 4.0, 32, dtype=np.float32)
+        workload = CountedWorkload(_relu_workload(x))
         debugger = DifferentialDebugger(
-            _relu_workload(x), suspect_factory=CudaRuntime,
-            binary=app_binary)
+            workload, suspect_factory=CudaRuntime, binary=app_binary)
         report = debugger.run()
         assert report.clean and report.level == 0
+        assert workload.calls == 2
+
+    def test_localises_inside_a_texture_kernel(self, app_binary):
+        """Level 3 replays the bound cudaArray too: a flip right after
+        the ``tex`` fetch of the LRN-through-texture kernel is found,
+        not lost to two equally faulting replays."""
+        x = np.linspace(0.5, 4.0, 36, dtype=np.float32)
+
+        def workload(dnn: Cudnn) -> None:
+            rt = dnn.rt
+            dnn.lrn_forward(
+                LRNDescriptor(nsize=3), TensorDescriptor(1, 4, 3, 3),
+                rt.upload_f32(x), rt.malloc(x.nbytes), use_texture=True)
+
+        kernel = "cudnn_lrn_fwd_tex"
+        program = CudaRuntime()
+        program.load_binary(app_binary)
+        body = program.program.find_kernel(kernel).body
+        pc = next(inst.index for inst in body if inst.opcode == "tex") + 1
+        spec = FaultSpec(fault_id="tex", site="register_bitflip",
+                         kernel=kernel, pc=pc, bit=22, lane=3, seed=7)
+        report = DifferentialDebugger(
+            workload, suspect_factory=faulty_runtime_factory(spec),
+            binary=app_binary, entries_per_thread=256).run()
+        assert report.kernel_name == kernel
+        assert report.notes == []
+        assert report.instruction is not None
+        assert report.instruction.pc == pc
 
 
 class TestLivenessSites:

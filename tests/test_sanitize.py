@@ -46,6 +46,41 @@ def test_defect_detected_through_two_shards(name, fast_mode):
         f"{run.findings}")
 
 
+@pytest.mark.parametrize("name", ("oob_load", "ww_race", "clean_tile"))
+def test_findings_do_not_depend_on_who_else_observes(name):
+    """The step-path observer is composed once (the caller's hook, then
+    the sanitizer's): on every tier a launch that is *also* watched by
+    an ``on_exec`` or an ``exec_override`` hook reports the findings
+    and counters of the unwatched launch."""
+    from repro.sanitize.corpus import CORPUS
+    entry = CORPUS[name]
+    cells = {}
+    for fast_mode in FAST_MODES:
+        for hook in ("none", "on_exec", "exec_override"):
+            calls = []
+
+            def override(inst, warp, lanes, pc, _calls=calls) -> bool:
+                _calls.append(pc)
+                return False
+            backend = FunctionalBackend(
+                fast_mode=fast_mode, sanitize=True,
+                **{"none": {}, "on_exec": {"on_exec": calls.append},
+                   "exec_override": {"exec_override": override}}[hook])
+            rt = CudaRuntime(backend=backend)
+            rt.load_ptx(entry.build(), f"observers_{name}")
+            grid, block, args = entry.setup(rt)
+            rt.launch(entry.name, grid, block, args)
+            rt.synchronize()
+            assert bool(calls) == (hook != "none")
+            cells[fast_mode, hook] = (backend.sanitize.findings_list(),
+                                      dict(backend.sanitize.counters))
+    expected = cells["reference", "none"]
+    assert bool(expected[0]) == (entry.rule is not None)
+    assert expected[1]["launches"] == 1
+    different = {cell for cell, got in cells.items() if got != expected}
+    assert not different, different
+
+
 def _corpus_json(capsys, *argv: str) -> str:
     """``repro-sanitize --corpus --format json`` minus the two fields
     that name the run's configuration."""

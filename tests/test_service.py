@@ -21,8 +21,9 @@ import numpy as np
 import pytest
 
 from repro.checkpoint.state import Checkpoint, CTASnapshot, capture_cta
+from repro.debugtool.ptxjit import ExtractedKernel
 from repro.errors import (
-    CheckpointError, ServiceError, UnknownJobError)
+    CheckpointError, DebugToolError, ServiceError, UnknownJobError)
 from repro.functional import kernelcache
 from repro.functional.executor import (
     FunctionalEngine, RunStats, partition_ctas)
@@ -445,34 +446,55 @@ class TestAtomicWrite:
 # ---------------------------------------------------------------------------
 # Checkpoint robustness (satellite 3)
 # ---------------------------------------------------------------------------
+#: The pickled on-disk formats: one of each, and the typed error its
+#: ``load`` owes for a missing, truncated or foreign file.
+def _pickled_formats():
+    return [
+        (Checkpoint(kernel_ordinal=0, first_cta=0, partial_ctas=0,
+                    warp_instruction_budget=100, kernel_name="k"),
+         CheckpointError),
+        (ExtractedKernel(name="k", ptx="", grid=(1, 1, 1),
+                         block=(1, 1, 1), args=[]),
+         DebugToolError),
+    ]
+
+
 class TestCheckpointRobustness:
     def _checkpoint(self) -> Checkpoint:
-        return Checkpoint(kernel_ordinal=0, first_cta=0, partial_ctas=0,
-                          warp_instruction_budget=100, kernel_name="k")
+        return _pickled_formats()[0][0]
 
     def test_truncated_file_raises_typed_error_with_path(self, tmp_path):
-        path = tmp_path / "trunc.ckpt"
-        self._checkpoint().save(path)
-        raw = path.read_bytes()
-        path.write_bytes(raw[:len(raw) // 2])
-        with pytest.raises(CheckpointError) as excinfo:
-            Checkpoint.load(path)
-        assert str(path) in str(excinfo.value)
+        for value, error in _pickled_formats():
+            path = tmp_path / "trunc.ckpt"
+            value.save(path)
+            raw = path.read_bytes()
+            path.write_bytes(raw[:len(raw) // 2])
+            with pytest.raises(error) as excinfo:
+                type(value).load(path)
+            assert str(path) in str(excinfo.value)
 
     def test_garbage_file_raises_typed_error(self, tmp_path):
         path = tmp_path / "garbage.ckpt"
         path.write_bytes(b"not a pickle at all")
-        with pytest.raises(CheckpointError):
-            Checkpoint.load(path)
+        for value, error in _pickled_formats():
+            with pytest.raises(error):
+                type(value).load(path)
 
     def test_wrong_object_raises_typed_error(self, tmp_path):
         path = tmp_path / "wrong.ckpt"
         path.write_bytes(pickle.dumps({"not": "a checkpoint"}))
-        with pytest.raises(CheckpointError):
-            Checkpoint.load(path)
+        for value, error in _pickled_formats():
+            with pytest.raises(error):
+                type(value).load(path)
+
+    def test_missing_file_raises_typed_error_with_path(self, tmp_path):
+        for value, error in _pickled_formats():
+            with pytest.raises(error, match="missing.bin"):
+                type(value).load(tmp_path / "missing.bin")
 
     def test_save_leaves_no_temp_files(self, tmp_path):
-        self._checkpoint().save(tmp_path / "ok.ckpt")
+        for value, _ in _pickled_formats():
+            value.save(tmp_path / "ok.ckpt")
         leftovers = [name for name in os.listdir(tmp_path)
                      if name.endswith(".tmp")]
         assert leftovers == []

@@ -110,7 +110,8 @@ class TestZeroFaultCampaign:
         """With no faults injected, the campaign must record clean
         digests for every workload and report nothing effective —
         the debugger's false-positive floor."""
-        from repro.harness import CampaignConfig, run_campaign
+        from repro.harness.faultcampaign import (
+            CampaignConfig, run_campaign)
         scoreboard = run_campaign(CampaignConfig(
             faults=0, workloads=("conv_sample",), include_liveness=False))
         summary = scoreboard["summary"]
