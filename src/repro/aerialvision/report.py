@@ -10,8 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.aerialvision.plots import (
-    ascii_heatmap, ascii_series, phase_summary, write_heatmap_csv,
-    write_series_csv)
+    ascii_heatmap, ascii_series, write_heatmap_csv, write_series_csv)
 from repro.timing.stats import ISSUE_BUCKETS, SampleBlock
 
 
@@ -28,10 +27,6 @@ class FigureReport:
 
     # -- derived metrics used by the shape assertions ---------------------
     @property
-    def mean_global_ipc(self) -> float:
-        return float(self.global_ipc.mean()) if self.global_ipc.size else 0.0
-
-    @property
     def peak_global_ipc(self) -> float:
         return float(self.global_ipc.max()) if self.global_ipc.size else 0.0
 
@@ -46,9 +41,6 @@ class FigureReport:
         if peak <= 0:
             return 0.0
         return float((per_sm > 0.1 * peak).mean())
-
-    def dram_phase_stats(self, partition: int = 0) -> dict[str, float]:
-        return phase_summary(self.dram_efficiency[partition])
 
     def bank_camping_index(self) -> float:
         """How concentrated DRAM utilisation is across partitions.

@@ -4,6 +4,9 @@ Public surface:
 
 * :func:`analyze_kernel` — verifier + lint passes for one kernel.
 * :func:`analyze_module` — every kernel of a parsed module.
+* :func:`analyze_sources` — parse and analyse ``(file_id, text)`` units,
+  e.g. :func:`embedded_units`; what ``repro-lint`` and the static stage
+  of ``repro-sanitize`` run.
 * :func:`verify_launch` — ``FunctionalEngine``'s ``verify=True`` gate:
   raises :class:`repro.errors.VerificationError` when the verifier (or
   an enabled-quirk dependence check) reports an error-severity finding.
@@ -22,7 +25,7 @@ from repro.analysis.ranges import (
 from repro.analysis.vectorize import (
     ANALYSIS_VERSION, VectorReport, classify_kernel, grid_variance)
 from repro.analysis.verifier import QUIRK_RULES, verify_kernel
-from repro.errors import VerificationError
+from repro.errors import ReproError, VerificationError
 from repro.ptx.ast import Kernel, PTXModule
 from repro.quirks import LegacyQuirks
 
@@ -30,7 +33,8 @@ __all__ = [
     "ANALYSIS_VERSION", "ERROR", "WARNING", "INFO", "Affine",
     "Finding", "LintReport", "MemFact", "QUIRK_RULES", "LINT_PASSES",
     "RangeInfo", "VectorReport", "analyze_kernel", "analyze_module",
-    "analyze_ranges", "classify_kernel", "facts_from_payload",
+    "analyze_ranges", "analyze_sources", "classify_kernel",
+    "embedded_units", "facts_from_payload",
     "facts_to_payload", "grid_variance", "kernel_facts",
     "prove_launch", "run_lints", "sort_findings", "thread_injective",
     "verify_kernel", "verify_launch",
@@ -55,6 +59,36 @@ def analyze_module(module: PTXModule, *,
     for kernel in module.kernels.values():
         findings.extend(analyze_kernel(
             kernel, quirks=quirks, file_id=module.file_id, passes=passes))
+    return sort_findings(findings)
+
+
+def embedded_units() -> list[tuple[str, str]]:
+    """``(file_id, ptx_text)`` of every translation unit of the
+    application binary, once each (``scale_array`` is deliberately
+    defined in two files; both are units)."""
+    from repro.cudnn.library import build_application_binary
+    units: dict[str, str] = {}
+    for embedded in build_application_binary().embedded:
+        units.setdefault(embedded.file_id, embedded.text)
+    return list(units.items())
+
+
+def analyze_sources(sources, *, quirks: LegacyQuirks | None = None,
+                    rules=None) -> list[Finding]:
+    """Parse and analyse ``(file_id, text)`` units; sorted findings,
+    only those of *rules* if given.  A unit that does not parse raises
+    :class:`ReproError` naming it."""
+    from repro.ptx.parser import parse_module
+    findings: list[Finding] = []
+    for file_id, text in sources:
+        try:
+            module = parse_module(text, file_id)
+        except ReproError as error:
+            raise ReproError(
+                f"{file_id}: parse failed: {error}") from error
+        findings.extend(
+            finding for finding in analyze_module(module, quirks=quirks)
+            if rules is None or finding.rule in rules)
     return sort_findings(findings)
 
 

@@ -21,25 +21,12 @@ import json
 import sys
 from pathlib import Path
 
-from repro.analysis import analyze_module, sort_findings
+from repro.analysis import analyze_sources, embedded_units
 from repro.analysis.findings import Finding
 from repro.errors import ReproError
 from repro.quirks import FIXED, STOCK_GPGPUSIM
 
 _QUIRK_PROFILES = {"fixed": FIXED, "stock": STOCK_GPGPUSIM}
-
-
-def _iter_embedded():
-    """(file_id, ptx_text) for every translation unit of the app binary."""
-    from repro.cudnn.library import build_application_binary
-    seen: set[str] = set()
-    for embedded in build_application_binary().embedded:
-        # scale_array is deliberately defined in two files; both lint.
-        key = embedded.file_id
-        if key in seen:
-            continue
-        seen.add(key)
-        yield embedded.file_id, embedded.text
 
 
 def _load_baseline(path: Path) -> set[str]:
@@ -98,19 +85,13 @@ def main(argv=None) -> int:
                   file=sys.stderr)
             return 2
     if args.all_embedded:
-        sources.extend(_iter_embedded())
+        sources.extend(embedded_units())
 
-    from repro.ptx.parser import parse_module
-    findings: list[Finding] = []
-    for file_id, text in sources:
-        try:
-            module = parse_module(text, file_id)
-        except ReproError as error:
-            print(f"repro-lint: {file_id}: parse failed: {error}",
-                  file=sys.stderr)
-            return 2
-        findings.extend(analyze_module(module, quirks=quirks))
-    findings = sort_findings(findings)
+    try:
+        findings = analyze_sources(sources, quirks=quirks)
+    except ReproError as error:
+        print(f"repro-lint: {error}", file=sys.stderr)
+        return 2
 
     if args.write_baseline:
         payload = _baseline_payload(findings, args.quirks)

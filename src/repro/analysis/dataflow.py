@@ -31,13 +31,10 @@ from repro.functional.cfg import build_cfg
 from repro.functional.state import is_special
 from repro.ptx import ast
 from repro.ptx.ast import Instruction, Kernel
+from repro.ptx.instructions import REG_DST, facts, result_bits
 
 #: Synthetic definition site meaning "never written on some path".
 UNINIT = -1
-
-#: Opcodes whose first operand is *not* a destination register.
-NO_DEST = frozenset(
-    ["st", "bra", "bar", "exit", "ret", "membar", "fence", "red"])
 
 #: Special registers that differ between lanes of one warp.  ``%ctaid``
 #: ``%nctaid``/``%ntid``/``%warpid`` are uniform across a warp and so
@@ -63,7 +60,7 @@ def _collect_reads(op: ast.Operand, out: set[str]) -> None:
 
 def defs_of(inst: Instruction) -> frozenset[str]:
     """Register names written by *inst* (empty for stores/control flow)."""
-    if inst.opcode in NO_DEST or not inst.operands:
+    if facts(inst.opcode).dst != REG_DST or not inst.operands:
         return frozenset()
     dst = inst.operands[0]
     if dst.kind == ast.REG and not is_special(dst.name):
@@ -80,10 +77,10 @@ def uses_of(inst: Instruction) -> frozenset[str]:
     reads: set[str] = set()
     if inst.pred is not None:
         reads.add(inst.pred)
-    start = 0 if inst.opcode in NO_DEST else 1
-    for op in inst.operands[start:]:
+    has_dst = facts(inst.opcode).dst == REG_DST
+    for op in inst.operands[1 if has_dst else 0:]:
         _collect_reads(op, reads)
-    if inst.opcode not in NO_DEST and inst.operands:
+    if has_dst and inst.operands:
         # The destination of a memory-operand write (never the case for
         # the supported subset) or a VEC destination address base.
         dst = inst.operands[0]
@@ -95,22 +92,16 @@ def uses_of(inst: Instruction) -> frozenset[str]:
 def write_bits(inst: Instruction) -> int:
     """Effective payload width of the destination write.
 
-    The register file stores 64-bit unions; ``ld``/``setp``/``tex``
-    destinations are written whole-payload (raw), everything else
-    composes ``dtype.bits`` low bits with the previous upper bits.
+    The register file stores 64-bit unions; a row's ``raw_write``
+    kinds (``ld``/``setp``/``tex``, ``mov.pred``) are written
+    whole-payload, everything else composes
+    :func:`~repro.ptx.instructions.result_bits` low bits with the
+    previous upper bits.
     """
-    op = inst.opcode
-    if op in ("ld", "ldu", "setp", "set", "tex"):
+    if (not inst.dtypes
+            or inst.dtype.kind in facts(inst.opcode).raw_write):
         return 64
-    if op == "cvt":
-        return inst.dtypes[0].bits
-    if op in ("mul", "mad") and inst.has_mod("wide"):
-        return inst.dtype.bits * 2
-    if op in ("popc", "clz"):
-        return 32
-    if inst.dtypes and inst.dtype.kind == "p":
-        return 64
-    return inst.dtype.bits if inst.dtypes else 64
+    return result_bits(inst)
 
 
 def is_killing(inst: Instruction) -> bool:

@@ -5,8 +5,9 @@ GPGPU-Sim bugs catalogued there (``rem`` computing an untyped ``u64``
 remainder, ``bfe`` ignoring signedness, ``brev`` missing outright) are
 all *statically visible* — an instruction whose type specifier the
 executor is known to ignore.  The verifier checks every instruction
-against a per-opcode signature (operand count, operand kinds, dtype
-family, declared register widths) and, given a
+against its row of the instruction-set table
+(:data:`repro.ptx.instructions.TABLE`: operand count, operand kinds,
+dtype family, declared register widths) and, given a
 :class:`~repro.quirks.LegacyQuirks` configuration, emits a ``Q2xx``
 "kernel depends on an active quirk" error for each instruction whose
 semantics the active quirks corrupt.
@@ -26,12 +27,11 @@ Rule ids::
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.analysis.findings import ERROR, Finding, WARNING
 from repro.ptx import ast
 from repro.ptx.ast import Instruction, Kernel
-from repro.ptx.instructions import DISPATCH
+from repro.ptx.instructions import (
+    MEM_DST, Op, REG_DST, TABLE, result_bits, source_bits)
 from repro.quirks import LegacyQuirks
 
 #: Quirk flag → the rule id that detects static dependence on it.
@@ -42,81 +42,11 @@ QUIRK_RULES = {
     "fp16_unsupported": "Q204",
 }
 
-_CONTROL = frozenset(["bra", "exit", "ret", "bar"])
-_KNOWN_OPCODES = frozenset(DISPATCH) | _CONTROL
-
-_SRC_KINDS = (ast.REG, ast.IMM)
-
-
-@dataclass(frozen=True)
-class _Sig:
-    min_ops: int
-    max_ops: int
-    kinds: str | None = None      # allowed dtype kinds, None = unchecked
-
-
-_SIGNATURES: dict[str, _Sig] = {
-    "add": _Sig(3, 3, "usf"), "sub": _Sig(3, 3, "usf"),
-    "mul": _Sig(3, 3, "usf"), "mad": _Sig(4, 4, "usf"),
-    "fma": _Sig(4, 4, "f"), "div": _Sig(3, 3, "usf"),
-    "rem": _Sig(3, 3, "us"), "abs": _Sig(2, 2, "sf"),
-    "neg": _Sig(2, 2, "sf"), "min": _Sig(3, 3, "usf"),
-    "max": _Sig(3, 3, "usf"), "sad": _Sig(4, 4, "us"),
-    "and": _Sig(3, 3, "bp"), "or": _Sig(3, 3, "bp"),
-    "xor": _Sig(3, 3, "bp"), "not": _Sig(2, 2, "bp"),
-    "shl": _Sig(3, 3, "b"), "shr": _Sig(3, 3, "bus"),
-    "brev": _Sig(2, 2, "b"), "bfe": _Sig(4, 4, "us"),
-    "bfi": _Sig(5, 5, "b"), "popc": _Sig(2, 2, "b"),
-    "clz": _Sig(2, 2, "b"),
-    "setp": _Sig(3, 3, "usfb"), "selp": _Sig(4, 4, "usfb"),
-    "slct": _Sig(4, 4, "usfb"),
-    "mov": _Sig(2, 2, "usfbp"), "cvt": _Sig(2, 2, "usf"),
-    "cvta": _Sig(2, 2, None),
-    "ld": _Sig(2, 2, None), "ldu": _Sig(2, 2, None),
-    "st": _Sig(2, 2, None), "atom": _Sig(3, 4, None),
-    "red": _Sig(2, 3, None), "tex": _Sig(2, 3, None),
-    "sqrt": _Sig(2, 2, "f"), "rsqrt": _Sig(2, 2, "f"),
-    "rcp": _Sig(2, 2, "f"), "ex2": _Sig(2, 2, "f"),
-    "lg2": _Sig(2, 2, "f"), "sin": _Sig(2, 2, "f"),
-    "cos": _Sig(2, 2, "f"),
-    "membar": _Sig(0, 1, None), "fence": _Sig(0, 1, None),
-    "bra": _Sig(1, 1, None), "exit": _Sig(0, 0, None),
-    "ret": _Sig(0, 0, None), "bar": _Sig(0, 2, None),
+#: What operand 0 may be, per destination kind, and V103's word for it.
+_DESTINATIONS = {
+    REG_DST: ((ast.REG, ast.VEC), "a register"),
+    MEM_DST: ((ast.MEM,), "a memory operand"),
 }
-
-#: Opcodes whose dtype suffix is structural (``bra`` carries a default
-#: ``.b32`` the parser fills in); never type-check these.
-_NO_DTYPE = frozenset(["bra", "exit", "ret", "bar", "membar", "fence",
-                       "cvta", "ld", "ldu", "st", "atom", "red", "tex",
-                       "mov", "setp", "selp", "slct"])
-
-
-def _dest_bits(inst: Instruction) -> int:
-    if inst.opcode == "cvt":
-        return inst.dtypes[0].bits
-    if inst.opcode in ("mul", "mad") and inst.has_mod("wide"):
-        return inst.dtype.bits * 2
-    if inst.opcode in ("popc", "clz"):
-        return 32
-    return inst.dtype.bits
-
-
-def _src_bits(inst: Instruction, position: int) -> int | None:
-    """Required width of the REG source at *position*, or None to skip."""
-    op = inst.opcode
-    if op == "cvt":
-        return inst.dtypes[1].bits if len(inst.dtypes) > 1 else None
-    if op in ("shl", "shr") and position == 2:
-        return 32                      # shift amount is always .u32
-    if op in ("bfe", "bfi") and position >= 2:
-        return 32                      # bit position/length are .u32
-    if op == "selp" and position == 3:
-        return None                    # predicate selector
-    if op in ("mad", "fma") and position == 3 and inst.has_mod("wide"):
-        return inst.dtype.bits * 2     # wide addend
-    if inst.dtypes and inst.dtype.kind != "p":
-        return inst.dtype.bits
-    return None
 
 
 class _KernelVerifier:
@@ -134,119 +64,79 @@ class _KernelVerifier:
             pc=inst.index, message=message, file_id=self.file_id,
             text=inst.text or str(inst)))
 
-    # -- structural checks ---------------------------------------------
+    # -- structural checks: every fact is a field of the table row ------
     def check(self, inst: Instruction) -> None:
-        if inst.opcode not in _KNOWN_OPCODES:
+        row = TABLE.get(inst.opcode)
+        if row is None:
             self.emit("V100", ERROR, inst,
                       f"opcode {inst.opcode!r} is not implemented by the "
                       "functional simulator")
             return
-        sig = _SIGNATURES[inst.opcode]
         count = len(inst.operands)
-        if not sig.min_ops <= count <= sig.max_ops:
-            expect = (str(sig.min_ops) if sig.min_ops == sig.max_ops
-                      else f"{sig.min_ops}..{sig.max_ops}")
+        most = row.operands + row.optional
+        if not row.operands <= count <= most:
+            expect = (str(most) if not row.optional
+                      else f"{row.operands}..{most}")
             self.emit("V101", ERROR, inst,
                       f"{inst.opcode} takes {expect} operands, got {count}")
             return
-        self._check_kinds(inst)
-        self._check_dtype(inst, sig)
-        self._check_widths(inst)
+        self._check_kinds(inst, row)
+        self._check_dtype(inst, row)
+        if row.dst == REG_DST and inst.dtypes:
+            self._check_widths(inst)
         self._check_quirks(inst)
 
-    def _check_kinds(self, inst: Instruction) -> None:
+    def _check_kinds(self, inst: Instruction, row: Op) -> None:
         op, operands = inst.opcode, inst.operands
-        if op == "bra":
-            if operands[0].kind != ast.LABEL:
+        first = 0
+        if row.dst is not None:
+            kinds, what = _DESTINATIONS[row.dst]
+            if operands[0].kind not in kinds:
                 self.emit("V103", ERROR, inst,
-                          "bra target must be a label")
-            return
-        if op in ("exit", "ret", "membar", "fence"):
-            return
-        if op == "bar":
-            for operand in operands:
-                if operand.kind != ast.IMM:
-                    self.emit("V103", ERROR, inst,
-                              "bar operands must be immediates")
-            return
-        if op == "st":
-            if operands[0].kind != ast.MEM:
-                self.emit("V103", ERROR, inst,
-                          "st destination must be a memory operand")
-            if operands[1].kind not in (ast.REG, ast.IMM, ast.VEC):
-                self.emit("V103", ERROR, inst,
-                          "st source must be a register, immediate or "
-                          "vector")
-            return
-        if op == "red":
-            if operands[0].kind != ast.MEM:
-                self.emit("V103", ERROR, inst,
-                          "red destination must be a memory operand")
-            return
-        # Everything else writes a register (or vector) destination.
-        if operands[0].kind not in (ast.REG, ast.VEC):
-            self.emit("V103", ERROR, inst,
-                      f"{op} destination must be a register")
-            return
-        if op in ("ld", "ldu", "atom", "tex"):
-            if operands[1].kind != ast.MEM:
-                self.emit("V103", ERROR, inst,
-                          f"{op} source must be a memory operand")
-            return
-        if op in ("setp", "set") and inst.cmp is None:
+                          f"{op} destination must be {what}")
+                return
+            first = 1
+        if row.needs_cmp and inst.cmp is None:
             self.emit("V103", ERROR, inst,
                       f"{op} requires a comparison modifier")
-        if op == "selp":
-            selector = operands[3]
-            if selector.kind != ast.REG:
+        for position in range(first, len(operands)):
+            source, kind = row.source(position), operands[position].kind
+            if source.kinds is not None and kind not in source.kinds:
                 self.emit("V103", ERROR, inst,
-                          "selp selector must be a predicate register")
-        allowed = (_SRC_KINDS + (ast.SYM,) if op in ("mov", "cvta")
-                   else _SRC_KINDS)
-        for operand in operands[1:]:
-            if operand.kind not in allowed:
-                self.emit("V103", ERROR, inst,
-                          f"{op} source operand of kind "
-                          f"{operand.kind!r} is not allowed")
+                          source.complaint.format(op=op, kind=kind))
 
-    def _check_dtype(self, inst: Instruction, sig: _Sig) -> None:
-        if sig.kinds is None or inst.opcode in _NO_DTYPE:
+    def _check_dtype(self, inst: Instruction, row: Op) -> None:
+        if row.kinds is None:
             return
         if not inst.dtypes:
             self.emit("V102", ERROR, inst,
                       f"{inst.opcode} requires a type specifier")
             return
         for dtype in inst.dtypes:
-            if dtype.kind not in sig.kinds:
-                wanted = "/".join(f".{k}*" for k in sig.kinds)
+            if dtype.kind not in row.kinds:
+                wanted = "/".join(f".{k}*" for k in row.kinds)
                 self.emit("V102", ERROR, inst,
                           f"{inst.opcode} does not accept .{dtype.name} "
                           f"(expected {wanted})")
 
     def _check_widths(self, inst: Instruction) -> None:
+        """V104 for an instruction that writes a register: the declared
+        width of its destination against :func:`result_bits`, of each
+        register source against :func:`source_bits`."""
         decls = self.kernel.reg_decls
-        operands = inst.operands
-        if inst.opcode in ("st", "bra", "bar", "exit", "ret", "membar",
-                           "fence", "red", "tex"):
-            return
-        if not operands or not inst.dtypes:
-            return
-        dst = operands[0]
-        if dst.kind == ast.REG and dst.name in decls:
-            need = _dest_bits(inst)
-            have = decls[dst.name].bits
-            if decls[dst.name].kind != "p" and have < need:
-                self.emit("V104", WARNING, inst,
-                          f"destination {dst.name} is declared "
-                          f".{decls[dst.name].name} but the result is "
-                          f"{need} bits wide")
-        for position, operand in enumerate(operands[1:], start=1):
-            if operand.kind != ast.REG or operand.name not in decls:
+        for position, operand in enumerate(inst.operands):
+            decl = decls.get(operand.name)
+            if operand.kind != ast.REG or decl is None or decl.kind == "p":
                 continue
-            decl = decls[operand.name]
-            if decl.kind == "p":
+            if position == 0:
+                need = result_bits(inst)
+                if decl.bits < need:
+                    self.emit("V104", WARNING, inst,
+                              f"destination {operand.name} is declared "
+                              f".{decl.name} but the result is "
+                              f"{need} bits wide")
                 continue
-            need = _src_bits(inst, position)
+            need = source_bits(inst, position)
             if need is not None and decl.bits < need:
                 self.emit("V104", WARNING, inst,
                           f"source {operand.name} is declared "

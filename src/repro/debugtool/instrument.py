@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.analysis.dataflow import defs_of
 from repro.errors import DebugToolError
 from repro.ptx import ast
 from repro.ptx.dtypes import U64
@@ -30,22 +31,14 @@ LOG_PARAM = "__instr_log"
 #: error (:func:`decode_log`), never a silently truncated comparison.
 ENTRIES_PER_THREAD = 4096
 
-#: opcodes whose first operand is NOT a general-register destination.
-_NO_DEST = frozenset(["st", "bra", "bar", "exit", "ret", "membar",
-                      "fence", "red"])
-
 
 def _dest_width(kernel: ast.Kernel, inst: ast.Instruction) -> int | None:
-    """Bit width of the destination register, or None to skip."""
-    if inst.opcode in _NO_DEST or not inst.operands:
+    """Declared width of the general register *inst* writes, or None
+    when it defines none (or a vector, or a predicate)."""
+    if not defs_of(inst) or inst.operands[0].kind != ast.REG:
         return None
-    dst = inst.operands[0]
-    if dst.kind != ast.REG:
-        return None
-    decl = kernel.reg_decls.get(dst.name)
+    decl = kernel.reg_decls.get(inst.operands[0].name)
     if decl is None or decl.kind == "p":
-        return None
-    if inst.opcode == "setp":
         return None
     return min(decl.bits, 64)
 

@@ -42,9 +42,10 @@ vector tier's sanitizer checks, so "per access, not per element" holds
 by construction.  ``atom``/``red``/``tex`` stay reference-only: their
 value order is issue order.
 
-Adding an opcode: a ``DISPATCH`` entry in :mod:`repro.ptx.instructions`
-(the reference), a signature in :mod:`repro.analysis.verifier`, and one
-row here — plus a scalar/NumPy helper pair if it needs ``call``.
+Adding an opcode: docs/ARCHITECTURE.md "Adding an opcode" — its row of
+the instruction-set table (:mod:`repro.ptx.instructions`) and one row
+here; how many operands a row renders and whether operand 0 is a
+register come from the table.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ from typing import Callable
 
 from repro.ptx import ast
 from repro.ptx.dtypes import DType
+from repro.ptx.instructions import MEM, TABLE
 from repro.ptx.values import bits_to_f64, f32_to_bits, read_typed
 
 
@@ -119,16 +121,16 @@ class Codegen:
 # ----------------------------------------------------------------------
 # The table
 # ----------------------------------------------------------------------
-#: opcode -> (source operand count, ``render(inst, gen, dst, *sources)``,
-#: register destination).  A register-destination row gets ``dst`` as the
-#: register's name; a memory row gets its first operand whole.
-ROWS: dict[str, tuple[int, Callable[..., None], bool]] = {}
+#: opcode -> ``render(inst, gen, dst, *sources)``.  The operand count is
+#: the table row's; a row of the memory unit gets its first operand
+#: whole, any other ``dst`` as the name of the register it writes.
+ROWS: dict[str, Callable[..., None]] = {}
 
 
-def _row(*opcodes: str, sources: int, reg_dst: bool = True):
+def _row(*opcodes: str):
     def register(render):
         for opcode in opcodes:
-            ROWS[opcode] = (sources, render, reg_dst)
+            ROWS[opcode] = render
         return render
     return register
 
@@ -138,13 +140,15 @@ def emit(inst: ast.Instruction, gen: Codegen) -> bool:
 
     Malformed operand lists and ``.sat`` are declined here for every row
     (the reference saturates float ``add`` and ``cvt``)."""
-    sources, render, reg_dst = ROWS.get(inst.opcode, (None, None, True))
-    operands = inst.operands
-    if (sources is None or len(operands) != sources + 1
-            or not inst.dtypes or inst.has_mod("sat")):
+    render = ROWS.get(inst.opcode)
+    if render is None:
+        return False
+    row, operands = TABLE[inst.opcode], inst.operands
+    if (len(operands) != row.operands or not inst.dtypes
+            or inst.has_mod("sat")):
         return False
     dst = operands[0]
-    if reg_dst:
+    if row.unit != MEM:
         if dst.kind != ast.REG:
             return False
         dst = dst.name
@@ -182,8 +186,7 @@ def _float_binary(inst, gen, dst, a, b) -> None:
     gen.write_float(dst, dtype.bits, expr)
 
 
-@_row("add", "sub", "and", "or", "xor", "min", "max", "div", "rem",
-      sources=2)
+@_row("add", "sub", "and", "or", "xor", "min", "max", "div", "rem")
 def _binary(inst, gen, dst, a, b) -> None:
     dtype, opcode = inst.dtype, inst.opcode
     if dtype.is_float:
@@ -205,8 +208,7 @@ def _binary(inst, gen, dst, a, b) -> None:
         gen.write(dst, dtype.bits, expr)
 
 
-@_row("mul", sources=2)
-@_row("mad", sources=3)
+@_row("mul", "mad")
 def _mul_mad(inst, gen, dst, a, b, c=None) -> None:
     dtype = inst.dtype
     if dtype.is_float:
@@ -224,7 +226,7 @@ def _mul_mad(inst, gen, dst, a, b, c=None) -> None:
     gen.write(dst, out.bits, expr)
 
 
-@_row("fma", sources=3)
+@_row("fma")
 def _fma(inst, gen, dst, a, b, c) -> None:
     dtype = inst.dtype
     _require(_arith_float(dtype))
@@ -234,7 +236,7 @@ def _fma(inst, gen, dst, a, b, c) -> None:
     gen.write_float(dst, dtype.bits, f"({va}) * ({vb}) + ({vc})")
 
 
-@_row("neg", sources=1)
+@_row("neg")
 def _neg(inst, gen, dst, a) -> None:
     dtype = inst.dtype
     if dtype.is_float:
@@ -244,7 +246,7 @@ def _neg(inst, gen, dst, a) -> None:
         gen.write(dst, dtype.bits, f"0 - ({gen.payload(a, dtype)})")
 
 
-@_row("setp", sources=2)
+@_row("setp")
 def _setp(inst, gen, dst, a, b) -> None:
     dtype, cmp = inst.dtype, inst.cmp or "eq"
     _require(cmp in _COMPARE
@@ -255,7 +257,7 @@ def _setp(inst, gen, dst, a, b) -> None:
     gen.write_pred(dst, gen.compare(_COMPARE[cmp], va, vb, nan))
 
 
-@_row("selp", sources=3)
+@_row("selp")
 def _selp(inst, gen, dst, a, b, pred) -> None:
     dtype = inst.dtype
     _require(pred.kind == ast.REG)
@@ -264,14 +266,14 @@ def _selp(inst, gen, dst, a, b, pred) -> None:
               gen.select(gen.pred_true(pred.name), pa, pb))
 
 
-@_row(*_SFU, sources=1)
+@_row(*_SFU)
 def _sfu(inst, gen, dst, a) -> None:
     dtype = inst.dtype
     _require(dtype.is_float and dtype.bits == 32)
     gen.write_float(dst, 32, gen.call(inst.opcode, gen.value(a, dtype)))
 
 
-@_row("shl", "shr", sources=2)
+@_row("shl", "shr")
 def _shift(inst, gen, dst, a, b) -> None:
     dtype = inst.dtype
     if inst.opcode == "shl":
@@ -282,13 +284,13 @@ def _shift(inst, gen, dst, a, b) -> None:
               gen.shift(inst.opcode, value, amount, dtype))
 
 
-@_row("brev", sources=1)
+@_row("brev")
 def _brev(inst, gen, dst, a) -> None:
     _require(inst.dtype.bits == 32)
     gen.write(dst, 32, gen.call("brev32", gen.payload(a, inst.dtype)))
 
 
-@_row("mov", sources=1)
+@_row("mov")
 def _mov(inst, gen, dst, src) -> None:
     dtype = inst.dtype
     if src.kind == ast.SYM:
@@ -300,7 +302,7 @@ def _mov(inst, gen, dst, src) -> None:
         gen.write(dst, dtype.bits, gen.payload(src, dtype))
 
 
-@_row("cvt", sources=1)
+@_row("cvt")
 def _cvt(inst, gen, dst, src) -> None:
     _require(len(inst.dtypes) >= 2)
     to, frm = inst.dtypes[0], inst.dtypes[1]
@@ -329,7 +331,7 @@ _ST_SPACES = ("global", "shared")
 _VECTOR_WIDTH = {"v2": 2, "v4": 4}
 
 
-@_row("ld", "st", sources=1, reg_dst=False)
+@_row("ld", "st")
 def _ld_st(inst, gen, first, second) -> None:
     is_write = inst.opcode == "st"
     mem, data = (first, second) if is_write else (second, first)
@@ -364,3 +366,7 @@ def _ld_st(inst, gen, first, second) -> None:
             gen.write_raw(elem.name, raw)
     if is_write:
         gen.fence()
+
+
+# Every row renders a fixed operand list whose length the table states.
+assert all(TABLE[opcode].optional == 0 for opcode in ROWS)

@@ -45,7 +45,7 @@ from repro.functional.cfg import prepare_kernel
 from repro.functional.state import CTAState, LaunchContext, WarpState
 from repro.functional.simt import NO_RECONVERGE
 from repro.ptx import ast
-from repro.ptx.instructions import BAR, CTRL, DISPATCH, OP_CLASS
+from repro.ptx.instructions import ALU, DISPATCH, OP_CLASS
 
 #: Sentinel returned by step_warp when the warp is parked at a barrier.
 AT_BARRIER = "barrier"
@@ -94,10 +94,6 @@ class ExecRecord:
     op_class: str
     mem_accesses: tuple[tuple[str, int, int, bool], ...] = ()
     warp: WarpState | None = None
-
-    @property
-    def is_memory(self) -> bool:
-        return bool(self.mem_accesses)
 
 
 @dataclass
@@ -367,7 +363,7 @@ class FunctionalEngine:
         warp.instructions_executed += 1
         record = ExecRecord(
             pc=pc, inst=inst, active_mask=mask, active_lanes=len(lanes),
-            op_class=OP_CLASS.get(opcode, "alu"), warp=warp)
+            op_class=OP_CLASS.get(opcode, ALU), warp=warp)
 
         if pc in self._contract_sites and lanes:
             # NVIDIA's assembler turns this FP16 mul + add/sub pair into
@@ -385,7 +381,6 @@ class FunctionalEngine:
             self._exec_exit(warp, pc, lanes)
         elif opcode == "bar":
             warp.at_barrier = True
-            record.op_class = BAR
         else:
             if lanes:
                 warp.mem_trace.clear()

@@ -65,6 +65,7 @@ from repro.functional.simt import NO_RECONVERGE, SimtEntry, SimtStack
 from repro.functional.state import CTAState, is_special, thread_tables
 from repro.ptx import ast
 from repro.ptx.dtypes import DType
+from repro.ptx.instructions import CONTROL
 from repro.ptx.values import MASK64
 
 #: Bump when the generated-code shape or plan schema changes (cache key).
@@ -94,9 +95,6 @@ def reset_events() -> None:
     """Zero the process-wide tier event counters."""
     for key in EVENTS:
         EVENTS[key] = 0
-
-
-_CONTROL = ("bra", "exit", "ret", "bar")
 
 
 # ----------------------------------------------------------------------
@@ -499,7 +497,7 @@ def compile_megaplan(kernel) -> MegaPlan:
     pc = 0
     while pc < n:
         inst = body[pc]
-        if inst.opcode in _CONTROL:
+        if inst.opcode in CONTROL:
             # "div": can any branch of this kernel diverge across the
             # grid?  A bar in a divergence-free kernel always meets a
             # full frame, so the runtime containment proof is skipped.
@@ -534,7 +532,7 @@ def compile_megaplan(kernel) -> MegaPlan:
         gen = _VecGen()
         ok = True
         opcode_counts: dict[str, int] = {}
-        while pc < n and body[pc].opcode not in _CONTROL \
+        while pc < n and body[pc].opcode not in CONTROL \
                 and (pc == start or pc not in leaders):
             cur = body[pc]
             gen.begin_inst(cur)

@@ -143,10 +143,6 @@ class CTAState:
         """
         self.warps.clear()
 
-    @property
-    def live_warps(self) -> int:
-        return sum(1 for warp in self.warps if not warp.finished)
-
 
 class WarpState:
     """A 32-lane warp with per-lane register files and a SIMT stack."""
@@ -242,9 +238,6 @@ class WarpState:
         if name.startswith("%clock"):
             return self.cta.launch.clock
         return self.regs[lane].get(name, 0)
-
-    def write_reg(self, name: str, payload: int, lane: int) -> None:
-        self.regs[lane][name] = payload
 
     def read_pred(self, name: str, lane: int) -> bool:
         # Only bit 0 is the predicate value; upper union bytes may hold

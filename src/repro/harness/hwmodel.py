@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from repro.cuda.runtime import KernelRunResult
 from repro.functional.executor import FunctionalEngine
 from repro.functional.state import LaunchContext
-from repro.ptx.instructions import MEM, OP_CLASS, SFU
+from repro.ptx.instructions import MEM, SFU
 from repro.timing.config import GPUConfig, GTX1050
 
 #: family substring -> hardware-vs-PTX-model speed factor (<1: the real
@@ -81,8 +81,7 @@ class HardwareOracle:
         transactions = {"read_bytes": 0, "write_bytes": 0}
 
         def observe(record) -> None:
-            op_class = OP_CLASS.get(record.inst.opcode, "alu")
-            counts[op_class] = counts.get(op_class, 0) + 1
+            counts[record.op_class] = counts.get(record.op_class, 0) + 1
             for space, _addr, nbytes, is_write in record.mem_accesses:
                 if space != "global":
                     continue

@@ -39,10 +39,6 @@ class DType:
         return self.kind == "s"
 
     @property
-    def is_integer(self) -> bool:
-        return self.kind in ("u", "s", "b")
-
-    @property
     def name(self) -> str:
         if self.kind == "p":
             return "pred"

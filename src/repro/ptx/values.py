@@ -120,10 +120,6 @@ def write_typed(value: int | float, dtype: DType) -> int:
     return int(value) & _MASKS[dtype.bits]
 
 
-def float_is_nan(value: float) -> bool:
-    return isinstance(value, float) and math.isnan(value)
-
-
 def saturate_float(value: float) -> float:
     """PTX ``.sat`` clamps to [0.0, 1.0] and maps NaN to +0.0."""
     if math.isnan(value):

@@ -31,34 +31,16 @@ from repro.functional.executor import FAST_MODES
 STATIC_RULES = ("M501", "M502", "M503", "D303")
 
 
-def _iter_embedded():
-    """(file_id, ptx_text) per unique embedded translation unit."""
-    from repro.cudnn.library import build_application_binary
-    seen: set[str] = set()
-    for embedded in build_application_binary().embedded:
-        if embedded.file_id in seen:
-            continue
-        seen.add(embedded.file_id)
-        yield embedded.file_id, embedded.text
-
-
 def _run_static(fmt: str) -> int:
-    from repro.analysis import analyze_module, sort_findings
+    from repro.analysis import analyze_sources, embedded_units
     from repro.errors import ReproError
-    from repro.ptx.parser import parse_module
-    findings = []
-    files = 0
-    for file_id, text in _iter_embedded():
-        try:
-            module = parse_module(text, file_id)
-        except ReproError as error:
-            print(f"repro-sanitize: {file_id}: parse failed: {error}",
-                  file=sys.stderr)
-            return 2
-        files += 1
-        findings.extend(f for f in analyze_module(module)
-                        if f.rule in STATIC_RULES)
-    findings = sort_findings(findings)
+    units = embedded_units()
+    files = len(units)
+    try:
+        findings = analyze_sources(units, rules=STATIC_RULES)
+    except ReproError as error:
+        print(f"repro-sanitize: {error}", file=sys.stderr)
+        return 2
     if fmt == "json":
         print(json.dumps({
             "files": files,

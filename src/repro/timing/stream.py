@@ -48,7 +48,7 @@ import numpy as np
 from repro.errors import CycleBudgetExceededError
 from repro.functional.executor import FunctionalEngine
 from repro.functional.state import CTAState, WarpState
-from repro.ptx.instructions import BAR as _BAR_CLASS, OP_CLASS
+from repro.ptx import instructions
 from repro.ptx.values import MASK64
 
 #: Static instruction classes (``classify``): the pipeline an item's
@@ -62,16 +62,17 @@ FELL_OFF = -1
 #: ``mem`` flag bits: the non-global spaces an instruction touched.
 SHARED, TEX, OTHER = 1, 2, 4
 
-_CLASS_CODE = {"sfu": SFU, _BAR_CLASS: BAR, "mem": MEM}
+_CLASS_CODE = {instructions.SFU: SFU, instructions.BAR: BAR,
+               instructions.MEM: MEM}
 _SPACE_FLAG = {"shared": SHARED, "tex": TEX}
 
 
 def classify(kernel) -> list[int]:
-    """Class code of every pc of *kernel* (what ``OP_CLASS`` and the
-    ``atom``/``red`` opcode test told the model per record)."""
-    return [ATOM if inst.opcode in ("atom", "red")
-            else _CLASS_CODE.get(OP_CLASS.get(inst.opcode, "alu"), ALU)
-            for inst in kernel.body]
+    """Class code of every pc of *kernel*: the unit and the atomic flag
+    of its instruction-set table row."""
+    rows = (instructions.facts(inst.opcode) for inst in kernel.body)
+    return [ATOM if row.atomic else _CLASS_CODE.get(row.unit, ALU)
+            for row in rows]
 
 
 def _line_order(firsts, lasts) -> tuple[int, ...]:

@@ -12,11 +12,14 @@ _REG_FOR_WIDTH = {16: "u16", 32: "u32", 64: "u64"}
 
 
 def op_kernel(op: str, in_widths: list, out_width: int = 32,
-              pred_result: bool = False) -> str:
+              pred_result: bool = False,
+              dst_fill: int | None = None) -> str:
     """PTX of the one-instruction kernel ``op dst, src0[, src1[, src2]]``.
 
     A width of ``"pred"`` makes that source a predicate register (true
-    where the loaded 32-bit word is non-zero).
+    where the loaded 32-bit word is non-zero).  With *dst_fill* the
+    destination holds that 64-bit payload before ``op`` and its whole
+    payload is stored after.
     """
     builder = PTXBuilder("op_test", [
         ("out", "u64"),
@@ -40,7 +43,13 @@ def op_kernel(op: str, in_widths: list, out_width: int = 32,
             word, reg = reg, builder.reg("pred")
             builder.ins("setp.ne.u32", reg, word, "0")
         arg_regs.append(reg)
-    if pred_result:
+    if dst_fill is not None:
+        dst = builder.reg("pred" if pred_result
+                          else _REG_FOR_WIDTH[out_width])
+        builder.ins("mov.b64", dst, str(dst_fill))
+        builder.ins(op, dst, *arg_regs)
+        store_width = 64
+    elif pred_result:
         pred = builder.reg("pred")
         builder.ins(op, pred, *arg_regs)
         dst = builder.reg("u32")
@@ -59,7 +68,8 @@ def exec_op(op: str, sources: list[np.ndarray], *,
             in_widths: list, out_width: int = 32,
             quirks: LegacyQuirks = FIXED,
             pred_result: bool = False,
-            fast_mode: str | None = None) -> np.ndarray:
+            fast_mode: str | None = None,
+            dst_fill: int | None = None) -> np.ndarray:
     """Execute ``op dst, src0[, src1[, src2]]`` elementwise on the GPU sim.
 
     Sources/destination are raw bit payloads (uint64 arrays); widths pick
@@ -67,7 +77,7 @@ def exec_op(op: str, sources: list[np.ndarray], *,
     *fast_mode* picks the interpreter tier (default: the backend's own).
     """
     count = len(sources[0])
-    ptx = op_kernel(op, in_widths, out_width, pred_result)
+    ptx = op_kernel(op, in_widths, out_width, pred_result, dst_fill)
     backend = (None if fast_mode is None
                else FunctionalBackend(fast_mode=fast_mode))
     rt = CudaRuntime(quirks=quirks, backend=backend)

@@ -195,6 +195,25 @@ def test_narrow_register_v104_warning():
     assert findings and all(f.severity == WARNING for f in findings)
 
 
+@pytest.mark.parametrize("selector, needs", [("%r3", None), ("%h0", 32)])
+def test_v104_types_the_slct_selector_by_the_second_specifier(
+        selector, needs):
+    """``exec_slct`` reads ``c`` by the second type specifier: a
+    ``.s32`` selector of a 64-bit ``slct`` is wide enough, a ``.b16``
+    one is not."""
+    kernel = _kernel(_wrap(
+        f"    slct.u64.s32 %rd1, %rd2, %rd3, {selector};\n"))
+    findings = verify_kernel(kernel)
+    if needs is None:
+        assert findings == []
+    else:
+        (finding,) = findings
+        assert (finding.rule, finding.severity) == ("V104", WARNING)
+        assert finding.message == (
+            f"source {selector} is declared .b16 but slct reads "
+            f"{needs} bits")
+
+
 def test_clean_kernel_has_no_verifier_findings():
     kernel = _kernel(_wrap("""
     mov.u32 %r0, 1;

@@ -21,19 +21,24 @@ import collections
 import numpy as np
 import pytest
 
-from helpers import exec_op
-from repro.analysis.verifier import _SIGNATURES
+from helpers import exec_op, op_kernel
+from repro.analysis import embedded_units, verify_kernel
+from repro.analysis.dataflow import defs_of, uses_of, write_bits
 from repro.cuda import CudaRuntime, FunctionalBackend
 from repro.cuda.runtime import KernelRunResult
+from repro.debugtool.instrument import instrumented_sites
 from repro.functional import megablock
 from repro.functional.emit import ROWS, emit
 from repro.functional.executor import FAST_MODES, FunctionalEngine
 from repro.functional.megablock import _VecGen
 from repro.functional.superblock import _BlockCodegen
 from repro.ptx.builder import PTXBuilder
+from repro.ptx import instructions
+from repro.ptx.instructions import CONTROL, MEM, TABLE
+from repro.ptx.values import MASK64, mask
 from repro.ptx.parser import parse_module
-from repro.sanitize.cli import _iter_embedded
-from repro.timing.stream import LiveSource, StreamRecorder
+from repro.timing import stream
+from repro.timing.stream import LiveSource, StreamRecorder, classify
 
 _COMPARISONS = ("eq", "ne", "lt", "le", "gt", "ge", "lo", "ls", "hi", "hs")
 _ROUNDERS = ("rni", "rzi", "rmi", "rpi")
@@ -106,14 +111,16 @@ class Form:
             lanes.append(columns[2][index])
         return lanes
 
-    def run(self, fast_mode: str) -> np.ndarray:
+    def run(self, fast_mode: str,
+            dst_fill: int | None = None) -> np.ndarray:
         def width(name: str):
             return "pred" if name == "pred" else max(16, int(name[1:]))
         pred_result = self.out == "pred"
         return exec_op(self.op, self.operands(),
                        in_widths=[width(name) for name in self.sources],
                        out_width=32 if pred_result else width(self.out),
-                       pred_result=pred_result, fast_mode=fast_mode)
+                       pred_result=pred_result, fast_mode=fast_mode,
+                       dst_fill=dst_fill)
 
 
 def _type_names(kinds: str) -> list[str]:
@@ -127,9 +134,11 @@ def _type_names(kinds: str) -> list[str]:
 
 
 def _candidate_forms():
-    for opcode, (sources, _render, reg_dst) in sorted(ROWS.items()):
-        if not reg_dst:
+    for opcode in sorted(ROWS):
+        row = TABLE[opcode]
+        if row.unit == MEM:
             continue  # ld/st: the memory walk below
+        sources = row.operands - 1
         if opcode == "cvt":
             for to in _CVT_TYPES:
                 for frm in _CVT_TYPES:
@@ -139,7 +148,7 @@ def _candidate_forms():
                         mod = f".{rounder}" if rounder else ""
                         yield Form(f"cvt{mod}.{to}.{frm}", [frm], to)
             continue
-        for name in _type_names(_SIGNATURES[opcode].kinds):
+        for name in _type_names(row.kinds):
             for mod in _MODIFIERS.get(opcode, ("",)):
                 out = name
                 if mod == ".wide":
@@ -191,6 +200,63 @@ def test_every_row_form_is_bit_identical_on_all_tiers(op):
             f"{[hex(int(col[mismatch[0]])) for col in form.operands()]} "
             f"-> {int(results[mode][mismatch[0]]):#x}, reference "
             f"{int(results['reference'][mismatch[0]]):#x}")
+
+
+def test_write_bits_is_the_width_the_reference_writes():
+    """The superblock liveness flush trusts ``write_bits``: a write it
+    calls narrower than 64 bits keeps the old upper bits alive.  Run
+    every form over a destination pre-filled with all ones and with
+    zeros: the bits that differ are the ones the reference left
+    standing, and must be exactly those ``write_bits`` says are not
+    written.  (``.wide`` is an integer modifier: the walker's
+    ``mul.wide.f32`` is not PTX, and the reference ignores it there.)"""
+    wrong = []
+    for op, (form, _vector) in sorted(_FORMS.items()):
+        if op == "mul.wide.f32":
+            continue
+        ones = form.run("reference", dst_fill=MASK64)
+        zeros = form.run("reference", dst_fill=0)
+        kept = MASK64 ^ mask(write_bits(form.instruction()))
+        if not np.all(ones ^ zeros == kept):
+            wrong.append((op, hex(kept), hex(int((ones ^ zeros)[0]))))
+    assert wrong == []
+
+
+def test_a_new_opcode_is_a_table_row_and_an_emit_row(monkeypatch):
+    """The two edits of docs/ARCHITECTURE.md "Adding an opcode", made
+    here for a throw-away copy of ``add``: the verifier, the dataflow
+    facts, the instrumentation, the timing classifier and all four
+    tiers follow with no other module touched."""
+    def render(inst, gen, dst, a, b) -> None:
+        dtype = inst.dtype
+        gen.write(dst, dtype.bits, f"({gen.payload(a, dtype)}) + "
+                  f"({gen.payload(b, dtype)})")
+
+    row = TABLE["add"]
+    monkeypatch.setitem(TABLE, "frob", row)
+    # The views are built at import, when a real row is already there.
+    monkeypatch.setitem(instructions.DISPATCH, "frob", row.exec)
+    monkeypatch.setitem(instructions.OP_CLASS, "frob", row.unit)
+    monkeypatch.setitem(ROWS, "frob", render)
+
+    form = Form("frob.u32", ["u32", "u32"], "u32")
+    assert _accepted(form) == (True, True)
+    first, second = form.operands()
+    megablock.reset_events()
+    for mode in FAST_MODES:
+        assert np.array_equal(form.run(mode),
+                              (first + second) & np.uint64(0xFFFFFFFF))
+    assert megablock.EVENTS["fallbacks"] == 0
+
+    kernel = parse_module(op_kernel("frob.u32", [32, 32]),
+                          "frob").kernel("op_test")
+    (inst,) = [i for i in kernel.body if i.opcode == "frob"]
+    assert verify_kernel(kernel) == []
+    assert defs_of(inst) == {inst.operands[0].name}
+    assert uses_of(inst) == {op.name for op in inst.operands[1:]}
+    assert write_bits(inst) == 32
+    assert inst.index in instrumented_sites(kernel)
+    assert classify(kernel)[inst.index] == stream.ALU
 
 
 def _f32(value: float) -> int:
@@ -475,15 +541,12 @@ def test_every_memory_form_matches_the_reference(form):
 # ----------------------------------------------------------------------
 # Decline census over the embedded kernels
 # ----------------------------------------------------------------------
-_CONTROL = ("bra", "exit", "ret", "bar")
-
-
 def _census() -> tuple[collections.Counter, collections.Counter]:
     scalar, vector = collections.Counter(), collections.Counter()
-    for file_id, text in _iter_embedded():
+    for file_id, text in embedded_units():
         for kernel in parse_module(text, file_id).kernels.values():
             for inst in kernel.body:
-                if inst.opcode in _CONTROL:
+                if inst.opcode in CONTROL:
                     continue
                 form = ".".join(
                     [inst.opcode, *(m for m in inst.modifiers

@@ -349,15 +349,13 @@ class TestConvert:
 
 
 def test_every_emit_row_has_a_reference_and_a_verifier_signature():
-    """The three places an opcode lives: a compiled row without a
-    ``DISPATCH`` entry has nothing to fall back to or be compared with,
-    and one without a signature escapes the static verifier."""
-    from repro.analysis.verifier import _SIGNATURES
+    """The two places an opcode lives: a compiled row names a table row
+    — which carries the reference it falls back to and is compared
+    with, and the signature the verifier checks — that takes a fixed
+    number of operands."""
     from repro.functional.emit import ROWS
-    from repro.ptx.instructions import DISPATCH
+    from repro.ptx.instructions import TABLE
 
-    assert set(ROWS) <= set(DISPATCH)
-    assert set(ROWS) <= set(_SIGNATURES)
-    for opcode, (sources, _render, _reg_dst) in ROWS.items():
-        sig = _SIGNATURES[opcode]
-        assert sig.min_ops <= sources + 1 <= sig.max_ops, opcode
+    for opcode in ROWS:
+        row = TABLE[opcode]
+        assert row.exec is not None and row.optional == 0, opcode
