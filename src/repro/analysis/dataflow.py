@@ -10,11 +10,12 @@ Concrete problems shipped on top of the engine:
 
 * :func:`reaching_definitions` — with a synthetic :data:`UNINIT` def for
   every register at kernel entry, so uninitialised reads are visible.
-* :func:`liveness` — backward; the variant used for superblock
-  writeback pruning treats sub-64-bit writes as read-modify-write of
-  the destination (the register file stores 64-bit payload unions, so a
-  narrow write composes with the old upper bits — skipping it is only
-  sound when nothing later reads *any* bits of the register).
+* :func:`register_widths` — how many payload bits each register of a
+  kernel can ever hold (its declaration and every def of it).
+* :func:`liveness` — backward, feeding the compiled tiers' writeback
+  pruning.  The register file stores 64-bit payload unions, so a narrow
+  write composes with the old upper bits and *reads* its destination —
+  unless the width map proves there are no upper bits to keep.
 * :func:`def_use_chains` — both directions (def→uses, use→defs),
   derived from reaching definitions.
 * :func:`variance` — forward taint from per-lane special registers
@@ -31,7 +32,7 @@ from repro.functional.cfg import build_cfg
 from repro.functional.state import is_special
 from repro.ptx import ast
 from repro.ptx.ast import Instruction, Kernel
-from repro.ptx.instructions import REG_DST, facts, result_bits
+from repro.ptx.instructions import EXTENDED, REG_DST, facts, result_bits
 
 #: Synthetic definition site meaning "never written on some path".
 UNINIT = -1
@@ -102,6 +103,40 @@ def write_bits(inst: Instruction) -> int:
             or inst.dtype.kind in facts(inst.opcode).raw_write):
         return 64
     return result_bits(inst)
+
+
+def value_bits(inst: Instruction) -> int:
+    """Upper bound on the payload bits a def by *inst* can set: the
+    composed low bits, or what its row says a whole-payload write
+    holds (``raw_bits``: a zero-extended load stays as narrow as its
+    type, a sign-extended one fills the payload)."""
+    if not inst.dtypes:
+        return 64
+    row, dtype = facts(inst.opcode), inst.dtype
+    if dtype.kind not in row.raw_write:
+        return result_bits(inst)
+    if row.raw_bits == EXTENDED:
+        return 64 if dtype.is_signed else dtype.bits
+    return row.raw_bits
+
+
+def register_widths(kernel: Kernel) -> dict[str, int]:
+    """Register name -> bits its payload can ever occupy (a register
+    the map does not name is 64 wide): the declared width (a predicate
+    holds 1) or the widest def of it in the body, guarded or not.  A
+    write at least that wide leaves nothing of the old payload, so the
+    compiled tiers render it without the read-modify-write and
+    :func:`liveness` counts it as a plain def.  Solved once per kernel.
+    """
+    widths = getattr(kernel, "_reg_widths", None)
+    if widths is None:
+        widths = {name: 1 if decl.kind == "p" else min(decl.bits, 64)
+                  for name, decl in kernel.reg_decls.items()}
+        for inst in kernel.body:
+            for name in defs_of(inst):
+                widths[name] = max(widths.get(name, 64), value_bits(inst))
+        kernel._reg_widths = widths
+    return widths
 
 
 def is_killing(inst: Instruction) -> bool:
@@ -243,50 +278,36 @@ def reaching_definitions(kernel: Kernel) -> Solution:
 class _Liveness(DataflowProblem):
     """Backward live-register analysis.
 
-    ``rmw_dst_is_use`` makes a sub-64-bit write also *read* its
-    destination (payload-union compose); required for sound writeback
-    pruning, pessimistic for dead-store reporting.
+    A def narrower than its register can hold (:func:`register_widths`)
+    composes with the old payload, so it also *reads* its destination
+    and kills nothing; sound for writeback pruning.
     """
 
-    def __init__(self, *, rmw_dst_is_use: bool) -> None:
+    def __init__(self, widths: dict[str, int]) -> None:
         super().__init__(direction="backward")
-        self.rmw_dst_is_use = rmw_dst_is_use
+        self.widths = widths
 
     def transfer(self, inst: Instruction, facts: frozenset) -> frozenset:
         written = defs_of(inst)
-        if written and is_killing(inst) and (
-                not self.rmw_dst_is_use or write_bits(inst) >= 64):
-            facts = facts - written
         reads = frozenset(n for n in uses_of(inst) if not is_special(n))
-        if written and self.rmw_dst_is_use and write_bits(inst) < 64:
-            reads = reads | written
+        if written:
+            bits = write_bits(inst)
+            replaced = frozenset(n for n in written
+                                 if self.widths.get(n, 64) <= bits)
+            if is_killing(inst):
+                facts = facts - replaced
+            reads = reads | (written - replaced)
         return facts | reads
 
 
-def liveness(kernel: Kernel, *, rmw_dst_is_use: bool = True) -> Solution:
-    """Live registers before/after each instruction."""
-    return solve(kernel, _Liveness(rmw_dst_is_use=rmw_dst_is_use))
-
-
-def block_live_out(kernel: Kernel,
-                   *, rmw_dst_is_use: bool = True) -> dict[int, frozenset]:
-    """Map block-leader pc → registers live when the block exits.
-
-    This is what the superblock codegen consumes: a fused block may skip
-    the dict writeback of any register not in its ``live_out`` set.
-    """
-    live = liveness(kernel, rmw_dst_is_use=rmw_dst_is_use)
-    graph = build_cfg(kernel)
-    result: dict[int, frozenset] = {}
-    for node in graph.nodes:
-        if node == "exit":
-            continue
-        end = graph.nodes[node]["end"]
-        if end - 1 in live.after:
-            result[node] = live.after[end - 1]
-        else:
-            result[node] = frozenset()
-    return result
+def liveness(kernel: Kernel) -> Solution:
+    """Live registers before/after each instruction (solved once per
+    kernel)."""
+    solution = getattr(kernel, "_liveness", None)
+    if solution is None:
+        solution = kernel._liveness = solve(
+            kernel, _Liveness(register_widths(kernel)))
+    return solution
 
 
 # ----------------------------------------------------------------------

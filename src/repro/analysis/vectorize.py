@@ -38,7 +38,9 @@ from repro.ptx.ast import Kernel
 #: :mod:`repro.analysis.ranges`.
 #: 3: ``barrier_divergence`` is per barrier (reachability from a
 #: divergent branch), no longer one kernel-wide flag.
-ANALYSIS_VERSION = 3
+#: 4: the liveness behind a plan's ``pruned`` lists counts a narrow def
+#: as a use only where ``dataflow.register_widths`` leaves upper bits.
+ANALYSIS_VERSION = 4
 
 #: Specials that may differ between two threads *of the grid*.
 _GRID_VARIANT_SPECIALS = ("%tid", "%laneid", "%clock", "%ctaid", "%warpid")

@@ -98,7 +98,20 @@ class Codegen:
     ``value_mod64``, ``symbol``, ``call``, and for memory rows
     ``address``, ``access``, ``load``, ``store``, ``fence`` and
     ``write_raw`` (a whole-payload write of a loaded value).
+
+    ``widths`` is the kernel's register width map
+    (:func:`repro.analysis.dataflow.register_widths`; a register it
+    does not name is 64 wide).  ``write`` composes a narrow result into
+    the old payload's upper bits only where :meth:`replaces` says there
+    can be any.
     """
+
+    def __init__(self, widths: dict[str, int] | None = None) -> None:
+        self.widths = widths or {}
+
+    def replaces(self, name: str, bits: int) -> bool:
+        """Does a *bits*-wide write cover everything *name* can hold?"""
+        return self.widths.get(name, 64) <= bits
 
     def payload(self, op: ast.Operand, dtype: DType) -> str:
         """Raw 64-bit payload of a source operand."""

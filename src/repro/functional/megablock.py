@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis.dataflow import liveness
+from repro.analysis.dataflow import liveness, register_widths
 from repro.analysis.ranges import facts_from_payload, kernel_facts
 from repro.analysis.vectorize import classify_kernel
 from repro.errors import SimulationFault
@@ -74,7 +74,9 @@ from repro.ptx.values import MASK64
 #: 4: ``VM.rec`` recorder calls at guards and ld/st (timing pre-pass).
 #: 5: ld/st rendered from the emit row: ``VM.ld``/``VM.st`` per element
 #:    without pc/sign arguments, one ``VM.watch`` event per access.
-PLAN_FORMAT = 5
+#: 6: a write as wide as its register can hold reads no old payload
+#:    (``dataflow.register_widths``); liveness prunes on the same fact.
+PLAN_FORMAT = 6
 
 _PAGE_SHIFT = np.uint64(PAGE_BITS)
 
@@ -114,7 +116,8 @@ class _VecGen(Codegen):
     thread (the common case for kernels without divergence).
     """
 
-    def __init__(self) -> None:
+    def __init__(self, widths: dict[str, int] | None = None) -> None:
+        super().__init__(widths)
         self.pre: list[str] = []
         self.body: list[str] = []
         self._n = 0
@@ -239,18 +242,22 @@ class _VecGen(Codegen):
             # (compute over all lanes, keep old values where the guard
             # is off — the scalar tier simply skips those lanes).
             pm = self._auto_pm
-        old = self.reg(name) if (bits < 64 or pm is not None) else None
         t = self._tmp()
         if bits >= 64:
             self.body.append(f"    {t} = VM.arr(H.p64({expr}))")
+        elif self.replaces(name, bits):
+            # No upper bits to keep: nothing of the old payload is read.
+            self.body.append(
+                f"    {t} = VM.arr(H.p64({expr}) & {(1 << bits) - 1:#x})")
         else:
             keep = (~((1 << bits) - 1)) & MASK64
             self.body.append(
-                f"    {t} = ({old} & {keep:#x}) | "
+                f"    {t} = ({self.reg(name)} & {keep:#x}) | "
                 f"(H.p64({expr}) & {(1 << bits) - 1:#x})")
         if pm is not None:
             t2 = self._tmp()
-            self.body.append(f"    {t2} = np.where({pm}, {t}, {old})")
+            self.body.append(
+                f"    {t2} = np.where({pm}, {t}, {self.reg(name)})")
             t = t2
         self._forward[name] = t
         self._writes[name] = t
@@ -491,6 +498,7 @@ def compile_megaplan(kernel) -> MegaPlan:
     report = classify_kernel(kernel)
     bar_div = report.barrier_divergence()
     live = liveness(kernel)
+    widths = register_widths(kernel)
     leaders = block_leaders(kernel)
     blocks: dict[int, _VecBlock] = {}
     controls: dict[int, dict] = {}
@@ -529,7 +537,7 @@ def compile_megaplan(kernel) -> MegaPlan:
             pc += 1
             continue
         start = pc
-        gen = _VecGen()
+        gen = _VecGen(widths)
         ok = True
         opcode_counts: dict[str, int] = {}
         while pc < n and body[pc].opcode not in CONTROL \

@@ -47,8 +47,11 @@ memory and every *live* register):
   solution from :mod:`repro.analysis.dataflow`, so registers that are
   statically dead after the run are never written back at all (their
   stale dict entries are unobservable: liveness proves no later
-  instruction reads them, and the analysis already counts partial
-  sub-64-bit writes as reads of the old payload union);
+  instruction reads them, and the analysis already counts a write
+  narrower than its register can hold as a read of the old payload);
+* a write as wide as its register can ever hold
+  (:func:`~repro.analysis.dataflow.register_widths`) has no upper bits
+  to keep and reads no old payload at all;
 * float reinterpretation inlines the two ``struct`` calls instead of
   going through the :mod:`repro.ptx.values` wrappers;
 * linear arenas (shared/param/const) and the dense span of global memory
@@ -73,7 +76,7 @@ from __future__ import annotations
 import functools
 from typing import Callable, Sequence
 
-from repro.analysis.dataflow import liveness
+from repro.analysis.dataflow import liveness, register_widths
 from repro.errors import SimulationFault
 from repro.functional.cfg import block_leaders
 from repro.functional.emit import Codegen, emit as _emit
@@ -163,7 +166,9 @@ class _BlockCodegen(Codegen):
     """The Python-int dialect: accumulates generated per-lane lines + the
     objects they close over."""
 
-    def __init__(self, *, trace: bool = False) -> None:
+    def __init__(self, widths: dict[str, int] | None = None, *,
+                 trace: bool = False) -> None:
+        super().__init__(widths)
         #: Stepped rendering: ``ld``/``st`` record their accesses in
         #: ``warp.mem_trace`` (fused blocks produce no ExecRecord).
         self.trace = trace
@@ -368,9 +373,10 @@ class _BlockCodegen(Codegen):
 
     # -- destination writes --------------------------------------------
     def write(self, name: str, bits: int, expr: str) -> None:
-        """Union-preserving register write + forwarding local."""
-        if bits >= 64:
-            full = f"({expr}) & {MASK64:#x}"
+        """Register write + forwarding local: the low *bits* composed
+        into the old payload's upper bits, where there can be any."""
+        if self.replaces(name, bits):
+            full = f"({expr}) & {mask(min(bits, 64)):#x}"
         else:
             keep = MASK64 ^ mask(bits)
             old = self.reg(name)
@@ -567,7 +573,7 @@ def eligible(inst: ast.Instruction) -> bool:
 
 def _fuse(kernel, run: list[ast.Instruction], start: int,
           live_out: frozenset[str] | None) -> Superblock:
-    gen = _BlockCodegen()
+    gen = _BlockCodegen(register_widths(kernel))
     for inst in run:
         if not _emit(inst, gen):
             gen.opaque(inst)
@@ -627,7 +633,7 @@ def compile_step(kernel, pc: int) -> LaneFn:
     needs nothing here — ``step_warp`` passes only the lanes it selects.
     """
     inst = kernel.body[pc]
-    gen = _BlockCodegen(trace=True)
+    gen = _BlockCodegen(register_widths(kernel), trace=True)
     if not _emit(inst, gen):
         return reference_step(inst)
     return gen.build(_STEP_FILENAME.format(kernel=kernel.name, pc=pc))[0]

@@ -7,10 +7,11 @@ dtype families its type suffix may name, what operand 0 is, what the
 remaining operands may be and how wide a register each one reads, and
 how wide the result is — and everything that needs such a fact reads it
 here: the verifier (V100–V104), ``analysis/dataflow`` (``defs_of`` /
-``uses_of`` / ``write_bits``), the instrumentation and fault-site
-selection built on them, the timing classifier, the vector planner and
-the emit table's arity check.  Semantics stay written twice by design:
-the reference (``exec_*``, named by the row) and ``functional/emit.ROWS``.
+``uses_of`` / ``write_bits`` / ``register_widths``), the instrumentation
+and fault-site selection built on them, the timing classifier, the
+vector planner and the emit table's arity check.  Semantics stay written
+twice by design: the reference (``exec_*``, named by the row) and
+``functional/emit.ROWS``.
 
 Control-flow opcodes (``bra``, ``exit``, ``ret``, ``bar``) have a row
 without a reference implementation — the executor owns the SIMT stack
@@ -55,6 +56,9 @@ MEM_DST = "mem"
 TYPED = "typed"
 SECOND = "second"
 RESULT = "result"
+#: ``Op.raw_bits`` of a load: the type's width zero-extended, all 64
+#: bits sign-extended.
+EXTENDED = "extended"
 
 
 @dataclass(frozen=True)
@@ -103,7 +107,8 @@ class Op:
     width where it is not the type's (:func:`result_bits`);
     ``raw_write`` names the type kinds whose result replaces the whole
     64-bit payload of the destination rather than being composed into
-    the register's low bits.
+    the register's low bits, and ``raw_bits`` bounds the payload bits
+    such a write can set (an ``int``, or :data:`EXTENDED`).
     """
 
     exec: ExecFn | None
@@ -117,6 +122,7 @@ class Op:
     needs_cmp: bool = False           # a comparison modifier is required
     result: int | None = None
     raw_write: str = ""
+    raw_bits: str | int = 64
 
     def source(self, position: int) -> Source:
         """The :class:`Source` of operand *position* (not operand 0 of a
@@ -151,19 +157,19 @@ TABLE: dict[str, Op] = {
     "popc": Op(bits.exec_popc, 2, "b", result=32),
     "clz": Op(bits.exec_clz, 2, "b", result=32),
     "setp": Op(compare.exec_setp, 3, "usfb", needs_cmp=True,
-               raw_write=_ANY_KIND),
+               raw_write=_ANY_KIND, raw_bits=1),
     "selp": Op(compare.exec_selp, 4, "usfb",
                sources=(VALUE, VALUE, SELECTOR)),
     "slct": Op(compare.exec_slct, 4, "usfb",
                sources=(VALUE, VALUE, SECOND_TYPED)),
     "mov": Op(convert.exec_mov, 2, "usfbp", sources=(SYMBOLIC,),
-              raw_write="p"),
+              raw_write="p", raw_bits=1),
     "cvt": Op(convert.exec_cvt, 2, "usf", sources=(SECOND_TYPED,)),
     "cvta": Op(convert.exec_cvta, 2, sources=(SYMBOLIC,)),
     "ld": Op(memory.exec_ld, 2, unit=MEM, sources=(ADDRESS,),
-             raw_write=_ANY_KIND),
+             raw_write=_ANY_KIND, raw_bits=EXTENDED),
     "ldu": Op(memory.exec_ld, 2, unit=MEM, sources=(ADDRESS,),
-              raw_write=_ANY_KIND),
+              raw_write=_ANY_KIND, raw_bits=EXTENDED),
     "st": Op(memory.exec_st, 2, unit=MEM, dst=MEM_DST,
              sources=(STORED,)),
     "atom": Op(memory.exec_atom, 3, unit=MEM, optional=1, atomic=True,

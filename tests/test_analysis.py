@@ -15,8 +15,8 @@ from repro.analysis import (
     ERROR, WARNING, analyze_kernel, run_lints, verify_kernel,
     verify_launch)
 from repro.analysis.dataflow import (
-    UNINIT, block_live_out, def_use_chains, liveness, producer_chain,
-    reaching_definitions, variance)
+    UNINIT, def_use_chains, liveness, producer_chain,
+    reaching_definitions, register_widths, variance)
 from repro.cuda import CudaRuntime
 from repro.cuda.runtime import FunctionalBackend
 from repro.errors import VerificationError
@@ -93,20 +93,41 @@ def test_liveness_kills_after_last_use():
 
 
 def test_liveness_partial_write_is_rmw():
-    # cvt.u16 writes 16 of 64 payload bits: the union composes with the
-    # old upper bits, so in rmw mode the destination is also a *use*.
+    # cvt.u16 writes 16 of the 64 payload bits mov.u64 filled: the union
+    # composes with the old upper bits, so the destination is also a
+    # *use*.
     kernel = _kernel(_wrap("""
     mov.u64 %rd1, 5;
     cvt.u16.u32 %rd1, %r0;
     st.global.u64 [%rd0], %rd1;
 """))
-    rmw = liveness(kernel, rmw_dst_is_use=True)
-    plain = liveness(kernel, rmw_dst_is_use=False)
-    assert "%rd1" in rmw.before[1]       # old payload still matters
-    assert "%rd1" not in plain.before[1]  # classic liveness: killed
+    assert register_widths(kernel)["%rd1"] == 64
+    assert "%rd1" in liveness(kernel).before[1]  # old payload matters
 
 
-def test_block_live_out_maps_leaders():
+def test_liveness_write_as_wide_as_the_register_kills():
+    # %r1 is .b32 and only ever written by 32-bit ops: no def of it has
+    # upper bits to keep, so each one is a plain kill.
+    kernel = _kernel(_wrap("""
+    mov.u32 %r1, 5;
+    add.u32 %r1, %r0, 2;
+@%p0 add.u32 %r1, %r0, 3;
+    st.global.u32 [%rd0], %r1;
+"""))
+    assert register_widths(kernel)["%r1"] == 32
+    live = liveness(kernel)
+    assert "%r1" not in live.before[0]
+    assert "%r1" not in live.before[1]   # classic liveness: killed
+    assert "%r1" in live.before[2]       # a guarded def keeps the old
+
+
+def test_liveness_is_solved_once_per_kernel():
+    kernel = _kernel(_wrap("    mov.u32 %r0, 1;"))
+    assert liveness(kernel) is liveness(kernel)
+    assert register_widths(kernel) is register_widths(kernel)
+
+
+def test_liveness_holds_across_a_join():
     kernel = _kernel(_wrap("""
     mov.u32 %r0, 1;
     setp.lt.u32 %p0, %r0, 2;
@@ -115,9 +136,69 @@ def test_block_live_out_maps_leaders():
 $L1:
     st.global.u32 [%rd0], %r0;
 """))
-    out = block_live_out(kernel)
-    assert 0 in out
-    assert "%r0" in out[0]               # read after the branch joins
+    live = liveness(kernel)
+    assert "%r0" in live.after[2]        # read after the branch joins
+    assert "%r1" not in live.after[3]
+
+
+#: The width map, one def shape per row: (body, register, bits).
+_WIDTH_TABLE = [
+    # One register written at 16 / 32 / 64 bits holds the widest.
+    ("cvt.u16.u32 %rd1, %r0;", "%rd1", 64),          # declared .b64
+    ("cvt.u16.u32 %r1, %r0;", "%r1", 32),            # declared .b32
+    ("cvt.u16.u32 %h1, %r0;", "%h1", 16),
+    ("mov.u16 %r1, 1; mov.u32 %r1, 2;", "%r1", 32),
+    ("mov.u32 %r1, 2; mov.u64 %r1, 3;", "%r1", 64),
+    ("mov.u32 %h1, 2;", "%h1", 32),                  # wider than declared
+    # Loads replace the payload: zero-extended ones stay narrow, a
+    # sign-extended one fills it.
+    ("ld.global.u32 %r1, [%rd0];", "%r1", 32),
+    ("ld.global.s32 %r1, [%rd0];", "%r1", 64),
+    ("ld.global.u16 %r1, [%rd0];", "%r1", 32),
+    ("ld.global.u16 %h1, [%rd0];", "%h1", 16),
+    ("ld.global.s16 %h1, [%rd0];", "%h1", 64),
+    ("ld.global.f32 %f1, [%rd0];", "%f1", 32),
+    ("ld.global.b64 %f1, [%rd0];", "%f1", 64),
+    ("ld.global.s64 %rd1, [%rd0];", "%rd1", 64),
+    ("ldu.global.u32 %r1, [%rd0];", "%r1", 32),
+    # Results wider or narrower than the type suffix.
+    ("mad.wide.u32 %r1, %r0, %r0, %rd0;", "%r1", 64),
+    ("mul.wide.u16 %h1, %h0, %h0;", "%h1", 32),
+    ("popc.b64 %r1, %rd0;", "%r1", 32),
+    ("cvt.s64.s32 %r1, %r0;", "%r1", 64),            # widening
+    ("cvt.u32.u64 %r1, %rd0;", "%r1", 32),           # narrowing
+    ("cvt.f32.f64 %f1, %rd0;", "%f1", 32),
+    # Vector destinations count per element; tex states no width.
+    ("ld.global.v2.f32 {%f1, %f2}, [%rd0];", "%f2", 32),
+    ("ld.global.v4.u32 {%r1, %r2, %r3, %r4}, [%rd0];", "%r4", 32),
+    ("ld.global.v2.s32 {%r1, %r2}, [%rd0];", "%r2", 64),
+    ("tex.2d.v4.f32.s32 {%f1, %f2, %f3, %f4}, [tx, {%r0, %r1}];",
+     "%f3", 64),
+    # A destination of atom is a composed write of its type.
+    ("atom.global.add.u32 %r1, [%rd0], %r0;", "%r1", 32),
+    ("atom.global.add.u64 %r1, [%rd0], %rd1;", "%r1", 64),
+    # Predicates hold one bit, however they are written.
+    ("setp.lt.u32 %p1, %r0, 2;", "%p1", 1),
+    ("mov.pred %p1, %p0;", "%p1", 1),
+    ("and.pred %p1, %p0, %p2;", "%p1", 1),
+    ("mov.u32 %p1, 5;", "%p1", 32),
+    # Guarded defs count like any other.
+    ("@%p0 mov.u64 %r1, 2;", "%r1", 64),
+    ("@!%p0 ld.global.s32 %r1, [%rd0];", "%r1", 64),
+    # A .b64 register only ever written at 32 bits stays wide: its
+    # declaration says a fault (or a later edit) may fill it.
+    ("mov.u32 %rd1, 1; add.u32 %rd1, %rd1, 2;", "%rd1", 64),
+    # Undeclared registers are 64 wide, and so is a declared one that
+    # nothing writes.
+    ("mov.u32 %zz, 1;", "%zz", 64),
+    ("mov.u32 %r1, %r0;", "%r0", 32),
+]
+
+
+@pytest.mark.parametrize("body,register,bits", _WIDTH_TABLE)
+def test_register_width_table(body, register, bits):
+    kernel = _kernel(_wrap(body))
+    assert register_widths(kernel).get(register, 64) == bits
 
 
 def test_def_use_chains_are_bidirectional():

@@ -904,7 +904,9 @@ class TestKernelCache:
     def test_stale_plan_format_is_discarded_and_recompiled(
             self, tmp_path):
         # A cache entry written by an older codegen (plan_format skew)
-        # must never be trusted: discard, recompile, rewrite.
+        # must never be trusted: discard, recompile, rewrite.  Format 5
+        # (every narrow write a read-modify-write, flushes pruned on
+        # the liveness that went with it) is such an entry.
         cache_dir = tmp_path / "xproc"
         cold = _run_cache_process(cache_dir)
         entries = list(cache_dir.glob("*-megablock.json"))
