@@ -6,7 +6,8 @@ worklist fixpoint at basic-block granularity, then expands the solution
 to per-instruction ``in``/``out`` fact sets.  Facts are frozensets; the
 meet is union, so every problem expressed here is a may-analysis.
 
-Concrete problems shipped on top of the engine:
+Concrete problems shipped on top of the engine, each solved once per
+kernel (:func:`repro.ptx.ast.kernel_fact`) and shared read-only:
 
 * :func:`reaching_definitions` — with a synthetic :data:`UNINIT` def for
   every register at kernel entry, so uninitialised reads are visible.
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field
 from repro.functional.cfg import build_cfg
 from repro.functional.state import is_special
 from repro.ptx import ast
-from repro.ptx.ast import Instruction, Kernel
+from repro.ptx.ast import Instruction, Kernel, kernel_fact
 from repro.ptx.instructions import EXTENDED, REG_DST, facts, result_bits
 
 #: Synthetic definition site meaning "never written on some path".
@@ -120,22 +121,20 @@ def value_bits(inst: Instruction) -> int:
     return row.raw_bits
 
 
+@kernel_fact
 def register_widths(kernel: Kernel) -> dict[str, int]:
     """Register name -> bits its payload can ever occupy (a register
     the map does not name is 64 wide): the declared width (a predicate
     holds 1) or the widest def of it in the body, guarded or not.  A
     write at least that wide leaves nothing of the old payload, so the
     compiled tiers render it without the read-modify-write and
-    :func:`liveness` counts it as a plain def.  Solved once per kernel.
+    :func:`liveness` counts it as a plain def.
     """
-    widths = getattr(kernel, "_reg_widths", None)
-    if widths is None:
-        widths = {name: 1 if decl.kind == "p" else min(decl.bits, 64)
-                  for name, decl in kernel.reg_decls.items()}
-        for inst in kernel.body:
-            for name in defs_of(inst):
-                widths[name] = max(widths.get(name, 64), value_bits(inst))
-        kernel._reg_widths = widths
+    widths = {name: 1 if decl.kind == "p" else min(decl.bits, 64)
+              for name, decl in kernel.reg_decls.items()}
+    for inst in kernel.body:
+        for name in defs_of(inst):
+            widths[name] = max(widths.get(name, 64), value_bits(inst))
     return widths
 
 
@@ -267,6 +266,7 @@ class _ReachingDefs(DataflowProblem):
         return facts | frozenset((name, inst.index) for name in written)
 
 
+@kernel_fact
 def reaching_definitions(kernel: Kernel) -> Solution:
     """(register, def_pc) pairs reaching each instruction."""
     return solve(kernel, _ReachingDefs())
@@ -300,14 +300,10 @@ class _Liveness(DataflowProblem):
         return facts | reads
 
 
+@kernel_fact
 def liveness(kernel: Kernel) -> Solution:
-    """Live registers before/after each instruction (solved once per
-    kernel)."""
-    solution = getattr(kernel, "_liveness", None)
-    if solution is None:
-        solution = kernel._liveness = solve(
-            kernel, _Liveness(register_widths(kernel)))
-    return solution
+    """Live registers before/after each instruction."""
+    return solve(kernel, _Liveness(register_widths(kernel)))
 
 
 # ----------------------------------------------------------------------
@@ -326,6 +322,7 @@ class DefUseChains:
     defs_of_use: dict[tuple[str, int], frozenset[int]]
 
 
+@kernel_fact
 def def_use_chains(kernel: Kernel) -> DefUseChains:
     reach = reaching_definitions(kernel)
     uses_of_def: dict[tuple[str, int], set[int]] = {}
@@ -430,6 +427,7 @@ class _Variance(DataflowProblem):
         return facts
 
 
+@kernel_fact
 def variance(kernel: Kernel) -> Solution:
     """Thread-variant register sets before/after each instruction."""
     return solve(kernel, _Variance())

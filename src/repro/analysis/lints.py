@@ -1,8 +1,9 @@
 """Dataflow/control-flow lint passes over a prepared kernel.
 
 Each pass has signature ``pass_fn(ctx) -> list[Finding]`` where *ctx*
-is a :class:`LintContext` carrying the kernel plus lazily computed
-dataflow solutions, so passes share one CFG/liveness/variance run.
+is a :class:`LintContext` naming the kernel.  The CFG and dataflow
+solutions passes read are facts of the kernel, solved once and shared
+(:func:`repro.ptx.ast.kernel_fact`).
 
 Passes::
 
@@ -20,13 +21,13 @@ Passes::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.analysis import dataflow, ranges
 from repro.analysis.dataflow import UNINIT, defs_of, uses_of
 from repro.analysis.findings import ERROR, Finding, WARNING
-from repro.functional.cfg import build_cfg, prepare_kernel
+from repro.functional.cfg import branch_target, build_cfg, reconvergence
 from repro.functional.state import is_special
 from repro.functional.simt import NO_RECONVERGE
 from repro.ptx.ast import Instruction, Kernel
@@ -34,46 +35,11 @@ from repro.ptx.ast import Instruction, Kernel
 
 @dataclass
 class LintContext:
-    """Shared analysis state for one kernel."""
+    """The kernel a pass lints and where its findings point.  Every
+    solution a pass reads is a memoised fact of the kernel."""
 
     kernel: Kernel
     file_id: str = ""
-    _graph: object = None
-    _reach: dataflow.Solution | None = None
-    _live: dataflow.Solution | None = None
-    _variance: dataflow.Solution | None = None
-    _chains: dataflow.DefUseChains | None = None
-    _ranges: ranges.RangeInfo | None = None
-
-    @property
-    def graph(self):
-        if self._graph is None:
-            self._graph = build_cfg(self.kernel)
-        return self._graph
-
-    @property
-    def reach(self) -> dataflow.Solution:
-        if self._reach is None:
-            self._reach = dataflow.reaching_definitions(self.kernel)
-        return self._reach
-
-    @property
-    def variance(self) -> dataflow.Solution:
-        if self._variance is None:
-            self._variance = dataflow.variance(self.kernel)
-        return self._variance
-
-    @property
-    def chains(self) -> dataflow.DefUseChains:
-        if self._chains is None:
-            self._chains = dataflow.def_use_chains(self.kernel)
-        return self._chains
-
-    @property
-    def ranges(self) -> ranges.RangeInfo:
-        if self._ranges is None:
-            self._ranges = ranges.analyze_ranges(self.kernel)
-        return self._ranges
 
     def finding(self, rule: str, severity: str, inst: Instruction,
                 message: str) -> Finding:
@@ -88,8 +54,9 @@ class LintContext:
 # ----------------------------------------------------------------------
 def lint_uninitialized_reads(ctx: LintContext) -> list[Finding]:
     findings: list[Finding] = []
+    reach = dataflow.reaching_definitions(ctx.kernel)
     for inst in ctx.kernel.body:
-        incoming = ctx.reach.before.get(inst.index, frozenset())
+        incoming = reach.before.get(inst.index, frozenset())
         for name in sorted(uses_of(inst)):
             if is_special(name):
                 continue
@@ -112,12 +79,13 @@ def lint_uninitialized_reads(ctx: LintContext) -> list[Finding]:
 # ----------------------------------------------------------------------
 def lint_dead_stores(ctx: LintContext) -> list[Finding]:
     findings: list[Finding] = []
+    chains = dataflow.def_use_chains(ctx.kernel)
     for inst in ctx.kernel.body:
         written = sorted(defs_of(inst))
         if not written:
             continue
         dead = [n for n in written
-                if not ctx.chains.uses_of_def.get((n, inst.index))]
+                if not chains.uses_of_def.get((n, inst.index))]
         if len(dead) != len(written):
             # A vector destination with at least one live element is
             # idiomatic (ld.v2 reading only .x, tex.v4 using one channel).
@@ -138,8 +106,8 @@ def _bars_reachable(ctx: LintContext, leader, stop_block) -> set[int]:
     """pcs of ``bar`` instructions reachable from block *leader* by a
     block-level DFS that stops at *stop_block* (the reconvergence
     block) and at kernel exit."""
-    graph = ctx.graph
     kernel = ctx.kernel
+    graph = build_cfg(kernel)
     bars: set[int] = set()
     seen: set = set()
     stack = [leader]
@@ -158,20 +126,19 @@ def _bars_reachable(ctx: LintContext, leader, stop_block) -> set[int]:
 
 def lint_divergent_barriers(ctx: LintContext) -> list[Finding]:
     kernel = ctx.kernel
-    prepare_kernel(kernel)
-    graph = ctx.graph
-    block_of = graph.graph.get("block_of", {})
+    block_of = build_cfg(kernel).graph.get("block_of", {})
+    variance = dataflow.variance(kernel)
     findings: list[Finding] = []
     flagged: set[int] = set()
     for inst in kernel.body:
         if inst.opcode != "bra" or inst.pred is None:
             continue
-        variant = ctx.variance.before.get(inst.index, frozenset())
+        variant = variance.before.get(inst.index, frozenset())
         if inst.pred not in variant:
             continue                    # warp-uniform branch: no divergence
-        rpc = kernel.reconvergence.get(inst.index, NO_RECONVERGE)
+        rpc = reconvergence(kernel).get(inst.index, NO_RECONVERGE)
         stop = block_of.get(rpc) if rpc != NO_RECONVERGE else None
-        taken = kernel.label_target(inst.operands[0].name)
+        taken = branch_target(kernel, inst)
         sides = []
         for succ_pc in (taken, inst.index + 1):
             if succ_pc < len(kernel.body):
@@ -214,8 +181,9 @@ def lint_range_memory(ctx: LintContext) -> list[Finding]:
       unallocated (hence uninitialised) memory.
     """
     findings: list[Finding] = []
-    for pc in sorted(ctx.ranges.facts):
-        fact = ctx.ranges.facts[pc]
+    facts = ranges.kernel_facts(ctx.kernel)
+    for pc in sorted(facts):
+        fact = facts[pc]
         inst = ctx.kernel.body[pc]
         if ranges.static_oob_below(fact):
             findings.append(ctx.finding(
@@ -256,29 +224,32 @@ def _address_signature(ctx: LintContext, inst: Instruction):
         return None
     if not mem.is_reg_base:
         return (mem.name, mem.offset)
-    defs = ctx.chains.defs_of_use.get((mem.name, inst.index), frozenset())
+    defs = dataflow.def_use_chains(ctx.kernel).defs_of_use.get(
+        (mem.name, inst.index), frozenset())
     return (defs, mem.offset)
 
 
 def _is_variant_address(ctx: LintContext, inst: Instruction) -> bool:
     for operand in inst.operands:
         if operand.kind == "mem" and operand.is_reg_base:
-            variant = ctx.variance.before.get(inst.index, frozenset())
+            variant = dataflow.variance(ctx.kernel).before.get(
+                inst.index, frozenset())
             return operand.name in variant
     return False
 
 
 def lint_shared_races(ctx: LintContext) -> list[Finding]:
     kernel = ctx.kernel
-    graph = ctx.graph
-    facts = ctx.ranges.facts
+    graph = build_cfg(kernel)
+    facts = ranges.kernel_facts(kernel)
+    variance = dataflow.variance(kernel)
     findings: list[Finding] = []
     shared_sts = [i for i in kernel.body
                   if i.opcode == "st" and i.space == "shared"]
     for st in shared_sts:
         st_fact = facts.get(st.index)
         st_variant = _is_variant_address(ctx, st)
-        variant_in = ctx.variance.before.get(st.index, frozenset())
+        variant_in = variance.before.get(st.index, frozenset())
         guarded = st.pred is not None and st.pred in variant_in
         if not st_variant and not guarded:
             if st_fact is not None and ranges.uniform_address(st_fact):

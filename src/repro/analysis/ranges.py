@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from repro.functional.cfg import build_cfg
 from repro.functional.state import is_special
 from repro.ptx import ast
-from repro.ptx.ast import Instruction, Kernel
+from repro.ptx.ast import Instruction, Kernel, kernel_fact
 
 #: Specials usable as interval symbols.  ``%warpid``/``%clock`` are
 #: deliberately absent: the former aliases ``%tid`` non-affinely, the
@@ -312,7 +312,6 @@ class RangeInfo:
     """Result of :func:`analyze_ranges` for one kernel."""
 
     facts: dict[int, MemFact] = field(default_factory=dict)
-    env_before: dict[int, dict[str, Affine]] = field(default_factory=dict)
 
 
 def _join(a: dict[str, Affine], b: dict[str, Affine]) -> dict[str, Affine]:
@@ -386,7 +385,6 @@ def analyze_ranges(kernel: Kernel) -> RangeInfo:
         env = dict(block_in[leader])
         end = graph.nodes[leader]["end"]
         for inst in kernel.body[leader:end]:
-            info.env_before[inst.index] = dict(env)
             fact = _mem_fact(inst, env, kernel)
             if fact is not None:
                 info.facts[fact.pc] = fact
@@ -408,14 +406,10 @@ def facts_from_payload(data: list[dict]) -> dict[int, MemFact]:
     return facts
 
 
+@kernel_fact
 def kernel_facts(kernel: Kernel) -> dict[int, MemFact]:
-    """Memory facts for *kernel*, cached on the kernel object."""
-    cached = getattr(kernel, "_range_facts", None)
-    if cached is not None and cached[0] == len(kernel.body):
-        return cached[1]
-    facts = analyze_ranges(kernel).facts
-    kernel._range_facts = (len(kernel.body), facts)
-    return facts
+    """:func:`analyze_ranges`' memory facts, once per kernel."""
+    return analyze_ranges(kernel).facts
 
 
 # ----------------------------------------------------------------------

@@ -110,8 +110,10 @@ _PARSE_CACHE: dict[tuple[str, int, bool], PTXModule] = {}
 
 def _parse_cached(text: str, file_id: str,
                   allow_brace_init: bool) -> PTXModule:
-    """Memoise parsing — modules are immutable post-parse, and per-kernel
-    analysis caches (reconvergence, compiled tiers) are safely shared."""
+    """Memoise parsing — modules are immutable post-parse, and what a
+    kernel's ``derived`` memo holds is a function of its body alone (no
+    runtime or engine setting reaches it), so every runtime in the
+    process safely shares it."""
     key = (file_id, hash(text), allow_brace_init)
     module = _PARSE_CACHE.get(key)
     if module is None:

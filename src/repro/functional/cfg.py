@@ -6,39 +6,31 @@ granularity, compute immediate dominators of the reversed graph with
 networkx, and record, for every conditional-branch instruction index, the
 instruction index at which its paths rejoin.
 
-A ``reconverge_at_exit`` mode is provided as the ablation DESIGN.md §5.2
-calls out: every divergence then reconverges only at kernel exit, which
-exaggerates divergence in Fig. 22-style plots.
+Every result here is a fact of the kernel body, memoised on the kernel
+(:func:`repro.ptx.ast.kernel_fact`).  The reconverge-at-exit ablation
+(DESIGN.md §5.2) is a setting of the engine that executes the branch,
+not a different map.
 """
 
 from __future__ import annotations
 
 import networkx as nx
 
-from repro.ptx.ast import Instruction, Kernel, LABEL
+from repro.ptx.ast import Instruction, Kernel, LABEL, kernel_fact
 from repro.functional.simt import NO_RECONVERGE
 
 _EXIT = "exit"
 
 
-def _branch_target(kernel: Kernel, inst: Instruction) -> int:
+def branch_target(kernel: Kernel, inst: Instruction) -> int | None:
+    """The pc a ``bra`` jumps to (``None`` without a label operand)."""
     for operand in inst.operands:
         if operand.kind == LABEL:
             return kernel.labels[operand.name]
-    raise KeyError(f"branch without label operand: {inst.text}")
+    return None
 
 
-def _leaders(kernel: Kernel) -> list[int]:
-    leaders = {0}
-    for inst in kernel.body:
-        if inst.opcode == "bra":
-            leaders.add(_branch_target(kernel, inst))
-            leaders.add(inst.index + 1)
-        elif inst.opcode in ("exit", "ret"):
-            leaders.add(inst.index + 1)
-    return sorted(i for i in leaders if i < len(kernel.body))
-
-
+@kernel_fact
 def block_leaders(kernel: Kernel) -> frozenset[int]:
     """Instruction indices that start a basic block.
 
@@ -46,37 +38,45 @@ def block_leaders(kernel: Kernel) -> frozenset[int]:
     across these: a leader is a potential control-flow entry point
     (branch target, post-branch/exit fallthrough, or pc 0).
     """
-    return frozenset(_leaders(kernel))
+    leaders = {0}
+    for inst in kernel.body:
+        if inst.opcode == "bra":
+            target = branch_target(kernel, inst)
+            if target is None:
+                raise KeyError(f"branch without label operand: {inst.text}")
+            leaders.add(target)
+            leaders.add(inst.index + 1)
+        elif inst.opcode in ("exit", "ret"):
+            leaders.add(inst.index + 1)
+    return frozenset(i for i in leaders if i < len(kernel.body))
 
 
 def basic_blocks(kernel: Kernel) -> list[tuple[int, int]]:
     """Half-open ``[start, end)`` instruction ranges of each basic block."""
-    leaders = _leaders(kernel)
+    leaders = sorted(block_leaders(kernel))
     size = len(kernel.body)
     return [(leader, leaders[i + 1] if i + 1 < len(leaders) else size)
             for i, leader in enumerate(leaders)]
 
 
+@kernel_fact
 def build_cfg(kernel: Kernel) -> nx.DiGraph:
-    """Basic-block CFG; node = leader instruction index, plus EXIT."""
-    leaders = _leaders(kernel)
+    """Basic-block CFG; node = leader instruction index, plus EXIT.
+    Shared by every caller: read it, never mutate it."""
     graph = nx.DiGraph()
     graph.add_node(_EXIT)
     if not kernel.body:
         return graph
+    blocks = basic_blocks(kernel)
     block_of: dict[int, int] = {}
-    for position, leader in enumerate(leaders):
-        end = (leaders[position + 1] if position + 1 < len(leaders)
-               else len(kernel.body))
+    for leader, end in blocks:
         graph.add_node(leader, end=end)
         for index in range(leader, end):
             block_of[index] = leader
-    for leader in leaders:
-        end = graph.nodes[leader]["end"]
+    for leader, end in blocks:
         last = kernel.body[end - 1]
         if last.opcode == "bra":
-            target = _branch_target(kernel, last)
-            graph.add_edge(leader, block_of[target])
+            graph.add_edge(leader, block_of[branch_target(kernel, last)])
             if last.pred is not None:
                 if end < len(kernel.body):
                     graph.add_edge(leader, block_of[end])
@@ -96,9 +96,8 @@ def build_cfg(kernel: Kernel) -> nx.DiGraph:
     return graph
 
 
-def compute_reconvergence(kernel: Kernel, *,
-                          reconverge_at_exit: bool = False) -> dict[int, int]:
-    """Map conditional-branch instruction index → reconvergence pc.
+def compute_reconvergence(kernel: Kernel) -> dict[int, int]:
+    """Map conditional-branch instruction index → IPDOM reconvergence pc.
 
     ``NO_RECONVERGE`` means the paths only rejoin at kernel exit.
     """
@@ -107,9 +106,6 @@ def compute_reconvergence(kernel: Kernel, *,
                 if inst.opcode == "bra" and inst.pred is not None]
     if not branches:
         return result
-    if reconverge_at_exit:
-        return {index: NO_RECONVERGE for index in branches}
-
     graph = build_cfg(kernel)
     block_of = graph.graph["block_of"]
     reversed_graph = graph.reverse(copy=True)
@@ -124,7 +120,8 @@ def compute_reconvergence(kernel: Kernel, *,
     return result
 
 
-def prepare_kernel(kernel: Kernel, *, reconverge_at_exit: bool = False) -> None:
-    """Attach reconvergence metadata to a kernel (idempotent)."""
-    kernel.reconvergence = compute_reconvergence(
-        kernel, reconverge_at_exit=reconverge_at_exit)
+@kernel_fact
+def reconvergence(kernel: Kernel) -> dict[int, int]:
+    """:func:`compute_reconvergence`, once per kernel: the map the
+    engine's SIMT stacks, the megablock planner and lint C401 read."""
+    return compute_reconvergence(kernel)

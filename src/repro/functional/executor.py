@@ -41,10 +41,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
 from repro.errors import SimulationFault, TimingDeadlockError
-from repro.functional.cfg import prepare_kernel
+from repro.functional.cfg import branch_target, reconvergence
 from repro.functional.state import CTAState, LaunchContext, WarpState
 from repro.functional.simt import NO_RECONVERGE
 from repro.ptx import ast
+from repro.ptx.ast import kernel_fact
 from repro.ptx.instructions import ALU, DISPATCH, OP_CLASS
 
 #: Sentinel returned by step_warp when the warp is parked at a barrier.
@@ -143,6 +144,44 @@ def partition_ctas(num_ctas: int, shards: int) -> list[tuple[int, int]]:
     return ranges
 
 
+@kernel_fact
+def _step_slots(kernel: ast.Kernel) -> list:
+    """The compiled tiers' step list, one slot per pc, shared by every
+    engine of *kernel* and filled on first issue (``_compile_step``)."""
+    return [None] * len(kernel.body)
+
+
+@kernel_fact
+def _megaplan(kernel: ast.Kernel, tracer):
+    """*kernel*'s vector plan: loaded from the disk cache, else compiled
+    and stored.  *tracer* sees the hit or the miss and the compile."""
+    from repro.analysis.vectorize import ANALYSIS_VERSION
+    from repro.functional import kernelcache
+    from repro.functional.megablock import (
+        PLAN_FORMAT, compile_megaplan, plan_from_payload)
+    plan = None
+    payload = kernelcache.load(kernel, "megablock",
+                               plan_format=PLAN_FORMAT,
+                               analysis_version=ANALYSIS_VERSION)
+    if payload is not None:
+        try:
+            plan = plan_from_payload(payload)
+        except Exception:  # malformed payload: treat as a miss
+            pass
+    if (plan is not None and plan.kernel_name == kernel.name
+            and plan.body_len == len(kernel.body)):
+        tracer.instant(f"kernelcache:hit:{kernel.name}", cat="kernelcache")
+    else:
+        tracer.instant(f"kernelcache:miss:{kernel.name}", cat="kernelcache")
+        with tracer.span(f"megablock-compile:{kernel.name}", cat="engine"):
+            plan = compile_megaplan(kernel)
+        kernelcache.store(kernel, "megablock", plan.to_payload(),
+                          plan_format=PLAN_FORMAT,
+                          analysis_version=ANALYSIS_VERSION)
+    tracer.counter("kernelcache", kernelcache.counters())
+    return plan
+
+
 class FunctionalEngine:
     """Executes one kernel launch, warp-lockstep."""
 
@@ -182,21 +221,27 @@ class FunctionalEngine:
         #: the (deliberately wrong) semantics and dispatch is skipped.
         self.exec_override = exec_override
         self.contract_fp16 = contract_fp16
+        #: The reconvergence ablation (DESIGN.md §5.2): every divergent
+        #: branch rejoins only at exit.  A setting of this engine alone;
+        #: the vector plan encodes IPDOM, so it never runs under it.
+        self.reconverge_at_exit = reconverge_at_exit
         #: Why a requested megablock launch fell back (None if it held).
         self.megablock_fallback: tuple[str, ...] | None = None
         #: Chunks this engine handed to the scalar engine mid-run.
         self.megablock_bailouts = 0
         self._megaplan = None
-        _quirks = launch.quirks
-        if (fast_mode == "megablock" and not contract_fp16
-                and not (_quirks.rem_ignores_type
-                         or _quirks.bfe_unsigned_only
-                         or _quirks.brev_unsupported
-                         or _quirks.fp16_unsupported)):
-            # Load (disk cache) or compile the vector plan first: a warm
-            # cache entry carries the reconvergence map, letting the
-            # prepare_kernel CFG pass below be skipped entirely.
-            plan = self._load_megaplan()
+        if launch.quirks.alters_instructions:
+            # Legacy semantics in play: take the reference interpreter
+            # everywhere so quirky behaviour is modelled exactly.
+            fast_mode = "reference"
+        elif contract_fp16 and fast_mode in ("superblock", "megablock"):
+            # Contraction rewrites mul+add pairs at issue time; fused
+            # blocks would execute the pair unfused.  Step instead.
+            fast_mode = "fastpath"
+        elif reconverge_at_exit and fast_mode == "megablock":
+            fast_mode = "superblock"
+        if fast_mode == "megablock":
+            plan = _megaplan(self.kernel, tracer)
             if plan.eligible:
                 self._megaplan = plan
             else:
@@ -212,49 +257,27 @@ class FunctionalEngine:
                     args={"reasons": list(plan.reasons)[:8]})
                 tracer.counter("megablock", dict(EVENTS))
                 fast_mode = "superblock"
-        if (not self.kernel.reconvergence
-                and any(i.opcode == "bra" and i.pred is not None
-                        for i in self.kernel.body)):
-            prepare_kernel(self.kernel,
-                           reconverge_at_exit=reconverge_at_exit)
         self._body = self.kernel.body
         self._body_len = len(self._body)
-        quirks = launch.quirks
-        if (quirks.rem_ignores_type or quirks.bfe_unsigned_only
-                or quirks.brev_unsupported or quirks.fp16_unsupported):
-            # Legacy semantics in play: take the reference interpreter
-            # everywhere so quirky behaviour is modelled exactly.
-            fast_mode = "reference"
         #: pc -> ``fn(warp, lanes)``.  The compiled renderings are
         #: shared on the kernel and filled on first issue; a reference
         #: engine keeps a private, prefilled list so the two never mix
         #: (an unimplemented opcode stays None and faults when it issues).
         if fast_mode == "reference":
             from repro.functional.superblock import reference_step
-            steps = [reference_step(inst) if inst.opcode in DISPATCH
-                     else None for inst in self._body]
+            self._steps = [reference_step(inst) if inst.opcode in DISPATCH
+                           else None for inst in self._body]
         else:
-            steps = getattr(self.kernel, "_steps", None)
-            if steps is None or len(steps) != self._body_len:
-                steps = self.kernel._steps = [None] * self._body_len
-        self._steps = steps
+            self._steps = _step_slots(self.kernel)
         self._contract_sites = (
             self._find_fp16_contractions() if contract_fp16 else {})
-        if fast_mode in ("superblock", "megablock") and contract_fp16:
-            # Contraction rewrites mul+add pairs at issue time; fused
-            # blocks would execute the pair unfused.  Step instead.
-            fast_mode = "fastpath"
         self._superblocks = {}
         if fast_mode in ("superblock", "megablock"):
             # The megablock tier needs superblocks too: they run the
             # scalar continuation after a divergent-barrier bailout and
             # every external-driver path (iter_ctas / run_cta).
-            blocks = getattr(self.kernel, "_superblock", None)
-            if blocks is None:
-                from repro.functional.superblock import compile_superblocks
-                blocks = self.kernel._superblock = compile_superblocks(
-                    self.kernel)
-            self._superblocks = blocks
+            from repro.functional.superblock import compile_superblocks
+            self._superblocks = compile_superblocks(self.kernel)
         self.fast_mode = fast_mode
         #: Tier the latest non-empty :meth:`run_range` executed on, and
         #: one word on why where that is not ``fast_mode``.
@@ -291,50 +314,6 @@ class FunctionalEngine:
                 on_exec(record)
                 check(record)
         self.on_exec = observer
-
-    # ------------------------------------------------------------------
-    # Megablock plan loading (disk cache -> in-process cache -> compile)
-    # ------------------------------------------------------------------
-    def _load_megaplan(self):
-        from repro.analysis.vectorize import ANALYSIS_VERSION
-        from repro.functional import kernelcache
-        from repro.functional.megablock import (
-            PLAN_FORMAT, compile_megaplan, plan_from_payload)
-        kernel = self.kernel
-        versions = (PLAN_FORMAT, ANALYSIS_VERSION)
-        cached = getattr(kernel, "_megablock", None)
-        if cached is not None and cached[0] == versions:
-            return cached[1]
-        tracer = self.tracer
-        plan = None
-        payload = kernelcache.load(kernel, "megablock",
-                                   plan_format=PLAN_FORMAT,
-                                   analysis_version=ANALYSIS_VERSION)
-        if payload is not None:
-            try:
-                plan = plan_from_payload(payload)
-            except Exception:  # malformed payload: treat as a miss
-                plan = None
-        if (plan is not None and plan.kernel_name == kernel.name
-                and plan.body_len == len(kernel.body)):
-            if not kernel.reconvergence and plan.reconvergence:
-                # Warm load: reuse the cached IPDOM map; the CFG /
-                # dominator pass never runs in this process.
-                kernel.reconvergence = dict(plan.reconvergence)
-            tracer.instant(f"kernelcache:hit:{kernel.name}",
-                           cat="kernelcache")
-        else:
-            tracer.instant(f"kernelcache:miss:{kernel.name}",
-                           cat="kernelcache")
-            with tracer.span(f"megablock-compile:{kernel.name}",
-                             cat="engine"):
-                plan = compile_megaplan(kernel)
-            kernelcache.store(kernel, "megablock", plan.to_payload(),
-                              plan_format=PLAN_FORMAT,
-                              analysis_version=ANALYSIS_VERSION)
-        tracer.counter("kernelcache", kernelcache.counters())
-        kernel._megablock = (versions, plan)
-        return plan
 
     # ------------------------------------------------------------------
     # Single-instruction stepping (used by both modes)
@@ -409,11 +388,7 @@ class FunctionalEngine:
 
     def _exec_branch(self, warp: WarpState, inst: ast.Instruction,
                      pc: int, lanes: Sequence[int]) -> None:
-        target = None
-        for operand in inst.operands:
-            if operand.kind == ast.LABEL:
-                target = self.kernel.labels[operand.name]
-                break
+        target = branch_target(self.kernel, inst)
         if target is None:
             raise SimulationFault(f"bra without target: {inst.text}")
         active_mask = warp.simt.active_mask
@@ -426,7 +401,8 @@ class FunctionalEngine:
         elif taken_mask == 0:
             warp.simt.advance(pc + 1)
         else:
-            rpc = self.kernel.reconvergence.get(pc, NO_RECONVERGE)
+            rpc = (NO_RECONVERGE if self.reconverge_at_exit
+                   else reconvergence(self.kernel).get(pc, NO_RECONVERGE))
             warp.simt.diverge(rpc, target, taken_mask, pc + 1,
                               not_taken_mask)
 

@@ -58,7 +58,7 @@ from repro.analysis.ranges import facts_from_payload, kernel_facts
 from repro.analysis.vectorize import classify_kernel
 from repro.errors import SimulationFault
 from repro.functional import npops
-from repro.functional.cfg import block_leaders, prepare_kernel
+from repro.functional.cfg import block_leaders, branch_target, reconvergence
 from repro.functional.emit import Codegen, Decline, emit
 from repro.functional.memory import GLOBAL_BASE, PAGE_BITS
 from repro.functional.simt import NO_RECONVERGE, SimtEntry, SimtStack
@@ -76,7 +76,9 @@ from repro.ptx.values import MASK64
 #:    without pc/sign arguments, one ``VM.watch`` event per access.
 #: 6: a write as wide as its register can hold reads no old payload
 #:    (``dataflow.register_widths``); liveness prunes on the same fact.
-PLAN_FORMAT = 6
+#: 7: no separate ``reconvergence`` map: each branch's ``rpc`` lives in
+#:    its control descriptor only.
+PLAN_FORMAT = 7
 
 _PAGE_SHIFT = np.uint64(PAGE_BITS)
 
@@ -411,14 +413,13 @@ class MegaPlan:
 
     def __init__(self, kernel_name: str, body_len: int, eligible: bool,
                  reasons: list[str], blocks: dict, controls: dict,
-                 reconvergence: dict, facts: dict | None = None) -> None:
+                 facts: dict | None = None) -> None:
         self.kernel_name = kernel_name
         self.body_len = body_len
         self.eligible = eligible
         self.reasons = reasons
         self.blocks = blocks  # start pc -> _VecBlock
         self.controls = controls  # pc -> control descriptor dict
-        self.reconvergence = reconvergence
         #: pc -> MemFact: the range pass's affine memory facts, carried
         #: in the plan so a cached kernel (whose body never re-parses)
         #: still arms the sanitizer's launch-time proofs.
@@ -443,8 +444,6 @@ class MegaPlan:
                 for b in self.blocks.values()],
             "controls": {str(pc): dict(ctrl)
                          for pc, ctrl in self.controls.items()},
-            "reconvergence": {str(pc): rpc
-                              for pc, rpc in self.reconvergence.items()},
             "facts": [self.facts[pc].to_dict()
                       for pc in sorted(self.facts)],
         }
@@ -481,17 +480,11 @@ def plan_from_payload(payload: dict) -> MegaPlan:
         eligible=bool(payload["eligible"]),
         reasons=[str(r) for r in payload["reasons"]],
         blocks=blocks, controls=controls,
-        reconvergence={int(pc): int(rpc) for pc, rpc
-                       in payload["reconvergence"].items()},
         facts=facts_from_payload(payload.get("facts", [])))
 
 
 def compile_megaplan(kernel) -> MegaPlan:
     """Classify, segment and compile *kernel* into a vector plan."""
-    if (not kernel.reconvergence
-            and any(i.opcode == "bra" and i.pred is not None
-                    for i in kernel.body)):
-        prepare_kernel(kernel)
     body = kernel.body
     n = len(body)
     reasons: list[str] = []
@@ -521,16 +514,12 @@ def compile_megaplan(kernel) -> MegaPlan:
             if inst.opcode != "bra" and inst.pred is not None:
                 reasons.append(f"pc {pc}: predicated {inst.opcode}")
             if inst.opcode == "bra":
-                target = None
-                for op in inst.operands:
-                    if op.kind == ast.LABEL:
-                        target = kernel.labels[op.name]
-                        break
+                target = branch_target(kernel, inst)
                 if target is None:
                     reasons.append(f"pc {pc}: bra without label target")
                 ctrl["target"] = target
                 if inst.pred is not None:
-                    ctrl["rpc"] = kernel.reconvergence.get(
+                    ctrl["rpc"] = reconvergence(kernel).get(
                         pc, NO_RECONVERGE)
                     ctrl["uniform"] = pc in report.uniform_branches
             controls[pc] = ctrl
@@ -565,9 +554,7 @@ def compile_megaplan(kernel) -> MegaPlan:
     # non-empty, so an eligible plan has every block compiled.
     return MegaPlan(kernel_name=kernel.name, body_len=n,
                     eligible=not reasons, reasons=reasons, blocks=blocks,
-                    controls=controls,
-                    reconvergence=dict(kernel.reconvergence),
-                    facts=kernel_facts(kernel))
+                    controls=controls, facts=kernel_facts(kernel))
 
 
 # ----------------------------------------------------------------------

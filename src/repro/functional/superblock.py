@@ -83,6 +83,7 @@ from repro.functional.emit import Codegen, emit as _emit
 from repro.functional.memory import GLOBAL_BASE, PAGE_BITS
 from repro.functional.state import is_special
 from repro.ptx import ast
+from repro.ptx.ast import kernel_fact
 from repro.ptx.dtypes import DType
 from repro.ptx.instructions import DISPATCH, lookup
 from repro.ptx.instructions.bits import reverse_bits
@@ -586,10 +587,11 @@ def _fuse(kernel, run: list[ast.Instruction], start: int,
         pruned=frozenset(gen.pruned))
 
 
+@kernel_fact
 def compile_superblocks(kernel) -> dict[int, Superblock]:
     """Fuse every maximal eligible straight-line run of *kernel*.
 
-    Returns ``{entry pc: Superblock}``.  Runs never cross basic-block
+    Returns ``{entry pc: Superblock}``, once per kernel.  Runs never cross basic-block
     leaders, so any pc a warp can branch or reconverge to is either a
     block entry or outside every block (where the engine steps).
 

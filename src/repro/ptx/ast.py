@@ -9,6 +9,7 @@ the functional simulator's program counter is an index into that list.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from repro.ptx.dtypes import DType
@@ -119,8 +120,17 @@ class Kernel:
     reg_decls: dict[str, DType] = field(default_factory=dict)
     module: "PTXModule | None" = None
 
-    # Filled in by repro.functional.cfg at load time:
-    reconvergence: dict[int, int] = field(default_factory=dict)
+    #: Every fact the body implies (CFG, IPDOM map, dataflow solutions,
+    #: range facts, compiled tiers), each memoised here by the
+    #: :func:`kernel_fact` that owns it.  Only the parser builds a body,
+    #: so nothing here goes stale; it is never compared or pickled.
+    derived: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state["derived"] = {}
+        return state
 
     @property
     def param_bytes(self) -> int:
@@ -133,8 +143,24 @@ class Kernel:
     def shared_bytes(self) -> int:
         return sum(v.size for v in self.shared_vars)
 
-    def label_target(self, name: str) -> int:
-        return self.labels[name]
+
+def kernel_fact(fact):
+    """Memoise ``fact(kernel)`` in ``kernel.derived``: computed once per
+    kernel, then the same object for every caller.  Further arguments
+    only observe the one computation (a tracer), never change its value.
+    Threads sharing a kernel may compute it twice; the first value
+    stored wins for all."""
+    key = f"{fact.__module__}.{fact.__qualname__}"
+
+    @functools.wraps(fact)
+    def memoised(kernel: Kernel, *observers):
+        derived = kernel.derived
+        try:
+            return derived[key]
+        except KeyError:
+            return derived.setdefault(key, fact(kernel, *observers))
+
+    return memoised
 
 
 @dataclass

@@ -14,6 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+#: The flags that change instruction semantics.
+INSTRUCTION_QUIRKS = ("rem_ignores_type", "bfe_unsigned_only",
+                      "brev_unsupported", "fp16_unsupported")
+
 
 @dataclass(frozen=True)
 class LegacyQuirks:
@@ -71,6 +75,12 @@ class LegacyQuirks:
     #: this False makes both round identically (the paper leaves exact
     #: FP16 simulation as future work).
     fp16_fma_contraction: bool = False
+
+    @property
+    def alters_instructions(self) -> bool:
+        """Whether an enabled quirk changes instruction semantics (only
+        the reference interpreter models those; ``QUIRK_RULES`` keys)."""
+        return any(getattr(self, name) for name in INSTRUCTION_QUIRKS)
 
     def describe(self) -> list[str]:
         """Human-readable list of enabled quirks."""

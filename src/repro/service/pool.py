@@ -5,7 +5,8 @@ checkpointing already relies on), so a launch's CTA range can be
 partitioned into contiguous shards and farmed out to a process pool:
 
 1. the parent snapshots everything a shard needs — the kernel AST
-   (stripped of unpicklable compiled-tier caches), param/const blocks,
+   (a pickled :class:`~repro.ptx.ast.Kernel` leaves its derived facts
+   behind; the module backref is dropped here), param/const blocks,
    the global-memory image, quirks — into a :class:`ShardTask`;
 2. each worker rebuilds a :class:`LaunchContext` narrowed to its CTA
    range, runs it through the engine of an ordinary
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -53,29 +54,6 @@ from repro.trace.tracer import NULL_TRACER, TraceEvent, shard_tid
 
 #: Fallback worker count when none is requested.
 DEFAULT_SHARDS = max(1, min(8, os.cpu_count() or 1))
-
-
-def _transport_kernel(kernel: Kernel) -> Kernel:
-    """A picklable copy of *kernel*.
-
-    The live object accumulates compiled-tier caches (step closures,
-    superblocks, megablock plans) and a backref to its whole
-    module; none of those survive a pickle, and workers recompile their
-    own tiers anyway (warm, via the disk kernel cache).  The
-    reconvergence map *is* carried over so workers skip the CFG pass.
-    """
-    clean = Kernel(
-        name=kernel.name,
-        params=list(kernel.params),
-        body=list(kernel.body),
-        labels=dict(kernel.labels),
-        shared_vars=list(kernel.shared_vars),
-        local_vars=list(kernel.local_vars),
-        reg_decls=dict(kernel.reg_decls),
-        module=None,
-        reconvergence=dict(kernel.reconvergence),
-    )
-    return clean
 
 
 @dataclass
@@ -290,15 +268,9 @@ class ShardExecutor:
                   partition_ctas(launch.limit_cta - first, self.shards)]
         if not ranges:
             return ShardedRunResult(stats=RunStats(), shard_ranges=[])
-        kernel = _transport_kernel(launch.kernel)
-        if not kernel.reconvergence:
-            # Resolve reconvergence once in the parent so every worker
-            # skips the CFG pass (mirrors the warm kernel-cache path).
-            from repro.functional.cfg import prepare_kernel
-            if any(i.opcode == "bra" and i.pred is not None
-                   for i in kernel.body):
-                prepare_kernel(kernel)
-                launch.kernel.reconvergence = dict(kernel.reconvergence)
+        # Workers compile their own tiers (warm, via the disk kernel
+        # cache); the module would drag every sibling kernel along.
+        kernel = replace(launch.kernel, module=None)
         memory = launch.global_mem.snapshot()
         textures = snapshot_textures(launch.kernel, launch.textures)
         cache_env = kernelcache.env_config()

@@ -42,8 +42,7 @@ from repro.trace.clock import SimClock
 _MAX_CYCLES_DEFAULT = 50_000_000
 
 
-def _live_reason(engine: FunctionalEngine,
-                 reconverge_at_exit: bool) -> str | None:
+def _live_reason(engine: FunctionalEngine) -> str | None:
     """Why this launch must be execution-driven (``None``: record it).
 
     A recording is the stream the live engine would produce only if no
@@ -57,7 +56,7 @@ def _live_reason(engine: FunctionalEngine,
     """
     if engine.launch.restored:
         return "restored CTAs resume mid-kernel"
-    if reconverge_at_exit:
+    if engine.reconverge_at_exit:
         return "reconverge_at_exit changes the SIMT stacks"
     plan = engine._megaplan
     if plan is None:
@@ -212,13 +211,11 @@ class GpuTiming:
     def _open_source(self, launch: LaunchContext):
         """Pick this launch's stream producer; a recorded launch runs
         its functional pre-pass here, before the first cycle."""
-        reconverge = self.reconverge_at_exit
         engine = FunctionalEngine(
-            launch, reconverge_at_exit=reconverge,
-            fast_mode="superblock" if launch.restored or reconverge
-            else "megablock")
+            launch, reconverge_at_exit=self.reconverge_at_exit,
+            fast_mode="superblock" if launch.restored else "megablock")
         config = self.config
-        why = _live_reason(engine, reconverge)
+        why = _live_reason(engine)
         entry = {"kernel": launch.kernel.name}
         self.launch_sources.append(entry)
         if why is not None:

@@ -1,12 +1,23 @@
 """Ablation tests for the design choices DESIGN.md §5 calls out."""
 
+import json
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+import networkx as nx
 import numpy as np
 import pytest
-from dataclasses import replace
 
 from repro.cuda import CudaRuntime
+from repro.functional.megablock import MegaPlan
+from repro.functional.superblock import Superblock
 from repro.ptx.builder import PTXBuilder
 from repro.timing import TINY, TimingBackend
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _streaming_kernel() -> str:
@@ -87,45 +98,139 @@ class TestWarpSchedulerAblation:
         assert profile.result.cycles > 0
 
 
+#: A 32-thread if/else diamond whose taken target ($THEN) is not the
+#: join: under IPDOM the two sides rejoin at $JOIN and run the shared
+#: tail once; under exit reconvergence each side runs it on its own.
+_DIAMOND = """
+.version 6.0
+.target sm_60
+.address_size 64
+
+.visible .entry diamond(.param .u64 out)
+{
+    .reg .pred %p<1>;
+    .reg .b32 %r<2>;
+    .reg .b64 %rd<3>;
+    ld.param.u64 %rd0, [out];
+    mov.u32 %r0, %tid.x;
+    setp.lt.u32 %p0, %r0, 16;
+@%p0 bra $THEN;
+    mov.u32 %r1, 2;
+    add.u32 %r1, %r1, %r0;
+    bra $JOIN;
+$THEN:
+    mov.u32 %r1, 1;
+    add.u32 %r1, %r1, %r0;
+$JOIN:
+    add.u32 %r1, %r1, 1;
+    add.u32 %r1, %r1, 2;
+    add.u32 %r1, %r1, 3;
+    add.u32 %r1, %r1, 4;
+    mul.wide.u32 %rd1, %r0, 4;
+    add.u64 %rd2, %rd0, %rd1;
+    st.global.u32 [%rd2], %r1;
+    exit;
+}
+"""
+
+#: (warp instructions, cycles) of the diamond on TINY, each rule alone.
+ALONE = {"pdom": (17, 96), "exit": (25, 149)}
+
+
+def diamond_runs(modes, file_id):
+    """Run the diamond once per reconvergence mode in *modes*, in this
+    process, every load under *file_id* (hence one parse-cached
+    kernel).  Returns ``[(warp_instructions, cycles)]`` and the kernel."""
+    want = np.arange(32) + np.where(np.arange(32) < 16, 1, 2) + 10
+    results = []
+    for mode in modes:
+        rt = CudaRuntime(backend=TimingBackend(
+            TINY, reconverge_at_exit=mode == "exit"))
+        rt.load_ptx(_DIAMOND, file_id)
+        out = rt.malloc(4 * 32)
+        rt.launch("diamond", 1, 32, [out])
+        rt.synchronize()
+        got = np.frombuffer(rt.memcpy_d2h(out, 128), np.uint32)
+        assert (got == want).all(), mode  # functionally equal
+        result = rt.profiles[-1].result
+        results.append((result.stats["warp_instructions"], result.cycles))
+    return results, rt.program.kernels["diamond"]
+
+
 class TestReconvergenceAblation:
-    def test_exit_reconvergence_executes_more_serially(self, rng):
+    def test_exit_reconvergence_executes_more_serially(self):
         """Reconverge-at-exit serialises divergent paths to the end,
-        never merging them back — issued warps are narrower."""
-        from repro.timing.backend import TimingBackend as TB
+        never merging them back: the shared tail issues once per side."""
+        [pdom], _ = diamond_runs(["pdom"], "d_pdom.cu")
+        [at_exit], _ = diamond_runs(["exit"], "d_exit.cu")
+        assert at_exit[0] > pdom[0]       # warp instructions
+        assert at_exit[1] > pdom[1]       # cycles
 
-        def build():
-            b = PTXBuilder("divergent", [("out", "u64"), ("n", "u32")])
-            out = b.ld_param("u64", "out")
-            n = b.ld_param("u32", "n")
-            tid = b.global_tid_x()
-            b.guard_tid_below(tid, n)
-            acc = b.imm_u32(0)
-            pred = b.reg("pred")
-            b.ins("setp.lt.u32", pred, tid, "16")
-            with b.if_then(pred):
-                i = b.reg("u32")
-                with b.for_range(i, 0, "8"):
-                    b.ins("add.u32", acc, acc, "1")
-            # post-join work all 32 lanes should share
-            j = b.reg("u32")
-            with b.for_range(j, 0, "8"):
-                b.ins("add.u32", acc, acc, "2")
-            b.ins("st.global.u32", f"[{b.elem_addr(out, tid)}]", acc)
-            return b.build()
 
-        results = {}
-        for label, at_exit in (("pdom", False), ("exit", True)):
-            rt = CudaRuntime(backend=TB(TINY,
-                                        reconverge_at_exit=at_exit))
-            rt.load_ptx(build(), f"d_{label}.cu")
-            out = rt.malloc(4 * 32)
-            rt.launch("divergent", 1, 32, [out, 32])
-            rt.synchronize()
-            got = np.frombuffer(rt.memcpy_d2h(out, 128), np.uint32)
-            expected = np.where(np.arange(32) < 16, 24, 16)
-            assert (got == expected).all(), label  # functionally equal
-            results[label] = rt.profiles[-1].result.stats
-        # With exit-reconvergence the shared tail runs once per path,
-        # so more warp instructions issue.
-        assert (results["exit"]["warp_instructions"]
-                >= results["pdom"]["warp_instructions"])
+def _canonical(value):
+    """A memo entry in a form two kernels' entries compare by."""
+    if isinstance(value, nx.DiGraph):
+        return list(value.nodes(data=True)), list(value.edges)
+    if isinstance(value, MegaPlan):
+        return value.to_payload()
+    if isinstance(value, list):
+        # The step list fills lazily with whatever stepped; a slot's
+        # rendering does not depend on the mode that compiled it.
+        return len(value)
+    if isinstance(value, dict) and any(isinstance(v, Superblock)
+                                       for v in value.values()):
+        return {pc: block.source for pc, block in value.items()}
+    return value
+
+
+class TestReconvergenceModesShareNothing:
+    """Exit reconvergence is a setting of one engine: no run under it
+    leaves anything behind that a later IPDOM run (this process or one
+    sharing its plan cache) could read."""
+
+    @pytest.mark.parametrize("modes", [("pdom", "exit", "pdom"),
+                                       ("exit", "pdom")],
+                             ids="-".join)
+    @pytest.mark.parametrize("cache", ["disabled", "shared"])
+    def test_each_run_reports_its_mode_alone(self, modes, cache,
+                                             tmp_path, monkeypatch):
+        if cache == "disabled":
+            monkeypatch.setenv("REPRO_CACHE_DISABLE", "1")
+        else:
+            monkeypatch.delenv("REPRO_CACHE_DISABLE", raising=False)
+            monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        results, _ = diamond_runs(modes,
+                                  f"diamond-{'-'.join(modes)}-{cache}.cu")
+        assert results == [ALONE[mode] for mode in modes]
+
+    def test_fresh_process_on_an_exit_runs_cache_reports_pdom(self,
+                                                             tmp_path):
+        def process(*modes):
+            env = dict(os.environ, REPRO_CACHE_DIR=str(tmp_path),
+                       PYTHONPATH=os.pathsep.join(
+                           [str(ROOT / "src"), str(ROOT)]))
+            env.pop("REPRO_CACHE_DISABLE", None)
+            script = ("import json, sys\n"
+                      "from tests.test_ablations import diamond_runs\n"
+                      "runs, _ = diamond_runs(sys.argv[1:], 'diamond.cu')\n"
+                      "print(json.dumps(runs))\n")
+            proc = subprocess.run(
+                [sys.executable, "-c", script, *modes], cwd=ROOT, env=env,
+                capture_output=True, text=True, check=True)
+            return [tuple(run) for run in json.loads(proc.stdout)]
+
+        process("exit", "pdom")
+        assert list(tmp_path.glob("*-megablock.json"))
+        assert process("pdom") == [ALONE["pdom"]]
+
+    def test_exit_launch_leaves_the_kernel_memo_untouched(self,
+                                                        monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DISABLE", "1")
+        _, saw_exit = diamond_runs(["pdom", "exit", "pdom"],
+                                   "diamond-memo-exit.cu")
+        _, never = diamond_runs(["pdom", "pdom"], "diamond-memo-pdom.cu")
+        assert saw_exit is not never
+        assert ({key: _canonical(value)
+                 for key, value in saw_exit.derived.items()}
+                == {key: _canonical(value)
+                    for key, value in never.derived.items()})

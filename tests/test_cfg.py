@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from repro.functional.cfg import (
     basic_blocks, block_leaders, build_cfg, compute_reconvergence,
-    prepare_kernel)
+    reconvergence)
 from repro.functional.simt import NO_RECONVERGE
 from repro.ptx.parser import parse_module
 
@@ -149,7 +149,7 @@ $OTHER:
     assert recon[1] == NO_RECONVERGE
 
 
-def test_prepare_kernel_is_idempotent():
+def test_reconvergence_is_memoised_on_the_kernel():
     kernel = _kernel("""
     setp.lt.u32 %p0, %r0, 1;
 @%p0 bra $SKIP;
@@ -157,7 +157,8 @@ def test_prepare_kernel_is_idempotent():
 $SKIP:
     exit;
 """)
-    prepare_kernel(kernel)
-    first = dict(kernel.reconvergence)
-    prepare_kernel(kernel)
-    assert kernel.reconvergence == first
+    first = reconvergence(kernel)
+    assert reconvergence(kernel) is first
+    assert first == compute_reconvergence(kernel) == {1: 3}
+    assert build_cfg(kernel) is build_cfg(kernel)
+    assert block_leaders(kernel) is block_leaders(kernel)

@@ -408,7 +408,7 @@ class TestPlan:
         clone = plan_from_payload(plan.to_payload())
         assert clone.kernel_name == plan.kernel_name
         assert clone.body_len == plan.body_len
-        assert clone.reconvergence == plan.reconvergence
+        assert clone.controls == plan.controls
         assert set(clone.blocks) == set(plan.blocks)
         for start, block in plan.blocks.items():
             other = clone.blocks[start]
@@ -904,16 +904,17 @@ class TestKernelCache:
     def test_stale_plan_format_is_discarded_and_recompiled(
             self, tmp_path):
         # A cache entry written by an older codegen (plan_format skew)
-        # must never be trusted: discard, recompile, rewrite.  Format 5
-        # (every narrow write a read-modify-write, flushes pruned on
-        # the liveness that went with it) is such an entry.
+        # must never be trusted: discard, recompile, rewrite.  Format 6
+        # (a second reconvergence map in the payload, which a run under
+        # reconverge_at_exit could fill with its exit map) is such an
+        # entry.
         cache_dir = tmp_path / "xproc"
         cold = _run_cache_process(cache_dir)
         entries = list(cache_dir.glob("*-megablock.json"))
         assert len(entries) == 1
         entry = json.loads(entries[0].read_text())
         assert entry["plan_format"] == PLAN_FORMAT
-        entry["plan_format"] = PLAN_FORMAT - 1
+        entry["plan_format"] = 6
         entries[0].write_text(json.dumps(entry))
         again = _run_cache_process(cache_dir)
         assert again["counters"]["hits"] == 0
@@ -955,19 +956,32 @@ class TestKernelCache:
         engine.run()
         assert not (tmp_path / "off").exists()
 
-    def test_warm_load_restores_reconvergence(self, tmp_path,
-                                              monkeypatch):
+    def test_warm_load_steps_divergence_like_a_cold_run(self, tmp_path,
+                                                        monkeypatch):
+        """A plan loaded from disk carries no reconvergence map of its
+        own: a hooked run of the warm kernel steps each divergent branch
+        through ``_exec_branch``, which derives IPDOM itself, and matches
+        the cold run bit for bit."""
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "warm"))
-        first = _build_launch(_divergent_ptx(), "divk")
-        FunctionalEngine(first, fast_mode="megablock")
-        want = dict(first.kernel.reconvergence)
-        assert want, "divergent kernel must have reconvergence points"
+
+        def hooked_run():
+            launch = _build_launch(_divergent_ptx(), "divk")
+            records = []
+            engine = FunctionalEngine(launch, fast_mode="megablock",
+                                      on_exec=records.append)
+            stats = engine.run()
+            assert engine._megaplan is not None
+            assert engine.ran_tier == "fastpath"
+            issued = [(r.pc, r.active_mask, r.mem_accesses)
+                      for r in records]
+            return issued, stats.dynamic_per_opcode, _memory_image(launch)
+
+        cold = hooked_run()
         kernelcache.reset_counters()
-        second = _build_launch(_divergent_ptx(), "divk")
-        engine = FunctionalEngine(second, fast_mode="megablock")
+        warm = hooked_run()
         assert kernelcache.counters()["hits"] == 1
-        assert dict(second.kernel.reconvergence) == want
-        assert engine._megaplan is not None
+        assert any(mask not in (0, 0xFFFFFFFF) for _, mask, _ in warm[0])
+        assert warm == cold
 
     def test_in_process_plan_cached_on_kernel(self):
         launch = _build_launch(_saxpy_ptx(), "sax")

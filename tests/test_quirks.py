@@ -74,6 +74,15 @@ def test_every_instruction_quirk_has_a_rule_and_golden_kernel():
     assert set(QUIRK_RULES) == set(_GOLDEN_BODIES)
 
 
+def test_instruction_quirks_are_exactly_the_rule_flags():
+    """The flags that send the engine to the reference interpreter are
+    the ones a Q2xx rule detects dependence on."""
+    altering = {name for name in LegacyQuirks.__dataclass_fields__
+                if LegacyQuirks(**{name: True}).alters_instructions}
+    assert altering == set(QUIRK_RULES)
+    assert not FIXED.alters_instructions
+
+
 @pytest.mark.parametrize("flag", sorted(QUIRK_RULES))
 def test_golden_kernel_flagged_with_matching_rule(flag):
     kernel = _golden_kernel(_GOLDEN_BODIES[flag])

@@ -5,8 +5,12 @@ import pytest
 
 from repro.cuda import CudaRuntime
 from repro.errors import TimingDeadlockError
-from repro.functional.cfg import build_cfg, compute_reconvergence
+from repro.functional.cfg import (
+    build_cfg, compute_reconvergence, reconvergence)
+from repro.functional.executor import FunctionalEngine
+from repro.functional.memory import GlobalMemory, LinearMemory
 from repro.functional.simt import NO_RECONVERGE, SimtStack
+from repro.functional.state import LaunchContext
 from repro.ptx.builder import PTXBuilder
 from repro.ptx.parser import parse_module
 
@@ -85,10 +89,25 @@ class TestReconvergence:
         assert recon[branch_pc] == kernel.labels["$join"]
 
     def test_reconverge_at_exit_mode(self):
-        module = parse_module(_diamond_kernel())
-        kernel = module.kernel("k")
-        recon = compute_reconvergence(kernel, reconverge_at_exit=True)
-        assert recon[2] == NO_RECONVERGE
+        """Exit reconvergence is a setting of the engine that executes
+        the branch: its stacks never rejoin before exit, while the
+        kernel's memoised map stays IPDOM."""
+        kernel = parse_module(_diamond_kernel()).kernel("k")
+        join = kernel.labels["$join"]
+
+        def stack_after_branch(at_exit):
+            launch = LaunchContext(
+                kernel=kernel, grid_dim=(1, 1, 1), block_dim=(32, 1, 1),
+                global_mem=GlobalMemory(), param_mem=LinearMemory(16))
+            engine = FunctionalEngine(launch, reconverge_at_exit=at_exit)
+            warp = next(engine.iter_ctas()).warps[0]
+            for _ in range(3):      # mov, setp, the divergent bra
+                engine.step_warp(warp)
+            return [entry.rpc for entry in warp.simt.entries]
+
+        assert stack_after_branch(True) == [NO_RECONVERGE] * 2
+        assert stack_after_branch(False) == [NO_RECONVERGE, join, join]
+        assert reconvergence(kernel) == {2: join}
 
     def test_cfg_shape(self):
         module = parse_module(_diamond_kernel())

@@ -365,7 +365,8 @@ class TestPerformanceModeContract:
         assert not errors and not any(t.is_alive() for t in threads)
         assert all(dict(launch.global_mem.iter_pages()) == want
                    for launch in launches)
-        assert all(step is not None for pc, step in enumerate(kernel._steps)
+        steps = executor._step_slots(kernel)
+        assert all(step is not None for pc, step in enumerate(steps)
                    if kernel.body[pc].opcode not in ("bra", "exit", "ret"))
 
     def test_budgeted_stepping_matches_free_run(self):
