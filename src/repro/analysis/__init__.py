@@ -20,8 +20,8 @@ from repro.analysis.findings import (
     ERROR, Finding, INFO, LintReport, WARNING, sort_findings)
 from repro.analysis.lints import LINT_PASSES, run_lints
 from repro.analysis.ranges import (
-    Affine, MemFact, RangeInfo, analyze_ranges, facts_from_payload,
-    facts_to_payload, kernel_facts, prove_launch, thread_injective)
+    Affine, MemFact, RangeInfo, analyze_ranges, kernel_facts, prove_launch,
+    thread_injective)
 from repro.analysis.vectorize import (
     ANALYSIS_VERSION, VectorReport, classify_kernel, grid_variance)
 from repro.analysis.verifier import QUIRK_RULES, verify_kernel
@@ -34,8 +34,7 @@ __all__ = [
     "Finding", "LintReport", "MemFact", "QUIRK_RULES", "LINT_PASSES",
     "RangeInfo", "VectorReport", "analyze_kernel", "analyze_module",
     "analyze_ranges", "analyze_sources", "classify_kernel",
-    "embedded_units", "facts_from_payload",
-    "facts_to_payload", "grid_variance", "kernel_facts",
+    "embedded_units", "grid_variance", "kernel_facts",
     "prove_launch", "run_lints", "sort_findings", "thread_injective",
     "verify_kernel", "verify_launch",
 ]

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.functional.cfg import build_cfg
+from repro.functional.cfg import EXIT, build_cfg
 from repro.functional.state import is_special
 from repro.ptx import ast
 from repro.ptx.ast import Instruction, Kernel, kernel_fact
@@ -175,20 +175,18 @@ def solve(kernel: Kernel, problem: DataflowProblem) -> Solution:
     if not kernel.body:
         return solution
     graph = build_cfg(kernel)
-    leaders = sorted(n for n in graph.nodes if n != "exit")
+    leaders = list(graph.end)
     forward = problem.direction == "forward"
     boundary = problem.boundary(kernel)
 
     def block_insts(leader: int) -> list[Instruction]:
-        end = graph.nodes[leader]["end"]
-        insts = kernel.body[leader:end]
+        insts = kernel.body[leader:graph.end[leader]]
         return insts if forward else list(reversed(insts))
 
     def edges_in(leader: int):
         """Blocks whose out-facts feed this block's in-facts."""
-        nodes = (graph.predecessors(leader) if forward
-                 else graph.successors(leader))
-        return [n for n in nodes if n != "exit"]
+        nodes = graph.pred[leader] if forward else graph.succ[leader]
+        return [n for n in nodes if n != EXIT]
 
     block_in: dict[int, frozenset] = {b: frozenset() for b in leaders}
     block_out: dict[int, frozenset] = {b: frozenset() for b in leaders}
@@ -204,8 +202,8 @@ def solve(kernel: Kernel, problem: DataflowProblem) -> Solution:
             if leader == entry or not feeds:
                 facts = boundary
         else:
-            nodes = list(graph.successors(leader))
-            if "exit" in nodes or not nodes:
+            nodes = graph.succ[leader]
+            if EXIT in nodes or not nodes:
                 facts = boundary
         for other in feeds:
             facts = facts | block_out[other]
@@ -214,10 +212,9 @@ def solve(kernel: Kernel, problem: DataflowProblem) -> Solution:
             facts = problem.transfer(inst, facts)
         if facts != block_out[leader]:
             block_out[leader] = facts
-            targets = (graph.successors(leader) if forward
-                       else graph.predecessors(leader))
+            targets = graph.succ[leader] if forward else graph.pred[leader]
             for nxt in targets:
-                if nxt != "exit" and nxt not in worklist:
+                if nxt != EXIT and nxt not in worklist:
                     worklist.append(nxt)
 
     # Expand the block solution to per-instruction before/after sets.

@@ -27,7 +27,8 @@ from typing import Callable
 from repro.analysis import dataflow, ranges
 from repro.analysis.dataflow import UNINIT, defs_of, uses_of
 from repro.analysis.findings import ERROR, Finding, WARNING
-from repro.functional.cfg import branch_target, build_cfg, reconvergence
+from repro.functional.cfg import (
+    EXIT, branch_target, build_cfg, reconvergence)
 from repro.functional.state import is_special
 from repro.functional.simt import NO_RECONVERGE
 from repro.ptx.ast import Instruction, Kernel
@@ -113,20 +114,19 @@ def _bars_reachable(ctx: LintContext, leader, stop_block) -> set[int]:
     stack = [leader]
     while stack:
         block = stack.pop()
-        if block in seen or block == "exit" or block == stop_block:
+        if block in seen or block == EXIT or block == stop_block:
             continue
         seen.add(block)
-        end = graph.nodes[block]["end"]
-        for inst in kernel.body[block:end]:
+        for inst in kernel.body[block:graph.end[block]]:
             if inst.opcode == "bar":
                 bars.add(inst.index)
-        stack.extend(graph.successors(block))
+        stack.extend(graph.succ[block])
     return bars
 
 
 def lint_divergent_barriers(ctx: LintContext) -> list[Finding]:
     kernel = ctx.kernel
-    block_of = build_cfg(kernel).graph.get("block_of", {})
+    block_of = build_cfg(kernel).block_of
     variance = dataflow.variance(kernel)
     findings: list[Finding] = []
     flagged: set[int] = set()
@@ -309,25 +309,23 @@ def lint_shared_races(ctx: LintContext) -> list[Finding]:
 def _shared_loads_before_barrier(ctx: LintContext, graph,
                                  st: Instruction) -> list[Instruction]:
     kernel = ctx.kernel
-    block_of = graph.graph.get("block_of", {})
     loads: list[Instruction] = []
     seen: set = set()
 
     def scan(block, start_pc) -> None:
-        if block == "exit":
+        if block == EXIT:
             return
-        end = graph.nodes[block]["end"]
-        for inst in kernel.body[start_pc:end]:
+        for inst in kernel.body[start_pc:graph.end[block]]:
             if inst.opcode == "bar":
                 return                  # path synchronised, stop here
             if inst.opcode in ("ld", "ldu") and inst.space == "shared":
                 loads.append(inst)
-        for succ in graph.successors(block):
+        for succ in graph.succ[block]:
             if succ not in seen:
                 seen.add(succ)
-                scan(succ, succ if succ != "exit" else 0)
+                scan(succ, succ if succ != EXIT else 0)
 
-    scan(block_of.get(st.index, 0), st.index + 1)
+    scan(graph.block_of.get(st.index, 0), st.index + 1)
     return loads
 
 

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.functional.cfg import build_cfg
+from repro.functional.cfg import EXIT, build_cfg
 from repro.functional.state import is_special
 from repro.ptx import ast
 from repro.ptx.ast import Instruction, Kernel, kernel_fact
@@ -285,27 +285,6 @@ class MemFact:
     is_write: bool
     addr: Affine
 
-    def to_dict(self) -> dict:
-        return {
-            "pc": self.pc,
-            "space": self.space,
-            "nbytes": self.nbytes,
-            "write": self.is_write,
-            "coeffs": {name: coeff for name, coeff in self.addr.coeffs},
-            "const": self.addr.const,
-        }
-
-    @staticmethod
-    def from_dict(data: dict) -> "MemFact":
-        return MemFact(
-            pc=int(data["pc"]),
-            space=str(data["space"]),
-            nbytes=int(data["nbytes"]),
-            is_write=bool(data["write"]),
-            addr=Affine(_norm({str(k): int(v)
-                               for k, v in data["coeffs"].items()}),
-                        int(data["const"])))
-
 
 @dataclass
 class RangeInfo:
@@ -352,7 +331,7 @@ def analyze_ranges(kernel: Kernel) -> RangeInfo:
     if not kernel.body:
         return info
     graph = build_cfg(kernel)
-    leaders = sorted(n for n in graph.nodes if n != "exit")
+    leaders = list(graph.end)
     entry = leaders[0]
     block_in: dict[int, dict[str, Affine]] = {b: {} for b in leaders}
     block_out: dict[int, dict[str, Affine] | None] = \
@@ -360,7 +339,7 @@ def analyze_ranges(kernel: Kernel) -> RangeInfo:
     worklist = list(leaders)
     while worklist:
         leader = worklist.pop(0)
-        preds = [p for p in graph.predecessors(leader) if p != "exit"]
+        preds = [p for p in graph.pred[leader] if p != EXIT]
         env: dict[str, Affine] | None = None
         if leader == entry or not preds:
             env = {}
@@ -372,38 +351,22 @@ def analyze_ranges(kernel: Kernel) -> RangeInfo:
         if env is None:
             env = {}
         block_in[leader] = dict(env)
-        end = graph.nodes[leader]["end"]
-        for inst in kernel.body[leader:end]:
+        for inst in kernel.body[leader:graph.end[leader]]:
             _transfer(inst, env, kernel)
         if env != block_out[leader]:
             block_out[leader] = env
-            for succ in graph.successors(leader):
-                if succ != "exit" and succ not in worklist:
+            for succ in graph.succ[leader]:
+                if succ != EXIT and succ not in worklist:
                     worklist.append(succ)
 
     for leader in leaders:
         env = dict(block_in[leader])
-        end = graph.nodes[leader]["end"]
-        for inst in kernel.body[leader:end]:
+        for inst in kernel.body[leader:graph.end[leader]]:
             fact = _mem_fact(inst, env, kernel)
             if fact is not None:
                 info.facts[fact.pc] = fact
             _transfer(inst, env, kernel)
     return info
-
-
-def facts_to_payload(info: RangeInfo) -> list[dict]:
-    """JSON-serializable fact list for the kernel-plan payload."""
-    return [info.facts[pc].to_dict() for pc in sorted(info.facts)]
-
-
-def facts_from_payload(data: list[dict]) -> dict[int, MemFact]:
-    """Inverse of :func:`facts_to_payload`."""
-    facts = {}
-    for entry in data:
-        fact = MemFact.from_dict(entry)
-        facts[fact.pc] = fact
-    return facts
 
 
 @kernel_fact

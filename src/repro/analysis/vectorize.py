@@ -25,8 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import networkx as nx
-
 from repro.analysis.dataflow import (
     Solution, _Variance, defs_of, solve, uses_of)
 from repro.functional.cfg import build_cfg
@@ -145,11 +143,13 @@ def _reachable_from(kernel: Kernel, branches: set[int],
     if not branches or not targets:
         return frozenset()
     graph = build_cfg(kernel)
-    block_of = graph.graph["block_of"]
+    block_of = graph.block_of
     after: set = set()
-    for block in {block_of[pc] for pc in branches}:
-        for successor in graph.successors(block):
-            if successor not in after:  # else so are its descendants
-                after.add(successor)
-                after |= nx.descendants(graph, successor)
+    stack = [successor for pc in branches
+             for successor in graph.succ[block_of[pc]]]
+    while stack:
+        node = stack.pop()
+        if node not in after:
+            after.add(node)
+            stack.extend(graph.succ[node])
     return frozenset(pc for pc in targets if block_of[pc] in after)

@@ -3,8 +3,10 @@
 GPGPU-Sim reconverges diverged warps at the *immediate post-dominator*
 (IPDOM) of the branch.  We build the kernel's CFG at basic-block
 granularity, compute immediate dominators of the reversed graph with
-networkx, and record, for every conditional-branch instruction index, the
-instruction index at which its paths rejoin.
+Cooper, Harvey and Kennedy's iterative algorithm ("A Simple, Fast
+Dominance Algorithm", Software Practice & Experience, 2001), and record,
+for every conditional-branch instruction index, the instruction index at
+which its paths rejoin.
 
 Every result here is a fact of the kernel body, memoised on the kernel
 (:func:`repro.ptx.ast.kernel_fact`).  The reconverge-at-exit ablation
@@ -14,12 +16,13 @@ not a different map.
 
 from __future__ import annotations
 
-import networkx as nx
+from dataclasses import dataclass
 
 from repro.ptx.ast import Instruction, Kernel, LABEL, kernel_fact
 from repro.functional.simt import NO_RECONVERGE
 
-_EXIT = "exit"
+#: The synthetic node every terminating block edges to.
+EXIT = "exit"
 
 
 def branch_target(kernel: Kernel, inst: Instruction) -> int | None:
@@ -59,64 +62,120 @@ def basic_blocks(kernel: Kernel) -> list[tuple[int, int]]:
             for i, leader in enumerate(leaders)]
 
 
+@dataclass(frozen=True)
+class CFG:
+    """Basic-block CFG of one kernel.  A node is a block's leader pc or
+    :data:`EXIT`.  Shared by every caller: read it, never mutate it.
+
+    ``succ``/``pred`` give each node's neighbours in edge insertion
+    order, each once (a predicated ``bra`` to its own fall-through is
+    one edge); ``end`` maps each leader, ascending, to the pc its block
+    stops before; ``block_of`` maps every pc to its block's leader.
+    """
+
+    succ: dict
+    pred: dict
+    end: dict[int, int]
+    block_of: dict[int, int]
+
+
 @kernel_fact
-def build_cfg(kernel: Kernel) -> nx.DiGraph:
-    """Basic-block CFG; node = leader instruction index, plus EXIT.
-    Shared by every caller: read it, never mutate it."""
-    graph = nx.DiGraph()
-    graph.add_node(_EXIT)
-    if not kernel.body:
-        return graph
-    blocks = basic_blocks(kernel)
+def build_cfg(kernel: Kernel) -> CFG:
+    """The basic-block CFG of *kernel*, once per kernel."""
+    size = len(kernel.body)
+    succ: dict = {EXIT: []}
+    pred: dict = {EXIT: []}
+    end_of: dict[int, int] = {}
     block_of: dict[int, int] = {}
+    blocks = basic_blocks(kernel)
     for leader, end in blocks:
-        graph.add_node(leader, end=end)
+        succ[leader], pred[leader] = [], []
+        end_of[leader] = end
         for index in range(leader, end):
             block_of[index] = leader
+
+    def edge(source, target) -> None:
+        if target not in succ[source]:
+            succ[source].append(target)
+            pred[target].append(source)
+
     for leader, end in blocks:
         last = kernel.body[end - 1]
+        fall = block_of[end] if end < size else EXIT
         if last.opcode == "bra":
-            graph.add_edge(leader, block_of[branch_target(kernel, last)])
+            edge(leader, block_of[branch_target(kernel, last)])
             if last.pred is not None:
-                if end < len(kernel.body):
-                    graph.add_edge(leader, block_of[end])
-                else:
-                    graph.add_edge(leader, _EXIT)
+                edge(leader, fall)
         elif last.opcode in ("exit", "ret"):
-            graph.add_edge(leader, _EXIT)
+            edge(leader, EXIT)
             # A predicated exit terminates only the lanes whose guard
             # holds; the rest fall through into the next block.
-            if last.pred is not None and end < len(kernel.body):
-                graph.add_edge(leader, block_of[end])
-        elif end < len(kernel.body):
-            graph.add_edge(leader, block_of[end])
+            if last.pred is not None and end < size:
+                edge(leader, fall)
         else:
-            graph.add_edge(leader, _EXIT)
-    graph.graph["block_of"] = block_of
-    return graph
+            edge(leader, fall)
+    return CFG(succ={node: tuple(nodes) for node, nodes in succ.items()},
+               pred={node: tuple(nodes) for node, nodes in pred.items()},
+               end=end_of, block_of=block_of)
+
+
+def _post_dominators(graph: CFG) -> dict:
+    """Immediate post-dominator of every block that can reach EXIT
+    (EXIT maps to itself): Cooper–Harvey–Kennedy on the reversed CFG."""
+    # Postorder of the reversed graph from EXIT (walking ``pred``).
+    order: list = []
+    seen = {EXIT}
+    stack = [(EXIT, iter(graph.pred[EXIT]))]
+    while stack:
+        node, rest = stack[-1]
+        for child in rest:
+            if child not in seen:
+                seen.add(child)
+                stack.append((child, iter(graph.pred[child])))
+                break
+        else:
+            stack.pop()
+            order.append(node)
+    rank = {node: i for i, node in enumerate(order)}
+    idom = {EXIT: EXIT}
+    changed = True
+    while changed:
+        changed = False
+        for node in reversed(order[:-1]):   # reverse postorder, EXIT done
+            new = None
+            for other in graph.succ[node]:  # its reversed-graph preds
+                if other not in idom:
+                    continue
+                if new is None:
+                    new = other
+                    continue
+                while other != new:         # intersect the two chains
+                    while rank[other] < rank[new]:
+                        other = idom[other]
+                    while rank[new] < rank[other]:
+                        new = idom[new]
+            if idom.get(node) != new:
+                idom[node] = new
+                changed = True
+    return idom
 
 
 def compute_reconvergence(kernel: Kernel) -> dict[int, int]:
     """Map conditional-branch instruction index → IPDOM reconvergence pc.
 
-    ``NO_RECONVERGE`` means the paths only rejoin at kernel exit.
+    ``NO_RECONVERGE`` means the paths only rejoin at kernel exit, or
+    never: a block that cannot reach exit has no post-dominator.
     """
-    result: dict[int, int] = {}
     branches = [inst.index for inst in kernel.body
                 if inst.opcode == "bra" and inst.pred is not None]
     if not branches:
-        return result
+        return {}
     graph = build_cfg(kernel)
-    block_of = graph.graph["block_of"]
-    reversed_graph = graph.reverse(copy=True)
-    # Immediate dominators on the reversed CFG == immediate post-dominators.
-    ipdom = nx.immediate_dominators(reversed_graph, _EXIT)
+    ipdom = _post_dominators(graph)
+    result: dict[int, int] = {}
     for index in branches:
-        block = block_of[index]
-        join = ipdom.get(block, _EXIT)
-        if join == block:
-            join = _EXIT  # unreachable-from-exit corner; be conservative
-        result[index] = NO_RECONVERGE if join == _EXIT else int(join)
+        join = ipdom.get(graph.block_of[index], EXIT)
+        result[index] = NO_RECONVERGE if join == EXIT else join
     return result
 
 

@@ -271,11 +271,13 @@ class FunctionalEngine:
             self._steps = _step_slots(self.kernel)
         self._contract_sites = (
             self._find_fp16_contractions() if contract_fp16 else {})
-        self._superblocks = {}
-        if fast_mode in ("superblock", "megablock"):
-            # The megablock tier needs superblocks too: they run the
-            # scalar continuation after a divergent-barrier bailout and
-            # every external-driver path (iter_ctas / run_cta).
+        #: entry pc -> fused block; ``None`` on a megablock engine until
+        #: its scalar path first fuses (:meth:`_fuses`: a bailout's
+        #: continuation or an external run_cta), so a launch that stays
+        #: vector never compiles them.
+        self._superblocks: dict | None = (
+            None if fast_mode == "megablock" else {})
+        if fast_mode == "superblock":
             from repro.functional.superblock import compile_superblocks
             self._superblocks = compile_superblocks(self.kernel)
         self.fast_mode = fast_mode
@@ -292,12 +294,7 @@ class FunctionalEngine:
             self.sanitizer = sanitize
             if sanitize.tracer is None:
                 sanitize.tracer = tracer
-            # A megablock plan carries its affine memory facts; reuse
-            # them so arming costs no extra dataflow solve.  The proof
-            # sets are launch-specific and always re-evaluated.
-            facts = (self._megaplan.facts
-                     if self._megaplan is not None else None)
-            sanitize.begin_launch(launch, facts=facts)
+            sanitize.begin_launch(launch)
         #: What :meth:`step_warp` reports every stepped instruction to,
         #: composed here and nowhere else: the caller's ``on_exec``
         #: (fault injection, an oracle's counters) first, then the armed
@@ -524,8 +521,13 @@ class FunctionalEngine:
         """Whether scalar execution issues whole fused blocks: functional
         mode with nothing observing per-instruction state.  Budgeted runs
         (partial checkpoint CTAs) and instrumented runs must step."""
-        return (budget is None and bool(self._superblocks)
-                and self.on_exec is None and self.exec_override is None)
+        if (budget is not None or self.on_exec is not None
+                or self.exec_override is not None):
+            return False
+        if self._superblocks is None:
+            from repro.functional.superblock import compile_superblocks
+            self._superblocks = compile_superblocks(self.kernel)
+        return bool(self._superblocks)
 
     def _run_warp_slice(self, warp: WarpState, stats: RunStats | None,
                         budget: int | None) -> bool:

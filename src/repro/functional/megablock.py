@@ -33,7 +33,9 @@ every live warp of the CTA has arrived (the vector twin of the scalar
 holds — intra-warp divergence at a barrier — does the machine
 materialise exact per-warp scalar state (registers, SIMT stacks,
 barrier parking) and hand the chunk's CTAs to the scalar engine: a
-bailout, not an error.
+bailout, not an error.  The scalar engine compiles the kernel's
+superblocks at its first fused issue, so a launch that never bails out
+never compiles them.
 
 Global loads and stores gather/scatter on a NumPy view of
 :class:`~repro.functional.memory.GlobalMemory`'s own buffer — the one
@@ -54,12 +56,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analysis.dataflow import liveness, register_widths
-from repro.analysis.ranges import facts_from_payload, kernel_facts
 from repro.analysis.vectorize import classify_kernel
 from repro.errors import SimulationFault
 from repro.functional import npops
 from repro.functional.cfg import block_leaders, branch_target, reconvergence
-from repro.functional.emit import Codegen, Decline, emit
+from repro.functional.emit import Codegen, Decline, emit, immediate
 from repro.functional.memory import GLOBAL_BASE, PAGE_BITS
 from repro.functional.simt import NO_RECONVERGE, SimtEntry, SimtStack
 from repro.functional.state import CTAState, is_special, thread_tables
@@ -78,7 +79,9 @@ from repro.ptx.values import MASK64
 #:    (``dataflow.register_widths``); liveness prunes on the same fact.
 #: 7: no separate ``reconvergence`` map: each branch's ``rpc`` lives in
 #:    its control descriptor only.
-PLAN_FORMAT = 7
+#: 8: no range-fact payload: the sanitizer reads the kernel's memoised
+#:    ``ranges.kernel_facts``, so compiling a plan runs no range pass.
+PLAN_FORMAT = 8
 
 _PAGE_SHIFT = np.uint64(PAGE_BITS)
 
@@ -129,6 +132,7 @@ class _VecGen(Codegen):
         self._writes: dict[str, str] = {}
         self._guards: dict[tuple[str, str], str] = {}
         self._auto_pm: str | None = None
+        self._fills = False
 
     def _tmp(self) -> str:
         self._n += 1
@@ -160,6 +164,17 @@ class _VecGen(Codegen):
         return local
 
     # -- operand reading ------------------------------------------------
+    def payload(self, op: ast.Operand, dtype: DType) -> str:
+        if op.kind == ast.IMM and self._fills:
+            return f"VM.fill({immediate(op, dtype)})"
+        return super().payload(op, dtype)
+
+    def value(self, op: ast.Operand, dtype: DType) -> str:
+        if op.kind == ast.IMM and self._fills:
+            immediate(op, dtype, typed=True)  # declines as a literal does
+            return self.decode(self.payload(op, dtype), dtype)
+        return super().value(op, dtype)
+
     @staticmethod
     def const(value) -> str:
         if isinstance(value, float):
@@ -305,7 +320,14 @@ class _VecGen(Codegen):
         Register writes of a predicated instruction blend under its
         guard by default; unpredicated instructions write through.  An
         armed recorder is told the guard of every predicated instruction
-        (``ld``/``st`` report theirs with the access event)."""
+        (``ld``/``st`` report theirs with the access event).
+
+        An instruction that computes on immediates alone reads them as
+        ``VM.fill`` arrays, as it would registers: on bare literals the
+        arithmetic would run on Python scalars (unbounded ints, no
+        ``astype``).  ``mov``, ``ld`` and ``st`` only move a payload."""
+        self._fills = (inst.opcode not in ("mov", "ld", "st") and all(
+            op.kind == ast.IMM for op in inst.operands[1:]))
         if inst.pred is None:
             self._auto_pm = None
             return
@@ -412,18 +434,13 @@ class MegaPlan:
     """Compiled vector plan for one kernel (serialisable)."""
 
     def __init__(self, kernel_name: str, body_len: int, eligible: bool,
-                 reasons: list[str], blocks: dict, controls: dict,
-                 facts: dict | None = None) -> None:
+                 reasons: list[str], blocks: dict, controls: dict) -> None:
         self.kernel_name = kernel_name
         self.body_len = body_len
         self.eligible = eligible
         self.reasons = reasons
         self.blocks = blocks  # start pc -> _VecBlock
         self.controls = controls  # pc -> control descriptor dict
-        #: pc -> MemFact: the range pass's affine memory facts, carried
-        #: in the plan so a cached kernel (whose body never re-parses)
-        #: still arms the sanitizer's launch-time proofs.
-        self.facts = facts if facts is not None else {}
 
     @property
     def pruned(self) -> dict:
@@ -444,8 +461,6 @@ class MegaPlan:
                 for b in self.blocks.values()],
             "controls": {str(pc): dict(ctrl)
                          for pc, ctrl in self.controls.items()},
-            "facts": [self.facts[pc].to_dict()
-                      for pc in sorted(self.facts)],
         }
 
 
@@ -479,8 +494,7 @@ def plan_from_payload(payload: dict) -> MegaPlan:
         body_len=int(payload["body_len"]),
         eligible=bool(payload["eligible"]),
         reasons=[str(r) for r in payload["reasons"]],
-        blocks=blocks, controls=controls,
-        facts=facts_from_payload(payload.get("facts", [])))
+        blocks=blocks, controls=controls)
 
 
 def compile_megaplan(kernel) -> MegaPlan:
@@ -554,7 +568,7 @@ def compile_megaplan(kernel) -> MegaPlan:
     # non-empty, so an eligible plan has every block compiled.
     return MegaPlan(kernel_name=kernel.name, body_len=n,
                     eligible=not reasons, reasons=reasons, blocks=blocks,
-                    controls=controls, facts=kernel_facts(kernel))
+                    controls=controls)
 
 
 # ----------------------------------------------------------------------

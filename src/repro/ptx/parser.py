@@ -41,8 +41,10 @@ class Parser:
     # Token helpers
     # ------------------------------------------------------------------
     def _peek(self, ahead: int = 0) -> Token:
-        index = min(self._pos + ahead, len(self._tokens) - 1)
-        return self._tokens[index]
+        try:
+            return self._tokens[self._pos + ahead]
+        except IndexError:  # past the end: the EOF token, as at it
+            return self._tokens[-1]
 
     def _next(self) -> Token:
         token = self._tokens[self._pos]

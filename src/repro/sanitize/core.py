@@ -137,21 +137,21 @@ class Sanitizer:
     # ------------------------------------------------------------------
     # Launch lifecycle
     # ------------------------------------------------------------------
-    def begin_launch(self, launch, facts=None) -> None:
+    def begin_launch(self, launch) -> None:
         """Arm the sanitizer for one launch.
 
-        *facts* lets a megablock plan supply its cached affine memory
-        facts; otherwise they are computed (and cached on the kernel).
-        The proof sets are launch-specific — the same kernel can be
-        fully proven under one grid and need dynamic checks under
-        another — so they are always re-evaluated here.
+        The kernel's affine memory facts are a fact of its body,
+        computed once and memoised on the kernel.  The proof sets are
+        launch-specific — the same kernel can be fully proven under one
+        grid and need dynamic checks under another — so they are always
+        re-evaluated here.
         """
         kernel = launch.kernel
         self.kernels[kernel.name] = kernel
         self._kernel_name = kernel.name
         self._launch = launch
         self._gm = launch.global_mem
-        self.facts = facts if facts is not None else kernel_facts(kernel)
+        self.facts = kernel_facts(kernel)
         self.proofs = prove_launch(self.facts, launch, launch.global_mem)
         self._window = None
         self._parked.clear()

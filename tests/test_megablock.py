@@ -807,6 +807,7 @@ class TestCampaignWorkloads:
 _CACHE_SCRIPT = r"""
 import json, sys
 import numpy as np
+import repro.cuda
 from repro.functional import kernelcache
 from repro.functional.executor import FunctionalEngine
 from repro.functional.memory import GlobalMemory, LinearMemory
@@ -843,6 +844,8 @@ print(json.dumps({
     "fast_mode": engine.fast_mode,
     "instructions": stats.instructions,
     "ys": gm.read(ys_a, 4 * count).hex(),
+    "modules": sorted(sys.modules),
+    "derived": sorted(kernel.derived),
 }))
 """
 
@@ -874,6 +877,18 @@ class TestKernelCache:
             parse_module(ptx, "p").kernel("sax")) for ptx in variants}
         assert len(prints) == 3
 
+    def test_a_fresh_process_pays_only_for_what_its_launch_runs(
+            self, tmp_path):
+        """The cold path of a launch that stays vector: the simulator's
+        package imports no graph library, and the scalar tier's fused
+        blocks (a bailout's continuation) are never compiled."""
+        cold = _run_cache_process(tmp_path / "xproc")
+        assert cold["fast_mode"] == "megablock"
+        assert "networkx" not in cold["modules"]
+        assert not [key for key in cold["derived"]
+                    if "compile_superblocks" in key]
+        assert any("_megaplan" in key for key in cold["derived"])
+
     def test_second_process_hits_the_disk_cache(self, tmp_path):
         cache_dir = tmp_path / "xproc"
         cold = _run_cache_process(cache_dir)
@@ -904,9 +919,8 @@ class TestKernelCache:
     def test_stale_plan_format_is_discarded_and_recompiled(
             self, tmp_path):
         # A cache entry written by an older codegen (plan_format skew)
-        # must never be trusted: discard, recompile, rewrite.  Format 6
-        # (a second reconvergence map in the payload, which a run under
-        # reconverge_at_exit could fill with its exit map) is such an
+        # must never be trusted: discard, recompile, rewrite.  Format 7
+        # (the kernel's range facts carried in the payload) is such an
         # entry.
         cache_dir = tmp_path / "xproc"
         cold = _run_cache_process(cache_dir)
@@ -914,7 +928,7 @@ class TestKernelCache:
         assert len(entries) == 1
         entry = json.loads(entries[0].read_text())
         assert entry["plan_format"] == PLAN_FORMAT
-        entry["plan_format"] = 6
+        entry["plan_format"] = 7
         entries[0].write_text(json.dumps(entry))
         again = _run_cache_process(cache_dir)
         assert again["counters"]["hits"] == 0

@@ -1,7 +1,10 @@
 """Parser/lexer tests, including the loader-related failure modes."""
 
+import hashlib
+
 import pytest
 
+from repro.analysis import embedded_units
 from repro.errors import PTXLabelError, PTXSyntaxError
 from repro.ptx import ast
 from repro.ptx.lexer import EOF, FLOAT, INT, PUNCT, WORD, tokenize
@@ -50,6 +53,80 @@ class TestLexer:
         tokens = tokenize("$Lt_0_1: %tid.x")
         assert tokens[0].kind == WORD and tokens[0].text == "$Lt_0_1"
         assert tokens[2].text == "%tid.x"
+
+
+def _stream(text: str) -> list[tuple]:
+    return [(t.kind, t.text, t.value, t.line) for t in tokenize(text)]
+
+
+#: SHA-256 of each embedded image's ``(kind, text, value, line)`` token
+#: stream, one ``repr`` per line: a lexer rewritten for speed must
+#: produce every stream unchanged.
+_EMBEDDED_STREAMS = {
+    "elementwise.cu":
+        "f65ef03121480ae8819814046562cb336f282407b0b59ffeace7f0f63cb636af",
+    "im2col.cu":
+        "97abb5c254faddda7f13f646bef9c7171a5f2b5f1a95c658ac1891c7f59c3e3d",
+    "conv_direct.cu":
+        "dcdcdf2677ec2833f67d1afa270e61f248902e40844a2b010da926abee81d646",
+    "conv_winograd.cu":
+        "df47ad774da94bda88aa6251bd75c70ecafbc9c5d12262f401bba50d454aaf15",
+    "conv_fft.cu":
+        "b39b3e903255ec1067bf00c7d4140c66e6cfbd7e51bdc03fc48a60a843b9d72c",
+    "pooling.cu":
+        "168fc6367550ba8e68ab82d6fb4d16543b39e4fd3397b23f147b1e4a20ed4a68",
+    "lrn.cu":
+        "cb9b772bf9744f6609b93e4fa8779ad2d3c9c0c44b05f9dcaa7d593670873276",
+    "softmax.cu":
+        "6c9ccda6b4c3de3c782b963c9eaf2dbd6cd48f2e2116618f9c3a877539c0444b",
+    "batchnorm.cu":
+        "130582d49e5d093868b2ca13a5c516dbddf7a235dacc176f5d752c914f7d7143",
+    "gemm_kernels.cu":
+        "64d811d50d9563798de551da849c00aeb66e051112ab5a0bc88e56dcb6a23437",
+    "blas_level1.cu":
+        "8cdf5b81445f1d561f2a919526f92a301c92add54b2f92707a47c240d879ef65",
+}
+
+
+class TestLexerGolden:
+    def test_every_embedded_token_stream_is_unchanged(self):
+        digests, tokens = {}, 0
+        for name, text in embedded_units():
+            stream = _stream(text)
+            tokens += len(stream)
+            digests[name] = hashlib.sha256(b"".join(
+                repr(token).encode() + b"\n" for token in stream)).hexdigest()
+        assert digests == _EMBEDDED_STREAMS
+        assert tokens == 34490
+
+    def test_hex_floats_are_ieee_bit_patterns(self):
+        assert _stream("0f3F800000 0fBF800000 0d4000000000000000 "
+                       "0f7F800000") == [
+            (FLOAT, "0f3F800000", 1.0, 1), (FLOAT, "0fBF800000", -1.0, 1),
+            (FLOAT, "0d4000000000000000", 2.0, 1),
+            (FLOAT, "0f7F800000", float("inf"), 1), (EOF, "", 0, 1)]
+
+    def test_unsigned_suffix_keeps_its_text(self):
+        assert _stream("42U 0x10U 0XffU 7") == [
+            (INT, "42U", 42, 1), (INT, "0x10U", 16, 1),
+            (INT, "0XffU", 255, 1), (INT, "7", 7, 1), (EOF, "", 0, 1)]
+
+    def test_a_multi_line_block_comment_advances_the_line(self):
+        assert _stream("ld /* one\ntwo\nthree */ add.s32\n%r1") == [
+            (WORD, "ld", 0, 1), (WORD, "add.s32", 0, 3),
+            (WORD, "%r1", 0, 4), (EOF, "", 0, 4)]
+
+    def test_a_stray_character_reports_its_line(self):
+        with pytest.raises(PTXSyntaxError) as raised:
+            tokenize("add.s32 %r1,\n  %r2 `;")
+        assert raised.value.line == 2
+        assert str(raised.value) == "line 2: unexpected character at '`;'"
+
+    def test_tokens_are_immutable_values(self):
+        first, again = tokenize("mov.u32"), tokenize("mov.u32")
+        assert first == again
+        with pytest.raises(AttributeError):
+            first[0].text = "add"
 
 
 class TestParser:

@@ -4,9 +4,8 @@ from __future__ import annotations
 
 from repro.analysis.ranges import (
     ALIGN, BOUNDS, INJECTIVE, Affine, MemFact, analyze_ranges,
-    eval_interval, facts_from_payload, facts_to_payload, kernel_facts,
-    prove_launch, static_misaligned, static_oob_below, thread_injective,
-    uniform_address)
+    eval_interval, kernel_facts, prove_launch, static_misaligned,
+    static_oob_below, thread_injective, uniform_address)
 from repro.ptx.parser import parse_module
 
 _HEADER = ".version 6.0\n.target sm_60\n.address_size 64\n"
@@ -133,35 +132,6 @@ join:
 """)
         first = kernel_facts(kernel)
         assert kernel_facts(kernel) is first
-
-
-# ----------------------------------------------------------------------
-# Serialization round-trip (the megablock plan payload contract)
-# ----------------------------------------------------------------------
-class TestPayloadRoundTrip:
-    def test_facts_round_trip(self):
-        kernel = _kernel("""
-    ld.param.u64 %rd0, [out];
-    mov.u32 %r0, %tid.x;
-    mul.wide.u32 %rd1, %r0, 4;
-    add.u64 %rd2, %rd0, %rd1;
-    ld.global.u32 %r1, [%rd2+4];
-    st.global.u32 [%rd2], %r1;
-""")
-        info = analyze_ranges(kernel)
-        payload = facts_to_payload(info)
-        import json
-        restored = facts_from_payload(json.loads(json.dumps(payload)))
-        assert restored == info.facts
-
-    def test_memfact_dict_shape(self):
-        fact = MemFact(pc=3, space="global", nbytes=8, is_write=True,
-                       addr=Affine.symbol("%tid.x", 8).shift(16))
-        data = fact.to_dict()
-        assert data == {"pc": 3, "space": "global", "nbytes": 8,
-                        "write": True, "coeffs": {"%tid.x": 8},
-                        "const": 16}
-        assert MemFact.from_dict(data) == fact
 
 
 # ----------------------------------------------------------------------

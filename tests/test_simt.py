@@ -113,7 +113,8 @@ class TestReconvergence:
         module = parse_module(_diamond_kernel())
         graph = build_cfg(module.kernel("k"))
         # entry, then-block, else-block, join, exit node
-        assert graph.number_of_nodes() == 5
+        assert len(graph.succ) == len(graph.pred) == 5
+        assert len(graph.end) == 4
 
     def test_loop_backedge(self):
         ptx = HEADER + """
