@@ -95,8 +95,7 @@ class CheckpointingBackend(FunctionalBackend):
                       "partial_ctas": len(checkpoint.cta_snapshots),
                       "warp_instruction_budget": self.y,
                       "instructions": stats.instructions})
-        return self.report(launch, stats, engine.ran_tier,
-                           why=engine.ran_why)
+        return self.report(launch, stats, engine.admission)
 
 
 class ResumeBackend:

@@ -24,7 +24,7 @@ from repro.cuda.loader import LoadedProgram, ProgramLoader
 from repro.cuda.streams import CudaEvent, CudaStream, StreamOp
 from repro.cuda.textures import (
     TextureInfo, TextureReference, TextureReferenceAttr, TextureSystem)
-from repro.functional.executor import FunctionalEngine, RunStats
+from repro.functional.executor import Admission, FunctionalEngine, RunStats
 from repro.functional.memory import CudaArray, GlobalMemory, LinearMemory
 from repro.functional.state import LaunchContext
 from repro.ptx.ast import Kernel
@@ -126,31 +126,29 @@ class FunctionalBackend:
                                 tracer=self.tracer,
                                 **self.launch_hooks(launch))
 
-    def report(self, launch: LaunchContext, stats: RunStats, tier: str,
-               *, label: str = "functional", why: str | None = None,
+    def report(self, launch: LaunchContext, stats: RunStats,
+               admission: Admission, *, label: str = "functional",
                **args) -> KernelRunResult:
         """What a functionally executed launch reports: its one engine
-        slice, ``<label>:<kernel>`` with the *tier* that ran (and *why*,
-        when that is not the tier the engine was built for), and the
-        :class:`KernelRunResult`."""
+        slice, ``<label>:<kernel>`` with the tier that ran and why (the
+        *admission*), and the :class:`KernelRunResult`."""
         tracer = self.tracer
         if tracer.enabled:
-            if why is not None:
-                args["tier_why"] = why
+            if admission.why is not None:
+                args["tier_why"] = admission.why
             tracer.complete(
                 f"{label}:{launch.kernel.name}",
                 ts=tracer.clock.now, dur=float(stats.instructions),
                 cat="engine",
-                args={"tier": tier, "verify": self.verify, **args,
-                      "instructions": stats.instructions})
+                args={"tier": admission.tier, "verify": self.verify,
+                      **args, "instructions": stats.instructions})
         return KernelRunResult(instructions=stats.instructions, cycles=0,
                                stats={"per_opcode": stats.dynamic_per_opcode})
 
     def execute(self, launch: LaunchContext) -> KernelRunResult:
         engine = self.engine(launch)
         stats = engine.run()
-        return self.report(launch, stats, engine.ran_tier,
-                           why=engine.ran_why)
+        return self.report(launch, stats, engine.admission)
 
 
 class CudaRuntime:

@@ -28,17 +28,16 @@ rendering, always stepped, never fused), and
 ``"megablock"`` (the same rows in the NumPy dialect of
 :mod:`repro.functional.megablock`, whole grid at once, with compiled
 plans persisted across processes by
-:mod:`repro.functional.kernelcache`).  A kernel the megablock codegen
-cannot vectorize falls back to the superblock tier
-(``engine.megablock_fallback`` records why); hooks that observe
-per-instruction state (``on_exec``, ``exec_override``, CTA-span
-tracing) always take the scalar path.
+:mod:`repro.functional.kernelcache`).  ``fast_mode`` is a request;
+:func:`admit` decides which tier runs (a kernel the megablock codegen
+cannot vectorize runs as superblocks, hooks that observe
+per-instruction state always step) and ``engine.admission`` says why.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from repro.errors import SimulationFault, TimingDeadlockError
 from repro.functional.cfg import branch_target, reconvergence
@@ -182,6 +181,65 @@ def _megaplan(kernel: ast.Kernel, tracer):
     return plan
 
 
+class Admission(NamedTuple):
+    """Which tier runs a launch, and why (:func:`admit`)."""
+
+    tier: str
+    why: str | None
+    live_why: str | None
+
+    @property
+    def recordable(self) -> bool:
+        """A megablock pre-pass is the stream the timing model steps."""
+        return self.tier == "megablock" and self.live_why is None
+
+
+def admit(request: str, plan: Callable[[], object], *,
+          quirky: bool = False, restored: bool = False,
+          contract_fp16: bool = False, reconverge_at_exit: bool = False,
+          hooked: bool = False, sanitize: bool = False,
+          budget: bool = False, on_cta: bool = False,
+          cta_spans: bool = False) -> Admission:
+    """Which tier runs a launch that asked for *request*, and why
+    (``None`` exactly when the request holds); ``live_why`` says why a
+    megablock pre-pass could not stand in for its stepped stream.
+    *plan* returns the kernel's vector plan; only a megablock request
+    nothing else ruled out calls it.  The rules are tabulated in
+    ``tests/test_admission.py``."""
+    scalar = ("restored" if restored else "budget" if budget
+              else "on_cta" if on_cta else "hooks" if hooked
+              else "cta_spans" if cta_spans else None)
+    tier, why, live_why = request, None, None
+    if quirky and request != "reference":
+        tier, why = "reference", "quirks"
+    elif contract_fp16 and request in ("superblock", "megablock"):
+        # Fused blocks would execute a contracted mul+add pair unfused.
+        tier, why = "fastpath", "contract_fp16"
+    elif request == "megablock":
+        # The vector plan encodes IPDOM and starts every CTA at entry.
+        vector = None if reconverge_at_exit or restored else plan()
+        if vector is None:
+            why = "reconverge_at_exit" if reconverge_at_exit else "restored"
+        elif not vector.eligible:
+            why = live_why = f"no vector plan ({vector.reasons[0]})"
+        else:
+            why = scalar
+            # There the pre-pass could bail out to the scalar engine.
+            live_why = next((f"pc {pc}: barrier reachable under divergence"
+                             for pc, ctrl in vector.controls.items()
+                             if ctrl["op"] == "bar" and ctrl["div"]), None)
+        if why is not None:
+            tier = "superblock"
+    if tier == "superblock" and (budget or hooked or sanitize):
+        tier, why = "fastpath", scalar or "sanitize"
+    return Admission(tier, why, (
+        "restored CTAs resume mid-kernel" if restored
+        else "reconverge_at_exit changes the SIMT stacks"
+        if reconverge_at_exit
+        else "legacy quirks run on the reference tier" if quirky
+        else live_why))
+
+
 class FunctionalEngine:
     """Executes one kernel launch, warp-lockstep."""
 
@@ -225,76 +283,16 @@ class FunctionalEngine:
         #: branch rejoins only at exit.  A setting of this engine alone;
         #: the vector plan encodes IPDOM, so it never runs under it.
         self.reconverge_at_exit = reconverge_at_exit
-        #: Why a requested megablock launch fell back (None if it held).
-        self.megablock_fallback: tuple[str, ...] | None = None
+        #: The tier asked for; ``admission`` says which one runs.
+        self.fast_mode = fast_mode
         #: Chunks this engine handed to the scalar engine mid-run.
         self.megablock_bailouts = 0
         self._megaplan = None
-        if launch.quirks.alters_instructions:
-            # Legacy semantics in play: take the reference interpreter
-            # everywhere so quirky behaviour is modelled exactly.
-            fast_mode = "reference"
-        elif contract_fp16 and fast_mode in ("superblock", "megablock"):
-            # Contraction rewrites mul+add pairs at issue time; fused
-            # blocks would execute the pair unfused.  Step instead.
-            fast_mode = "fastpath"
-        elif reconverge_at_exit and fast_mode == "megablock":
-            fast_mode = "superblock"
-        if fast_mode == "megablock":
-            plan = _megaplan(self.kernel, tracer)
-            if plan.eligible:
-                self._megaplan = plan
-            else:
-                self.megablock_fallback = tuple(plan.reasons)
-                from repro.functional.megablock import EVENTS
-                EVENTS["fallbacks"] += 1
-                # Surface *why* the kernel left the fast tier: one
-                # instant per fallback (reasons attached) plus the
-                # running tier-event counter series for Chrome traces.
-                tracer.instant(
-                    f"megablock-fallback:{self.kernel.name}",
-                    cat="engine",
-                    args={"reasons": list(plan.reasons)[:8]})
-                tracer.counter("megablock", dict(EVENTS))
-                fast_mode = "superblock"
-        self._body = self.kernel.body
-        self._body_len = len(self._body)
-        #: pc -> ``fn(warp, lanes)``.  The compiled renderings are
-        #: shared on the kernel and filled on first issue; a reference
-        #: engine keeps a private, prefilled list so the two never mix
-        #: (an unimplemented opcode stays None and faults when it issues).
-        if fast_mode == "reference":
-            from repro.functional.superblock import reference_step
-            self._steps = [reference_step(inst) if inst.opcode in DISPATCH
-                           else None for inst in self._body]
-        else:
-            self._steps = _step_slots(self.kernel)
-        self._contract_sites = (
-            self._find_fp16_contractions() if contract_fp16 else {})
-        #: entry pc -> fused block; ``None`` on a megablock engine until
-        #: its scalar path first fuses (:meth:`_fuses`: a bailout's
-        #: continuation or an external run_cta), so a launch that stays
-        #: vector never compiles them.
-        self._superblocks: dict | None = (
-            None if fast_mode == "megablock" else {})
-        if fast_mode == "superblock":
-            from repro.functional.superblock import compile_superblocks
-            self._superblocks = compile_superblocks(self.kernel)
-        self.fast_mode = fast_mode
-        #: Tier the latest non-empty :meth:`run_range` executed on, and
-        #: one word on why where that is not ``fast_mode``.
-        self.ran_tier = fast_mode
-        self.ran_why: str | None = None
         #: Stream recorder the timing model arms on its megablock
         #: pre-pass (repro.timing.stream.StreamRecorder) or None.
         self.recorder = None
         #: Armed sanitizer (repro.sanitize.core.Sanitizer) or None.
-        self.sanitizer = None
-        if sanitize:
-            self.sanitizer = sanitize
-            if sanitize.tracer is None:
-                sanitize.tracer = tracer
-            sanitize.begin_launch(launch)
+        self.sanitizer = sanitize or None
         #: What :meth:`step_warp` reports every stepped instruction to,
         #: composed here and nowhere else: the caller's ``on_exec``
         #: (fault injection, an oracle's counters) first, then the armed
@@ -311,6 +309,61 @@ class FunctionalEngine:
                 on_exec(record)
                 check(record)
         self.on_exec = observer
+        #: entry pc -> fused block, compiled at the scalar path's first
+        #: fused issue, so a launch that stays vector never pays for it.
+        self._superblocks: dict | None = None
+        admission = self._admit()
+        self._body = self.kernel.body
+        self._body_len = len(self._body)
+        #: pc -> ``fn(warp, lanes)``.  The compiled renderings are
+        #: shared on the kernel and filled on first issue; a reference
+        #: engine keeps a private, prefilled list so the two never mix
+        #: (an unimplemented opcode stays None and faults when it issues).
+        if admission.tier == "reference":
+            from repro.functional.superblock import reference_step
+            self._steps = [reference_step(inst) if inst.opcode in DISPATCH
+                           else None for inst in self._body]
+        else:
+            self._steps = _step_slots(self.kernel)
+        self._contract_sites = (
+            self._find_fp16_contractions() if contract_fp16 else {})
+        if sanitize:
+            if sanitize.tracer is None:
+                sanitize.tracer = tracer
+            sanitize.begin_launch(launch)
+
+    def _admit(self, budget: int | None = None, on_cta=None,
+               cta_spans: bool = False) -> Admission:
+        """Admit the launch (or a :meth:`run_range` request) under the
+        hooks as they are now; cache whether the scalar path may fuse
+        (a megablock bailout's continuation, an external run_cta)."""
+        check = self._sanitizer_hook
+        admission = self.admission = admit(
+            self.fast_mode, self._plan,
+            quirky=self.launch.quirks.alters_instructions,
+            restored=bool(self.launch.restored),
+            contract_fp16=self.contract_fp16,
+            reconverge_at_exit=self.reconverge_at_exit,
+            hooked=(self.exec_override is not None
+                    or self.on_exec not in (None, check)),
+            sanitize=check is not None, budget=budget is not None,
+            on_cta=on_cta is not None, cta_spans=cta_spans)
+        self._fuses = admission.tier in ("superblock", "megablock")
+        return admission
+
+    def _plan(self):
+        """The kernel's vector plan, once an admission asks; an
+        ineligible one is this launch's fallback, traced with why."""
+        if self._megaplan is None:
+            plan = self._megaplan = _megaplan(self.kernel, self.tracer)
+            if not plan.eligible:
+                from repro.functional.megablock import EVENTS
+                EVENTS["fallbacks"] += 1
+                self.tracer.instant(
+                    f"megablock-fallback:{self.kernel.name}",
+                    cat="engine", args={"reasons": plan.reasons[:8]})
+                self.tracer.counter("megablock", dict(EVENTS))
+        return self._megaplan
 
     # ------------------------------------------------------------------
     # Single-instruction stepping (used by both modes)
@@ -509,30 +562,13 @@ class FunctionalEngine:
                     f"CTA {cta.cta_linear} deadlocked: live warps stuck "
                     "at a barrier that can never be released")
 
-    def _user_hooked(self) -> bool:
-        """Whether the *caller* watches per-instruction state.  Only
-        that keeps a launch off the vector tier — megablock checks the
-        sanitizer's rules in-tier — while any observer at all makes the
-        scalar path step (:meth:`_fuses`)."""
-        return (self.exec_override is not None
-                or self.on_exec not in (None, self._sanitizer_hook))
-
-    def _fuses(self, budget: int | None) -> bool:
-        """Whether scalar execution issues whole fused blocks: functional
-        mode with nothing observing per-instruction state.  Budgeted runs
-        (partial checkpoint CTAs) and instrumented runs must step."""
-        if (budget is not None or self.on_exec is not None
-                or self.exec_override is not None):
-            return False
-        if self._superblocks is None:
-            from repro.functional.superblock import compile_superblocks
-            self._superblocks = compile_superblocks(self.kernel)
-        return bool(self._superblocks)
-
     def _run_warp_slice(self, warp: WarpState, stats: RunStats | None,
                         budget: int | None) -> bool:
-        """Run a warp until it finishes, parks, or exhausts *budget*."""
-        if self._fuses(budget):
+        """Run a warp until it finishes, parks, or exhausts *budget*.
+        Fused blocks report nothing, so any observer (a hook assigned
+        after admission too) makes the warp step."""
+        if (budget is None and self._fuses and self.on_exec is None
+                and self.exec_override is None):
             return self._run_warp_slice_fast(warp, stats)
         executed = 0
         while not warp.finished and not warp.at_barrier:
@@ -560,6 +596,9 @@ class FunctionalEngine:
         back to :meth:`step_warp` until the next block entry.
         """
         blocks = self._superblocks
+        if blocks is None:
+            from repro.functional.superblock import compile_superblocks
+            blocks = self._superblocks = compile_superblocks(self.kernel)
         simt = warp.simt
         launch = self.launch
         per_opcode = stats.dynamic_per_opcode if stats is not None else None
@@ -614,10 +653,8 @@ class FunctionalEngine:
         Data1) runs on from its saved state; *max_warp_instructions*
         stops every warp at that many issued instructions (a
         checkpoint's partial CTAs); *on_cta* sees each CTA after it ran,
-        before it is released (register capture).  Each needs per-lane
-        CTA state, so such a launch runs scalar whatever the tier; so do
-        hooked launches (they step) and CTA-span tracing.  What actually
-        ran is left in ``ran_tier`` / ``ran_why`` for the launch's slice.
+        before it is released (register capture).  Each range is
+        admitted (:func:`admit`) and ``admission`` says what ran.
         """
         stats = RunStats() if stats is None else stats
         if not 0 <= first_cta <= limit_cta <= self.launch.num_ctas:
@@ -626,19 +663,13 @@ class FunctionalEngine:
                 f"{self.launch.num_ctas} CTAs")
         if first_cta == limit_cta:
             # Nothing to run (a checkpoint at the grid's edge): no span,
-            # and ``ran_tier`` keeps describing the range that did run.
+            # and ``admission`` keeps describing the range that did run.
             return stats
         tracer = self.tracer
         trace_ctas = tracer.enabled and tracer.cta_spans
-        scalar_why = (
-            "restored" if self.launch.restored
-            else "budget" if max_warp_instructions is not None
-            else "on_cta" if on_cta is not None
-            else "hooks" if self._user_hooked()
-            else "cta_spans" if trace_ctas else None)
-        if scalar_why is None and self._megaplan is not None:
+        if self._admit(max_warp_instructions, on_cta,
+                       trace_ctas).tier == "megablock":
             from repro.functional.megablock import EVENTS, MegaMachine
-            self.ran_tier, self.ran_why = "megablock", None
             with tracer.span(f"megablock:{self.kernel.name}",
                              cat="engine"):
                 machine = MegaMachine(self, self._megaplan)
@@ -648,14 +679,6 @@ class FunctionalEngine:
             if tracer.enabled:
                 tracer.counter("megablock", dict(EVENTS))
             return stats
-        self.ran_tier = (
-            "reference" if self.fast_mode == "reference"
-            else "superblock" if self._fuses(max_warp_instructions)
-            else "fastpath")
-        # An armed sanitizer alone also steps a superblock launch; its
-        # hook is a hook.
-        self.ran_why = ((scalar_why or "hooks")
-                        if self.ran_tier != self.fast_mode else None)
         self._run_range_scalar(first_cta, limit_cta, stats, trace_ctas,
                                max_warp_instructions, on_cta)
         return stats

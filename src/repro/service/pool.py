@@ -13,12 +13,13 @@ partitioned into contiguous shards and farmed out to a process pool:
    :class:`~repro.cuda.runtime.FunctionalBackend`, and reports a
    :class:`ShardResult`: byte-exact global-memory *write* runs (diffed
    against the incoming image), merged-ready :class:`RunStats` counts,
-   optional per-CTA register state in the checkpoint layer's
-   :class:`~repro.checkpoint.state.CTASnapshot` format, and optional
-   trace events;
+   its engine's :class:`Admission`, optional per-CTA register state in
+   the checkpoint layer's :class:`~repro.checkpoint.state.CTASnapshot`
+   format, and optional trace events;
 3. the parent applies write runs in ascending shard order (ascending
    CTA order — the order the single-process engine runs them in), sums
-   the counters, and merges worker trace events onto per-shard tracks.
+   the counters, requires one admission, and merges worker trace
+   events onto per-shard tracks.
 
 The merge is bit-identical to a single-process run for kernels whose
 CTAs do not write the same byte with *different* values (racy kernels
@@ -44,7 +45,7 @@ from repro.errors import ServiceError
 from repro.functional import kernelcache
 from repro.cuda.runtime import FunctionalBackend
 from repro.cuda.textures import snapshot_textures
-from repro.functional.executor import RunStats, partition_ctas
+from repro.functional.executor import Admission, RunStats, partition_ctas
 from repro.functional.memory import (
     PAGE_SIZE, CudaArray, GlobalMemory, LinearMemory)
 from repro.functional.state import LaunchContext
@@ -97,6 +98,8 @@ class ShardResult:
     clock_delta: int
     #: Byte-exact runs the shard wrote: ``(absolute addr, payload)``.
     writes: list[tuple[int, bytes]]
+    #: Which tier the shard's engine ran, and why.
+    admission: Admission
     snapshots: list[CTASnapshot] = field(default_factory=list)
     events: list[TraceEvent] = field(default_factory=list)
     pid: int = 0
@@ -111,6 +114,8 @@ class ShardedRunResult:
 
     stats: RunStats
     shard_ranges: list[tuple[int, int]]
+    #: The tier every shard ran (``None`` when no CTA was left to run).
+    admission: Admission | None = None
     #: cta_linear -> final-state snapshot (``capture_registers`` only).
     snapshots: dict[int, CTASnapshot] = field(default_factory=dict)
     worker_pids: list[int] = field(default_factory=list)
@@ -184,7 +189,8 @@ def _execute_shard(task: ShardTask) -> ShardResult:
     snapshots: list[CTASnapshot] = []
     # Per-lane register files only exist on the scalar path, which a
     # per-CTA callback selects; snapshots are in the checkpoint format.
-    stats = backend.engine(launch).run(
+    engine = backend.engine(launch)
+    stats = engine.run(
         on_cta=((lambda cta: snapshots.append(capture_cta(cta)))
                 if task.capture_registers else None))
 
@@ -206,8 +212,8 @@ def _execute_shard(task: ShardTask) -> ShardResult:
     return ShardResult(
         first_cta=task.first_cta, limit_cta=task.limit_cta, stats=stats,
         clock_delta=launch.clock - task.clock,
-        writes=writes, snapshots=snapshots, events=events,
-        pid=os.getpid(),
+        writes=writes, admission=engine.admission, snapshots=snapshots,
+        events=events, pid=os.getpid(),
         findings=(sanitizer.findings_list()
                   if sanitizer is not None else []),
         san_counters=(dict(sanitizer.counters)
@@ -305,8 +311,13 @@ class ShardExecutor:
             raise ServiceError(
                 f"shard merge: workers covered {covered}, "
                 f"expected {sorted(ranges)}")
+        admissions = {result.admission for result in results}
+        if len(admissions) != 1:
+            raise ServiceError(
+                f"shard merge: workers ran different tiers {admissions}")
         stats = RunStats()
-        merged = ShardedRunResult(stats=stats, shard_ranges=covered)
+        merged = ShardedRunResult(stats=stats, shard_ranges=covered,
+                                  admission=admissions.pop())
         global_mem = launch.global_mem
         if tracer is None:
             tracer = NULL_TRACER
@@ -348,9 +359,9 @@ class ShardedFunctionalBackend(FunctionalBackend):
     Drop-in for its base class: the whole workload (LeNet forward,
     conv_sample, ...) runs unchanged, each kernel launch transparently
     sharded.  Tiny grids are not worth a round-trip through the pool, so
-    launches with fewer CTAs than ``inline_below`` run in-process on the
-    base class's path instead, as do launches carrying restored CTAs
-    (in-process state no worker has).
+    launches covering fewer CTAs than ``inline_below`` (or none) run
+    in-process on the base class's path instead, as do launches carrying
+    restored CTAs (in-process state no worker has).
     """
 
     def __init__(self, shards: int | None = None, *,
@@ -370,7 +381,8 @@ class ShardedFunctionalBackend(FunctionalBackend):
         self.fanouts: list[tuple[str, int]] = []
 
     def execute(self, launch: LaunchContext):
-        if launch.num_ctas < max(self.inline_below, 1) or launch.restored:
+        if (launch.limit_cta - launch.first_cta < max(self.inline_below, 1)
+                or launch.restored):
             return super().execute(launch)
         result = self.executor.execute(launch, tracer=self.tracer)
         shards = len(result.shard_ranges)
@@ -392,7 +404,7 @@ class ShardedFunctionalBackend(FunctionalBackend):
                     value = 1  # however many shards armed for it
                 sanitizer.counters[key] = (
                     sanitizer.counters.get(key, 0) + value)
-        return self.report(launch, result.stats, self.fast_mode,
+        return self.report(launch, result.stats, result.admission,
                            label="sharded", shards=shards)
 
     def close(self) -> None:

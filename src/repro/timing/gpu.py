@@ -7,8 +7,8 @@ loop replays the recording — the paper's own split (Sec. III-F) between
 a fast functional mode and a slower performance mode.  Only a launch
 whose recording would not be provably identical is execution-driven the
 way GPGPU-Sim is, every instruction executed at the cycle it issues
-(:func:`_live_reason` lists the cases).  Both producers feed the one
-cycle loop below, and ``GpuTiming.launch_sources`` says which ran.  The
+(the engine's ``admission.live_why`` says why).  Both producers feed
+the one cycle loop below; ``GpuTiming.launch_sources`` says which.  The
 main loop is cycle-based but event-driven inside a cycle: it visits
 only the SMs with a scheduler that may issue (``SMCore.wake``), and
 when none can, time skips to the next event/wake-up.  The issue slots
@@ -40,33 +40,6 @@ from repro.timing.stats import KernelStats, SampleBlock
 from repro.trace.clock import SimClock
 
 _MAX_CYCLES_DEFAULT = 50_000_000
-
-
-def _live_reason(engine: FunctionalEngine) -> str | None:
-    """Why this launch must be execution-driven (``None``: record it).
-
-    A recording is the stream the live engine would produce only if no
-    value depends on issue order and the megablock run can neither leave
-    its tier nor disagree with the scalar SIMT stacks: restored CTAs
-    start mid-kernel, ``reconverge_at_exit`` and the legacy quirks
-    change semantics the vector tier does not model, an ineligible plan
-    (which covers ``atom``/``red``/``tex``/``%clock``) has no vector
-    rendering, and a barrier reachable under divergence could bail out
-    to the scalar engine mid-run.
-    """
-    if engine.launch.restored:
-        return "restored CTAs resume mid-kernel"
-    if engine.reconverge_at_exit:
-        return "reconverge_at_exit changes the SIMT stacks"
-    plan = engine._megaplan
-    if plan is None:
-        reasons = engine.megablock_fallback
-        return (f"no vector plan ({reasons[0]})" if reasons
-                else "legacy quirks run on the reference tier")
-    for pc, ctrl in plan.controls.items():
-        if ctrl["op"] == "bar" and ctrl["div"]:
-            return f"pc {pc}: barrier reachable under divergence"
-    return None
 
 
 class GpuTiming:
@@ -213,13 +186,12 @@ class GpuTiming:
         its functional pre-pass here, before the first cycle."""
         engine = FunctionalEngine(
             launch, reconverge_at_exit=self.reconverge_at_exit,
-            fast_mode="superblock" if launch.restored else "megablock")
+            fast_mode="megablock")
         config = self.config
-        why = _live_reason(engine)
         entry = {"kernel": launch.kernel.name}
         self.launch_sources.append(entry)
-        if why is not None:
-            entry.update(source="live", why=why)
+        if not engine.admission.recordable:
+            entry.update(source="live", why=engine.admission.live_why)
             return LiveSource(engine, config.line_size, launch.restored)
         entry["source"] = "recorded"
         # The most the cycle loop could issue before it raised.

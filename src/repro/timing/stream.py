@@ -15,8 +15,8 @@ active lanes run off the end of the kernel the item's ``pc`` is
 still waiting on the warp's SIMT stack run on — only ``last`` retires
 the warp.
 
-Two producers make the same items, chosen per launch by
-``repro.timing.gpu._live_reason``:
+Two producers make the same items, chosen per launch by the engine's
+admission (``repro.functional.executor.admit``):
 
 * :class:`StreamRecorder` — **recorded**.  The launch runs functionally
   first on the megablock tier with the recorder armed; ``MegaMachine``
@@ -27,7 +27,7 @@ Two producers make the same items, chosen per launch by
 * :class:`LiveSource` — **live**.  A thin adapter over
   :meth:`FunctionalEngine.step_warp`, executing each instruction at the
   cycle the model issues it.  Used whenever a recording would not be
-  provably identical (see ``_live_reason``).
+  provably identical (``Admission.live_why`` says why).
 
 Two rules keep the producers bit-identical.  *Set order*: the model
 walks an instruction's lines in the iteration order of the ``set`` they

@@ -428,17 +428,18 @@ class TestEngineWiring:
     def test_eligible_kernel_gets_a_plan(self):
         launch = _build_launch(_saxpy_ptx(), "sax")
         engine = FunctionalEngine(launch, fast_mode="megablock")
-        assert engine.fast_mode == "megablock"
+        assert engine.admission.tier == "megablock"
+        assert engine.admission.why is None
         assert engine._megaplan is not None
-        assert engine.megablock_fallback is None
 
     def test_ineligible_kernel_falls_back_to_superblock(self):
         launch = _build_launch(_abs_ptx(), "absk")
         engine = FunctionalEngine(launch, fast_mode="megablock")
-        assert engine.fast_mode == "superblock"
-        assert engine._megaplan is None
-        assert engine.megablock_fallback
-        assert any("abs" in r for r in engine.megablock_fallback)
+        assert engine.fast_mode == "megablock"
+        assert engine.admission.tier == "superblock"
+        assert engine.admission.why.startswith("no vector plan (")
+        assert "abs" in engine.admission.why
+        assert not engine._megaplan.eligible
         assert EVENTS["fallbacks"] == 1
 
     def test_fallback_still_produces_reference_results(self):
@@ -450,8 +451,8 @@ class TestEngineWiring:
     def test_predicated_kernel_stays_in_the_vector_tier(self):
         launch = _build_launch(_predstore_ptx(), "psk")
         engine = FunctionalEngine(launch, fast_mode="megablock")
-        assert engine.fast_mode == "megablock"
-        assert engine.megablock_fallback is None
+        assert engine.admission == ("megablock", None, None)
+        assert engine.admission.recordable
         engine.run()
         assert EVENTS["fallbacks"] == 0
         assert EVENTS["bailouts"] == 0
@@ -461,13 +462,13 @@ class TestEngineWiring:
         launch = _build_launch(_saxpy_ptx(), "sax")
         engine = FunctionalEngine(launch, fast_mode="megablock",
                                   contract_fp16=True)
-        assert engine.fast_mode == "fastpath"
+        assert engine.admission[:2] == ("fastpath", "contract_fp16")
 
     def test_quirky_launch_forces_reference(self):
         quirks = LegacyQuirks(rem_ignores_type=True)
         launch = _build_launch(_saxpy_ptx(), "sax", quirks=quirks)
         engine = FunctionalEngine(launch, fast_mode="megablock")
-        assert engine.fast_mode == "reference"
+        assert engine.admission[:2] == ("reference", "quirks")
 
     def test_observer_hook_takes_the_scalar_path(self):
         # A per-instruction observer must see one record per issued
@@ -641,7 +642,7 @@ class TestDifferential:
         # Megablock register arrays (single chunk: all CTAs at once).
         mega_launch = _build_launch(ptx, name, **kwargs)
         engine = FunctionalEngine(mega_launch, fast_mode="megablock")
-        assert engine._megaplan is not None
+        assert engine.admission.tier == "megablock"
         machine = MegaMachine(engine, engine._megaplan)
         machine.run(RunStats())
 
@@ -666,7 +667,7 @@ class TestDifferential:
         launch = _build_launch(_divbar_ptx(), "divbar",
                                block=(64, 1, 1))
         engine = FunctionalEngine(launch, fast_mode="megablock")
-        assert engine._megaplan is not None
+        assert engine.admission.tier == "megablock"
         machine = MegaMachine(engine, engine._megaplan)
         machine.run(RunStats())
         assert machine.bailouts == 0
@@ -693,7 +694,7 @@ class TestDifferential:
         # across the bailout boundary (the bar is charged exactly once).
         launch = _build_launch(_mixbar_ptx(), "mixbar")
         engine = FunctionalEngine(launch, fast_mode="megablock")
-        assert engine._megaplan is not None
+        assert engine.admission.tier == "megablock"
         stats = engine.run()
         assert engine.megablock_bailouts == 1
 
@@ -737,7 +738,7 @@ class TestDifferential:
         launch = _build_launch(_parkbail_ptx(), "parkbail",
                                block=(96, 1, 1), n=192)
         engine = FunctionalEngine(launch, fast_mode="megablock")
-        assert engine._megaplan is not None
+        assert engine.admission.tier == "megablock"
         machine = MegaMachine(engine, engine._megaplan)
         run_stats = RunStats()
         machine.run(run_stats)
@@ -767,7 +768,7 @@ class TestDifferential:
         monkeypatch.setattr(megablock, "CHUNK_THREADS", 64)
         launch = _build_launch(ptx(), kernel, **kwargs)
         engine = FunctionalEngine(launch, fast_mode="megablock")
-        assert engine._megaplan is not None
+        assert engine.admission.tier == "megablock"
         stats = engine.run()
         assert stats.ctas_launched == kwargs["grid"][0]
 
@@ -841,7 +842,7 @@ engine = FunctionalEngine(launch, fast_mode="megablock")
 stats = engine.run()
 print(json.dumps({
     "counters": kernelcache.counters(),
-    "fast_mode": engine.fast_mode,
+    "tier": engine.admission.tier,
     "instructions": stats.instructions,
     "ys": gm.read(ys_a, 4 * count).hex(),
     "modules": sorted(sys.modules),
@@ -883,7 +884,7 @@ class TestKernelCache:
         package imports no graph library, and the scalar tier's fused
         blocks (a bailout's continuation) are never compiled."""
         cold = _run_cache_process(tmp_path / "xproc")
-        assert cold["fast_mode"] == "megablock"
+        assert cold["tier"] == "megablock"
         assert "networkx" not in cold["modules"]
         assert not [key for key in cold["derived"]
                     if "compile_superblocks" in key]
@@ -898,7 +899,7 @@ class TestKernelCache:
         warm = _run_cache_process(cache_dir)
         assert warm["counters"]["hits"] == 1
         assert warm["counters"]["misses"] == 0
-        assert warm["fast_mode"] == "megablock"
+        assert warm["tier"] == "megablock"
         assert warm["instructions"] == cold["instructions"]
         assert warm["ys"] == cold["ys"]
 
@@ -934,7 +935,7 @@ class TestKernelCache:
         assert again["counters"]["hits"] == 0
         assert again["counters"]["discards"] == 1
         assert again["counters"]["stores"] == 1
-        assert again["fast_mode"] == "megablock"
+        assert again["tier"] == "megablock"
         assert again["ys"] == cold["ys"]
         fresh = json.loads(entries[0].read_text())
         assert fresh["plan_format"] == PLAN_FORMAT
@@ -966,7 +967,7 @@ class TestKernelCache:
         monkeypatch.setenv("REPRO_CACHE_DISABLE", "1")
         launch = _build_launch(_saxpy_ptx(), "sax")
         engine = FunctionalEngine(launch, fast_mode="megablock")
-        assert engine.fast_mode == "megablock"
+        assert engine.admission.tier == "megablock"
         engine.run()
         assert not (tmp_path / "off").exists()
 
@@ -984,8 +985,8 @@ class TestKernelCache:
             engine = FunctionalEngine(launch, fast_mode="megablock",
                                       on_exec=records.append)
             stats = engine.run()
-            assert engine._megaplan is not None
-            assert engine.ran_tier == "fastpath"
+            assert engine._megaplan.eligible
+            assert engine.admission[:2] == ("fastpath", "hooks")
             issued = [(r.pc, r.active_mask, r.mem_accesses)
                       for r in records]
             return issued, stats.dynamic_per_opcode, _memory_image(launch)

@@ -200,14 +200,14 @@ def _run_scalar(ptx: str, seed: int, mode: str):
         threads += [dict(regs) for warp in cta.warps
                     for regs in warp.regs[:len(warp.thread_linear)]]
     pruned = frozenset().union(
-        *(block.pruned for block in engine._superblocks.values()))
+        *(block.pruned for block in (engine._superblocks or {}).values()))
     return _memory_image(launch), threads, pruned, stats.instructions
 
 
 def _run_vector(ptx: str, seed: int):
     launch = _launch(ptx, seed)
     engine = FunctionalEngine(launch, fast_mode="megablock")
-    assert engine._megaplan is not None, engine.megablock_fallback
+    assert engine.admission.tier == "megablock", engine.admission
     machine, stats = MegaMachine(engine, engine._megaplan), RunStats()
     machine.run(stats)
     assert machine.bailouts == 0
@@ -273,8 +273,7 @@ class _WidthChecked(FunctionalBackend):
                     self.checked += _assert_fits(widths, regs,
                                                  launch.kernel.name)
         stats = engine.run(on_cta=check)
-        return self.report(launch, stats, engine.ran_tier,
-                           why=engine.ran_why)
+        return self.report(launch, stats, engine.admission)
 
 
 def _lenet_forward(runtime) -> None:

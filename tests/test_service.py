@@ -26,7 +26,7 @@ from repro.errors import (
     CheckpointError, DebugToolError, ServiceError, UnknownJobError)
 from repro.functional import kernelcache
 from repro.functional.executor import (
-    FunctionalEngine, RunStats, partition_ctas)
+    Admission, FunctionalEngine, RunStats, partition_ctas)
 from repro.functional.memory import GlobalMemory, LinearMemory
 from repro.functional.state import CTAState, LaunchContext
 from repro.ptx.builder import PTXBuilder, f32
@@ -34,7 +34,7 @@ from repro.ptx.parser import parse_module
 from repro.service.client import ServiceClient
 from repro.service.jobs import job_key, run_conv, run_lenet, run_saxpy
 from repro.service.pool import (
-    ShardExecutor, ShardedFunctionalBackend, _diff_writes)
+    ShardExecutor, ShardResult, ShardedFunctionalBackend, _diff_writes)
 from repro.service.rest import MAX_BODY_BYTES, make_server
 from repro.service.scheduler import ClusterScheduler
 from repro.util import atomicstore
@@ -89,6 +89,20 @@ def _divergent_ptx() -> str:
     b.place(odd)
     b.ins("mul.f32", x, x, f32(3.0))
     b.place(done)
+    b.ins("st.global.f32", f"[{b.elem_addr(xs, tid)}]", x)
+    return b.build()
+
+
+def _abs_ptx() -> str:
+    """``abs`` has no vector emitter: a megablock request runs scalar."""
+    b = PTXBuilder("absk", [("xs", "u64"), ("n", "u32")])
+    xs = b.ld_param("u64", "xs")
+    n = b.ld_param("u32", "n")
+    tid = b.global_tid_x()
+    b.guard_tid_below(tid, n)
+    x = b.reg("f32")
+    b.ins("ld.global.f32", x, f"[{b.elem_addr(xs, tid)}]")
+    b.ins("abs.f32", x, x)
     b.ins("st.global.f32", f"[{b.elem_addr(xs, tid)}]", x)
     return b.build()
 
@@ -317,6 +331,36 @@ class TestShardedBackend:
         slices = [(e.name, e.args.get("shards")) for e in tracer.events
                   if e.cat == "engine" and "tier" in (e.args or {})]
         assert slices == [("sharded:sax", 2), ("functional:sax", None)]
+
+    def test_slice_reports_what_the_workers_ran(self):
+        """Each worker sends its engine's admission back: a megablock
+        request the kernel cannot vectorise reports superblock and why,
+        and a register capture reports the per-CTA callback."""
+        backend = ShardedFunctionalBackend(2, fast_mode="megablock")
+        backend.tracer = tracer = Tracer()
+        backend.execute(_build_launch(_abs_ptx(), "absk"))
+        backend.close()
+        (args,) = [e.args for e in tracer.events
+                   if e.cat == "engine" and "tier" in (e.args or {})]
+        assert args["tier"] == "superblock"
+        assert args["tier_why"].startswith("no vector plan (")
+        assert "abs" in args["tier_why"]
+        with ShardExecutor(2, fast_mode="megablock",
+                           capture_registers=True) as executor:
+            merged = executor.execute(_build_launch(_saxpy_ptx(), "sax"))
+        assert merged.admission[:2] == ("superblock", "on_cta")
+
+    def test_shards_that_ran_different_tiers_do_not_merge(self):
+        launch = _build_launch(_saxpy_ptx(), "sax", grid=(2, 1, 1))
+        results = [
+            ShardResult(first_cta=cta, limit_cta=cta + 1, stats=RunStats(),
+                        clock_delta=0, writes=[], admission=admission)
+            for cta, admission in enumerate([
+                Admission("megablock", None, None),
+                Admission("superblock", "cta_spans", None)])]
+        with pytest.raises(ServiceError, match="different tiers"):
+            ShardExecutor(2)._merge(launch, [(0, 1), (1, 2)], results,
+                                    None)
 
 
 # ---------------------------------------------------------------------------

@@ -264,21 +264,26 @@ class TestEngineModes:
         quirks = LegacyQuirks(rem_ignores_type=True)
         launch = _build_launch(_saxpy_ptx(), "sax", quirks=quirks)
         engine = FunctionalEngine(launch, fast_mode="superblock")
-        assert engine.fast_mode == "reference"
+        assert engine.admission[:2] == ("reference", "quirks")
+        engine.run()
         assert not engine._superblocks
 
     def test_contract_fp16_bypasses_superblocks(self):
         launch = _build_launch(_saxpy_ptx(), "sax")
         engine = FunctionalEngine(launch, contract_fp16=True,
                                   fast_mode="superblock")
-        assert engine.fast_mode == "fastpath"
+        assert engine.admission[:2] == ("fastpath", "contract_fp16")
+        engine.run()
         assert not engine._superblocks
 
     def test_compiled_blocks_are_cached_on_the_kernel(self):
         launch = _build_launch(_saxpy_ptx(), "sax")
         first = FunctionalEngine(launch, fast_mode="superblock")
         second = FunctionalEngine(launch, fast_mode="superblock")
+        first.run()
+        second.run()
         assert second._superblocks is first._superblocks
+        assert first._superblocks
 
     def test_run_range_frees_retired_ctas_without_gc(self, monkeypatch):
         # CTAState.warps <-> WarpState.cta is a cycle; the engine breaks

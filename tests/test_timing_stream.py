@@ -1,9 +1,10 @@
 """The timing model's two stream producers are one simulator.
 
 A launch is *recorded* (megablock pre-pass, replayed by the cycle loop)
-or *live* (stepped inside the loop); which one is an internal per-launch
-decision (``repro.timing.gpu._live_reason``).  These tests force each
-side through that function and require identical simulated results.
+or *live* (stepped inside the loop); which one is part of the engine's
+per-launch admission (``repro.functional.executor.admit``: its
+``live_why``).  These tests force each side through that function and
+require identical simulated results.
 """
 
 import gc
@@ -16,12 +17,12 @@ import pytest
 from repro.cuda import CudaRuntime
 from repro.cudnn import ConvFwdAlgo
 from repro.errors import CycleBudgetExceededError
+from repro.functional import executor
 from repro.functional.memory import GLOBAL_BASE
 from repro.functional.state import WarpState
 from repro.nn.lenet import LeNetConfig
 from repro.ptx.builder import PTXBuilder
 from repro.timing import GTX1050, TINY, TimingBackend
-from repro.timing import gpu as timing_gpu
 from repro.timing.stream import _line_order
 from repro.trace.tracer import Tracer
 from repro.workloads.conv_sample import ConvSample, ConvSampleConfig
@@ -210,12 +211,20 @@ WORKLOADS = {
 }
 
 
+def force(monkeypatch, producer):
+    """Admit every launch with the *producer* the test wants."""
+    real = executor.admit
+    live_why = {"live": "forced by the test", "recorded": None}[producer]
+    monkeypatch.setattr(
+        executor, "admit",
+        lambda *args, **kwargs: real(*args, **kwargs)._replace(
+            live_why=live_why))
+
+
 def simulate(run, config, monkeypatch, producer):
     """Run *run* on a fresh device with every launch on *producer*;
     return everything the simulation produced."""
-    decide = {"live": lambda *args: "forced by the test",
-              "recorded": lambda *args: None}[producer]
-    monkeypatch.setattr(timing_gpu, "_live_reason", decide)
+    force(monkeypatch, producer)
     backend = TimingBackend(config)
     runtime = CudaRuntime(backend=backend)
     run(runtime)
@@ -338,8 +347,7 @@ class TestNoFunctionalStateLeaks:
         item ROADMAP closed as done; it was 6(c) before PR 20's
         renumbering, and 6(c) now names something else)."""
         if producer == "live":
-            monkeypatch.setattr(timing_gpu, "_live_reason",
-                                lambda *args: "forced by the test")
+            force(monkeypatch, producer)
         gc.collect()
         gc.disable()
         try:

@@ -337,13 +337,41 @@ class TestMegablockTracing:
         assert any(s.name == "megablock:axpy" for s in engine_spans)
 
     def test_slice_reports_the_tier_that_ran(self):
-        """A megablock request that had to step or fuse says so on the
-        launch's slice instead of echoing the request."""
+        """A launch that left the requested tier says so, and why, on
+        the launch's slice instead of echoing the request."""
+        from repro.checkpoint import CheckpointingBackend, ResumeBackend
+        from repro.cuda.runtime import FunctionalBackend
+        from repro.quirks import LegacyQuirks
+
         def slice_args(tracer):
             (args,) = [e.args for e in tracer.events
                        if e.cat == "engine" and "tier" in (e.args or {})]
             return args["tier"], args.get("tier_why")
 
+        def absk(backend, **runtime):
+            tracer = Tracer()
+            rt = CudaRuntime(tracer=tracer, backend=backend, **runtime)
+            rt.load_ptx(self.ABSK)
+            x = rt.upload_f32(np.arange(32, dtype=np.float32) - 16.0)
+            rt.launch("absk", 1, 32, [x])
+            rt.synchronize()
+            return slice_args(tracer)
+
+        def megablock():
+            return FunctionalBackend(fast_mode="megablock")
+
+        assert absk(megablock()) == (
+            "superblock",
+            "no vector plan (pc 5: no vector emitter for abs (abs.f32))")
+        assert absk(megablock(),
+                    quirks=LegacyQuirks(rem_ignores_type=True)) == (
+            "reference", "quirks")
+        saver = CheckpointingBackend(0, 0, warp_instruction_budget=2)
+        absk(saver)
+        assert absk(ResumeBackend(saver.checkpoint, megablock())) == (
+            "superblock", "restored")
+        assert absk(FunctionalBackend(sanitize=True)) == (
+            "fastpath", "sanitize")
         seen = []
         tracer = Tracer()
         self._megablock_axpy(tracer, on_exec=seen.append)
