@@ -8,16 +8,14 @@ all three types of convolution."
 """
 
 from bench_utils import run_once
-from case_cache import get_case
+from case_cache import SAMPLE, get_case
 
-from repro.cudnn.algos import (
-    PAPER_BWD_DATA_ALGOS, PAPER_BWD_FILTER_ALGOS, PAPER_FWD_ALGOS)
+from repro.cudnn import ALGORITHMS, supported
 
-DIRECTIONS = {
-    "fwd": PAPER_FWD_ALGOS,
-    "bwd_data": PAPER_BWD_DATA_ALGOS,
-    "bwd_filter": PAPER_BWD_FILTER_ALGOS,
-}
+_, _W_DESC, _CONV = SAMPLE.descriptors()
+#: Every algorithm of each direction's table that SAMPLE supports.
+DIRECTIONS = {direction: supported(direction, _W_DESC, _CONV)
+              for direction in ALGORITHMS}
 
 
 def _sweep():

@@ -1,9 +1,7 @@
 """cuDNN-compatible library: descriptors, algorithms, host API, kernels."""
 
-from repro.cudnn.algos import (
-    PAPER_BWD_DATA_ALGOS, PAPER_BWD_FILTER_ALGOS, PAPER_FWD_ALGOS,
-    ConvBwdDataAlgo, ConvBwdFilterAlgo, ConvFwdAlgo)
-from repro.cudnn.api import ApiCall, Cudnn
+from repro.cudnn.algos import ConvBwdDataAlgo, ConvBwdFilterAlgo, ConvFwdAlgo
+from repro.cudnn.api import ALGORITHMS, ApiCall, Cudnn, supported
 from repro.cudnn.descriptors import (
     ActivationDescriptor, ConvolutionDescriptor, FilterDescriptor,
     LRNDescriptor, PoolingDescriptor, TensorDescriptor)
@@ -11,10 +9,9 @@ from repro.cudnn.library import (
     build_application_binary, build_libcublas, build_libcudnn)
 
 __all__ = [
-    "ActivationDescriptor", "ApiCall", "ConvBwdDataAlgo",
+    "ALGORITHMS", "ActivationDescriptor", "ApiCall", "ConvBwdDataAlgo",
     "ConvBwdFilterAlgo", "ConvFwdAlgo", "ConvolutionDescriptor", "Cudnn",
-    "FilterDescriptor", "LRNDescriptor", "PAPER_BWD_DATA_ALGOS",
-    "PAPER_BWD_FILTER_ALGOS", "PAPER_FWD_ALGOS", "PoolingDescriptor",
+    "FilterDescriptor", "LRNDescriptor", "PoolingDescriptor",
     "TensorDescriptor", "build_application_binary", "build_libcublas",
-    "build_libcudnn",
+    "build_libcudnn", "supported",
 ]

@@ -38,20 +38,3 @@ class ConvBwdFilterAlgo(Enum):
     FFT_TILING = "fft_tiling"
     WINOGRAD_NONFUSED = "winograd_nonfused"
 
-
-#: The exact per-direction algorithm lists of the paper's case study.
-PAPER_FWD_ALGOS = [
-    ConvFwdAlgo.FFT, ConvFwdAlgo.FFT_TILING, ConvFwdAlgo.GEMM,
-    ConvFwdAlgo.IMPLICIT_GEMM, ConvFwdAlgo.WINOGRAD,
-    ConvFwdAlgo.WINOGRAD_NONFUSED,
-]
-PAPER_BWD_DATA_ALGOS = [
-    ConvBwdDataAlgo.ALGO_0, ConvBwdDataAlgo.ALGO_1,
-    ConvBwdDataAlgo.FFT_TILING, ConvBwdDataAlgo.WINOGRAD,
-    ConvBwdDataAlgo.WINOGRAD_NONFUSED,
-]
-PAPER_BWD_FILTER_ALGOS = [
-    ConvBwdFilterAlgo.ALGO_0, ConvBwdFilterAlgo.ALGO_1,
-    ConvBwdFilterAlgo.ALGO_3, ConvBwdFilterAlgo.FFT,
-    ConvBwdFilterAlgo.FFT_TILING, ConvBwdFilterAlgo.WINOGRAD_NONFUSED,
-]

@@ -7,15 +7,17 @@ on the runtime.  An ``api_log`` records which launch ordinals belong to
 which API call; the paper's three-level debug bisection (API call →
 kernel → instruction) walks exactly that structure.
 
-All FFT paths use overlap-save tiling with tile size FN (32 for the FFT
-algorithms, 16 for FFT_TILING), accumulating per-frequency-bin CGEMMs
-across tile positions.  Winograd paths implement F(2x2, 3x3).
+Convolutions run from one algorithm table, :data:`ALGORITHMS`.  FFT
+paths tile overlap-save with tile size FN (32 for FFT, 16 for
+FFT_TILING); Winograd paths implement F(2x2, 3x3).
 """
 
 from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass, field
+from functools import partial
+from typing import NamedTuple
 
 from repro.errors import CudnnError
 from repro.cuda.runtime import CudaRuntime
@@ -41,6 +43,35 @@ class ApiCall:
 
 def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
+
+
+def _tile_origins(desc: TensorDescriptor, step: tuple) -> list[tuple]:
+    """Top-left corners of the overlap-save tiles covering *desc*."""
+    return [(ti * step[0], tj * step[1])
+            for ti in range(_ceil_div(desc.h, step[0]))
+            for tj in range(_ceil_div(desc.w, step[1]))]
+
+
+class _Conv(NamedTuple):
+    """One convolution's geometry and device pointers, named by tensor
+    role in every direction: ``x`` is the layer input (``dx`` in
+    backward-data), ``w`` the filter (``dw`` in backward-filter), ``y``
+    the layer output (``dy`` in both backward passes)."""
+
+    x_desc: TensorDescriptor
+    x: int
+    w_desc: FilterDescriptor
+    w: int
+    conv: ConvolutionDescriptor
+    y_desc: TensorDescriptor
+    y: int
+
+    @property
+    def args(self) -> list[int]:
+        """The geometry arguments every direct convolution kernel takes."""
+        x, w, conv, y = self.x_desc, self.w_desc, self.conv, self.y_desc
+        return [x.n, x.c, x.h, x.w, w.k, w.r, w.s, y.h, y.w, conv.pad_h,
+                conv.pad_w, conv.stride_h, conv.stride_w]
 
 
 class Cudnn:
@@ -248,7 +279,7 @@ class Cudnn:
                            [probs, labels, dx, rows, cols, scale, total])
 
     # ------------------------------------------------------------------
-    # Convolution: forward
+    # Convolution: three entry points over one table (ALGORITHMS below)
     # ------------------------------------------------------------------
     def convolution_forward(self, x_desc: TensorDescriptor, x: int,
                             w_desc: FilterDescriptor, w: int,
@@ -259,53 +290,93 @@ class Cudnn:
         y_desc = conv.output_dims(x_desc, w_desc)
         if y is None:
             y = self.rt.malloc(y_desc.nbytes)
-        with self._api_call(f"cudnnConvolutionForward[{algo.value}]"):
-            if algo is ConvFwdAlgo.IMPLICIT_GEMM:
-                self._conv_fwd_implicit(x_desc, x, w_desc, w, conv, y_desc, y)
-            elif algo is ConvFwdAlgo.GEMM:
-                self._conv_fwd_gemm(x_desc, x, w_desc, w, conv, y_desc, y)
-            elif algo is ConvFwdAlgo.WINOGRAD:
-                self._require_winograd(w_desc, conv)
-                self._winograd_fused(x_desc, x, w_desc, w, conv, y_desc, y)
-            elif algo is ConvFwdAlgo.WINOGRAD_NONFUSED:
-                self._require_winograd(w_desc, conv)
-                self._winograd_nonfused_fwd(
-                    x_desc, x, w_desc, w, conv, y_desc, y)
-            elif algo in (ConvFwdAlgo.FFT, ConvFwdAlgo.FFT_TILING):
-                self._require_unit_stride(conv, "FFT")
-                fn = 32 if algo is ConvFwdAlgo.FFT else 16
-                self._fft_forward(x_desc, x, w_desc, w, conv, y_desc, y, fn)
-            else:  # pragma: no cover - enum is closed
-                raise CudnnError(f"unknown forward algo {algo}")
+        self._convolve("cudnnConvolutionForward", "fwd", algo,
+                       _Conv(x_desc, x, w_desc, w, conv, y_desc, y))
         return y_desc, y
 
-    def _geom_args(self, x_desc: TensorDescriptor, w_desc: FilterDescriptor,
-                   conv: ConvolutionDescriptor,
-                   y_desc: TensorDescriptor) -> list[int]:
-        return [x_desc.n, x_desc.c, x_desc.h, x_desc.w, w_desc.k,
-                w_desc.r, w_desc.s, y_desc.h, y_desc.w, conv.pad_h,
-                conv.pad_w, conv.stride_h, conv.stride_w]
+    def convolution_backward_data(self, w_desc: FilterDescriptor, w: int,
+                                  dy_desc: TensorDescriptor, dy: int,
+                                  conv: ConvolutionDescriptor,
+                                  algo: ConvBwdDataAlgo,
+                                  dx_desc: TensorDescriptor,
+                                  dx: int | None = None) -> int:
+        if dx is None:
+            dx = self.rt.malloc(dx_desc.nbytes)
+        self._convolve("cudnnConvolutionBackwardData", "bwd_data", algo,
+                       _Conv(dx_desc, dx, w_desc, w, conv, dy_desc, dy))
+        return dx
 
-    def _conv_fwd_implicit(self, x_desc, x, w_desc, w, conv, y_desc,
-                           y) -> None:
-        self._launch1d("implicit_gemm_fwd", y_desc.size,
-                       [x, w, y, *self._geom_args(x_desc, w_desc, conv,
-                                                  y_desc), y_desc.size])
+    def convolution_backward_filter(self, x_desc: TensorDescriptor, x: int,
+                                    dy_desc: TensorDescriptor, dy: int,
+                                    conv: ConvolutionDescriptor,
+                                    algo: ConvBwdFilterAlgo,
+                                    w_desc: FilterDescriptor,
+                                    dw: int | None = None) -> int:
+        if dw is None:
+            dw = self.rt.malloc(w_desc.nbytes)
+        self._convolve("cudnnConvolutionBackwardFilter", "bwd_filter", algo,
+                       _Conv(x_desc, x, w_desc, dw, conv, dy_desc, dy))
+        return dw
 
-    def _conv_fwd_gemm(self, x_desc, x, w_desc, w, conv, y_desc,
-                       y) -> None:
-        crs = w_desc.c * w_desc.r * w_desc.s
-        pq = y_desc.h * y_desc.w
+    def _convolve(self, api: str, direction: str, algo, g: _Conv) -> None:
+        """One API call: look *algo* up in *direction*'s table (another
+        direction's member, even a same-named one, is not there), check
+        its requirements in row order, run its pipeline."""
+        with self._api_call(f"{api}[{algo.value}]"):
+            row = ALGORITHMS[direction].get(algo)
+            if row is None:
+                raise CudnnError(f"unknown {direction} algo {algo}")
+            requirements, pipeline = row
+            unmet = _unmet(requirements, g.w_desc, g.conv)
+            if unmet is not None:
+                raise CudnnError(f"CUDNN_STATUS_NOT_SUPPORTED: {unmet}")
+            pipeline(self, g)
+
+    # -- direct kernels: one thread per element of one tensor -------------
+    def _implicit_gemm(self, g: _Conv, kernel="implicit_gemm_fwd") -> None:
+        self._launch1d(kernel, g.y_desc.size,
+                       [g.x, g.w, g.y, *g.args, g.y_desc.size])
+
+    def _bwd_data_algo0(self, g: _Conv) -> None:
+        self._launch1d("cudnn_fill_zero", g.x_desc.size,
+                       [g.x, g.x_desc.size])
+        self._launch1d("conv_bwd_data_algo0", g.y_desc.size,
+                       [g.y, g.w, g.x, *g.args, g.y_desc.size])
+
+    def _bwd_data_algo1(self, g: _Conv) -> None:
+        self._launch1d("conv_bwd_data_algo1", g.x_desc.size,
+                       [g.y, g.w, g.x, *g.args, g.x_desc.size])
+
+    def _bwd_filter_algo0(self, g: _Conv) -> None:
+        self._launch1d("cudnn_fill_zero", g.w_desc.size,
+                       [g.w, g.w_desc.size])
+        self._launch1d("conv_bwd_filter_algo0", g.y_desc.size,
+                       [g.x, g.y, g.w, *g.args, g.y_desc.size])
+
+    def _bwd_filter_algo1(self, g: _Conv) -> None:
+        self._launch1d("conv_bwd_filter_algo1", g.w_desc.size,
+                       [g.x, g.y, g.w, *g.args, g.w_desc.size])
+
+    def _bwd_filter_algo3(self, g: _Conv) -> None:
+        total = g.w_desc.size
+        self._launch1d("cudnn_fill_zero", total, [g.w, total])
+        self.rt.launch("conv_bwd_filter_algo3",
+                       (_ceil_div(total, _BLOCK), _ceil_div(g.x_desc.n, 2),
+                        1), (_BLOCK, 1, 1), [g.x, g.y, g.w, *g.args, total])
+
+    # -- im2col + GEMM ------------------------------------------------------
+    def _gemm(self, g: _Conv) -> None:
+        x, w, conv, y = g.x_desc, g.w_desc, g.conv, g.y_desc
+        crs = w.c * w.r * w.s
+        pq = y.h * y.w
         columns = self._workspace(4 * crs * pq)
-        geometry = [x_desc.c, x_desc.h, x_desc.w, y_desc.h, y_desc.w,
-                    w_desc.r, w_desc.s, conv.pad_h, conv.pad_w,
-                    conv.stride_h, conv.stride_w]
-        for n in range(x_desc.n):
-            image = x + 4 * n * x_desc.c * x_desc.h * x_desc.w
-            out_n = y + 4 * n * w_desc.k * pq
+        geometry = [x.c, x.h, x.w, y.h, y.w, w.r, w.s, conv.pad_h,
+                    conv.pad_w, conv.stride_h, conv.stride_w]
+        for n in range(x.n):
             self._launch1d("cudnn_im2col", crs * pq,
-                           [image, columns, 1, *geometry, crs * pq])
-            self._sgemm(w, columns, out_n, w_desc.k, pq, crs)
+                           [g.x + 4 * n * x.c * x.h * x.w, columns, 1,
+                            *geometry, crs * pq])
+            self._sgemm(g.w, columns, g.y + 4 * n * w.k * pq, w.k, pq, crs)
 
     def _sgemm(self, a: int, b: int, c: int, m: int, n: int, k: int,
                alpha: float = 1.0, beta: float = 0.0, batch: int = 1,
@@ -316,333 +387,155 @@ class Cudnn:
                        [a, b, c, m, n, k, alpha, beta,
                         stride_a, stride_b, stride_c])
 
-    # -- Winograd ---------------------------------------------------------
-    @staticmethod
-    def _require_winograd(w_desc: FilterDescriptor,
-                          conv: ConvolutionDescriptor) -> None:
-        if w_desc.r != 3 or w_desc.s != 3:
-            raise CudnnError(
-                "CUDNN_STATUS_NOT_SUPPORTED: Winograd requires 3x3 filters")
-        if conv.stride_h != 1 or conv.stride_w != 1:
-            raise CudnnError(
-                "CUDNN_STATUS_NOT_SUPPORTED: Winograd requires unit stride")
-
-    @staticmethod
-    def _require_unit_stride(conv: ConvolutionDescriptor,
-                             what: str) -> None:
-        if conv.stride_h != 1 or conv.stride_w != 1:
-            raise CudnnError(
-                f"CUDNN_STATUS_NOT_SUPPORTED: {what} requires unit stride")
-
-    def _winograd_fused(self, x_desc, x, w_desc, w, conv, y_desc,
-                        y) -> None:
-        tiles_h = _ceil_div(y_desc.h, 2)
-        tiles_w = _ceil_div(y_desc.w, 2)
-        total = w_desc.k * x_desc.n * tiles_h * tiles_w
+    # -- Winograd F(2x2, 3x3) -----------------------------------------------
+    def _winograd_fused(self, g: _Conv) -> None:
+        x, y = g.x_desc, g.y_desc
+        tiles_h, tiles_w = _ceil_div(y.h, 2), _ceil_div(y.w, 2)
+        total = g.w_desc.k * x.n * tiles_h * tiles_w
         self._launch1d("winograd_fused_fwd", total,
-                       [x, w, y, x_desc.n, x_desc.c, x_desc.h, x_desc.w,
-                        tiles_h, tiles_w, conv.pad_h, conv.pad_w,
-                        w_desc.k, y_desc.h, y_desc.w, total])
+                       [g.x, g.w, g.y, x.n, x.c, x.h, x.w, tiles_h, tiles_w,
+                        g.conv.pad_h, g.conv.pad_w, g.w_desc.k, y.h, y.w,
+                        total])
 
-    def _winograd_nonfused_fwd(self, x_desc, x, w_desc, w, conv, y_desc,
-                               y) -> None:
-        tiles_h = _ceil_div(y_desc.h, 2)
-        tiles_w = _ceil_div(y_desc.w, 2)
-        ntiles = x_desc.n * tiles_h * tiles_w
-        c, k = x_desc.c, w_desc.k
+    def _winograd_nonfused(self, g: _Conv) -> None:
+        x, y = g.x_desc, g.y_desc
+        tiles_h, tiles_w = _ceil_div(y.h, 2), _ceil_div(y.w, 2)
+        ntiles = x.n * tiles_h * tiles_w
+        c, k = x.c, g.w_desc.k
         v_buf = self._workspace(4 * 16 * c * ntiles)
         u_buf = self._workspace(4 * 16 * k * c)
         m_buf = self._workspace(4 * 16 * k * ntiles)
         self._launch1d("winograd_input_transform", c * ntiles,
-                       [x, v_buf, x_desc.n, c, x_desc.h, x_desc.w,
-                        tiles_h, tiles_w, conv.pad_h, conv.pad_w,
-                        c * ntiles])
+                       [g.x, v_buf, x.n, c, x.h, x.w, tiles_h, tiles_w,
+                        g.conv.pad_h, g.conv.pad_w, c * ntiles])
         self._launch1d("winograd_filter_transform", k * c,
-                       [w, u_buf, k, c, k * c])
+                       [g.w, u_buf, k, c, k * c])
         self._sgemm(u_buf, v_buf, m_buf, k, ntiles, c, batch=16,
                     stride_a=k * c, stride_b=c * ntiles,
                     stride_c=k * ntiles)
         self._launch1d("winograd_output_transform", k * ntiles,
-                       [m_buf, y, x_desc.n, k, y_desc.h, y_desc.w,
-                        tiles_h, tiles_w, k * ntiles])
+                       [m_buf, g.y, x.n, k, y.h, y.w, tiles_h, tiles_w,
+                        k * ntiles])
 
-    # -- FFT (overlap-save tiling, all directions) -------------------------
-    def _fft_forward(self, x_desc, x, w_desc, w, conv, y_desc, y,
-                     fn: int) -> None:
-        r, s = w_desc.r, w_desc.s
-        if r > fn or s > fn:
-            raise CudnnError(
-                "CUDNN_STATUS_NOT_SUPPORTED: filter larger than FFT tile")
-        bins = fn * fn
-        n_img, c, k = x_desc.n, x_desc.c, w_desc.k
-        r2c = f"fft2d_r2c_{fn}x{fn}"
-        c2r = f"fft2d_c2r_{fn}x{fn}"
-        step_h, step_w = fn - r + 1, fn - s + 1
+    def _winograd_bwd_data(self, g: _Conv, forward) -> None:
+        # dgrad = the *forward* pipeline run on dy with spatially rotated,
+        # KC-swapped filters, with pad' = R-1-pad.
+        k, c, r, s = g.w_desc.k, g.w_desc.c, g.w_desc.r, g.w_desc.s
+        w_rot = self._workspace(4 * g.w_desc.size)
+        self._launch1d("winograd_rotate_filters", g.w_desc.size,
+                       [g.w, w_rot, k, c, r, s, g.w_desc.size])
+        forward(self, _Conv(
+            g.y_desc, g.y, FilterDescriptor(k=c, c=k, r=r, s=s), w_rot,
+            ConvolutionDescriptor(pad_h=r - 1 - g.conv.pad_h,
+                                  pad_w=s - 1 - g.conv.pad_w),
+            g.x_desc, g.x))
 
-        # Filter spectra, frequency-major A operand [bin][k*C + c].
-        wtiles = k * c
-        w_spec = self._workspace(8 * wtiles * bins)
-        w_spec_t = self._workspace(8 * wtiles * bins)
-        self.rt.launch(r2c, (wtiles, 1, 1), (fn, 1, 1),
-                       [w, w_spec, k, c, r, s, 0, 0, 1, 1])
-        self._launch1d("fft_transpose_complex", wtiles * bins,
-                       [w_spec, w_spec_t, wtiles, bins, wtiles * bins])
-
-        xtiles = c * n_img
-        ytiles = k * n_img
-        x_spec = self._workspace(8 * xtiles * bins)
-        x_spec_t = self._workspace(8 * xtiles * bins)
-        y_spec_t = self._workspace(8 * ytiles * bins)
-        y_spec = self._workspace(8 * ytiles * bins)
-        for ti in range(_ceil_div(y_desc.h, step_h)):
-            for tj in range(_ceil_div(y_desc.w, step_w)):
-                origin_h = ti * step_h - conv.pad_h
-                origin_w = tj * step_w - conv.pad_w
-                self.rt.launch(r2c, (xtiles, 1, 1), (fn, 1, 1),
-                               [x, x_spec, c, n_img, x_desc.h, x_desc.w,
-                                origin_h, origin_w, 0, 0])
-                self._launch1d("fft_transpose_complex", xtiles * bins,
-                               [x_spec, x_spec_t, xtiles, bins,
-                                xtiles * bins])
-                self.rt.launch("cgemm_strided_batched",
-                               (_ceil_div(n_img, 32), k, bins),
-                               (32, 1, 1),
-                               [w_spec_t, x_spec_t, y_spec_t, k, n_img,
-                                c, 0])
-                self._launch1d("fft_transpose_complex", ytiles * bins,
-                               [y_spec_t, y_spec, bins, ytiles,
-                                ytiles * bins])
-                self.rt.launch(c2r, (ytiles, 1, 1), (fn, 1, 1),
-                               [y_spec, y, k, n_img, y_desc.h, y_desc.w,
-                                r - 1, s - 1, ti * step_h, tj * step_w,
-                                step_h, step_w, 0])
-
-    # ------------------------------------------------------------------
-    # Convolution: backward data
-    # ------------------------------------------------------------------
-    def convolution_backward_data(self, w_desc: FilterDescriptor, w: int,
-                                  dy_desc: TensorDescriptor, dy: int,
-                                  conv: ConvolutionDescriptor,
-                                  algo: ConvBwdDataAlgo,
-                                  dx_desc: TensorDescriptor,
-                                  dx: int | None = None) -> int:
-        if dx is None:
-            dx = self.rt.malloc(dx_desc.nbytes)
-        geometry = self._geom_args(dx_desc, w_desc, conv, dy_desc)
-        with self._api_call(f"cudnnConvolutionBackwardData[{algo.value}]"):
-            if algo is ConvBwdDataAlgo.ALGO_0:
-                self._launch1d("cudnn_fill_zero", dx_desc.size,
-                               [dx, dx_desc.size])
-                self._launch1d("conv_bwd_data_algo0", dy_desc.size,
-                               [dy, w, dx, *geometry, dy_desc.size])
-            elif algo is ConvBwdDataAlgo.ALGO_1:
-                self._launch1d("conv_bwd_data_algo1", dx_desc.size,
-                               [dy, w, dx, *geometry, dx_desc.size])
-            elif algo is ConvBwdDataAlgo.FFT_TILING:
-                self._require_unit_stride(conv, "FFT")
-                self._fft_backward_data(w_desc, w, dy_desc, dy, conv,
-                                        dx_desc, dx, fn=16)
-            elif algo is ConvBwdDataAlgo.WINOGRAD:
-                self._require_winograd(w_desc, conv)
-                self._winograd_bwd_data(w_desc, w, dy_desc, dy, conv,
-                                        dx_desc, dx, fused=True)
-            elif algo is ConvBwdDataAlgo.WINOGRAD_NONFUSED:
-                self._require_winograd(w_desc, conv)
-                self._winograd_bwd_data(w_desc, w, dy_desc, dy, conv,
-                                        dx_desc, dx, fused=False)
-            else:  # pragma: no cover
-                raise CudnnError(f"unknown bwd-data algo {algo}")
-        return dx
-
-    def _winograd_bwd_data(self, w_desc, w, dy_desc, dy, conv, dx_desc,
-                           dx, *, fused: bool) -> None:
-        # dgrad = convolution of dy with spatially rotated, KC-swapped
-        # filters, with pad' = R-1-pad.
-        k, c, r, s = w_desc.k, w_desc.c, w_desc.r, w_desc.s
-        w_rot = self._workspace(4 * w_desc.size)
-        self._launch1d("winograd_rotate_filters", w_desc.size,
-                       [w, w_rot, k, c, r, s, w_desc.size])
-        rot_desc = FilterDescriptor(k=c, c=k, r=r, s=s)
-        conv_t = ConvolutionDescriptor(pad_h=r - 1 - conv.pad_h,
-                                       pad_w=s - 1 - conv.pad_w)
-        if fused:
-            self._winograd_fused(dy_desc, dy, rot_desc, w_rot, conv_t,
-                                 dx_desc, dx)
-        else:
-            self._winograd_nonfused_fwd(dy_desc, dy, rot_desc, w_rot,
-                                        conv_t, dx_desc, dx)
-
-    def _fft_backward_data(self, w_desc, w, dy_desc, dy, conv, dx_desc,
-                           dx, fn: int) -> None:
-        r, s = w_desc.r, w_desc.s
-        if r > fn or s > fn:
-            raise CudnnError(
-                "CUDNN_STATUS_NOT_SUPPORTED: filter larger than FFT tile")
-        bins = fn * fn
-        n_img, c, k = dx_desc.n, dx_desc.c, w_desc.k
-        r2c = f"fft2d_r2c_{fn}x{fn}"
-        c2r = f"fft2d_c2r_{fn}x{fn}"
-        step_h, step_w = fn - r + 1, fn - s + 1
-
-        # Filter spectra as [bin][c*K + k] (C x K per bin), no flip:
-        # dgrad is a true convolution with the original filter.
-        wtiles = c * k
-        w_spec = self._workspace(8 * wtiles * bins)
-        w_spec_t = self._workspace(8 * wtiles * bins)
-        self.rt.launch(r2c, (wtiles, 1, 1), (fn, 1, 1),
-                       [w, w_spec, c, k, r, s, 0, 0, 0, 0])
-        self._launch1d("fft_transpose_complex", wtiles * bins,
-                       [w_spec, w_spec_t, wtiles, bins, wtiles * bins])
-
-        dytiles = k * n_img
-        dxtiles = c * n_img
-        dy_spec = self._workspace(8 * dytiles * bins)
-        dy_spec_t = self._workspace(8 * dytiles * bins)
-        dx_spec_t = self._workspace(8 * dxtiles * bins)
-        dx_spec = self._workspace(8 * dxtiles * bins)
-        for ti in range(_ceil_div(dx_desc.h, step_h)):
-            for tj in range(_ceil_div(dx_desc.w, step_w)):
-                origin_h = ti * step_h + conv.pad_h - (r - 1)
-                origin_w = tj * step_w + conv.pad_w - (s - 1)
-                self.rt.launch(r2c, (dytiles, 1, 1), (fn, 1, 1),
-                               [dy, dy_spec, k, n_img, dy_desc.h,
-                                dy_desc.w, origin_h, origin_w, 0, 0])
-                self._launch1d("fft_transpose_complex", dytiles * bins,
-                               [dy_spec, dy_spec_t, dytiles, bins,
-                                dytiles * bins])
-                self.rt.launch("cgemm_strided_batched",
-                               (_ceil_div(n_img, 32), c, bins),
-                               (32, 1, 1),
-                               [w_spec_t, dy_spec_t, dx_spec_t, c, n_img,
-                                k, 0])
-                self._launch1d("fft_transpose_complex", dxtiles * bins,
-                               [dx_spec_t, dx_spec, bins, dxtiles,
-                                dxtiles * bins])
-                self.rt.launch(c2r, (dxtiles, 1, 1), (fn, 1, 1),
-                               [dx_spec, dx, c, n_img, dx_desc.h,
-                                dx_desc.w, r - 1, s - 1, ti * step_h,
-                                tj * step_w, step_h, step_w, 0])
-
-    # ------------------------------------------------------------------
-    # Convolution: backward filter
-    # ------------------------------------------------------------------
-    def convolution_backward_filter(self, x_desc: TensorDescriptor, x: int,
-                                    dy_desc: TensorDescriptor, dy: int,
-                                    conv: ConvolutionDescriptor,
-                                    algo: ConvBwdFilterAlgo,
-                                    w_desc: FilterDescriptor,
-                                    dw: int | None = None) -> int:
-        if dw is None:
-            dw = self.rt.malloc(w_desc.nbytes)
-        geometry = self._geom_args(x_desc, w_desc, conv, dy_desc)
-        with self._api_call(
-                f"cudnnConvolutionBackwardFilter[{algo.value}]"):
-            if algo is ConvBwdFilterAlgo.ALGO_0:
-                self._launch1d("cudnn_fill_zero", w_desc.size,
-                               [dw, w_desc.size])
-                self._launch1d("conv_bwd_filter_algo0", dy_desc.size,
-                               [x, dy, dw, *geometry, dy_desc.size])
-            elif algo is ConvBwdFilterAlgo.ALGO_1:
-                self._launch1d("conv_bwd_filter_algo1", w_desc.size,
-                               [x, dy, dw, *geometry, w_desc.size])
-            elif algo is ConvBwdFilterAlgo.ALGO_3:
-                self._launch1d("cudnn_fill_zero", w_desc.size,
-                               [dw, w_desc.size])
-                chunks = _ceil_div(x_desc.n, 2)
-                total = w_desc.size
-                self.rt.launch("conv_bwd_filter_algo3",
-                               (_ceil_div(total, _BLOCK), chunks, 1),
-                               (_BLOCK, 1, 1),
-                               [x, dy, dw, *geometry, total])
-            elif algo in (ConvBwdFilterAlgo.FFT,
-                          ConvBwdFilterAlgo.FFT_TILING):
-                self._require_unit_stride(conv, "FFT")
-                fn = 32 if algo is ConvBwdFilterAlgo.FFT else 16
-                self._fft_backward_filter(x_desc, x, dy_desc, dy, conv,
-                                          w_desc, dw, fn)
-            elif algo is ConvBwdFilterAlgo.WINOGRAD_NONFUSED:
-                self._require_winograd(w_desc, conv)
-                self._winograd_bwd_filter(x_desc, x, dy_desc, dy, conv,
-                                          w_desc, dw)
-            else:  # pragma: no cover
-                raise CudnnError(f"unknown bwd-filter algo {algo}")
-        return dw
-
-    def _winograd_bwd_filter(self, x_desc, x, dy_desc, dy, conv, w_desc,
-                             dw) -> None:
+    def _winograd_bwd_filter(self, g: _Conv) -> None:
         # dg = G^T [ (B^T d B) ⊙ (A dY A^T) ] G summed over tiles,
         # realised as a 16-bin batched GEMM over the tile dimension.
-        tiles_h = _ceil_div(dy_desc.h, 2)
-        tiles_w = _ceil_div(dy_desc.w, 2)
-        ntiles = x_desc.n * tiles_h * tiles_w
-        c, k = x_desc.c, w_desc.k
+        x, dy = g.x_desc, g.y_desc
+        tiles_h, tiles_w = _ceil_div(dy.h, 2), _ceil_div(dy.w, 2)
+        ntiles = x.n * tiles_h * tiles_w
+        c, k = x.c, g.w_desc.k
         v_buf = self._workspace(4 * 16 * ntiles * c)   # [16, T, C]
         wt_buf = self._workspace(4 * 16 * k * ntiles)  # [16, K, T]
         s_buf = self._workspace(4 * 16 * k * c)        # [16, K, C]
         self._launch1d("winograd_input_transform_t", c * ntiles,
-                       [x, v_buf, x_desc.n, c, x_desc.h, x_desc.w,
-                        tiles_h, tiles_w, conv.pad_h, conv.pad_w,
-                        c * ntiles])
+                       [g.x, v_buf, x.n, c, x.h, x.w, tiles_h, tiles_w,
+                        g.conv.pad_h, g.conv.pad_w, c * ntiles])
         self._launch1d("winograd_wgrad_dy_transform", k * ntiles,
-                       [dy, wt_buf, x_desc.n, k, dy_desc.h, dy_desc.w,
-                        tiles_h, tiles_w, k * ntiles])
+                       [g.y, wt_buf, x.n, k, dy.h, dy.w, tiles_h, tiles_w,
+                        k * ntiles])
         self._sgemm(wt_buf, v_buf, s_buf, k, c, ntiles, batch=16,
                     stride_a=k * ntiles, stride_b=ntiles * c,
                     stride_c=k * c)
         self._launch1d("winograd_wgrad_output_transform", k * c,
-                       [s_buf, dw, k, c, k * c])
+                       [s_buf, g.w, k, c, k * c])
 
-    def _fft_backward_filter(self, x_desc, x, dy_desc, dy, conv, w_desc,
-                             dw, fn: int) -> None:
-        r, s = w_desc.r, w_desc.s
-        if r > fn or s > fn:
-            raise CudnnError(
-                "CUDNN_STATUS_NOT_SUPPORTED: filter larger than FFT tile")
-        bins = fn * fn
-        n_img, c, k = x_desc.n, x_desc.c, w_desc.k
-        r2c = f"fft2d_r2c_{fn}x{fn}"
-        c2r = f"fft2d_c2r_{fn}x{fn}"
-        step_h, step_w = fn - r + 1, fn - s + 1
+    # -- FFT: overlap-save tiling, fn = 32 (FFT) or 16 (FFT_TILING) --------
+    # Every direction runs the same three stages over pairs of spectra
+    # (the one a stage writes first, then its transpose): r2c + transpose
+    # to frequency-major [bin][tile], one CGEMM per bin, transpose back +
+    # c2r, which crops each tile's valid region into the destination.
+    def _pair(self, fn, tiles):
+        return (self._workspace(8 * tiles * fn * fn),
+                self._workspace(8 * tiles * fn * fn))
 
-        xtiles = n_img * c
-        dytiles = k * n_img
-        dwtiles = k * c
-        x_spec = self._workspace(8 * xtiles * bins)
-        x_spec_t = self._workspace(8 * xtiles * bins)
-        dy_spec = self._workspace(8 * dytiles * bins)
-        dy_spec_t = self._workspace(8 * dytiles * bins)
-        s_spec_t = self._workspace(8 * dwtiles * bins)
-        s_spec = self._workspace(8 * dwtiles * bins)
-        first = True
-        for ti in range(_ceil_div(dy_desc.h, step_h)):
-            for tj in range(_ceil_div(dy_desc.w, step_w)):
-                p0h, p0w = ti * step_h, tj * step_w
-                # x tiles [bin][n*C + c]: B operand rows are images.
-                self.rt.launch(r2c, (xtiles, 1, 1), (fn, 1, 1),
-                               [x, x_spec, n_img, c, x_desc.h, x_desc.w,
-                                p0h - conv.pad_h, p0w - conv.pad_w,
-                                0, 1])
-                self._launch1d("fft_transpose_complex", xtiles * bins,
-                               [x_spec, x_spec_t, xtiles, bins,
-                                xtiles * bins])
-                # dy tiles, flipped: [bin][k*N + n].
-                self.rt.launch(r2c, (dytiles, 1, 1), (fn, 1, 1),
-                               [dy, dy_spec, k, n_img, dy_desc.h,
-                                dy_desc.w, dy_desc.h - p0h - step_h,
-                                dy_desc.w - p0w - step_w, 1, 0])
-                self._launch1d("fft_transpose_complex", dytiles * bins,
-                               [dy_spec, dy_spec_t, dytiles, bins,
-                                dytiles * bins])
-                self.rt.launch("cgemm_strided_batched",
-                               (_ceil_div(c, 32), k, bins), (32, 1, 1),
-                               [dy_spec_t, x_spec_t, s_spec_t, k, c,
-                                n_img, 0 if first else 1])
-                first = False
-        self._launch1d("fft_transpose_complex", dwtiles * bins,
-                       [s_spec_t, s_spec, bins, dwtiles, dwtiles * bins])
-        self.rt.launch(c2r, (dwtiles, 1, 1), (fn, 1, 1),
-                       [s_spec, dw, k, c, r, s, step_h - 1, step_w - 1,
-                        0, 0, r, s, 1])
+    def _r2c(self, fn, src, pair, count0, count1, plane, origin, flip,
+             swap):
+        tiles, bins = count0 * count1, fn * fn
+        self.rt.launch(f"fft2d_r2c_{fn}x{fn}", (tiles, 1, 1), (fn, 1, 1),
+                       [src, pair[0], count0, count1, *plane, *origin, flip,
+                        swap])
+        self._launch1d("fft_transpose_complex", tiles * bins,
+                       [*pair, tiles, bins, tiles * bins])
+
+    def _cgemm(self, fn, a, b, c, m, n, k, accumulate=0):
+        # Frequency-major A and B (each pair's second) into C's first.
+        self.rt.launch("cgemm_strided_batched",
+                       (_ceil_div(n, 32), m, fn * fn), (32, 1, 1),
+                       [a[1], b[1], c[0], m, n, k, accumulate])
+
+    def _c2r(self, fn, pair, dst, count0, count1, out, crop, dest, valid,
+             swap=0):
+        tiles, bins = count0 * count1, fn * fn
+        self._launch1d("fft_transpose_complex", tiles * bins,
+                       [*pair, bins, tiles, tiles * bins])
+        self.rt.launch(f"fft2d_c2r_{fn}x{fn}", (tiles, 1, 1), (fn, 1, 1),
+                       [pair[1], dst, count0, count1, *out, *crop, *dest,
+                        *valid, swap])
+
+    def _fft(self, g: _Conv, fn: int, backward: bool = False) -> None:
+        """Forward, or backward-data, convolution.  Forward correlates x
+        with the flipped filter into y; backward-data is a true
+        convolution of dy with the unflipped filter into dx, so the
+        channel roles swap and each tile's origin moves from -pad to
+        pad-(R-1)."""
+        w, conv, n_img = g.w_desc, g.conv, g.x_desc.n
+        if backward:
+            src, src_desc, dst, dst_desc = g.y, g.y_desc, g.x, g.x_desc
+            c_in, c_out, flip = w.k, w.c, 0
+            shift = (conv.pad_h - (w.r - 1), conv.pad_w - (w.s - 1))
+        else:
+            src, src_desc, dst, dst_desc = g.x, g.x_desc, g.y, g.y_desc
+            c_in, c_out, flip = w.c, w.k, 1
+            shift = (-conv.pad_h, -conv.pad_w)
+        step = (fn - w.r + 1, fn - w.s + 1)
+        # Filter spectra, frequency-major A operand [bin][c_out*C_in + c_in].
+        w_spec = self._pair(fn, c_out * c_in)
+        self._r2c(fn, g.w, w_spec, c_out, c_in, (w.r, w.s), (0, 0), flip,
+                  flip)
+        in_spec = self._pair(fn, c_in * n_img)
+        out_spec = self._pair(fn, c_out * n_img)
+        for dest in _tile_origins(dst_desc, step):
+            self._r2c(fn, src, in_spec, c_in, n_img, (src_desc.h, src_desc.w),
+                      (dest[0] + shift[0], dest[1] + shift[1]), 0, 0)
+            self._cgemm(fn, w_spec, in_spec, out_spec, c_out, n_img, c_in)
+            self._c2r(fn, out_spec, dst, c_out, n_img,
+                      (dst_desc.h, dst_desc.w), (w.r - 1, w.s - 1), dest,
+                      step)
+
+    def _fft_bwd_filter(self, g: _Conv, fn: int) -> None:
+        """Per tile, correlate x with flipped dy, accumulating every
+        tile's per-bin CGEMM into one [bin][k*C + c] spectrum that is
+        inverted once at the end."""
+        x, dy, w, conv = g.x_desc, g.y_desc, g.w_desc, g.conv
+        n_img, c, k = x.n, x.c, w.k
+        step_h, step_w = fn - w.r + 1, fn - w.s + 1
+        x_spec, dy_spec = self._pair(fn, n_img * c), self._pair(fn, k * n_img)
+        s_spec = self._pair(fn, k * c)
+        for index, (p0h, p0w) in enumerate(
+                _tile_origins(dy, (step_h, step_w))):
+            # x tiles [bin][n*C + c]: B operand rows are images.
+            self._r2c(fn, g.x, x_spec, n_img, c, (x.h, x.w),
+                      (p0h - conv.pad_h, p0w - conv.pad_w), 0, 1)
+            # dy tiles, flipped: [bin][k*N + n].
+            self._r2c(fn, g.y, dy_spec, k, n_img, (dy.h, dy.w),
+                      (dy.h - p0h - step_h, dy.w - p0w - step_w), 1, 0)
+            self._cgemm(fn, dy_spec, x_spec, s_spec, k, c, n_img,
+                        accumulate=int(index > 0))
+        self._c2r(fn, s_spec, g.w, k, c, (w.r, w.s), (step_h - 1, step_w - 1),
+                  (0, 0), (w.r, w.s), swap=1)
 
     # ------------------------------------------------------------------
     # Batch normalisation (cudnnBatchNormalization*, SPATIAL mode)
@@ -723,10 +616,8 @@ class Cudnn:
         if y is None:
             y = self.rt.malloc(2 * y_desc.size)
         with self._api_call("cudnnConvolutionForward[fp16]"):
-            self._launch1d("implicit_gemm_fwd_fp16", y_desc.size,
-                           [x, w, y, *self._geom_args(x_desc, w_desc,
-                                                      conv, y_desc),
-                            y_desc.size])
+            self._implicit_gemm(_Conv(x_desc, x, w_desc, w, conv, y_desc, y),
+                                kernel="implicit_gemm_fwd_fp16")
         return y_desc, y
 
     # ------------------------------------------------------------------
@@ -751,3 +642,72 @@ class Cudnn:
         with self._api_call("cudnnSetTensor(0)"):
             self._launch1d("cudnn_fill_zero", count, [ptr, count])
 
+
+# ----------------------------------------------------------------------
+# The algorithm table
+# ----------------------------------------------------------------------
+def _unit_stride(what: str) -> tuple:
+    return (f"{what} requires unit stride",
+            lambda w, conv: conv.stride_h == conv.stride_w == 1)
+
+
+_WINOGRAD = (("Winograd requires 3x3 filters",
+              lambda w, conv: w.r == w.s == 3),
+             _unit_stride("Winograd"))
+
+
+def _fft(fn: int, pipeline) -> tuple:
+    """An FFT row: unit stride, a filter that fits the fn x fn tile."""
+    return ((_unit_stride("FFT"),
+             ("filter larger than FFT tile",
+              lambda w, conv: w.r <= fn and w.s <= fn)),
+            partial(pipeline, fn=fn))
+
+
+#: Per direction, in the paper's Sec. V order: algo -> (requirements,
+#: pipeline).  A requirement is ``(message, holds(w_desc, conv))``; the
+#: first that fails raises ``CUDNN_STATUS_NOT_SUPPORTED: <message>``.
+#: Adding an algorithm is one enum member plus one row here.
+ALGORITHMS: dict[str, dict] = {
+    "fwd": {
+        ConvFwdAlgo.FFT: _fft(32, Cudnn._fft),
+        ConvFwdAlgo.FFT_TILING: _fft(16, Cudnn._fft),
+        ConvFwdAlgo.GEMM: ((), Cudnn._gemm),
+        ConvFwdAlgo.IMPLICIT_GEMM: ((), Cudnn._implicit_gemm),
+        ConvFwdAlgo.WINOGRAD: (_WINOGRAD, Cudnn._winograd_fused),
+        ConvFwdAlgo.WINOGRAD_NONFUSED: (_WINOGRAD, Cudnn._winograd_nonfused),
+    },
+    "bwd_data": {
+        ConvBwdDataAlgo.ALGO_0: ((), Cudnn._bwd_data_algo0),
+        ConvBwdDataAlgo.ALGO_1: ((), Cudnn._bwd_data_algo1),
+        ConvBwdDataAlgo.FFT_TILING: _fft(
+            16, partial(Cudnn._fft, backward=True)),
+        ConvBwdDataAlgo.WINOGRAD: (_WINOGRAD, partial(
+            Cudnn._winograd_bwd_data, forward=Cudnn._winograd_fused)),
+        ConvBwdDataAlgo.WINOGRAD_NONFUSED: (_WINOGRAD, partial(
+            Cudnn._winograd_bwd_data, forward=Cudnn._winograd_nonfused)),
+    },
+    "bwd_filter": {
+        ConvBwdFilterAlgo.ALGO_0: ((), Cudnn._bwd_filter_algo0),
+        ConvBwdFilterAlgo.ALGO_1: ((), Cudnn._bwd_filter_algo1),
+        ConvBwdFilterAlgo.ALGO_3: ((), Cudnn._bwd_filter_algo3),
+        ConvBwdFilterAlgo.FFT: _fft(32, Cudnn._fft_bwd_filter),
+        ConvBwdFilterAlgo.FFT_TILING: _fft(16, Cudnn._fft_bwd_filter),
+        ConvBwdFilterAlgo.WINOGRAD_NONFUSED: (_WINOGRAD,
+                                              Cudnn._winograd_bwd_filter),
+    },
+}
+
+
+def _unmet(requirements, w_desc, conv) -> str | None:
+    return next((message for message, holds in requirements
+                 if not holds(w_desc, conv)), None)
+
+
+def supported(direction: str, w_desc: FilterDescriptor,
+              conv: ConvolutionDescriptor) -> list:
+    """*direction*'s algorithms, in table order, that run on this filter
+    and convolution rather than raise ``CUDNN_STATUS_NOT_SUPPORTED``.
+    Pure: it reads the table and launches nothing."""
+    return [algo for algo, (requirements, _) in ALGORITHMS[direction].items()
+            if _unmet(requirements, w_desc, conv) is None]

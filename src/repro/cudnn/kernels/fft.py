@@ -11,7 +11,7 @@ These are the kernels at the centre of the paper's debugging story:
   pair, so enabling :attr:`LegacyQuirks.rem_ignores_type` corrupts this
   kernel first, just as in the paper.
 
-Pipeline (host side in :mod:`repro.cudnn.host`):
+Pipeline (host side in :mod:`repro.cudnn.api`):
   r2c(images) → r2c(filters, flipped) → transpose to frequency-major →
   ``cgemm_strided_batched`` per bin → transpose back → c2r (crop + scale).
 

@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 
 from repro.aerialvision.report import FigureReport, kernel_figures, merge_reports
 from repro.cuda.runtime import CudaRuntime, KernelProfile
-from repro.cudnn import ConvBwdDataAlgo, ConvBwdFilterAlgo, ConvFwdAlgo
+from repro.cudnn import (
+    ALGORITHMS, ConvBwdDataAlgo, ConvBwdFilterAlgo, ConvFwdAlgo, supported)
 from repro.timing.backend import TimingBackend
 from repro.timing.config import GPUConfig, TINY
 from repro.workloads.conv_sample import ConvSample, ConvSampleConfig
@@ -77,15 +78,12 @@ def sweep(directions: dict[Direction, list] | None = None, *,
           gpu: GPUConfig = TINY,
           sample: ConvSampleConfig | None = None
           ) -> dict[tuple[Direction, str], StudyResult]:
-    """The paper's full Section V sweep (all three directions)."""
-    from repro.cudnn.algos import (
-        PAPER_BWD_DATA_ALGOS, PAPER_BWD_FILTER_ALGOS, PAPER_FWD_ALGOS)
+    """The paper's full Section V sweep: by default every algorithm of
+    each direction's table that the sample's geometry supports."""
     if directions is None:
-        directions = {
-            "fwd": PAPER_FWD_ALGOS,
-            "bwd_data": PAPER_BWD_DATA_ALGOS,
-            "bwd_filter": PAPER_BWD_FILTER_ALGOS,
-        }
+        _, w_desc, conv = (sample or ConvSampleConfig()).descriptors()
+        directions = {direction: supported(direction, w_desc, conv)
+                      for direction in ALGORITHMS}
     results: dict[tuple[Direction, str], StudyResult] = {}
     for direction, algos in directions.items():
         for algo in algos:

@@ -25,7 +25,8 @@ from repro.cudnn import (
 
 @dataclass(frozen=True)
 class ConvSampleConfig:
-    """Geometry kept FFT/Winograd-compatible (3x3, stride 1, pad 1)."""
+    """Geometry kept FFT/Winograd-compatible (3x3, stride 1, pad 1), so
+    ``cudnn.supported`` admits every algorithm of each direction."""
 
     batch: int = 1
     channels: int = 4
