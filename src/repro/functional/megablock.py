@@ -63,7 +63,8 @@ from repro.functional.cfg import block_leaders, branch_target, reconvergence
 from repro.functional.emit import Codegen, Decline, emit, immediate
 from repro.functional.memory import GLOBAL_BASE, PAGE_BITS
 from repro.functional.simt import NO_RECONVERGE, SimtEntry, SimtStack
-from repro.functional.state import CTAState, is_special, thread_tables
+from repro.functional.state import (
+    CTAState, is_special, special_column, thread_tables)
 from repro.ptx import ast
 from repro.ptx.dtypes import DType
 from repro.ptx.instructions import CONTROL
@@ -658,8 +659,10 @@ class MegaMachine:
         tpb = launch.threads_per_block
         self.T = nct * tpb
         tables = thread_tables(launch, cta_start, nct)
-        self.specials = tables["specials"]
+        #: special-register columns, each built on its first read.
+        self.specials: dict[str, np.ndarray] = {}
         self.ctaidx = tables["cta_index"]
+        self.lin_in_block = tables["lin_in_block"]
         self.wid = tables["warp_of"]
         self.warp_count = nct * launch.warps_per_block
         self.R: dict[str, np.ndarray] = {}
@@ -687,7 +690,7 @@ class MegaMachine:
             self._san.open_ctas(cta_start, nct)
             #: CTA-linear id and thread id within the CTA, per thread.
             self._cta = self.ctaidx + cta_start
-            self._tid = tables["lin_in_block"]
+            self._tid = self.lin_in_block
         if self.rec is not None:
             self.rec.begin_chunk(cta_start, nct, self.wid)
 
@@ -700,7 +703,12 @@ class MegaMachine:
         return arr
 
     def sp(self, name: str) -> np.ndarray:
-        return self.specials[name]
+        column = self.specials.get(name)
+        if column is None:
+            column = self.specials[name] = special_column(
+                self.launch, name, self.cta_start, self.ctaidx,
+                self.lin_in_block)
+        return column
 
     def fill(self, value: int) -> np.ndarray:
         return np.full(self.T, np.uint64(int(value) & MASK64))

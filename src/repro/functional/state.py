@@ -9,6 +9,7 @@ operand/memory access API the instruction semantics are written against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -347,44 +348,50 @@ class WarpState:
 
 
 def thread_tables(launch: LaunchContext, cta_start: int, num_ctas: int):
-    """Special-register arrays for a chunk of *num_ctas* CTAs.
+    """Bookkeeping arrays for a chunk of *num_ctas* CTAs.
 
     The megablock tier executes ``num_ctas * threads_per_block`` grid
-    threads in lockstep; this builds the per-thread ``uint64`` payload
-    arrays mirroring :meth:`WarpState._build_special_table`, plus the
-    bookkeeping arrays the vector machine needs (chunk-local CTA index,
-    chunk-local warp id, linear thread id within the block).
+    threads in lockstep; this builds what every chunk needs per thread:
+    its chunk-local CTA index, its linear thread id within the block and
+    its chunk-local warp id.  Special-register columns are built one at
+    a time, only for the registers a kernel reads (:func:`special_column`).
     """
     import numpy as np
 
     tpb = launch.threads_per_block
-    total = num_ctas * tpb
-    linear = np.arange(total, dtype=np.int64)
+    linear = np.arange(num_ctas * tpb, dtype=np.int64)
     cta_index = linear // tpb
     lin_in_block = linear - cta_index * tpb
-    bx, by, _bz = launch.block_dim
-    gx, gy, _gz = launch.grid_dim
-    cta_linear = cta_index + cta_start
-    u64 = np.uint64
-    tables = {
-        "%tid.x": (lin_in_block % bx).astype(u64),
-        "%tid.y": ((lin_in_block // bx) % by).astype(u64),
-        "%tid.z": (lin_in_block // (bx * by)).astype(u64),
-        "%ctaid.x": (cta_linear % gx).astype(u64),
-        "%ctaid.y": ((cta_linear // gx) % gy).astype(u64),
-        "%ctaid.z": (cta_linear // (gx * gy)).astype(u64),
-        "%laneid": (lin_in_block & 31).astype(u64),
-        "%warpid": (lin_in_block >> 5).astype(u64),
-    }
-    for axis_index, axis in enumerate("xyz"):
-        tables[f"%ntid.{axis}"] = np.full(
-            total, launch.block_dim[axis_index], u64)
-        tables[f"%nctaid.{axis}"] = np.full(
-            total, launch.grid_dim[axis_index], u64)
     warp_of = cta_index * launch.warps_per_block + (lin_in_block >> 5)
     return {
-        "specials": tables,
         "cta_index": cta_index,
         "lin_in_block": lin_in_block,
         "warp_of": warp_of,
     }
+
+
+def special_column(launch: LaunchContext, name: str, cta_start: int,
+                   cta_index, lin_in_block):
+    """Per-thread ``uint64`` payloads of special register *name* for a
+    chunk (the arrays of :func:`thread_tables`, whose CTAs start at grid
+    CTA *cta_start*), mirroring :meth:`WarpState._build_special_table`.
+    """
+    import numpy as np
+
+    u64 = np.uint64
+    if name == "%laneid":
+        return (lin_in_block & 31).astype(u64)
+    if name == "%warpid":
+        return (lin_in_block >> 5).astype(u64)
+    kind, _, axis_name = name.partition(".")
+    axis = {"x": 0, "y": 1, "z": 2}[axis_name]
+    if kind == "%ntid":
+        return np.full(len(lin_in_block), launch.block_dim[axis], u64)
+    if kind == "%nctaid":
+        return np.full(len(lin_in_block), launch.grid_dim[axis], u64)
+    dims, index = {"%tid": (launch.block_dim, lin_in_block),
+                   "%ctaid": (launch.grid_dim, cta_index + cta_start)}[kind]
+    column = index // math.prod(dims[:axis])
+    if axis < 2:
+        column %= dims[axis]
+    return column.astype(u64)

@@ -1,7 +1,7 @@
 """Python client for the ``repro-serve`` REST service.
 
-Pure stdlib (``urllib``); mirrors the route table in
-:mod:`repro.service.rest`::
+Stdlib only (``http.client``), one kept-alive connection per calling
+thread; mirrors the route table in :mod:`repro.service.rest`::
 
     client = ServiceClient("http://127.0.0.1:8000")
     job = client.submit("conv", {"algos": ["IMPLICIT_GEMM"]}, seed=7)
@@ -10,23 +10,77 @@ Pure stdlib (``urllib``); mirrors the route table in
 
 from __future__ import annotations
 
+import http.client
 import json
+import threading
 import time
-import urllib.error
-import urllib.request
+import urllib.parse
 
 from repro.errors import ServiceError
 
+#: How a kept-alive connection the server has closed fails a request.
+_DROPPED = (BrokenPipeError, ConnectionResetError, ConnectionAbortedError)
+
 
 class ServiceClient:
-    """Thin HTTP wrapper; every method returns the decoded JSON body."""
+    """Thin HTTP wrapper; every method returns the decoded JSON body.
+
+    Each thread that calls it gets its own kept-alive connection, opened
+    on first use and reopened after the server closes it.
+    """
 
     def __init__(self, base_url: str, *, request_timeout: float = 60.0
                  ) -> None:
         self.base_url = base_url.rstrip("/")
         self.request_timeout = request_timeout
+        url = urllib.parse.urlsplit(self.base_url)
+        self._connect = (http.client.HTTPSConnection
+                         if url.scheme == "https"
+                         else http.client.HTTPConnection)
+        self._netloc = url.netloc
+        self._prefix = url.path
+        self._local = threading.local()
 
     # -- transport ------------------------------------------------------
+    def _connection(self) -> http.client.HTTPConnection:
+        """This thread's connection (its socket opens on first send)."""
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            conn = self._local.conn = self._connect(self._netloc)
+        return conn
+
+    def _exchange(self, method: str, path: str, data: bytes | None,
+                  headers: dict, timeout: float
+                  ) -> tuple[int, bytes]:
+        """Send one request on this thread's connection and read the
+        reply: ``(status, body)``.
+
+        A *reused* connection that drops before any reply arrives (the
+        server closed it for idling, say) never ran the request, so it
+        is retried once on a fresh connection; every other failure
+        closes the connection and raises.
+        """
+        conn = self._connection()
+        retry = conn.sock is not None
+        while True:
+            conn.timeout = timeout
+            if conn.sock is not None:
+                conn.sock.settimeout(timeout)
+            response = None
+            try:
+                conn.request(method, self._prefix + path, data, headers)
+                response = conn.getresponse()
+                return response.status, response.read()
+            except (OSError, http.client.HTTPException) as exc:
+                conn.close()
+                if retry and response is None \
+                        and isinstance(exc, _DROPPED):
+                    retry = False
+                    continue
+                raise ServiceError(
+                    f"cannot reach service at {self.base_url}: "
+                    f"{exc}") from exc
+
     def _request(self, method: str, path: str, body: dict | None = None,
                  *, timeout: float | None = None) -> dict:
         """One HTTP round-trip; HTTP errors become ServiceError."""
@@ -35,24 +89,17 @@ class ServiceClient:
         if body is not None:
             data = json.dumps(body).encode()
             headers["Content-Type"] = "application/json"
-        request = urllib.request.Request(
-            self.base_url + path, data=data, headers=headers, method=method)
-        try:
-            with urllib.request.urlopen(
-                    request, timeout=timeout or self.request_timeout) as resp:
-                return json.loads(resp.read() or b"{}")
-        except urllib.error.HTTPError as exc:
+        status, raw = self._exchange(method, path, data, headers,
+                                     timeout or self.request_timeout)
+        if not 200 <= status < 300:
             try:
-                detail = json.loads(exc.read() or b"{}").get("error", "")
+                detail = json.loads(raw or b"{}").get("error", "")
             except ValueError:
                 detail = ""
             raise ServiceError(
-                f"{method} {path} failed with HTTP {exc.code}"
-                + (f": {detail}" if detail else "")) from exc
-        except urllib.error.URLError as exc:
-            raise ServiceError(
-                f"cannot reach service at {self.base_url}: "
-                f"{exc.reason}") from exc
+                f"{method} {path} failed with HTTP {status}"
+                + (f": {detail}" if detail else ""))
+        return json.loads(raw or b"{}")
 
     # -- API ------------------------------------------------------------
     def health(self) -> dict:

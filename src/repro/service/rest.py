@@ -54,6 +54,10 @@ _JOB_PATH = re.compile(
 #: thread forever.
 MAX_RESULT_WAIT_S = 300.0
 
+#: A kept-alive connection with no request for this long is closed, and
+#: so is one whose request (body included) stalls this long mid-send.
+IDLE_CLOSE_S = 30.0
+
 #: Cap on a single events long-poll; clients re-poll with ``since``.
 MAX_EVENTS_WAIT_S = 60.0
 
@@ -84,12 +88,41 @@ class _BadRequest(Exception):
 
 
 class ServiceHandler(BaseHTTPRequestHandler):
-    """One request; the scheduler lives on the server object."""
+    """One kept-alive connection; the scheduler lives on the server.
+
+    Each reply is buffered and leaves in one write when
+    ``handle_one_request`` flushes, with Nagle off: on a kept-alive
+    connection, a reply sent in pieces with Nagle on waits out the
+    client's delayed ACK (about 40 ms) on every request.
+    """
 
     server_version = "repro-serve/1.1"
     protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+    wbufsize = -1
 
     # -- plumbing -------------------------------------------------------
+    def setup(self) -> None:
+        """Bound every socket read and write by :data:`IDLE_CLOSE_S`
+        (read per connection): an idle or stalled client is dropped."""
+        self.timeout = IDLE_CLOSE_S
+        super().setup()
+
+    def handle_expect_100(self) -> bool:
+        """Send ``100 Continue`` now: the buffered reply would
+        otherwise hold it until the whole request is answered."""
+        answer = super().handle_expect_100()
+        self.wfile.flush()
+        return answer
+
+    def parse_request(self) -> bool:
+        """Parse the request line and headers; a request that arrives
+        after the server closed is dropped unanswered."""
+        if self.server.closing:  # type: ignore[attr-defined]
+            self.close_connection = True
+            return False
+        return super().parse_request()
+
     @property
     def scheduler(self) -> ClusterScheduler:
         """The mounted :class:`ClusterScheduler`."""
@@ -115,31 +148,47 @@ class ServiceHandler(BaseHTTPRequestHandler):
         """Send the standard error envelope ``{"error": message}``."""
         self._send(code, {"error": message})
 
-    def _read_json(self) -> dict | None:
-        """Parse the request body as a JSON object (else answer 4xx).
-
-        The body is never read past ``Content-Length``, and a negative
-        or over-:data:`MAX_BODY_BYTES` length is refused *unread* — the
-        connection then closes, since the unread bytes would otherwise
-        be parsed as the next request.
-        """
+    def _content_length(self) -> int:
+        """The declared body length; ``-1`` when it is not an integer."""
         try:
-            length = int(self.headers.get("Content-Length", "0"))
+            return int(self.headers.get("Content-Length", "0"))
         except ValueError:
-            length = -1
-        if length < 0 or length > MAX_BODY_BYTES:
-            self.close_connection = True
+            return -1
+
+    def _body(self) -> bytes | None:
+        """Read the declared body, whether or not the route uses it.
+
+        ``None`` when it was not read: a length outside
+        ``0..MAX_BODY_BYTES`` is refused *unread*, and a client that
+        stalls mid-body is dropped at :data:`IDLE_CLOSE_S`.  Either way
+        the connection closes, since unread bytes would otherwise be
+        parsed as the next request.
+        """
+        length = self._content_length()
+        if 0 <= length <= MAX_BODY_BYTES:
+            try:
+                return self.rfile.read(length)
+            except OSError:
+                pass
+        self.close_connection = True
+        return None
+
+    def _read_json(self) -> dict | None:
+        """Parse the request body as a JSON object (else answer 4xx;
+        a body dropped mid-read gets no answer)."""
+        raw = self._body()
+        if raw is None:
+            length = self._content_length()
             if length < 0:
                 self._error(400, "Content-Length must be a "
                                  "non-negative integer")
-            else:
+            elif length > MAX_BODY_BYTES:
                 self._error(413, f"request body exceeds "
                                  f"{MAX_BODY_BYTES} bytes")
             return None
         try:
-            raw = self.rfile.read(length) if length else b"{}"
             body = json.loads(raw or b"{}")
-        except (ValueError, OSError):
+        except ValueError:
             self._error(400, "request body is not valid JSON")
             return None
         if not isinstance(body, dict):
@@ -220,9 +269,11 @@ class ServiceHandler(BaseHTTPRequestHandler):
         path = self.path.partition("?")[0]
         match = _JOB_PATH.match(path)
         if match is not None and match.group(2) == "/cancel":
+            self._body()
             self._post_cancel(match.group(1))
             return
         if path != "/api/jobs":
+            self._body()
             self._error(404, f"no route for {path}")
             return
         body = self._read_json()
@@ -290,12 +341,30 @@ def _query_float(query: str, name: str, default: float) -> float:
     return default
 
 
+class ServiceServer(ThreadingHTTPServer):
+    """A thread per kept-alive connection, none of them served past a
+    close.
+
+    Handler threads are daemons that ``server_close`` does not join, so
+    without more a closed server would go on answering the connections
+    it had open.  After a close each drops any request that arrives (a
+    reply already under way still goes out); an idle one ends at its
+    next request or after :data:`IDLE_CLOSE_S`.
+    """
+
+    #: set by :meth:`server_close`; read by every handler per request.
+    closing = False
+
+    def server_close(self) -> None:
+        self.closing = True
+        super().server_close()
+
+
 def make_server(scheduler: ClusterScheduler, host: str = "127.0.0.1",
-                port: int = 0, *, quiet: bool = False
-                ) -> ThreadingHTTPServer:
+                port: int = 0, *, quiet: bool = False) -> ServiceServer:
     """Build (but do not start) the HTTP server; ``port=0`` picks a
     free port — read it back from ``server.server_address``."""
-    server = ThreadingHTTPServer((host, port), ServiceHandler)
+    server = ServiceServer((host, port), ServiceHandler)
     server.scheduler = scheduler  # type: ignore[attr-defined]
     server.quiet = quiet  # type: ignore[attr-defined]
     return server

@@ -782,6 +782,60 @@ class TestDifferential:
 
 
 # ---------------------------------------------------------------------------
+# Special-register columns (built per chunk, only when read)
+# ---------------------------------------------------------------------------
+_SPECIALS = [f"%{kind}.{axis}" for kind in ("tid", "ntid", "ctaid", "nctaid")
+             for axis in "xyz"] + ["%laneid", "%warpid"]
+
+
+def _spy_chunks(monkeypatch, after):
+    """Run ``after(machine)`` at the end of every megablock chunk."""
+    interpret = MegaMachine._interpret
+
+    def spy(machine, stats):
+        delta = interpret(machine, stats)
+        after(machine)
+        return delta
+
+    monkeypatch.setattr(MegaMachine, "_interpret", spy)
+
+
+class TestSpecialColumns:
+    def test_every_column_matches_the_warp_table(self, monkeypatch):
+        # 3-D grid x 3-D block, 24 threads a block (a partial warp),
+        # chunked four CTAs at a time: two chunks.
+        monkeypatch.setattr(megablock, "CHUNK_THREADS", 4 * 24)
+        launch = _build_launch(_saxpy_ptx(), "sax", grid=(2, 2, 2),
+                               block=(4, 2, 3))
+        chunks = []
+        _spy_chunks(monkeypatch, lambda machine: chunks.append(
+            (machine.cta_start, machine.ctaidx, machine.lin_in_block,
+             {name: machine.sp(name) for name in _SPECIALS})))
+        engine = FunctionalEngine(launch, fast_mode="megablock")
+        assert engine.admission.tier == "megablock"
+        engine.run()
+        assert [chunk[0] for chunk in chunks] == [0, 4]
+        for cta_start, ctaidx, lin_in_block, columns in chunks:
+            for name, column in columns.items():
+                assert column.dtype == np.uint64
+                expected = []
+                for cta, lin in zip(ctaidx, lin_in_block):
+                    warp = CTAState(launch, cta_start + int(cta)) \
+                        .warps[lin // 32]
+                    expected.append(warp.special[name][lin % 32])
+                assert column.tolist() == expected, name
+
+    def test_a_kernel_builds_only_the_columns_it_reads(self, monkeypatch):
+        monkeypatch.setattr(megablock, "CHUNK_THREADS", 64)
+        launch = _build_launch(_saxpy_ptx(), "sax", grid=(4, 1, 1))
+        built = []
+        _spy_chunks(monkeypatch,
+                    lambda machine: built.append(set(machine.specials)))
+        FunctionalEngine(launch, fast_mode="megablock").run()
+        assert built == [{"%tid.x", "%ctaid.x", "%ntid.x"}] * 2
+
+
+# ---------------------------------------------------------------------------
 # The committed workloads (fault-campaign scale)
 # ---------------------------------------------------------------------------
 class TestCampaignWorkloads:

@@ -15,6 +15,7 @@ import os
 import pickle
 import socket
 import threading
+import time
 import urllib.parse
 
 import numpy as np
@@ -35,6 +36,7 @@ from repro.service.client import ServiceClient
 from repro.service.jobs import job_key, run_conv, run_lenet, run_saxpy
 from repro.service.pool import (
     ShardExecutor, ShardResult, ShardedFunctionalBackend, _diff_writes)
+from repro.service import rest
 from repro.service.rest import MAX_BODY_BYTES, make_server
 from repro.service.scheduler import ClusterScheduler
 from repro.util import atomicstore
@@ -652,17 +654,33 @@ class TestJobQueue:
 # REST front door + client (tentpole part 2, satellite 6's shape)
 # ---------------------------------------------------------------------------
 @pytest.fixture()
-def service():
+def served():
+    """A live server, a client of it and the server's accept log (one
+    entry per TCP connection it accepted)."""
     queue = ClusterScheduler(memo_path=None)
     server = make_server(queue, quiet=True)
+    accepts = []
+    get_request = server.get_request
+
+    def counted_get_request():
+        request = get_request()
+        accepts.append(request[1])
+        return request
+
+    server.get_request = counted_get_request
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     host, port = server.server_address[:2]
     client = ServiceClient(f"http://{host}:{port}")
-    yield client
+    yield client, server, accepts
     server.shutdown()
     server.server_close()
     queue.shutdown(wait=False)
+
+
+@pytest.fixture()
+def service(served):
+    return served[0]
 
 
 class TestRestService:
@@ -767,6 +785,172 @@ class TestRestInputHardening:
                              ("GET", "/events"), ("POST", "/cancel")):
             with pytest.raises(ServiceError, match="HTTP 404"):
                 service._request(method, f"/api/jobs/job-424242{tail}")
+
+
+def _raw_exchange(service, payload: bytes, replies: int
+                  ) -> list[tuple[int, bytes]]:
+    """Send *payload* (one or more pipelined requests) on one bare
+    connection and read *replies* responses: ``(status, body)`` each."""
+    url = urllib.parse.urlsplit(service.base_url)
+    with socket.create_connection((url.hostname, url.port),
+                                  timeout=5.0) as sock:
+        sock.sendall(payload)
+        stream = sock.makefile("rb")
+        answers = []
+        for _ in range(replies):
+            status = int(stream.readline().split()[1])
+            length = 0
+            while (line := stream.readline().strip()):
+                name, _, value = line.partition(b":")
+                if name.lower() == b"content-length":
+                    length = int(value)
+            answers.append((status, stream.read(length)))
+    return answers
+
+
+def _post(path: str, body: bytes) -> bytes:
+    return (f"POST {path} HTTP/1.1\r\nHost: x\r\n"
+            f"Content-Type: application/json\r\n"
+            f"Content-Length: {len(body)}\r\n\r\n").encode() + body
+
+
+_HEALTHZ = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+
+
+class TestRestTransport:
+    """One kept-alive connection per client thread, every body read."""
+
+    @pytest.mark.parametrize("path", ["/api/nope",
+                                      "/api/jobs/job-424242/cancel"])
+    def test_an_ignored_post_body_is_still_consumed(self, service, path):
+        # The body of a route that never parses it used to be read as
+        # the next request on the connection (a 400 HTML page).
+        body = json.dumps({"workload": "saxpy", "pad": "x" * 64}).encode()
+        (first, _), (second, health) = _raw_exchange(
+            service, _post(path, body) + _HEALTHZ, replies=2)
+        assert first == 404
+        assert (second, json.loads(health)) == (200, {"ok": True})
+
+    def test_client_post_to_unknown_route_keeps_the_connection(
+            self, served):
+        client, _, accepts = served
+        with pytest.raises(ServiceError, match="HTTP 404"):
+            client._request("POST", "/api/nope", {"workload": "saxpy"})
+        assert client.health() == {"ok": True}
+        assert len(accepts) == 1
+
+    def test_one_client_thread_uses_one_connection(self, served):
+        client, _, accepts = served
+        job = client.submit("saxpy", {"n": 64}, seed=5)
+        client.result(job["job_id"], timeout=60)
+        for _ in range(5):
+            client.health()
+        client.stats()
+        assert len(accepts) == 1
+
+    def test_threads_sharing_a_client_get_their_own_connections(
+            self, served):
+        client, _, accepts = served
+        barrier = threading.Barrier(2)
+        answers = []
+
+        def work():
+            answers.append(client.health())
+            barrier.wait(timeout=10)
+            answers.append(client.health())
+
+        threads = [threading.Thread(target=work) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert answers == [{"ok": True}] * 4
+        assert len(accepts) == 2
+
+    def test_an_idle_closed_connection_reopens_transparently(
+            self, served, monkeypatch):
+        monkeypatch.setattr(rest, "IDLE_CLOSE_S", 0.2)
+        client, _, accepts = served
+        assert client.health() == {"ok": True}
+        time.sleep(0.6)                     # the server closes it
+        assert client.health() == {"ok": True}
+        assert client.health() == {"ok": True}
+        assert len(accepts) == 2
+
+    def test_a_stopped_server_cannot_be_reached(self, served):
+        client, server, _ = served
+        assert client.health() == {"ok": True}
+        server.shutdown()
+        server.server_close()
+        with pytest.raises(ServiceError, match="cannot reach service at"):
+            client.health()
+        with pytest.raises(ServiceError, match="cannot reach service at"):
+            ServiceClient(client.base_url).health()
+
+    def test_a_closed_server_answers_nothing_more_on_open_connections(
+            self, served, monkeypatch):
+        client, server, _ = served
+        stats = server.scheduler.stats
+        entered, release = threading.Event(), threading.Event()
+
+        def slow_stats():
+            entered.set()
+            release.wait(timeout=5)
+            return stats()
+
+        monkeypatch.setattr(server.scheduler, "stats", slow_stats)
+        url = urllib.parse.urlsplit(client.base_url)
+        with socket.create_connection((url.hostname, url.port),
+                                      timeout=5.0) as sock:
+            # Two pipelined requests; the server closes during the first.
+            sock.sendall(b"GET /api/stats HTTP/1.1\r\nHost: x\r\n\r\n"
+                         + _HEALTHZ)
+            assert entered.wait(timeout=5)
+            server.shutdown()
+            server.server_close()
+            release.set()
+            replies = sock.makefile("rb").read()
+        assert replies.startswith(b"HTTP/1.1 200")
+        assert replies.count(b"HTTP/1.1") == 1  # the healthz never ran
+
+    def test_http_error_messages_are_unchanged(self, service):
+        with pytest.raises(ServiceError) as info:
+            service._request("GET", "/api/nope")
+        assert str(info.value) == \
+            "GET /api/nope failed with HTTP 404: no route for /api/nope"
+        with pytest.raises(ServiceError) as info:
+            service.job("job-424242")
+        assert str(info.value).startswith(
+            "GET /api/jobs/job-424242 failed with HTTP 404: ")
+
+    def test_100_continue_is_sent_before_the_body_is_read(self, service):
+        # The reply is buffered until the request is answered; the
+        # interim 100 must not wait with it.
+        url = urllib.parse.urlsplit(service.base_url)
+        body = json.dumps({"workload": "saxpy",
+                           "config": {"n": 8}}).encode()
+        head = _post("/api/jobs", body)[:-len(body)]
+        with socket.create_connection((url.hostname, url.port),
+                                      timeout=5.0) as sock:
+            sock.sendall(head.replace(
+                b"\r\n\r\n", b"\r\nExpect: 100-continue\r\n\r\n"))
+            stream = sock.makefile("rb")
+            assert stream.readline().startswith(b"HTTP/1.1 100")
+            assert stream.readline() == b"\r\n"
+            sock.sendall(body)
+            assert stream.readline().startswith(b"HTTP/1.1 202")
+
+    def test_a_stalled_body_is_dropped_at_the_idle_timeout(
+            self, service, monkeypatch):
+        monkeypatch.setattr(rest, "IDLE_CLOSE_S", 0.3)
+        url = urllib.parse.urlsplit(service.base_url)
+        with socket.create_connection((url.hostname, url.port),
+                                      timeout=5.0) as sock:
+            sock.sendall(_post("/api/jobs", b"x" * 100)[:-50])
+            start = time.monotonic()
+            assert sock.recv(1024) == b""   # closed, nothing answered
+            assert time.monotonic() - start < 4.0
+        assert service.health() == {"ok": True}
 
 
 # ---------------------------------------------------------------------------
