@@ -9,6 +9,13 @@ from repro.cuda import CudaRuntime
 from repro.cudnn import Cudnn, build_application_binary
 
 
+def pytest_addoption(parser):
+    parser.addoption(
+        "--oracle-seeds", type=int, default=12,
+        help="generated launches per configuration in "
+             "tests/test_timing_oracle.py (default 12)")
+
+
 @pytest.fixture(scope="session", autouse=True)
 def _suite_plan_cache(tmp_path_factory):
     """Performance-mode and megablock launches load compiled plans from
