@@ -16,15 +16,10 @@ Public surface:
 
 from __future__ import annotations
 
+from importlib import import_module
+
 from repro.analysis.findings import (
     ERROR, Finding, INFO, LintReport, WARNING, sort_findings)
-from repro.analysis.lints import LINT_PASSES, run_lints
-from repro.analysis.ranges import (
-    Affine, MemFact, RangeInfo, analyze_ranges, kernel_facts, prove_launch,
-    thread_injective)
-from repro.analysis.vectorize import (
-    ANALYSIS_VERSION, VectorReport, classify_kernel, grid_variance)
-from repro.analysis.verifier import QUIRK_RULES, verify_kernel
 from repro.errors import ReproError, VerificationError
 from repro.ptx.ast import Kernel, PTXModule
 from repro.quirks import LegacyQuirks
@@ -39,12 +34,34 @@ __all__ = [
     "verify_kernel", "verify_launch",
 ]
 
+#: The rest of the surface, by submodule, imported on first use: the
+#: simulator imports ``dataflow`` and ``vectorize`` through this package
+#: and pays for neither the lints, the range analysis nor the verifier.
+_LAZY = {name: module for module, names in (
+    ("lints", ("LINT_PASSES", "run_lints")),
+    ("ranges", ("Affine", "MemFact", "RangeInfo", "analyze_ranges",
+                "kernel_facts", "prove_launch", "thread_injective")),
+    ("vectorize", ("ANALYSIS_VERSION", "VectorReport", "classify_kernel",
+                   "grid_variance")),
+    ("verifier", ("QUIRK_RULES", "verify_kernel")),
+) for name in names}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_LAZY[name]}"), name)
+    globals()[name] = value
+    return value
+
 
 def analyze_kernel(kernel: Kernel, *,
                    quirks: LegacyQuirks | None = None,
                    file_id: str = "",
                    passes: list[str] | None = None) -> list[Finding]:
     """Verifier + lint passes for one kernel, sorted for stable output."""
+    from repro.analysis.lints import run_lints
+    from repro.analysis.verifier import verify_kernel
     findings = verify_kernel(kernel, quirks=quirks, file_id=file_id)
     findings.extend(run_lints(kernel, file_id=file_id, passes=passes))
     return sort_findings(findings)
@@ -100,6 +117,7 @@ def verify_launch(kernel: Kernel,
     on an active quirk; returns all (error + warning) findings
     otherwise so callers can log them.
     """
+    from repro.analysis.verifier import verify_kernel
     findings = verify_kernel(kernel, quirks=quirks)
     errors = [f for f in findings if f.severity == ERROR]
     if errors:

@@ -23,7 +23,6 @@ class GPUConfig:
     num_sms: int = 4
     schedulers_per_sm: int = 2
     max_ctas_per_sm: int = 4
-    max_warps_per_sm: int = 32
 
     # Instruction latencies (cycles until the issuing warp is ready again)
     alu_latency: int = 4

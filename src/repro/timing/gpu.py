@@ -34,9 +34,9 @@ from repro.functional.executor import FunctionalEngine
 from repro.functional.state import LaunchContext
 from repro.timing.config import GPUConfig, TINY
 from repro.timing.memsys import MemRequest, MemorySubsystem
-from repro.timing.shader import NEVER, SMCore, charge_stalls
-from repro.timing.stream import LiveSource, StreamRecorder, classify
-from repro.timing.stats import KernelStats, SampleBlock
+from repro.timing.shader import NEVER, SMCore, issue_effects
+from repro.timing.stream import LiveSource, StreamRecorder
+from repro.timing.stats import KernelStats, SM_SLOT, SampleBlock, W0_BUCKETS
 from repro.trace.clock import SimClock
 
 _MAX_CYCLES_DEFAULT = 50_000_000
@@ -93,8 +93,9 @@ class GpuTiming:
         source = self._open_source(launch)
         memsys = MemorySubsystem(config, stats, samples, schedule, respond,
                                  fault_filter=self.mem_fault_filter)
-        kinds = classify(launch.kernel)
-        sms = [SMCore(sm_id, config, source, kinds, memsys, stats, samples)
+        # Per W0 slot, what a jumped cycle charges beyond the SMs' spans.
+        jumped = [0] * len(W0_BUCKETS)
+        sms = [SMCore(sm_id, config, source, memsys, stats, samples, jumped)
                for sm_id in range(config.num_sms)]
 
         next_cta = launch.first_cta
@@ -131,13 +132,13 @@ class GpuTiming:
             while events and events[0][0] <= now:
                 _t, _seq, fn = heapq.heappop(events)
                 fn(now)
-            issued = 0
+            issued = False
             any_resident = resident_ctas > 0
             for sm in sms:
                 if sm.wake > now:
                     continue
-                count, finished = sm.issue_cycle(now)
-                issued += count
+                sm_issued, finished = sm.issue_cycle(now)
+                issued = issued or sm_issued
                 if finished:
                     resident_ctas -= len(finished)
                     refill(now, sm.sm_id)
@@ -169,7 +170,7 @@ class GpuTiming:
                     "no memory responses in flight "
                     f"({launch.kernel.name})")
             target = max(now + 1.0, target)
-            self._charge_idle(sms, samples, stats, now, target)
+            self._charge_idle(samples, jumped, now, target)
             clock.advance_to(target)
             stagnant += 1
             if stagnant > 1_000_000:
@@ -178,6 +179,7 @@ class GpuTiming:
         memsys.drain_active(clock.now)
         stats.cycles = clock.cycles
         samples.finalize()
+        self._fold_issue_stats(source.op_counts, samples, stats, config)
         self._fold_cache_stats(sms, memsys, stats)
         return stats, samples
 
@@ -203,31 +205,37 @@ class GpuTiming:
         return source
 
     @staticmethod
-    def _charge_idle(sms: list[SMCore], samples: SampleBlock,
-                     stats: KernelStats, t0: float, t1: float) -> None:
+    def _charge_idle(samples: SampleBlock, jumped: list[int], t0: float,
+                     t1: float) -> None:
         """Attribute skipped scheduler-cycles to W0 buckets.
 
-        The skipped cycles span [t0 + 1, t1) — cycle t0 was visited,
-        and is charged by issue_cycle or, for an SM asleep through it,
-        here — and are spread across every sample interval the jump
-        covers, so a long idle jump shows up as a flat W0 band in
-        AerialVision rather than one spiked bin at t0.  A skipped cycle
-        does not tell a barrier stall from a data hazard: both are
-        ``W0_alu`` (DESIGN.md §5.1).
-        """
-        first = t0 + 1
-        if t1 <= first:
-            return
-        idle = mem = alu = 0
-        for sm in sms:
-            if sm.charged_to < first:
-                sm.charge_asleep(first)
-            sm.charged_to = t1
-            sm_idle, sm_mem, sm_barrier, sm_alu = sm.stalled()
-            idle += sm_idle
-            mem += sm_mem
-            alu += sm_barrier + sm_alu
-        charge_stalls(stats, samples, first, t1, idle, mem, 0, alu)
+        The skipped cycles span [t0 + 1, t1) — cycle t0 was visited —
+        and each SM with a CTA charges them in its own asleep span, as
+        visited stalled cycles.  A skipped cycle differs (DESIGN.md
+        §5.1): a barrier stall is ``W0_alu``, and each scheduler of an SM
+        with no CTA is ``W0_idle``.  The SMs keep that difference in
+        *jumped*; it is spread across every sample interval the jump
+        covers, so a long idle jump is a flat W0 band in AerialVision
+        rather than one spiked bin at t0."""
+        samples.stall_span(t0 + 1, t1, jumped)
+
+    @staticmethod
+    def _fold_issue_stats(op_counts, samples: SampleBlock, stats: KernelStats,
+                          config: GPUConfig) -> None:
+        """The loop counts no issue.  What issued is the streams' to say
+        (*op_counts*: the source's items per op, each of which issued);
+        when is in the sample rows, whose totals are the stall cycles
+        and thread instructions (``W0_idle`` also holds the slots of
+        warps that issued with no lane active)."""
+        for counters, count in zip(issue_effects(config)[1], op_counts):
+            for counter in counters:
+                setattr(stats, counter, getattr(stats, counter) + int(count))
+        totals = samples.totals()
+        idle, stats.stall_mem_cycles, stats.stall_alu_cycles = totals[:3]
+        stats.warp_instructions = int(sum(op_counts))
+        stats.instructions = sum(totals[SM_SLOT:])
+        stats.idle_scheduler_cycles = (idle - stats.warp_instructions
+                                       + sum(totals[len(W0_BUCKETS):SM_SLOT]))
 
     @staticmethod
     def _fold_cache_stats(sms: list[SMCore], memsys: MemorySubsystem,

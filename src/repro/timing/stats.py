@@ -28,8 +28,9 @@ def lane_bucket(active_lanes: int) -> str:
     return f"W{low}_{low + 3}"
 
 
-ISSUE_BUCKETS = ([W0_IDLE, W0_MEM, W0_ALU, W0_BARRIER]
-                 + [f"W{i}_{i + 3}" for i in range(1, 32, 4)])
+#: What a scheduler that cannot issue stalls on.
+W0_BUCKETS = [W0_IDLE, W0_MEM, W0_ALU, W0_BARRIER]
+ISSUE_BUCKETS = W0_BUCKETS + [f"W{i}_{i + 3}" for i in range(1, 32, 4)]
 
 #: Where a ``SampleBlock.row`` counts each bucket's issue slots, and the
 #: slots of a warp issuing with 0..32 active lanes; thread instructions
@@ -85,17 +86,27 @@ class SampleBlock:
     def commit(self, cycle: int, sm_id: int, count: int = 1) -> None:
         self.row(cycle)[SM_SLOT + sm_id] += count
 
-    def issue_span(self, bucket: str, t0: float, t1: float,
-                   count: int = 1) -> None:
-        """Charge *count* issue slots per cycle of [t0, t1) to *bucket*,
-        distributed across the sample intervals the span overlaps."""
+    def stall_span(self, t0: float, t1: float, stalls: list[int]) -> None:
+        """Charge ``stalls[slot]`` issue slots per cycle of [t0, t1) to
+        each W0 bucket (``W0_BUCKETS`` order), distributed across the
+        sample intervals the span overlaps."""
+        idle, mem, alu, barrier = stalls
         start, end = int(t0), int(t1)
-        slot = BUCKET_SLOT[bucket]
         interval = self.interval
         while start < end:
             stop = min(end, (start // interval + 1) * interval)
-            self.row(start)[slot] += (stop - start) * count
+            span = stop - start
+            row = self.row(start)
+            row[0] += idle * span
+            row[1] += mem * span
+            row[2] += alu * span
+            row[3] += barrier * span
             start = stop
+
+    def totals(self) -> list[int]:
+        """Every ``row`` counter summed over the whole run."""
+        return ([sum(column) for column in zip(*self._rows.values())]
+                or [0] * (SM_SLOT + self.num_sms))
 
     def dram_busy_interval(self, partition: int, t0: float,
                            t1: float) -> None:

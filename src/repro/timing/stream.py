@@ -3,14 +3,16 @@
 The timing model never touches register state.  Each resident warp
 pulls *items* from a :class:`WarpStream`, in program order::
 
-    (pc, active_lanes, mem, last)
+    (op, active_lanes, lines, last)
 
-``pc`` indexes the launch's static class table (:func:`classify`:
-ALU / SFU / BAR / MEM / ATOM), ``active_lanes`` is the lane count after
-the guard predicate, ``mem`` is ``None`` or ``(flags, reads, writes)``
-— touched-space bits plus the global line ids the instruction reads and
-writes — and ``last`` marks the warp's final item.  When a warp's
-active lanes run off the end of the kernel the item's ``pc`` is
+``op`` is the item pre-classified for issue: the static class of its
+pc (:func:`classify`: ALU / SFU / BAR / MEM / ATOM) or'd with the bits
+of the spaces it touched (SHARED / TEX / OTHER, GLOBAL when it has line
+ids), so the model reads what issuing costs from one per-op table.
+``active_lanes`` is the lane count after the guard predicate, ``lines``
+is ``None`` or ``(reads, writes)`` — the global line ids the instruction
+reads and writes — and ``last`` marks the warp's final item.  When a
+warp's active lanes run off the end of the kernel the item's ``op`` is
 :data:`FELL_OFF`: those lanes retire and nothing issues, but lanes
 still waiting on the warp's SIMT stack run on — only ``last`` retires
 the warp.
@@ -29,13 +31,16 @@ admission (``repro.functional.executor.admit``):
   cycle the model issues it.  Used whenever a recording would not be
   provably identical (``Admission.live_why`` says why).
 
+Every item a producer hands out but a fall-off issues before the launch
+ends, so each counts them per op (``op_counts``): the model does not.
+
 Two rules keep the producers bit-identical.  *Set order*: the model
 walks an instruction's lines in the iteration order of the ``set`` they
 were collected into — lane order, ``first..last`` line per lane, one
 access per lane spanning the whole vector width — so both producers
 build that set the same way (:func:`_line_order`) and ship its order.
-*Zero lanes*: a memory instruction whose guard leaves no lane has
-``mem`` ``None`` and touches nothing, not even ``ready_at``.
+*Zero lanes*: a memory instruction whose guard leaves no lane touches
+no space: its ``op`` is its bare class and ``lines`` is ``None``.
 """
 
 from __future__ import annotations
@@ -51,16 +56,19 @@ from repro.functional.state import CTAState, WarpState
 from repro.ptx import instructions
 from repro.ptx.values import MASK64
 
-#: Static instruction classes (``classify``): the pipeline an item's
-#: ``pc`` issues to.  ``ATOM`` is ``MEM`` that also counts an atomic.
+#: Static instruction classes (``classify``): the pipeline a pc issues
+#: to.  ``ATOM`` is ``MEM`` that also counts an atomic.
 ALU, SFU, BAR, MEM, ATOM = range(5)
 
-#: ``pc`` of the item a stream yields when the warp's active lanes ran
+#: ``op`` bits above the class: the spaces an instruction touched.
+SHARED, TEX, OTHER, GLOBAL = 8, 16, 32, 64
+
+#: ``op`` values are below this.
+OPS = GLOBAL * 2
+
+#: ``op`` of the item a stream yields when the warp's active lanes ran
 #: off the end of the kernel (an implicit exit: nothing issues).
 FELL_OFF = -1
-
-#: ``mem`` flag bits: the non-global spaces an instruction touched.
-SHARED, TEX, OTHER = 1, 2, 4
 
 _CLASS_CODE = {instructions.SFU: SFU, instructions.BAR: BAR,
                instructions.MEM: MEM}
@@ -111,6 +119,9 @@ class LiveSource:
         self.engine = engine
         self.line_size = line_size
         self.premade = premade
+        self.kinds = classify(engine.launch.kernel)
+        #: Items handed out per op (every one of them issues).
+        self.op_counts = [0] * OPS
         self._made: dict[int, CTAState] = {}
 
     def open(self, cta_linear: int) -> list[WarpStream] | None:
@@ -140,24 +151,31 @@ class LiveSource:
         record = self.engine.step_warp(warp)
         if record is None:
             return FELL_OFF, 0, None, warp.finished
-        mem = None
+        op = self.kinds[record.pc]
+        lines = None
         if record.mem_accesses:
-            mem = self._coalesce(record.mem_accesses)
-        return record.pc, record.active_lanes, mem, warp.finished
+            touched, lines = coalesce(record.mem_accesses, self.line_size)
+            op |= touched
+        self.op_counts[op] += 1
+        return op, record.active_lanes, lines, warp.finished
 
-    def _coalesce(self, accesses):
-        line_size = self.line_size
-        flags = 0
-        reads: tuple[list, list] = ([], [])
-        writes: tuple[list, list] = ([], [])
-        for space, addr, nbytes, is_write in accesses:
-            if space == "global":
-                firsts, lasts = writes if is_write else reads
-                firsts.append(addr // line_size)
-                lasts.append((addr + max(nbytes, 1) - 1) // line_size)
-            else:
-                flags |= _SPACE_FLAG.get(space, OTHER)
-        return flags, _line_order(*reads), _line_order(*writes)
+
+def coalesce(accesses, line_size: int) -> tuple[int, tuple | None]:
+    """The space bits one instruction's ``mem_accesses`` touched, and
+    its ``(reads, writes)`` line ids (``None``: no global access)."""
+    flags = 0
+    reads: tuple[list, list] = ([], [])
+    writes: tuple[list, list] = ([], [])
+    for space, addr, nbytes, is_write in accesses:
+        if space == "global":
+            firsts, lasts = writes if is_write else reads
+            firsts.append(addr // line_size)
+            lasts.append((addr + max(nbytes, 1) - 1) // line_size)
+        else:
+            flags |= _SPACE_FLAG.get(space, OTHER)
+    if not reads[0] and not writes[0]:
+        return flags, None
+    return flags | GLOBAL, (_line_order(*reads), _line_order(*writes))
 
 
 # ----------------------------------------------------------------------
@@ -180,10 +198,10 @@ class _Chunk:
         self.rows: list[np.ndarray] = []    # lanes per warp (0 = absent)
         #: (frame, pc, lanes per warp) of predicated instructions.
         self.guards: list[tuple[int, int, np.ndarray]] = []
-        #: (frame, pc, flags, is_write, firsts, lasts, bounds, straddles)
-        #: per ld/st: flags alone for a non-global space, else each
-        #: guarded lane's first/last line with warp w's lanes at
-        #: ``bounds[w]:bounds[w + 1]``.
+        #: (frame, pc, space bit, is_write, firsts, lasts, bounds,
+        #: straddles) per ld/st: the bit alone for a non-global space,
+        #: else GLOBAL and each guarded lane's first/last line with warp
+        #: w's lanes at ``bounds[w]:bounds[w + 1]``.
         self.accesses: list[tuple] = []
         self.matrix: np.ndarray | None = None
 
@@ -201,8 +219,12 @@ class _Chunk:
                            else np.zeros((0, self.matrix.shape[1]),
                                          np.uint8))
         self.guards = []
-        self.access_frame = np.array([a[0] for a in self.accesses],
-                                     np.int64)
+        accesses = self.accesses
+        self.access_frame = np.array([a[0] for a in accesses], np.int64)
+        self.access_offset = np.array(
+            [pc - self.pcs[frame] for frame, pc, *_rest in accesses],
+            np.int64)
+        self.access_bits = np.array([a[2] for a in accesses], np.int64)
 
 
 class StreamRecorder:
@@ -219,6 +241,11 @@ class StreamRecorder:
                  max_cycles: int) -> None:
         self.kernel_name = kernel.name
         self.body_len = len(kernel.body)
+        #: Class of each pc, then FELL_OFF for the pcs past the body.
+        self.kinds = np.array(classify(kernel) + [FELL_OFF], np.int64)
+        #: Items of the streams opened so far, per op: every one of them
+        #: issues before the launch ends.
+        self.op_counts = np.zeros(OPS, np.int64)
         self.line_size = np.uint64(line_size)
         self.budget = budget
         self.max_cycles = max_cycles
@@ -289,7 +316,7 @@ class StreamRecorder:
         bounds = np.zeros(len(row) + 1, np.int64)
         np.cumsum(row, out=bounds[1:])
         chunk.accesses.append(
-            (frame, pc, 0, is_write, firsts, lasts, bounds,
+            (frame, pc, GLOBAL, is_write, firsts, lasts, bounds,
              bool((firsts != lasts).any())))
 
     # -- model side ----------------------------------------------------
@@ -304,14 +331,15 @@ class StreamRecorder:
             chunk.seal()
         per_cta = chunk.warps_per_cta
         first = (cta_linear - chunk.first_cta) * per_cta
-        return [WarpStream(iter(self._expand(chunk, warp)).__next__)
+        return [WarpStream(self._expand(chunk, warp).__next__)
                 for warp in range(first, first + per_cta)]
 
     def close(self, cta_linear: int) -> None:
         """Nothing to free: a recorded CTA owns no functional state."""
 
-    def _expand(self, chunk: _Chunk, warp: int) -> list:
-        """The items of one warp, from the chunk's frame log."""
+    def _expand(self, chunk: _Chunk, warp: int) -> zip:
+        """The items of one warp, from the chunk's frame log, made as the
+        model fetches them (``zip`` reuses the tuple it unpacked)."""
         column = chunk.matrix[:, warp]
         frames = np.flatnonzero(column)
         lens = chunk.len_arr[frames]
@@ -320,7 +348,7 @@ class StreamRecorder:
         total = int(ends[-1])
         pcs = (np.repeat(chunk.pc_arr[frames] - starts, lens)
                + np.arange(total))
-        pcs[pcs >= self.body_len] = FELL_OFF
+        ops = self.kinds[np.minimum(pcs, self.body_len)]
         lanes = np.repeat(column[frames], lens)
         # Offset of each frame in this warp's stream (-1: not in it).
         offset = np.full(len(column), -1, np.int64)
@@ -329,25 +357,29 @@ class StreamRecorder:
         mine = at >= 0
         lanes[at[mine] + chunk.guard_offset[mine]] = \
             chunk.guard_rows[mine, warp]
-        lanes = lanes.tolist()
-        mems: list = [None] * total
-        for index in np.flatnonzero(
-                offset[chunk.access_frame] >= 0).tolist():
-            (frame, pc, flags, is_write, firsts, lasts, bounds,
+        # This warp's accesses, but for those fully predicated off: they
+        # touch nothing.
+        at = offset[chunk.access_frame]
+        mine = np.flatnonzero(at >= 0)
+        slots = at[mine] + chunk.access_offset[mine]
+        touched = lanes[slots] > 0
+        mine, slots = mine[touched], slots[touched]
+        bits = chunk.access_bits[mine]
+        ops[slots] |= bits
+        self.op_counts += np.bincount(ops[ops != FELL_OFF], minlength=OPS)
+        lines: list = [None] * total
+        is_global = bits == GLOBAL
+        for index, slot in zip(mine[is_global].tolist(),
+                               slots[is_global].tolist()):
+            (_frame, _pc, _global, is_write, firsts, lasts, bounds,
              straddles) = chunk.accesses[index]
-            slot = int(offset[frame]) + pc - chunk.pcs[frame]
-            if not lanes[slot]:
-                continue    # fully predicated off: touches nothing
-            if flags:
-                mems[slot] = (flags, (), ())
-                continue
             lo, hi = bounds[warp], bounds[warp + 1]
             if straddles:
-                lines = _line_order(firsts[lo:hi].tolist(),
-                                    lasts[lo:hi].tolist())
+                ids = _line_order(firsts[lo:hi].tolist(),
+                                  lasts[lo:hi].tolist())
             else:
-                lines = tuple(set(firsts[lo:hi].tolist()))
-            mems[slot] = (0, (), lines) if is_write else (0, lines, ())
+                ids = tuple(set(firsts[lo:hi].tolist()))
+            lines[slot] = ((), ids) if is_write else (ids, ())
         last = [False] * total
         last[-1] = True
-        return list(zip(pcs.tolist(), lanes, mems, last))
+        return zip(ops.tolist(), lanes.tolist(), lines, last)

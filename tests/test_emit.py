@@ -38,7 +38,7 @@ from repro.ptx.instructions import CONTROL, MEM, TABLE
 from repro.ptx.values import MASK64, mask
 from repro.ptx.parser import parse_module
 from repro.timing import stream
-from repro.timing.stream import LiveSource, StreamRecorder, classify
+from repro.timing.stream import StreamRecorder, classify, coalesce
 
 _COMPARISONS = ("eq", "ne", "lt", "le", "gt", "ge", "lo", "ls", "hi", "hs")
 _ROUNDERS = ("rni", "rzi", "rmi", "rpi")
@@ -448,17 +448,22 @@ class MemoryForm:
             record: bool = False) -> dict:
         """Memory after the launch, plus what was asked to be watched:
         ``accesses`` — ``mem_accesses`` per (cta, warp, pc) — and
-        ``stream`` — (pc, lanes, mem) per (cta, warp) — from the
+        ``stream`` — (op, lanes, lines) per (cta, warp) — from the
         ``on_exec`` records (*observe*), or ``stream`` from a
         ``StreamRecorder`` armed on the engine (*record*)."""
         seen = {"accesses": {}, "stream": {}}
-        coalesce = LiveSource(None, _LINE, {})._coalesce
+        kinds: list[int] = []
 
         def on_exec(rec) -> None:
+            # The item the live producer makes of the record.
             warp = (rec.warp.cta.cta_linear, rec.warp.warp_index)
-            mem = coalesce(rec.mem_accesses) if rec.mem_accesses else None
+            kinds[:] = kinds or classify(rec.warp.cta.launch.kernel)
+            op, lines = kinds[rec.pc], None
+            if rec.mem_accesses:
+                touched, lines = coalesce(rec.mem_accesses, _LINE)
+                op |= touched
             seen["stream"].setdefault(warp, []).append(
-                (rec.pc, rec.active_lanes, mem))
+                (op, rec.active_lanes, lines))
             if rec.mem_accesses:
                 seen["accesses"][(*warp, rec.pc)] = rec.mem_accesses
 
@@ -508,8 +513,8 @@ class _RecordingBackend:
                 items = self.streams[(cta, index)] = []
                 last = False
                 while not last:
-                    pc, lanes, mem, last = stream.next()
-                    items.append((pc, lanes, mem))
+                    op, lanes, lines, last = stream.next()
+                    items.append((op, lanes, lines))
         return KernelRunResult(instructions=stats.instructions, cycles=0,
                                stats={})
 

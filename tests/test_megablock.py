@@ -935,11 +935,14 @@ class TestKernelCache:
     def test_a_fresh_process_pays_only_for_what_its_launch_runs(
             self, tmp_path):
         """The cold path of a launch that stays vector: the simulator's
-        package imports no graph library, and the scalar tier's fused
-        blocks (a bailout's continuation) are never compiled."""
+        package imports no graph library and none of the lint stack, and
+        the scalar tier's fused blocks (a bailout's continuation) are
+        never compiled."""
         cold = _run_cache_process(tmp_path / "xproc")
         assert cold["tier"] == "megablock"
         assert "networkx" not in cold["modules"]
+        for module in ("lints", "ranges", "verifier"):
+            assert f"repro.analysis.{module}" not in cold["modules"]
         assert not [key for key in cold["derived"]
                     if "compile_superblocks" in key]
         assert any("_megaplan" in key for key in cold["derived"])

@@ -161,46 +161,57 @@ class TestSampling:
         total_slots = sum(float(series.sum()) for series in issue.values())
         assert total_slots > 0
 
-    def test_issue_span_distributes_across_bins(self):
+    def test_stall_span_distributes_across_bins(self):
         from repro.timing.stats import SampleBlock
         samples = SampleBlock(interval=10, num_sms=1, num_partitions=1,
                               banks_per_partition=1)
         samples.cycles = 40
-        samples.issue_span("W0_mem", 5, 35)
+        samples.stall_span(5, 35, [0, 1, 0, 0])     # one W0_mem slot
         # [5, 10), [10, 20), [20, 30), [30, 35)
         assert list(samples.warp_issue_matrix()["W0_mem"]) == [5, 10, 10, 5]
-        samples.issue_span("W0_mem", 7, 7)  # empty span: no-op
+        samples.stall_span(7, 7, [0, 1, 0, 0])  # empty span: no-op
         assert sum(series.sum() for series
                    in samples.warp_issue_matrix().values()) == 30
 
     def test_long_idle_jump_charged_flat(self):
-        """_charge_idle must spread a long jump over every interval it
-        covers, not spike the interval containing its start."""
+        """A long idle jump must be spread over every interval it
+        covers, not spike the interval containing its start: both the
+        SM's own span (``charge_asleep``) and what the jump adds
+        (``_charge_idle``: here the idle scheduler of the SM that has no
+        CTA)."""
         from dataclasses import replace
         from types import SimpleNamespace
         from repro.timing.shader import SMCore
         from repro.timing.stats import KernelStats, SampleBlock
-        from repro.timing.stream import MEM, WarpStream
+        from repro.timing.stream import GLOBAL, MEM, OPS, WarpStream
         config = replace(TINY, schedulers_per_sm=1)
-        samples = SampleBlock(interval=10, num_sms=1, num_partitions=1,
+        samples = SampleBlock(interval=10, num_sms=2, num_partitions=1,
                               banks_per_partition=1)
         stats = KernelStats()
-        # A real SM whose only warp issues one load at cycle 0 and then
+        jumped = [0, 0, 0, 0]
+        # Real SMs; the only warp issues one load at cycle 0 and then
         # waits: the memory system here never answers.
-        sm = SMCore(0, config, source=None, kinds=[MEM],
-                    memsys=SimpleNamespace(submit=lambda req, now: None),
-                    stats=stats, samples=samples)
-        load = (0, 32, (0, (7,), ()), False)
-        sm.assign_cta(0, [WarpStream(iter([load]).__next__)], 0.0)
-        assert sm.issue_cycle(0.0) == (1, [])
-        GpuTiming._charge_idle([sm], samples, stats, t0=0.0, t1=100.0)
+        sms = [SMCore(sm_id, config, source=None,
+                      memsys=SimpleNamespace(submit=lambda req, now: None),
+                      stats=stats, samples=samples, jumped=jumped)
+               for sm_id in range(config.num_sms)]
+        load = (MEM | GLOBAL, 32, ((7,), ()), False)
+        sms[0].assign_cta(0, [WarpStream(iter([load]).__next__)], 0.0)
+        assert sms[0].issue_cycle(0.0) == (True, [])
+        GpuTiming._charge_idle(samples, jumped, t0=0.0, t1=100.0)
+        sms[0].charge_asleep(100.0)
+        issued = [0] * OPS
+        issued[MEM | GLOBAL] = 1
+        GpuTiming._fold_issue_stats(issued, samples, stats, config)
         assert stats.stall_mem_cycles == 99
+        assert stats.idle_scheduler_cycles == 99
         samples.cycles = 100
-        series = list(samples.warp_issue_matrix()["W0_mem"])
-        assert sum(series) == 99
-        # Flat band: every covered interval gets its share, and no
-        # interval holds more than its own width.
-        assert all(0 < count <= 10 for count in series)
+        for bucket in ("W0_mem", "W0_idle"):
+            series = list(samples.warp_issue_matrix()[bucket])
+            assert sum(series) == 99
+            # Flat band: every covered interval gets its share, and no
+            # interval holds more than its own width.
+            assert all(0 < count <= 10 for count in series)
 
     def test_efficiency_bounded(self, timing_rt, rng):
         n = 128

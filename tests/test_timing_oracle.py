@@ -1,14 +1,15 @@
 """The cycle loop against a per-cycle oracle, on generated streams.
 
 The timing model's whole input is data: per-warp ``(pc, lanes, mem,
-last)`` items over a static class table (``repro.timing.stream``).  So
-it can be fuzzed without PTX.  The oracle below is the plain loop the
-event-driven issue loop replaced: every cycle it visits every SM that
-holds a CTA and asks every scheduler for a ready warp, and it jumps only
-when nothing issued.  It owns its SM, scheduler and cycle loop and
-reuses only the production memory system, caches and ``SampleBlock``.
-The production loop must reproduce it bit for bit: ``KernelStats`` and
-the six series AerialVision plots.
+last)`` items over a static class table, which the producers hand over
+pre-classified (``repro.timing.stream``).  So it can be fuzzed without
+PTX.  The oracle below is the plain loop the event-driven issue loop
+replaced: every cycle it visits every SM that holds a CTA and asks every
+scheduler for a ready warp, and it jumps only when nothing issued.  It
+owns its SM, scheduler and cycle loop and reuses only the production
+memory system, caches and ``SampleBlock``.  The production loop must
+reproduce it bit for bit: ``KernelStats`` and the six series
+AerialVision plots.
 
 ``--oracle-seeds N`` (tests/conftest.py) sets how many generated
 launches each configuration runs; tier-1 runs 12.
@@ -16,6 +17,8 @@ launches each configuration runs; tier-1 runs 12.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import random
 import sys
 from collections import Counter
@@ -32,11 +35,11 @@ from repro.timing.cache import Cache
 from repro.timing.gpu import GpuTiming
 from repro.timing.memsys import MemRequest, MemorySubsystem
 from repro.timing.stats import (
-    W0_ALU, W0_BARRIER, W0_IDLE, W0_MEM, KernelStats, SampleBlock,
-    lane_bucket)
+    BUCKET_SLOT, W0_ALU, W0_BARRIER, W0_BUCKETS, W0_IDLE, W0_MEM,
+    KernelStats, SampleBlock, lane_bucket)
 from repro.timing.stream import (
-    ALU, ATOM, BAR, FELL_OFF, MEM, OTHER, SFU, SHARED, TEX, WarpStream,
-    classify)
+    ALU, ATOM, BAR, FELL_OFF, GLOBAL, MEM, OPS, OTHER, SFU, SHARED, TEX,
+    WarpStream)
 from repro.trace.clock import SimClock
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
@@ -85,11 +88,19 @@ class Scheduler:
         return None
 
 
+def decode(op: int, lines):
+    """A stream item's class code and ``(flags, reads, writes)``."""
+    kind = op % SHARED
+    if op == kind:
+        return kind, None     # touched nothing
+    return kind, (op & (SHARED | TEX | OTHER), *(lines or ((), ())))
+
+
 class SM:
-    def __init__(self, sm_id, config, source, kinds, memsys, stats,
+    def __init__(self, sm_id, config, source, memsys, stats,
                  samples) -> None:
         self.sm_id, self.config, self.source = sm_id, config, source
-        self.kinds, self.memsys = kinds, memsys
+        self.memsys = memsys
         self.stats, self.samples = stats, samples
         self.l1 = Cache(config.l1_sets, config.l1_ways, config.line_size)
         self.ctas: list[SimpleNamespace] = []
@@ -124,21 +135,21 @@ class SM:
         stats, samples = self.stats, self.samples
         for scheduler in self.schedulers:
             if not scheduler.warps:
-                samples.issue_span(W0_IDLE, now, now + 1)
+                samples.row(now)[BUCKET_SLOT[W0_IDLE]] += 1
                 stats.idle_scheduler_cycles += 1
                 continue
             warp = scheduler.pick(now)
             if warp is None:
                 self.record_stall(now, scheduler)
                 continue
-            pc, lanes, mem, last = warp.fetch()
-            if pc != FELL_OFF:
+            op, lanes, lines, last = warp.fetch()
+            if op != FELL_OFF:
                 issued += 1
                 stats.instructions += lanes
                 stats.warp_instructions += 1
                 samples.commit(now, self.sm_id, lanes)
-                samples.issue_span(lane_bucket(lanes), now, now + 1)
-                kind = self.kinds[pc]
+                samples.row(now)[BUCKET_SLOT[lane_bucket(lanes)]] += 1
+                kind, mem = decode(op, lines)
                 self.apply_latency(warp, kind, mem, now)
                 if kind == BAR:
                     warp.at_barrier = True
@@ -164,14 +175,15 @@ class SM:
                 warp.at_barrier = False
 
     def record_stall(self, now: float, scheduler: Scheduler) -> None:
+        row = self.samples.row(now)
         if any(warp.mem_pending for warp in scheduler.warps):
-            self.samples.issue_span(W0_MEM, now, now + 1)
+            row[BUCKET_SLOT[W0_MEM]] += 1
             self.stats.stall_mem_cycles += 1
         elif any(warp.at_barrier for warp in scheduler.warps
                  if not warp.finished):
-            self.samples.issue_span(W0_BARRIER, now, now + 1)
+            row[BUCKET_SLOT[W0_BARRIER]] += 1
         else:
-            self.samples.issue_span(W0_ALU, now, now + 1)
+            row[BUCKET_SLOT[W0_ALU]] += 1
             self.stats.stall_alu_cycles += 1
 
     def apply_latency(self, warp: Warp, kind: int, mem, now: float) -> None:
@@ -232,8 +244,6 @@ class SM:
 
 def oracle_simulate(timing: GpuTiming, launch):
     """``GpuTiming.simulate`` as the per-cycle loop."""
-    import heapq
-    import itertools
     config = timing.config
     stats = KernelStats()
     clock = SimClock()
@@ -254,8 +264,7 @@ def oracle_simulate(timing: GpuTiming, launch):
     source = timing._open_source(launch)
     memsys = gpu.MemorySubsystem(config, stats, samples, schedule, respond,
                                  fault_filter=timing.mem_fault_filter)
-    kinds = classify(launch.kernel)
-    sms = [SM(sm_id, config, source, kinds, memsys, stats, samples)
+    sms = [SM(sm_id, config, source, memsys, stats, samples)
            for sm_id in range(config.num_sms)]
     next_cta, total = launch.first_cta, launch.limit_cta
 
@@ -317,7 +326,9 @@ def oracle_simulate(timing: GpuTiming, launch):
                         bucket = W0_MEM
                     else:
                         bucket = W0_ALU
-                    samples.issue_span(bucket, now + 1, target)
+                    stalls = [0] * len(W0_BUCKETS)
+                    stalls[BUCKET_SLOT[bucket]] = 1
+                    samples.stall_span(now + 1, target, stalls)
                     extra = int(target - now) - 1
                     if bucket == W0_IDLE:
                         stats.idle_scheduler_cycles += extra
@@ -342,8 +353,7 @@ def oracle_simulate(timing: GpuTiming, launch):
 # ----------------------------------------------------------------------
 # Generated launches
 # ----------------------------------------------------------------------
-#: The class table of the generated kernel, by opcode.
-OPCODES = ["add", "mul", "sin", "bar", "ld", "st", "atom", "add"]
+#: The class table of the generated kernel.
 KINDS = [ALU, ALU, SFU, BAR, MEM, MEM, ATOM, ALU]
 
 
@@ -405,15 +415,36 @@ def generate(seed: int, config) -> list[list[list[tuple]]]:
     return ctas
 
 
+def encode(pc: int, lanes: int, mem, last: bool) -> tuple:
+    """A generated item as a producer hands it over: its op is the
+    pc's class or'd with the spaces it touched."""
+    if pc == FELL_OFF:
+        return FELL_OFF, lanes, None, last
+    if mem is None:
+        return KINDS[pc], lanes, None, last
+    flags, reads, writes = mem
+    if not reads and not writes:
+        return KINDS[pc] | flags, lanes, None, last
+    return KINDS[pc] | flags | GLOBAL, lanes, (reads, writes), last
+
+
 class GeneratedSource:
     """``stream.py``'s ``open``/``close`` protocol over generated items."""
 
     def __init__(self, ctas) -> None:
         self.ctas = ctas
         self.closed: list[int] = []
+        self.op_counts = [0] * OPS
 
     def open(self, cta: int) -> list[WarpStream]:
-        return [WarpStream(iter(items).__next__) for items in self.ctas[cta]]
+        streams = []
+        for items in self.ctas[cta]:
+            items = [encode(*item) for item in items]
+            for op, *_rest in items:
+                if op != FELL_OFF:
+                    self.op_counts[op] += 1
+            streams.append(WarpStream(iter(items).__next__))
+        return streams
 
     def close(self, cta: int) -> None:
         self.closed.append(cta)
@@ -442,10 +473,8 @@ class CountingMemory(MemorySubsystem):
 def run(simulate, ctas, config, monkeypatch):
     """Simulate the generated launch *ctas* with *simulate* and check the
     conservation laws every run must keep."""
-    kernel = SimpleNamespace(name="generated", body=[
-        SimpleNamespace(opcode=opcode) for opcode in OPCODES])
-    launch = SimpleNamespace(kernel=kernel, first_cta=0,
-                             limit_cta=len(ctas))
+    launch = SimpleNamespace(kernel=SimpleNamespace(name="generated"),
+                             first_cta=0, limit_cta=len(ctas))
     source = GeneratedSource(ctas)
     CountingMemory.reads, CountingMemory.responses = [], Counter()
     monkeypatch.setattr(GpuTiming, "_open_source",
