@@ -34,8 +34,10 @@ declined spaces, element offsets, sign extension, store masking and
 **one** access event per lane spanning the whole vector — and asks the
 dialect only for the memory vocabulary: ``address(mem)`` (an opaque
 handle), ``load(space, addr, offset, nbytes)``, ``store(space, addr,
-offset, nbytes, value)``, ``access(inst, addr, total_bytes, is_write)``
-and ``fence()``.  The access event is the single feed of
+offset, nbytes, value)`` and ``access(inst, addr, total_bytes,
+is_write)``; where a dialect's lanes must meet in memory order is its
+own business (the scalar dialect decides per state space before each
+instruction).  The access event is the single feed of
 ``warp.mem_trace`` (hence ``ExecRecord.mem_accesses`` and the scalar
 sanitizer hook), the timing pre-pass's ``StreamRecorder.access`` and the
 vector tier's sanitizer checks, so "per access, not per element" holds
@@ -96,8 +98,8 @@ class Codegen:
     ``write_pred``, ``float_encoder``, ``bind``, ``select``,
     ``pred_true``, ``compare``, ``shift``, ``divrem``, ``to_float``,
     ``value_mod64``, ``symbol``, ``call``, and for memory rows
-    ``address``, ``access``, ``load``, ``store``, ``fence`` and
-    ``write_raw`` (a whole-payload write of a loaded value).
+    ``address``, ``access``, ``load``, ``store`` and ``write_raw`` (a
+    whole-payload write of a loaded value).
 
     ``widths`` is the kernel's register width map
     (:func:`repro.analysis.dataflow.register_widths`; a register it
@@ -358,9 +360,7 @@ def _ld_st(inst, gen, first, second) -> None:
              and all(elem.kind in kinds for elem in elems))
     nbytes = dtype.bytes
     if is_write:
-        # Lanes communicate through stores: everything before this one
-        # completes first.  Values are truncated to the access width.
-        gen.fence()
+        # Values are truncated to the access width.
         unsigned = DType("u", dtype.bits)
         values = [gen.decode(gen.payload(elem, dtype), unsigned)
                   for elem in elems]
@@ -377,8 +377,6 @@ def _ld_st(inst, gen, first, second) -> None:
             gen.write(elem.name, 64, gen.decode(raw, dtype))
         else:
             gen.write_raw(elem.name, raw)
-    if is_write:
-        gen.fence()
 
 
 # Every row renders a fixed operand list whose length the table states.

@@ -591,9 +591,10 @@ class FunctionalEngine:
 
         Whole fused blocks execute in one call — no ``ExecRecord``, no
         per-instruction dispatch; aggregate stats come from each block's
-        static metadata.  Any pc without a block (predicated code,
-        control flow, a mid-block pc restored from a checkpoint) falls
-        back to :meth:`step_warp` until the next block entry.
+        static metadata; guarded instructions fuse like any other.  Any
+        pc without a block (a branch, barrier or exit, a ``%clock``
+        read, a mid-block pc restored from a checkpoint) falls back to
+        :meth:`step_warp` until the next block entry.
         """
         blocks = self._superblocks
         if blocks is None:

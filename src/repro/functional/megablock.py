@@ -380,9 +380,6 @@ class _VecGen(Codegen):
             f"    VM.st({space!r}, {nbytes}, {self._element(addr, offset)}, "
             f"H.p64({value}), {self._mask()})")
 
-    def fence(self) -> None:
-        """Array code is instruction-major: every store is ordered."""
-
     # -- assembly -------------------------------------------------------
     def build(self, live_out: frozenset) -> tuple[str, list[str]]:
         pruned = sorted(n for n in self._writes if n not in live_out)

@@ -17,8 +17,9 @@ assert equality with the reference interpreter.  The non-obvious cases:
   vector division patches the ``b == 0`` elements to the scalar results.
 * ``ex2`` — ``np.exp2`` is *not* bit-identical to CPython's ``2.0 **
   v`` on this platform, so ``ex2`` stays a per-element Python loop (an
-  "island"); ``log2``/``sin``/``cos``/``sqrt`` were probe-verified
-  bit-identical and run vectorized.
+  "island") over the reference's own ``SFU["ex2"]``;
+  ``log2``/``sin``/``cos``/``sqrt`` were probe-verified bit-identical
+  and run vectorized.
 * f32 arithmetic is computed in float64 and rounded once through
   ``astype(float32)`` — the same double→single rounding the scalar tier
   performs via ``f32_to_bits``.  Overflow-to-inf casts emit a
@@ -28,9 +29,9 @@ assert equality with the reference interpreter.  The non-obvious cases:
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
+
+from repro.ptx.instructions.special import SFU
 
 MASK64 = 0xFFFFFFFFFFFFFFFF
 
@@ -246,18 +247,12 @@ def lg2(v):
     return np.where(v > 0.0, r, np.where(v == 0.0, -np.inf, np.nan))
 
 
-def _ex2_scalar(v: float) -> float:
-    if v != v:
-        return math.nan
-    if v >= 1024:
-        return math.inf
-    return 2.0 ** v
-
-
 def ex2(v):
-    """Python-loop island: np.exp2 is not bit-identical to ``2.0**v``."""
-    return np.fromiter((_ex2_scalar(x) for x in v.tolist()),
-                       dtype=_F64, count=len(v))
+    """Python-loop island over the reference tier's ``ex2``: np.exp2 is
+    not bit-identical to ``2.0**v``, which also keeps a NaN's sign and
+    payload."""
+    return np.fromiter(map(SFU["ex2"], v.tolist()), dtype=_F64,
+                       count=len(v))
 
 
 # ----------------------------------------------------------------------

@@ -11,14 +11,14 @@ row's ``load``/``store``, ``mem_trace`` for its access event).  The
 source is rendered two ways:
 
 * :func:`compile_superblocks` fuses every maximal straight-line run of
-  unpredicated, non-control, non-barrier instructions into a single
-  *superblock* closure that executes the whole run for a warp in one
-  call — no ``ExecRecord``, no predicate check, no SIMT-stack advance
-  per dynamic instruction;
+  non-control, non-barrier instructions, guarded ones included, into a
+  single *superblock* closure that executes the whole run for a warp in
+  one call — no ``ExecRecord``, no ``guard_lanes``, no SIMT-stack
+  advance per dynamic instruction;
 * :func:`compile_step` pushes a *single* instruction through the same
   rows for ``FunctionalEngine.step_warp`` — the path hooked runs (the
-  sanitizer, fault injection), budgeted checkpoint slices, predicated
-  code, ``fast_mode="fastpath"`` and performance mode's *live* launches
+  sanitizer, fault injection), budgeted checkpoint slices,
+  ``fast_mode="fastpath"`` and performance mode's *live* launches
   take.  Every register is written back (no liveness pruning) and
   ``ld``/``st`` append one access per lane to ``warp.mem_trace``, the
   ``ExecRecord.mem_accesses`` contract.
@@ -28,19 +28,24 @@ Anything the table declines is the reference implementation itself
 call inside a fused run.
 
 Each rendering is compiled to Python source and ``exec``'d once per
-kernel.  Register-only instructions and loads share **one outer lanes
-loop** with the per-lane register file hoisted: they are legal to
-reorder lane-major because they touch only lane-private state (the
-lane's register dict, read-only special registers, immediates) or read
-memory nothing in the run has written.  Stores are where lanes
-communicate, so the memory row fences each one into its own lanes loop,
-keeping warp-lockstep instruction order.
+kernel.  Consecutive instructions share **one outer lanes loop** with
+the per-lane register file hoisted: lane-major order is warp-lockstep
+order while lanes do not communicate, and they communicate only through
+memory.  So a loop may hold loads of a state space or one store to it,
+decided before each instruction (:meth:`_BlockCodegen.begin`).  A
+guarded instruction runs under a per-lane ``if`` on its guard, read
+before the instruction (which may write its own guard); a destination
+keeps its old payload where the guard failed and is written back only
+on lanes where some guard held.  Guard, read and forwarding locals live
+within one loop, and the writeback flush closes it, never under a guard.
 
 Block-local optimisations (bit-exact against the reference tier for
 memory and every *live* register):
 
 * register payloads written earlier in the same lane chunk are forwarded
-  through locals instead of re-read from the register dict;
+  through locals instead of re-read from the register dict, and a
+  register read from the dict is read once per lane chunk into a local
+  every later read of it shares;
 * register-dict writebacks are deferred to the end of each lane chunk,
   so a register rewritten several times in a chunk is stored once; at
   the end of a fused block the flush is filtered by the liveness
@@ -189,6 +194,15 @@ class _BlockCodegen(Codegen):
         # overwrite the entry, so only the final value is stored; the
         # end-of-block flush additionally drops statically dead registers.
         self._pending: dict[str, str] = {}
+        # Pending register only guarded writes set -> their guard locals.
+        self._conds: dict[str, tuple[str, ...]] = {}
+        # Register name -> local its dict payload was read into.
+        self._reads: dict[str, str] = {}
+        # Guard expression -> local holding it; space -> "ld" / "st".
+        self._guards: dict[str, str] = {}
+        self._spaces: dict[str, str] = {}
+        # Open guard: (local, body lines, forward and pending before).
+        self._guard: tuple[str, list[str], dict, dict] | None = None
         #: The next per-lane statement opens a new lanes loop.
         self._fenced = False
 
@@ -247,7 +261,15 @@ class _BlockCodegen(Codegen):
 
     # -- chunks --------------------------------------------------------
     def lane(self, *lines: str) -> None:
-        """Per-lane statements; consecutive ones share a lanes loop."""
+        """Per-lane statements: under the open guard, if any."""
+        if self._guard is not None:
+            self._guard[1].extend(lines)
+        else:
+            self._loop(*lines)
+
+    def _loop(self, *lines: str) -> None:
+        """Statements at the top of the lanes loop; consecutive ones
+        share it."""
         if self.chunks and self.chunks[-1][0] == "lane" and not self._fenced:
             self.chunks[-1][1].extend(lines)
         else:
@@ -256,35 +278,89 @@ class _BlockCodegen(Codegen):
 
     def fence(self) -> None:
         """Close the current lanes loop: deferred writebacks land, the
-        forwarded locals (scoped to the loop) are dropped and the next
-        statement opens a loop of its own.  A store sits between two
-        fences, so it keeps warp-lockstep instruction order."""
+        forwarded, read and guard locals (scoped to the loop) are
+        dropped and the next statement opens a loop of its own."""
+        assert self._guard is None, "a loop boundary under a guard"
         self._flush_pending()
         self._forward.clear()
+        self._reads.clear()
+        self._guards.clear()
+        self._spaces.clear()
         self._fenced = True
 
+    def begin(self, inst: ast.Instruction) -> None:
+        """Before *inst* renders: fence if its access breaks the loop's
+        per-space rule, then open its guard (read before it runs)."""
+        if inst.opcode in ("ld", "st"):
+            done = self._spaces.get(inst.space)
+            if done and "st" in (done, inst.opcode):
+                self.fence()
+            self._spaces[inst.space] = inst.opcode
+        if inst.pred is not None:
+            held = (f"{'not ' if inst.pred_negated else ''}"
+                    f"{self.reg(inst.pred)} & 1")
+            guard = self._guards.get(held)
+            if guard is None:
+                guard = self._guards[held] = self.fresh("_g")
+                self._loop(f"{guard} = {held}")
+            self._guard = (guard, [], dict(self._forward),
+                           dict(self._pending))
+
+    def end(self, emitted: bool) -> None:
+        """Close the guard: ``if`` it held the new payloads, ``else`` the
+        old ones; a declined rendering leaves nothing."""
+        if self._guard is None:
+            return
+        guard, body, forward, pending = self._guard
+        self._guard = None
+        if not emitted:
+            self._forward, self._pending = forward, pending
+            return
+        olds = []
+        for name, local in self._forward.items():
+            if forward.get(name) == local:
+                continue
+            old = (forward.get(name) or self._reads.get(name)
+                   or f"regs.get({name!r}, 0)")
+            olds.append(f"    {local} = {old}")
+            guards = self._conds.get(name, ())
+            if (name not in pending or guards) and guard not in guards:
+                self._conds[name] = guards + (guard,)
+        self._loop(f"if {guard}:", *("    " + line for line in body or
+                                      ["pass"]))
+        if olds:
+            self._loop("else:", *olds)
+
     def opaque(self, inst: ast.Instruction) -> None:
-        """Run *inst* through the reference implementation."""
-        self._flush_pending()
-        name = self.fresh("_f")
+        """Run *inst* through the reference implementation, on the lanes
+        its guard selects."""
+        self.fence()
+        name, lanes = self.fresh("_f"), "lanes"
         self.bindings[name] = reference_step(inst)
-        self.chunks.append(("call", [f"{name}(warp, lanes)"]))
-        self._forward.clear()
+        if inst.pred is not None:
+            lanes = self.fresh("_l")
+            self.chunks.append(("call", [
+                f"{lanes} = [lane for lane in lanes if (warp.regs[lane]"
+                f".get({inst.pred!r}, 0) & 1) != {inst.pred_negated}]"]))
+        self.chunks.append(("call", [f"if {lanes}: {name}(warp, {lanes})"]))
 
     def _flush_pending(self, live: frozenset[str] | None = None) -> None:
-        """Emit the deferred register writebacks of the current chunk.
+        """Emit the deferred register writebacks of the current chunk; a
+        register only guarded writes set lands where one of them held.
 
         With *live* given (the end-of-block flush), registers not in it
         are dead after the run and their writebacks are skipped.
         """
-        if not self._pending:
-            return
         for name, local in self._pending.items():
-            if live is None or name in live:
-                self.lane(f"regs[{name!r}] = {local}")
-            else:
+            if live is not None and name not in live:
                 self.pruned.add(name)
+                continue
+            store = f"regs[{name!r}] = {local}"
+            guards = self._conds.get(name)
+            self._loop(store if guards is None
+                       else f"if {' or '.join(guards)}: {store}")
         self._pending.clear()
+        self._conds.clear()
 
     # -- operand expressions -------------------------------------------
     def reg(self, name: str) -> str:
@@ -293,10 +369,14 @@ class _BlockCodegen(Codegen):
             if name in _STATIC_SPECIAL:
                 return f"{self.special_table(name)}[lane]"
             return f"{self.reg_payload_fn()}({name!r}, lane)"
-        forwarded = self._forward.get(name)
-        if forwarded is not None:
-            return forwarded
-        return f"regs.get({name!r}, 0)"
+        local = self._forward.get(name) or self._reads.get(name)
+        if local is not None:
+            return local
+        if self.trace:  # one instruction rarely reads a register twice
+            return f"regs.get({name!r}, 0)"
+        local = self._reads[name] = self.fresh("_r")  # outside any guard
+        self._loop(f"{local} = regs.get({name!r}, 0)")
+        return local
 
     def decode(self, payload: str, dtype: DType) -> str:
         """Typed Python value of a payload expression."""
@@ -382,23 +462,19 @@ class _BlockCodegen(Codegen):
             keep = MASK64 ^ mask(bits)
             old = self.reg(name)
             full = f"({old} & {keep:#x}) | (({expr}) & {mask(bits):#x})"
-        self._define(name, full)
+        self.write_raw(name, full)
 
     def write_raw(self, name: str, expr: str) -> None:
         """Whole-payload register write (ld destinations, predicates)."""
-        if expr.isidentifier():  # already a local: no copy needed
-            self._forward[name] = expr
-            self._pending[name] = expr
-            return
-        self._define(name, expr)
+        local = expr
+        if not expr.isidentifier():  # an identifier is a local already
+            local = self.fresh("_p")
+            self.lane(f"{local} = {expr}")
+        self._forward[name] = self._pending[name] = local
+        if self._guard is None:  # an unguarded write lands on every lane
+            self._conds.pop(name, None)
 
     write_pred = write_raw
-
-    def _define(self, name: str, expr: str) -> None:
-        temp = self.fresh("_p")
-        self.lane(f"{temp} = {expr}")
-        self._forward[name] = temp
-        self._pending[name] = temp
 
     # -- memory (the Python-int spellings of the ld/st row) -------------
     def address(self, mem: ast.Operand) -> tuple[str, bool]:
@@ -443,7 +519,7 @@ class _BlockCodegen(Codegen):
         oob = self.helper("_oob", _arena_oob)
         check = (f"if {addr} < 0 or {addr} + {nbytes} > {length}: "
                  f"{oob}({addr}, {nbytes}, {length})")
-        if invariant:
+        if invariant and self._guard is None:
             self.prologue.append(check)  # lane-invariant: check once
         else:
             self.lane(check)
@@ -562,21 +638,23 @@ def _references_clock(inst: ast.Instruction) -> bool:
 def eligible(inst: ast.Instruction) -> bool:
     """Can *inst* live inside a superblock?
 
-    Requires no guard predicate, no control flow / barrier, an opcode
-    the simulator implements (an unknown one must fault when it issues,
-    not when the kernel compiles), and no ``%clock`` read (the clock
-    must tick per instruction, which fused blocks batch).
+    Requires no control flow / barrier, an opcode the simulator
+    implements (an unknown one must fault when it issues, not when the
+    kernel compiles), and no ``%clock`` read (the clock must tick per
+    instruction, which fused blocks batch).  A guard is fine: the
+    instruction runs under a per-lane ``if`` on it.
     """
-    if inst.pred is not None or inst.opcode not in DISPATCH:
-        return False
-    return not _references_clock(inst)
+    return inst.opcode in DISPATCH and not _references_clock(inst)
 
 
 def _fuse(kernel, run: list[ast.Instruction], start: int,
           live_out: frozenset[str] | None) -> Superblock:
     gen = _BlockCodegen(register_widths(kernel))
     for inst in run:
-        if not _emit(inst, gen):
+        gen.begin(inst)
+        emitted = _emit(inst, gen)
+        gen.end(emitted)
+        if not emitted:
             gen.opaque(inst)
     filename = f"<superblock {kernel.name}@{start}>"
     execute, source = gen.build(filename, live_out)

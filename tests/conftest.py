@@ -14,6 +14,23 @@ def pytest_addoption(parser):
         "--oracle-seeds", type=int, default=12,
         help="generated launches per configuration in "
              "tests/test_timing_oracle.py (default 12)")
+    parser.addoption(
+        "--regwidth-examples", type=int, default=150,
+        help="generated mixed-width kernels in "
+             "tests/test_regwidth.py (default 150)")
+
+
+def pytest_configure(config):
+    # Registered, not loaded: test_regwidth's generator starts from it.
+    # Imported here so that a run without Hypothesis installed still
+    # loads this file.
+    try:
+        from hypothesis import settings
+    except ImportError:
+        return
+    settings.register_profile(
+        "regwidth",
+        max_examples=config.getoption("--regwidth-examples"))
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -16,10 +16,12 @@ import gc
 import sys
 import threading
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from repro.cuda import CudaRuntime, FunctionalBackend
 from repro.functional import executor
 from repro.functional.cfg import basic_blocks, block_leaders
 from repro.functional.executor import FAST_MODES, FunctionalEngine, RunStats
@@ -30,6 +32,8 @@ from repro.functional.superblock import (
 from repro.ptx.builder import PTXBuilder, f32
 from repro.ptx.parser import parse_module
 from repro.quirks import LegacyQuirks
+from repro.workloads.predicated_blend import (
+    PredicatedBlend, PredicatedBlendConfig, build_kernel)
 
 
 def _saxpy_ptx() -> str:
@@ -46,6 +50,10 @@ def _saxpy_ptx() -> str:
     b.ins("fma.rn.f32", y, x, f32(2.0), y)
     b.ins("st.global.f32", f"[{b.elem_addr(ys, tid)}]", y)
     return b.build()
+
+
+#: Opcodes that end a run: the engine steps them.
+_CONTROL = ("bra", "exit", "ret", "bar")
 
 
 def _build_launch(ptx: str, name: str, *, quirks=None,
@@ -79,32 +87,32 @@ class TestBlockDiscovery:
         assert covered == list(range(len(kernel.body)))
 
     def test_runs_never_cross_leaders_or_control(self):
-        module = parse_module(_saxpy_ptx(), "lead")
-        kernel = module.kernel("sax")
-        blocks = compile_superblocks(kernel)
-        leaders = block_leaders(kernel)
-        for start, block in blocks.items():
-            assert block.start == start
-            # Interior pcs are never leaders and never control flow.
-            for pc in range(start + 1, block.end):
-                assert pc not in leaders
-            for pc in range(start, block.end):
-                inst = kernel.body[pc]
-                assert inst.opcode.split(".")[0] not in (
-                    "bra", "exit", "ret", "bar")
-                assert inst.pred is None
+        guarded = 0
+        for ptx, name in ((_saxpy_ptx(), "sax"),
+                          (build_kernel(), "predicated_blend")):
+            kernel = parse_module(ptx, "lead").kernel(name)
+            leaders = block_leaders(kernel)
+            for start, block in compile_superblocks(kernel).items():
+                assert block.start == start
+                # Interior pcs are never leaders and never control flow.
+                for pc in range(start + 1, block.end):
+                    assert pc not in leaders
+                for pc in range(start, block.end):
+                    inst = kernel.body[pc]
+                    assert inst.opcode.split(".")[0] not in _CONTROL
+                    guarded += inst.pred is not None
+        assert guarded  # predicated_blend's guarded ld/st/add/mul fuse
 
-    def test_predicated_and_control_instructions_are_ineligible(self):
-        module = parse_module(_saxpy_ptx(), "elig")
-        kernel = module.kernel("sax")
-        ineligible = 0
+    def test_control_instructions_are_ineligible_and_guards_are_not(self):
+        kernel = parse_module(build_kernel(), "elig").kernel(
+            "predicated_blend")
         for inst in kernel.body:
-            base = inst.opcode.split(".")[0]
-            if inst.pred is not None or base in ("bra", "exit", "ret",
-                                                 "bar"):
-                assert not eligible(inst)
-                ineligible += 1
-        assert ineligible
+            control = inst.opcode.split(".")[0] in _CONTROL
+            assert eligible(inst) is not control, inst
+        assert any(inst.pred is not None and eligible(inst)
+                   for inst in kernel.body)
+        assert any(inst.pred is not None and not eligible(inst)
+                   for inst in kernel.body)  # the guarded bra
 
     def test_fused_block_source_has_single_lane_loop_plus_store(self):
         # saxpy's main block is ld/ld/fma/st: loads and register ops
@@ -225,6 +233,166 @@ def _assert_matches_reference(ptx: str, name: str):
                 if reg not in pruned:
                     assert lane_regs.get(reg) == value, reg
     return warps, engine
+
+
+def _guarded_ptx(body: str, shared: str = "") -> str:
+    """A one-warp-per-CTA kernel over ``_build_launch``'s parameters:
+    *body* runs with ``%r0`` = tid and ``%rd1`` = ``&ys[tid]`` set up."""
+    return f"""
+.version 6.0
+.target sm_60
+.address_size 64
+
+.visible .entry g(.param .u64 xs, .param .u64 ys, .param .u32 n)
+{{
+    .reg .b32 %r<6>;
+    .reg .b64 %rd<4>;
+    .reg .pred %p<2>;
+    {shared}
+    ld.param.u64 %rd0, [ys];
+    mov.u32 %r0, %tid.x;
+    mul.wide.u32 %rd1, %r0, 4;
+    add.u64 %rd1, %rd0, %rd1;
+{body}
+    exit;
+}}
+"""
+
+
+def _fused_pcs(engine) -> set[int]:
+    return {pc for block in engine._superblocks.values()
+            for pc in range(block.start, block.end)}
+
+
+def _ys(warps) -> list[int]:
+    """``ys[0:32]`` of the launch the warps ran in, as u32s."""
+    launch = warps[0].cta.launch
+    ys = sorted(launch.global_mem.allocations)[1]
+    return list(np.frombuffer(launch.global_mem.read(ys, 4 * 32),
+                              dtype=np.uint32))
+
+
+class TestGuardedFusion:
+    """A guarded instruction fuses under a per-lane ``if`` on its guard:
+    each case pins a rule the reference interpreter's lane filter
+    implies for lane-major code."""
+
+    def test_a_guard_false_everywhere_writes_no_register(self):
+        # %r1 is live past the block, so the flush must store it only
+        # on lanes where a guard held: here none, and no dict entry may
+        # appear (the reference never creates one).
+        ptx = _guarded_ptx("""
+    setp.gt.u32 %p0, %r0, 1000;
+    @%p0 mov.u32 %r1, 7;
+    @!%p0 add.u32 %r2, %r0, 1;
+    bar.sync 0;
+    add.u32 %r3, %r1, %r2;
+    st.global.u32 [%rd1], %r3;""")
+        warps, engine = _assert_matches_reference(ptx, "g")
+        kernel = engine.kernel
+        assert {pc for pc, inst in enumerate(kernel.body)
+                if inst.pred is not None} <= _fused_pcs(engine)
+        for warp in warps:
+            assert not any("%r1" in regs for regs in warp.regs)
+            assert all("%r2" in regs for regs in warp.regs)
+        assert _ys(warps) == list(range(1, 33))
+
+    def test_a_guard_is_read_before_its_instruction_writes_it(self):
+        ptx = _guarded_ptx("""
+    setp.lt.u32 %p0, %r0, 16;
+    @%p0 setp.ge.u32 %p0, %r0, 8;
+    selp.u32 %r1, 1, 0, %p0;
+    st.global.u32 [%rd1], %r1;""")
+        warps, engine = _assert_matches_reference(ptx, "g")
+        assert 6 in _fused_pcs(engine)  # the self-guarded setp
+        assert _ys(warps) == [0] * 8 + [1] * 8 + [0] * 16
+
+    def test_a_guarded_load_sees_the_store_before_it(self):
+        # Lane k reads the word lane k+1 stored: the load must start a
+        # lanes loop of its own, or lanes past k have not stored yet.
+        ptx = _guarded_ptx("""
+    mov.u64 %rd2, buf;
+    mul.wide.u32 %rd3, %r0, 4;
+    add.u64 %rd3, %rd2, %rd3;
+    add.u32 %r1, %r0, 100;
+    st.shared.u32 [%rd3], %r1;
+    setp.lt.u32 %p0, %r0, 31;
+    @%p0 ld.shared.u32 %r2, [%rd3+4];
+    st.global.u32 [%rd1], %r2;""", ".shared .align 4 .b32 buf[32];")
+        warps, engine = _assert_matches_reference(ptx, "g")
+        block = max(engine._superblocks.values(), key=lambda b: b.count)
+        assert block.opcodes.count("st") == 2 and "ld" in block.opcodes
+        assert _ys(warps) == list(range(101, 132)) + [0]
+
+    def test_a_guarded_symbol_access_checks_bounds_only_where_it_runs(
+            self):
+        # [buf+4096] is far outside the 32-byte arena: the lane-invariant
+        # bounds check may not run ahead of the guard in the prologue.
+        ptx = _guarded_ptx("""
+    setp.gt.u32 %p0, %r0, 1000;
+    @%p0 ld.shared.u32 %r1, [buf+4096];
+    @%p0 st.shared.u32 [buf+4096], %r0;
+    add.u32 %r2, %r0, 5;
+    st.global.u32 [%rd1], %r2;""", ".shared .align 4 .b32 buf[8];")
+        warps, engine = _assert_matches_reference(ptx, "g")
+        assert {5, 6} <= _fused_pcs(engine)
+        assert _ys(warps) == list(range(5, 37))
+
+    def test_a_guarded_declined_instruction_runs_on_its_guarded_lanes(
+            self):
+        # popc and atom have no emit row: each runs as one reference
+        # call on the lanes its guard selects, so %r1 exists on lanes
+        # 0-9 only, %r2 on lanes 10-31 only, and buf counts 22 adds.
+        ptx = _guarded_ptx("""
+    setp.lt.u32 %p0, %r0, 10;
+    @%p0 popc.b32 %r1, %r0;
+    @!%p0 atom.shared.add.u32 %r2, [buf], 1;
+    bar.sync 0;
+    ld.shared.u32 %r3, [buf];
+    add.u32 %r4, %r1, %r3;
+    st.global.u32 [%rd1], %r4;""", ".shared .align 4 .b32 buf[1];")
+        kernel = parse_module(ptx, "g").kernel("g")
+        assert [inst.opcode for inst in kernel.body[5:7]
+                if not _emit(inst, _BlockCodegen())] == ["popc", "atom"]
+        warps, engine = _assert_matches_reference(ptx, "g")
+        assert {5, 6} <= _fused_pcs(engine)
+        for warp in warps:
+            assert [lane for lane, regs in enumerate(warp.regs)
+                    if "%r1" in regs] == list(range(10))
+            assert [regs.get("%r2") for regs in warp.regs[10:]] == \
+                list(range(22))
+        assert _ys(warps) == [bin(tid).count("1") + 22 for tid in range(10)] \
+            + [22] * 22
+
+    def test_predicated_blend_steps_only_its_branch_barriers_and_exit(
+            self, monkeypatch):
+        # Per warp: the tid guard's bra, seven bar.syncs and the exit;
+        # every guarded ld/st/add/mul runs inside a fused block.
+        issued: dict[tuple[int, int], Counter] = {}
+        tiers = set()
+        step = FunctionalEngine.step_warp
+
+        def counting(engine, warp):
+            tiers.add(engine.admission.tier)
+            record = step(engine, warp)
+            if isinstance(record, executor.ExecRecord):
+                warp_id = (warp.cta.cta_linear, warp.warp_index)
+                issued.setdefault(warp_id, Counter())[
+                    record.inst.opcode] += 1
+            return record
+
+        monkeypatch.setattr(FunctionalEngine, "step_warp", counting)
+        runtime = CudaRuntime(
+            backend=FunctionalBackend(fast_mode="superblock"))
+        blend = PredicatedBlend(runtime, PredicatedBlendConfig(ctas=4))
+        blend.run()
+        assert tiers == {"superblock"} and len(issued) == 4 * 2
+        assert all(counts == {"bra": 1, "bar": 7, "exit": 1}
+                   for counts in issued.values()), issued
+        ys, sums = blend.results()
+        want_ys, want_sums = blend.expected()
+        assert np.array_equal(ys, want_ys)
+        assert np.array_equal(sums, want_sums)
 
 
 class TestReferenceFallbackInsideBlocks:
