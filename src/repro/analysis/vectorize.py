@@ -23,7 +23,7 @@ rather than trusted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.analysis.dataflow import (
     Solution, _Variance, defs_of, solve, uses_of)
@@ -74,8 +74,6 @@ class VectorReport:
     can move a whole frame without computing masks.
     ``divergent_branches`` — the rest: mask splits with IPDOM
     reconvergence frames.
-    ``variant_after`` — per-pc grid-variant register sets (the raw
-    facts, kept for lints and debugging).
     ``barrier_pcs`` — every ``bar`` pc, for the barrier admission rule.
     ``divergent_barriers`` — the ``bar`` pcs some path reaches from a
     divergent branch.
@@ -84,7 +82,6 @@ class VectorReport:
     kernel: str
     uniform_branches: frozenset[int] = frozenset()
     divergent_branches: frozenset[int] = frozenset()
-    variant_after: dict[int, frozenset] = field(default_factory=dict)
     barrier_pcs: frozenset[int] = frozenset()
     divergent_barriers: frozenset[int] = frozenset()
 
@@ -129,7 +126,6 @@ def classify_kernel(kernel: Kernel) -> VectorReport:
         kernel=kernel.name,
         uniform_branches=frozenset(uniform),
         divergent_branches=frozenset(divergent),
-        variant_after=dict(solution.after),
         barrier_pcs=frozenset(barriers),
         divergent_barriers=_reachable_from(kernel, divergent, barriers))
 

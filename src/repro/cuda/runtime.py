@@ -82,20 +82,18 @@ class FunctionalBackend:
     megablock tier executes all lanes of a launch as NumPy array
     operations and transparently falls back to the scalar tiers for
     kernels its vector codegen cannot handle, so it is safe as a
-    drop-in; the default stays "superblock" for the scalar hooks'
-    benefit (fault injection, per-instruction observers).
+    drop-in; the default stays "superblock".  ``on_exec`` is the one
+    per-instruction hook, an observer of each stepped instruction after
+    it executes (fault injection arms one per launch: :meth:`observer`).
     """
 
     def __init__(self, *, fast_mode: str = "superblock",
-                 on_exec=None, exec_override=None,
-                 verify: bool = False,
+                 on_exec=None, verify: bool = False,
                  sanitize=None) -> None:
         self.fast_mode = fast_mode
-        #: Optional per-instruction hooks forwarded to FunctionalEngine
-        #: (fault injection / instrumentation); either forces the
-        #: engine off the superblock tier for the affected launch.
+        #: Optional per-instruction observer forwarded to
+        #: FunctionalEngine; it keeps the launch off the fusing tiers.
         self.on_exec = on_exec
-        self.exec_override = exec_override
         #: Run the static verifier before every launch (VerificationError
         #: on error-severity findings).
         self.verify = verify
@@ -110,12 +108,10 @@ class FunctionalBackend:
         #: Set by the owning CudaRuntime when tracing is on.
         self.tracer = NULL_TRACER
 
-    def launch_hooks(self, launch: LaunchContext) -> dict:
-        """The per-instruction hooks (``on_exec``/``exec_override``
-        engine arguments) this launch runs under; a subclass overrides
-        it to arm them per launch."""
-        return {"on_exec": self.on_exec,
-                "exec_override": self.exec_override}
+    def observer(self, launch: LaunchContext):
+        """The ``on_exec`` observer this launch runs under (or None); a
+        subclass overrides it to arm one per launch."""
+        return self.on_exec
 
     def engine(self, launch: LaunchContext) -> FunctionalEngine:
         """The engine for one functional launch — the only place a
@@ -124,7 +120,7 @@ class FunctionalBackend:
                                 verify=self.verify,
                                 sanitize=self.sanitize,
                                 tracer=self.tracer,
-                                **self.launch_hooks(launch))
+                                on_exec=self.observer(launch))
 
     def report(self, launch: LaunchContext, stats: RunStats,
                admission: Admission, *, label: str = "functional",

@@ -4,12 +4,12 @@ simulator.
 Each adapter knows how to wire one kind of seeded bug into a
 :class:`~repro.cuda.runtime.CudaRuntime`:
 
-* ``instruction_semantics`` — the dispatch-table semantics of one static
-  instruction are wrong: the correct handler runs, then every active
-  lane's destination is XOR-ed with a mask (a deterministic "wrong
-  opcode implementation", the class of bug quirks.py models for real).
-* ``register_bitflip`` — one active lane's destination register takes a
-  single-bit flip after the instruction executes (a transient datapath
+* ``instruction_semantics`` — the semantics of one static instruction
+  are wrong: it executes, then the destination of every lane its guard
+  selects is XOR-ed with a mask (a deterministic "wrong opcode
+  implementation", the class of bug quirks.py models for real).
+* ``register_bitflip`` — one of those lanes' destination register takes
+  a single-bit flip after the instruction executes (a transient datapath
   fault).
 * ``mem_drop_response`` — the interconnect loses a read request, so its
   response never arrives and the blocked warp never wakes (the paper's
@@ -38,7 +38,6 @@ from repro.debugtool.instrument import _dest_width
 from repro.errors import FaultInjectionError
 from repro.functional.executor import guard_lanes
 from repro.ptx import ast
-from repro.ptx.instructions import lookup
 
 from repro.faultinject.spec import FaultSpec
 
@@ -170,54 +169,50 @@ class _InstructionSite(SiteAdapter):
                 f"clamping to the {width}-bit destination")
         return inst.operands[0].name, mask
 
-    def make_hooks(self, kernel: ast.Kernel, target_pc: int) -> dict:
+    def observer(self, kernel: ast.Kernel, target_pc: int):
+        """The launch's ``on_exec``: once the target instruction has
+        executed, XOR its destination on the lanes :meth:`_hit` picks
+        of those its guard selected (only they may be corrupted, else
+        the identically guarded replay cannot see the fault).  The
+        destination is a general register, never the guard, so the
+        guard selects the same lanes after the step as before it."""
+        dst, mask = self._target(kernel, target_pc)
+        should_fire = _trigger(self.spec)
+
+        def on_exec(record) -> None:
+            if record.pc != target_pc:
+                return
+            regs = record.warp.regs
+            lanes = guard_lanes(record.inst, regs, record.active_mask)
+            if not lanes or not should_fire():
+                return
+            hit, info = self._hit(lanes)
+            for lane in hit:
+                regs[lane][dst] = regs[lane].get(dst, 0) ^ mask
+            self._fire(pc=target_pc, **info)
+        return on_exec
+
+    def _hit(self, lanes: list[int]) -> tuple[list[int], dict]:
+        """(lanes to corrupt, what the firing reports of them)."""
         raise NotImplementedError
 
 
 @register_site("instruction_semantics")
 class InstructionSemanticsSite(_InstructionSite):
-    """Wrong dispatch-table semantics: correct result XOR mask, every
-    active lane, every firing execution."""
+    """Wrong semantics: correct result XOR mask, every lane the guard
+    selects, every firing execution."""
 
-    def make_hooks(self, kernel: ast.Kernel, target_pc: int) -> dict:
-        dst, mask = self._target(kernel, target_pc)
-        should_fire = _trigger(self.spec)
-
-        def override(inst, warp, lanes, pc) -> bool:
-            if pc != target_pc or not should_fire():
-                return False
-            lookup(inst.opcode)(inst, warp, lanes)
-            regs = warp.regs
-            for lane in lanes:
-                regs[lane][dst] = regs[lane].get(dst, 0) ^ mask
-            self._fire(pc=pc, lanes=len(lanes))
-            return True
-        return {"exec_override": override}
+    def _hit(self, lanes: list[int]) -> tuple[list[int], dict]:
+        return lanes, {"lanes": len(lanes)}
 
 
 @register_site("register_bitflip")
 class RegisterBitflipSite(_InstructionSite):
-    """Transient flip of one bit in one active lane's destination."""
+    """Transient flip of one bit in one executing lane's destination."""
 
-    def make_hooks(self, kernel: ast.Kernel, target_pc: int) -> dict:
-        dst, mask = self._target(kernel, target_pc)
-        spec = self.spec
-        should_fire = _trigger(spec)
-
-        def on_exec(record) -> None:
-            if record.pc != target_pc:
-                return
-            # Only lanes that actually executed may be corrupted, else
-            # the flip is invisible to the (identically guarded) replay.
-            lanes = guard_lanes(record.inst, record.warp.regs,
-                                record.active_mask)
-            if not lanes or not should_fire():
-                return
-            lane = lanes[spec.lane % len(lanes)]
-            regs = record.warp.regs[lane]
-            regs[dst] = regs.get(dst, 0) ^ mask
-            self._fire(pc=record.pc, lane=lane)
-        return {"on_exec": on_exec}
+    def _hit(self, lanes: list[int]) -> tuple[list[int], dict]:
+        lane = lanes[self.spec.lane % len(lanes)]
+        return [lane], {"lane": lane}
 
 
 @register_site("mem_drop_response")
@@ -270,7 +265,8 @@ class StreamEventLostSite(SiteAdapter):
 # Faulting functional backend
 # ---------------------------------------------------------------------------
 class FaultingFunctionalBackend(FunctionalBackend):
-    """Functional backend that arms instruction-site hooks per launch.
+    """Functional backend that arms an instruction site's observer per
+    launch.
 
     Only launches matching the spec's kernel/ordinal trigger pay for
     per-instruction stepping; everything else keeps the superblock tier,
@@ -296,8 +292,8 @@ class FaultingFunctionalBackend(FunctionalBackend):
             return spec.pc
         return match_site(original.body, kernel.body, spec.pc)
 
-    def launch_hooks(self, launch) -> dict:
-        """The adapter's hooks on the launch the spec targets (its
+    def observer(self, launch):
+        """The adapter's observer on the launch the spec targets (its
         ``kernel_ordinal`` counts launches of that kernel name)."""
         spec = self.adapter.spec
         kernel = launch.kernel
@@ -306,6 +302,6 @@ class FaultingFunctionalBackend(FunctionalBackend):
             self._launches_seen[kernel.name] += 1
             if (spec.kernel_ordinal is None
                     or ordinal == spec.kernel_ordinal):
-                return self.adapter.make_hooks(
+                return self.adapter.observer(
                     kernel, self._resolve_pc(kernel))
-        return {}
+        return None

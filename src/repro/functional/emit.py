@@ -233,8 +233,14 @@ def _mul_mad(inst, gen, dst, a, b, c=None) -> None:
     _require(not inst.has_mod("hi"))
     wide = inst.has_mod("wide")
     out = DType(dtype.kind, dtype.bits * 2) if wide else dtype
-    read = gen.value if wide else gen.payload
-    expr = f"({read(a, dtype)}) * ({read(b, dtype)})"
+    if a.kind == b.kind == ast.IMM:
+        # Fold the product: one of two raw payloads can pass 2**64,
+        # which no uint64 array takes (a .wide one fits its type).
+        x, y = (immediate(op, dtype, typed=wide) for op in (a, b))
+        expr = gen.const(x * y if wide else x * y % 2 ** 64)
+    else:
+        read = gen.value if wide else gen.payload
+        expr = f"({read(a, dtype)}) * ({read(b, dtype)})"
     if c is not None:
         addend = gen.value_mod64(c, out) if wide else gen.payload(c, dtype)
         expr += f" + ({addend})"

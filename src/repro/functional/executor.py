@@ -245,9 +245,6 @@ class FunctionalEngine:
 
     def __init__(self, launch: LaunchContext, *,
                  on_exec: Callable[[ExecRecord], None] | None = None,
-                 exec_override: Callable[
-                     [ast.Instruction, WarpState, Sequence[int], int],
-                     bool] | None = None,
                  reconverge_at_exit: bool = False,
                  contract_fp16: bool = False,
                  verify: bool = False,
@@ -274,10 +271,6 @@ class FunctionalEngine:
             from repro.analysis import verify_launch
             with tracer.span(f"verify:{self.kernel.name}", cat="engine"):
                 verify_launch(self.kernel, quirks=launch.quirks)
-        #: Fault-injection hook: called as (inst, warp, lanes, pc) before
-        #: normal dispatch; returning True means the override performed
-        #: the (deliberately wrong) semantics and dispatch is skipped.
-        self.exec_override = exec_override
         self.contract_fp16 = contract_fp16
         #: The reconvergence ablation (DESIGN.md §5.2): every divergent
         #: branch rejoins only at exit.  A setting of this engine alone;
@@ -344,8 +337,7 @@ class FunctionalEngine:
             restored=bool(self.launch.restored),
             contract_fp16=self.contract_fp16,
             reconverge_at_exit=self.reconverge_at_exit,
-            hooked=(self.exec_override is not None
-                    or self.on_exec not in (None, check)),
+            hooked=self.on_exec not in (None, check),
             sanitize=check is not None, budget=budget is not None,
             on_cta=on_cta is not None, cta_spans=cta_spans)
         self._fuses = admission.tier in ("superblock", "megablock")
@@ -413,12 +405,8 @@ class FunctionalEngine:
         else:
             if lanes:
                 warp.mem_trace.clear()
-                if (self.exec_override is not None
-                        and self.exec_override(inst, warp, lanes, pc)):
-                    pass  # an injected fault supplied the semantics
-                else:
-                    fast = self._steps[pc] or self._compile_step(pc)
-                    fast(warp, lanes)
+                fast = self._steps[pc] or self._compile_step(pc)
+                fast(warp, lanes)
                 if warp.mem_trace:
                     record.mem_accesses = tuple(warp.mem_trace)
             warp.simt.advance(pc + 1)
@@ -567,8 +555,7 @@ class FunctionalEngine:
         """Run a warp until it finishes, parks, or exhausts *budget*.
         Fused blocks report nothing, so any observer (a hook assigned
         after admission too) makes the warp step."""
-        if (budget is None and self._fuses and self.on_exec is None
-                and self.exec_override is None):
+        if budget is None and self._fuses and self.on_exec is None:
             return self._run_warp_slice_fast(warp, stats)
         executed = 0
         while not warp.finished and not warp.at_barrier:

@@ -82,7 +82,9 @@ from repro.ptx.values import MASK64
 #:    its control descriptor only.
 #: 8: no range-fact payload: the sanitizer reads the kernel's memoised
 #:    ``ranges.kernel_facts``, so compiling a plan runs no range pass.
-PLAN_FORMAT = 8
+#: 9: a ``mul``/``mad`` of two immediates folds its product; a float
+#:    ``mul.wide`` is as wide as its type (``result_bits``).
+PLAN_FORMAT = 9
 
 _PAGE_SHIFT = np.uint64(PAGE_BITS)
 

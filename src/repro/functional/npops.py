@@ -93,8 +93,10 @@ def ef64(v):
 
 
 def ef16(v):
-    """Encode through IEEE binary16 (round-to-nearest, overflow→inf)."""
-    return v.astype(np.float16).view(np.uint16).astype(_U64)
+    """Encode through IEEE binary16 (round-to-nearest, overflow→inf);
+    a NaN keeps only its sign, as ``values.f16_to_bits`` does."""
+    bits = v.astype(np.float16).view(np.uint16).astype(_U64)
+    return np.where(v != v, (bits & _U64(0x8000)) | _U64(0x7E00), bits)
 
 
 def p64(x):

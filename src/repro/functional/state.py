@@ -120,7 +120,6 @@ class CTAState:
         self.warps = [WarpState(self, index)
                       for index in range(launch.warps_per_block)]
         self._locals: dict[int, LinearMemory] = {}
-        self.barrier_waiting = 0
 
     def local_for(self, thread_linear: int) -> LinearMemory:
         arena = self._locals.get(thread_linear)

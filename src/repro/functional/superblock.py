@@ -141,11 +141,10 @@ class Superblock:
     """One fused straight-line run: ``[start, end)`` of the kernel body."""
 
     __slots__ = ("start", "end", "count", "execute", "opcodes",
-                 "opcode_counts", "has_mem", "source", "pruned")
+                 "opcode_counts", "source", "pruned")
 
     def __init__(self, start: int, end: int, execute, opcodes: tuple[str, ...],
-                 has_mem: bool, source: str,
-                 pruned: frozenset[str] = frozenset()) -> None:
+                 source: str, pruned: frozenset[str] = frozenset()) -> None:
         self.start = start
         self.end = end
         self.count = end - start
@@ -155,7 +154,6 @@ class Superblock:
         for opcode in opcodes:
             counts[opcode] = counts.get(opcode, 0) + 1
         self.opcode_counts = counts
-        self.has_mem = has_mem
         self.source = source
         #: Registers whose final writeback the liveness flush dropped:
         #: their dict entries may be stale (or absent) after the block.
@@ -181,7 +179,6 @@ class _BlockCodegen(Codegen):
         self.bindings: dict[str, object] = {}
         self.prologue: list[str] = []
         self.chunks: list[tuple[str, list[str]]] = []
-        self.has_mem = False
         self._hoisted: dict[tuple, str] = {}
         self._counter = 0
         # Register name -> local holding its full current payload, valid
@@ -534,7 +531,6 @@ class _BlockCodegen(Codegen):
         whatever the lane/instruction interleaving.  Linear arenas and
         the in-span part of global memory are read on the backing
         buffers directly."""
-        self.has_mem = True
         addr, invariant = self._element(addr, offset), addr[1]
         raw = self.fresh("_m")
         if space != "global":
@@ -564,7 +560,6 @@ class _BlockCodegen(Codegen):
     def store(self, space: str, addr: tuple[str, bool], offset: int,
               nbytes: int, value: str) -> None:
         """Write *value* (already truncated to the width) at the element."""
-        self.has_mem = True
         addr, invariant = self._element(addr, offset), addr[1]
         local = self.fresh("_m")
         self.lane(f"{local} = {value}")
@@ -660,8 +655,7 @@ def _fuse(kernel, run: list[ast.Instruction], start: int,
     execute, source = gen.build(filename, live_out)
     return Superblock(
         start=start, end=start + len(run), execute=execute,
-        opcodes=tuple(inst.opcode for inst in run),
-        has_mem=gen.has_mem, source=source,
+        opcodes=tuple(inst.opcode for inst in run), source=source,
         pruned=frozenset(gen.pruned))
 
 

@@ -224,12 +224,16 @@ def lookup(opcode: str) -> ExecFn:
 
 def result_bits(inst: ast.Instruction) -> int:
     """Width of the value *inst* computes: its type's (``cvt``'s
-    destination type comes first), doubled by ``.wide``, or the fixed
-    width of its row (``popc``/``clz`` count into 32 bits)."""
+    destination type comes first), doubled by ``.wide`` (which a float
+    ``mul`` ignores), or the fixed width of its row (``popc``/``clz``
+    count into 32 bits)."""
     fixed = facts(inst.opcode).result
     if fixed is not None:
         return fixed
-    return inst.dtype.bits * (2 if inst.has_mod("wide") else 1)
+    dtype = inst.dtype
+    wide = inst.has_mod("wide") and not (
+        inst.opcode == "mul" and dtype.is_float)
+    return dtype.bits * (2 if wide else 1)
 
 
 def source_bits(inst: ast.Instruction, position: int) -> int | None:

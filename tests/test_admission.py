@@ -228,8 +228,7 @@ def _launch(kernel, *, quirks=False, sanitize=False,
     return launch
 
 
-OBSERVERS = ("none", "on_exec", "exec_override", "sanitizer",
-             "on_exec+sanitizer")
+OBSERVERS = ("none", "on_exec", "sanitizer", "on_exec+sanitizer")
 
 
 def test_engines_run_on_the_admitted_tier():
@@ -250,8 +249,6 @@ def test_engines_run_on_the_admitted_tier():
         hooks = {}
         if "on_exec" in observer:
             hooks["on_exec"] = records.append
-        if observer == "exec_override":
-            hooks["exec_override"] = lambda *args: False
         if sanitize:
             hooks["sanitize"] = Sanitizer()
         tracer = Tracer(cta_spans=spans)

@@ -124,6 +124,43 @@ class TestFunctionalSites:
                              _relu_workload(x), app_binary)
         assert clean != faulty
 
+    def test_semantics_fault_flips_exactly_the_guarded_lanes(self):
+        """A semantics fault on a guarded instruction corrupts the lanes
+        its guard selects, not every active lane of the warp."""
+        ptx = """
+.version 6.0
+.target sm_60
+.address_size 64
+
+.visible .entry guarded(.param .u64 out)
+{
+    .reg .b32 %r<2>;
+    .reg .b64 %rd<3>;
+    .reg .pred %p<1>;
+    ld.param.u64 %rd0, [out];
+    mov.u32 %r0, %tid.x;
+    mov.u32 %r1, 0;
+    setp.lt.u32 %p0, %r0, 5;
+    @%p0 add.u32 %r1, %r0, 1;
+    mul.wide.u32 %rd1, %r0, 4;
+    add.u64 %rd2, %rd0, %rd1;
+    st.global.u32 [%rd2], %r1;
+    exit;
+}
+"""
+
+        def run(factory) -> np.ndarray:
+            runtime = factory()
+            runtime.load_ptx(ptx, "guarded")
+            out = runtime.malloc(4 * 32)
+            runtime.launch("guarded", 1, 32, [out])
+            return np.frombuffer(runtime.memcpy_d2h(out, 4 * 32), np.uint32)
+        spec = FaultSpec(fault_id="guarded", site="instruction_semantics",
+                         kernel="guarded", pc=4, xor_mask=0x10000)
+        flipped = run(CudaRuntime) ^ run(faulty_runtime_factory(spec))
+        assert flipped.nonzero()[0].tolist() == [0, 1, 2, 3, 4]
+        assert set(flipped[:5].tolist()) == {0x10000}
+
     def test_bitflip_hits_single_lane(self, app_binary):
         x = np.ones(32, dtype=np.float32)
         spec = FaultSpec(fault_id="bf", site="register_bitflip",

@@ -228,6 +228,17 @@ def _run_vector(ptx: str, seed: int):
            "bar.sync 0;", "add.u64 %rd0, %rd2, 1;"], []), 2916)
 @example((["ld.global.s8 %h1, [%a0+0];", "ex2.f32 %h0, %h1;",
            "st.global.u64 [%a1+0], %h0;"], []), 0)
+# Two immediates whose product passes 2**64, added to a register (it
+# overflowed megablock's uint64 addend).
+@example((["ld.global.u32 %rd2, [%a0+0];",
+           "mad.lo.u64 %rd0, 18446744073709551615, 32768, %rd2;"],
+          ["%rd0"]), 0)
+# A float mul ignores .wide: it writes 32 bits, not 64.
+@example((["ld.global.s8 %h0, [%a0+0];", "bar.sync 0;",
+           "mul.wide.f32 %h0, %h1, %h1;"], ["%h0"]), 0)
+# An f16 NaN keeps only its sign (megablock kept its payload).
+@example((["ld.global.u16 %rd0, [%a0+0];", "cvt.f16.f16 %h0, %rd0;"],
+          ["%h0"]), 0)
 @settings(settings.get_profile("regwidth"), deadline=None, derandomize=True,
           database=None, suppress_health_check=list(HealthCheck))
 def test_generated_mixed_width_kernels_agree_on_every_tier(program, seed):

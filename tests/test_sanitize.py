@@ -50,22 +50,17 @@ def test_defect_detected_through_two_shards(name, fast_mode):
 def test_findings_do_not_depend_on_who_else_observes(name):
     """The step-path observer is composed once (the caller's hook, then
     the sanitizer's): on every tier a launch that is *also* watched by
-    an ``on_exec`` or an ``exec_override`` hook reports the findings
-    and counters of the unwatched launch."""
+    an ``on_exec`` hook reports the findings and counters of the
+    unwatched launch."""
     from repro.sanitize.corpus import CORPUS
     entry = CORPUS[name]
     cells = {}
     for fast_mode in FAST_MODES:
-        for hook in ("none", "on_exec", "exec_override"):
+        for hook in ("none", "on_exec"):
             calls = []
-
-            def override(inst, warp, lanes, pc, _calls=calls) -> bool:
-                _calls.append(pc)
-                return False
             backend = FunctionalBackend(
                 fast_mode=fast_mode, sanitize=True,
-                **{"none": {}, "on_exec": {"on_exec": calls.append},
-                   "exec_override": {"exec_override": override}}[hook])
+                on_exec=calls.append if hook == "on_exec" else None)
             rt = CudaRuntime(backend=backend)
             rt.load_ptx(entry.build(), f"observers_{name}")
             grid, block, args = entry.setup(rt)
