@@ -33,7 +33,7 @@ import sys
 import time
 from pathlib import Path
 
-from bench_utils import run_once
+from experiments import RESULTS_DIR, run_once
 
 from repro.cuda import CudaRuntime
 from repro.cuda.runtime import FunctionalBackend
@@ -142,7 +142,7 @@ def _cache_probe(cache_dir: Path) -> dict:
     return json.loads(proc.stdout)
 
 
-def test_functional_throughput(benchmark, record, tmp_path, monkeypatch):
+def test_functional_throughput(benchmark, tmp_path, monkeypatch):
     # Keep the in-process tier comparison free of disk-cache I/O; the
     # cross-process probe below measures the cache explicitly.
     monkeypatch.setenv("REPRO_CACHE_DISABLE", "1")
@@ -220,7 +220,8 @@ def test_functional_throughput(benchmark, record, tmp_path, monkeypatch):
         "predicated_blend_megablock_events": blend_events,
     }
     OUT_PATH.write_text(json.dumps(report, indent=2) + "\n")
-    record("functional_throughput", json.dumps(report, indent=2))
+    (RESULTS_DIR / "functional_throughput.txt").write_text(
+        json.dumps(report, indent=2))
 
     # All tiers execute the same dynamic instruction stream.
     for table in (lenet, conv, blend):
@@ -272,7 +273,7 @@ def _lenet_forward_sanitized(mode: str) -> tuple[float, object]:
     return instructions / wall, backend.sanitize
 
 
-def test_sanitizer_overhead(record, monkeypatch):
+def test_sanitizer_overhead(monkeypatch):
     """The sanitizer's two performance bars, on the LeNet forward pass:
     disabled it costs nothing (within 5% of the sanitize-off recorded
     run, same guarantee as the tracer), and enabled the megablock tier
@@ -300,7 +301,8 @@ def test_sanitizer_overhead(record, monkeypatch):
         "megablock_on_over_superblock_on": round(mb_on / sb_on, 2),
         "megablock_skipped_proven": mb_san.counters["skipped_proven"],
     }
-    record("sanitizer_overhead", json.dumps(report, indent=2))
+    (RESULTS_DIR / "sanitizer_overhead.txt").write_text(
+        json.dumps(report, indent=2))
 
     assert mb_san.findings_list() == []
     assert sb_san.findings_list() == []

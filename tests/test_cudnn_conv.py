@@ -270,14 +270,15 @@ class TestAlgorithmTable:
         assert dnn.rt.launch_log == []
 
     def test_every_algorithm_applies_to_the_sample_geometries(self):
-        """conv_sample's default and the Sec. V benchmark's SAMPLE admit
-        every algorithm of the sweep: 6 + 5 + 6 = 17 paths."""
+        """conv_sample's default and the experiment table's Sec. V
+        geometry admit every algorithm of the sweep: 6 + 5 + 6 = 17
+        paths."""
         spec = importlib.util.spec_from_file_location(
-            "case_cache", Path(__file__).parents[1] / "benchmarks"
-            / "case_cache.py")
-        case_cache = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(case_cache)
-        for sample in (ConvSampleConfig(), case_cache.SAMPLE):
+            "experiments", Path(__file__).parents[1] / "benchmarks"
+            / "experiments.py")
+        experiments = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(experiments)
+        for sample in (ConvSampleConfig(), experiments.SAMPLE):
             _, w_desc, conv = sample.descriptors()
             for direction in ALGORITHMS:
                 assert (supported(direction, w_desc, conv)

@@ -5,7 +5,9 @@ Every path mentioned in a backtick code span (``benchmarks/...``,
 ``tests/...``, ``tools/...``) must exist in the repository, so the
 reproduce commands in the index cannot silently rot.  Also verifies the
 architecture doc and the index itself exist and that the index contains
-a markdown table with a Reproduce column.
+a markdown table with a Reproduce column, and that the index names
+every row id and artifact of the experiment table
+(``benchmarks/experiments.py``).
 
     python tools/check_experiments_index.py
 """
@@ -17,6 +19,11 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.append(str(ROOT / "benchmarks"))
+
+from experiments import EXPERIMENTS  # noqa: E402
+
 INDEX = ROOT / "EXPERIMENTS.md"
 REQUIRED_DOCS = [INDEX, ROOT / "docs" / "ARCHITECTURE.md"]
 
@@ -26,16 +33,17 @@ _PATH_PREFIXES = ("benchmarks/", "results/", "examples/", "docs/",
 _SPAN = re.compile(r"`([^`]+)`")
 
 
+def _tokens(text: str) -> set[str]:
+    """Whitespace-separated tokens of every backtick span (a trailing
+    ``/`` dropped, so `results/fig09_10_csv/` names the directory)."""
+    return {token.strip("();,").rstrip("/")
+            for span in _SPAN.findall(text) for token in span.split()}
+
+
 def referenced_paths(text: str) -> set[str]:
     """Checkable repo paths from backtick spans (incl. inside commands)."""
-    found: set[str] = set()
-    for span in _SPAN.findall(text):
-        for token in span.split():
-            token = token.strip("();,")
-            if token.startswith(_PATH_PREFIXES):
-                # `results/fig09_10_csv/` style directory refs are fine.
-                found.add(token.rstrip("/"))
-    return found
+    return {token for token in _tokens(text)
+            if token.startswith(_PATH_PREFIXES)}
 
 
 def main() -> int:
@@ -59,6 +67,12 @@ def main() -> int:
             if not (ROOT / path).exists():
                 problems.append(f"EXPERIMENTS.md references missing "
                                 f"path {path}")
+        tokens = _tokens(text)
+        for row in EXPERIMENTS:
+            for name in (row.id, *(f"results/{a}" for a in row.artifacts)):
+                if name not in tokens:
+                    problems.append(f"EXPERIMENTS.md's index does not "
+                                    f"name {name} (row {row.id})")
     if problems:
         for problem in problems:
             print(f"FAIL: {problem}", file=sys.stderr)

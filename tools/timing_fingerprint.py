@@ -1,8 +1,8 @@
 """Digest what performance mode simulated, launch by launch.
 
 A timing-model optimisation must leave every simulated number as it
-was.  The ``results/fig*`` artifacts cannot say so (they are stale,
-ROADMAP item 3(a)); a digest can.  Each launch's digest is SHA-256 over
+was.  The ``results/fig*`` artifacts say so for what the figures print;
+a digest says so for every launch.  Each launch's digest is SHA-256 over
 its ``KernelStats`` dict and the six ``SampleBlock`` series AerialVision
 plots; a case's digest is SHA-256 over its launches' digests.
 
@@ -23,29 +23,27 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.append(str(ROOT / "benchmarks"))
 
+from experiments import GPU, SAMPLE, SEC3F_NET  # noqa: E402
 from repro.cuda import CudaRuntime  # noqa: E402
 from repro.cudnn import ConvFwdAlgo  # noqa: E402
-from repro.nn.lenet import LeNetConfig  # noqa: E402
 from repro.timing import GTX1050, TINY, TimingBackend  # noqa: E402
 from repro.timing.config import GTX1080TI, scaled  # noqa: E402
 from repro.timing.stats import ISSUE_BUCKETS  # noqa: E402
 from repro.workloads.conv_sample import (  # noqa: E402
     ConvSample, ConvSampleConfig)
-from repro.workloads.mnist_sample import (  # noqa: E402
-    MnistSample, MnistSampleConfig)
+from repro.workloads.mnist_sample import MnistSample  # noqa: E402
 from repro.workloads.predicated_blend import (  # noqa: E402
     PredicatedBlend, PredicatedBlendConfig)
 
 
 def run_lenet(runtime: CudaRuntime) -> None:
-    """The reduced net of the repo benchmark's ``lenet_timing``."""
-    config = MnistSampleConfig(images=1, seed=7, lenet=LeNetConfig.reduced(
-        conv1_fwd=ConvFwdAlgo.IMPLICIT_GEMM,
-        conv2_fwd=ConvFwdAlgo.WINOGRAD_NONFUSED,
-        conv1_channels=3, conv2_channels=4, fc_hidden=24))
-    MnistSample(runtime, config).run(self_check=False)
+    """The Sec. III-F net on seed 7: the repo benchmark's
+    ``lenet_timing``."""
+    MnistSample(runtime, replace(SEC3F_NET, seed=7)).run(self_check=False)
 
 
 def run_blend(runtime: CudaRuntime) -> None:
@@ -60,8 +58,8 @@ def _fft(sample: ConvSampleConfig):
 
 
 #: case -> (GPU config, workload).  ``fig09-fft`` is the paper's DRAM
-#: case study (benchmarks/case_cache.py: GPU and SAMPLE) and takes
-#: seconds; the rest are sized for tier-1.
+#: case study (the ``fig09_10`` row of benchmarks/experiments.py) and
+#: takes seconds; the rest are sized for tier-1.
 CASES = {
     "lenet-gtx1050-lrr": (GTX1050, run_lenet),
     "lenet-gtx1050-gto": (replace(GTX1050, warp_scheduler="gto"), run_lenet),
@@ -71,8 +69,7 @@ CASES = {
     "blend32-tiny": (TINY, run_blend),
     "fft-small": (scaled(GTX1080TI, 0.25), _fft(ConvSampleConfig(
         batch=1, channels=2, height=8, width=8, filters=2))),
-    "fig09-fft": (GTX1080TI, _fft(ConvSampleConfig(
-        batch=1, channels=3, height=10, width=10, filters=4))),
+    "fig09-fft": (GPU, _fft(SAMPLE)),
 }
 
 #: case -> (total simulated cycles, case digest), from the parent commit.
