@@ -847,6 +847,7 @@ class TestCampaignWorkloads:
         binary = build_application_binary()
         seen = {}
         for mode in ("reference", "megablock"):
+            reset_events()
             rt = CudaRuntime(backend=FunctionalBackend(fast_mode=mode))
             rt.load_binary(binary)
             WORKLOADS[workload]()(Cudnn(rt))
@@ -854,6 +855,24 @@ class TestCampaignWorkloads:
             insts = sum(p.result.instructions for p in rt.profiles)
             seen[mode] = (insts, rt.global_mem.digest())
         assert seen["megablock"] == seen["reference"]
+        # Every kernel of the workload holds the vector tier.
+        assert EVENTS["fallbacks"] == EVENTS["bailouts"] == 0, dict(EVENTS)
+
+    def test_lenet_forward_holds_the_vector_tier(self):
+        """The full-size LeNet forward (two images) runs every kernel
+        on megablock: nothing falls back or bails out."""
+        from repro.cuda import CudaRuntime, FunctionalBackend
+        from repro.cudnn import Cudnn, build_application_binary
+        from repro.nn import synthetic_mnist
+        from repro.nn.lenet import LeNet, LeNetConfig
+        rt = CudaRuntime(backend=FunctionalBackend(fast_mode="megablock"))
+        rt.load_binary(build_application_binary())
+        model = LeNet(Cudnn(rt), LeNetConfig())
+        images, _ = synthetic_mnist(2, model.config.input_hw, seed=7)
+        model.forward(images)
+        rt.synchronize()
+        assert len(rt.profiles) > 10
+        assert EVENTS["fallbacks"] == EVENTS["bailouts"] == 0, dict(EVENTS)
 
 
 # ---------------------------------------------------------------------------
@@ -905,14 +924,34 @@ print(json.dumps({
 """
 
 
-def _run_cache_process(cache_dir) -> dict:
+#: conv_sample's Winograd Nonfused forward: four kernels, digest and
+#: megablock fallback/bailout census.
+_CONV_CACHE_SCRIPT = r"""
+import json
+from repro.cuda import CudaRuntime, FunctionalBackend
+from repro.cudnn import ConvFwdAlgo
+from repro.functional import kernelcache, megablock
+from repro.workloads.conv_sample import ConvSample
+
+rt = CudaRuntime(backend=FunctionalBackend(fast_mode="megablock"))
+profiles = ConvSample(rt).run_forward(ConvFwdAlgo.WINOGRAD_NONFUSED)
+print(json.dumps({
+    "counters": kernelcache.counters(),
+    "instructions": sum(p.result.instructions for p in profiles),
+    "digest": rt.global_mem.digest(),
+    "events": dict(megablock.EVENTS),
+}))
+"""
+
+
+def _run_cache_process(cache_dir, script=_CACHE_SCRIPT) -> dict:
     env = dict(os.environ)
     env["REPRO_CACHE_DIR"] = str(cache_dir)
     env["PYTHONPATH"] = os.path.join(
         os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
         "src")
     env.pop("REPRO_CACHE_DISABLE", None)
-    proc = subprocess.run([sys.executable, "-c", _CACHE_SCRIPT],
+    proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True, env=env,
                           check=True)
     return json.loads(proc.stdout)
@@ -959,6 +998,24 @@ class TestKernelCache:
         assert warm["tier"] == "megablock"
         assert warm["instructions"] == cold["instructions"]
         assert warm["ys"] == cold["ys"]
+
+    def test_conv_sample_holds_the_vector_tier_cold_and_warm(
+            self, tmp_path):
+        """A multi-kernel cuDNN convolution: the warm process loads every
+        plan the cold one stored, both keep every kernel on megablock,
+        and both compute the same bytes."""
+        cache_dir = tmp_path / "xproc"
+        cold = _run_cache_process(cache_dir, _CONV_CACHE_SCRIPT)
+        warm = _run_cache_process(cache_dir, _CONV_CACHE_SCRIPT)
+        assert cold["counters"]["misses"] > 0
+        assert cold["counters"]["stores"] > 0
+        assert warm["counters"]["misses"] == 0
+        assert warm["counters"]["hits"] == cold["counters"]["misses"]
+        assert warm["instructions"] == cold["instructions"]
+        assert warm["digest"] == cold["digest"]
+        for probe in (cold, warm):
+            events = probe["events"]
+            assert events["fallbacks"] == events["bailouts"] == 0, probe
 
     def test_corrupted_entry_is_discarded_not_trusted(self, tmp_path):
         cache_dir = tmp_path / "xproc"

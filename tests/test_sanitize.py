@@ -462,9 +462,12 @@ class TestCli:
             main([])
         assert info.value.code == 2
 
-    def test_workload_saxpy_clean(self, capsys):
+    @pytest.mark.parametrize("workload", ["saxpy", "conv", "lenet"])
+    def test_workload_job_clean(self, workload, capsys):
+        """``repro-sanitize --workload NAME``: every job runner of the
+        service, sanitized on megablock, reports nothing."""
         from repro.sanitize.cli import main
-        assert main(["--workload", "saxpy",
+        assert main(["--workload", workload,
                      "--fast-mode", "megablock"]) == 0
         assert "no findings" in capsys.readouterr().out
 

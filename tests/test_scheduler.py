@@ -524,12 +524,18 @@ class TestRestScheduler:
     def test_cancel_endpoint(self, cluster_service):
         client, release = cluster_service
         blockers = [client.submit("block", seed=s) for s in (1, 2)]
+        # Both GPUs stay busy: the queued jobs go out by priority.
+        low = client.submit("quick", seed=3, priority=0)
+        high = client.submit("quick", seed=4, priority=10)
         victim = client.submit("quick", seed=9)
         record = client.cancel(victim["job_id"])
         assert record["state"] == "cancelled"
         release.set()
-        for blocker in blockers:
-            client.result(blocker["job_id"], timeout=30)
+        for job in blockers + [low, high]:
+            client.result(job["job_id"], timeout=30)
+        assert (client.job(high["job_id"])["assigned_at"]
+                < client.job(low["job_id"])["assigned_at"])
+        assert client.cluster_stats()["counters"]["cancelled"] == 1
         with pytest.raises(ServiceError, match="HTTP 404"):
             client.cancel("job-424242")
 

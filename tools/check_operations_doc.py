@@ -1,6 +1,7 @@
 """Lint the operator's guide (docs/OPERATIONS.md) for coverage.
 
-Three contracts, all enforced in CI so the guide cannot rot:
+Three contracts, all enforced by tier-1 (``tests/test_invariants.py``) so
+the guide cannot rot:
 
 * every REST route in ``API_ROUTES`` (the manifest in
   ``src/repro/service/rest.py``) must be documented — adding an

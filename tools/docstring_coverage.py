@@ -6,7 +6,7 @@ coverage ratio against the committed baseline so documentation can only
 ratchet up:
 
     python tools/docstring_coverage.py                  # report
-    python tools/docstring_coverage.py --check          # CI gate
+    python tools/docstring_coverage.py --check          # tier-1 gate
     python tools/docstring_coverage.py --write-baseline # refresh
 
 The baseline lives in ``results/docstring_coverage.json``.  ``--check``

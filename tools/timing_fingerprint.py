@@ -27,7 +27,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.append(str(ROOT / "benchmarks"))
 
-from experiments import GPU, SAMPLE, SEC3F_NET  # noqa: E402
+from experiments import GPU, SAMPLE, run_lenet  # noqa: E402
 from repro.cuda import CudaRuntime  # noqa: E402
 from repro.cudnn import ConvFwdAlgo  # noqa: E402
 from repro.timing import GTX1050, TINY, TimingBackend  # noqa: E402
@@ -35,15 +35,8 @@ from repro.timing.config import GTX1080TI, scaled  # noqa: E402
 from repro.timing.stats import ISSUE_BUCKETS  # noqa: E402
 from repro.workloads.conv_sample import (  # noqa: E402
     ConvSample, ConvSampleConfig)
-from repro.workloads.mnist_sample import MnistSample  # noqa: E402
 from repro.workloads.predicated_blend import (  # noqa: E402
     PredicatedBlend, PredicatedBlendConfig)
-
-
-def run_lenet(runtime: CudaRuntime) -> None:
-    """The Sec. III-F net on seed 7: the repo benchmark's
-    ``lenet_timing``."""
-    MnistSample(runtime, replace(SEC3F_NET, seed=7)).run(self_check=False)
 
 
 def run_blend(runtime: CudaRuntime) -> None:
