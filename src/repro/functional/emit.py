@@ -9,18 +9,25 @@ It renders through a :class:`Codegen` *dialect*:
 
 * ``superblock._BlockCodegen`` — Python ints, one lane at a time (the
   fused-superblock and stepped renderings);
-* ``megablock._VecGen`` — ``(T,)`` ``uint64`` NumPy payload arrays, every
-  thread of a grid chunk at once.
+* ``megablock._VecGen`` — NumPy columns, every thread of a grid chunk
+  at once, each stored at the width its register's payload can occupy
+  (``bool``, ``uint32`` or ``uint64``; :mod:`repro.functional.npops`).
 
 Most expressions spell the same in both (``(a) + (b)``, ``(a) * (b) +
 (c)``, ``(b) < (a)``), so rows write them inline — the scalar tier's
 speed is its inlined int arithmetic.  Where Python-int and NumPy
 spellings genuinely differ the row asks the dialect for a primitive:
-``select``, ``compare``, ``shift``, ``divrem``, ``to_float``, the float
-encoder behind ``write_float``, ``bind`` for a single-evaluation temp,
-or ``call`` for a named helper that exists as a scalar/NumPy pair with
-one signature (``fdiv``, ``fmin``, ``fmax``, ``f2i``, ``brev32`` and the
-seven SFU ops).
+``select``, ``compare``, ``shift``, ``divrem``, ``to_float``,
+``widened`` for a value a product or pack carries past 32 bits, the
+float encoder and ``canonical`` behind ``write_float``, ``bind`` for a
+single-evaluation temp, or ``call`` for a named helper that exists as a
+scalar/NumPy pair with one signature (``fdiv``, ``fmin``, ``fmax``,
+``f2i``, ``brev32`` and the seven SFU ops).
+
+A NaN result of a float op with two or more float operands is PTX's
+canonical NaN on every tier (``values.canonical``): ``write_float``
+applies the rule for both dialects, the reference's ``apply_binary``/
+``apply_ternary`` for the interpreter.
 
 A row (or a dialect primitive) raises :class:`Decline` for a form it
 does not compile; the instruction then runs through the reference
@@ -95,7 +102,7 @@ class Codegen:
     Operand reads return expression strings (and raise :class:`Decline`
     for operand kinds the dialect cannot read); writes emit code.  A
     dialect provides ``reg``, ``decode``, ``const``, ``write``,
-    ``write_pred``, ``float_encoder``, ``bind``, ``select``,
+    ``write_pred``, ``float_encoder``, ``canonical``, ``bind``, ``select``,
     ``pred_true``, ``compare``, ``shift``, ``divrem``, ``to_float``,
     ``value_mod64``, ``symbol``, ``call``, and for memory rows
     ``address``, ``access``, ``load``, ``store`` and ``write_raw`` (a
@@ -128,8 +135,19 @@ class Codegen:
             return self.const(immediate(op, dtype, typed=True))
         return self.decode(self.payload(op, dtype), dtype)
 
-    def write_float(self, name: str, bits: int, expr: str) -> None:
-        """Round *expr* to a *bits*-wide float and write its encoding."""
+    def widened(self, op: ast.Operand, dtype: DType) -> str:
+        """Typed value of a source operand that a product or a pack
+        carries past its own width (the NumPy dialect holds a 32-bit
+        value at 64 bits)."""
+        return self.value(op, dtype)
+
+    def write_float(self, name: str, bits: int, expr: str,
+                    canonical: bool = False) -> None:
+        """Round *expr* to a *bits*-wide float and write its encoding;
+        *canonical* (an op with two or more float operands) makes a NaN
+        result the canonical NaN."""
+        if canonical:
+            expr = self.canonical(expr)
         self.write(name, bits, f"{self.float_encoder(bits)}({expr})")
 
 
@@ -198,7 +216,7 @@ def _float_binary(inst, gen, dst, a, b) -> None:
     else:
         _require(opcode in ("add", "sub", "mul"))
         expr = f"({va}) {_INFIX[opcode]} ({vb})"
-    gen.write_float(dst, dtype.bits, expr)
+    gen.write_float(dst, dtype.bits, expr, canonical=True)
 
 
 @_row("add", "sub", "and", "or", "xor", "min", "max", "div", "rem")
@@ -234,12 +252,12 @@ def _mul_mad(inst, gen, dst, a, b, c=None) -> None:
     wide = inst.has_mod("wide")
     out = DType(dtype.kind, dtype.bits * 2) if wide else dtype
     if a.kind == b.kind == ast.IMM:
-        # Fold the product: one of two raw payloads can pass 2**64,
-        # which no uint64 array takes (a .wide one fits its type).
+        # Fold the product: one of two raw payloads can pass the type's
+        # width, which no NumPy column takes (a .wide one fits its type).
         x, y = (immediate(op, dtype, typed=wide) for op in (a, b))
-        expr = gen.const(x * y if wide else x * y % 2 ** 64)
+        expr = gen.const(x * y if wide else x * y % 2 ** dtype.bits)
     else:
-        read = gen.value if wide else gen.payload
+        read = gen.widened if wide else gen.payload
         expr = f"({read(a, dtype)}) * ({read(b, dtype)})"
     if c is not None:
         addend = gen.value_mod64(c, out) if wide else gen.payload(c, dtype)
@@ -254,7 +272,8 @@ def _fma(inst, gen, dst, a, b, c) -> None:
     # The f32 product is exact in binary64, so one final rounding makes
     # this a faithful fused multiply-add.
     va, vb, vc = (gen.value(op, dtype) for op in (a, b, c))
-    gen.write_float(dst, dtype.bits, f"({va}) * ({vb}) + ({vc})")
+    gen.write_float(dst, dtype.bits, f"({va}) * ({vb}) + ({vc})",
+                    canonical=True)
 
 
 @_row("neg")
@@ -316,6 +335,11 @@ def _mov(inst, gen, dst, src) -> None:
     dtype = inst.dtype
     if src.kind == ast.SYM:
         gen.write(dst, dtype.bits, gen.symbol(src.name, src.offset))
+    elif src.kind == ast.VEC:  # pack: mov.b64 %rd, {lo, hi}
+        half = DType("u", dtype.bits // 2)
+        _require(len(src.elems) == 2 and half.bits in (16, 32))
+        lo, hi = (gen.widened(elem, half) for elem in src.elems)
+        gen.write(dst, dtype.bits, f"({lo}) | (({hi}) << {half.bits})")
     elif dtype.kind == "p":
         gen.write_pred(dst, gen.compare(
             "!=", gen.payload(src, dtype), "0", None))

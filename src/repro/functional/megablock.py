@@ -4,8 +4,12 @@ The superblock tier fuses straight-line PTX runs into per-warp closures
 but still loops over 32 lanes in Python.  The megablock tier goes one
 level up: it compiles each straight-line block into a single NumPy
 function over *every thread of a grid chunk* at once.  Register state
-becomes a dict of ``(T,)`` ``uint64`` payload arrays (one element per
-thread), predication becomes boolean masks, and SIMT control flow runs
+becomes a dict of ``(T,)`` columns (one element per thread), each
+stored at the width its payload can occupy
+(:func:`~repro.analysis.dataflow.register_widths`): ``bool`` for a
+predicate, ``uint32`` up to 32 bits, ``uint64`` otherwise — so 32-bit
+arithmetic wraps natively and guards read predicates as they are.
+Predication becomes boolean masks, and SIMT control flow runs
 on an array-mask reconvergence stack that mirrors
 :class:`repro.functional.simt.SimtStack` exactly — same IPDOM
 reconvergence pcs, same push/pop discipline, so issue counts and the
@@ -53,6 +57,8 @@ tier and analysis version.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 
 from repro.analysis.dataflow import liveness, register_widths
@@ -84,7 +90,9 @@ from repro.ptx.values import MASK64
 #:    ``ranges.kernel_facts``, so compiling a plan runs no range pass.
 #: 9: a ``mul``/``mad`` of two immediates folds its product; a float
 #:    ``mul.wide`` is as wide as its type (``result_bits``).
-PLAN_FORMAT = 9
+#: 10: register columns at their proven width (``bool``/``uint32``/
+#:    ``uint64``), read as ``R[name]``; canonical NaN results.
+PLAN_FORMAT = 10
 
 _PAGE_SHIFT = np.uint64(PAGE_BITS)
 
@@ -110,6 +118,32 @@ def reset_events() -> None:
 # ----------------------------------------------------------------------
 # Code generation
 # ----------------------------------------------------------------------
+_BOOL, _U32, _U64 = np.dtype(bool), np.dtype(np.uint32), np.dtype(np.uint64)
+
+
+def column_dtype(width: int) -> np.dtype:
+    """Storage of a register whose payload can occupy *width* bits
+    (:func:`~repro.analysis.dataflow.register_widths`): ``bool`` for a
+    predicate, ``uint32`` up to 32 bits, ``uint64`` otherwise."""
+    return _BOOL if width == 1 else _U32 if width <= 32 else _U64
+
+
+def _cast(expr: str, have: np.dtype, want: np.dtype) -> str:
+    """*expr* (a *have* column) as a *want* column: a reinterpretation
+    between integers of one size, else a truncating or extending
+    ``astype``."""
+    if have == want:
+        return expr
+    if have.itemsize == want.itemsize and have.kind in "iu":
+        return f"({expr}).view(np.{want.name})"
+    return f"({expr}).astype(np.{want.name})"
+
+
+#: What the probe evaluation in :meth:`_VecGen._dtype` sees as ``VM``.
+_PROBE_VM = SimpleNamespace(fill=lambda value, dtype: np.zeros(1, dtype),
+                            sym_addr=lambda name, offset: 0)
+
+
 class _VecGen(Codegen):
     """The NumPy dialect: accumulates the source of one block function.
 
@@ -117,11 +151,18 @@ class _VecGen(Codegen):
 
         def _block(VM, R, m, full):
             <register/special hoists>
-            <straight-line body over (T,) arrays>
+            <straight-line body over (T,) columns>
             <flush of live written registers, merged under mask m>
 
     ``full`` short-circuits the mask merge when the frame covers every
     thread (the common case for kernels without divergence).
+
+    A register's column has the dtype of :func:`column_dtype`; a payload
+    read at a type of up to 32 bits is a ``uint32`` column, else a
+    ``uint64`` one (a predicate is read as its own column), so 32-bit
+    arithmetic wraps natively.  A write learns the dtype NumPy gives its
+    expression from one evaluation on one-element stand-ins of the
+    locals it reads, and casts only where that differs from the column.
     """
 
     def __init__(self, widths: dict[str, int] | None = None) -> None:
@@ -133,25 +174,45 @@ class _VecGen(Codegen):
         self._specials: dict[str, str] = {}
         self._forward: dict[str, str] = {}
         self._writes: dict[str, str] = {}
-        self._guards: dict[tuple[str, str], str] = {}
+        self._guards: dict[tuple[str, bool], str] = {}
         self._auto_pm: str | None = None
         self._fills = False
+        #: local -> a one-element stand-in of its dtype.
+        self._probe: dict[str, np.ndarray] = {"m": np.zeros(1, bool)}
 
     def _tmp(self) -> str:
         self._n += 1
         return f"_t{self._n}"
 
+    def _let(self, expr: str, dtype: np.dtype) -> str:
+        """A body local holding *expr*, a *dtype* column."""
+        local = self._tmp()
+        self.body.append(f"    {local} = {expr}")
+        self._probe[local] = np.zeros(1, dtype)
+        return local
+
+    def _dtype(self, expr: str) -> np.dtype | None:
+        """The dtype of the column *expr* makes (``None`` for a scalar)."""
+        with np.errstate(all="ignore"):
+            value = eval(expr, {"np": np, "H": npops, "VM": _PROBE_VM},
+                         self._probe)
+        return value.dtype if getattr(value, "ndim", 0) else None
+
+    def column(self, name: str) -> np.dtype:
+        return column_dtype(self.widths.get(name, 64))
+
     def entry(self, name: str) -> str:
-        """Local holding the block-entry value of a register."""
+        """Local holding the block-entry column of a register."""
         local = self._entry.get(name)
         if local is None:
             local = f"_e{len(self._entry)}"
             self._entry[name] = local
-            self.pre.append(f"    {local} = VM.reg({name!r})")
+            self.pre.append(f"    {local} = R[{name!r}]")
+            self._probe[local] = np.zeros(1, self.column(name))
         return local
 
     def reg(self, name: str) -> str:
-        """Current payload local for a register (forwarded if written)."""
+        """Current column local of a register (forwarded if written)."""
         if name.startswith("%clock"):
             raise Decline
         if is_special(name):
@@ -164,19 +225,43 @@ class _VecGen(Codegen):
             local = f"_s{len(self._specials)}"
             self._specials[name] = local
             self.pre.append(f"    {local} = VM.sp({name!r})")
+            self._probe[local] = np.zeros(1, _U32)
         return local
 
     # -- operand reading ------------------------------------------------
     def payload(self, op: ast.Operand, dtype: DType) -> str:
-        if op.kind == ast.IMM and self._fills:
-            return f"VM.fill({immediate(op, dtype)})"
-        return super().payload(op, dtype)
+        want = _U32 if dtype.bits <= 32 and dtype.kind != "p" else _U64
+        if op.kind == ast.IMM:
+            value = immediate(op, dtype) & ((1 << 8 * want.itemsize) - 1)
+            if self._fills:
+                return f"VM.fill({value}, np.{want.name})"
+            return f"np.{want.name}({value})"
+        local = super().payload(op, dtype)
+        if dtype.kind == "p":
+            return local
+        return _cast(local, self._probe[local].dtype, want)
 
     def value(self, op: ast.Operand, dtype: DType) -> str:
-        if op.kind == ast.IMM and self._fills:
-            immediate(op, dtype, typed=True)  # declines as a literal does
-            return self.decode(self.payload(op, dtype), dtype)
-        return super().value(op, dtype)
+        if op.kind == ast.IMM:
+            value = immediate(op, dtype, typed=True)
+            if not self._fills:
+                if dtype.is_float:
+                    return self.const(value)
+                return f"np.{self._value_type(dtype)}({value})"
+        return self.decode(self.payload(op, dtype), dtype)
+
+    @staticmethod
+    def _value_type(dtype: DType) -> str:
+        return (f"{'int' if dtype.is_signed else 'uint'}"
+                f"{32 if dtype.bits <= 32 else 64}")
+
+    def widened(self, op: ast.Operand, dtype: DType) -> str:
+        if dtype.bits != 32:  # 8/16-bit values are held at 32 bits
+            return self.value(op, dtype)
+        wide = f"np.{self._value_type(DType(dtype.kind, 64))}"
+        if op.kind == ast.IMM and not self._fills:
+            return f"{wide}({immediate(op, dtype, typed=True)})"
+        return f"({self.value(op, dtype)}).astype({wide})"
 
     @staticmethod
     def const(value) -> str:
@@ -192,12 +277,22 @@ class _VecGen(Codegen):
 
     @staticmethod
     def decode(payload: str, dtype: DType) -> str:
-        """Typed value array of a payload expression."""
+        """Typed value column of a payload read at *dtype*: a view of it,
+        or an ``int32``/``uint32`` column for 8/16-bit types."""
+        bits = dtype.bits
         if dtype.is_float:
-            return f"H.f{dtype.bits}({payload})"
-        if dtype.is_signed:
-            return f"H.s({payload}, {dtype.bits})"
-        return f"H.u({payload}, {dtype.bits})"
+            if bits == 16:
+                return (f"({payload}).astype(np.uint16).view(np.float16)"
+                        ".astype(np.float64)")
+            if bits == 32:
+                return f"({payload}).view(np.float32).astype(np.float64)"
+            return f"({payload}).view(np.float64)"
+        if bits >= 32:
+            return (f"({payload}).view(np.int{bits})" if dtype.is_signed
+                    else payload)
+        if dtype.is_signed:  # sign-extend within 32 bits
+            return f"(({payload}) << {32 - bits}).view(np.int32) >> {32 - bits}"
+        return f"({payload}) & {(1 << bits) - 1:#x}"
 
     #: NumPy needs the addend in the product's signedness, even at
     #: 64 bits where the scalar dialect reads the raw payload.
@@ -205,10 +300,13 @@ class _VecGen(Codegen):
 
     @staticmethod
     def symbol(name: str, offset: int) -> str:
-        return f"VM.fill(VM.sym_addr({name!r}, {offset}))"
+        return f"VM.fill(VM.sym_addr({name!r}, {offset}), np.uint64)"
 
     def pred_true(self, name: str) -> str:
-        return f"(({self.reg(name)}) & 1) != 0"
+        local = self.reg(name)
+        if self._probe[local].dtype == _BOOL:
+            return local
+        return f"(({local}) & 1) != 0"
 
     # -- expression primitives (the NumPy spellings) --------------------
     @staticmethod
@@ -228,9 +326,13 @@ class _VecGen(Codegen):
 
     @staticmethod
     def shift(opcode: str, value: str, amount: str, dtype: DType) -> str:
-        fn = ("shl" if opcode == "shl"
-              else "shr_s" if dtype.is_signed else "shr_u")
-        return f"H.{fn}({value}, H.p64({amount}), {dtype.bits})"
+        """NumPy's shifts already clamp: a count at or past the width
+        gives 0, or the sign for a signed right shift."""
+        if dtype.bits == 64:  # the amount is read as a u32
+            amount = f"(({amount}) & 0xffffffff)"
+            if dtype.is_signed and opcode == "shr":
+                amount += ".view(np.int64)"  # int64 >> uint64 is float
+        return f"({value}) {'<<' if opcode == 'shl' else '>>'} {amount}"
 
     @staticmethod
     def divrem(opcode: str, a: str, b: str, dtype: DType) -> str:
@@ -241,7 +343,7 @@ class _VecGen(Codegen):
 
     @staticmethod
     def to_float(expr: str, src: DType) -> str:
-        return expr if src.is_float else f"H.i2f({expr})"
+        return expr if src.is_float else f"({expr}).astype(np.float64)"
 
     @staticmethod
     def call(name: str, *args: str) -> str:
@@ -252,51 +354,48 @@ class _VecGen(Codegen):
     def float_encoder(bits: int) -> str:
         return f"H.ef{bits}"
 
+    @staticmethod
+    def canonical(expr: str) -> str:
+        return f"H.canonical({expr})"
+
     # -- writing --------------------------------------------------------
     def write(self, name: str, bits: int, expr: str,
               pm: str | None = None) -> None:
         if is_special(name):
             raise Decline
+        col, have = self.column(name), self._dtype(expr)
+        if have is None:  # a constant: fill a column with it
+            have = _U32 if bits <= 32 else _U64
+            expr = f"VM.fill({expr}, np.{have.name})"
+        if col == _BOOL:
+            if have != _BOOL:
+                expr = f"(({expr}) & 1) != 0"
+        else:
+            # As wide as the register: nothing of the old payload is
+            # read.  Narrower (at most 32 bits): compose into its upper
+            # bits.
+            replaces = self.replaces(name, bits)
+            expr = _cast(expr, have, col if replaces else _U32)
+            if bits < 32:
+                expr = f"({expr}) & {(1 << bits) - 1:#x}"
+            if not replaces:
+                keep = ((1 << 8 * col.itemsize) - 1) ^ ((1 << bits) - 1)
+                expr = f"({self.reg(name)} & {keep:#x}) | ({expr})"
         if pm is None:
             # Predicated instruction: mask-blend into the destination
             # (compute over all lanes, keep old values where the guard
             # is off — the scalar tier simply skips those lanes).
             pm = self._auto_pm
-        t = self._tmp()
-        if bits >= 64:
-            self.body.append(f"    {t} = VM.arr(H.p64({expr}))")
-        elif self.replaces(name, bits):
-            # No upper bits to keep: nothing of the old payload is read.
-            self.body.append(
-                f"    {t} = VM.arr(H.p64({expr}) & {(1 << bits) - 1:#x})")
-        else:
-            keep = (~((1 << bits) - 1)) & MASK64
-            self.body.append(
-                f"    {t} = ({self.reg(name)} & {keep:#x}) | "
-                f"(H.p64({expr}) & {(1 << bits) - 1:#x})")
         if pm is not None:
-            t2 = self._tmp()
-            self.body.append(
-                f"    {t2} = np.where({pm}, {t}, {self.reg(name)})")
-            t = t2
-        self._forward[name] = t
-        self._writes[name] = t
+            expr = f"np.where({pm}, {expr}, {self.reg(name)})"
+        local = expr if expr.isidentifier() else self._let(expr, col)
+        self._forward[name] = self._writes[name] = local
 
-    def write_pred(self, name: str, expr: str) -> None:
+    def write_raw(self, name: str, expr: str) -> None:
+        """Whole-payload write (a loaded value, a predicate)."""
         self.write(name, 64, expr)
 
-    def write_raw(self, name: str, local: str) -> None:
-        """Forward an already-computed full-64 payload local."""
-        if is_special(name):
-            raise Decline
-        pm = self._auto_pm
-        if pm is not None:
-            old = self.reg(name)
-            t = self._tmp()
-            self.body.append(f"    {t} = np.where({pm}, {local}, {old})")
-            local = t
-        self._forward[name] = local
-        self._writes[name] = local
+    write_pred = write_raw
 
     def guard(self, inst: ast.Instruction) -> str:
         """Effective mask for a predicated instruction (``m & pred``).
@@ -307,15 +406,12 @@ class _VecGen(Codegen):
         """
         if inst.pred is None:
             return "m"
-        p = self.reg(inst.pred)
-        cmp = "==" if inst.pred_negated else "!="
-        cached = self._guards.get((p, cmp))
-        if cached is not None:
-            return cached
-        t = self._tmp()
-        self.body.append(f"    {t} = m & ((({p}) & 1) {cmp} 0)")
-        self._guards[(p, cmp)] = t
-        return t
+        key = (self.pred_true(inst.pred), bool(inst.pred_negated))
+        cached = self._guards.get(key)
+        if cached is None:
+            cached = self._guards[key] = self._let(
+                f"m & {'~' if key[1] else ''}({key[0]})", _BOOL)
+        return cached
 
     def begin_inst(self, inst: ast.Instruction) -> None:
         """Arm the implicit write mask before emitting *inst*.
@@ -326,9 +422,9 @@ class _VecGen(Codegen):
         (``ld``/``st`` report theirs with the access event).
 
         An instruction that computes on immediates alone reads them as
-        ``VM.fill`` arrays, as it would registers: on bare literals the
-        arithmetic would run on Python scalars (unbounded ints, no
-        ``astype``).  ``mov``, ``ld`` and ``st`` only move a payload."""
+        ``VM.fill`` columns, as it would registers: on bare literals the
+        arithmetic would run on NumPy scalars (no columns, and overflow
+        warnings).  ``mov``, ``ld`` and ``st`` only move a payload."""
         self._fills = (inst.opcode not in ("mov", "ld", "st") and all(
             op.kind == ast.IMM for op in inst.operands[1:]))
         if inst.pred is None:
@@ -341,17 +437,20 @@ class _VecGen(Codegen):
 
     # -- memory (the NumPy spellings of the ld/st row) -------------------
     def address(self, mem: ast.Operand) -> str:
-        """Local (array) or expression (uniform int) for the address."""
-        if mem.is_reg_base:
-            base = self.reg(mem.name)
-            if not mem.offset:
-                return base
-            expr = f"({base}) + np.uint64({mem.offset & MASK64})"
-        else:
-            expr = f"VM.sym_addr({mem.name!r}, {mem.offset or 0})"
-        t = self._tmp()
-        self.body.append(f"    {t} = {expr}")
-        return t
+        """Local holding the address: a ``uint64`` column, or a uniform
+        int."""
+        if not mem.is_reg_base:
+            t = self._tmp()
+            self.body.append(
+                f"    {t} = VM.sym_addr({mem.name!r}, {mem.offset or 0})")
+            return t
+        base = self.reg(mem.name)
+        if mem.offset:
+            return self._let(
+                f"{base} + np.uint64({mem.offset & MASK64})", _U64)
+        have = self._probe[base].dtype
+        return base if have == _U64 else self._let(
+            _cast(base, have, _U64), _U64)
 
     def access(self, inst: ast.Instruction, addr: str, nbytes: int,
                is_write: bool) -> None:
@@ -370,26 +469,21 @@ class _VecGen(Codegen):
         return f"({addr}) + np.uint64({offset})" if offset else addr
 
     def load(self, space: str, addr: str, offset: int, nbytes: int) -> str:
-        t = self._tmp()
-        self.body.append(
-            f"    {t} = VM.ld({space!r}, {nbytes}, "
-            f"{self._element(addr, offset)}, {self._mask()})")
-        return t
+        return self._let(
+            f"VM.ld({space!r}, {nbytes}, {self._element(addr, offset)}, "
+            f"{self._mask()})", _U64 if nbytes == 8 else _U32)
 
     def store(self, space: str, addr: str, offset: int, nbytes: int,
               value: str) -> None:
         self.body.append(
             f"    VM.st({space!r}, {nbytes}, {self._element(addr, offset)}, "
-            f"H.p64({value}), {self._mask()})")
+            f"{value}, {self._mask()})")
 
     # -- assembly -------------------------------------------------------
     def build(self, live_out: frozenset) -> tuple[str, list[str]]:
         pruned = sorted(n for n in self._writes if n not in live_out)
         flushes = [(name, local) for name, local in self._writes.items()
                    if name in live_out]
-        # Resolve entry locals for the masked merge *before* assembling
-        # (entry() appends hoists to self.pre).
-        bases = {name: self.entry(name) for name, _ in flushes}
         lines = ["def _block(VM, R, m, full):"]
         lines += self.pre
         lines += self.body
@@ -398,10 +492,11 @@ class _VecGen(Codegen):
             for name, local in flushes:
                 lines.append(f"        R[{name!r}] = {local}")
             lines.append("    else:")
+            # The block-entry column: hoisted if the block read it.
             for name, local in flushes:
+                base = self._entry.get(name) or f"R[{name!r}]"
                 lines.append(
-                    f"        R[{name!r}] = "
-                    f"np.where(m, {local}, {bases[name]})")
+                    f"        R[{name!r}] = np.where(m, {local}, {base})")
         if len(lines) == 1:
             lines.append("    pass")
         return "\n".join(lines) + "\n", pruned
@@ -588,6 +683,23 @@ class _Frame:
 
 
 _GATHER_DT = {2: np.uint16, 4: np.uint32, 8: np.uint64}
+#: The column a load of that many bytes gives.
+_LOAD_DT = {1: np.uint32, 2: np.uint32, 4: np.uint32, 8: np.uint64}
+
+
+class _Columns(dict):
+    """Register name -> ``(T,)`` column of a chunk.  A register's first
+    read makes its zero column, of the dtype its width gets
+    (:func:`column_dtype`), so a block reads ``R[name]`` directly."""
+
+    def __init__(self, T: int, widths: dict[str, int]) -> None:
+        super().__init__()
+        self.T, self.widths = T, widths
+
+    def __missing__(self, name: str) -> np.ndarray:
+        column = self[name] = np.zeros(
+            self.T, column_dtype(self.widths.get(name, 64)))
+        return column
 _GATHER_SHIFT = {2: np.uint64(1), 4: np.uint64(2), 8: np.uint64(3)}
 
 
@@ -609,6 +721,8 @@ class MegaMachine:
         #: one test a generated ld/st pays for being observable).
         self.watch = (self._access if self._san is not None
                       or self.rec is not None else None)
+        #: register name -> payload width (:func:`column_dtype`).
+        self.widths = register_widths(self.launch.kernel)
         #: chunks that hit an unparkable barrier and finished scalar.
         self.bailouts = 0
         #: divergent frames parked at a barrier / re-merged past one.
@@ -664,7 +778,7 @@ class MegaMachine:
         self.lin_in_block = tables["lin_in_block"]
         self.wid = tables["warp_of"]
         self.warp_count = nct * launch.warps_per_block
-        self.R: dict[str, np.ndarray] = {}
+        self.R = _Columns(self.T, self.widths)
         self.alive = np.ones(self.T, bool)
         gm = launch.global_mem
         buf, written = gm.dense()
@@ -694,13 +808,6 @@ class MegaMachine:
             self.rec.begin_chunk(cta_start, nct, self.wid)
 
     # -- generated-code runtime API ------------------------------------
-    def reg(self, name: str) -> np.ndarray:
-        arr = self.R.get(name)
-        if arr is None:
-            arr = np.zeros(self.T, np.uint64)
-            self.R[name] = arr
-        return arr
-
     def sp(self, name: str) -> np.ndarray:
         column = self.specials.get(name)
         if column is None:
@@ -709,11 +816,10 @@ class MegaMachine:
                 self.lin_in_block)
         return column
 
-    def fill(self, value: int) -> np.ndarray:
-        return np.full(self.T, np.uint64(int(value) & MASK64))
-
-    def arr(self, x: np.ndarray) -> np.ndarray:
-        return x if x.ndim else np.full(self.T, x)
+    def fill(self, value, dtype=np.uint64) -> np.ndarray:
+        """A column of *value*, truncated to *dtype*."""
+        value = int(value) & ((1 << 8 * np.dtype(dtype).itemsize) - 1)
+        return np.full(self.T, value, dtype)
 
     def sym_addr(self, name: str, offset: int) -> int:
         launch = self.launch
@@ -736,15 +842,18 @@ class MegaMachine:
 
     def _gather(self, key: str, buf: np.ndarray, idx: np.ndarray,
                 nbytes: int) -> np.ndarray:
+        """Little-endian *nbytes* at each *idx*: a ``uint32`` column up
+        to 4 bytes, else ``uint64``."""
+        dtype = _LOAD_DT[nbytes]
         if nbytes in _GATHER_DT \
                 and not (idx & np.uint64(nbytes - 1)).any():
             view = self._view(key, buf, nbytes)
-            return view[(idx >> _GATHER_SHIFT[nbytes])
-                        .astype(np.int64)].astype(np.uint64)
-        out = np.zeros(len(idx), np.uint64)
+            out = view[(idx >> _GATHER_SHIFT[nbytes]).astype(np.int64)]
+            return out if out.dtype == dtype else out.astype(dtype)
+        out = np.zeros(len(idx), dtype)
         ii = idx.astype(np.int64)
         for k in range(nbytes):
-            out |= buf[ii + k].astype(np.uint64) << np.uint64(8 * k)
+            out |= buf[ii + k].astype(dtype) << (8 * k)
         return out
 
     def _fault(self, addr_arr, bad, nbytes: int, size: int):
@@ -768,7 +877,8 @@ class MegaMachine:
                 # and broadcast.
                 arena = (self.launch.param_mem if space == "param"
                          else self.launch.const_mem)
-                return self.fill(arena.read_uint(int(addr), nbytes))
+                return self.fill(arena.read_uint(int(addr), nbytes),
+                                 _LOAD_DT[nbytes])
             addr = self.fill(addr)
         if space == "global":
             return self._ld_global(addr, pm, nbytes)
@@ -802,11 +912,10 @@ class MegaMachine:
                        & flags[((idx + np.uint64(nbytes - 1))
                                 >> _PAGE_SHIFT).astype(np.int64)]
                        ).astype(bool)
-            raw = np.where(ok, self._gather("g", self.gmem, idx, nbytes),
-                           np.uint64(0))
+            raw = np.where(ok, self._gather("g", self.gmem, idx, nbytes), 0)
             stray = pm & ~ok
         else:
-            raw = np.zeros(self.T, np.uint64)
+            raw = np.zeros(self.T, _LOAD_DT[nbytes])
             stray = pm
         if stray.any():
             # Outside the span the store auto-pages, one lane at a time
@@ -823,7 +932,7 @@ class MegaMachine:
             addr = self.fill(addr)
         val = np.asarray(val)
         if val.ndim == 0:
-            val = np.broadcast_to(val.astype(np.uint64), (self.T,))
+            val = np.broadcast_to(val, (self.T,))
         if space == "global":
             rel = addr - np.uint64(GLOBAL_BASE)
             if self.gspan:
@@ -860,12 +969,10 @@ class MegaMachine:
             and not (idx & np.uint64(nbytes - 1)).any()
         if aligned:
             view = self._view(key, buf, nbytes)
-            view[ii >> (nbytes.bit_length() - 1)] = \
-                v.astype(_GATHER_DT[nbytes])
+            view[ii >> (nbytes.bit_length() - 1)] = v  # truncates
         else:
             for k in range(nbytes):
-                buf[ii + k] = ((v >> np.uint64(8 * k))
-                               & np.uint64(0xFF)).astype(np.uint8)
+                buf[ii + k] = (v >> (8 * k)) & 0xFF
         if space == "global":
             # What gm.write does beside the bytes: page flags and, with
             # a shadow attached, init marks.
@@ -1061,11 +1168,9 @@ class MegaMachine:
                 if pred is None:
                     self._advance(stack, ctrl["target"])
                     continue
-                parr = R.get(pred)
-                if parr is None:
-                    pv = np.zeros(self.T, bool)
-                else:
-                    pv = (parr & np.uint64(1)) != 0
+                pv = R[pred]
+                if pv.dtype != bool:
+                    pv = (pv & 1) != 0
                 if ctrl["neg"]:
                     pv = ~pv
                 taken = frame.mask & pv

@@ -1,9 +1,15 @@
 """Bit-exact NumPy kernels for the megablock vector tier.
 
 Generated megablock code (see :mod:`repro.functional.megablock`) binds
-this module as ``H`` and works on ``(T,)`` ``uint64`` payload arrays —
-one element per *thread of the grid chunk*, mirroring the per-lane
-64-bit payload unions of the scalar register files.
+this module as ``H`` and works on ``(T,)`` columns — one element per
+*thread of the grid chunk* — stored at the width
+:func:`repro.analysis.dataflow.register_widths` proves a register's
+payload can occupy: ``bool`` for a predicate, ``uint32`` up to 32 bits,
+``uint64`` otherwise.  Typed values are views or widenings of those
+columns (``int32``/``int64``/``uint32``/``uint64``, and ``float64`` for
+every float), so the helpers here take any of them and return whatever
+NumPy's promotion gives; the vector dialect's write converts that to
+the destination column.
 
 Every helper here is the NumPy half of a pair whose scalar half is the
 reference tier's own function in :mod:`repro.ptx.instructions` (the
@@ -25,6 +31,10 @@ assert equality with the reference interpreter.  The non-obvious cases:
   performs via ``f32_to_bits``.  Overflow-to-inf casts emit a
   RuntimeWarning which the vector machine suppresses with
   ``np.errstate`` around block execution.
+* ``canonical`` — which NaN operand's payload ``a + b`` keeps differs
+  between CPython and NumPy, and within NumPy with the array length, so
+  a NaN result of an op with two or more float operands becomes
+  ``values.CANONICAL_NAN`` on every tier.
 """
 
 from __future__ import annotations
@@ -32,60 +42,21 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ptx.instructions.special import SFU
-
-MASK64 = 0xFFFFFFFFFFFFFFFF
-
-_U8 = np.uint64(8)
+from repro.ptx.values import CANONICAL_NAN, MASK64
 
 _F32 = np.float32
 _F64 = np.float64
 _U32 = np.uint32
 _U64 = np.uint64
-_I32 = np.int32
 _I64 = np.int64
 
 
 # ----------------------------------------------------------------------
-# Payload <-> value codecs
+# Float encoders (value -> payload column)
 # ----------------------------------------------------------------------
-def u(x, bits: int):
-    """Unsigned value of the low *bits* of a uint64 payload array."""
-    if bits >= 64:
-        return x
-    return x & _U64((1 << bits) - 1)
-
-
-def s(x, bits: int):
-    """Signed value (int64 array) of the low *bits* of a payload array."""
-    if bits == 64:
-        return x.view(_I64)
-    if bits == 32:
-        return x.astype(_U32).view(_I32).astype(_I64)
-    # 8/16-bit: mask, flip the sign bit, re-bias (same trick the scalar
-    # tier's to_signed uses, kept in int64 where it cannot overflow).
-    sign = 1 << (bits - 1)
-    low = (x & _U64((1 << bits) - 1)).astype(_I64)
-    return (low ^ sign) - sign
-
-
-def f32(x):
-    """float64 array holding the f32 value of the low payload word."""
-    return x.astype(_U32).view(_F32).astype(_F64)
-
-
-def f64(x):
-    return x.view(_F64)
-
-
-def f16(x):
-    """float64 array of the f16 value in the low payload halfword."""
-    return (x & _U64(0xFFFF)).astype(np.uint16).view(np.float16) \
-        .astype(_F64)
-
-
 def ef32(v):
     """Encode a float64 array as an f32 payload (round-to-nearest)."""
-    return v.astype(_F32).view(_U32).astype(_U64)
+    return v.astype(_F32).view(_U32)
 
 
 def ef64(v):
@@ -95,18 +66,14 @@ def ef64(v):
 def ef16(v):
     """Encode through IEEE binary16 (round-to-nearest, overflow→inf);
     a NaN keeps only its sign, as ``values.f16_to_bits`` does."""
-    bits = v.astype(np.float16).view(np.uint16).astype(_U64)
-    return np.where(v != v, (bits & _U64(0x8000)) | _U64(0x7E00), bits)
+    bits = v.astype(np.float16).view(np.uint16)
+    return np.where(v != v, (bits & 0x8000) | 0x7E00, bits)
 
 
-def p64(x):
-    """Reinterpret an int64 (or pass through a uint64) array as payload."""
-    arr = np.asarray(x)
-    if arr.dtype == _I64:
-        return arr.view(_U64)
-    if arr.dtype == _U64:
-        return arr
-    return arr.astype(_U64)
+def canonical(v):
+    """``values.canonical``: a NaN element becomes the canonical NaN."""
+    nan = v != v
+    return np.where(nan, CANONICAL_NAN, v) if nan.any() else v
 
 
 # ----------------------------------------------------------------------
@@ -143,74 +110,52 @@ def fmax(a, b):
 def udiv(a, b, bits: int):
     """``int_div`` on unsigned values: divisor 0 → all-ones."""
     bz = b == 0
-    q = a // np.where(bz, _U64(1), b)
-    return np.where(bz, _U64((1 << bits) - 1), q)
+    q = a // np.where(bz, 1, b)
+    return np.where(bz, (1 << bits) - 1, q)
 
 
 def urem(a, b):
     """``int_rem`` on unsigned values: divisor 0 → dividend."""
     bz = b == 0
-    r = a % np.where(bz, _U64(1), b)
+    r = a % np.where(bz, 1, b)
     return np.where(bz, a, r)
 
 
-def _magnitudes(a, b, bz):
-    """``|a|``, ``|b|`` as uint64 (exact for INT64_MIN, whose int64
-    ``abs`` wraps to itself), zero divisors replaced by 1."""
-    return (np.abs(a).view(_U64),
-            np.abs(np.where(bz, _I64(1), b)).view(_U64))
+def _signed(a, b):
+    """Both signed operands as int64, the zero-divisor flags, and the
+    magnitudes as uint64 (exact for INT64_MIN, whose int64 ``abs``
+    wraps to itself) with a zero divisor's replaced by 1."""
+    a, b = np.asarray(a, _I64), np.asarray(b, _I64)
+    bz = b == 0
+    return (a, b, bz, np.abs(a).astype(_U64),
+            np.abs(np.where(bz, 1, b)).astype(_U64))
 
 
 def sdiv(a, b, bits: int):
     """``int_div`` on signed values: trunc-toward-zero, 0 → -1."""
-    bz = b == 0
-    ma, mb = _magnitudes(a, b, bz)
+    a, b, bz, ma, mb = _signed(a, b)
     q = ma // mb
-    q = np.where((a < 0) != (b < 0), _U64(0) - q, q)
-    q = np.where(bz, _U64(MASK64), q)
-    return q & _U64((1 << bits) - 1) if bits < 64 else q
+    q = np.where((a < 0) != (b < 0), 0 - q, q)
+    return np.where(bz, _U64(MASK64), q)
 
 
 def srem(a, b):
     """``int_rem`` on signed values: sign of dividend, 0 → dividend."""
-    bz = b == 0
-    ma, mb = _magnitudes(a, b, bz)
+    a, b, bz, ma, mb = _signed(a, b)
     r = ma % mb
-    r = np.where(a < 0, _U64(0) - r, r)
-    return np.where(bz, p64(a), r)
-
-
-def shl(a, amt, bits: int):
-    """Payload shift-left with the scalar >=width → 0 clamp."""
-    amt = amt & _U64(0xFFFFFFFF)
-    over = amt >= bits
-    return np.where(over, _U64(0), a << np.where(over, _U64(0), amt))
-
-
-def shr_u(a, amt, bits: int):
-    amt = amt & _U64(0xFFFFFFFF)
-    over = amt >= bits
-    return np.where(over, _U64(0), a >> np.where(over, _U64(0), amt))
-
-
-def shr_s(v, amt, bits: int):
-    """Arithmetic shift on signed values; >=width → sign fill."""
-    amt = amt & _U64(0xFFFFFFFF)
-    over = amt >= bits
-    fill = np.where(v < 0, _I64(-1), _I64(0))
-    shifted = v >> np.where(over, _U64(0), amt).astype(_I64)
-    res = np.where(over, fill, shifted)
-    return p64(res) & _U64((1 << bits) - 1) if bits < 64 else p64(res)
+    r = np.where(a < 0, 0 - r, r)
+    return np.where(bz, a.astype(_U64), r)
 
 
 def brev32(a):
-    """32-bit bit reversal (matches the string-reverse reference)."""
-    x = a & _U64(0xFFFFFFFF)
-    x = ((x >> _U64(1)) & _U64(0x55555555)) | ((x & _U64(0x55555555)) << _U64(1))
-    x = ((x >> _U64(2)) & _U64(0x33333333)) | ((x & _U64(0x33333333)) << _U64(2))
-    x = ((x >> _U64(4)) & _U64(0x0F0F0F0F)) | ((x & _U64(0x0F0F0F0F)) << _U64(4))
-    x = ((x >> _U8) & _U64(0x00FF00FF)) | ((x & _U64(0x00FF00FF)) << _U8)
-    return ((x >> _U64(16)) | (x << _U64(16))) & _U64(0xFFFFFFFF)
+    """32-bit bit reversal of a ``uint32`` column (matches the
+    string-reverse reference)."""
+    x = a
+    x = ((x >> 1) & 0x55555555) | ((x & 0x55555555) << 1)
+    x = ((x >> 2) & 0x33333333) | ((x & 0x33333333) << 2)
+    x = ((x >> 4) & 0x0F0F0F0F) | ((x & 0x0F0F0F0F) << 4)
+    x = ((x >> 8) & 0x00FF00FF) | ((x & 0x00FF00FF) << 8)
+    return (x >> 16) | (x << 16)
 
 
 # ----------------------------------------------------------------------
@@ -280,11 +225,5 @@ def f2i(v, rounder: str, bits: int, signed: bool):
     # of a 64-bit type rounds up to hi + 1, which astype cannot hold.
     over, under = r >= float(hi), r <= float(lo)
     inner = np.where(over | under, 0.0, r).astype(_I64 if signed else _U64)
-    out = np.where(over, _U64(hi), np.where(under, _U64(lo & MASK64),
-                                            p64(inner)))
-    return out & _U64((1 << bits) - 1) if bits < 64 else out
-
-
-def i2f(value_array):
-    """int → float64 (exact for every int32; rounds once for 64-bit)."""
-    return value_array.astype(_F64)
+    return np.where(over, _U64(hi), np.where(under, _U64(lo & MASK64),
+                                             inner.astype(_U64)))

@@ -371,26 +371,28 @@ def thread_tables(launch: LaunchContext, cta_start: int, num_ctas: int):
 
 def special_column(launch: LaunchContext, name: str, cta_start: int,
                    cta_index, lin_in_block):
-    """Per-thread ``uint64`` payloads of special register *name* for a
-    chunk (the arrays of :func:`thread_tables`, whose CTAs start at grid
-    CTA *cta_start*), mirroring :meth:`WarpState._build_special_table`.
+    """Per-thread payloads of special register *name* for a chunk (the
+    arrays of :func:`thread_tables`, whose CTAs start at grid CTA
+    *cta_start*), mirroring :meth:`WarpState._build_special_table`: a
+    ``uint32`` column, the width of every special register the vector
+    tier reads.
     """
     import numpy as np
 
-    u64 = np.uint64
+    u32 = np.uint32
     if name == "%laneid":
-        return (lin_in_block & 31).astype(u64)
+        return (lin_in_block & 31).astype(u32)
     if name == "%warpid":
-        return (lin_in_block >> 5).astype(u64)
+        return (lin_in_block >> 5).astype(u32)
     kind, _, axis_name = name.partition(".")
     axis = {"x": 0, "y": 1, "z": 2}[axis_name]
     if kind == "%ntid":
-        return np.full(len(lin_in_block), launch.block_dim[axis], u64)
+        return np.full(len(lin_in_block), launch.block_dim[axis], u32)
     if kind == "%nctaid":
-        return np.full(len(lin_in_block), launch.grid_dim[axis], u64)
+        return np.full(len(lin_in_block), launch.grid_dim[axis], u32)
     dims, index = {"%tid": (launch.block_dim, lin_in_block),
                    "%ctaid": (launch.grid_dim, cta_index + cta_start)}[kind]
     column = index // math.prod(dims[:axis])
     if axis < 2:
         column %= dims[axis]
-    return column.astype(u64)
+    return column.astype(u32)

@@ -97,8 +97,8 @@ from repro.ptx.instructions.common import (
 from repro.ptx.instructions.convert import float_to_int
 from repro.ptx.instructions.special import SFU
 from repro.ptx.values import (
-    _PACK_F32, _PACK_F64, _PACK_U32, _PACK_U64, MASK64, bits_to_f16,
-    f16_to_bits, f32_to_bits, f64_to_bits, mask)
+    _PACK_F32, _PACK_F64, _PACK_U32, _PACK_U64, CANONICAL_NAN, MASK64,
+    bits_to_f16, f16_to_bits, f32_to_bits, f64_to_bits, mask)
 
 #: A compiled instruction or block: ``fn(warp, lanes)``.
 LaneFn = Callable[[object, Sequence[int]], None]
@@ -448,6 +448,11 @@ class _BlockCodegen(Codegen):
 
     def float_encoder(self, bits: int) -> str:
         return self.helper(*_FLOAT_ENCODERS[bits])
+
+    def canonical(self, expr: str) -> str:
+        value = self.bind(expr)
+        nan = self.helper("cnan", CANONICAL_NAN)
+        return f"{value} if {value} == {value} else {nan}"
 
     # -- destination writes --------------------------------------------
     def write(self, name: str, bits: int, expr: str) -> None:

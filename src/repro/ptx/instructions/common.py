@@ -15,7 +15,8 @@ from typing import Callable
 
 from repro.ptx import ast
 from repro.ptx.dtypes import DType
-from repro.ptx.values import MASK64, mask, to_signed, write_typed
+from repro.ptx.values import (
+    MASK64, canonical, mask, to_signed, write_typed)
 
 BinaryFn = Callable[[int | float, int | float], int | float]
 UnaryFn = Callable[[int | float], int | float]
@@ -51,10 +52,19 @@ def write_result(warp, inst: ast.Instruction, value: int | float,
     write_union(warp, inst.operands[0].name, payload, dtype.bits, lane)
 
 
+def _canonical(fn: Callable[..., int | float], dtype: DType):
+    """*fn* of two or more operands, with a float NaN result made
+    canonical (:func:`repro.ptx.values.canonical`)."""
+    if not dtype.is_float:
+        return fn
+    return lambda *values: canonical(fn(*values))
+
+
 def apply_binary(inst: ast.Instruction, warp, lanes, fn: BinaryFn) -> None:
     """dst = fn(src1, src2), all interpreted per the instruction dtype."""
     dtype = inst.dtype
     _dst, a, b = inst.operands
+    fn = _canonical(fn, dtype)
     for lane in lanes:
         result = fn(warp.operand_value(a, dtype, lane),
                     warp.operand_value(b, dtype, lane))
@@ -75,6 +85,7 @@ def apply_ternary(inst: ast.Instruction, warp, lanes,
     """dst = fn(a, b, c), per the instruction dtype."""
     dtype = inst.dtype
     _dst, a, b, c = inst.operands
+    fn = _canonical(fn, dtype)
     for lane in lanes:
         result = fn(warp.operand_value(a, dtype, lane),
                     warp.operand_value(b, dtype, lane),

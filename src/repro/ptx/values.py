@@ -76,6 +76,20 @@ def bits_to_f64(payload: int) -> float:
     return _PACK_F64.unpack(_PACK_U64.pack(payload & MASK64))[0]
 
 
+#: PTX's canonical NaN as a binary64 value.  It encodes as f32
+#: ``0x7FFFFFFF`` and f64 ``0x7FFFFFFFFFFFFFFF`` (f16 keeps only a NaN's
+#: sign: ``0x7E00``).
+CANONICAL_NAN = bits_to_f64(0x7FFFFFFFFFFFFFFF)
+
+
+def canonical(value: float) -> float:
+    """The result rule of a float op with two or more float operands: a
+    NaN is :data:`CANONICAL_NAN`.  Which operand's payload ``a + b``
+    keeps differs between CPython and NumPy (and within NumPy, with the
+    array length), so no tier may let the host choose."""
+    return CANONICAL_NAN if value != value else value
+
+
 def f16_to_bits(value: float) -> int:
     """Round to IEEE binary16.
 

@@ -401,9 +401,30 @@ def test_invariant_trips_on_its_example(row):
     ("check_operations_doc", ()),
 ])
 def test_doc_lint_passes(tool, args, capsys):
+    code = _tool(tool).main(*args)
+    assert code == 0, capsys.readouterr()
+
+
+def _tool(tool: str):
     spec = importlib.util.spec_from_file_location(
         tool, ROOT / "tools" / f"{tool}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    code = module.main(*args)
-    assert code == 0, capsys.readouterr()
+    return module
+
+
+def test_the_index_lint_parses_each_reproduce_command():
+    """A reproduce command is parsed by its own parser: the lint
+    baseline's old command, with a flag the CLI never had, exits 2."""
+    lint = _tool("check_experiments_index")
+    old = ("PYTHONPATH=src python -m repro.analysis.cli src/repro/cudnn/"
+           "kernels --check-baseline results/lint_baseline.json")
+    assert "exits 2: repro-lint: error: unrecognized arguments: " \
+        "--check-baseline" in lint.command_problem(old)
+    assert lint.command_problem(old.replace(
+        "src/repro/cudnn/kernels --check-baseline",
+        "--all-embedded --baseline")) is None
+    assert "takes no arguments" in lint.command_problem(
+        "python tools/check_results.py --all")
+    assert len(lint.reproduce_commands(
+        (ROOT / "EXPERIMENTS.md").read_text())) >= 6

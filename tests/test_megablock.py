@@ -817,7 +817,7 @@ class TestSpecialColumns:
         assert [chunk[0] for chunk in chunks] == [0, 4]
         for cta_start, ctaidx, lin_in_block, columns in chunks:
             for name, column in columns.items():
-                assert column.dtype == np.uint64
+                assert column.dtype == np.uint32
                 expected = []
                 for cta, lin in zip(ctaidx, lin_in_block):
                     warp = CTAState(launch, cta_start + int(cta)) \

@@ -25,7 +25,8 @@ from repro.cudnn import ConvFwdAlgo
 from repro.debugtool.instrument import _dest_width, instrumented_sites
 from repro.functional.executor import (
     FAST_MODES, FunctionalEngine, RunStats)
-from repro.functional.megablock import MegaMachine, compile_megaplan
+from repro.functional.megablock import (
+    MegaMachine, column_dtype, compile_megaplan)
 from repro.functional.memory import GlobalMemory, LinearMemory
 from repro.functional.state import LaunchContext
 from repro.functional.superblock import compile_superblocks
@@ -162,22 +163,29 @@ def _ptx(body: list[str], stored: list[str]) -> str:
 """ + "".join(f"    {line}\n" for line in lines) + "}\n")
 
 
-def _launch(ptx: str, seed: int) -> LaunchContext:
+def _launch(ptx: str, seed: int, words: np.ndarray | None = None,
+            threads: int = _THREADS) -> LaunchContext:
+    """Two CTAs of ``threads // 2`` (one of *threads* if odd), each
+    thread's ``%a0`` row _IN_WORDS of *words*, seeded ones by default."""
     kernel = parse_module(ptx, "gen").kernel("gen")
-    rng = np.random.default_rng(seed)
-    words = rng.integers(0, 1 << 64, _THREADS * _IN_WORDS, dtype=np.uint64)
-    picks = rng.integers(0, 3 * len(_INTERESTING), words.size)
-    chosen = picks < len(_INTERESTING)
-    words[chosen] = np.array(_INTERESTING, dtype=np.uint64)[picks[chosen]]
+    if words is None:
+        rng = np.random.default_rng(seed)
+        words = rng.integers(0, 1 << 64, threads * _IN_WORDS,
+                             dtype=np.uint64)
+        picks = rng.integers(0, 3 * len(_INTERESTING), words.size)
+        chosen = picks < len(_INTERESTING)
+        words[chosen] = np.array(_INTERESTING,
+                                 dtype=np.uint64)[picks[chosen]]
     gm = GlobalMemory()
-    inp = gm.allocate(words.nbytes)
-    gm.write(inp, words.tobytes())
-    out = gm.allocate(_THREADS * 8 * (_MID_SLOTS + len(_GENERAL)))
+    inp = gm.allocate(threads * _IN_WORDS * 8)
+    gm.write(inp, np.resize(words, threads * _IN_WORDS).tobytes())
+    out = gm.allocate(threads * 8 * (_MID_SLOTS + len(_GENERAL)))
     pm = LinearMemory(16)
     pm.write_uint(0, inp, 8)
     pm.write_uint(8, out, 8)
-    return LaunchContext(kernel=kernel, grid_dim=(2, 1, 1),
-                         block_dim=(_THREADS // 2, 1, 1),
+    ctas = 2 - threads % 2
+    return LaunchContext(kernel=kernel, grid_dim=(ctas, 1, 1),
+                         block_dim=(threads // ctas, 1, 1),
                          global_mem=gm, param_mem=pm)
 
 
@@ -239,6 +247,11 @@ def _run_vector(ptx: str, seed: int):
 # An f16 NaN keeps only its sign (megablock kept its payload).
 @example((["ld.global.u16 %rd0, [%a0+0];", "cvt.f16.f16 %h0, %rd0;"],
           ["%h0"]), 0)
+# NaN + NaN: CPython's generic float add keeps the second payload, its
+# warmed-up one and NumPy the first (one rule now: the canonical NaN).
+@example((["mov.b64 %rd1, 9221120237041090561;",
+           "mov.b64 %rd2, 9221120237041090562;",
+           "add.f64 %rd0, %rd1, %rd2;"], ["%rd0"]), 0)
 @settings(settings.get_profile("regwidth"), deadline=None, derandomize=True,
           database=None, suppress_health_check=list(HealthCheck))
 def test_generated_mixed_width_kernels_agree_on_every_tier(program, seed):
@@ -267,6 +280,134 @@ def test_the_generator_mixes_widths():
     assert len(_ALU) > 250
     assert {"cvt.u16.u32", "add.u64", "mad.wide.u32", "setp.lt.s32",
             "and.pred", "mov.b16"} <= set(_ALU)
+
+
+# ----------------------------------------------------------------------
+# The storage rule (megablock columns at their register's width) and the
+# NaN rule, on explicit inputs
+# ----------------------------------------------------------------------
+_WORD32 = (0x80000001, 0xFFFFFFFF, 0x7FFFFFFF, 0x12345678, 0xFFFF8000,
+           0, 1, 0xABCDFFFF)
+
+
+def _outputs(body: list[str], stored: list[str], words,
+             threads: int = _THREADS) -> np.ndarray:
+    """Each thread's output row (the _MID_SLOTS the body stores to, then
+    the *stored* registers) after one run per tier; every tier agrees."""
+    ptx, images = _ptx(body, stored), {}
+    for mode in FAST_MODES:
+        launch = _launch(ptx, 0, np.asarray(words, np.uint64), threads)
+        engine = FunctionalEngine(launch, fast_mode=mode)
+        if mode == "megablock":
+            assert engine.admission.tier == "megablock", engine.admission
+        engine.run()
+        images[mode] = _memory_image(launch)
+    for mode, image in images.items():
+        assert image == images["reference"], f"{mode} differs\n{ptx}"
+    row = _MID_SLOTS + len(_GENERAL)
+    out = np.frombuffer(images["reference"], np.uint64)
+    return out[threads * _IN_WORDS:].reshape(threads, row)
+
+
+def _signed32(value: int) -> int:
+    return value - (1 << 32) if value >> 31 else value
+
+
+def test_every_megablock_column_has_the_dtype_its_width_implies():
+    ptx = _ptx(["ld.global.u32 %r0, [%a0+0];", "ld.global.u16 %h0, [%a0+8];",
+                "ld.global.s32 %r2, [%a0+16];", "setp.lt.u32 %p0, %r0, %t0;",
+                "cvt.u64.u32 %rd0, %r0;", "add.u16 %r1, %r1, %h0;",
+                "bar.sync 0;", "@%p0 mov.b32 %r1, %r2;"],
+               ["%r0", "%h0", "%r1", "%rd0"])
+    kernel = parse_module(ptx, "gen").kernel("gen")
+    engine = FunctionalEngine(_launch(ptx, 0), fast_mode="megablock")
+    machine = MegaMachine(engine, engine._megaplan)
+    machine.run(RunStats())
+    widths = register_widths(kernel)
+    dtypes = {name: column.dtype for name, column in machine.R.items()}
+    assert dtypes == {name: column_dtype(widths.get(name, 64))
+                      for name in dtypes}
+    # A proven width, not the declared one: a signed load fills 64 bits.
+    assert [dtypes[name] for name in ("%p0", "%r0", "%h0", "%r2", "%rd0")] \
+        == [np.bool_, np.uint32, np.uint32, np.uint64, np.uint64]
+
+
+def _rows(words: list[int], threads: int = _THREADS) -> np.ndarray:
+    """Each thread's _IN_WORDS input words, as ``_launch`` lays them."""
+    return np.resize(np.asarray(words, np.uint64),
+                     threads * _IN_WORDS).reshape(threads, _IN_WORDS)
+
+
+def test_a_16_bit_write_into_a_32_bit_register_keeps_its_upper_bits():
+    words = [w for word in _WORD32 for w in (word, word ^ 0xFFFFFFFF)]
+    out = _outputs(["ld.global.u32 %r0, [%a0+0];", "bar.sync 0;",
+                    "add.u16 %r0, %r0, 1;", "ld.global.u16 %h0, [%a0+8];",
+                    "ld.global.u32 %r1, [%a0+0];", "mov.b16 %r1, %h0;"],
+                   ["%r0", "%r1"], words)
+    for row, inputs in zip(out, _rows(words)):
+        word, other = int(inputs[0]), int(inputs[1])
+        upper = word & 0xFFFF0000
+        assert row[_MID_SLOTS] == upper | (word + 1) & 0xFFFF
+        assert row[_MID_SLOTS + 1] == upper | other & 0xFFFF
+
+
+def test_a_32_bit_register_read_at_64_bits_extends_as_the_reference():
+    """Zero- or sign-extension, each way PTX reads a 32-bit register
+    past 32 bits."""
+    words = [w for pair in zip(_WORD32, _WORD32[3:] + _WORD32[:3])
+             for w in pair]
+    out = _outputs(["ld.global.u32 %r0, [%a0+0];",
+                    "ld.global.u32 %r1, [%a0+8];",
+                    "cvt.u64.u32 %rd0, %r0;", "cvt.s64.s32 %rd1, %r0;",
+                    "mov.b64 %rd2, {%r0, %r1};",
+                    "st.global.u64 [%a1+0], %rd0;",
+                    "st.global.u64 [%a1+8], %rd1;",
+                    "st.global.u64 [%a1+16], %rd2;",
+                    "mul.wide.s32 %rd0, %r0, %r1;",
+                    "mul.wide.u32 %rd1, %r0, %r1;",
+                    "mad.wide.s32 %rd2, %r0, -3, %rd1;"],
+                   ["%rd0", "%rd1", "%rd2"], words)
+    for thread, (row, inputs) in enumerate(zip(out, _rows(words))):
+        lo, hi = int(inputs[0]), int(inputs[1])
+        s_lo, s_hi = _signed32(lo), _signed32(hi)
+        mask = (1 << 64) - 1
+        assert [int(value) for value in row[:3]] == [
+            lo, s_lo & mask, lo | hi << 32], thread
+        assert [int(value) for value in row[_MID_SLOTS:_MID_SLOTS + 3]] == [
+            s_lo * s_hi & mask, lo * hi, (s_lo * -3 + lo * hi) & mask]
+
+
+_F32_NAN, _F64_NAN = 0x7FC00000, 0x7FF8000000000000
+
+
+@pytest.mark.parametrize("threads", [16, 17, 33])
+def test_a_nan_result_is_canonical_at_every_chunk_length(threads):
+    """Which NaN payload NumPy's ``a + b`` keeps changes with the array
+    length (and differs from CPython's): a NaN result of two or more
+    float operands is the canonical NaN on every tier."""
+    words = []
+    for thread in range(threads):
+        words += [_F64_NAN | thread + 1, 0xFFF8000000000000 | thread << 9,
+                  _F32_NAN | thread + 1, 0xFFC00000 | thread << 9,
+                  0x3F800000, 0, 0, 0]
+    out = _outputs(["ld.global.f64 %rd0, [%a0+0];",
+                    "ld.global.f64 %rd1, [%a0+8];",
+                    "add.f64 %rd2, %rd0, %rd1;",
+                    "st.global.u64 [%a1+0], %rd2;",
+                    "ld.global.f32 %r0, [%a0+16];",
+                    "ld.global.f32 %r1, [%a0+24];",
+                    "ld.global.f32 %r2, [%a0+32];",
+                    "add.f32 %h0, %r0, %r1;", "st.global.u32 [%a1+8], %h0;",
+                    "fma.rn.f32 %h0, %r2, %r0, %r1;",
+                    "st.global.u32 [%a1+16], %h0;",
+                    "mul.f32 %r2, %r2, %r0;",
+                    "neg.f32 %r1, %r1;"], ["%r2", "%r1"], words, threads)
+    for thread, row in enumerate(out):
+        assert [hex(value) for value in row[:3]] == [
+            "0x7fffffffffffffff", "0x7fffffff", "0x7fffffff"], thread
+        assert row[_MID_SLOTS + 0] == 0x7FFFFFFF
+        # One float operand: the NaN passes with its payload and sign.
+        assert row[_MID_SLOTS + 1] == (0xFFC00000 | thread << 9) ^ (1 << 31)
 
 
 # ----------------------------------------------------------------------

@@ -7,16 +7,28 @@ reproduce commands in the index cannot silently rot.  Also verifies the
 architecture doc and the index itself exist and that the index contains
 a markdown table with a Reproduce column, and that the index names
 every row id and artifact of the experiment table
-(``benchmarks/experiments.py``).
+(``benchmarks/experiments.py``).  Every ``python -m <module> ...`` and
+``python <script>.py ...`` command in a backtick span or a fenced block
+must parse against that command's own ``argparse`` parser: the command
+runs as ``__main__`` up to the moment its arguments parse, and no
+further.
 
     python tools/check_experiments_index.py
 """
 
 from __future__ import annotations
 
+import argparse
+import contextlib
+import importlib.util
+import io
 import re
+import runpy
+import shlex
 import sys
+import warnings
 from pathlib import Path
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
@@ -46,6 +58,61 @@ def referenced_paths(text: str) -> set[str]:
             if token.startswith(_PATH_PREFIXES)}
 
 
+#: ``[PYTHONPATH=...] python (-m <module> | <script>.py) <arguments>``.
+_COMMAND = re.compile(r"(?:PYTHONPATH=\S+\s+)?python3?\s+"
+                      r"(?:-m\s+([\w.]+)|(\S+\.py))(.*)")
+_FENCED = re.compile(r"^```\w*\n(.*?)^```", re.M | re.S)
+
+
+class _Parsed(Exception):
+    """Raised in place of a command's work once its arguments parsed."""
+
+
+def reproduce_commands(text: str) -> list[str]:
+    """The python commands of backtick spans and fenced blocks."""
+    lines = [line.split("#")[0] for block in _FENCED.findall(text)
+             for line in block.splitlines()]
+    return [line.strip() for line in _SPAN.findall(text) + lines
+            if _COMMAND.fullmatch(line.strip())]
+
+
+def command_problem(command: str) -> str | None:
+    """Why *command* does not parse, or ``None`` if it does.
+
+    A script that does not use ``argparse`` must be given no arguments;
+    it is not run."""
+    module, script, rest = _COMMAND.fullmatch(command).groups()
+    argv = shlex.split(rest)
+    path = (ROOT / script if script
+            else Path(importlib.util.find_spec(module).origin))
+    if "argparse" not in path.read_text():
+        return f"{command}: takes no arguments" if argv else None
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def parse_only(parser, args=None, namespace=None):
+        parse_args(parser, args, namespace)
+        raise _Parsed
+
+    stderr = io.StringIO()
+    with mock.patch.object(argparse.ArgumentParser, "parse_args",
+                           parse_only), \
+            mock.patch.object(sys, "argv", [str(path), *argv]), \
+            contextlib.redirect_stderr(stderr), warnings.catch_warnings():
+        # runpy warns when the module is imported already.
+        warnings.simplefilter("ignore", RuntimeWarning)
+        try:
+            if module:
+                runpy.run_module(module, run_name="__main__")
+            else:
+                runpy.run_path(str(path), run_name="__main__")
+        except _Parsed:
+            return None
+        except SystemExit as exit:
+            last = stderr.getvalue().strip().splitlines()[-1:]
+            return f"{command}: exits {exit.code}: {''.join(last)}"
+    return f"{command}: never parsed its arguments"
+
+
 def main() -> int:
     problems: list[str] = []
     for doc in REQUIRED_DOCS:
@@ -67,6 +134,11 @@ def main() -> int:
             if not (ROOT / path).exists():
                 problems.append(f"EXPERIMENTS.md references missing "
                                 f"path {path}")
+        for command in reproduce_commands(text):
+            problem = command_problem(command)
+            if problem:
+                problems.append(f"EXPERIMENTS.md reproduce command "
+                                f"{problem}")
         tokens = _tokens(text)
         for row in EXPERIMENTS:
             for name in (row.id, *(f"results/{a}" for a in row.artifacts)):
