@@ -40,16 +40,18 @@ a memory access on any tier — operand shapes, ``.v2``/``.v4`` arity, the
 declined spaces, element offsets, sign extension, store masking and
 **one** access event per lane spanning the whole vector — and asks the
 dialect only for the memory vocabulary: ``address(mem)`` (an opaque
-handle), ``load(space, addr, offset, nbytes)``, ``store(space, addr,
-offset, nbytes, value)`` and ``access(inst, addr, total_bytes,
-is_write)``; where a dialect's lanes must meet in memory order is its
-own business (the scalar dialect decides per state space before each
-instruction).  The access event is the single feed of
-``warp.mem_trace`` (hence ``ExecRecord.mem_accesses`` and the scalar
-sanitizer hook), the timing pre-pass's ``StreamRecorder.access`` and the
-vector tier's sanitizer checks, so "per access, not per element" holds
-by construction.  ``atom``/``red``/``tex`` stay reference-only: their
-value order is issue order.
+handle), ``access(inst, addr, total_bytes, is_write)`` and
+``elements(space, addr, nbytes, width, values)`` — by default a
+``load(space, addr, offset, nbytes)`` or ``store(..., value)`` per
+element, in the vector dialect one call for the whole access.  Where a
+dialect's lanes must meet in memory order is its own business (the
+scalar dialect decides per state space before each instruction).  The
+access event is the single feed of ``warp.mem_trace`` (hence
+``ExecRecord.mem_accesses`` and the scalar sanitizer hook), the timing
+pre-pass's ``StreamRecorder.access`` and the vector tier's sanitizer
+checks, so "per access, not per element" holds by construction.
+``atom``/``red``/``tex`` stay reference-only: their value order is issue
+order.
 
 Adding an opcode: docs/ARCHITECTURE.md "Adding an opcode" — its row of
 the instruction-set table (:mod:`repro.ptx.instructions`) and one row
@@ -105,8 +107,8 @@ class Codegen:
     ``write_pred``, ``float_encoder``, ``canonical``, ``bind``, ``select``,
     ``pred_true``, ``compare``, ``shift``, ``divrem``, ``to_float``,
     ``value_mod64``, ``symbol``, ``call``, and for memory rows
-    ``address``, ``access``, ``load``, ``store`` and ``write_raw`` (a
-    whole-payload write of a loaded value).
+    ``address``, ``access``, ``load``/``store`` (or ``elements``) and
+    ``write_raw`` (a whole-payload write of a loaded value).
 
     ``widths`` is the kernel's register width map
     (:func:`repro.analysis.dataflow.register_widths`; a register it
@@ -149,6 +151,16 @@ class Codegen:
         if canonical:
             expr = self.canonical(expr)
         self.write(name, bits, f"{self.float_encoder(bits)}({expr})")
+
+    def elements(self, space: str, addr, nbytes: int, width: int,
+                 values: list[str] | None = None):
+        """Store *values*, or give the raw local of each of the *width*
+        elements one access loads: per element, lazily (so element k's
+        write renders before element k+1 loads)."""
+        for index, value in enumerate(values or ()):
+            self.store(space, addr, index * nbytes, nbytes, value)
+        return () if values else (self.load(space, addr, index * nbytes,
+                                            nbytes) for index in range(width))
 
 
 # ----------------------------------------------------------------------
@@ -388,7 +400,7 @@ def _ld_st(inst, gen, first, second) -> None:
     _require(space in (_ST_SPACES if is_write else _LD_SPACES)
              and mem.kind == ast.MEM and len(elems) == width
              and all(elem.kind in kinds for elem in elems))
-    nbytes = dtype.bytes
+    nbytes, values = dtype.bytes, None
     if is_write:
         # Values are truncated to the access width.
         unsigned = DType("u", dtype.bits)
@@ -397,12 +409,8 @@ def _ld_st(inst, gen, first, second) -> None:
     addr = gen.address(mem)
     # One event per lane for the whole vector, the way it issues.
     gen.access(inst, addr, nbytes * width, is_write)
-    for index, elem in enumerate(elems):
-        offset = index * nbytes
-        if is_write:
-            gen.store(space, addr, offset, nbytes, values[index])
-            continue
-        raw = gen.load(space, addr, offset, nbytes)
+    for elem, raw in zip(elems, gen.elements(space, addr, nbytes, width,
+                                             values)):
         if dtype.is_signed and dtype.bits < 64:
             gen.write(elem.name, 64, gen.decode(raw, dtype))
         else:

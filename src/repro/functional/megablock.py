@@ -18,8 +18,8 @@ launch clock come out identical to the scalar tiers.
 Register-op semantics are the rows of :mod:`repro.functional.emit`;
 :class:`_VecGen` is the dialect that spells a row's primitives as NumPy
 source (entry hoists, mask blending, the guard memo) — for the ``ld``/
-``st`` row as ``VM.ld``/``VM.st`` gather/scatter calls per element plus
-one ``VM.watch`` access event per instruction.  Eligibility
+``st`` row as one ``VM.ld``/``VM.st`` call per instruction, whatever its
+vector width, plus one ``VM.watch`` access event.  Eligibility
 is all-or-nothing per kernel: every non-control instruction needs a
 vector rendering (atomics, textures, ``%clock`` reads and other exotica
 have none), otherwise the engine falls back to the superblock tier.
@@ -41,12 +41,21 @@ bailout, not an error.  The scalar engine compiles the kernel's
 superblocks at its first fused issue, so a launch that never bails out
 never compiles them.
 
-Global loads and stores gather/scatter on a NumPy view of
-:class:`~repro.functional.memory.GlobalMemory`'s own buffer — the one
-store every tier executes against, so nothing is copied in or out.  The
-view lives for one chunk (a ``bytearray`` with a live export cannot
-grow).  Grids wider than one 64Ki-thread chunk run their chunks one
-after another in ascending CTA order.
+A memory instruction is checked once for all its lanes and elements:
+lanes off its mask (``None`` when a full frame runs it unguarded) are
+zeroed, one OR of the buffer offsets gives their alignment and bounds
+the largest (``max()`` runs only when the OR passes the buffer's end),
+and each element is one gather or scatter on a NumPy view of the space's
+buffer — for global memory
+:class:`~repro.functional.memory.GlobalMemory`'s own, the store every
+tier executes against, so nothing is copied in or out.  An access with a
+lane outside its buffer, or a global load under ``uninit_read="raise"``,
+runs element by element and lane by lane: faults, auto-paging and
+never-written pages are per-lane facts, so only that path raises at the
+scalar tiers' first faulting lane and pages in their order.  The view
+lives for one chunk (a ``bytearray`` with a live export cannot grow).
+Grids wider than one 64Ki-thread chunk run their chunks one after
+another in ascending CTA order.
 
 Generated block sources are plain strings binding only ``np``/``H``
 (:mod:`repro.functional.npops`) plus the runtime ``VM`` object, which
@@ -92,7 +101,9 @@ from repro.ptx.values import MASK64
 #:    ``mul.wide`` is as wide as its type (``result_bits``).
 #: 10: register columns at their proven width (``bool``/``uint32``/
 #:    ``uint64``), read as ``R[name]``; canonical NaN results.
-PLAN_FORMAT = 10
+#: 11: one ``VM.ld``/``VM.st`` call per access, all its elements at
+#:    once, with ``None`` lanes in a full frame.
+PLAN_FORMAT = 11
 
 _PAGE_SHIFT = np.uint64(PAGE_BITS)
 
@@ -464,20 +475,20 @@ class _VecGen(Codegen):
         """The lanes the current instruction executes on."""
         return self._auto_pm or "m"
 
-    @staticmethod
-    def _element(addr: str, offset: int) -> str:
-        return f"({addr}) + np.uint64({offset})" if offset else addr
-
-    def load(self, space: str, addr: str, offset: int, nbytes: int) -> str:
-        return self._let(
-            f"VM.ld({space!r}, {nbytes}, {self._element(addr, offset)}, "
-            f"{self._mask()})", _U64 if nbytes == 8 else _U32)
-
-    def store(self, space: str, addr: str, offset: int, nbytes: int,
-              value: str) -> None:
-        self.body.append(
-            f"    VM.st({space!r}, {nbytes}, {self._element(addr, offset)}, "
-            f"{value}, {self._mask()})")
+    def elements(self, space: str, addr: str, nbytes: int, width: int,
+                 values: list[str] | None = None):
+        """One ``VM.ld``/``VM.st`` call for the whole access, whose lanes
+        are ``None`` when a full frame runs it unguarded."""
+        lanes = self._auto_pm or "None if full else m"
+        call = f"{space!r}, {nbytes}, {addr}, {lanes}"
+        if values is not None:
+            self.body.append(f"    VM.st({call}, {', '.join(values)})")
+            return ()
+        raws = [self._tmp() for _ in range(width)]
+        self.body.append(f"    {', '.join(raws)}, = VM.ld({call}, {width})")
+        for raw in raws:
+            self._probe[raw] = np.zeros(1, _U64 if nbytes == 8 else _U32)
+        return raws
 
     # -- assembly -------------------------------------------------------
     def build(self, live_out: frozenset) -> tuple[str, list[str]]:
@@ -771,7 +782,7 @@ class MegaMachine:
         self.nct = nct
         tpb = launch.threads_per_block
         self.T = nct * tpb
-        tables = thread_tables(launch, cta_start, nct)
+        tables = thread_tables(launch, nct)
         #: special-register columns, each built on its first read.
         self.specials: dict[str, np.ndarray] = {}
         self.ctaidx = tables["cta_index"]
@@ -792,8 +803,11 @@ class MegaMachine:
         self.S = span
         self.smem = np.zeros(nct * span, np.uint8)
         self.srow = (self.ctaidx * span).astype(np.uint64)
-        self.pmem, self.p_len = self._arena_np(launch.param_mem)
-        self.cmem, self.c_len = self._arena_np(launch.const_mem)
+        #: space -> (its buffer, the bytes a lane may reach in it).
+        self._arenas = {"global": (self.gmem, self.gspan),
+                        "shared": (self.smem, self.S_real),
+                        "param": self._arena_np(launch.param_mem),
+                        "const": self._arena_np(launch.const_mem)}
         self._graise = gm.uninit_read == "raise"
         self._views: dict[tuple, np.ndarray] = {}
         # Stores mark the shadow's init map in place, like the store.
@@ -832,156 +846,171 @@ class MegaMachine:
             return symbol[1] + offset
         raise SimulationFault(f"unknown symbol {name!r}")
 
-    def _view(self, key: str, buf: np.ndarray,
-              nbytes: int) -> np.ndarray:
-        view = self._views.get((key, nbytes))
+    def _view(self, space: str, nbytes: int) -> np.ndarray:
+        view = self._views.get((space, nbytes))
         if view is None:
-            view = buf.view(_GATHER_DT[nbytes])
-            self._views[(key, nbytes)] = view
+            view = self._arenas[space][0].view(_GATHER_DT[nbytes])
+            self._views[(space, nbytes)] = view
         return view
 
-    def _gather(self, key: str, buf: np.ndarray, idx: np.ndarray,
-                nbytes: int) -> np.ndarray:
-        """Little-endian *nbytes* at each *idx*: a ``uint32`` column up
-        to 4 bytes, else ``uint64``."""
+    def _index(self, space: str, addr: np.ndarray, pm,
+               span: int) -> tuple[np.ndarray, int] | None:
+        """(buffer index, OR of the offsets) of an access of *span* bytes
+        at *addr*, or ``None`` if a lane on *pm* (``None``: every lane)
+        leaves its space's buffer.  Lanes off *pm* index 0."""
+        if space == "global":
+            addr = addr - np.uint64(GLOBAL_BASE)
+        if pm is not None:
+            addr = addr * pm  # twice as fast as np.where(pm, addr, 0)
+        bits = int(np.bitwise_or.reduce(addr))
+        limit = self._arenas[space][1] - span
+        # The OR bounds the largest offset: most accesses need no max().
+        if bits > limit and int(addr.max()) > limit:
+            return None
+        return (self.srow + addr if space == "shared" else addr), bits
+
+    def _gather(self, space: str, idx: np.ndarray, nbytes: int, width: int,
+                bits: int) -> list[np.ndarray]:
+        """Little-endian *nbytes* at each *idx* and the *width* - 1
+        elements after it: a ``uint32`` column each up to 4 bytes, else
+        ``uint64``.  *bits* has the alignment of every *idx*."""
         dtype = _LOAD_DT[nbytes]
-        if nbytes in _GATHER_DT \
-                and not (idx & np.uint64(nbytes - 1)).any():
-            view = self._view(key, buf, nbytes)
-            out = view[(idx >> _GATHER_SHIFT[nbytes]).astype(np.int64)]
-            return out if out.dtype == dtype else out.astype(dtype)
-        out = np.zeros(len(idx), dtype)
-        ii = idx.astype(np.int64)
-        for k in range(nbytes):
-            out |= buf[ii + k].astype(dtype) << (8 * k)
-        return out
+        if nbytes in _GATHER_DT and not bits & (nbytes - 1):
+            view = self._view(space, nbytes)
+            at = (idx >> _GATHER_SHIFT[nbytes]).view(np.int64)
+            return [view[k:].take(at).astype(dtype, copy=False)
+                    for k in range(width)]
+        raw = self._arenas[space][0][idx.view(np.int64)[:, None]
+                                     + np.arange(nbytes * width)]
+        raw = raw.view(_GATHER_DT.get(nbytes, np.uint8))  # (T, width)
+        return [raw[:, k].astype(dtype) for k in range(width)]
 
-    def _fault(self, addr_arr, bad, nbytes: int, size: int):
-        i = int(np.argmax(bad))
-        a = int(addr_arr[i])
-        raise SimulationFault(
-            f"access [{a}, {a + nbytes}) outside arena of {size} bytes")
-
-    def _shared_window(self, addr, pm, nbytes: int) -> None:
-        bad = pm & (addr > np.uint64(self.S_real - nbytes))
+    def _window(self, space: str, addr, pm, nbytes: int) -> None:
+        """Fault at the first lane on *pm* whose *nbytes* at *addr* leave
+        the shared, param or const arena."""
+        size = self._arenas[space][1]
+        bad = pm if size < nbytes else pm & (addr > np.uint64(size - nbytes))
         if bad.any():
-            self._fault(addr, bad, nbytes, self.S_real)
+            a = int(addr[np.argmax(bad)])
+            raise SimulationFault(
+                f"access [{a}, {a + nbytes}) outside arena of {size} bytes")
 
-    def ld(self, space: str, nbytes: int, addr, pm) -> np.ndarray:
-        """Raw little-endian *nbytes* at *addr* per thread (lanes off
-        *pm* read anything)."""
+    def ld(self, space: str, nbytes: int, addr, pm,
+           width: int) -> list[np.ndarray]:
+        """The *width* elements of raw little-endian *nbytes* at *addr*
+        per thread, a column each; lanes off *pm* (``None``: none are)
+        read anything."""
         if not isinstance(addr, np.ndarray):
             if space in ("param", "const"):
-                # Truly uniform (one arena for the whole grid): read
-                # once through the scalar arena (same fault semantics)
-                # and broadcast.
+                # One arena for the whole grid: read once and broadcast.
                 arena = (self.launch.param_mem if space == "param"
                          else self.launch.const_mem)
-                return self.fill(arena.read_uint(int(addr), nbytes),
-                                 _LOAD_DT[nbytes])
+                return [self.fill(arena.read_uint(int(addr) + k, nbytes),
+                                  _LOAD_DT[nbytes])
+                        for k in range(0, nbytes * width, nbytes)]
             addr = self.fill(addr)
+        if space != "global" or not self._graise:
+            fast = self._index(space, addr, pm, nbytes * width)
+            if fast is not None:
+                return self._gather(space, fast[0], nbytes, width, fast[1])
+        pm = np.ones(self.T, bool) if pm is None else pm
         if space == "global":
-            return self._ld_global(addr, pm, nbytes)
-        if space == "shared":
-            self._shared_window(addr, pm, nbytes)
-            idx = self.srow + np.where(pm, addr, np.uint64(0))
-            return self._gather("s", self.smem, idx, nbytes)
-        buf, real = ((self.pmem, self.p_len) if space == "param"
-                     else (self.cmem, self.c_len))
-        limit = real - nbytes
-        bad = pm if limit < 0 else pm & (addr > np.uint64(limit))
-        if bad.any():
-            self._fault(addr, bad, nbytes, real)
-        return self._gather(space, buf, np.where(pm, addr, np.uint64(0)),
-                            nbytes)
+            return [self._ld_global(addr + np.uint64(k), pm, nbytes)
+                    for k in range(0, nbytes * width, nbytes)]
+        # Element by element, the first element a lane on pm leaves the
+        # arena with faults at the first such lane; with no lane on pm
+        # nothing is read.
+        for k in range(0, nbytes * width, nbytes):
+            self._window(space, addr + np.uint64(k), pm, nbytes)
+        return [np.zeros(self.T, _LOAD_DT[nbytes]) for _ in range(width)]
 
     def _ld_global(self, addr: np.ndarray, pm: np.ndarray,
                    nbytes: int) -> np.ndarray:
         """Gather in-span lanes from the store's buffer; the rest read
-        through the store itself."""
+        through the store itself (never-written pages fault under the
+        ``"raise"`` policy)."""
         if self.gspan:
             rel = addr - np.uint64(GLOBAL_BASE)
             ok = rel <= np.uint64(self.gspan - nbytes)
-            if not self._graise and ok.all():
-                return self._gather("g", self.gmem, rel, nbytes)
             idx = np.where(ok, rel, np.uint64(0))
             if self._graise:
-                # Never-written pages fault in the store's own read.
                 flags = self._gwritten
                 ok &= (flags[(idx >> _PAGE_SHIFT).astype(np.int64)]
                        & flags[((idx + np.uint64(nbytes - 1))
                                 >> _PAGE_SHIFT).astype(np.int64)]
                        ).astype(bool)
-            raw = np.where(ok, self._gather("g", self.gmem, idx, nbytes), 0)
+            raw = np.where(ok, self._gather("global", idx, nbytes, 1, int(
+                np.bitwise_or.reduce(idx)))[0], 0)
             stray = pm & ~ok
         else:
             raw = np.zeros(self.T, _LOAD_DT[nbytes])
             stray = pm
-        if stray.any():
-            # Outside the span the store auto-pages, one lane at a time
-            # like the scalar tiers.
-            gm = self.launch.global_mem
-            for i in np.flatnonzero(stray):
-                raw[i] = gm.read_uint(int(addr[i]), nbytes)
+        # Outside the span the store auto-pages, one lane at a time like
+        # the scalar tiers.
+        gm = self.launch.global_mem
+        for i in np.flatnonzero(stray):
+            raw[i] = gm.read_uint(int(addr[i]), nbytes)
         return raw
 
-    def st(self, space: str, nbytes: int, addr, val, pm) -> None:
-        """Scatter the low *nbytes* of *val* to *addr* for lanes on
-        *pm*; *space* is global or shared (all the ld/st row stores to)."""
+    def st(self, space: str, nbytes: int, addr, pm, *values) -> None:
+        """Scatter the low *nbytes* of each of *values* to the elements
+        at *addr* for lanes on *pm* (``None``: every lane); *space* is
+        global or shared (all the ld/st row stores to)."""
         if not isinstance(addr, np.ndarray):
             addr = self.fill(addr)
-        val = np.asarray(val)
-        if val.ndim == 0:
+        fast = self._index(space, addr, pm, nbytes * len(values))
+        if fast is not None:
+            idx, bits = fast
+            if pm is not None:
+                sel = np.flatnonzero(pm)
+                idx, values = idx[sel], [v[sel] if np.ndim(v) else v
+                                         for v in values]
+            self._scatter(space, idx, nbytes, values, bits)
+            return
+        pm = np.ones(self.T, bool) if pm is None else pm
+        for k, val in enumerate(values):
+            at = addr + np.uint64(k * nbytes)
+            if space == "shared":  # faults as ld does (the chunk is lost)
+                self._window(space, at, pm, nbytes)
+                continue
+            # Outside the span the store auto-pages, one lane at a time
+            # in ascending thread order like the scalar tiers.
             val = np.broadcast_to(val, (self.T,))
-        if space == "global":
-            rel = addr - np.uint64(GLOBAL_BASE)
-            if self.gspan:
-                ok = rel <= np.uint64(self.gspan - nbytes)
-            else:
-                ok = np.zeros(self.T, bool)
-            if not ok.all():
-                stray = pm & ~ok
-                if stray.any():
-                    # Outside the span the store auto-pages, one lane at
-                    # a time in ascending thread order like the scalar
-                    # tiers.
-                    gm = self.launch.global_mem
-                    for i in np.flatnonzero(stray):
-                        gm.write_uint(int(addr[i]), int(val[i]), nbytes)
-                ok &= pm
-                sel = np.nonzero(ok)[0]
-            else:
-                sel = np.nonzero(pm)[0]
-            if not sel.size:
-                return
-            idx = rel[sel]
-            key, buf = "g", self.gmem
-        else:
-            self._shared_window(addr, pm, nbytes)
-            sel = np.nonzero(pm)[0]
-            if not sel.size:
-                return
-            idx = self.srow[sel] + addr[sel]
-            key, buf = "s", self.smem
-        v = val[sel]
-        ii = idx.astype(np.int64)
-        aligned = nbytes in _GATHER_DT \
-            and not (idx & np.uint64(nbytes - 1)).any()
+            rel = at - np.uint64(GLOBAL_BASE)
+            ok = pm & (rel <= self.gspan - nbytes)
+            for i in np.flatnonzero(pm & ~ok):
+                self.launch.global_mem.write_uint(int(at[i]), int(val[i]),
+                                                  nbytes)
+            rel = rel[ok]
+            self._scatter(space, rel, nbytes, [val[ok]],
+                          int(np.bitwise_or.reduce(rel)))
+
+    def _scatter(self, space: str, idx: np.ndarray, nbytes: int,
+                 values: list, bits: int) -> None:
+        """Store each of *values* at *idx* and the elements after it
+        (*bits* as in :meth:`_gather`)."""
+        ii, span = idx.view(np.int64), nbytes * len(values)
+        aligned = nbytes in _GATHER_DT and not bits & (nbytes - 1)
         if aligned:
-            view = self._view(key, buf, nbytes)
-            view[ii >> (nbytes.bit_length() - 1)] = v  # truncates
+            view = self._view(space, nbytes)
+            at = ii >> (nbytes.bit_length() - 1)
+            for k, v in enumerate(values):
+                view[k:][at] = v  # truncates
         else:
-            for k in range(nbytes):
-                buf[ii + k] = (v >> (8 * k)) & 0xFF
+            buf = self._arenas[space][0]
+            for k, v in enumerate(values):
+                for b in range(nbytes):
+                    buf[ii + (k * nbytes + b)] = (v >> (8 * b)) & 0xFF
         if space == "global":
-            # What gm.write does beside the bytes: page flags and, with
-            # a shadow attached, init marks.
+            # What gm.write does beside the bytes: page flags (an access
+            # touches at most two pages) and, with a shadow attached,
+            # init marks.
             self._gwritten[ii >> PAGE_BITS] = 1
-            if not aligned:
-                self._gwritten[(ii + (nbytes - 1)) >> PAGE_BITS] = 1
+            if not aligned or span > nbytes:
+                self._gwritten[(ii + (span - 1)) >> PAGE_BITS] = 1
             if self._init is not None:
-                for k in range(nbytes):
-                    self._init[ii + k] = 1
+                for b in range(span):
+                    self._init[ii + b] = 1
 
     def _access(self, pc: int, space: str, nbytes: int, addr, pm,
                 is_write: bool) -> None:
@@ -1247,7 +1276,7 @@ class MegaMachine:
         """Hand global memory back: drop every view of the store and of
         its shadow."""
         self.gmem = self._gwritten = self._init = None
-        self._views = {}
+        self._views, self._arenas = {}, {}
 
     # -- barrier parking ------------------------------------------------
     def _park(self, stack: list, parked: list, frame: "_Frame",

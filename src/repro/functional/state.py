@@ -346,7 +346,7 @@ class WarpState:
         return [lane for lane in range(WARP_SIZE) if mask & (1 << lane)]
 
 
-def thread_tables(launch: LaunchContext, cta_start: int, num_ctas: int):
+def thread_tables(launch: LaunchContext, num_ctas: int):
     """Bookkeeping arrays for a chunk of *num_ctas* CTAs.
 
     The megablock tier executes ``num_ctas * threads_per_block`` grid

@@ -28,7 +28,8 @@ from repro.functional.executor import (
 from repro.functional.megablock import (
     EVENTS, MegaMachine, PLAN_FORMAT, compile_megaplan,
     plan_from_payload, reset_events)
-from repro.functional.memory import GlobalMemory, LinearMemory
+from repro.functional.memory import (
+    GLOBAL_BASE, PAGE_BITS, PAGE_SIZE, GlobalMemory, LinearMemory)
 from repro.functional.state import CTAState, LaunchContext
 from repro.analysis import ANALYSIS_VERSION
 from repro.ptx.builder import PTXBuilder, f32
@@ -858,13 +859,33 @@ class TestCampaignWorkloads:
         # Every kernel of the workload holds the vector tier.
         assert EVENTS["fallbacks"] == EVENTS["bailouts"] == 0, dict(EVENTS)
 
-    def test_lenet_forward_holds_the_vector_tier(self):
+    def test_lenet_forward_holds_the_vector_tier(self, monkeypatch):
         """The full-size LeNet forward (two images) runs every kernel
-        on megablock: nothing falls back or bails out."""
+        on megablock: nothing falls back or bails out.  Every block
+        call with ``full`` set has a mask of every thread (a full frame
+        passes ``VM.ld``/``VM.st`` no mask at all)."""
         from repro.cuda import CudaRuntime, FunctionalBackend
         from repro.cudnn import Cudnn, build_application_binary
         from repro.nn import synthetic_mnist
         from repro.nn.lenet import LeNet, LeNetConfig
+        calls = {True: 0, False: 0}
+
+        def checked(fn):
+            def block(VM, R, m, full):
+                assert m.all() or not full
+                calls[full] += 1
+                return fn(VM, R, m, full)
+            return block
+        init = MegaMachine.__init__
+
+        def patched(self, engine, plan):
+            blocks = {pc: megablock._VecBlock(
+                b.start, b.end, b.opcode_counts, b.source, b.pruned,
+                checked(b.fn)) for pc, b in plan.blocks.items()}
+            init(self, engine, megablock.MegaPlan(
+                plan.kernel_name, plan.body_len, plan.eligible,
+                plan.reasons, blocks, plan.controls))
+        monkeypatch.setattr(MegaMachine, "__init__", patched)
         rt = CudaRuntime(backend=FunctionalBackend(fast_mode="megablock"))
         rt.load_binary(build_application_binary())
         model = LeNet(Cudnn(rt), LeNetConfig())
@@ -873,6 +894,216 @@ class TestCampaignWorkloads:
         rt.synchronize()
         assert len(rt.profiles) > 10
         assert EVENTS["fallbacks"] == EVENTS["bailouts"] == 0, dict(EVENTS)
+        assert calls[True] > 0 and calls[False] > 0, calls
+
+
+# ---------------------------------------------------------------------------
+# The memory path: one bounds test and one gather per access
+# ---------------------------------------------------------------------------
+#: name -> (type, vector width, bytes off the natural alignment).
+_ACCESS_FORMS = {"u32": ("u32", 1, 0), "u64": ("u64", 1, 0),
+                 "v2.u32": ("u32", 2, 0), "v4.u32": ("u32", 4, 0),
+                 "v2.u64": ("u64", 2, 0), "u16+1": ("u16", 1, 1),
+                 "v2.u16+1": ("u16", 2, 1)}
+_ACCESS_BLOCK = 64
+
+
+def _access_step(form: str) -> int:
+    """Bytes each thread owns in every buffer of :func:`_access_ptx`."""
+    dtype, width, skew = _ACCESS_FORMS[form]
+    return int(dtype[1:]) // 8 * width * (2 if skew else 1)
+
+
+def _access_ptx(space: str, form: str, frame: str) -> str:
+    """Each thread copies its slot of ``xs`` to ``ys`` through *form*
+    accesses of *space* run by a *frame*: ``full`` (every lane,
+    unguarded), ``predicated`` (guarded off on some lanes of every warp)
+    or ``diverged`` (those lanes branch around the access).  Through
+    shared memory a thread stores its slot and loads it back, or its
+    neighbour's past a barrier (a barrier right after a branch is met
+    by the lanes that skipped ahead: the machine would bail out)."""
+    dtype, width, skew = _ACCESS_FORMS[form]
+    step = _access_step(form)
+    b = PTXBuilder("acc", [("xs", "u64"), ("ys", "u64")])
+    if space == "shared":
+        b.shared("tile", "b8", _ACCESS_BLOCK * step, align=16)
+    xs, ys = b.ld_param("u64", "xs"), b.ld_param("u64", "ys")
+    tid, gtid = b.special("%tid.x"), b.global_tid_x()
+    low, p = b.reg("u32"), b.reg("pred")
+    b.ins("and.b32", low, tid, "5")
+    b.ins("setp.ne.u32", p, low, "0")
+    vec = f".v{width}" if width > 1 else ""
+
+    def regs() -> str:
+        names = b.regs(dtype, width)
+        return names[0] if width == 1 else "{" + ", ".join(names) + "}"
+
+    def slot(base: str, index: str) -> str:
+        addr = b.elem_addr(base, index, step)
+        return f"[{addr}+{skew}]" if skew else f"[{addr}]"
+
+    def access(op: str, *operands: str, framed: bool = True) -> None:
+        if framed and frame == "diverged":
+            with b.if_then(p):
+                b.ins(op, *operands)
+            return
+        guard = p if framed and frame == "predicated" else None
+        b.ins(op, *operands, pred=guard)
+
+    data = regs()
+    if space == "global":
+        access(f"ld.global{vec}.{dtype}", data, slot(xs, gtid))
+        access(f"st.global{vec}.{dtype}", slot(ys, gtid), data)
+        return b.build()
+    b.ins(f"ld.global{vec}.{dtype}", data, slot(xs, gtid))
+    tile, other = b.reg("u64"), tid
+    b.ins("mov.u64", tile, "tile")
+    access(f"st.shared{vec}.{dtype}", slot(tile, tid), data)
+    if frame != "diverged":
+        other = b.reg("u32")
+        b.ins("xor.b32", other, tid, "1")
+        b.bar_sync()
+    got = regs()
+    access(f"ld.shared{vec}.{dtype}", got, slot(tile, other))
+    b.ins(f"st.global{vec}.{dtype}", slot(ys, gtid), got)
+    return b.build()
+
+
+def _run_access(ptx: str, mode: str, step: int, *, raise_uninit=False,
+                shadow=False, at_end=None):
+    """Run ``acc`` on 2 CTAs of :data:`_ACCESS_BLOCK` threads; *at_end*
+    moves buffers (by name) to that many bytes past the end of the
+    allocated span.  Return (ys bytes, written pages, shadow init map)."""
+    from repro.sanitize.shadow import attach_shadow
+    threads = 2 * _ACCESS_BLOCK
+    launch = _build_launch(ptx, "acc", params={"xs": 0, "ys": 0},
+                           block=(_ACCESS_BLOCK, 1, 1))
+    gm = GlobalMemory(uninit_read="raise" if raise_uninit else "zeros")
+    if shadow:
+        attach_shadow(gm)
+    xs = gm.allocate(threads * step + 16)
+    rng = np.random.default_rng(5)
+    gm.write(xs, rng.integers(0, 256, threads * step + 16,
+                              dtype=np.uint8).tobytes())
+    gm.allocate(8192)                   # ys on pages of its own
+    ys = gm.allocate(threads * step + 16)
+    if not raise_uninit:
+        gm.write(ys, bytes(threads * step + 16))
+    moved = {name: GLOBAL_BASE + len(gm.dense()[0]) + offset
+             for name, offset in (at_end or {}).items()}
+    xs, ys = moved.get("xs", xs), moved.get("ys", ys)
+    if "xs" in moved:   # straddles the span's end: auto-paged past it
+        gm.write(xs, rng.integers(1, 256, threads * step,
+                                  dtype=np.uint8).tobytes())
+    launch.global_mem = gm
+    for decl, value in zip(launch.kernel.params, (xs, ys)):
+        launch.param_mem.write_uint(decl.offset, value, 8)
+    FunctionalEngine(launch, fast_mode=mode).run()
+    marks = None if gm.shadow is None else bytes(gm.shadow.dense())
+    return (gm.read(ys, threads * step + 16), dict(gm.iter_pages()),
+            marks)
+
+
+def _spy_lanes(monkeypatch) -> list:
+    """Record, per ``VM.ld``/``VM.st`` call with a column address,
+    whether its lanes argument was ``None``."""
+    seen = []
+    for name, at in (("ld", 3), ("st", 3)):
+        real = getattr(MegaMachine, name)
+
+        def spy(self, *args, _real=real, _at=at):
+            if isinstance(args[2], np.ndarray):
+                seen.append(args[_at] is None)
+            return _real(self, *args)
+        monkeypatch.setattr(MegaMachine, name, spy)
+    return seen
+
+
+class TestMemoryPath:
+    @pytest.mark.parametrize("frame", ["full", "predicated", "diverged"])
+    @pytest.mark.parametrize("form", list(_ACCESS_FORMS))
+    @pytest.mark.parametrize("space", ["global", "shared"])
+    def test_every_frame_and_form_matches_the_reference(
+            self, space, form, frame, monkeypatch):
+        ptx, step = _access_ptx(space, form, frame), _access_step(form)
+        want = _run_access(ptx, "reference", step)[:2]
+        lanes = _spy_lanes(monkeypatch)
+        got = _run_access(ptx, "megablock", step)[:2]
+        assert got == want
+        assert any(got[0])
+        assert EVENTS["fallbacks"] == EVENTS["bailouts"] == 0
+        # A full frame passes no mask; a guard or a branch does.
+        assert all(lanes) if frame == "full" else not all(lanes)
+
+    @pytest.mark.parametrize("opcode", ["ld", "st"])
+    @pytest.mark.parametrize("vector", [False, True])
+    def test_shared_past_the_window_faults_at_the_first_lane(
+            self, opcode, vector):
+        """Thread 63's word, or the second element of its ``.v2`` (whose
+        first is the window's last word), lies past a 256-byte window:
+        every tier names that lane's element."""
+        b = PTXBuilder("acc", [("xs", "u64"), ("ys", "u64")])
+        b.shared("tile", "u32", _ACCESS_BLOCK)
+        tid, tile = b.special("%tid.x"), b.reg("u64")
+        b.ins("mov.u64", tile, "tile")
+        addr = b.elem_addr(tile, tid, 4)
+        data = b.regs("u32", 2)
+        data = "{" + ", ".join(data) + "}" if vector else data[0]
+        mem = f"[{addr}]" if vector else f"[{addr}+4]"
+        op = f"{opcode}.shared{'.v2' if vector else ''}.u32"
+        b.ins(op, *((data, mem) if opcode == "ld" else (mem, data)))
+        ptx = b.build()
+        for mode in ("reference", "megablock"):
+            with pytest.raises(SimulationFault) as info:
+                _run_access(ptx, mode, 8)
+            assert str(info.value) == \
+                "access [256, 260) outside arena of 256 bytes", mode
+
+    def test_full_frame_under_the_raise_policy(self):
+        """Every global load of a full frame takes the per-lane path
+        under ``uninit_read="raise"``: written data reads back as on the
+        reference, a never-written page faults."""
+        ptx = _access_ptx("global", "v2.u32", "full")
+        want = _run_access(ptx, "reference", 8, raise_uninit=True)[:2]
+        assert _run_access(ptx, "megablock", 8, raise_uninit=True)[:2] \
+            == want
+        load = _access_ptx("global", "u32", "full").replace(
+            "[xs]", "[ys]", 1)
+        for mode in ("reference", "megablock"):
+            with pytest.raises(SimulationFault, match="never-written"):
+                _run_access(load, mode, 4, raise_uninit=True)
+
+    @pytest.mark.parametrize("at_end", [
+        {"ys": -100}, {"xs": -100, "ys": 4096}])
+    @pytest.mark.parametrize("frame", ["full", "predicated"])
+    def test_lanes_past_the_span_auto_page(self, frame, at_end):
+        """A buffer starts 100 bytes before the span ends: thread 12's
+        ``.v2`` straddles the end and later threads lie past it, so
+        their elements auto-page, lane by lane, as on the reference."""
+        ptx = _access_ptx("global", "v2.u32", frame)
+        runs = [_run_access(ptx, mode, 8, at_end=at_end)
+                for mode in ("reference", "megablock")]
+        assert runs[1][:2] == runs[0][:2]
+        assert any(runs[0][0][100:])            # past the span
+
+    @pytest.mark.parametrize("frame", ["full", "predicated"])
+    @pytest.mark.parametrize("form", ["v2.u32", "v4.u32", "u16+1"])
+    def test_stores_leave_the_reference_init_marks(self, form, frame):
+        ptx, step = _access_ptx("global", form, frame), _access_step(form)
+        runs = [_run_access(ptx, mode, step, shadow=True)
+                for mode in ("reference", "megablock")]
+        assert runs[1][:3] == runs[0][:3]
+        assert runs[0][2].count(1) > 0
+
+    def test_a_vector_store_across_a_page_flags_both_pages(self):
+        """Only the last thread's ``.v2`` reaches page 1 (by its second
+        element): the page is written on every tier."""
+        ptx = _access_ptx("global", "v2.u32", "full")
+        runs = [_run_access(ptx, mode, 8, shadow=True,
+                            at_end={"ys": -2 * PAGE_SIZE - 8 * 128 + 4})
+                for mode in ("reference", "megablock")]
+        assert runs[1][:3] == runs[0][:3]
+        assert (GLOBAL_BASE >> PAGE_BITS) + 1 in runs[0][1]
 
 
 # ---------------------------------------------------------------------------
@@ -884,7 +1115,8 @@ import numpy as np
 import repro.cuda
 from repro.functional import kernelcache
 from repro.functional.executor import FunctionalEngine
-from repro.functional.memory import GlobalMemory, LinearMemory
+from repro.functional.memory import (
+    GLOBAL_BASE, PAGE_BITS, PAGE_SIZE, GlobalMemory, LinearMemory)
 from repro.functional.state import LaunchContext
 from repro.ptx.builder import PTXBuilder, f32
 from repro.ptx.parser import parse_module
