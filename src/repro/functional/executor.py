@@ -429,11 +429,17 @@ class FunctionalEngine:
         target = branch_target(self.kernel, inst)
         if target is None:
             raise SimulationFault(f"bra without target: {inst.text}")
-        active_mask = warp.simt.active_mask
         taken_mask = 0
         for lane in lanes:
             taken_mask |= 1 << lane
-        not_taken_mask = active_mask & ~taken_mask
+        self._branch(warp, pc, target, taken_mask)
+
+    def _branch(self, warp: WarpState, pc: int, target: int,
+                taken_mask: int) -> None:
+        """Move *warp* past the ``bra`` at *pc*, taken by the active
+        lanes in *taken_mask*: to *target* or the fall-through when they
+        agree, else split at the reconvergence point."""
+        not_taken_mask = warp.simt.active_mask & ~taken_mask
         if not_taken_mask == 0:
             warp.simt.advance(target)
         elif taken_mask == 0:
@@ -578,9 +584,11 @@ class FunctionalEngine:
 
         Whole fused blocks execute in one call — no ``ExecRecord``, no
         per-instruction dispatch; aggregate stats come from each block's
-        static metadata; guarded instructions fuse like any other.  Any
-        pc without a block (a branch, barrier or exit, a ``%clock``
-        read, a mid-block pc restored from a checkpoint) falls back to
+        static metadata; guarded instructions fuse like any other.  A
+        block closed by a ``bra`` returns its taken lanes and the warp
+        moves on through :meth:`_branch`, as a stepped ``bra`` does.
+        Any pc without a block (a barrier or exit, a ``%clock`` read, a
+        mid-block pc restored from a checkpoint) falls back to
         :meth:`step_warp` until the next block entry.
         """
         blocks = self._superblocks
@@ -590,7 +598,7 @@ class FunctionalEngine:
         simt = warp.simt
         launch = self.launch
         per_opcode = stats.dynamic_per_opcode if stats is not None else None
-        executed = 0
+        executed, runs = 0, {}
         while not simt.empty and not warp.at_barrier:
             block = blocks.get(simt.pc)
             if block is None:
@@ -602,17 +610,24 @@ class FunctionalEngine:
                     opcode = result.inst.opcode
                     per_opcode[opcode] = per_opcode.get(opcode, 0) + 1
                 continue
-            block.execute(warp, lanes_of(simt.active_mask))
+            mask = simt.active_mask
+            taken = block.execute(warp, lanes_of(mask))
             count = block.count
             executed += count
             warp.instructions_executed += count
             launch.clock += count
-            simt.advance(block.end)
-            if per_opcode is not None:
-                for opcode, times in block.opcode_counts.items():
-                    per_opcode[opcode] = per_opcode.get(opcode, 0) + times
+            if block.target is None:
+                simt.advance(block.end)
+            else:
+                self._branch(warp, block.end - 1, block.target,
+                             mask if taken is None else taken)
+            runs[block] = runs.get(block, 0) + 1
         if stats is not None:
             stats.instructions += executed
+            for block, times in runs.items():
+                for opcode, count in block.opcode_counts.items():
+                    per_opcode[opcode] = (per_opcode.get(opcode, 0)
+                                          + count * times)
         return executed > 0
 
     def run(self, **per_cta) -> RunStats:

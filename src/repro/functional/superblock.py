@@ -6,15 +6,17 @@ PTX semantics — register ops and ``ld``/``st`` alike — are the rows of
 :mod:`repro.ptx.instructions`); this module holds only what is scalar
 about compiling them — :class:`_BlockCodegen`, the dialect that spells a
 row's primitives as per-lane Python-int source (lane loops, register
-forwarding, the liveness flush, inline buffer indexing for the memory
-row's ``load``/``store``, ``mem_trace`` for its access event).  The
-source is rendered two ways:
+forwarding, the liveness flush, ``struct`` calls on the backing buffer
+for the memory row's ``load``/``store``, ``mem_trace`` for its access
+event).  The source is rendered two ways:
 
 * :func:`compile_superblocks` fuses every maximal straight-line run of
-  non-control, non-barrier instructions, guarded ones included, into a
-  single *superblock* closure that executes the whole run for a warp in
-  one call — no ``ExecRecord``, no ``guard_lanes``, no SIMT-stack
-  advance per dynamic instruction;
+  non-control, non-barrier instructions, guarded ones included, and the
+  ``bra`` that follows it into a single *superblock* closure that
+  executes the whole run for a warp in one call — no ``ExecRecord``, no
+  ``guard_lanes``, no SIMT-stack advance per dynamic instruction (a
+  closing ``bra``'s guard is read in the last lanes loop and the
+  closure returns the taken-lane mask for the engine to branch on);
 * :func:`compile_step` pushes a *single* instruction through the same
   rows for ``FunctionalEngine.step_warp`` — the path hooked runs (the
   sanitizer, fault injection), budgeted checkpoint slices,
@@ -60,10 +62,12 @@ memory and every *live* register):
 * float reinterpretation inlines the two ``struct`` calls instead of
   going through the :mod:`repro.ptx.values` wrappers;
 * linear arenas (shared/param/const) and the dense span of global memory
-  are read and written directly on the backing buffers, with the same
+  are read and written on the backing buffers with one precompiled
+  ``struct`` ``unpack_from``/``pack_into`` per element, behind the same
   bounds faults the arena methods raise (anything outside the span, a
-  misaligned global store, or a store with a shadow attached takes the
-  store's own ``read_uint``/``write_uint``);
+  global load under ``uninit_read="raise"``, a misaligned global store,
+  or a store with a shadow attached takes the store's own
+  ``read_uint``/``write_uint``);
 * no ``mem_trace`` bookkeeping in fused blocks — traces only feed
   :class:`~repro.functional.executor.ExecRecord`, which superblock-
   executed instructions never produce.
@@ -79,11 +83,12 @@ through ``step_warp``.
 from __future__ import annotations
 
 import functools
+import struct
 from typing import Callable, Sequence
 
 from repro.analysis.dataflow import liveness, register_widths
 from repro.errors import SimulationFault
-from repro.functional.cfg import block_leaders
+from repro.functional.cfg import block_leaders, branch_target
 from repro.functional.emit import Codegen, emit as _emit
 from repro.functional.memory import GLOBAL_BASE, PAGE_BITS
 from repro.functional.state import is_special
@@ -102,6 +107,11 @@ from repro.ptx.values import (
 
 #: A compiled instruction or block: ``fn(warp, lanes)``.
 LaneFn = Callable[[object, Sequence[int]], None]
+
+#: Access width in bytes -> the little-endian unsigned ``struct`` that
+#: reads (``unpack_from``) and writes (``pack_into``) it in place.
+_UINT = {nbytes: struct.Struct(f"<{code}")
+         for nbytes, code in ((1, "B"), (2, "H"), (4, "I"), (8, "Q"))}
 
 #: Special registers whose per-lane value tables can be hoisted.
 _STATIC_SPECIAL = frozenset(
@@ -138,17 +148,21 @@ _FLOAT_ENCODERS = {16: ("h2b", f16_to_bits), 32: ("f2b", f32_to_bits),
 
 
 class Superblock:
-    """One fused straight-line run: ``[start, end)`` of the kernel body."""
+    """One fused straight-line run: ``[start, end)`` of the kernel body.
+    A run closed by the ``bra`` at ``end - 1`` jumps to *target* on the
+    lanes ``execute`` returns (``None``: all of them)."""
 
-    __slots__ = ("start", "end", "count", "execute", "opcodes",
+    __slots__ = ("start", "end", "count", "execute", "target", "opcodes",
                  "opcode_counts", "source", "pruned")
 
     def __init__(self, start: int, end: int, execute, opcodes: tuple[str, ...],
-                 source: str, pruned: frozenset[str] = frozenset()) -> None:
+                 source: str, pruned: frozenset[str] = frozenset(),
+                 target: int | None = None) -> None:
         self.start = start
         self.end = end
         self.count = end - start
         self.execute = execute
+        self.target = target
         self.opcodes = opcodes
         counts: dict[str, int] = {}
         for opcode in opcodes:
@@ -202,6 +216,8 @@ class _BlockCodegen(Codegen):
         self._guard: tuple[str, list[str], dict, dict] | None = None
         #: The next per-lane statement opens a new lanes loop.
         self._fenced = False
+        #: Local the closure returns: a closing branch's taken mask.
+        self.taken: str | None = None
 
     # -- naming --------------------------------------------------------
     def fresh(self, prefix: str = "_t") -> str:
@@ -294,14 +310,27 @@ class _BlockCodegen(Codegen):
                 self.fence()
             self._spaces[inst.space] = inst.opcode
         if inst.pred is not None:
-            held = (f"{'not ' if inst.pred_negated else ''}"
-                    f"{self.reg(inst.pred)} & 1")
-            guard = self._guards.get(held)
-            if guard is None:
-                guard = self._guards[held] = self.fresh("_g")
-                self._loop(f"{guard} = {held}")
-            self._guard = (guard, [], dict(self._forward),
+            self._guard = (self._held(inst), [], dict(self._forward),
                            dict(self._pending))
+
+    def _held(self, inst: ast.Instruction) -> str:
+        """Local holding whether *inst*'s guard holds on this lane."""
+        held = (f"{'not ' if inst.pred_negated else ''}"
+                f"{self.reg(inst.pred)} & 1")
+        guard = self._guards.get(held)
+        if guard is None:
+            guard = self._guards[held] = self.fresh("_g")
+            self._loop(f"{guard} = {held}")
+        return guard
+
+    def branch(self, inst: ast.Instruction) -> None:
+        """The run's closing ``bra``: a guarded one makes the closure
+        return the mask of lanes whose guard holds, read in the last
+        lanes loop (an unguarded one returns ``None``: all of them)."""
+        if inst.pred is not None:
+            taken = self.taken = self.fresh("_b")
+            self.prologue.append(f"{taken} = 0")
+            self._loop(f"if {self._held(inst)}: {taken} |= 1 << lane")
 
     def end(self, emitted: bool) -> None:
         """Close the guard: ``if`` it held the new payloads, ``else`` the
@@ -538,14 +567,12 @@ class _BlockCodegen(Codegen):
         buffers directly."""
         addr, invariant = self._element(addr, offset), addr[1]
         raw = self.fresh("_m")
+        unpack = self.helper(f"_ld{nbytes}", _UINT[nbytes].unpack_from)
         if space != "global":
             buf = self._linear(space, addr, nbytes, invariant)
-            ifb = self.helper("_ifb", int.from_bytes)
-            self.lane(
-                f"{raw} = {ifb}({buf}[{addr}:{addr} + {nbytes}], 'little')")
+            self.lane(f"{raw} = {unpack}({buf}, {addr})[0]")
             return raw
         buf, _ = self.global_buffer()
-        ifb = self.helper("_ifb", int.from_bytes)
         rel = self.fresh("_o")
         arena = self.arena("global")
         # Highest in-span offset; none under "raise", whose never-written
@@ -557,7 +584,7 @@ class _BlockCodegen(Codegen):
         self.lane(
             f"{rel} = {addr} - {GLOBAL_BASE}",
             f"if 0 <= {rel} <= {limit}:",
-            f"    {raw} = {ifb}({buf}[{rel}:{rel} + {nbytes}], 'little')",
+            f"    {raw} = {unpack}({buf}, {rel})[0]",
             "else:",
             f"    {raw} = {fallback}({addr}, {nbytes})")
         return raw
@@ -568,10 +595,10 @@ class _BlockCodegen(Codegen):
         addr, invariant = self._element(addr, offset), addr[1]
         local = self.fresh("_m")
         self.lane(f"{local} = {value}")
-        data = f"{local}.to_bytes({nbytes}, 'little')"
+        pack = self.helper(f"_st{nbytes}", _UINT[nbytes].pack_into)
         if space != "global":
             buf = self._linear(space, addr, nbytes, invariant)
-            self.lane(f"{buf}[{addr}:{addr} + {nbytes}] = {data}")
+            self.lane(f"{pack}({buf}, {addr}, {local})")
             return
         buf, written = self.global_buffer()
         rel = self.fresh("_o")
@@ -588,7 +615,7 @@ class _BlockCodegen(Codegen):
         self.lane(
             f"{rel} = {addr} - {GLOBAL_BASE}",
             f"if 0 <= {rel} <= {limit}{aligned}:",
-            f"    {buf}[{rel}:{rel} + {nbytes}] = {data}",
+            f"    {pack}({buf}, {rel}, {local})",
             f"    {written}[{rel} >> {PAGE_BITS}] = 1",
             "else:",
             f"    {fallback}({addr}, {local}, {nbytes})")
@@ -611,6 +638,8 @@ class _BlockCodegen(Codegen):
             # A reference ld/st/atom/tex traces its accesses; only
             # step_warp clears the trace, so a block must leave none.
             body.append("warp.mem_trace.clear()")
+        if self.taken is not None:
+            body.append(f"return {self.taken}")
         if not body:
             body = ["pass"]
         params = ["warp", "lanes"] + [f"{k}={k}" for k in self.bindings]
@@ -650,31 +679,38 @@ def eligible(inst: ast.Instruction) -> bool:
 def _fuse(kernel, run: list[ast.Instruction], start: int,
           live_out: frozenset[str] | None) -> Superblock:
     gen = _BlockCodegen(register_widths(kernel))
-    for inst in run:
+    closing = run[-1] if run[-1].opcode == "bra" else None
+    for inst in run[:-1] if closing else run:
         gen.begin(inst)
         emitted = _emit(inst, gen)
         gen.end(emitted)
         if not emitted:
             gen.opaque(inst)
+    if closing:
+        gen.branch(closing)
     filename = f"<superblock {kernel.name}@{start}>"
     execute, source = gen.build(filename, live_out)
     return Superblock(
         start=start, end=start + len(run), execute=execute,
         opcodes=tuple(inst.opcode for inst in run), source=source,
-        pruned=frozenset(gen.pruned))
+        pruned=frozenset(gen.pruned),
+        target=closing and branch_target(kernel, closing))
 
 
 @kernel_fact
 def compile_superblocks(kernel) -> dict[int, Superblock]:
-    """Fuse every maximal eligible straight-line run of *kernel*.
+    """Fuse every maximal eligible straight-line run of *kernel*, each
+    closed by the ``bra`` that follows it, if one does.
 
-    Returns ``{entry pc: Superblock}``, once per kernel.  Runs never cross basic-block
-    leaders, so any pc a warp can branch or reconverge to is either a
+    Returns ``{entry pc: Superblock}``, once per kernel.  Runs never
+    cross basic-block leaders (a ``bra`` that is one starts a run of
+    its own), so any pc a warp can branch or reconverge to is either a
     block entry or outside every block (where the engine steps).
 
     One liveness solve per kernel feeds the end-of-run writeback flush:
-    the set live before the instruction that follows a run is exactly
-    what later code can still read, so everything else stays in locals.
+    the set live after a run's last instruction — into both successors
+    of a closing branch — is exactly what later code can still read, so
+    everything else stays in locals.
     """
     body = kernel.body
     leaders = block_leaders(kernel)
@@ -682,16 +718,18 @@ def compile_superblocks(kernel) -> dict[int, Superblock]:
     blocks: dict[int, Superblock] = {}
     pc, size = 0, len(body)
     while pc < size:
-        if not eligible(body[pc]):
+        start = pc
+        while pc < size and eligible(body[pc]) and (
+                pc == start or pc not in leaders):
+            pc += 1
+        if pc < size and body[pc].opcode == "bra" and (
+                pc == start or pc not in leaders):
+            pc += 1
+        if pc == start:  # a barrier, an exit or a %clock read: stepped
             pc += 1
             continue
-        start = pc
-        pc += 1
-        while pc < size and pc not in leaders and eligible(body[pc]):
-            pc += 1
-        live_out = (live.before.get(pc, frozenset())
-                    if pc < size else frozenset())
-        blocks[start] = _fuse(kernel, body[start:pc], start, live_out)
+        blocks[start] = _fuse(kernel, body[start:pc], start,
+                              live.after.get(pc - 1, frozenset()))
     return blocks
 
 

@@ -22,10 +22,13 @@ import numpy as np
 import pytest
 
 from repro.cuda import CudaRuntime, FunctionalBackend
+from repro.errors import SimulationFault
 from repro.functional import executor
-from repro.functional.cfg import basic_blocks, block_leaders
+from repro.functional.cfg import (
+    basic_blocks, block_leaders, branch_target)
 from repro.functional.executor import FAST_MODES, FunctionalEngine, RunStats
-from repro.functional.memory import GlobalMemory, LinearMemory
+from repro.functional.memory import (
+    GLOBAL_BASE, PAGE_BITS, PAGE_SIZE, GlobalMemory, LinearMemory)
 from repro.functional.state import CTAState, LaunchContext
 from repro.functional.superblock import (
     _BlockCodegen, _emit, compile_superblocks, eligible)
@@ -94,10 +97,15 @@ class TestBlockDiscovery:
             leaders = block_leaders(kernel)
             for start, block in compile_superblocks(kernel).items():
                 assert block.start == start
-                # Interior pcs are never leaders and never control flow.
+                # Interior pcs are never leaders and never control flow;
+                # only the last pc may be a bra, the one that closes it.
                 for pc in range(start + 1, block.end):
                     assert pc not in leaders
-                for pc in range(start, block.end):
+                last = kernel.body[block.end - 1]
+                closed = last.opcode == "bra"
+                assert block.target == (
+                    branch_target(kernel, last) if closed else None)
+                for pc in range(start, block.end - closed):
                     inst = kernel.body[pc]
                     assert inst.opcode.split(".")[0] not in _CONTROL
                     guarded += inst.pred is not None
@@ -364,10 +372,11 @@ class TestGuardedFusion:
         assert _ys(warps) == [bin(tid).count("1") + 22 for tid in range(10)] \
             + [22] * 22
 
-    def test_predicated_blend_steps_only_its_branch_barriers_and_exit(
+    def test_predicated_blend_steps_only_its_barriers_and_exit(
             self, monkeypatch):
-        # Per warp: the tid guard's bra, seven bar.syncs and the exit;
-        # every guarded ld/st/add/mul runs inside a fused block.
+        # Per warp: seven bar.syncs and the exit; every guarded
+        # ld/st/add/mul runs inside a fused block, and the tid guard's
+        # bra closes the run before it.
         issued: dict[tuple[int, int], Counter] = {}
         tiers = set()
         step = FunctionalEngine.step_warp
@@ -387,7 +396,7 @@ class TestGuardedFusion:
         blend = PredicatedBlend(runtime, PredicatedBlendConfig(ctas=4))
         blend.run()
         assert tiers == {"superblock"} and len(issued) == 4 * 2
-        assert all(counts == {"bra": 1, "bar": 7, "exit": 1}
+        assert all(counts == {"bar": 7, "exit": 1}
                    for counts in issued.values()), issued
         ys, sums = blend.results()
         want_ys, want_sums = blend.expected()
@@ -558,3 +567,301 @@ class TestPerformanceModeContract:
         for addr, size in zip(allocs, (4 * 64, 4 * 64)):
             assert (free.global_mem.read(addr, size)
                     == budgeted.global_mem.read(addr, size))
+
+
+def _branch_outcome(body: str, mode: str, reconverge_at_exit: bool):
+    """Everything a ``bra`` can move, run on *mode*: memory, the run's
+    stats and clock, each warp's issue count, the SIMT stacks after
+    every scheduling round, and the opcodes ``step_warp`` issued."""
+    launch = _build_launch(_guarded_ptx(body), "g")
+    engine = FunctionalEngine(launch, fast_mode=mode,
+                              reconverge_at_exit=reconverge_at_exit)
+    stacks, stepped = [], Counter()
+    release, step = engine.try_release_barrier, engine.step_warp
+
+    def snapshot(cta):
+        stacks.append([warp.simt.snapshot() for warp in cta.warps])
+        return release(cta)
+
+    def counting(warp):
+        record = step(warp)
+        if isinstance(record, executor.ExecRecord):
+            stepped[record.inst.opcode] += 1
+        return record
+
+    engine.try_release_barrier, engine.step_warp = snapshot, counting
+    stats, issued = RunStats(), []
+    for cta in engine.iter_ctas():
+        engine.run_cta(cta, stats)
+        issued.append([warp.instructions_executed for warp in cta.warps])
+    outcome = (dict(launch.global_mem.iter_pages()), stats.instructions,
+               stats.dynamic_per_opcode, launch.clock, issued, stacks)
+    return outcome, stepped, _ys(cta.warps)
+
+
+#: name -> (body run after ``_guarded_ptx``'s set-up, ys[tid] wanted).
+_BRANCHES = {
+    # %r1 is live into the target only: the flush must keep it.
+    "uniform_taken": ("""
+    mov.u32 %r1, 5;
+    setp.lt.u32 %p0, %r0, 100;
+    @%p0 bra SKIP;
+    mov.u32 %r1, 9;
+SKIP:
+    add.u32 %r2, %r1, %r0;
+    st.global.u32 [%rd1], %r2;""", lambda tid: 5 + tid),
+    "uniform_fallthrough": ("""
+    mov.u32 %r1, 5;
+    setp.gt.u32 %p0, %r0, 100;
+    @%p0 bra SKIP;
+    add.u32 %r1, %r1, 4;
+SKIP:
+    add.u32 %r2, %r1, %r0;
+    st.global.u32 [%rd1], %r2;""", lambda tid: 9 + tid),
+    # The fall-through lanes park at a barrier while split: the stacks
+    # differ between the reconvergence modes.  bra.uni JOIN follows the
+    # barrier, so it closes a run of its own.
+    "divergent": ("""
+    mov.u32 %r1, 5;
+    setp.lt.u32 %p0, %r0, 8;
+    @%p0 bra TAKEN;
+    add.u32 %r1, %r1, 100;
+    bar.sync 0;
+    bra.uni JOIN;
+TAKEN:
+    add.u32 %r1, %r1, 200;
+JOIN:
+    add.u32 %r2, %r1, %r0;
+    st.global.u32 [%rd1], %r2;""",
+                  lambda tid: (205 if tid < 8 else 105) + tid),
+    "negated": ("""
+    mov.u32 %r1, 5;
+    setp.lt.u32 %p0, %r0, 8;
+    @!%p0 bra SKIP;
+    add.u32 %r1, %r1, 100;
+SKIP:
+    add.u32 %r2, %r1, %r0;
+    st.global.u32 [%rd1], %r2;""", lambda tid: (105 if tid < 8 else 5) + tid),
+    # Lane k loops k times: the guarded exit branch diverges lane by
+    # lane and the unconditional back edge closes the loop body.
+    "unconditional_loop": ("""
+    mov.u32 %r1, 0;
+    mov.u32 %r2, 0;
+LOOP:
+    setp.ge.u32 %p0, %r2, %r0;
+    @%p0 bra DONE;
+    add.u32 %r1, %r1, 3;
+    add.u32 %r2, %r2, 1;
+    bra LOOP;
+DONE:
+    st.global.u32 [%rd1], %r1;""", lambda tid: 3 * tid),
+    # The guard is written in the branch's own block, under a guard of
+    # its own (only lanes 4..11 recompute it).
+    "guard_written_in_block": ("""
+    mov.u32 %r1, 5;
+    setp.lt.u32 %p0, %r0, 12;
+    setp.ge.u32 %p1, %r0, 4;
+    @%p0 setp.lt.u32 %p1, %r0, 4;
+    @%p1 bra SKIP;
+    mov.u32 %r1, 7;
+SKIP:
+    st.global.u32 [%rd1], %r1;""", lambda tid: 5 if tid < 4 or tid >= 12
+                               else 7),
+    # HOP is both a branch target and a bra: it starts a run of its own.
+    "branch_at_a_target": ("""
+    mov.u32 %r1, 1;
+    setp.lt.u32 %p0, %r0, 8;
+    @%p0 bra HOP;
+    mov.u32 %r1, 2;
+HOP:
+    @%p0 bra DONE;
+    add.u32 %r1, %r1, 10;
+DONE:
+    st.global.u32 [%rd1], %r1;""", lambda tid: 1 if tid < 8 else 12),
+}
+
+
+class TestFoldedBranch:
+    """A run closes on the ``bra`` after it: the closure returns the
+    taken lanes and the engine moves the warp as a stepped ``bra``
+    would.  Each case is equal on every scalar tier in everything the
+    branch can reach, steps no ``bra`` when fused, and computes the
+    values the PTX says."""
+
+    @pytest.mark.parametrize("reconverge_at_exit", [False, True])
+    @pytest.mark.parametrize("case", list(_BRANCHES))
+    def test_matches_the_stepped_tiers(self, case, reconverge_at_exit):
+        body, want = _BRANCHES[case]
+        runs = {mode: _branch_outcome(body, mode, reconverge_at_exit)
+                for mode in ("superblock", "fastpath", "reference")}
+        fused, stepped, ys = runs["superblock"]
+        assert fused == runs["fastpath"][0] == runs["reference"][0]
+        assert ys == [want(tid) for tid in range(32)]
+        assert "bra" not in stepped and runs["fastpath"][1]["bra"]
+
+    def test_a_split_parks_with_the_mode_s_stack(self):
+        # The stacks compared above are not trivial: the fall-through
+        # lanes park at the bar.sync (pc 8) while the taken lanes wait
+        # at JOIN (pc 11) under IPDOM, or have exited under the ablation.
+        body, _want = _BRANCHES["divergent"]
+        stacks = [_branch_outcome(body, "superblock", mode)[0][5]
+                  for mode in (False, True)]
+        high = 0xffffffff ^ 0xff
+        assert stacks[0][0] == [[(11, -1, 0xffffffff), (8, 11, high)]]
+        assert stacks[1][0] == [[(8, -1, high)]]
+
+    def test_every_bra_closes_a_run(self):
+        kernel = parse_module(_guarded_ptx(_BRANCHES["divergent"][0]),
+                              "g").kernel("g")
+        closed = {block.end - 1: block
+                  for block in compile_superblocks(kernel).values()
+                  if block.target is not None}
+        assert sorted(closed) == [pc for pc, inst in enumerate(kernel.body)
+                                  if inst.opcode == "bra"] == [6, 9]
+        assert closed[9].count == 1   # bra.uni JOIN after the barrier
+        # %r1 is live into both successors of the split; %p0 into none.
+        assert "%r1" not in closed[6].pruned and "%p0" in closed[6].pruned
+
+
+def _memory_ptx(body: str) -> str:
+    """One warp over a 64-byte shared ``buf`` and a global ``.param
+    .u64 g``: *body* runs with ``%r0`` = tid and ``%rd0`` = g."""
+    return f"""
+.version 6.0
+.target sm_60
+.address_size 64
+
+.visible .entry m(.param .u64 g)
+{{
+    .reg .b32 %r<4>;
+    .reg .b64 %rd<6>;
+    .reg .pred %p<2>;
+    .shared .align 8 .b8 buf[64];
+    ld.param.u64 %rd0, [g];
+    mov.u32 %r0, %tid.x;
+{body}
+    exit;
+}}
+"""
+
+
+def _memory_outcome(body: str, mode: str, *, uninit_read="zeros",
+                    shadow=False):
+    """Run :func:`_memory_ptx` on three pages of global memory, the
+    first stored by the host: (fault text or None, written pages, the
+    shadow's init marks)."""
+    from repro.sanitize.shadow import attach_shadow
+    gm = GlobalMemory(uninit_read=uninit_read)
+    if shadow:
+        attach_shadow(gm)
+    base = gm.allocate(3 * PAGE_SIZE)
+    gm.write(base, bytes(range(256)) * (PAGE_SIZE // 256))
+    kernel = parse_module(_memory_ptx(body), "m").kernel("m")
+    params = LinearMemory(16)
+    params.write_uint(kernel.params[0].offset, base, 8)
+    launch = LaunchContext(kernel=kernel, grid_dim=(1, 1, 1),
+                           block_dim=(32, 1, 1), global_mem=gm,
+                           param_mem=params)
+    try:
+        FunctionalEngine(launch, fast_mode=mode).run()
+        fault = None
+    except SimulationFault as error:
+        fault = str(error)
+    marks = None if gm.shadow is None else bytes(gm.shadow.dense())
+    return fault, dict(gm.iter_pages()), marks
+
+
+_SCALAR_TIERS = ("superblock", "fastpath")
+
+
+class TestScalarMemoryPath:
+    """The scalar dialect reads and writes with one precompiled
+    ``struct`` call per element; every check around it stays the
+    arena's or the store's own."""
+
+    @pytest.mark.parametrize("mode", _SCALAR_TIERS)
+    @pytest.mark.parametrize("base", ["register", "symbol"])
+    @pytest.mark.parametrize("opcode", ["ld", "st"])
+    @pytest.mark.parametrize("bits", [8, 16, 32, 64])
+    def test_out_of_arena_faults_keep_their_text(self, bits, opcode, base,
+                                                 mode):
+        # Lane 3's access ends one byte past the 64-byte arena.
+        nbytes = bits // 8
+        first = 64 - nbytes + 1 - 3
+        if base == "symbol":   # lane-invariant: the whole warp overruns
+            first, mem = 64 - nbytes + 1, f"[buf+{64 - nbytes + 1}]"
+        else:
+            mem = f"[%rd2+{first}]"
+        access = (f"ld.shared.u{bits} %rd3, {mem};" if opcode == "ld"
+                  else f"st.shared.u{bits} {mem}, %rd3;")
+        body = f"""
+    mov.u64 %rd2, buf;
+    cvt.u64.u32 %rd1, %r0;
+    add.u64 %rd2, %rd2, %rd1;
+    mov.u64 %rd3, 0x0102030405060708;
+    {access}"""
+        fault = _memory_outcome(body, mode)[0]
+        assert fault == _memory_outcome(body, "reference")[0]
+        lo = first + (3 if base == "register" else 0)
+        assert fault == f"access [{lo}, {lo + nbytes}) outside arena of " \
+            "64 bytes"
+
+    @pytest.mark.parametrize("mode", _SCALAR_TIERS)
+    def test_a_misaligned_global_store_goes_through_write_uint(
+            self, mode, monkeypatch):
+        # Lane 0's word straddles into the never-written second page,
+        # which only the store's own write flags; the rest are aligned
+        # on the third, which the in-span store flags.
+        body = f"""
+    mul.wide.u32 %rd1, %r0, 4;
+    add.u64 %rd2, %rd0, %rd1;
+    add.u64 %rd2, %rd2, {2 * PAGE_SIZE};
+    setp.eq.u32 %p0, %r0, 0;
+    @%p0 add.u64 %rd2, %rd0, {PAGE_SIZE - 2};
+    st.global.u32 [%rd2], %r0;"""
+        calls = []
+        real = GlobalMemory.write_uint
+        want = _memory_outcome(body, "reference")
+
+        def spy(self, addr, value, nbytes):
+            calls.append(addr)
+            return real(self, addr, value, nbytes)
+
+        monkeypatch.setattr(GlobalMemory, "write_uint", spy)
+        got = _memory_outcome(body, mode)
+        assert got == want and got[0] is None
+        first = GLOBAL_BASE >> PAGE_BITS
+        assert sorted(got[1]) == [first, first + 1, first + 2]
+        assert calls == [GLOBAL_BASE + PAGE_SIZE - 2]
+
+    @pytest.mark.parametrize("mode", _SCALAR_TIERS)
+    @pytest.mark.parametrize("bits", [8, 16, 32, 64])
+    def test_a_store_with_a_shadow_marks_what_it_writes(self, bits, mode):
+        # The host writes only the first page: the kernel's stores
+        # mark the only bytes of the second.
+        nbytes = bits // 8
+        body = f"""
+    mul.wide.u32 %rd1, %r0, {2 * nbytes};
+    add.u64 %rd2, %rd0, %rd1;
+    st.global.u{bits} [%rd2+{PAGE_SIZE}], %rd1;"""
+        want = _memory_outcome(body, "reference", shadow=True)
+        got = _memory_outcome(body, mode, shadow=True)
+        assert got == want
+        assert got[2][PAGE_SIZE:].count(1) == 32 * nbytes
+
+    @pytest.mark.parametrize("mode", _SCALAR_TIERS)
+    def test_a_global_load_under_the_raise_policy(self, mode):
+        # Written data reads back; the second page was never written.
+        copy = """
+    mul.wide.u32 %rd1, %r0, 8;
+    add.u64 %rd2, %rd0, %rd1;
+    ld.global.u64 %rd3, [%rd2];
+    st.global.u64 [%rd2+256], %rd3;"""
+        want = _memory_outcome(copy, "reference", uninit_read="raise")
+        assert _memory_outcome(copy, mode, uninit_read="raise") == want
+        assert want[0] is None
+        stray = copy.replace("[%rd2]", f"[%rd2+{PAGE_SIZE}]")
+        fault = _memory_outcome(stray, mode, uninit_read="raise")[0]
+        assert fault == _memory_outcome(stray, "reference",
+                                        uninit_read="raise")[0]
+        assert fault.startswith("read of never-written global page")
